@@ -52,6 +52,7 @@ pub mod deque;
 pub mod injector;
 mod pool;
 pub mod proc_scan;
+pub mod quiesce;
 #[cfg(unix)]
 pub mod reactor;
 pub mod snapshot;

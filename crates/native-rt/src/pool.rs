@@ -29,6 +29,12 @@
 //!   (`affinity_applied` gauge); with no set assigned, pinned workers
 //!   fall back to the whole machine (count-only / degraded mode).
 //!
+//! The per-job path writes no line another worker writes: counts, the
+//! jobs-in-flight accounting behind [`Pool::wait_idle`] and the
+//! watchdog's progress word live in per-worker single-writer cells
+//! ([`crate::quiesce`]), and the clock is read only for sampled or
+//! burst-opening pickups.
+//!
 //! Process control is unchanged in meaning: **between** jobs — the safe
 //! suspension point — a worker compares the pool's count of unsuspended
 //! workers against the controller's target and either suspends itself or
@@ -42,7 +48,7 @@
 //! queue version had).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -53,6 +59,7 @@ use crate::controller::{Controller, TargetSlot};
 use crate::crlock::{Admission, CrConfig, CrGate};
 use crate::deque::{self, Steal, Stealer, Worker};
 use crate::injector::Injector;
+use crate::quiesce::{self, Quiesce, WorkerCells};
 use crate::stats::{Counter, Gauge, Hist, Registry, Snapshot};
 use crate::topology::{self, CpuTopology, NUM_STEAL_TIERS, STEAL_TIER_NAMES};
 use crate::trace::{self, EventKind, FlightRecorder};
@@ -60,9 +67,14 @@ use crate::trace::{self, EventKind, FlightRecorder};
 /// A unit of work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A queued job with its submission instant (for queue-wait latency).
+/// A worker stamps one in this many of its own spawns with the clock
+/// (outside submissions are all stamped).
+const SPAWN_STAMP_EVERY: u64 = 32;
+
+/// A queued job and, when it was chosen as a queue-wait sample, its
+/// submission instant with the number of jobs the sample stands for.
 struct Task {
-    submitted: Instant,
+    stamp: Option<(Instant, u64)>,
     job: Job,
 }
 
@@ -158,35 +170,24 @@ const IDLE_PARK_POLL: Duration = Duration::from_millis(10);
 /// Same bound for suspension parks (shutdown races).
 const SUSPEND_PARK_POLL: Duration = Duration::from_millis(50);
 
-/// Heartbeat states, packed into the low two bits of the per-worker
-/// heartbeat word (the upper 62 bits are the timestamp in nanoseconds
-/// since [`trace::clock_origin`]).
-const HB_IDLE: u64 = 0;
-const HB_RUNNING: u64 = 1;
-const HB_PARKED: u64 = 2;
-const HB_SUSPENDED: u64 = 3;
-
-/// Packs a heartbeat word: `(ts_ns << 2) | state`.
-fn pack_heartbeat(ts_ns: u64, state: u64) -> u64 {
-    (ts_ns << 2) | state
-}
-
 /// Stall-watchdog tuning ([`PoolConfig::watchdog`]).
 ///
 /// The watchdog is a monitor thread that classifies every worker from
-/// its heartbeat word — *running* (mid-job), *parked* (idle), or
-/// *suspended* (process control) — and escalates when a running worker
-/// makes no progress past `stall_threshold`: log line →
+/// its progress word — *running* (mid-job), *parked* (idle), or
+/// *suspended* (process control) — and escalates when a running
+/// worker's word has not changed for `stall_threshold` of the
+/// watchdog's own clock: log line →
 /// `stalls_detected` counter + [`EventKind::Stall`] trace event →
 /// unpark nudge for long-parked workers with work visibly queued →
 /// (opt-in) respawn of a worker thread that died outright.
 #[derive(Clone, Debug)]
 pub struct WatchdogConfig {
-    /// How often the watchdog scans the heartbeats.
+    /// How often the watchdog scans the progress words.
     pub interval: Duration,
-    /// A running worker whose heartbeat is older than this is stalled.
+    /// A running worker whose progress word the watchdog has seen
+    /// unchanged for longer than this is stalled.
     pub stall_threshold: Duration,
-    /// Wake one idle-parked worker when a parked heartbeat goes stale
+    /// Wake one idle-parked worker when a parked word stays unchanged
     /// past the threshold while the queues are visibly nonempty.
     pub nudge: bool,
     /// Replace worker threads that died (a panic escaped with
@@ -197,13 +198,15 @@ pub struct WatchdogConfig {
 }
 
 impl WatchdogConfig {
-    /// A watchdog scanning at half the stall threshold (so a stall is
-    /// detected within 1.5× the threshold, comfortably inside the 2×
-    /// detection bound the chaos tests assert), nudging enabled,
-    /// respawn off.
+    /// A watchdog scanning at a quarter of the stall threshold, nudging
+    /// enabled, respawn off. The progress word carries no timestamp: the
+    /// watchdog first sees a pickup up to one interval after it
+    /// happened and flags it at the first scan past the threshold from
+    /// then, so a stall is detected within threshold + 2 × interval =
+    /// 1.5× the threshold, inside the 2× bound the chaos tests assert.
     pub fn new(stall_threshold: Duration) -> Self {
         WatchdogConfig {
-            interval: (stall_threshold / 2).max(Duration::from_millis(1)),
+            interval: (stall_threshold / 4).max(Duration::from_millis(1)),
             stall_threshold,
             nudge: true,
             respawn: false,
@@ -253,27 +256,30 @@ impl SpinState {
 }
 
 thread_local! {
-    /// `(pool key, worker deque)` of the pool worker running on this
-    /// thread, if any — lets `execute` from inside a job push to the
-    /// submitting worker's own deque. The key is the address of the
-    /// pool's shared state; the worker's `Arc` keeps that address live
-    /// (and unreusable) for as long as the entry is set.
-    static CURRENT_WORKER: Cell<(usize, *const ())> = const { Cell::new((0, std::ptr::null())) };
+    /// `(pool key, worker deque, worker index)` of the pool worker
+    /// running on this thread, if any — lets `execute` from inside a job
+    /// push to the submitting worker's own deque and count the spawn in
+    /// its own cells. The key is the address of the pool's shared state;
+    /// the worker's `Arc` keeps that address live (and unreusable) for
+    /// as long as the entry is set.
+    static CURRENT_WORKER: Cell<(usize, *const (), usize)> =
+        const { Cell::new((0, std::ptr::null(), 0)) };
 }
 
 /// Clears this worker thread's `CURRENT_WORKER` entry on scope exit.
 struct TlsGuard;
 
 impl TlsGuard {
-    fn set(key: usize, worker: &Worker<Task>) -> TlsGuard {
-        CURRENT_WORKER.with(|c| c.set((key, worker as *const Worker<Task> as *const ())));
+    fn set(key: usize, worker: &Worker<Task>, index: usize) -> TlsGuard {
+        let worker = worker as *const Worker<Task> as *const ();
+        CURRENT_WORKER.with(|c| c.set((key, worker, index)));
         TlsGuard
     }
 }
 
 impl Drop for TlsGuard {
     fn drop(&mut self) {
-        CURRENT_WORKER.with(|c| c.set((0, std::ptr::null())));
+        CURRENT_WORKER.with(|c| c.set((0, std::ptr::null(), 0)));
     }
 }
 
@@ -282,13 +288,11 @@ struct PoolShared {
     injector: Injector<Task>,
     /// Steal handles for every worker's deque, indexed by worker.
     stealers: Box<[Stealer<Task>]>,
-    /// Jobs submitted and not yet finished.
-    // sched-atomic(handoff): the final fetch_sub(AcqRel) publishes the
-    // last job's writes to wait_idle's Acquire load before idle_cv fires.
-    outstanding: AtomicUsize,
-    /// Signaled when `outstanding` hits zero.
-    idle_cv: Condvar,
-    idle_mu: Mutex<()>,
+    /// Per-worker single-writer cells (path counts, spawned/finished,
+    /// progress word) and the `wait_idle` rendezvous over them; also the
+    /// registry's source for `jobs_run`, `local_hits`, `injector_pops`,
+    /// `steals` and `steal_fails`.
+    quiesce: Arc<Quiesce>,
     /// Unsuspended workers.
     // sched-atomic(handoff): the suspend/resume CAS (AcqRel) orders the
     // deque drain against stealers observing the new count.
@@ -303,14 +307,6 @@ struct PoolShared {
     // sched-atomic(handoff): Release store after the drain publishes the
     // emptied deque; stealers' Acquire load pairs with it.
     suspended_flags: Box<[AtomicBool]>,
-    /// Per-worker heartbeat words, `(ns_since_origin << 2) | state`
-    /// (see `HB_*`), stamped by each worker at job pickup and at every
-    /// park/unpark/suspend/resume transition. The watchdog reads them to
-    /// classify workers; a torn or slightly stale read costs at most one
-    /// scan interval of detection latency, never correctness.
-    // sched-atomic(relaxed): monitoring statistic — no data is published
-    // under it, and the watchdog tolerates staleness by design.
-    heartbeats: Box<[AtomicU64]>,
     /// The worker threads, indexed like `stealers`, shared so the
     /// watchdog can detect a dead thread (`is_finished`) and install a
     /// replacement. `None` only transiently while a respawn is in
@@ -329,13 +325,8 @@ struct PoolShared {
     shutdown: AtomicBool,
     /// Statistics registry behind the handles below (snapshot API).
     registry: Arc<Registry>,
-    jobs_run: Counter,
     suspends: Counter,
     resumes: Counter,
-    local_hits: Counter,
-    injector_pops: Counter,
-    steals: Counter,
-    steal_fails: Counter,
     /// Successful steals by victim distance tier (`steal_tier_smt`,
     /// `steal_tier_llc`, `steal_tier_socket`, `steal_tier_remote`).
     steal_tier_hits: [Counter; NUM_STEAL_TIERS],
@@ -353,7 +344,9 @@ struct PoolShared {
     affinity_applied: Gauge,
     /// The most recently recomputed adaptive spin budget, nanoseconds.
     spin_budget: Gauge,
-    /// Submission-to-dequeue latency of each job, nanoseconds.
+    /// Submission-to-dequeue latency, nanoseconds: every outside
+    /// submission, and one in [`SPAWN_STAMP_EVERY`] of a worker's own
+    /// spawns recorded with that weight.
     queue_wait: Hist,
     /// How long each suspension lasted, nanoseconds.
     park: Hist,
@@ -428,9 +421,10 @@ pub struct PoolConfig {
     /// way. With this off, a panic unwinds the worker thread; pair with
     /// [`WatchdogConfig::respawn`] to have the fleet heal itself.
     pub isolate_panics: bool,
-    /// Run a stall watchdog over the per-worker heartbeats; `None`
+    /// Run a stall watchdog over the per-worker progress words; `None`
     /// (default) disables monitoring entirely — zero threads, zero
-    /// hot-path cost beyond one relaxed heartbeat store per job.
+    /// hot-path cost beyond one relaxed store per job to a line only
+    /// that worker writes.
     pub watchdog: Option<WatchdogConfig>,
     /// Put a concurrency-restricting gate ([`CrGate`]) in front of the
     /// injector's sweep: at most `active_max` workers contend for the
@@ -532,33 +526,26 @@ impl Pool {
         // single-producer, so the monitor needs its own to emit
         // Stall/Recovered events about (not from) a wedged worker.
         let recorder = FlightRecorder::new(nworkers + 1, cfg.trace_capacity, &registry);
+        let quiesce = Arc::new(Quiesce::new(nworkers));
+        // sched-counters: jobs_run local_hits injector_pops steals steal_fails
+        registry.counter_source(Arc::clone(&quiesce) as _);
         let shared = Arc::new(PoolShared {
             injector: Injector::with_counter(nworkers, registry.counter("injector_sweep_skips")),
             cr_gate: cfg
                 .cr_injector
                 .map(|cr| CrGate::with_registry(cr, &registry)),
             stealers: stealers.into_boxed_slice(),
-            outstanding: AtomicUsize::new(0),
-            idle_cv: Condvar::new(),
-            idle_mu: Mutex::new(()),
+            quiesce,
             active: AtomicUsize::new(nworkers),
             suspended: Mutex::new(Vec::new()),
             suspended_flags: (0..nworkers).map(|_| AtomicBool::new(false)).collect(),
-            heartbeats: (0..nworkers)
-                .map(|_| AtomicU64::new(pack_heartbeat(trace::now_ns(), HB_IDLE)))
-                .collect(),
             worker_handles: Mutex::new(Vec::new()),
             sleepers: Mutex::new(Vec::new()),
             nsleepers: AtomicUsize::new(0),
             target,
             shutdown: AtomicBool::new(false),
-            jobs_run: registry.counter("jobs_run"),
             suspends: registry.counter("suspends"),
             resumes: registry.counter("resumes"),
-            local_hits: registry.counter("local_hits"),
-            injector_pops: registry.counter("injector_pops"),
-            steals: registry.counter("steals"),
-            steal_fails: registry.counter("steal_fails"),
             steal_tier_hits,
             steal_skips_suspended: registry.counter("steal_skips_suspended"),
             active_gauge: registry.gauge("active"),
@@ -616,32 +603,32 @@ impl Pool {
     /// injector; a job submitting from inside a worker pushes onto that
     /// worker's own deque (the fork-join fast path).
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        // Timestamp and box before touching any shared structure, so the
-        // instrumentation cannot inflate the contention it measures.
-        let task = Task {
-            submitted: Instant::now(),
-            job: Box::new(job),
-        };
-        self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
+        let job: Job = Box::new(job);
         let key = Arc::as_ptr(&self.shared) as usize;
-        let (tls_key, tls_ptr) = CURRENT_WORKER.with(Cell::get);
+        let (tls_key, tls_ptr, index) = CURRENT_WORKER.with(Cell::get);
+        // The job is counted (and stamped) before any queue can show it:
+        // a finish is never visible ahead of its submission, and the
+        // instrumentation cannot inflate the contention it measures.
         if tls_key == key {
+            // The worker's own cell doubles as the sampling tick.
+            let nth = self.shared.quiesce.cells(index).count_spawn();
+            let stamp = (nth % SPAWN_STAMP_EVERY == 1).then(|| (Instant::now(), SPAWN_STAMP_EVERY));
             // SAFETY: the entry was set by this thread's own worker_loop
             // for this pool; the Worker lives (pinned) in that frame
             // until the loop returns, which clears the entry first.
-            unsafe { (*(tls_ptr as *const Worker<Task>)).push(Box::new(task)) };
+            unsafe { (*(tls_ptr as *const Worker<Task>)).push(Box::new(Task { stamp, job })) };
         } else {
-            self.shared.injector.push(task);
+            let stamp = Some((Instant::now(), 1));
+            self.shared.quiesce.submit_external();
+            self.shared.injector.push(Task { stamp, job });
         }
         wake_one(&self.shared);
     }
 
-    /// Blocks until every submitted job has finished.
+    /// Blocks until every submitted job has finished. Counters read
+    /// right after it returns include every one of those jobs.
     pub fn wait_idle(&self) {
-        let mut guard = self.shared.idle_mu.lock();
-        while self.shared.outstanding.load(Ordering::Acquire) > 0 {
-            self.shared.idle_cv.wait(&mut guard);
-        }
+        self.shared.quiesce.wait_idle();
     }
 
     /// Current number of unsuspended workers.
@@ -656,14 +643,15 @@ impl Pool {
 
     /// Pool counters.
     pub fn metrics(&self) -> PoolMetrics {
+        let cells = self.shared.quiesce.totals();
         PoolMetrics {
-            jobs_run: self.shared.jobs_run.get(),
+            jobs_run: cells.jobs_run,
             suspends: self.shared.suspends.get(),
             resumes: self.shared.resumes.get(),
-            local_hits: self.shared.local_hits.get(),
-            injector_pops: self.shared.injector_pops.get(),
-            steals: self.shared.steals.get(),
-            steal_fails: self.shared.steal_fails.get(),
+            local_hits: cells.local_hits,
+            injector_pops: cells.injector_pops,
+            steals: cells.steals,
+            steal_fails: cells.steal_fails,
             steal_tier_hits: std::array::from_fn(|i| self.shared.steal_tier_hits[i].get()),
             steal_skips_suspended: self.shared.steal_skips_suspended.get(),
             jobs_panicked: self.shared.jobs_panicked.get(),
@@ -756,20 +744,16 @@ fn work_available(sh: &PoolShared) -> bool {
     !sh.injector.is_empty() || sh.stealers.iter().any(|s| !s.is_empty())
 }
 
-/// Acquires one task: own deque, then injector, then stealing.
-fn find_task(
+/// Acquires one task off the local fast path (the worker's own deque
+/// came up empty): injector, then stealing.
+fn find_shared_task(
     sh: &PoolShared,
-    worker: &Worker<Task>,
     index: usize,
     rings: &VictimRings,
     rng: &mut u64,
 ) -> Option<Task> {
-    if let Some(t) = worker.pop() {
-        sh.local_hits.incr();
-        return Some(*t);
-    }
     if let Some(t) = injector_pop(sh, index) {
-        sh.injector_pops.incr();
+        sh.quiesce.cells(index).count_injector_pop();
         return Some(t);
     }
     steal_task(sh, index, rings, rng)
@@ -892,6 +876,7 @@ fn steal_task(sh: &PoolShared, index: usize, rings: &VictimRings, rng: &mut u64)
     if sh.stealers.len() <= 1 {
         return None;
     }
+    let cells = sh.quiesce.cells(index);
     let mut backoff: u32 = 0;
     loop {
         let mut contended = false;
@@ -908,13 +893,13 @@ fn steal_task(sh: &PoolShared, index: usize, rings: &VictimRings, rng: &mut u64)
                 }
                 match sh.stealers[victim].steal() {
                     Steal::Success(t) => {
-                        sh.steals.incr();
+                        cells.count_steal();
                         sh.steal_tier_hits[tier].incr();
                         sh.recorder.record(index, EventKind::Steal, tier as u32);
                         return Some(*t);
                     }
                     Steal::Retry => {
-                        sh.steal_fails.incr();
+                        cells.count_steal_fail();
                         contended = true;
                     }
                     Steal::Empty => {}
@@ -1043,20 +1028,14 @@ fn idle_spin_then_park(
         sh.nsleepers.fetch_add(1, Ordering::SeqCst);
     }
     sh.recorder.record(index, EventKind::Park, 0);
-    sh.heartbeats[index].store(
-        pack_heartbeat(trace::now_ns(), HB_PARKED),
-        Ordering::Relaxed,
-    );
+    sh.quiesce.cells(index).mark(quiesce::PARKED);
     sh.spin_before_park
         .record(started.elapsed().as_nanos() as u64);
     if sh.shutdown.load(Ordering::Acquire) || work_available(sh) {
         unregister_sleeper(sh, slot);
         observe_wait(sh, spin, started.elapsed().as_nanos() as u64);
         let woke = Instant::now();
-        sh.heartbeats[index].store(
-            pack_heartbeat(trace::ns_since_origin(woke), HB_IDLE),
-            Ordering::Relaxed,
-        );
+        sh.quiesce.cells(index).mark(quiesce::IDLE);
         sh.recorder
             .record_at(index, trace::ns_since_origin(woke), EventKind::Unpark, 0);
         return Some(woke);
@@ -1073,10 +1052,7 @@ fn idle_spin_then_park(
     unregister_sleeper(sh, slot);
     observe_wait(sh, spin, started.elapsed().as_nanos() as u64);
     let woke = Instant::now();
-    sh.heartbeats[index].store(
-        pack_heartbeat(trace::ns_since_origin(woke), HB_IDLE),
-        Ordering::Relaxed,
-    );
+    sh.quiesce.cells(index).mark(quiesce::IDLE);
     sh.recorder
         .record_at(index, trace::ns_since_origin(woke), EventKind::Unpark, 0);
     Some(woke)
@@ -1094,29 +1070,34 @@ fn unregister_sleeper(sh: &PoolShared, slot: &Arc<IdleSlot>) {
 
 /// Per-job accounting that must run whether the job returns or panics:
 /// `jobs_run` counts every executed job (panicked ones included — they
-/// were acquired through exactly one path, so conservation holds) and
-/// the `outstanding` decrement keeps `wait_idle` from hanging on a job
-/// that will never "finish" normally.
+/// were acquired through exactly one path, so conservation holds), and
+/// it is the "finished" side of the quiescence scan, so `wait_idle`
+/// cannot hang on a job that will never "finish" normally.
 struct JobGuard<'a> {
-    sh: &'a PoolShared,
+    cells: &'a WorkerCells,
 }
 
 impl Drop for JobGuard<'_> {
     fn drop(&mut self) {
-        self.sh.jobs_run.incr();
-        if self.sh.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.sh.idle_mu.lock();
-            self.sh.idle_cv.notify_all();
-        }
+        self.cells.count_finish();
+    }
+}
+
+/// Runs the worker half of the `wait_idle` wakeup if this worker finished
+/// any job since it last did.
+fn announce_finishes(sh: &PoolShared, unannounced: &mut bool) {
+    if std::mem::take(unannounced) {
+        sh.quiesce.announce();
     }
 }
 
 /// Armed for the lifetime of a worker loop; if the loop unwinds (a job
 /// panic escaping with [`PoolConfig::isolate_panics`] off), repairs the
 /// shared accounting the dead worker can no longer maintain: clears its
-/// suspended flag, removes it from the `active` count, and stamps a
-/// fresh idle heartbeat so the watchdog sees a death (the thread's
-/// `is_finished` handle), not a stall.
+/// suspended flag, removes it from the `active` count, marks it idle so
+/// the watchdog sees a death (the thread's `is_finished` handle), not a
+/// stall, and announces the killer job's finish, which may have been the
+/// last one a `wait_idle` caller is waiting for.
 struct DeathWatch<'a> {
     sh: &'a PoolShared,
     index: usize,
@@ -1130,14 +1111,15 @@ impl Drop for DeathWatch<'_> {
         }
         self.sh.suspended_flags[self.index].store(false, Ordering::Release);
         self.sh.active.fetch_sub(1, Ordering::AcqRel);
-        self.sh.heartbeats[self.index]
-            .store(pack_heartbeat(trace::now_ns(), HB_IDLE), Ordering::Relaxed);
+        self.sh.quiesce.cells(self.index).mark(quiesce::IDLE);
+        self.sh.quiesce.announce();
     }
 }
 
-/// The stall-watchdog monitor thread (see [`WatchdogConfig`]): scans
-/// every worker's heartbeat each interval, opens a stall episode for a
-/// running worker whose heartbeat went stale past the threshold
+/// The stall-watchdog monitor thread (see [`WatchdogConfig`]): samples
+/// every worker's progress word each interval and ages it with its own
+/// clock (the workers read none for it), opens a stall episode for a
+/// running worker whose word stayed unchanged past the threshold
 /// (log + `stalls_detected` + [`EventKind::Stall`]), closes it on the
 /// first observed progress (`stall_ns` + [`EventKind::Recovered`]),
 /// nudges long-parked workers while work is visibly queued, and — when
@@ -1146,9 +1128,14 @@ fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>
     let n = sh.stealers.len();
     // The recorder's extra ring (index n) belongs to the watchdog.
     let wd_ring = n;
-    // Open episodes: the heartbeat word observed at detection (progress
+    // Open episodes: the progress word observed at detection (progress
     // == any change) and the detection timestamp.
     let mut episodes: Vec<Option<(u64, u64)>> = vec![None; n];
+    // Each worker's last sampled word and when this thread first saw it.
+    let started_ns = trace::now_ns();
+    let mut seen: Vec<(u64, u64)> = (0..n)
+        .map(|i| (sh.quiesce.cells(i).progress(), started_ns))
+        .collect();
     let threshold_ns = cfg.stall_threshold.as_nanos() as u64;
     loop {
         {
@@ -1161,11 +1148,14 @@ fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>
             }
         }
         let now_ns = trace::now_ns();
-        for (i, episode) in episodes.iter_mut().enumerate() {
-            let hb = sh.heartbeats[i].load(Ordering::Relaxed);
-            let (ts, state) = (hb >> 2, hb & 0b11);
-            let stale = now_ns.saturating_sub(ts);
-            let stalled = state == HB_RUNNING && stale > threshold_ns;
+        for (i, (episode, seen)) in episodes.iter_mut().zip(&mut seen).enumerate() {
+            let hb = sh.quiesce.cells(i).progress();
+            if hb != seen.0 {
+                *seen = (hb, now_ns);
+            }
+            let state = hb & 0b11;
+            let stale = now_ns - seen.1;
+            let stalled = state == quiesce::RUNNING && stale > threshold_ns;
             match *episode {
                 None if stalled => {
                     *episode = Some((hb, now_ns));
@@ -1190,9 +1180,9 @@ fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>
                 _ => {}
             }
             if cfg.nudge
-                && state == HB_PARKED
+                && state == quiesce::PARKED
                 && stale > threshold_ns
-                && sh.outstanding.load(Ordering::Acquire) > 0
+                && !sh.quiesce.quiescent()
                 && work_available(sh)
             {
                 sh.stall_nudges.incr();
@@ -1212,7 +1202,10 @@ fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>
 /// replacement runs on a fresh, unregistered deque — its local pushes
 /// are popped locally and drained to the injector on suspend, so
 /// nothing is stranded (the deque is merely invisible to steal sweeps,
-/// a throughput footnote on an already-exceptional path).
+/// a throughput footnote on an already-exceptional path). It inherits
+/// index `i`'s single-writer cells, which is why the dead thread is
+/// joined first: the join orders its last stores before the
+/// replacement's first loads.
 fn respawn_dead_workers(sh: &Arc<PoolShared>) {
     let mut handles = sh.worker_handles.lock();
     for i in 0..handles.len() {
@@ -1241,7 +1234,8 @@ fn respawn_dead_workers(sh: &Arc<PoolShared>) {
 }
 
 fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
-    let _tls = TlsGuard::set(Arc::as_ptr(sh) as usize, &worker);
+    let _tls = TlsGuard::set(Arc::as_ptr(sh) as usize, &worker, index);
+    let cells = sh.quiesce.cells(index);
     let mut death = DeathWatch {
         sh,
         index,
@@ -1263,6 +1257,8 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
     let mut pending_suspend: Option<Instant> = None;
     let mut last_target = usize::MAX;
     let mut burst_jobs: u32 = 0;
+    // Jobs finished since this worker last ran `Quiesce::announce`.
+    let mut unannounced = false;
     loop {
         if sh.shutdown.load(Ordering::Acquire) {
             if burst_jobs > 0 {
@@ -1285,6 +1281,8 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
         }
         let target = sh.target.target.load(Ordering::Acquire);
         let active = sh.active.load(Ordering::Acquire);
+        // (`Gauge::set` stores only on change: every worker passes here
+        // between any two jobs.)
         sh.active_gauge.set(active as i64);
         sh.target_gauge.set(target as i64);
         if target != last_target {
@@ -1310,10 +1308,10 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                 drain_local(sh, &worker);
                 sh.suspended_flags[index].store(true, Ordering::Release);
                 let suspended_at = Instant::now();
-                sh.heartbeats[index].store(
-                    pack_heartbeat(trace::ns_since_origin(suspended_at), HB_SUSPENDED),
-                    Ordering::Relaxed,
-                );
+                cells.mark(quiesce::SUSPENDED);
+                // This worker may have finished the last job a
+                // `wait_idle` caller waits for, and is about to sleep.
+                announce_finishes(sh, &mut unannounced);
                 sh.recorder.record_at(
                     index,
                     trace::ns_since_origin(suspended_at),
@@ -1325,10 +1323,7 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                 match outcome {
                     SuspendOutcome::Resumed(signaled_at) => {
                         let woke = Instant::now();
-                        sh.heartbeats[index].store(
-                            pack_heartbeat(trace::ns_since_origin(woke), HB_IDLE),
-                            Ordering::Relaxed,
-                        );
+                        cells.mark(quiesce::IDLE);
                         let lat_us = signaled_at.map_or(0, |at| {
                             (woke.duration_since(at).as_micros()).min(u32::MAX as u128) as u32
                         });
@@ -1352,45 +1347,72 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
             resume_one(sh);
         }
         // --- Acquire and run. ---
-        match find_task(sh, &worker, index, &rings, &mut rng) {
+        let task = match worker.pop() {
+            Some(t) => {
+                cells.count_local_hit();
+                Some(*t)
+            }
+            None => {
+                // Leaving the local-deque fast path is where a finished
+                // burst is announced to `wait_idle` callers: one fence
+                // per burst, not two shared RMWs per job.
+                announce_finishes(sh, &mut unannounced);
+                find_shared_task(sh, index, &rings, &mut rng)
+            }
+        };
+        match task {
             Some(task) => {
-                // Recorded with no lock held (the sample starts at
-                // submission time, before the producer touched a shard).
-                // One clock read serves the queue-wait sample, the
-                // wake-to-run/suspend-to-resume latencies, and the
-                // flight-recorder timestamp.
-                let now = Instant::now();
-                let now_ns = trace::ns_since_origin(now);
-                // The heartbeat reuses the clock read above: one relaxed
-                // store per job to a worker-private word is the entire
-                // hot-path cost of the watchdog.
-                sh.heartbeats[index].store(pack_heartbeat(now_ns, HB_RUNNING), Ordering::Relaxed);
-                let wait = now.duration_since(task.submitted);
-                sh.queue_wait.record(wait.as_nanos() as u64);
-                if let Some(at) = pending_wake.take() {
-                    sh.wake_to_run
-                        .record(now.duration_since(at).as_nanos() as u64);
-                }
-                if let Some(at) = pending_suspend.take() {
-                    sh.suspend_to_resume
-                        .record(now.duration_since(at).as_nanos() as u64);
-                }
-                // JobStart is burst-coalesced like JobEnd: only the
-                // first pickup after idle/park/resume opens a burst
-                // event (arg = that pickup's queue wait). Mid-burst
-                // pickups carry no scheduling signal and a per-job push
-                // would keep the full ring on its drop-oldest CAS path.
-                if burst_jobs == 0 {
-                    sh.recorder.record_at(
-                        index,
-                        now_ns,
-                        EventKind::JobStart,
-                        wait.as_micros().min(u32::MAX as u128) as u32,
-                    );
+                // One relaxed store to a line only this worker writes is
+                // the entire hot-path cost of the watchdog, which ages
+                // the word with its own clock.
+                cells.mark(quiesce::RUNNING);
+                // The clock is read only when something consumes it: a
+                // queue-wait sample, a pending wake-to-run or
+                // suspend-to-resume latency, or the JobStart event of a
+                // burst's first pickup. Mid-burst pickups of unstamped
+                // tasks — the fork-join fast path — read none.
+                let opens_burst = burst_jobs == 0;
+                if task.stamp.is_some()
+                    || opens_burst
+                    || pending_wake.is_some()
+                    || pending_suspend.is_some()
+                {
+                    // Recorded with no lock held (the sample starts at
+                    // submission time, before the producer touched a
+                    // shard).
+                    let now = Instant::now();
+                    let wait = task.stamp.map(|(submitted, weight)| {
+                        let wait = now.duration_since(submitted);
+                        sh.queue_wait.record_n(wait.as_nanos() as u64, weight);
+                        wait
+                    });
+                    if let Some(at) = pending_wake.take() {
+                        sh.wake_to_run
+                            .record(now.duration_since(at).as_nanos() as u64);
+                    }
+                    if let Some(at) = pending_suspend.take() {
+                        sh.suspend_to_resume
+                            .record(now.duration_since(at).as_nanos() as u64);
+                    }
+                    // JobStart is burst-coalesced like JobEnd: only the
+                    // first pickup after idle/park/resume opens a burst
+                    // event (arg = that pickup's queue wait, 0 when it
+                    // was not a sample). Mid-burst pickups carry no
+                    // scheduling signal and a per-job push would keep
+                    // the full ring on its drop-oldest CAS path.
+                    if opens_burst {
+                        sh.recorder.record_at(
+                            index,
+                            trace::ns_since_origin(now),
+                            EventKind::JobStart,
+                            wait.map_or(0, |w| w.as_micros().min(u32::MAX as u128) as u32),
+                        );
+                    }
                 }
                 burst_jobs = burst_jobs.saturating_add(1);
+                unannounced = true;
                 {
-                    let _completed = JobGuard { sh };
+                    let _completed = JobGuard { cells };
                     if sh.isolate_panics {
                         // Jobs are asserted unwind-safe (see
                         // `PoolConfig::isolate_panics`): the pool's own
@@ -1412,10 +1434,8 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                     burst_jobs = 0;
                 }
                 // Out of work: leave the running state so the watchdog
-                // never mistakes an empty queue for a wedged job (the
-                // idle path can afford its own clock read).
-                sh.heartbeats[index]
-                    .store(pack_heartbeat(trace::now_ns(), HB_IDLE), Ordering::Relaxed);
+                // never mistakes an empty queue for a wedged job.
+                cells.mark(quiesce::IDLE);
                 if sh.idle_spin {
                     // Period-faithful busy wait: burn a short slice, then
                     // re-check (lets the OS preempt us naturally).
@@ -2033,14 +2053,112 @@ mod tests {
         assert_eq!(TraceEvent::parse(&stall.to_wire()), Some(*stall));
     }
 
+    /// Forks `n` children from inside a worker; `child(i)` is the body
+    /// of the `i`-th pushed (the deque is LIFO: the last pushed runs
+    /// first, all of them in one burst on a one-worker pool).
+    fn fork_from_inside(pool: &Arc<Pool>, n: usize, child: impl Fn(usize) + Send + Sync + 'static) {
+        let (p, child) = (Arc::clone(pool), Arc::new(child));
+        pool.execute(move || {
+            for i in 0..n {
+                let child = Arc::clone(&child);
+                p.execute(move || child(i));
+            }
+        });
+    }
+
+    #[test]
+    fn own_spawns_are_sampled_with_the_weight_they_stand_for() {
+        let c = controller(1);
+        let pool = Arc::new(Pool::new(&c, 1, false));
+        fork_from_inside(&pool, 2 * SPAWN_STAMP_EVERY as usize, |_| {});
+        pool.wait_idle();
+        let snap = pool.stats();
+        let jobs = 1 + 2 * SPAWN_STAMP_EVERY;
+        assert_eq!(snap.counters["jobs_run"], jobs);
+        // The outside root counts once, spawns 1 and 33 were stamped and
+        // stand for 32 jobs each: the histogram still estimates all jobs.
+        assert_eq!(snap.histograms["queue_wait_ns"].count, jobs);
+    }
+
+    #[test]
+    fn watchdog_never_flags_a_long_burst_of_short_jobs() {
+        let c = controller(1);
+        let mut cfg = PoolConfig::new(1);
+        let threshold = Duration::from_millis(100);
+        cfg.watchdog = Some(WatchdogConfig::new(threshold));
+        let pool = Arc::new(Pool::with_config(&c, cfg));
+        // One uninterrupted burst of ~1 ms jobs for 3x the threshold:
+        // the worker reads no clock for the watchdog, but every pickup
+        // changes its progress word.
+        let started = std::time::Instant::now();
+        fork_from_inside(&pool, 300, |_| {
+            let t = std::time::Instant::now();
+            while t.elapsed() < Duration::from_millis(1) {
+                std::hint::spin_loop();
+            }
+        });
+        pool.wait_idle();
+        assert!(
+            started.elapsed() >= threshold * 3,
+            "burst too short to tell"
+        );
+        let m = pool.metrics();
+        assert_eq!(m.jobs_run, 301);
+        assert_eq!(m.stalls_detected, 0, "steady progress was flagged: {m:?}");
+    }
+
+    #[test]
+    fn watchdog_flags_a_job_that_stalls_mid_burst() {
+        let c = controller(1);
+        let mut cfg = PoolConfig::new(1);
+        let threshold = Duration::from_millis(100);
+        cfg.watchdog = Some(WatchdogConfig::new(threshold));
+        let pool = Arc::new(Pool::with_config(&c, cfg));
+        // Child 3 is neither the burst's first pickup nor a stamped
+        // spawn (those are 1, 33, ...): the worker reads no clock at its
+        // pickup, so only the watchdog's own aging can catch it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        fork_from_inside(&pool, 8, move |i| {
+            if i == 3 {
+                tx.lock()
+                    .send(std::time::Instant::now())
+                    .expect("test alive");
+                std::thread::sleep(Duration::from_millis(600));
+            }
+        });
+        let stalled_at = rx.recv().expect("the stalling job started");
+        while pool.metrics().stalls_detected == 0 {
+            assert!(
+                stalled_at.elapsed() < Duration::from_secs(5),
+                "mid-burst stall never detected"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let detected_after = stalled_at.elapsed();
+        assert!(
+            detected_after <= threshold * 2,
+            "detection too slow: {detected_after:?} for threshold {threshold:?}"
+        );
+        pool.wait_idle();
+        assert_eq!(pool.metrics().jobs_run, 9);
+    }
+
     #[test]
     fn cpu_set_change_retiers_victim_rings() {
         let slot = Arc::new(TargetSlot::new(4));
         let mut cfg = PoolConfig::new(4);
         cfg.topology = Some(Arc::new(CpuTopology::synthetic(8)));
         let pool = Pool::with_slot_config(Arc::clone(&slot), cfg);
-        for _ in 0..20 {
-            pool.execute(|| {});
+        // Hold all four workers in one job each: a worker thread that
+        // first runs after the set moved builds its rings from the new
+        // generation and has nothing to re-tier.
+        let all_running = Arc::new(std::sync::Barrier::new(4));
+        for _ in 0..4 {
+            let b = Arc::clone(&all_running);
+            pool.execute(move || {
+                b.wait();
+            });
         }
         pool.wait_idle();
         assert_eq!(pool.stats().counters["retier_events"], 0);

@@ -7,7 +7,10 @@
 //! at registration and snapshot time. Snapshots are advisory under
 //! concurrent updates: each histogram's totals are derived from one pass
 //! over its buckets, so every snapshot is internally consistent even if it
-//! interleaves with writers.
+//! interleaves with writers. Counters bumped once per job by every
+//! worker do not live here at all: a [`CounterSource`] (the pool's
+//! per-worker [cells](crate::quiesce)) is summed into the snapshot under
+//! the same names, so the per-job path owns its lines.
 //!
 //! This intentionally mirrors (but does not depend on) the simulation-side
 //! `metrics` crate: the same power-of-two bucket scheme, so the two sides'
@@ -73,10 +76,23 @@ impl Default for AtomicHistogram {
 impl AtomicHistogram {
     /// Records one sample (typically nanoseconds).
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of value `v` — how a one-in-`n` sampled
+    /// measurement keeps `count`, `sum` and the quantiles estimating the
+    /// whole population.
+    pub fn record_n(&self, v: u64, n: u64) {
+        self.buckets[bucket_of(v)].fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        // Almost every sample lies inside the range already seen: look
+        // before paying for the two CAS-loop RMWs.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Reads the current contents into a plain snapshot.
@@ -170,9 +186,12 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// Stores the current value.
+    /// Stores the current value — only when it differs, so a gauge that
+    /// many threads re-publish unchanged stays a read-shared line.
     pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+        if self.0.load(Ordering::Relaxed) != v {
+            self.0.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -191,10 +210,25 @@ impl Hist {
         self.0.record(v);
     }
 
+    /// Records `n` samples of value `v` (see
+    /// [`AtomicHistogram::record_n`]).
+    pub fn record_n(&self, v: u64, n: u64) {
+        self.0.record_n(v, n);
+    }
+
     /// Reads the current contents.
     pub fn snapshot(&self) -> HistSnapshot {
         self.0.snapshot()
     }
+}
+
+/// Counters that live outside the registry's own map — e.g. the pool's
+/// per-worker single-writer cells — and are read when a snapshot is
+/// taken, so exports see them under plain counter names with current
+/// values.
+pub trait CounterSource: Send + Sync {
+    /// Calls `emit(name, value)` once per counter.
+    fn read_counters(&self, emit: &mut dyn FnMut(&str, u64));
 }
 
 #[derive(Default)]
@@ -202,6 +236,7 @@ struct RegistryInner {
     counters: BTreeMap<String, Arc<AtomicU64>>,
     gauges: BTreeMap<String, Arc<AtomicI64>>,
     histograms: BTreeMap<String, Arc<AtomicHistogram>>,
+    sources: Vec<Arc<dyn CounterSource>>,
 }
 
 /// A named registry of counters, gauges, and histograms.
@@ -249,15 +284,27 @@ impl Registry {
         ))
     }
 
+    /// Adds a [`CounterSource`]: every snapshot from now on includes its
+    /// counters (added to a registered counter of the same name, if any).
+    pub fn counter_source(&self, source: Arc<dyn CounterSource>) {
+        self.inner.lock().sources.push(source);
+    }
+
     /// Copies every statistic out, in name order.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock();
+        let mut counters: BTreeMap<String, u64> = inner
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .collect();
+        for source in &inner.sources {
+            source.read_counters(&mut |name, value| {
+                *counters.entry(name.to_string()).or_default() += value;
+            });
+        }
         Snapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
+            counters,
             gauges: inner
                 .gauges
                 .iter()
@@ -380,6 +427,43 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counters["n"], 40_000);
         assert_eq!(snap.histograms["lat"].count, 40_000);
+    }
+
+    #[test]
+    fn weighted_samples_count_for_the_population_they_stand_for() {
+        let h = AtomicHistogram::default();
+        h.record(10);
+        h.record_n(1000, 32);
+        let s = h.snapshot();
+        assert_eq!(s.count, 33);
+        assert_eq!(s.sum, 10 + 32 * 1000);
+        assert_eq!((s.min, s.max), (Some(10), Some(1000)));
+        assert!(
+            s.quantile(0.5).unwrap() >= 512,
+            "the weighted bucket holds the median"
+        );
+    }
+
+    #[test]
+    fn counter_sources_are_summed_into_snapshots_under_their_names() {
+        struct Fixed;
+        impl CounterSource for Fixed {
+            fn read_counters(&self, emit: &mut dyn FnMut(&str, u64)) {
+                emit("jobs_run", 40);
+                emit("steals", 2);
+            }
+        }
+        let r = Registry::new();
+        r.counter("jobs_run").add(2); // same name: values add
+        r.counter("suspends").incr();
+        r.counter_source(Arc::new(Fixed));
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["jobs_run"], 42);
+        assert_eq!(snap.counters["steals"], 2);
+        assert_eq!(snap.counters["suspends"], 1);
+        assert!(snap
+            .render_line()
+            .starts_with("jobs_run=42 steals=2 suspends=1"));
     }
 
     #[test]

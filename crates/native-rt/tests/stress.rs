@@ -247,6 +247,140 @@ fn conservation_holds_under_process_control_churn() {
     );
 }
 
+/// One node of a fork-join tree: forks two children from inside the
+/// worker (own deque, counted in that worker's `spawned` cell).
+fn tree_node(pool: Arc<Pool>, depth: u32) {
+    if depth == 0 {
+        return;
+    }
+    for _ in 0..2 {
+        let p = Arc::clone(&pool);
+        pool.execute(move || tree_node(p, depth - 1));
+    }
+}
+
+/// Quiescence over the per-worker cells: trees forked from several
+/// outside threads while the target flaps 1↔N (workers suspend with
+/// nonempty deques, drain them to the injector, and are the "last
+/// finisher" as often as an idling worker is). The counters are read
+/// with no sleep after `wait_idle` returns: the scan that let it return
+/// must already cover every job's own bookkeeping.
+#[test]
+fn forkjoin_trees_under_target_flapping_balance_at_wait_idle() {
+    use native_rt::TargetSlot;
+    use std::sync::atomic::AtomicBool;
+
+    const WORKERS: usize = 4;
+    const SUBMITTERS: u64 = 3;
+    const TREES: u64 = 25;
+    const DEPTH: u32 = 6;
+    const NODES: u64 = (1 << (DEPTH + 1)) - 1;
+    for round in 0..4u64 {
+        let slot = Arc::new(TargetSlot::new(WORKERS));
+        let pool = Arc::new(Pool::with_slot(Arc::clone(&slot), WORKERS, false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let flapper = {
+            let (slot, stop) = (Arc::clone(&slot), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut flip = false;
+                while !stop.load(Ordering::Acquire) {
+                    flip = !flip;
+                    slot.target
+                        .store(if flip { 1 } else { WORKERS }, Ordering::Release);
+                    std::thread::sleep(Duration::from_micros(150));
+                }
+            })
+        };
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    for _ in 0..TREES {
+                        let p = Arc::clone(&pool);
+                        pool.execute(move || tree_node(p, DEPTH));
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().expect("submitter");
+        }
+        pool.wait_idle();
+        let (m, snap) = (pool.metrics(), pool.stats());
+        let submitted = SUBMITTERS * TREES * NODES;
+        assert_eq!(m.jobs_run, submitted, "round {round}: {m:?}");
+        assert_eq!(
+            m.local_hits + m.injector_pops + m.steals,
+            m.jobs_run,
+            "round {round}: a path count lagged the scan: {m:?}"
+        );
+        assert_eq!(snap.counters["jobs_run"], submitted, "round {round}");
+        assert_eq!(
+            snap.counters["local_hits"] + snap.counters["injector_pops"] + snap.counters["steals"],
+            submitted,
+            "round {round}: snapshot sums disagree with the cells"
+        );
+        stop.store(true, Ordering::Release);
+        flapper.join().expect("flapper");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The registry's sums are the per-worker cells: snapshots taken
+    /// while the single writers run never show a counter going back or
+    /// more jobs finished than acquired, and once the writers are joined
+    /// the snapshot equals the cells' own totals and what was written.
+    #[test]
+    fn snapshot_sums_equal_the_cells_under_concurrent_snapshots(
+        per_worker in prop::collection::vec(0u64..3000, 1..5),
+    ) {
+        use native_rt::quiesce::Quiesce;
+        use native_rt::Registry;
+
+        let q = Arc::new(Quiesce::new(per_worker.len()));
+        let registry = Registry::new();
+        registry.counter_source(Arc::clone(&q) as _);
+        let writers: Vec<_> = per_worker
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let cells = q.cells(i);
+                    for k in 0..n {
+                        match k % 3 {
+                            0 => cells.count_local_hit(),
+                            1 => cells.count_injector_pop(),
+                            _ => cells.count_steal(),
+                        }
+                        cells.count_finish();
+                    }
+                })
+            })
+            .collect();
+        let mut last = 0u64;
+        while writers.iter().any(|w| !w.is_finished()) {
+            let c = registry.snapshot().counters;
+            prop_assert!(c["jobs_run"] >= last, "jobs_run went back");
+            prop_assert!(c["local_hits"] + c["injector_pops"] + c["steals"] >= c["jobs_run"]);
+            last = c["jobs_run"];
+        }
+        for w in writers {
+            w.join().expect("writer");
+        }
+        let total: u64 = per_worker.iter().sum();
+        let (c, t) = (registry.snapshot().counters, q.totals());
+        prop_assert_eq!(c["jobs_run"], total);
+        prop_assert_eq!(c["jobs_run"], t.jobs_run);
+        prop_assert_eq!(c["local_hits"], t.local_hits);
+        prop_assert_eq!(c["injector_pops"], t.injector_pops);
+        prop_assert_eq!(c["steals"], t.steals);
+        prop_assert_eq!(t.local_hits + t.injector_pops + t.steals, total);
+    }
+}
+
 /// Supervised pollers churned against a server that dies and comes back:
 /// pools keep finishing work, every poller thread joins cleanly, and no
 /// poll ever wedges. (The TSan lane runs this to race-check the

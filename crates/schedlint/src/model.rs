@@ -63,7 +63,8 @@ pub struct AtomicDecl {
     pub category: Option<AtomicCategory>,
 }
 
-/// One `registry.counter(…)` registration site.
+/// One `registry.counter(…)` or `registry.counter_source(…)`
+/// registration site.
 #[derive(Debug, Clone)]
 pub struct CounterReg {
     /// Counter names this site registers. A literal site has one; a
@@ -81,6 +82,12 @@ pub struct CounterReg {
     /// The site used a non-literal name and carried no `sched-counters`
     /// annotation.
     pub unannotated_dynamic: bool,
+    /// A `counter_source(…)` site: the names (always from the
+    /// `sched-counters` annotation) are snapshot-time sums over
+    /// single-writer cells, which are then both where the counter is
+    /// "registered" and where it is bumped — a field of the same name
+    /// that its owner stores to.
+    pub source: bool,
 }
 
 /// A function (or method) body.
@@ -424,7 +431,12 @@ impl FileModel {
         let n = self.tokens.len();
         let mut regs = Vec::new();
         for i in 0..n {
-            if self.ident_at(i) != Some("counter") || !self.punct_at(i - 1, '.') {
+            let source = match self.ident_at(i) {
+                Some("counter") => false,
+                Some("counter_source") => true,
+                _ => continue,
+            };
+            if !self.punct_at(i - 1, '.') {
                 continue;
             }
             if !self.punct_at(i + 1, '(') {
@@ -498,6 +510,7 @@ impl FileModel {
                 binding,
                 inline_incr,
                 unannotated_dynamic,
+                source,
             });
         }
         self.counter_regs = regs;

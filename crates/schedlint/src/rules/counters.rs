@@ -8,7 +8,11 @@
 //! them. Dynamic registrations (`&format!(...)`) can't be tied to an
 //! increment site by name, so they must carry a
 //! `// sched-counters: name1 name2 …` annotation enumerating the names
-//! they mint; the catalog check then runs on those.
+//! they mint; the catalog check then runs on those. Counters exported
+//! through `Registry::counter_source` (snapshot-time sums over per-worker
+//! single-writer cells) are annotated the same way, and for them the
+//! cells *are* the increment sites: each name must be a field its owner
+//! stores to somewhere in the crate.
 //!
 //! SL031 is the path-sensitive half: a function annotated
 //! `// sched-counter-exits(a|b): why` claims that *every* exit path —
@@ -48,13 +52,29 @@ pub(crate) fn check(models: &[FileModel], config: &Config) -> Vec<Diagnostic> {
                 });
                 continue;
             }
+            if reg.source {
+                for name in &reg.names {
+                    if !binding_called(models, &m.crate_name, name, &["store", "fetch_add"]) {
+                        diags.push(Diagnostic {
+                            rule: "SL030",
+                            path: m.path.clone(),
+                            line: reg.line,
+                            message: format!(
+                                "counter `{name}` is exported by a counter source but no \
+                                 cell named `{name}` is ever stored to — the sum reads 0 in \
+                                 every export and hides the event it claims to measure"
+                            ),
+                        });
+                    }
+                }
+            }
             // Increment evidence: only demanded of literal registrations
             // bound to a name. Annotated dynamic sites register through
             // closures/arrays the name heuristic can't bind.
             let literal = reg.names.len() == 1 && reg.binding.is_some() || reg.inline_incr;
             if literal && !reg.inline_incr {
                 let b = reg.binding.as_deref().unwrap();
-                if !binding_incremented(models, &m.crate_name, b) {
+                if !binding_called(models, &m.crate_name, b, &["incr", "add"]) {
                     diags.push(Diagnostic {
                         rule: "SL030",
                         path: m.path.clone(),
@@ -135,9 +155,10 @@ fn check_exit_annotations(models: &[FileModel]) -> Vec<Diagnostic> {
     diags
 }
 
-/// Does `binding` get `.incr()`/`.add(` anywhere in its crate (directly
-/// or through an index: `tiers[i].incr()`)?
-fn binding_incremented(models: &[FileModel], krate: &str, binding: &str) -> bool {
+/// Does `binding` get one of `ops` called on it anywhere in its crate,
+/// directly or through an index — `tiers[i].incr()` for a counter
+/// handle, `self.steals.store(…)` for a single-writer cell?
+fn binding_called(models: &[FileModel], krate: &str, binding: &str, ops: &[&str]) -> bool {
     for m in models {
         if m.crate_name != krate {
             continue;
@@ -171,7 +192,7 @@ fn binding_incremented(models: &[FileModel], krate: &str, binding: &str) -> bool
             if matches!(m.tokens.get(j).map(|t| &t.tok), Some(Tok::Punct('.')))
                 && matches!(
                     m.tokens.get(j + 1).map(|t| &t.tok),
-                    Some(Tok::Ident(op)) if op == "incr" || op == "add"
+                    Some(Tok::Ident(op)) if ops.contains(&op.as_str())
                 )
             {
                 return true;
@@ -249,5 +270,29 @@ fn mk(r: &Registry) {
         assert!(d[0].message.contains("sched-counters"));
         let d = run(good, "`tier_0` `tier_1`");
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn counter_source_names_need_annotation_catalog_and_a_stored_cell() {
+        let cells = r#"
+struct Cells { hits: AtomicU64, misses: AtomicU64 }
+fn hit(c: &Cells) { c.hits.store(c.hits.load(Ordering::Relaxed) + 1, Ordering::Relaxed); }
+"#;
+        let annotated = format!(
+            "{cells}fn mk(r: &Registry, q: Arc<Q>) {{\n    // sched-counters: hits\n    r.counter_source(q);\n}}\n"
+        );
+        assert!(run(&annotated, "`hits`").is_empty());
+        let d = run(&annotated, "");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("missing from"));
+        // `misses` is declared but nobody ever stores to it.
+        let dead = annotated.replace("sched-counters: hits", "sched-counters: hits misses");
+        let d = run(&dead, "`hits` `misses`");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("ever stored"), "{d:?}");
+        let bare = format!("{cells}fn mk(r: &Registry, q: Arc<Q>) {{ r.counter_source(q); }}\n");
+        let d = run(&bare, "");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("sched-counters"));
     }
 }

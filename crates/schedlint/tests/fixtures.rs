@@ -21,9 +21,12 @@ fn fixture(name: &str) -> FileModel {
 fn config() -> Config {
     let mut cfg = Config::for_tests();
     // The catalog for fixture purposes: what sl030_good registers, plus
-    // `ghosts` (so sl030_bad's `ghosts` finding is the increment one,
-    // not a catalog one) — but NOT `phantom_events` or `tier_*`.
-    cfg.counter_doc = "`jobs_run` `steal_tier_smt` `steal_tier_llc` `ghosts`".to_string();
+    // `ghosts` and `never_written` (so sl030_bad's findings for them are
+    // the increment ones, not catalog ones) — but NOT `phantom_events` or
+    // `tier_*`.
+    cfg.counter_doc =
+        "`jobs_run` `steal_tier_smt` `steal_tier_llc` `ghosts` `local_hits` `never_written`"
+            .to_string();
     cfg
 }
 
@@ -121,7 +124,7 @@ fn sl021_flow_sensitive_blocking() {
 
 #[test]
 fn sl030_counter_conservation() {
-    assert_fires("sl030_bad.rs", "SL030", 3);
+    assert_fires("sl030_bad.rs", "SL030", 4);
     assert_clean("sl030_good.rs");
 }
 

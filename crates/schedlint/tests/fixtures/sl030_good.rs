@@ -14,3 +14,17 @@ fn dynamic(registry: &Registry) {
 fn bump(s: &Stats) {
     s.jobs_run.incr();
 }
+
+struct Cells {
+    local_hits: AtomicU64, // sched-atomic(relaxed): single-writer statistic.
+}
+
+fn sourced(registry: &Registry, cells: Arc<Cells>) {
+    // sched-counters: local_hits
+    registry.counter_source(cells);
+}
+
+fn hit(c: &Cells) {
+    c.local_hits
+        .store(c.local_hits.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
