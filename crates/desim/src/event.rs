@@ -9,19 +9,15 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A handle to a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: Option<E>,
+    /// The ordering key: `(time, seq)`, unique because `seq` is.
+    key: (SimTime, u64),
+    payload: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -36,14 +32,16 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // `BinaryHeap` is a max-heap; invert so the earliest (time, seq) pops
         // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
-/// A stable, cancellable event calendar.
+/// A stable event calendar.
+///
+/// Every event that is scheduled is delivered: there is no cancellation.
+/// A consumer whose events can go stale stamps them with an epoch and
+/// ignores the stale ones at delivery (the simulated kernel does), which
+/// keeps `schedule` and `pop` at one heap operation each.
 ///
 /// # Examples
 ///
@@ -59,10 +57,6 @@ impl<E> Ord for Entry<E> {
 pub struct Calendar<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Sequence numbers scheduled but not yet delivered or cancelled.
-    pending: std::collections::HashSet<u64>,
-    /// Sequence numbers of cancelled events not yet physically removed.
-    cancelled: std::collections::HashSet<u64>,
 }
 
 impl<E> Default for Calendar<E> {
@@ -77,74 +71,38 @@ impl<E> Calendar<E> {
         Calendar {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            pending: std::collections::HashSet::new(),
-            cancelled: std::collections::HashSet::new(),
         }
     }
 
-    /// Schedules `payload` for delivery at `time` and returns a cancellation
-    /// handle. Events at equal times are delivered in the order scheduled.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+    /// Schedules `payload` for delivery at `time`. Events at equal times
+    /// are delivered in the order scheduled.
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry {
-            time,
-            seq,
-            payload: Some(payload),
+            key: (time, seq),
+            payload,
         });
-        self.pending.insert(seq);
-        EventId(seq)
-    }
-
-    /// Cancels a previously scheduled event. Returns true if the event was
-    /// still pending (i.e. not yet delivered or cancelled); cancelling a
-    /// delivered or already-cancelled handle is a harmless no-op.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        // Lazy deletion: remember the id and drop the entry when it surfaces
-        // at the head of the heap.
-        if self.pending.remove(&id.0) {
-            self.cancelled.insert(id.0);
-            true
-        } else {
-            false
-        }
     }
 
     /// Returns the timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skim();
-        self.heap.peek().map(|e| e.time)
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.key.0)
     }
 
     /// Removes and returns the next pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skim();
-        let mut entry = self.heap.pop()?;
-        self.pending.remove(&entry.seq);
-        let payload = entry.payload.take().expect("entry payload present");
-        Some((entry.time, payload))
+        self.heap.pop().map(|e| (e.key.0, e.payload))
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Drops cancelled entries sitting at the head of the heap.
-    fn skim(&mut self) {
-        while let Some(head) = self.heap.peek() {
-            if self.cancelled.contains(&head.seq) {
-                let e = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&e.seq);
-            } else {
-                break;
-            }
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -178,31 +136,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
+    fn len_counts_undelivered_events() {
         let mut cal = Calendar::new();
-        let a = cal.schedule(at(1), "a");
-        cal.schedule(at(2), "b");
-        assert!(cal.cancel(a));
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.pop().map(|(_, e)| e), Some("b"));
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn cancel_twice_is_noop() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(at(1), ());
-        assert!(cal.cancel(a));
-        assert!(!cal.cancel(a));
-        assert!(cal.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(at(1), "a");
+        cal.schedule(at(1), "a");
         cal.schedule(at(5), "b");
-        cal.cancel(a);
+        assert_eq!(cal.len(), 2);
+        assert_eq!(cal.peek_time(), Some(at(1)));
+        assert_eq!(cal.pop().map(|(_, e)| e), Some("a"));
+        assert_eq!(cal.len(), 1);
         assert_eq!(cal.peek_time(), Some(at(5)));
     }
 

@@ -8,8 +8,10 @@
 //! The engine deliberately contains no domain knowledge. It provides:
 //!
 //! - [`SimTime`] / [`SimDur`] — integer nanosecond time, overflow-checked;
-//! - [`Calendar`] — a *stable*, cancellable event priority queue (ties are
-//!   broken by insertion order so runs are exactly reproducible);
+//! - [`Calendar`] — a *stable* event priority queue ordered on
+//!   `(time, seq)`: ties are broken by insertion order so runs are exactly
+//!   reproducible, and every scheduled event is delivered (consumers
+//!   invalidate stale events by an epoch stamp, not by cancellation);
 //! - [`SimRng`] — a local SplitMix64 generator, so results cannot drift with
 //!   `rand` version bumps;
 //! - [`Tracer`] — an append-only structured event log used to reconstruct
@@ -40,7 +42,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use event::{Calendar, EventId};
+pub use event::Calendar;
 pub use rng::SimRng;
 pub use stats::{DurHistogram, TimeWeighted, Welford};
 pub use time::{SimDur, SimTime, MSEC, SEC, USEC};

@@ -25,32 +25,38 @@ proptest! {
         prop_assert_eq!(out, expected);
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
+    /// Interleaved `schedule`/`pop` agree, operation by operation, with a
+    /// model that keeps a `Vec` sorted on `(time, seq)`: the heap may hold
+    /// any mix of old and new entries when an equal timestamp arrives.
     #[test]
-    fn calendar_cancellation_is_exact(
-        times in prop::collection::vec(0u64..50, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 100),
+    fn calendar_matches_sorted_vec_model(
+        ops in prop::collection::vec((any::<bool>(), 0u64..20), 1..300),
     ) {
         let mut cal = Calendar::new();
-        let ids: Vec<_> = times.iter().enumerate()
-            .map(|(i, &t)| (i, cal.schedule(SimTime(t), i)))
-            .collect();
-        let mut kept = Vec::new();
-        for (i, id) in &ids {
-            if cancel_mask[*i % cancel_mask.len()] {
-                prop_assert!(cal.cancel(*id));
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let mut next_seq = 0u64;
+        // Delivered time never goes backwards in a simulation; schedule at
+        // or after it so the model exercises realistic inputs.
+        let mut now = 0u64;
+        for (is_pop, dt) in ops {
+            if is_pop {
+                let expect = if model.is_empty() { None } else { Some(model.remove(0)) };
+                let got = cal.pop().map(|(t, seq)| (t.nanos(), seq));
+                prop_assert_eq!(got, expect);
+                if let Some((t, _)) = got {
+                    now = t;
+                }
             } else {
-                kept.push(*i);
+                let key = (now + dt, next_seq);
+                cal.schedule(SimTime(key.0), key.1);
+                let at = model.partition_point(|k| *k < key);
+                model.insert(at, key);
+                next_seq += 1;
             }
+            prop_assert_eq!(cal.len(), model.len());
+            prop_assert_eq!(cal.is_empty(), model.is_empty());
+            prop_assert_eq!(cal.peek_time().map(|t| t.nanos()), model.first().map(|k| k.0));
         }
-        prop_assert_eq!(cal.len(), kept.len());
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some((_, i)) = cal.pop() {
-            popped.push(i);
-        }
-        popped.sort_unstable();
-        kept.sort_unstable();
-        prop_assert_eq!(popped, kept);
     }
 
     /// `range_u64` stays within bounds for arbitrary non-empty ranges.

@@ -21,8 +21,6 @@
 //! multiplexed with other applications makes every redispatch pay a reload
 //! whose cost scales with miss latency.
 
-use std::collections::HashMap;
-
 use desim::SimDur;
 
 use crate::config::CpuId;
@@ -64,13 +62,27 @@ struct Pending {
 struct CpuCache {
     /// Total nanoseconds of execution this CPU has performed.
     exec_clock: u64,
-    footprints: HashMap<u64, Footprint>,
+    /// Footprints indexed by tag; `None` for a tag never dispatched here
+    /// (or forgotten). Grows to the largest tag dispatched on this CPU.
+    footprints: Vec<Option<Footprint>>,
     pending: Option<Pending>,
+}
+
+impl CpuCache {
+    fn footprint(&self, tag: u64) -> Option<&Footprint> {
+        self.footprints.get(tag as usize)?.as_ref()
+    }
 }
 
 /// Cache state for every processor of the machine.
 ///
-/// Processes are identified by an opaque `tag` (the kernel uses raw pids).
+/// Processes are identified by a `tag` that indexes a per-processor slot
+/// table directly, so tags must be *dense small integers* (the kernel
+/// passes raw pids, which it hands out sequentially from 0). Memory is
+/// O(processors × largest tag dispatched); a sparse tag space — hashes,
+/// addresses — would allocate a table as large as its largest value.
+/// Only [`CacheSim::dispatch`] grows a table; queries about a tag never
+/// seen allocate nothing.
 #[derive(Clone, Debug)]
 pub struct CacheSim {
     cfg: CacheConfig,
@@ -89,7 +101,11 @@ impl CacheSim {
     /// Brings `tag`'s footprint on `cpu` up to date and returns resident lines.
     fn refresh(cfg: &CacheConfig, cpu: &mut CpuCache, tag: u64, ws_lines: u64) -> f64 {
         let clock = cpu.exec_clock;
-        let fp = cpu.footprints.entry(tag).or_insert(Footprint {
+        let slot = tag as usize;
+        if slot >= cpu.footprints.len() {
+            cpu.footprints.resize(slot + 1, None);
+        }
+        let fp = cpu.footprints[slot].get_or_insert(Footprint {
             resident: 0.0,
             ws_lines,
             clock_at_update: clock,
@@ -130,9 +146,15 @@ impl CacheSim {
     /// Returns the portion of `dur` that was *useful work* — i.e. `dur`
     /// minus any remaining cache-refill time from the last dispatch.
     pub fn run(&mut self, cpu: CpuId, tag: u64, dur: SimDur) -> SimDur {
-        let c = &mut self.cpus[cpu.0];
+        let CpuCache {
+            exec_clock,
+            footprints,
+            pending,
+        } = &mut self.cpus[cpu.0];
+        // One slot lookup serves both the refill credit and the clock stamp.
+        let mut fp = footprints.get_mut(tag as usize).and_then(Option::as_mut);
         let mut refill_ns = 0u64;
-        match &mut c.pending {
+        match pending {
             Some(p) if p.tag == tag => {
                 let need = (p.lines_left * p.ns_per_line).round() as u64;
                 refill_ns = need.min(dur.nanos());
@@ -143,26 +165,23 @@ impl CacheSim {
                 };
                 p.lines_left = (p.lines_left - gained).max(0.0);
                 let done = p.lines_left <= f64::EPSILON;
-                let fp = c
-                    .footprints
-                    .get_mut(&tag)
-                    .expect("dispatched process has footprint");
+                let fp = fp.as_deref_mut().expect("dispatched process has footprint");
                 fp.resident = (fp.resident + gained).min(fp.ws_lines as f64);
                 if done {
-                    c.pending = None;
+                    *pending = None;
                 }
             }
             _ => {
                 // Dispatch bookkeeping was for someone else (or absent):
                 // treat the whole duration as warm execution.
-                c.pending = None;
+                *pending = None;
             }
         }
         // Execution advances the CPU's clock; refreshing our own marker
         // afterwards means our own execution never decays our footprint.
-        c.exec_clock += dur.nanos();
-        if let Some(fp) = c.footprints.get_mut(&tag) {
-            fp.clock_at_update = c.exec_clock;
+        *exec_clock += dur.nanos();
+        if let Some(fp) = fp {
+            fp.clock_at_update = *exec_clock;
         }
         SimDur(dur.nanos() - refill_ns)
     }
@@ -182,7 +201,7 @@ impl CacheSim {
     /// Returns 0 for processes never seen on that processor.
     pub fn warmth(&self, cpu: CpuId, tag: u64) -> f64 {
         let c = &self.cpus[cpu.0];
-        match c.footprints.get(&tag) {
+        match c.footprint(tag) {
             Some(fp) if fp.ws_lines > 0 => {
                 let foreign_ns = c.exec_clock - fp.clock_at_update;
                 let tau = self.cfg.evict_tau.nanos().max(1) as f64;
@@ -193,10 +212,13 @@ impl CacheSim {
         }
     }
 
-    /// Drops all cache state for an exited process.
+    /// Drops all cache state for an exited process: clears its slot on
+    /// every processor (the tables keep their length).
     pub fn forget(&mut self, tag: u64) {
         for c in &mut self.cpus {
-            c.footprints.remove(&tag);
+            if let Some(slot) = c.footprints.get_mut(tag as usize) {
+                *slot = None;
+            }
             if c.pending.as_ref().is_some_and(|p| p.tag == tag) {
                 c.pending = None;
             }
@@ -311,5 +333,25 @@ mod tests {
     fn unknown_process_is_cold() {
         let cs = CacheSim::new(cfg(), 1);
         assert_eq!(cs.warmth(CPU, 42), 0.0);
+    }
+
+    #[test]
+    fn queries_on_unseen_tags_do_not_grow_the_table() {
+        let mut cs = CacheSim::new(cfg(), 2);
+        assert_eq!(cs.warmth(CPU, 1 << 40), 0.0);
+        assert_eq!(cs.pending_refill(CPU, 1 << 40), SimDur::ZERO);
+        cs.forget(1 << 40);
+        assert_eq!(
+            cs.run(CPU, 1 << 40, SimDur::from_millis(1)),
+            SimDur::from_millis(1)
+        );
+        assert!(cs.cpus.iter().all(|c| c.footprints.is_empty()));
+        // Only a dispatch grows it, and only on its own processor.
+        cs.dispatch(CPU, 5, 100, 1.0);
+        assert_eq!(cs.cpus[0].footprints.len(), 6);
+        assert!(cs.cpus[1].footprints.is_empty());
+        cs.forget(5);
+        assert_eq!(cs.cpus[0].footprints.len(), 6);
+        assert!(cs.cpus[0].footprint(5).is_none());
     }
 }

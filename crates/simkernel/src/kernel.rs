@@ -10,7 +10,7 @@
 //! evicted. Spinning on a held lock consumes processor time without
 //! progress — the pathology at the heart of the paper.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use desim::{Calendar, SimDur, SimTime, Tracer};
 use machine::{CacheSim, CpuId};
@@ -167,6 +167,66 @@ pub struct AppStats {
     pub suspended: SimDur,
 }
 
+/// Kernel-side bookkeeping for one application.
+struct AppSlot {
+    id: AppId,
+    /// Runnable (running + ready) processes.
+    runnable: u32,
+    /// Live (non-exited) processes.
+    live: u32,
+    /// When the application's first process was spawned.
+    start: SimTime,
+    /// When its live count last reached zero.
+    done: Option<SimTime>,
+}
+
+/// One [`AppSlot`] per distinct [`AppId`], in first-spawn order.
+///
+/// `AppId`s are caller-chosen and sparse, so the table is indexed by a slot
+/// number interned once per spawn ([`AppTable::intern`]) and carried in the
+/// process's `Pcb`; the event loop only ever indexes. Lookups by `AppId`
+/// (the public queries) scan the slots — a handful of applications.
+#[derive(Default)]
+struct AppTable {
+    slots: Vec<AppSlot>,
+    /// Number of slots with `done` set, so [`AppTable::all_done`] can
+    /// answer "no" without looking at any of them.
+    finished: usize,
+}
+
+impl AppTable {
+    fn find(&self, app: AppId) -> Option<&AppSlot> {
+        self.slots.iter().find(|s| s.id == app)
+    }
+
+    /// Slot index of `app`, created (started `now`) on first sight.
+    fn intern(&mut self, app: AppId, now: SimTime) -> u32 {
+        let idx = self
+            .slots
+            .iter()
+            .position(|s| s.id == app)
+            .unwrap_or_else(|| {
+                self.slots.push(AppSlot {
+                    id: app,
+                    runnable: 0,
+                    live: 0,
+                    start: now,
+                    done: None,
+                });
+                self.slots.len() - 1
+            });
+        idx as u32
+    }
+
+    fn all_done(&self, apps: &[AppId]) -> bool {
+        if self.finished == 0 {
+            return apps.is_empty();
+        }
+        apps.iter()
+            .all(|&a| self.find(a).is_some_and(|s| s.done.is_some()))
+    }
+}
+
 struct KState {
     now: SimTime,
     cal: Calendar<KEvent>,
@@ -177,11 +237,10 @@ struct KState {
     cpus: Vec<Cpu>,
     /// `running[i]` mirrors `cpus[i].running` for cheap policy views.
     running: Vec<Option<Pid>>,
+    /// Number of `None`s in `running`, maintained by `vacate`/`dispatch`.
+    idle_cpus: usize,
     runnable_total: u32,
-    app_runnable: HashMap<AppId, u32>,
-    app_live: HashMap<AppId, u32>,
-    app_start: HashMap<AppId, SimTime>,
-    app_done: HashMap<AppId, SimTime>,
+    apps: AppTable,
     live_procs: u32,
     tracer: Tracer<KTrace>,
     tick_armed: bool,
@@ -241,11 +300,9 @@ impl Kernel {
             cache: CacheSim::new(cfg.machine.cache, ncpus),
             cpus: (0..ncpus).map(|_| Cpu::new()).collect(),
             running: vec![None; ncpus],
+            idle_cpus: ncpus,
             runnable_total: 0,
-            app_runnable: HashMap::new(),
-            app_live: HashMap::new(),
-            app_start: HashMap::new(),
-            app_done: HashMap::new(),
+            apps: AppTable::default(),
             live_procs: 0,
             tracer: Tracer::new(cfg.trace),
             tick_armed: false,
@@ -279,13 +336,15 @@ impl Kernel {
     }
 
     fn finish_spawn(&mut self, pid: Pid, app: AppId) {
-        self.st.app_start.entry(app).or_insert(self.st.now);
-        *self.st.app_live.entry(app).or_insert(0) += 1;
-        self.st.live_procs += 1;
         let now = self.st.now;
+        let slot = self.st.apps.intern(app, now);
+        self.st.apps.slots[slot as usize].live += 1;
+        self.st.live_procs += 1;
         self.st.tracer.emit(now, KTrace::Spawn { pid, app });
-        self.note_runnable_change(app, 1);
-        self.st.procs.get_mut(pid).ready_since = Some(now);
+        self.note_runnable_change(slot, 1);
+        let pcb = self.st.procs.get_mut(pid);
+        pcb.app_slot = slot;
+        pcb.ready_since = Some(now);
         self.policy_ready(pid, ReadyReason::New);
         self.deliver(pid, Wakeup::Start);
         if !self.st.tick_armed {
@@ -338,7 +397,7 @@ impl Kernel {
     /// Whether every listed application has finished (all processes
     /// exited).
     pub fn apps_done(&self, apps: &[AppId]) -> bool {
-        apps.iter().all(|a| self.st.app_done.contains_key(a))
+        self.st.apps.all_done(apps)
     }
 
     /// Runs until every listed application has finished or simulated time
@@ -381,7 +440,7 @@ impl Kernel {
 
     /// Number of runnable processes belonging to `app`.
     pub fn app_runnable(&self, app: AppId) -> u32 {
-        self.st.app_runnable.get(&app).copied().unwrap_or(0)
+        self.st.apps.find(app).map_or(0, |s| s.runnable)
     }
 
     /// Number of live (non-exited) processes.
@@ -391,12 +450,12 @@ impl Kernel {
 
     /// Time the application's first process was spawned, if any.
     pub fn app_start_time(&self, app: AppId) -> Option<SimTime> {
-        self.st.app_start.get(&app).copied()
+        self.st.apps.find(app).map(|s| s.start)
     }
 
     /// Time the application's last process exited, if it has finished.
     pub fn app_done_time(&self, app: AppId) -> Option<SimTime> {
-        self.st.app_done.get(&app).copied()
+        self.st.apps.find(app).and_then(|s| s.done)
     }
 
     /// Cumulative accounting for one process.
@@ -554,18 +613,18 @@ impl Kernel {
         self.policy.on_remove(&view, pid);
     }
 
-    /// Adjusts runnable counters after a transition of one of `app`'s
-    /// processes and emits the trace record.
-    fn note_runnable_change(&mut self, app: AppId, delta: i32) {
+    /// Adjusts runnable counters after a transition of one process of the
+    /// application in `slot` and emits the trace record.
+    fn note_runnable_change(&mut self, slot: u32, delta: i32) {
         let total = (self.st.runnable_total as i64 + delta as i64)
             .try_into()
             .expect("runnable count underflow");
         self.st.runnable_total = total;
-        let c = self.st.app_runnable.entry(app).or_insert(0);
-        *c = (*c as i64 + delta as i64)
+        let s = &mut self.st.apps.slots[slot as usize];
+        s.runnable = (s.runnable as i64 + delta as i64)
             .try_into()
             .expect("app runnable count underflow");
-        let app_count = *c;
+        let (app, app_count) = (s.id, s.runnable);
         let now = self.st.now;
         self.st.tracer.emit(
             now,
@@ -696,10 +755,12 @@ impl Kernel {
 
     fn vacate(&mut self, cpu_idx: usize) {
         let cpu = &mut self.st.cpus[cpu_idx];
+        debug_assert!(cpu.running.is_some(), "vacating an idle processor");
         cpu.running = None;
         cpu.epoch += 1;
         cpu.defer_count = 0;
         self.st.running[cpu_idx] = None;
+        self.st.idle_cpus += 1;
     }
 
     fn on_sleep_done(&mut self, pid: Pid, epoch: u64) {
@@ -713,7 +774,7 @@ impl Kernel {
     /// Moves a blocked process to Ready and delivers its wakeup.
     fn wake(&mut self, pid: Pid, wakeup: Wakeup) {
         let now = self.st.now;
-        let app = {
+        let slot = {
             let pcb = self.st.procs.get_mut(pid);
             debug_assert!(
                 !pcb.state.is_runnable() && pcb.state != ProcState::Exited,
@@ -726,9 +787,9 @@ impl Kernel {
             }
             pcb.state = ProcState::Ready;
             pcb.ready_since = Some(now);
-            pcb.app
+            pcb.app_slot
         };
-        self.note_runnable_change(app, 1);
+        self.note_runnable_change(slot, 1);
         self.policy_ready(pid, ReadyReason::Unblocked);
         self.deliver(pid, wakeup);
     }
@@ -841,21 +902,23 @@ impl Kernel {
                 }
             }
             Then::Release(lock) => {
-                let spinners = self.st.locks.release(lock, pid);
+                self.st.locks.release(lock, pid);
                 {
                     let pcb = self.st.procs.get_mut(pid);
                     debug_assert!(pcb.locks_held > 0);
                     pcb.locks_held -= 1;
                 }
-                // Grant to the longest-spinning *running* spinner; spinners
-                // that were preempted re-test when next dispatched.
-                if let Some(&winner) = spinners
-                    .iter()
-                    .find(|&&s| matches!(self.st.procs.get(s).state, ProcState::Running(_)))
-                {
-                    let ProcState::Running(wcpu) = self.st.procs.get(winner).state else {
-                        unreachable!()
-                    };
+                // Grant to the longest-spinning *running* spinner (the
+                // queue is in spin-start order); spinners that were
+                // preempted re-test when next dispatched.
+                let procs = &self.st.procs;
+                let winner = self.st.locks.get(lock).spinners.iter().find_map(|&s| {
+                    match procs.get(s).state {
+                        ProcState::Running(cpu) => Some((s, cpu)),
+                        _ => None,
+                    }
+                });
+                if let Some((winner, wcpu)) = winner {
                     // Charge the winner's spin time up to this instant.
                     self.account_segment(wcpu.0);
                     self.st.locks.grant_to(lock, winner, self.st.now);
@@ -957,7 +1020,7 @@ impl Kernel {
         debug_assert!(!state.is_runnable() && state != ProcState::Exited);
         self.vacate(cpu.0);
         let now = self.st.now;
-        let app = {
+        let slot = {
             let pcb = self.st.procs.get_mut(pid);
             debug_assert_eq!(pcb.state, ProcState::Running(cpu));
             debug_assert_eq!(
@@ -969,9 +1032,9 @@ impl Kernel {
             if state == ProcState::SigWait {
                 pcb.suspend_since = Some(now);
             }
-            pcb.app
+            pcb.app_slot
         };
-        self.note_runnable_change(app, -1);
+        self.note_runnable_change(slot, -1);
     }
 
     fn do_exit(&mut self, pid: Pid, cpu: CpuId) {
@@ -981,31 +1044,44 @@ impl Kernel {
         if let Op::Spin { lock } = self.st.procs.get(pid).op {
             self.st.locks.remove_spinner(lock, pid);
         }
-        let app = {
+        let slot = {
             let pcb = self.st.procs.get_mut(pid);
             debug_assert_eq!(pcb.locks_held, 0, "{pid} exited while holding a spinlock");
             pcb.state = ProcState::Exited;
             pcb.epoch += 1;
             pcb.behavior = None;
-            pcb.app
+            pcb.app_slot
         };
-        self.note_runnable_change(app, -1);
+        self.note_runnable_change(slot, -1);
         self.policy_remove(pid);
         self.st.cache.forget(pid.0 as u64);
         self.st.live_procs -= 1;
-        let live = self.st.app_live.get_mut(&app).expect("app has live count");
-        *live -= 1;
         let now = self.st.now;
+        let apps = &mut self.st.apps;
+        let s = &mut apps.slots[slot as usize];
+        let app = s.id;
+        s.live -= 1;
         self.st.tracer.emit(now, KTrace::Exit { pid, app });
-        if *live == 0 {
-            self.st.app_done.insert(app, now);
+        if s.live == 0 {
+            // An application respawned after finishing keeps its old
+            // `done` until it finishes again; it is counted once.
+            if s.done.replace(now).is_none() {
+                apps.finished += 1;
+            }
             self.st.tracer.emit(now, KTrace::AppDone { app });
         }
     }
 
     /// Fills idle processors from the policy.
     fn reschedule(&mut self) {
+        debug_assert_eq!(
+            self.st.idle_cpus,
+            self.st.running.iter().filter(|r| r.is_none()).count()
+        );
         for cpu_idx in 0..self.st.cpus.len() {
+            if self.st.idle_cpus == 0 {
+                return; // The common case after an event: nothing to fill.
+            }
             if self.st.cpus[cpu_idx].running.is_some() {
                 continue;
             }
@@ -1052,12 +1128,10 @@ impl Kernel {
         }
 
         // Cache reload penalty for this dispatch.
-        let busy = 1 + self.st.running.iter().filter(|r| r.is_some()).count();
-        let mult = self
-            .cfg
-            .machine
-            .bus
-            .contention_multiplier(busy.min(self.st.cpus.len()), self.st.cpus.len());
+        let ncpus = self.st.cpus.len();
+        self.st.idle_cpus -= 1;
+        let busy = ncpus - self.st.idle_cpus; // This processor included.
+        let mult = self.cfg.machine.bus.contention_multiplier(busy, ncpus);
         let ws = self.st.procs.get(pid).ws_lines;
         self.st.cache.dispatch(cpu_id, pid.0 as u64, ws, mult);
 

@@ -80,14 +80,13 @@ impl LockTable {
     }
 
     /// Releases the lock held by `pid`. The caller decides which spinner (if
-    /// any) to grant to next via [`LockTable::grant_to`]. Returns the spin
-    /// queue snapshot in FIFO order.
-    pub(crate) fn release(&mut self, id: LockId, pid: Pid) -> Vec<Pid> {
+    /// any) to grant to next — walking [`Lock::spinners`], which is in FIFO
+    /// (spin-start) order — via [`LockTable::grant_to`].
+    pub(crate) fn release(&mut self, id: LockId, pid: Pid) {
         let lock = self.get_mut(id);
         assert_eq!(lock.holder, Some(pid), "release of a lock not held");
         lock.holder = None;
         lock.held_since = None;
-        lock.spinners.iter().copied().collect()
     }
 
     /// Grants the (free) lock to a previously spinning process.
@@ -121,8 +120,8 @@ mod tests {
         let l = t.create();
         assert!(t.try_acquire(l, Pid(1), SimTime::ZERO));
         assert!(!t.try_acquire(l, Pid(2), SimTime::ZERO));
-        let spinners = t.release(l, Pid(1));
-        assert!(spinners.is_empty());
+        t.release(l, Pid(1));
+        assert!(t.get(l).spinners.is_empty());
         assert!(t.try_acquire(l, Pid(2), SimTime::ZERO));
         assert_eq!(t.stats(l).acquisitions, 2);
         assert_eq!(t.stats(l).contended, 0);
@@ -135,8 +134,9 @@ mod tests {
         assert!(t.try_acquire(l, Pid(1), SimTime::ZERO));
         t.enqueue_spinner(l, Pid(2));
         t.enqueue_spinner(l, Pid(3));
-        let spinners = t.release(l, Pid(1));
-        assert_eq!(spinners, vec![Pid(2), Pid(3)]);
+        t.release(l, Pid(1));
+        assert_eq!(t.get(l).holder, None);
+        assert_eq!(t.get(l).spinners, [Pid(2), Pid(3)]);
         t.grant_to(l, Pid(2), SimTime::ZERO);
         assert_eq!(t.get(l).holder, Some(Pid(2)));
         assert_eq!(t.get(l).spinners.len(), 1);

@@ -123,6 +123,9 @@ pub(crate) struct Pcb {
     pub pid: Pid,
     pub parent: Option<Pid>,
     pub app: AppId,
+    /// Index of `app` in the kernel's application table, interned by the
+    /// kernel when it spawns the process (0 in a bare [`ProcTable`]).
+    pub app_slot: u32,
     pub state: ProcState,
     pub op: Op,
     pub behavior: Option<Box<dyn Behavior>>,
@@ -162,6 +165,7 @@ impl Pcb {
             pid,
             parent,
             app,
+            app_slot: 0,
             state: ProcState::Ready,
             op: Op::Idle,
             behavior: Some(behavior),
@@ -179,9 +183,11 @@ impl Pcb {
     }
 }
 
-/// A tiny slab keyed by [`Pid`].
+/// The process table, indexed by [`Pid`]: pids are handed out sequentially
+/// and never reused, and exited processes keep their slot (their accounting
+/// is read after the run), so a slot is never vacant.
 pub(crate) struct ProcTable {
-    slots: Vec<Option<Pcb>>,
+    slots: Vec<Pcb>,
 }
 
 impl ProcTable {
@@ -198,30 +204,26 @@ impl ProcTable {
     ) -> Pid {
         let pid = Pid(self.slots.len() as u32);
         self.slots
-            .push(Some(Pcb::new(pid, parent, app, ws_lines, behavior)));
+            .push(Pcb::new(pid, parent, app, ws_lines, behavior));
         pid
     }
 
     pub(crate) fn get(&self, pid: Pid) -> &Pcb {
-        self.slots[pid.0 as usize]
-            .as_ref()
-            .expect("pid refers to a live process")
+        &self.slots[pid.0 as usize]
     }
 
     pub(crate) fn get_mut(&mut self, pid: Pid) -> &mut Pcb {
-        self.slots[pid.0 as usize]
-            .as_mut()
-            .expect("pid refers to a live process")
+        &mut self.slots[pid.0 as usize]
     }
 
-    /// Iterates over live (non-reaped) processes, including exited ones.
+    /// Iterates over every process ever created, including exited ones.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Pcb> {
-        self.slots.iter().filter_map(|s| s.as_ref())
+        self.slots.iter()
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.len()
     }
 }
 

@@ -467,3 +467,43 @@ fn utilization_reflects_load() {
     let mean = k.mean_utilization();
     assert!((mean - (u0 + u1) / 2.0).abs() < 1e-9);
 }
+
+#[test]
+fn application_table_handles_sparse_ids_and_respawn() {
+    let mut k = kernel(2);
+    let compute = |ms| Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(ms))]));
+    // Nothing spawned yet: only the empty question has the answer yes.
+    assert!(k.apps_done(&[]));
+    assert!(!k.apps_done(&[AppId(999)]));
+    assert_eq!(k.app_runnable(AppId(999)), 0);
+    assert_eq!(k.app_start_time(AppId(999)), None);
+
+    // Caller-chosen, sparse ids; two processes of one application.
+    k.spawn_root(AppId(999), 64, compute(5));
+    k.spawn_root(AppId(5), 64, compute(50));
+    k.spawn_root(AppId(999), 64, compute(10));
+    assert_eq!(k.app_runnable(AppId(999)), 2);
+    assert_eq!(k.app_runnable(AppId(5)), 1);
+    assert_eq!(k.app_start_time(AppId(5)), Some(SimTime::ZERO));
+
+    assert!(k.run_until_apps_done(&[AppId(999)], t(10)));
+    assert!(k.apps_done(&[AppId(999), AppId(999)]));
+    assert!(!k.apps_done(&[AppId(999), AppId(5)]));
+    assert!(
+        !k.apps_done(&[AppId(999), AppId(6)]),
+        "unknown id is not done"
+    );
+    let first_done = k.app_done_time(AppId(999)).unwrap();
+    assert_eq!(k.app_done_time(AppId(5)), None);
+
+    // A finished application that spawns again keeps its old completion
+    // time until it finishes again (and its first start time for good).
+    k.spawn_root(AppId(999), 64, compute(5));
+    assert_eq!(k.app_done_time(AppId(999)), Some(first_done));
+    assert_eq!(k.app_runnable(AppId(999)), 1);
+    assert!(k.run_to_completion(t(10)));
+    assert!(k.apps_done(&[AppId(5), AppId(999)]));
+    assert!(k.app_done_time(AppId(999)).unwrap() > first_done);
+    assert_eq!(k.app_start_time(AppId(999)), Some(SimTime::ZERO));
+    assert_eq!(k.app_runnable(AppId(999)), 0);
+}
