@@ -44,9 +44,11 @@ pub const WINDOW: usize = 512;
 pub enum Mix {
     /// 100% `POLL` — the steady-state heartbeat traffic.
     Poll,
-    /// 3 `POLL` : 1 `REPORT` — heartbeats plus throughput feedback, the
-    /// worst case for partition recomputation (every REPORT under a
-    /// weighted policy dirties it).
+    /// 3 `POLL` : 1 `REPORT` — heartbeats plus throughput feedback. The
+    /// servers this bench starts never set `weighted`, so a REPORT here
+    /// is stored and nothing is recomputed; the same stream against a
+    /// weighted server, where every REPORT dirties the partition, is
+    /// `bench_all`'s `ctl_saturated`.
     Mixed,
 }
 

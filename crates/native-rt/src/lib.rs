@@ -86,6 +86,6 @@ pub use trace::{EventKind, FlightRecorder, SpscRing, TraceEvent};
 #[cfg(unix)]
 pub use uds::{
     AppStatsEntry, CpusPollReply, EventsReply, PollReply, PollerGuard, ServerEngine, StatsAllReply,
-    TraceReply, UdsClient, UdsServer, UdsServerConfig, DEFAULT_IO_TIMEOUT, DEFAULT_JOURNAL_CAP,
-    DEFAULT_LEASE_TTL, DEFAULT_TRACE_MAX,
+    TraceReply, UdsClient, UdsServer, UdsServerConfig, WireSession, DEFAULT_IO_TIMEOUT,
+    DEFAULT_JOURNAL_CAP, DEFAULT_LEASE_TTL, DEFAULT_TRACE_MAX,
 };

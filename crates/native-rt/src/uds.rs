@@ -26,7 +26,7 @@
 //!
 //! where `<cpulist>` is kernel cpulist syntax (`0-3,8`), a contiguous
 //! slice of the server's topology-linearized CPU order
-//! ([`procctl::assign_cpu_sets`]). The extension is client-opt-in per
+//! ([`procctl::cpu_range`]). The extension is client-opt-in per
 //! request, which is what makes it wire-compatible in both directions: an
 //! *old client* never sends the suffix and sees unchanged `TARGET <n>
 //! <epoch>` replies; a *new client* against an *old server* gets `ERR
@@ -118,7 +118,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use procctl::{partition, validate_cpus, validate_processes, AppDemand, RecomputeGate};
+use procctl::{
+    cpu_range, partition_into, validate_cpus, validate_processes, AppDemand, PartitionScratch,
+    RecomputeGate,
+};
 
 use crate::controller::TargetSlot;
 use crate::proc_scan;
@@ -289,17 +292,36 @@ struct AppReg {
     /// dedups decision entries so the journal records target *changes*,
     /// not every poll.
     last_target: Option<u32>,
+    /// The share weight `cfg.weighted` partitions by: [`report_weight`]
+    /// of this pid's latest REPORT, parsed when the report arrives so a
+    /// recompute reads a number instead of a line.
+    weight: f64,
 }
 
 impl AppReg {
-    fn new(pid: u32, nworkers: u32, now: Instant) -> AppReg {
+    fn new(pid: u32, nworkers: u32, now: Instant, weight: f64) -> AppReg {
         AppReg {
             pid,
             nworkers,
             last_seen: now,
             last_target: None,
+            weight,
         }
     }
+}
+
+/// The partition weight a REPORT line carries: `1.0 + jobs_run`, so
+/// observed throughput skews shares, equal (or absent) reports reduce to
+/// the equal partition, and a zero counter never zeroes an app out
+/// entirely. Only the first `jobs_run=` counts; one that does not parse,
+/// or is negative or NaN, weighs as 0 jobs.
+fn report_weight(line: &str) -> f64 {
+    let jobs = line
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix("jobs_run="))
+        .and_then(|v| v.parse::<f64>().ok())
+        .unwrap_or(0.0);
+    1.0 + jobs.max(0.0)
 }
 
 /// One application's bounded event journal: flight-recorder events the
@@ -391,9 +413,9 @@ impl HotCounters {
 
 pub(crate) struct ServerState {
     apps: Vec<AppReg>,
-    /// pid → index into `apps` (and into the target/CPU-set caches,
-    /// which share registration order): the per-frame lookups are O(1)
-    /// hash probes instead of O(apps) scans.
+    /// pid → index into `apps` (and into `targets`, which shares
+    /// registration order): the per-frame lookups are O(1) hash probes
+    /// instead of O(apps) scans.
     index: PidIndex,
     /// Pre-resolved statistic handles (see [`HotCounters`]).
     hot: HotCounters,
@@ -419,13 +441,20 @@ pub(crate) struct ServerState {
     /// once for the whole burst.
     targets_gate: RecomputeGate,
     /// Cached per-app targets, registration order (valid unless dirty).
-    targets_cache: Vec<u32>,
-    /// Cached per-app CPU sets matching `targets_cache`.
-    cpu_sets_cache: Vec<Vec<u32>>,
+    /// App `i`'s CPU set is not stored: it is the range of `cpu_order`
+    /// that starts at the sum of `targets[..i]` ([`procctl::cpu_range`]),
+    /// materialised for the one pid that asks.
+    targets: Vec<u32>,
+    /// Buffers a recompute fills, kept so it allocates nothing.
+    demands: Vec<AppDemand>,
+    scratch: PartitionScratch,
+    /// The CPU order sets are cut from: `cfg.cpu_order`, or the identity
+    /// order `0..cpus` when that is unset or empty.
+    cpu_order: Vec<u32>,
 }
 
 impl ServerState {
-    pub(crate) fn new(registry: &Registry) -> ServerState {
+    pub(crate) fn new(registry: &Registry, cfg: &UdsServerConfig) -> ServerState {
         ServerState {
             apps: Vec::new(),
             index: PidIndex::default(),
@@ -437,8 +466,13 @@ impl ServerState {
             lease_timers: BinaryHeap::new(),
             last_proc_sweep: None,
             targets_gate: RecomputeGate::new(),
-            targets_cache: Vec::new(),
-            cpu_sets_cache: Vec::new(),
+            targets: Vec::new(),
+            demands: Vec::new(),
+            scratch: PartitionScratch::default(),
+            cpu_order: match &cfg.cpu_order {
+                Some(o) if !o.is_empty() => o.clone(),
+                _ => (0..cfg.cpus as u32).collect(),
+            },
         }
     }
 
@@ -469,8 +503,13 @@ impl ServerState {
                 a.last_seen = now;
             }
             None => {
+                // A pid may have reported before it registered.
+                let weight = self
+                    .reports
+                    .get(&pid)
+                    .map_or(1.0, |line| report_weight(line));
                 self.index.insert(pid, self.apps.len());
-                self.apps.push(AppReg::new(pid, nworkers, now));
+                self.apps.push(AppReg::new(pid, nworkers, now, weight));
                 self.lease_timers.push(Reverse((now + cfg.lease_ttl, pid)));
             }
         }
@@ -478,7 +517,9 @@ impl ServerState {
         self.hot.apps.set(self.apps.len() as i64);
     }
 
-    /// Removes `pid`'s registration and associated per-app state.
+    /// Removes `pid`'s registration and associated per-app state: the
+    /// slot's weight goes with the report it was parsed from, so a pid
+    /// that registers again starts at weight 1.0.
     fn depart(&mut self, pid: u32) {
         if let Some(idx) = self.index.remove(&pid) {
             self.apps.remove(idx);
@@ -506,10 +547,31 @@ impl ServerState {
         }
     }
 
-    /// Stores `pid`'s latest REPORT line. Under `--weighted` the report
-    /// feeds the partition weights, so it dirties the target cache.
-    fn record_report(&mut self, pid: u32, line: String, cfg: &UdsServerConfig) {
-        self.reports.insert(pid, line);
+    /// Stores `pid`'s latest REPORT line (its fields joined by single
+    /// spaces, in the buffer of the line it replaces) and refreshes the
+    /// lease and the weight of a registered pid. Under `--weighted` the
+    /// report feeds the partition weights, so it dirties the target
+    /// cache.
+    fn record_report<'a>(
+        &mut self,
+        pid: u32,
+        fields: impl Iterator<Item = &'a str>,
+        cfg: &UdsServerConfig,
+        now: Instant,
+    ) {
+        let line = self.reports.entry(pid).or_default();
+        line.clear();
+        for f in fields {
+            if !line.is_empty() {
+                line.push(' ');
+            }
+            line.push_str(f);
+        }
+        if let Some(&idx) = self.index.get(&pid) {
+            let a = &mut self.apps[idx];
+            a.last_seen = now;
+            a.weight = report_weight(line);
+        }
         if cfg.weighted {
             self.invalidate_targets();
         }
@@ -567,7 +629,12 @@ impl ServerState {
 
     /// Appends events to `pid`'s journal, dropping the oldest beyond
     /// `cfg.journal_cap` (counted, never silent).
-    fn append_events(&mut self, pid: u32, events: Vec<TraceEvent>, cfg: &UdsServerConfig) {
+    fn append_events(
+        &mut self,
+        pid: u32,
+        events: impl IntoIterator<Item = TraceEvent>,
+        cfg: &UdsServerConfig,
+    ) {
         if cfg.journal_cap == 0 {
             return;
         }
@@ -596,7 +663,7 @@ impl ServerState {
             kind: EventKind::Decision,
             arg: target,
         };
-        self.append_events(pid, vec![ev], cfg);
+        self.append_events(pid, [ev], cfg);
     }
 
     /// Drains up to `max` of the oldest journaled events for `pid`.
@@ -612,14 +679,15 @@ impl ServerState {
 
     /// The system-wide uncontrollable load to subtract (0 when
     /// accounting is off), sampling `/proc` when the cached sample went
-    /// stale.
-    fn uncontrolled_load(&mut self, cfg: &UdsServerConfig) -> u32 {
+    /// stale as of `now` (the caller's clock reading: with accounting on
+    /// every poll comes through here).
+    fn uncontrolled_load(&mut self, cfg: &UdsServerConfig, now: Instant) -> u32 {
         if !cfg.account_system_load {
             return 0;
         }
         let fresh = self
             .last_sample
-            .is_some_and(|(at, _)| at.elapsed() < cfg.sample_ttl);
+            .is_some_and(|(at, _)| now.saturating_duration_since(at) < cfg.sample_ttl);
         if !fresh {
             let exclude: Vec<u32> = self
                 .apps
@@ -628,75 +696,46 @@ impl ServerState {
                 .chain([std::process::id()])
                 .collect();
             let n = proc_scan::system_runnable_excluding(&exclude).unwrap_or(0);
-            self.last_sample = Some((Instant::now(), n));
+            self.last_sample = Some((now, n));
         }
         self.last_sample.map_or(0, |(_, n)| n)
     }
 
-    /// One registered app's partition weight: 1.0 in the default equal
-    /// split, or `1.0 + jobs_run` from its latest REPORT when
-    /// `cfg.weighted` — so observed throughput skews shares, equal (or
-    /// absent) reports reduce to the equal partition, and a zero counter
-    /// never zeroes an app out entirely.
-    fn weight_of(&self, pid: u32, cfg: &UdsServerConfig) -> f64 {
-        if !cfg.weighted {
-            return 1.0;
-        }
-        let jobs = self
-            .reports
-            .get(&pid)
-            .and_then(|line| {
-                line.split_whitespace()
-                    .find_map(|kv| kv.strip_prefix("jobs_run="))
-            })
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.0);
-        1.0 + jobs.max(0.0)
-    }
-
-    /// Recomputes the cached partition — targets *and* contiguous CPU
-    /// sets (the paper's partition with caps and a floor of one, in
-    /// registration order) — when dirty. With system-load accounting on,
-    /// the uncontrollable load itself varies over time, so the cache is
+    /// Recomputes the cached partition (the paper's partition with caps
+    /// and a floor of one, in registration order) when dirty: one pass
+    /// over the slots' worker counts and weights into buffers kept from
+    /// the last recompute. With system-load accounting on, the
+    /// uncontrollable load itself varies over time, so the cache is
     /// bypassed and every read recomputes (the pre-coalescing behavior).
-    fn refresh_targets(&mut self, cfg: &UdsServerConfig) {
+    fn refresh_targets(&mut self, cfg: &UdsServerConfig, now: Instant) {
         if !cfg.account_system_load && !self.targets_gate.take_dirty() {
             return;
         }
-        let uncontrolled = self.uncontrolled_load(cfg);
-        let demands: Vec<AppDemand> = self
-            .apps
-            .iter()
-            .map(|a| AppDemand {
-                processes: a.nworkers,
-                weight: self.weight_of(a.pid, cfg),
-            })
-            .collect();
-        let targets: Vec<u32> = partition(cfg.cpus as u32, uncontrolled, &demands)
-            .into_iter()
-            .map(|t| t.max(1))
-            .collect();
-        let order: Vec<u32> = match &cfg.cpu_order {
-            Some(o) if !o.is_empty() => o.clone(),
-            _ => (0..cfg.cpus as u32).collect(),
-        };
-        self.cpu_sets_cache = procctl::assign_cpu_sets(&order, &targets);
-        self.targets_cache = targets;
-    }
-
-    /// Every registered app's target, in registration order.
-    fn effective_targets(&mut self, cfg: &UdsServerConfig) -> Vec<u32> {
-        self.refresh_targets(cfg);
-        self.targets_cache.clone()
+        let uncontrolled = self.uncontrolled_load(cfg, now);
+        self.demands.clear();
+        self.demands.extend(self.apps.iter().map(|a| AppDemand {
+            processes: a.nworkers,
+            weight: if cfg.weighted { a.weight } else { 1.0 },
+        }));
+        partition_into(
+            cfg.cpus as u32,
+            uncontrolled,
+            &self.demands,
+            &mut self.targets,
+            &mut self.scratch,
+        );
+        for t in &mut self.targets {
+            *t = (*t).max(1);
+        }
     }
 
     /// The slot and target for `pid`, or `None` when `pid` holds no
     /// live registration (never registered, lease expired, or the
     /// server restarted since).
-    fn target_of(&mut self, pid: u32, cfg: &UdsServerConfig) -> Option<(usize, u32)> {
-        self.refresh_targets(cfg);
+    fn target_of(&mut self, pid: u32, cfg: &UdsServerConfig, now: Instant) -> Option<(usize, u32)> {
+        self.refresh_targets(cfg, now);
         let idx = *self.index.get(&pid)?;
-        Some((idx, self.targets_cache.get(idx).copied()?))
+        Some((idx, self.targets.get(idx).copied()?))
     }
 
     /// Serializes the recoverable state (see [`crate::snapshot`]):
@@ -750,12 +789,13 @@ impl ServerState {
             let back = cfg.lease_ttl.saturating_sub(a.lease_remaining);
             let seen = now.checked_sub(back).unwrap_or(now);
             self.index.insert(a.pid, self.apps.len());
-            self.apps.push(AppReg::new(a.pid, a.nworkers, seen));
+            self.apps.push(AppReg::new(a.pid, a.nworkers, seen, 1.0));
             self.lease_timers
                 .push(Reverse((seen + cfg.lease_ttl, a.pid)));
         }
         for (pid, line) in &snap.reports {
-            if self.index.contains_key(pid) {
+            if let Some(&idx) = self.index.get(pid) {
+                self.apps[idx].weight = report_weight(line);
                 self.reports.insert(*pid, line.clone());
             }
         }
@@ -772,11 +812,11 @@ impl ServerState {
         &mut self,
         pid: u32,
         cfg: &UdsServerConfig,
+        now: Instant,
     ) -> Option<(usize, u32, Vec<u32>)> {
-        self.refresh_targets(cfg);
-        let idx = *self.index.get(&pid)?;
-        let target = self.targets_cache.get(idx).copied()?;
-        let set = self.cpu_sets_cache.get(idx).cloned().unwrap_or_default();
+        let (idx, target) = self.target_of(pid, cfg, now)?;
+        let start = self.targets[..idx].iter().map(|&t| t as usize).sum();
+        let set = cpu_range(&self.cpu_order, start, target).collect();
         Some((idx, target, set))
     }
 }
@@ -875,7 +915,7 @@ impl UdsServer {
         }
         registry.gauge("apps");
         registry.gauge("conn_handlers");
-        let mut state = ServerState::new(&registry);
+        let mut state = ServerState::new(&registry, &cfg);
         // Crash recovery: restore the previous instance's registrations
         // and pick an epoch strictly above the snapshotted one, so
         // epochs stay monotone across restarts even on coarse clocks.
@@ -1087,7 +1127,7 @@ pub(crate) fn handle_line_into(
                         out.push_str("ERR unregistered\n");
                         return;
                     }
-                    match st.target_of(pid, cfg) {
+                    match st.target_of(pid, cfg, now) {
                         Some((idx, t)) => {
                             st.note_decision(idx, t, cfg);
                             out.push_str("TARGET ");
@@ -1108,7 +1148,7 @@ pub(crate) fn handle_line_into(
                         out.push_str("ERR unregistered\n");
                         return;
                     }
-                    match st.target_and_cpus_of(pid, cfg) {
+                    match st.target_and_cpus_of(pid, cfg, now) {
                         Some((idx, t, cpus)) => {
                             st.note_decision(idx, t, cfg);
                             let list = crate::topology::format_cpulist(&cpus);
@@ -1153,15 +1193,7 @@ pub(crate) fn handle_line_into(
         "REPORT" => match fields.next().and_then(|f| f.parse::<u32>().ok()) {
             Some(pid) => {
                 st.hot.reports.incr();
-                st.touch(pid, now);
-                let mut report = String::new();
-                for f in fields {
-                    if !report.is_empty() {
-                        report.push(' ');
-                    }
-                    report.push_str(f);
-                }
-                st.record_report(pid, report, cfg);
+                st.record_report(pid, fields, cfg, now);
                 out.push_str("OK");
                 out.push_str(st.epoch_suffix(epoch));
             }
@@ -1233,11 +1265,11 @@ pub(crate) fn handle_line_into(
                 // downgrade cue.
                 (Some("ALL"), None) => {
                     st.prune(cfg, now);
-                    let targets = st.effective_targets(cfg);
+                    st.refresh_targets(cfg, now);
                     let parts: Vec<String> = st
                         .apps
                         .iter()
-                        .zip(&targets)
+                        .zip(&st.targets)
                         .map(|(a, &t)| {
                             let mut part =
                                 format!("pid={} target={} nworkers={}", a.pid, t, a.nworkers);
@@ -1271,6 +1303,46 @@ pub(crate) fn handle_line_into(
             );
             reply_malformed(st, out)
         }
+    }
+}
+
+/// One server state answering wire lines with no socket, at an epoch and
+/// at instants the caller chooses: the per-frame path both engines run,
+/// for tests that need every reply to repeat byte for byte.
+#[doc(hidden)]
+pub struct WireSession {
+    state: ServerState,
+    cfg: UdsServerConfig,
+    registry: Registry,
+    epoch: u64,
+}
+
+impl WireSession {
+    /// A server with no registrations, configured by `cfg` (its `path`
+    /// and `engine` are never used).
+    pub fn new(cfg: UdsServerConfig, epoch: u64) -> WireSession {
+        let registry = Registry::new();
+        WireSession {
+            state: ServerState::new(&registry, &cfg),
+            cfg,
+            registry,
+            epoch,
+        }
+    }
+
+    /// The reply to `line` arriving at `now`, newline included.
+    pub fn answer(&mut self, line: &str, now: Instant) -> String {
+        let mut out = String::new();
+        handle_line_into(
+            line,
+            &mut self.state,
+            &self.cfg,
+            &self.registry,
+            self.epoch,
+            now,
+            &mut out,
+        );
+        out
     }
 }
 
@@ -2262,28 +2334,17 @@ mod tests {
 
     /// Builds a parser harness around [`handle_line`] with no sockets.
     fn fuzz_reply(line: &str) -> String {
-        let cfg = UdsServerConfig::new("/nonexistent", 8);
-        let registry = Registry::new();
-        let mut state = ServerState::new(&registry);
-        state.admit(1, 4, &cfg, Instant::now());
-        let mut out = String::new();
-        handle_line_into(
-            line,
-            &mut state,
-            &cfg,
-            &registry,
-            7,
-            Instant::now(),
-            &mut out,
-        );
-        out
+        let mut server = WireSession::new(UdsServerConfig::new("/nonexistent", 8), 7);
+        let now = Instant::now();
+        server.answer("REGISTER 1 4", now);
+        server.answer(line, now)
     }
 
     /// A socketless two-app server state for partition-policy tests.
     fn two_app_state(cfg: &UdsServerConfig, registry: &Registry) -> ServerState {
         // prune_dead is on in the configs below, so both pids must be
         // live processes: use this test process and pid 1 (init).
-        let mut state = ServerState::new(registry);
+        let mut state = ServerState::new(registry, cfg);
         state.admit(std::process::id(), 16, cfg, Instant::now());
         state.admit(1, 16, cfg, Instant::now());
         state
@@ -2556,7 +2617,7 @@ mod tests {
         let mut cfg = UdsServerConfig::new("/nonexistent", 8);
         cfg.prune_dead = false;
         let registry = Registry::new();
-        let mut st = ServerState::new(&registry);
+        let mut st = ServerState::new(&registry, &cfg);
         for pid in 0..64 {
             st.admit(900_000 + pid, 4, &cfg, Instant::now());
         }
@@ -2580,6 +2641,56 @@ mod tests {
             "handle_line POLL (64 apps): {:?}/frame",
             start.elapsed() / n
         );
+    }
+
+    /// What one weighted REPORT costs the next POLL: each pair dirties
+    /// the gate and recomputes the 64-app partition once. On 64
+    /// processors the floor of one uses them all (`ctl_saturated`'s
+    /// shape); on 128 the other 64 are water-filled by weight.
+    #[test]
+    #[ignore] // microbenchmark, not an assertion: `cargo test --release -- --ignored micro_ --nocapture`
+    fn micro_report_poll_pair_cost() {
+        for cpus in [64, 128] {
+            let mut cfg = UdsServerConfig::new("/nonexistent", cpus);
+            cfg.prune_dead = false;
+            cfg.weighted = true;
+            let mut server = WireSession::new(cfg, 42);
+            let now = Instant::now();
+            for pid in 0..64 {
+                server.answer(&format!("REGISTER {} 4", 900_000 + pid), now);
+            }
+            let reports: Vec<String> = (0..64)
+                .map(|i| {
+                    format!(
+                        "REPORT {} jobs_run={} steals=7 local_hits=9",
+                        900_000 + i,
+                        i * 37
+                    )
+                })
+                .collect();
+            let n = 200_000usize;
+            let mut out = String::new();
+            let start = Instant::now();
+            for i in 0..n {
+                for line in [reports[i % 64].as_str(), "POLL 900000"] {
+                    out.clear();
+                    handle_line_into(
+                        line,
+                        &mut server.state,
+                        &server.cfg,
+                        &server.registry,
+                        42,
+                        now,
+                        &mut out,
+                    );
+                    std::hint::black_box(&out);
+                }
+            }
+            println!(
+                "handle_line REPORT+POLL (64 apps, weighted, {cpus} cpus): {:?}/pair",
+                start.elapsed() / n as u32
+            );
+        }
     }
 
     #[test]
@@ -2720,17 +2831,16 @@ mod tests {
         let registry = Registry::new();
         let mut st = two_app_state(&cfg, &registry);
         let my_pid = std::process::id();
-        // Identical throughput reports for both apps.
+        let now = Instant::now();
+        // With no reports at all, weighting degrades to equal.
+        assert_eq!(st.target_of(my_pid, &cfg, now).map(|(_, t)| t), Some(4));
+        assert_eq!(st.target_of(1, &cfg, now).map(|(_, t)| t), Some(4));
+        // And with identical throughput reports for both apps too.
         for pid in [my_pid, 1] {
-            st.record_report(pid, "jobs_run=500 steals=7".to_string(), &cfg);
+            st.record_report(pid, "jobs_run=500 steals=7".split_whitespace(), &cfg, now);
         }
-        assert_eq!(st.target_of(my_pid, &cfg).map(|(_, t)| t), Some(4));
-        assert_eq!(st.target_of(1, &cfg).map(|(_, t)| t), Some(4));
-        // And with no reports at all, weighting degrades to equal too.
-        st.reports.clear();
-        st.invalidate_targets();
-        assert_eq!(st.target_of(my_pid, &cfg).map(|(_, t)| t), Some(4));
-        assert_eq!(st.target_of(1, &cfg).map(|(_, t)| t), Some(4));
+        assert_eq!(st.target_of(my_pid, &cfg, now).map(|(_, t)| t), Some(4));
+        assert_eq!(st.target_of(1, &cfg, now).map(|(_, t)| t), Some(4));
     }
 
     #[test]
@@ -2740,10 +2850,11 @@ mod tests {
         let registry = Registry::new();
         let mut st = two_app_state(&cfg, &registry);
         let my_pid = std::process::id();
-        st.record_report(my_pid, "jobs_run=3000".to_string(), &cfg);
-        st.record_report(1, "jobs_run=100".to_string(), &cfg);
-        let (_, hot) = st.target_of(my_pid, &cfg).expect("hot target");
-        let (_, cold) = st.target_of(1, &cfg).expect("cold target");
+        let now = Instant::now();
+        st.record_report(my_pid, "jobs_run=3000".split_whitespace(), &cfg, now);
+        st.record_report(1, "jobs_run=100".split_whitespace(), &cfg, now);
+        let (_, hot) = st.target_of(my_pid, &cfg, now).expect("hot target");
+        let (_, cold) = st.target_of(1, &cfg, now).expect("cold target");
         assert!(hot > cold, "throughput should skew shares: {hot} vs {cold}");
         assert_eq!(hot + cold, 8, "still partitions the whole machine");
         // The same reports with weighting off: equal shares. The cached
@@ -2751,11 +2862,142 @@ mod tests {
         // must dirty it (a config change is an invalidation event).
         cfg.weighted = false;
         st.invalidate_targets();
-        assert_eq!(st.target_of(my_pid, &cfg).map(|(_, t)| t), Some(4));
+        assert_eq!(st.target_of(my_pid, &cfg, now).map(|(_, t)| t), Some(4));
+    }
+
+    #[test]
+    fn weighted_targets_survive_a_snapshot_restore() {
+        let mut cfg = UdsServerConfig::new("/nonexistent", 16);
+        cfg.prune_dead = false;
+        cfg.weighted = true;
+        let now = Instant::now();
+        let mut before = WireSession::new(cfg.clone(), 7);
+        for line in [
+            "REGISTER 900001 16",
+            "REGISTER 900002 16",
+            "REGISTER 900003 16",
+            "REPORT 900001 jobs_run=4000 steals=2",
+            "REPORT 900003 steals=5 jobs_run=1000",
+        ] {
+            before.answer(line, now);
+        }
+        before.state.refresh_targets(&cfg, now);
+        let targets = before.state.targets.clone();
+        assert!(
+            targets[0] > targets[2] && targets[2] > targets[1],
+            "reports should skew shares: {targets:?}"
+        );
+        let snap = before.state.to_snapshot(7, &cfg, now);
+        let registry = Registry::new();
+        let mut after = ServerState::new(&registry, &cfg);
+        after.restore_snapshot(&snap, &cfg, now);
+        after.refresh_targets(&cfg, now);
+        assert_eq!(after.targets, targets);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The partition the server caches — slot weights parsed as
+        /// reports arrive, targets recomputed behind the dirty gate, CPU
+        /// sets cut on demand — always equals a from-scratch one. The
+        /// model is the test's own table of live registrations (in
+        /// order, with their last sign of life) and latest reports,
+        /// replayed into a fresh state after every step.
+        #[test]
+        fn cached_partition_matches_a_from_scratch_replay(
+            steps in prop::collection::vec((0u32..9, 0u32..6, 0u32..5_000, 0u64..12_000), 1..48),
+        ) {
+            let mut cfg = UdsServerConfig::new("/nonexistent", 8);
+            cfg.prune_dead = false;
+            cfg.weighted = true;
+            cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
+            let mut real = WireSession::new(cfg.clone(), 7);
+            let mut regs: Vec<(u32, u32, Instant)> = Vec::new();
+            let mut reports = std::collections::BTreeMap::<u32, String>::new();
+            let mut now = Instant::now();
+            for (op, pid, arg, gap_ms) in steps {
+                now += Duration::from_millis(gap_ms);
+                let pid = 900_000 + pid;
+                let slot = regs.iter().position(|r| r.0 == pid);
+                // POLL and STATS ALL expire lapsed leases before they
+                // answer (and a POLL then refreshes its own); the other
+                // verbs leave them for the next prune.
+                let (prunes, polls) = match op {
+                    0 | 1 => {
+                        let n = 1 + arg % 9;
+                        real.answer(&format!("REGISTER {pid} {n}"), now);
+                        match slot {
+                            Some(i) => regs[i] = (pid, n, now),
+                            None => regs.push((pid, n, now)),
+                        }
+                        (false, false)
+                    }
+                    2 => {
+                        real.answer(&format!("BYE {pid}"), now);
+                        regs.retain(|r| r.0 != pid);
+                        reports.remove(&pid);
+                        (false, false)
+                    }
+                    3 | 4 => {
+                        let line = if arg % 11 == 0 {
+                            format!("steals={arg}")
+                        } else {
+                            format!("jobs_run={arg} steals=1")
+                        };
+                        real.answer(&format!("REPORT {pid} {line}"), now);
+                        reports.insert(pid, line);
+                        if let Some(i) = slot {
+                            regs[i].2 = now;
+                        }
+                        (false, false)
+                    }
+                    5 | 6 => {
+                        real.answer(&format!("POLL {pid}"), now);
+                        (true, true)
+                    }
+                    7 => {
+                        real.answer(&format!("POLL {pid} cpus"), now);
+                        (true, true)
+                    }
+                    _ => {
+                        real.answer("STATS ALL", now);
+                        (true, false)
+                    }
+                };
+                if prunes {
+                    regs.retain(|r| {
+                        let live = r.2 + cfg.lease_ttl > now;
+                        if !live {
+                            reports.remove(&r.0);
+                        }
+                        live
+                    });
+                }
+                if polls {
+                    if let Some(r) = regs.iter_mut().find(|r| r.0 == pid) {
+                        r.2 = now;
+                    }
+                }
+
+                let mut fresh = WireSession::new(cfg.clone(), 7);
+                for &(pid, n, _) in &regs {
+                    fresh.answer(&format!("REGISTER {pid} {n}"), now);
+                }
+                for (pid, line) in &reports {
+                    fresh.answer(&format!("REPORT {pid} {line}"), now);
+                }
+                real.state.refresh_targets(&cfg, now);
+                fresh.state.refresh_targets(&cfg, now);
+                prop_assert_eq!(&real.state.targets, &fresh.state.targets);
+                for pid in 900_000..900_006 {
+                    prop_assert_eq!(
+                        real.state.target_and_cpus_of(pid, &cfg, now),
+                        fresh.state.target_and_cpus_of(pid, &cfg, now)
+                    );
+                }
+            }
+        }
 
         /// The wire parser never panics and always produces exactly one
         /// newline-terminated reply — `ERR …` or a valid verb reply —

@@ -1,0 +1,265 @@
+//! Golden wire replies: one fixed transcript of request lines, answered
+//! by the per-frame path both engines run (`handle_line_into`, through
+//! [`WireSession`]) under `weighted` with a non-identity `cpu_order`, and
+//! compared byte for byte with the replies of a known-good build
+//! (`golden_wire.replies`, captured at fe9b03f, before report weights
+//! were cached and CPU sets became ranges). The unit tests pin what
+//! single replies mean; this pins that a change to how the partition is
+//! *computed* moves none of them.
+//!
+//! When a PR changes a reply on purpose, re-capture with
+//! `cargo test -p native-rt --test golden_wire -- --ignored print_golden --nocapture \
+//!  | grep -E '^(OK|TARGET|ERR|STATS)' > crates/native-rt/tests/golden_wire.replies`
+//! and say so in CHANGES.md.
+
+use std::time::{Duration, Instant};
+
+use native_rt::{UdsServerConfig, WireSession};
+
+const EPOCH: u64 = 42;
+const GOLDEN: &str = include_str!("golden_wire.replies");
+
+/// The transcript: `(arrival in ms since the first frame, request line)`.
+/// No `TRACE`: journal entries carry wall-clock stamps.
+fn transcript() -> Vec<(u64, String)> {
+    let mut t: Vec<(u64, String)> = Vec::new();
+    let mut at = 0u64;
+    let mut say = |at: u64, line: &str| t.push((at, line.to_string()));
+
+    // Malformed and unregistered: every line still gets one reply.
+    for line in [
+        "",
+        "   ",
+        "NONSENSE",
+        "POLL",
+        "POLL x",
+        "POLL 1 cpus extra",
+        "POLL 1 sets",
+        "REGISTER 1",
+        "REGISTER 1 0",
+        "REGISTER 1 9999999",
+        "REGISTER 1 2 3",
+        "BYE",
+        "BYE 1 2",
+        "REPORT",
+        "REPORT x jobs_run=1",
+        "STATS 1 2",
+        "STATS x",
+        "STATS ALL",
+        "STATS ALL x",
+        "POLL 7",
+        "POLL 7 cpus",
+        "STATS 7",
+        "BYE 7",
+    ] {
+        say(at, line);
+    }
+
+    // A REPORT before its REGISTER still weighs once the pid registers.
+    at += 10;
+    for line in [
+        "REPORT 100 jobs_run=900 steals=3",
+        "STATS 100",
+        "STATS ALL",
+        "REGISTER 100 6",
+        "POLL 100 cpus",
+        "REGISTER 101 6",
+        "POLL 100",
+        "POLL 101",
+        "POLL 100 cpus",
+        "POLL 101 cpus",
+        "STATS ALL",
+    ] {
+        say(at, line);
+    }
+
+    // Hostile jobs_run values against a fixed competitor (pid 100 at 900).
+    for report in [
+        "jobs_run=nan",
+        "jobs_run=NaN",
+        "jobs_run=inf",
+        "jobs_run=-inf",
+        "jobs_run=infinity",
+        "jobs_run=-5",
+        "jobs_run=-0",
+        "jobs_run=1e400",
+        "jobs_run=1e3",
+        "jobs_run=+7",
+        "jobs_run=0x10",
+        "jobs_run=",
+        "jobs_run",
+        "",
+        "steals=9 local_hits=4",
+        "jobs_run=2700 jobs_run=1",
+        "jobs_run=bad jobs_run=2700",
+        "xjobs_run=5 jobs_run=2700",
+        "JOBS_RUN=2700",
+        "steals=1    jobs_run=899\tlocal_hits=2  ",
+        "jobs_run=900",
+    ] {
+        at += 1;
+        say(at, &format!("REPORT 101 {report}"));
+        say(at, "POLL 100");
+        say(at, "POLL 101 cpus");
+        say(at, "STATS 101");
+    }
+    say(at, "STATS ALL");
+
+    // Both infinite: the water-fill divides inf by inf.
+    at += 1;
+    say(at, "REPORT 100 jobs_run=inf");
+    say(at, "REPORT 101 jobs_run=1e999");
+    say(at, "POLL 100 cpus");
+    say(at, "POLL 101 cpus");
+    say(at, "REPORT 100 jobs_run=900 steals=3");
+    say(at, "REPORT 101 jobs_run=300");
+
+    // A re-REGISTER adopts the new worker count and keeps the weight.
+    at += 5;
+    for line in [
+        "REGISTER 100 2",
+        "POLL 100 cpus",
+        "POLL 101 cpus",
+        "REGISTER 100 16",
+        "POLL 100 cpus",
+        "POLL 101 cpus",
+        "STATS ALL",
+    ] {
+        say(at, line);
+    }
+
+    // More applications than processors: the floor of one oversubscribes
+    // and the sets wrap around the order.
+    at += 5;
+    for pid in 200..211 {
+        say(at, &format!("REGISTER {pid} {}", 1 + pid % 3));
+    }
+    for pid in (200..211).chain([100, 101]) {
+        say(at, &format!("POLL {pid} cpus"));
+    }
+    say(at, "STATS ALL");
+    for pid in 203..211 {
+        say(at, &format!("BYE {pid}"));
+    }
+    say(at, "REPORT 201 jobs_run=5000");
+    say(at, "REPORT 202 jobs_run=10");
+    for pid in [100, 101, 200, 201, 202] {
+        say(at, &format!("POLL {pid} cpus"));
+    }
+
+    // BYE drops the report with the registration: the pid comes back at
+    // weight 1.0. A BYE also drops the report of a pid never registered.
+    at += 5;
+    for line in [
+        "BYE 201",
+        "STATS 201",
+        "REGISTER 201 3",
+        "POLL 201 cpus",
+        "POLL 100 cpus",
+        "REPORT 999 jobs_run=77",
+        "STATS 999",
+        "BYE 999",
+        "STATS 999",
+        "STATS ALL",
+    ] {
+        say(at, line);
+    }
+
+    // Leases (30 s): 100 and 200 keep polling, 202 only reports, the rest
+    // fall silent and expire; an expired pid must register again.
+    for (ms, line) in [
+        (20_000, "POLL 100"),
+        (20_000, "POLL 200 cpus"),
+        (25_000, "REPORT 202 jobs_run=20"),
+        (29_000, "STATS ALL"),
+        (31_000, "STATS ALL"),
+        (31_000, "POLL 101"),
+        (31_000, "POLL 201 cpus"),
+        (31_000, "POLL 100 cpus"),
+        (31_000, "STATS 101"),
+        (31_500, "REGISTER 101 6"),
+        (31_500, "POLL 101 cpus"),
+        (49_000, "POLL 101"),
+        (52_000, "STATS ALL"),
+        (56_000, "POLL 202"),
+        (56_000, "POLL 100"),
+        (56_000, "STATS ALL"),
+    ] {
+        say(at + ms, line);
+    }
+    at += 60_000;
+
+    // A seeded mix over six pids (fewer than processors, so most
+    // recomputes water-fill by weight), arrivals up to 4 s apart so a
+    // lease lapses here and there.
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut next = |bound: u64| {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % bound
+    };
+    for _ in 0..150 {
+        at += next(4_000);
+        let pid = 300 + next(6);
+        let line = match next(16) {
+            0..=2 => format!("REGISTER {pid} {}", 1 + next(9)),
+            3 => format!("BYE {pid}"),
+            4..=6 => format!("REPORT {pid} jobs_run={} steals={}", next(5_000), next(50)),
+            7..=10 => format!("POLL {pid}"),
+            11..=13 => format!("POLL {pid} cpus"),
+            14 => format!("STATS {pid}"),
+            _ => "STATS ALL".to_string(),
+        };
+        say(at, &line);
+    }
+    say(at, "STATS ALL");
+    // The server's own counters: how many recomputes were coalesced, how
+    // many leases expired, how many timers fired.
+    say(at, "STATS");
+    t
+}
+
+fn replies() -> Vec<(String, String)> {
+    let mut cfg = UdsServerConfig::new("/nonexistent", 8);
+    cfg.prune_dead = false; // the pids are made up
+    cfg.weighted = true;
+    cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
+    let mut server = WireSession::new(cfg, EPOCH);
+    let base = Instant::now();
+    transcript()
+        .into_iter()
+        .map(|(ms, line)| {
+            let reply = server.answer(&line, base + Duration::from_millis(ms));
+            (line, reply)
+        })
+        .collect()
+}
+
+#[test]
+fn replies_match_the_captured_build_byte_for_byte() {
+    let got = replies();
+    let want: Vec<&str> = GOLDEN.split_inclusive('\n').collect();
+    for (i, ((line, reply), want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(reply, want, "frame {i}: reply to {line:?} moved");
+    }
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "transcript and capture differ in length"
+    );
+    assert!(
+        got.len() >= 300,
+        "transcript shrank to {} frames",
+        got.len()
+    );
+}
+
+#[test]
+#[ignore] // prints the replies for re-capture; see the module docs
+fn print_golden() {
+    println!(); // end the harness's own "test print_golden ... " line
+    for (_, reply) in replies() {
+        print!("{reply}");
+    }
+}

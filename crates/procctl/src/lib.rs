@@ -36,8 +36,8 @@ mod server;
 pub use client::{decentralized_target, ClientControl, Decision};
 pub use coalesce::RecomputeGate;
 pub use partition::{
-    assign_cpu_sets, partition, validate_cpus, validate_processes, AppDemand, SizeError, MAX_CPUS,
-    MAX_PROCESSES,
+    assign_cpu_sets, cpu_range, partition, partition_into, validate_cpus, validate_processes,
+    AppDemand, PartitionScratch, SizeError, MAX_CPUS, MAX_PROCESSES,
 };
 pub use proto::{
     decode_request, decode_target, decode_target_cpus, encode_bye, encode_poll, encode_register,

@@ -111,41 +111,70 @@ impl AppDemand {
 /// assert_eq!(t, vec![2, 2, 2]);
 /// ```
 pub fn partition(num_cpus: u32, uncontrolled: u32, apps: &[AppDemand]) -> Vec<u32> {
-    let n = apps.len();
-    if n == 0 {
-        return Vec::new();
-    }
+    let mut targets = Vec::new();
+    partition_into(
+        num_cpus,
+        uncontrolled,
+        apps,
+        &mut targets,
+        &mut PartitionScratch::default(),
+    );
+    targets
+}
+
+/// Working memory of [`partition_into`]. A server that recomputes on
+/// every burst of events keeps one across calls, so a recompute
+/// allocates nothing once the buffers have grown to the fleet's size.
+/// What a previous call left in it never reaches the next result.
+#[derive(Clone, Debug, Default)]
+pub struct PartitionScratch {
+    /// This round's `(app, fractional grant)` for each app with headroom.
+    fractional: Vec<(usize, f64)>,
+}
+
+/// [`partition`] into caller-owned buffers: overwrites `targets` with one
+/// entry per element of `apps`.
+pub fn partition_into(
+    num_cpus: u32,
+    uncontrolled: u32,
+    apps: &[AppDemand],
+    targets: &mut Vec<u32>,
+    scratch: &mut PartitionScratch,
+) {
     let available = num_cpus.saturating_sub(uncontrolled);
 
     // Start from the starvation floor: one process each (0 for empty apps).
-    let mut targets: Vec<u32> = apps.iter().map(|a| u32::from(a.processes > 0)).collect();
+    targets.clear();
+    targets.extend(apps.iter().map(|a| u32::from(a.processes > 0)));
     let floor: u32 = targets.iter().sum();
     let mut remaining = available.saturating_sub(floor);
 
     // Water-fill the remaining processors by weight, capped per app.
     // Each round distributes proportionally among apps with headroom;
-    // integer rounding goes to the largest fractional remainders.
-    loop {
-        let headroom: Vec<usize> = (0..n).filter(|&i| targets[i] < apps[i].processes).collect();
-        if remaining == 0 || headroom.is_empty() {
-            break;
+    // integer rounding goes to the largest fractional remainders. A
+    // floor that already uses every processor never enters the loop.
+    let fractional = &mut scratch.fractional;
+    while remaining > 0 {
+        fractional.clear();
+        let mut wsum = 0.0;
+        for (i, a) in apps.iter().enumerate() {
+            if targets[i] < a.processes {
+                fractional.push((i, 0.0));
+                wsum += a.weight.max(0.0);
+            }
         }
-        let wsum: f64 = headroom.iter().map(|&i| apps[i].weight.max(0.0)).sum();
-        if wsum <= 0.0 {
+        if fractional.is_empty() || wsum <= 0.0 {
             break;
         }
         let mut granted_any = false;
         // Ideal fractional grants for this round.
-        let mut fractional: Vec<(usize, f64)> = headroom
-            .iter()
-            .map(|&i| {
-                let ideal = remaining as f64 * apps[i].weight.max(0.0) / wsum;
-                let room = (apps[i].processes - targets[i]) as f64;
-                (i, ideal.min(room))
-            })
-            .collect();
+        for &mut (i, ref mut f) in fractional.iter_mut() {
+            let ideal = remaining as f64 * apps[i].weight.max(0.0) / wsum;
+            let room = (apps[i].processes - targets[i]) as f64;
+            *f = ideal.min(room);
+        }
         // Grant integer parts first.
-        for &mut (i, ref mut f) in &mut fractional {
+        for &mut (i, ref mut f) in fractional.iter_mut() {
             let whole = (*f).floor() as u32;
             let grant = whole.min(remaining).min(apps[i].processes - targets[i]);
             if grant > 0 {
@@ -155,9 +184,15 @@ pub fn partition(num_cpus: u32, uncontrolled: u32, apps: &[AppDemand]) -> Vec<u3
             }
             *f -= f64::from(grant);
         }
-        // Then leftover single processors to the largest remainders.
-        fractional.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite remainders"));
-        for (i, _) in fractional {
+        // Then leftover single processors to the largest remainders,
+        // earlier apps first among equals (the index tie-break is what a
+        // stable sort would do, without its merge buffer).
+        fractional.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("finite remainders")
+                .then(a.0.cmp(&b.0))
+        });
+        for &(i, _) in fractional.iter() {
             if remaining == 0 {
                 break;
             }
@@ -171,35 +206,40 @@ pub fn partition(num_cpus: u32, uncontrolled: u32, apps: &[AppDemand]) -> Vec<u3
             break;
         }
     }
-    targets
+}
+
+/// The CPUs of one slot of the carve: `len` consecutive entries of
+/// `cpu_order` (a topology-linearized CPU list — SMT siblings adjacent,
+/// then LLC groups, then sockets) beginning `start` processors in, where
+/// `start` is the sum of the targets of the slots before it. Wraps around
+/// when the floor-of-one proviso oversubscribes the machine; empty for an
+/// empty order.
+///
+/// Contiguity is the point: an application's processes land on
+/// cache-sharing neighbors, and because a slot starts at the sum of the
+/// targets before it, a *shrink* of application `i` (earlier targets
+/// unchanged) keeps a prefix of its previous block — the workers it
+/// retains stay where their cache state is.
+pub fn cpu_range(cpu_order: &[u32], start: usize, len: u32) -> impl Iterator<Item = u32> + '_ {
+    let n = if cpu_order.is_empty() {
+        0
+    } else {
+        len as usize
+    };
+    (start..start + n).map(move |k| cpu_order[k % cpu_order.len()])
 }
 
 /// Assigns each application a *concrete* set of CPUs, not just a count:
-/// consecutive, contiguous slices of `cpu_order` (a topology-linearized
-/// CPU list — SMT siblings adjacent, then LLC groups, then sockets), one
-/// slice per entry of `targets`, wrapping around when the floor-of-one
-/// proviso oversubscribes the machine.
-///
-/// Contiguity is the point: an application's processes land on
-/// cache-sharing neighbors, and because slice `i` starts at the sum of
-/// targets `0..i`, a *shrink* of application `i` (earlier targets
-/// unchanged) keeps a prefix of its previous block — the workers it
-/// retains stay where their cache state is.
+/// every slot of the carve ([`cpu_range`]) materialised, one per entry of
+/// `targets`.
 pub fn assign_cpu_sets(cpu_order: &[u32], targets: &[u32]) -> Vec<Vec<u32>> {
-    if cpu_order.is_empty() {
-        return targets.iter().map(|_| Vec::new()).collect();
-    }
-    let mut cursor = 0usize;
+    let mut start = 0usize;
     targets
         .iter()
         .map(|&t| {
-            (0..t)
-                .map(|_| {
-                    let cpu = cpu_order[cursor % cpu_order.len()];
-                    cursor += 1;
-                    cpu
-                })
-                .collect()
+            let set = cpu_range(cpu_order, start, t).collect();
+            start += t as usize;
+            set
         })
         .collect()
 }

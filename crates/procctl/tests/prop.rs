@@ -1,10 +1,20 @@
 //! Property tests for the partitioning algorithm.
 
-use procctl::{partition, AppDemand};
+use procctl::{partition, partition_into, AppDemand, PartitionScratch};
 use proptest::prelude::*;
 
 fn demands() -> impl Strategy<Value = Vec<AppDemand>> {
     prop::collection::vec((0u32..64).prop_map(AppDemand::new), 0..12)
+}
+
+fn weighted_demands() -> impl Strategy<Value = Vec<AppDemand>> {
+    prop::collection::vec(
+        (0u32..64, 0u32..2_000).prop_map(|(processes, jobs)| AppDemand {
+            processes,
+            weight: 1.0 + f64::from(jobs),
+        }),
+        0..12,
+    )
 }
 
 proptest! {
@@ -73,5 +83,25 @@ proptest! {
     #[test]
     fn deterministic(cpus in 1u32..64, uncontrolled in 0u32..16, apps in demands()) {
         prop_assert_eq!(partition(cpus, uncontrolled, &apps), partition(cpus, uncontrolled, &apps));
+    }
+
+    /// Buffers a server keeps across recomputes change no result: with
+    /// `targets` and the scratch left over from an unrelated problem,
+    /// `partition_into` fills in what `partition` returns.
+    #[test]
+    fn reused_buffers_change_nothing(
+        cpus in 1u32..64,
+        uncontrolled in 0u32..80,
+        before in weighted_demands(),
+        equal in demands(),
+        weighted in weighted_demands(),
+    ) {
+        let mut targets = vec![7; 3];
+        let mut scratch = PartitionScratch::default();
+        partition_into(64, 0, &before, &mut targets, &mut scratch);
+        for apps in [&equal, &weighted] {
+            partition_into(cpus, uncontrolled, apps, &mut targets, &mut scratch);
+            prop_assert_eq!(&targets, &partition(cpus, uncontrolled, apps));
+        }
     }
 }

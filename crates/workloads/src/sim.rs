@@ -334,71 +334,6 @@ pub fn producer_consumer_spec(
     spec
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::params::Presets;
-
-    #[test]
-    fn matmul_spec_shape() {
-        let s = matmul_spec(&Presets::tiny().matmul);
-        assert_eq!(s.tasks.len(), 64);
-        assert!(s.barriers.is_empty());
-        assert_eq!(s.channels, 0);
-    }
-
-    #[test]
-    fn fft_spec_shape() {
-        let p = Presets::tiny().fft;
-        let s = fft_spec(&p);
-        assert_eq!(s.tasks.len(), p.chunks as usize);
-        assert_eq!(s.barriers, vec![p.chunks]);
-    }
-
-    #[test]
-    fn sort_spec_shape() {
-        let p = Presets::tiny().sort;
-        let s = sort_spec(&p);
-        // leaves + internal nodes = 2 * leaves - 1 tasks.
-        assert_eq!(s.tasks.len(), (2 * p.leaves - 1) as usize);
-        assert_eq!(s.channels, p.leaves - 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn sort_rejects_non_power_of_two() {
-        let mut p = Presets::tiny().sort;
-        p.leaves = 12;
-        sort_spec(&p);
-    }
-
-    #[test]
-    fn gauss_spec_shape() {
-        let s = gauss_spec(&Presets::tiny().gauss);
-        assert_eq!(s.tasks.len(), 1, "gauss starts with only a coordinator");
-        assert_eq!(s.channels, 1);
-    }
-
-    #[test]
-    fn synthetic_fraction_bounds() {
-        let s = synthetic_cs_spec(4, 2, SimDur::from_millis(10), 0.25, simkernel::LockId(0));
-        assert_eq!(s.tasks.len(), 4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn synthetic_rejects_bad_fraction() {
-        synthetic_cs_spec(1, 1, SimDur::from_millis(1), 1.5, simkernel::LockId(0));
-    }
-
-    #[test]
-    fn producer_consumer_shape() {
-        let s = producer_consumer_spec(3, 10, SimDur::from_millis(1), SimDur::from_millis(2));
-        assert_eq!(s.tasks.len(), 6);
-        assert_eq!(s.channels, 3);
-    }
-}
-
 /// A node of the fork/join tree: internal nodes spawn their children at
 /// runtime (recursive task creation, as in the task-queue languages the
 /// paper cites), await their completions, combine, and report upward.
@@ -501,4 +436,69 @@ pub fn fork_join_spec(depth: u32, fan: u32, leaf_cost: SimDur, combine_cost: Sim
         }),
     ));
     spec
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::Presets;
+
+    #[test]
+    fn matmul_spec_shape() {
+        let s = matmul_spec(&Presets::tiny().matmul);
+        assert_eq!(s.tasks.len(), 64);
+        assert!(s.barriers.is_empty());
+        assert_eq!(s.channels, 0);
+    }
+
+    #[test]
+    fn fft_spec_shape() {
+        let p = Presets::tiny().fft;
+        let s = fft_spec(&p);
+        assert_eq!(s.tasks.len(), p.chunks as usize);
+        assert_eq!(s.barriers, vec![p.chunks]);
+    }
+
+    #[test]
+    fn sort_spec_shape() {
+        let p = Presets::tiny().sort;
+        let s = sort_spec(&p);
+        // leaves + internal nodes = 2 * leaves - 1 tasks.
+        assert_eq!(s.tasks.len(), (2 * p.leaves - 1) as usize);
+        assert_eq!(s.channels, p.leaves - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn sort_rejects_non_power_of_two() {
+        let mut p = Presets::tiny().sort;
+        p.leaves = 12;
+        sort_spec(&p);
+    }
+
+    #[test]
+    fn gauss_spec_shape() {
+        let s = gauss_spec(&Presets::tiny().gauss);
+        assert_eq!(s.tasks.len(), 1, "gauss starts with only a coordinator");
+        assert_eq!(s.channels, 1);
+    }
+
+    #[test]
+    fn synthetic_fraction_bounds() {
+        let s = synthetic_cs_spec(4, 2, SimDur::from_millis(10), 0.25, simkernel::LockId(0));
+        assert_eq!(s.tasks.len(), 4);
+    }
+
+    #[test]
+    #[should_panic]
+    fn synthetic_rejects_bad_fraction() {
+        synthetic_cs_spec(1, 1, SimDur::from_millis(1), 1.5, simkernel::LockId(0));
+    }
+
+    #[test]
+    fn producer_consumer_shape() {
+        let s = producer_consumer_spec(3, 10, SimDur::from_millis(1), SimDur::from_millis(2));
+        assert_eq!(s.tasks.len(), 6);
+        assert_eq!(s.channels, 3);
+    }
 }
