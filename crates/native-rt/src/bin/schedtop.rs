@@ -135,9 +135,10 @@ mod tool {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "schedtop: {} apps | polls={} events_pushes={} traces={} journal_drops={} lease_expiries={} malformed={}",
+            "schedtop: {} apps | polls={} parked={} events_pushes={} traces={} journal_drops={} lease_expiries={} malformed={}",
             apps.len(),
             server.get("polls").copied().unwrap_or(0),
+            server.get("parked").copied().unwrap_or(0),
             server.get("events_pushes").copied().unwrap_or(0),
             server.get("traces").copied().unwrap_or(0),
             server.get("journal_drops").copied().unwrap_or(0),

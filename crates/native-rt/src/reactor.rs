@@ -22,10 +22,13 @@
 //!    protocol is byte-identical across engines *by construction* —
 //!    appending replies to the connection's write buffer,
 //! 3. flushes each touched connection **once** (replies batched per
-//!    wakeup: N pipelined polls cost one `write(2)`, not N), and
-//! 4. fires due lease timers from the server state's deadline-ordered
-//!    queue (the wait timeout is the earliest deadline, so expiry needs
-//!    no per-poll scans and no idle spinning).
+//!    wakeup: N pipelined polls cost one `write(2)`, not N),
+//! 4. releases the parked polls ([`Waiters`](crate::uds)) whose answer
+//!    the wakeup changed or whose hold ran out, after step 3, so whoever
+//!    caused a change hears `OK` before anyone hears its consequence, and
+//! 5. fires due lease timers from the server state's deadline-ordered
+//!    queue (the wait timeout is the earliest lease or hold deadline, so
+//!    neither needs per-poll scans or idle spinning).
 //!
 //! Observability: `reactor_wakeups` counts readiness-loop returns,
 //! `frames_batched` counts frames served beyond the first of each
@@ -41,7 +44,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use crate::stats::Registry;
-use crate::uds::{handle_line_into, write_snapshot, ServerState, UdsServerConfig};
+use crate::uds::{
+    handle_line_into, write_snapshot, FrameEnv, Handled, ServerState, UdsServerConfig, Waiters,
+};
 
 /// The longest line the reactor will buffer for one frame before
 /// answering `ERR malformed` and dropping the connection. Generous —
@@ -155,6 +160,10 @@ struct Conn {
     /// Close once `wbuf` drains (EOF seen or a fatal protocol error —
     /// the reply is still delivered first: no silent drops).
     closing: bool,
+    /// The last frame served was a wait-form POLL whose reply the
+    /// server's [`Waiters`] still owe. Stays readable: EOF forgets the
+    /// park, a later frame releases it first.
+    parked: bool,
 }
 
 impl Conn {
@@ -166,6 +175,7 @@ impl Conn {
             wpos: 0,
             want_write: false,
             closing: false,
+            parked: false,
         }
     }
 
@@ -441,19 +451,28 @@ pub(crate) fn serve(
     let batched = registry.counter("frames_batched");
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut waiters = Waiters::default();
     let mut next_token: u64 = 0;
     let mut ready: Vec<(u64, bool, bool)> = Vec::new();
+    let mut released: Vec<u64> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut reply = String::new();
     let mut last_snapshot = Instant::now();
 
     while !stop.load(Ordering::Acquire) {
-        // Sleep until traffic or the next lease deadline, capped so the
-        // stop flag stays responsive.
-        let timeout_ms = match state.next_lease_deadline() {
+        // Sleep until traffic, the next lease deadline or the next hold
+        // deadline, capped so the stop flag stays responsive.
+        let deadline = match (state.next_lease_deadline(), waiters.next_deadline()) {
+            (Some(lease), Some(hold)) => Some(lease.min(hold)),
+            (lease, hold) => lease.or(hold),
+        };
+        let timeout_ms = match deadline {
             Some(at) => {
-                let left = at.saturating_duration_since(Instant::now()).as_millis();
-                (left.min(MAX_WAIT_MS as u128) as i32).max(0)
+                // Rounded up: a wait that ends a fraction of a
+                // millisecond early would find nothing due and spin.
+                let left = at.saturating_duration_since(Instant::now());
+                let ms = left.as_micros().div_ceil(1000);
+                (ms.min(MAX_WAIT_MS as u128) as i32).max(0)
             }
             None => MAX_WAIT_MS,
         };
@@ -498,8 +517,13 @@ pub(crate) fn serve(
                 continue;
             };
             if readable && !conn.closing {
-                frames_this_wakeup +=
-                    drain_and_handle(conn, &mut scratch, &mut reply, &mut state, &env);
+                let mut serving = Serving {
+                    scratch: &mut scratch,
+                    reply: &mut reply,
+                    state: &mut state,
+                    waiters: &mut waiters,
+                };
+                frames_this_wakeup += drain_and_handle(token, conn, &mut serving, &env);
             }
         }
         if frames_this_wakeup > 1 {
@@ -511,35 +535,36 @@ pub(crate) fn serve(
         // rare short write.
         let mut dead: Vec<u64> = Vec::new();
         for &(token, readable, writable) in &ready {
-            if token == LISTENER_TOKEN {
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&token) else {
-                continue; // closed earlier this wakeup
-            };
-            if readable || writable {
-                match conn.flush() {
-                    Ok(true) => {
-                        if conn.closing {
-                            dead.push(token);
-                        } else if conn.want_write {
-                            conn.want_write = false;
-                            let _ = poller.modify(conn.stream.as_raw_fd(), token, false);
-                        }
-                    }
-                    Ok(false) => {
-                        if !conn.want_write {
-                            conn.want_write = true;
-                            let _ = poller.modify(conn.stream.as_raw_fd(), token, true);
-                        }
-                    }
-                    Err(_) => dead.push(token),
-                }
+            if token != LISTENER_TOKEN && (readable || writable) {
+                flush_conn(token, &mut conns, &mut poller, &mut dead);
             }
         }
+
+        // Phase 3: the parked polls this wakeup released — by what its
+        // frames or its expired leases did to the partition, or by a hold
+        // running out — written after the wakeup's own replies.
+        // Staged first and flushed after, like phases 1 and 2: a client
+        // that reads its release and asks for `STATS` finds the `parked`
+        // gauge already moved.
+        released.clear();
+        waiters.release(&mut state, &env, &mut reply, |token, line| {
+            if let Some(conn) = conns.get_mut(&token) {
+                conn.parked = false;
+                conn.wbuf.extend_from_slice(line.as_bytes());
+                released.push(token);
+            }
+        });
+        for &token in &released {
+            flush_conn(token, &mut conns, &mut poller, &mut dead);
+        }
+
         for token in dead {
             if let Some(conn) = conns.remove(&token) {
                 poller.remove(conn.stream.as_raw_fd());
+                if conn.parked {
+                    // A write failed behind a frame that had just parked.
+                    waiters.forget(token, &state);
+                }
             }
         }
     }
@@ -547,6 +572,37 @@ pub(crate) fn serve(
     // persists everything served, so the next boot restores the exact
     // fleet this instance was managing.
     write_snapshot(&state, cfg, epoch, Instant::now());
+}
+
+/// Writes out what `token`'s connection has staged, keeping EPOLLOUT
+/// interest in step with whether anything is left, and queues the
+/// connection on `dead` when it failed or finished closing.
+fn flush_conn(
+    token: u64,
+    conns: &mut HashMap<u64, Conn>,
+    poller: &mut sys::Poller,
+    dead: &mut Vec<u64>,
+) {
+    let Some(conn) = conns.get_mut(&token) else {
+        return; // closed earlier this wakeup
+    };
+    match conn.flush() {
+        Ok(true) => {
+            if conn.closing {
+                dead.push(token);
+            } else if conn.want_write {
+                conn.want_write = false;
+                let _ = poller.modify(conn.stream.as_raw_fd(), token, false);
+            }
+        }
+        Ok(false) => {
+            if !conn.want_write {
+                conn.want_write = true;
+                let _ = poller.modify(conn.stream.as_raw_fd(), token, true);
+            }
+        }
+        Err(_) => dead.push(token),
+    }
 }
 
 /// Accepts every pending connection (the listener is non-blocking).
@@ -575,32 +631,31 @@ fn accept_ready(
     }
 }
 
-/// Loop-invariant context shared by every frame served in one wakeup.
-struct FrameEnv<'a> {
-    cfg: &'a UdsServerConfig,
-    registry: &'a Registry,
-    epoch: u64,
-    now: Instant,
+/// What serving a frame reads and writes besides its connection.
+struct Serving<'a> {
+    scratch: &'a mut [u8],
+    reply: &'a mut String,
+    state: &'a mut ServerState,
+    waiters: &'a mut Waiters,
 }
 
 /// Drains the socket, answers every complete frame, and stages the
 /// batched replies in the connection's write buffer. Returns the number
 /// of frames served.
 fn drain_and_handle(
+    token: u64,
     conn: &mut Conn,
-    scratch: &mut [u8],
-    reply: &mut String,
-    state: &mut ServerState,
+    serving: &mut Serving<'_>,
     env: &FrameEnv<'_>,
 ) -> u64 {
     let mut eof = false;
     loop {
-        match conn.stream.read(scratch) {
+        match conn.stream.read(serving.scratch) {
             Ok(0) => {
                 eof = true;
                 break;
             }
-            Ok(n) => conn.frames.extend(&scratch[..n]),
+            Ok(n) => conn.frames.extend(&serving.scratch[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -615,10 +670,11 @@ fn drain_and_handle(
         // Field-disjoint borrows: the frame bytes stay in `conn.frames`
         // (no per-frame copy) while the reply lands in `conn.wbuf`.
         if !answer_frame(
+            token,
             conn.frames.frame_bytes(&range),
             &mut conn.wbuf,
-            reply,
-            state,
+            &mut conn.parked,
+            serving,
             env,
         ) {
             conn.closing = true;
@@ -639,36 +695,59 @@ fn drain_and_handle(
         let residue = conn.frames.take_residue();
         if !residue.is_empty() {
             frames += 1;
-            answer_frame(&residue, &mut conn.wbuf, reply, state, env);
+            answer_frame(
+                token,
+                &residue,
+                &mut conn.wbuf,
+                &mut conn.parked,
+                serving,
+                env,
+            );
         }
         conn.closing = true;
+    }
+    if conn.closing && conn.parked {
+        // Nobody is left to hear the reply.
+        serving.waiters.forget(token, serving.state);
+        conn.parked = false;
     }
     frames
 }
 
 /// Answers one frame, appending the reply to `wbuf` (via the reusable
-/// `reply` scratch). Returns false when the connection must close
-/// (non-UTF-8 on the wire).
+/// `reply` scratch) — after the reply a park on this connection still
+/// owed, so replies stay in frame order — or parks it. Returns false
+/// when the connection must close (non-UTF-8 on the wire).
 fn answer_frame(
+    token: u64,
     frame: &[u8],
     wbuf: &mut Vec<u8>,
-    reply: &mut String,
-    state: &mut ServerState,
+    parked: &mut bool,
+    serving: &mut Serving<'_>,
     env: &FrameEnv<'_>,
 ) -> bool {
+    let Serving {
+        reply,
+        state,
+        waiters,
+        ..
+    } = serving;
+    if *parked {
+        *parked = false;
+        reply.clear();
+        waiters.cancel(token, state, env, reply);
+        wbuf.extend_from_slice(reply.as_bytes());
+    }
     match std::str::from_utf8(frame) {
         Ok(line) => {
             reply.clear();
-            handle_line_into(
-                line,
-                state,
-                env.cfg,
-                env.registry,
-                env.epoch,
-                env.now,
-                reply,
-            );
-            wbuf.extend_from_slice(reply.as_bytes());
+            match handle_line_into(line, state, env, reply) {
+                Handled::Replied => wbuf.extend_from_slice(reply.as_bytes()),
+                Handled::Park(park) => {
+                    waiters.park(token, park, state);
+                    *parked = true;
+                }
+            }
             true
         }
         Err(_) => {

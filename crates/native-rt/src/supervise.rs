@@ -23,6 +23,15 @@
 //!   snapshot exists to prevent), while an `ERR unregistered` answer
 //!   means a cold restart, healed by registering again.
 //!
+//! - Once it holds a healthy target, the supervisor polls in the **wait
+//!   form** (`crate::uds` module docs, "Parked polls"): the server sits
+//!   on the request until the answer changes or a hold runs out, so a
+//!   new target arrives when it is decided, not at the next poll. The
+//!   hold stays below half the I/O timeout; a killed server ends the
+//!   parked read with EOF at once, a wedged one still costs at most the
+//!   timeout, and a server that cannot park (`ERR malformed`, `ERR
+//!   nowait`) is polled the old way for the life of the connection.
+//!
 //! Recovery behavior is observable: the supervisor records `reconnects`,
 //! `degraded_enters`, `epoch_changes`, `poll_errors`, and
 //! `events_shipped` counters, a `degraded` gauge, and a `degraded_ns`
@@ -41,9 +50,16 @@ use crate::controller::TargetSlot;
 use crate::stats::{Counter, Gauge, Hist, Registry};
 use crate::trace::FlightRecorder;
 use crate::uds::{
-    CpusPollReply, EventsReply, PollReply, PollerGuard, UdsClient, DEFAULT_IO_TIMEOUT,
-    DEFAULT_TRACE_MAX,
+    sleep_unless_stopped, CpusPollReply, EventsReply, ParkedStream, PollReply, PollerGuard,
+    UdsClient, DEFAULT_IO_TIMEOUT, DEFAULT_TRACE_MAX,
 };
+
+/// The longest [`SupervisedClient::poll_target`] and
+/// [`SupervisedClient::poll_target_cpus`] let the server park them: how
+/// often an application whose target never changes still heartbeats. Cut
+/// to half the I/O timeout where that is shorter, so a parked read never
+/// looks like a wedged server.
+const MAX_HOLD: Duration = Duration::from_secs(1);
 
 /// Supervision tuning.
 #[derive(Clone, Debug)]
@@ -119,6 +135,23 @@ pub struct SupervisedClient {
     /// Whether the connected server speaks the `EVENTS` flight-recorder
     /// push. Same optimistic-probe lifecycle as `cpus_supported`.
     events_supported: bool,
+    /// Whether the connected server parks wait-form polls. Same
+    /// lifecycle again.
+    wait_supported: bool,
+    /// The last healthy reply on this connection — what a wait-form poll
+    /// tells the server it need not repeat. `None` after any
+    /// (re)connect, re-register or error: the next poll is then a plain
+    /// one, answered at once.
+    heard: Option<Heard>,
+    /// This connection's socket, for the poller guard (see
+    /// [`ParkedStream`]).
+    stream: ParkedStream,
+    /// Raised by the poller guard's drop; never by anyone else. While it
+    /// is up an I/O error is the guard cutting a parked read short, not
+    /// a fault: nothing is counted and the connection is kept for the
+    /// BYE.
+    // sched-atomic(handoff): see PollerGuard::stop — the same flag.
+    stop: Arc<AtomicBool>,
     /// Flight recorder whose rings [`SupervisedClient::ship_events`]
     /// drains to the server (none by default — see
     /// [`SupervisedClient::with_recorder`]).
@@ -165,6 +198,10 @@ impl SupervisedClient {
             ever_connected: false,
             cpus_supported: true,
             events_supported: true,
+            wait_supported: true,
+            heard: None,
+            stream: ParkedStream::default(),
+            stop: Arc::new(AtomicBool::new(false)),
             recorder: None,
             next_attempt: None,
             degraded_since: None,
@@ -224,9 +261,27 @@ impl SupervisedClient {
         self.backoff = (self.backoff * 2).min(self.cfg.backoff_max);
     }
 
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
     fn disconnect(&mut self) {
+        if self.stopping() {
+            return;
+        }
         self.conn = None;
+        self.heard = None;
+        *self.stream.lock() = None;
         self.schedule_retry();
+    }
+
+    /// An I/O error or a garbage reply: counted, and the connection goes.
+    fn lost(&mut self) {
+        if self.stopping() {
+            return;
+        }
+        self.poll_errors.incr();
+        self.disconnect();
     }
 
     fn note_restart(&mut self, kind: RestartKind) {
@@ -291,6 +346,7 @@ impl SupervisedClient {
                 }
                 self.ever_connected = true;
                 self.note_epoch(c.epoch());
+                *self.stream.lock() = c.try_clone_stream().ok();
                 self.conn = Some(c);
                 self.backoff = self.cfg.backoff_initial;
                 self.next_attempt = None;
@@ -298,6 +354,7 @@ impl SupervisedClient {
                 // the extensions again.
                 self.cpus_supported = true;
                 self.events_supported = true;
+                self.wait_supported = true;
                 true
             }
             Err(_) => {
@@ -326,52 +383,13 @@ impl SupervisedClient {
     /// unreachable (or answered garbage) and the caller should apply
     /// [`SupervisedClient::fallback_target`] — degraded-mode accounting
     /// has already been updated either way.
+    ///
+    /// The first poll on a connection returns at once. Later ones are
+    /// parked in the server: they return when the target changes, or
+    /// after a hold of one second (half the I/O timeout, if shorter)
+    /// with the target unchanged.
     pub fn poll_target(&mut self) -> Option<u32> {
-        for attempt in 0..2 {
-            if !self.ensure_connected() {
-                break;
-            }
-            let reply = self.conn.as_mut().expect("just connected").poll_reply();
-            match reply {
-                Ok(PollReply::Target { target, epoch }) => {
-                    self.note_epoch(epoch);
-                    self.leave_degraded();
-                    return Some(target);
-                }
-                Ok(PollReply::Unregistered) => {
-                    // Lease lapsed or the server restarted behind a
-                    // still-open connection: re-register in place, then
-                    // retry the poll once.
-                    let conn = self.conn.as_mut().expect("just connected");
-                    match conn.re_register() {
-                        Ok(epoch) => {
-                            if self.last_epoch.is_some_and(|prev| prev != epoch) {
-                                // A restarted server reached through a
-                                // still-open proxy connection that lost
-                                // this pid: a cold restart, healed by the
-                                // re-register above.
-                                self.note_restart(RestartKind::Cold);
-                            }
-                            self.note_epoch(epoch);
-                            if attempt == 0 {
-                                continue;
-                            }
-                        }
-                        Err(_) => {
-                            self.poll_errors.incr();
-                            self.disconnect();
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.poll_errors.incr();
-                    self.disconnect();
-                }
-            }
-            break;
-        }
-        self.enter_degraded();
-        None
+        self.poll(false, MAX_HOLD).map(|(target, _)| target)
     }
 
     /// Polls with the CPU-set extension. `Some((target, cpus))` is a
@@ -380,20 +398,37 @@ impl SupervisedClient {
     /// which this falls back to a plain poll in the same round and stops
     /// sending the extension until the next reconnect). `None` means
     /// degraded — apply [`SupervisedClient::fallback_target`] and drop
-    /// any CPU pinning, since nobody owns the partition anymore.
+    /// any CPU pinning, since nobody owns the partition anymore. Parks
+    /// like [`SupervisedClient::poll_target`].
     pub fn poll_target_cpus(&mut self) -> Option<(u32, Option<Vec<u32>>)> {
-        if !self.cpus_supported {
-            return self.poll_target().map(|t| (t, None));
-        }
-        for attempt in 0..2 {
-            if !self.ensure_connected() {
-                break;
-            }
-            let reply = self
-                .conn
-                .as_mut()
-                .expect("just connected")
-                .poll_cpus_reply();
+        self.poll(true, MAX_HOLD)
+    }
+
+    /// One poll round, in the richest form the connection is known to
+    /// take: the wait form (for up to `hold`) once a reply is held, else
+    /// the `cpus` form if `want_cpus`, else the plain one. A form the
+    /// server refuses is dropped for the life of the connection and the
+    /// round asks again in the next simpler one; `ERR unregistered` is
+    /// healed in place by re-registering, once per round.
+    fn poll(&mut self, want_cpus: bool, hold: Duration) -> Option<(u32, Option<Vec<u32>>)> {
+        let hold = hold.min(self.cfg.io_timeout / 2);
+        let mut re_registered = false;
+        while self.ensure_connected() {
+            let conn = self.conn.as_mut().expect("just connected");
+            let cpus_form = want_cpus && self.cpus_supported;
+            let heard = self
+                .heard
+                .as_ref()
+                .filter(|h| self.wait_supported && (!cpus_form || h.cpus.is_some()));
+            let reply = match heard {
+                Some(h) => {
+                    let cpus = h.cpus.as_deref().filter(|_| cpus_form);
+                    conn.poll_wait_reply(h.target, h.epoch, cpus, hold)
+                }
+                None if cpus_form => conn.poll_cpus_reply(),
+                None => conn.poll_reply().map(CpusPollReply::from),
+            };
+            let waited = heard.is_some();
             match reply {
                 Ok(CpusPollReply::Target {
                     target,
@@ -402,10 +437,18 @@ impl SupervisedClient {
                 }) => {
                     self.note_epoch(epoch);
                     self.leave_degraded();
+                    self.heard = Some(Heard {
+                        target,
+                        epoch,
+                        cpus: cpus.clone(),
+                    });
                     return Some((target, cpus));
                 }
                 Ok(CpusPollReply::Unregistered) => {
-                    let conn = self.conn.as_mut().expect("just connected");
+                    // Lease lapsed or the server restarted behind a
+                    // still-open connection: re-register in place, then
+                    // retry the poll once.
+                    self.heard = None;
                     match conn.re_register() {
                         Ok(epoch) => {
                             if self.last_epoch.is_some_and(|prev| prev != epoch) {
@@ -416,30 +459,30 @@ impl SupervisedClient {
                                 self.note_restart(RestartKind::Cold);
                             }
                             self.note_epoch(epoch);
-                            if attempt == 0 {
+                            if !re_registered {
+                                re_registered = true;
                                 continue;
                             }
                         }
-                        Err(_) => {
-                            self.poll_errors.incr();
-                            self.disconnect();
-                        }
+                        Err(_) => self.lost(),
                     }
                 }
                 Ok(CpusPollReply::Unsupported) => {
-                    // Pre-extension server: downgrade for the life of
-                    // this connection and answer count-only this round.
-                    self.cpus_supported = false;
-                    return self.poll_target().map(|t| (t, None));
+                    // One wasted request per connection and form.
+                    if waited {
+                        self.wait_supported = false;
+                    } else {
+                        self.cpus_supported = false;
+                    }
+                    continue;
                 }
-                Err(_) => {
-                    self.poll_errors.incr();
-                    self.disconnect();
-                }
+                Err(_) => self.lost(),
             }
             break;
         }
-        self.enter_degraded();
+        if !self.stopping() {
+            self.enter_degraded();
+        }
         None
     }
 
@@ -473,10 +516,7 @@ impl SupervisedClient {
             // The next poll re-registers; this batch is gone.
             Ok(EventsReply::Unregistered) => {}
             Ok(EventsReply::Unsupported) => self.events_supported = false,
-            Err(_) => {
-                self.poll_errors.incr();
-                self.disconnect();
-            }
+            Err(_) => self.lost(),
         }
     }
 
@@ -496,9 +536,10 @@ impl SupervisedClient {
         if let Some(mut conn) = self.conn.take() {
             let _ = conn.bye();
         }
+        *self.stream.lock() = None;
     }
 
-    /// Spawns a background thread that polls every `interval`, storing
+    /// Spawns a background thread that polls once per `interval`, storing
     /// the (healthy or fallback) target — and, against a CPU-set-capable
     /// server, the assigned CPU set — into `slot`, and — when `report`
     /// is true — REPORTing a snapshot of the supervisor's registry (and
@@ -506,9 +547,17 @@ impl SupervisedClient {
     /// every healthy poll. With a recorder attached
     /// ([`SupervisedClient::with_recorder`]), each round also ships one
     /// batch of flight-recorder events into the server's journal. The
-    /// thread exits when the guard drops.
+    /// thread exits, with a BYE, as soon as the guard drops.
     /// Entering degraded mode clears the slot's CPU set (workers unpin
     /// back to the whole machine); recovery re-publishes it.
+    ///
+    /// A round spends its interval parked in the server (the hold it
+    /// asks for is `interval`), so a target that changes mid-round lands
+    /// in the slot when it is decided; whatever part of the interval the
+    /// server did not hold — all of it when degraded or against a server
+    /// that cannot park, the rest of it after a change cut the hold
+    /// short — is slept out here, so rounds never come faster than
+    /// `interval`.
     ///
     /// This is the fault-tolerant replacement for
     /// [`UdsClient::spawn_poller`]: a killed or restarted server drives
@@ -521,13 +570,18 @@ impl SupervisedClient {
         interval: Duration,
         report: bool,
     ) -> PollerGuard {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let stop = Arc::clone(&self.stop);
+        let stream = Arc::clone(&self.stream);
         let handle = std::thread::Builder::new()
             .name("procctl-supervised-poller".into())
             .spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    match self.poll_target_cpus() {
+                while !self.stopping() {
+                    let round = Instant::now();
+                    let polled = self.poll(true, interval);
+                    if self.stopping() {
+                        break; // `polled` may be the guard's doing
+                    }
+                    match polled {
                         Some((t, cpus)) => {
                             slot.target
                                 .store((t as usize).clamp(1, slot.nworkers), Ordering::Release);
@@ -549,13 +603,20 @@ impl SupervisedClient {
                         self.report(&line);
                     }
                     self.ship_events();
-                    std::thread::sleep(interval);
+                    sleep_unless_stopped(&self.stop, interval.saturating_sub(round.elapsed()));
                 }
                 self.bye();
             })
             .expect("spawn supervised poller");
-        PollerGuard::from_parts(stop, handle)
+        PollerGuard::from_parts(stop, handle, stream)
     }
+}
+
+/// The reply a supervisor still holds (see [`SupervisedClient::poll`]).
+struct Heard {
+    target: u32,
+    epoch: u64,
+    cpus: Option<Vec<u32>>,
 }
 
 #[cfg(all(test, target_os = "linux"))]
@@ -748,6 +809,209 @@ mod tests {
         sup.bye();
         handle.join().expect("old server thread");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A server on 8 processors, with the given engine, whose fake pids
+    /// survive.
+    fn server(tag: &str, engine: crate::ServerEngine) -> (PathBuf, UdsServer) {
+        let path = sock_path(tag);
+        let mut cfg = UdsServerConfig::new(&path, 8);
+        cfg.prune_dead = false;
+        cfg.engine = engine;
+        let server = UdsServer::start(cfg).expect("server");
+        (path, server)
+    }
+
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Sends one frame on a connection of its own and reads the reply.
+    fn say(path: &std::path::Path, frame: &str) -> String {
+        use std::io::{BufRead, BufReader, Write};
+        let mut s = std::os::unix::net::UnixStream::connect(path).expect("connect");
+        s.write_all(frame.as_bytes()).expect("send");
+        let mut line = String::new();
+        BufReader::new(s).read_line(&mut line).expect("reply");
+        line
+    }
+
+    #[test]
+    fn second_poll_parks_and_returns_when_the_target_changes() {
+        let (path, server) = server("parks", crate::ServerEngine::Reactor);
+        let mut cfg = fast_cfg(&path, 8);
+        cfg.io_timeout = Duration::from_secs(4); // a one-second hold
+        let mut sup = SupervisedClient::new(cfg, Arc::new(Registry::new()));
+        assert_eq!(sup.poll_target(), Some(8));
+        let toggler = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                // `server` stays with the test; the gauge is read over the wire.
+                wait_until("the poll to park", || {
+                    say(&path, "STATS\n").contains(" parked=1")
+                });
+                assert!(say(&path, "REGISTER 910010 8\n").starts_with("OK "));
+                Instant::now()
+            })
+        };
+        assert_eq!(sup.poll_target(), Some(4));
+        let heard = Instant::now();
+        let toggled = toggler.join().expect("toggler");
+        assert!(
+            heard.saturating_duration_since(toggled) < Duration::from_millis(100),
+            "the parked poll sat out its hold"
+        );
+        // The cpus form parks and is released the same way.
+        assert_eq!(sup.poll_target_cpus(), Some((4, Some(vec![0, 1, 2, 3]))));
+        let toggler = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                wait_until("the poll to park", || {
+                    say(&path, "STATS\n").contains(" parked=1")
+                });
+                assert!(say(&path, "BYE 910010\n").starts_with("OK "));
+            })
+        };
+        assert_eq!(sup.poll_target_cpus(), Some((8, Some((0..8).collect()))));
+        toggler.join().expect("toggler");
+        let stats = server.stats();
+        assert_eq!(stats.counters["polls"], 4, "one frame per poll");
+        assert_eq!(stats.counters["polls_parked"], 2);
+        assert_eq!(stats.counters["park_released_changed"], 2);
+    }
+
+    #[test]
+    fn server_that_cannot_park_costs_one_request_per_connection() {
+        // The threads engine: `ERR nowait`.
+        let (path, server) = server("nowait", crate::ServerEngine::Threads);
+        let registry = Arc::new(Registry::new());
+        let mut sup = SupervisedClient::new(fast_cfg(&path, 8), Arc::clone(&registry));
+        for _ in 0..4 {
+            assert_eq!(sup.poll_target(), Some(8));
+        }
+        assert!(!sup.wait_supported, "must remember the downgrade");
+        // Four polls, and the one refused probe before the second.
+        assert_eq!(server.stats().counters["polls"], 5);
+        assert_eq!(server.stats().counters["malformed"], 0);
+        assert_eq!(registry.snapshot().counters["degraded_enters"], 0);
+        assert_eq!(registry.snapshot().counters["poll_errors"], 0);
+        sup.bye();
+
+        // A server from before the wait form: `ERR malformed`.
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixListener;
+        use std::sync::atomic::AtomicUsize;
+        let path = sock_path("nowait-old");
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let waits = Arc::new(AtomicUsize::new(0));
+        let waits2 = Arc::clone(&waits);
+        let handle = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            loop {
+                line.clear();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                    return;
+                }
+                let fields: Vec<&str> = line.split_whitespace().collect();
+                if fields.contains(&"wait") {
+                    waits2.fetch_add(1, Ordering::Relaxed);
+                }
+                let reply = match fields.as_slice() {
+                    ["REGISTER", ..] => "OK 1\n",
+                    ["POLL", _pid] => "TARGET 3 1\n",
+                    ["POLL", _pid, "cpus"] => "TARGET 3 1 cpus=0-2\n",
+                    ["BYE", ..] => return,
+                    _ => "ERR malformed\n",
+                };
+                writer.write_all(reply.as_bytes()).expect("write");
+            }
+        });
+        let mut sup = SupervisedClient::new(fast_cfg(&path, 8), Arc::clone(&registry));
+        for _ in 0..4 {
+            assert_eq!(sup.poll_target_cpus(), Some((3, Some(vec![0, 1, 2]))));
+        }
+        assert_eq!(waits.load(Ordering::Relaxed), 1);
+        assert!(sup.cpus_supported, "the wait form went, not the cpus form");
+        assert_eq!(registry.snapshot().counters["degraded_enters"], 0);
+        sup.bye();
+        handle.join().expect("old server thread");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn poller_delivers_a_change_mid_interval_and_its_guard_drops_at_once() {
+        for engine in [crate::ServerEngine::Reactor, crate::ServerEngine::Threads] {
+            let name = engine.name();
+            let (path, server) = server(&format!("poller-{name}"), engine);
+            let parks = engine == crate::ServerEngine::Reactor;
+            // Pollers with a one-second interval, dropped in each state
+            // one can be in; the bound on the drop is on the fastest of
+            // each three: the suite's other tests share the CPUs.
+            let mut fastest = [Duration::MAX; 2];
+            let mut byes = 0;
+            for round in 0..6 {
+                let registry = Arc::new(Registry::new());
+                let mut sup =
+                    SupervisedClient::new(SupervisorConfig::new(&path, 8), registry.clone());
+                // With a reply already in hand the poller's first round
+                // can park (else it would be its second, a second on).
+                assert_eq!(sup.poll_target_cpus(), Some((8, Some((0..8).collect()))));
+                let slot = Arc::new(TargetSlot::new(8));
+                let guard = sup.spawn_poller(Arc::clone(&slot), Duration::from_secs(1), false);
+                if parks {
+                    wait_until("the poll to park", || server.stats().gauges["parked"] == 1);
+                } else {
+                    wait_until("the first target", || {
+                        slot.cpus().is_some_and(|c| c.len() == 8)
+                    });
+                }
+                let asleep = round % 2 == 1;
+                if parks && asleep {
+                    // Where a change reaches the slot now, not at the
+                    // end of the second. The rest of it is slept out in
+                    // the poller, like all of it on the other engine.
+                    assert!(say(&path, "REGISTER 910020 8\n").starts_with("OK "));
+                    let toggled = Instant::now();
+                    wait_until("the halved target", || {
+                        slot.target.load(Ordering::Acquire) == 4
+                    });
+                    assert!(toggled.elapsed() < Duration::from_millis(200), "{name}");
+                    assert!(say(&path, "BYE 910020\n").starts_with("OK "));
+                    byes += 1;
+                }
+                let start = Instant::now();
+                drop(guard);
+                let state = usize::from(asleep);
+                fastest[state] = fastest[state].min(start.elapsed());
+                byes += 1;
+                // (Parked, the BYE went out on a half-closed socket,
+                // unacknowledged: give the server a moment.)
+                wait_until("the BYE", || server.stats().counters["byes"] == byes);
+                let stats = server.stats();
+                assert_eq!(stats.gauges["apps"], 0, "{name}");
+                assert_eq!(stats.gauges["parked"], 0, "{name}");
+                let snap = registry.snapshot();
+                assert_eq!(snap.counters["degraded_enters"], 0, "{name}");
+                assert_eq!(snap.counters["poll_errors"], 0, "{name}");
+            }
+            for took in fastest {
+                assert!(
+                    took < Duration::from_millis(10),
+                    "{name}: drop took {took:?}"
+                );
+            }
+            // Exactly one BYE per poller, late ones included.
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(server.stats().counters["byes"], byes, "{name}");
+        }
     }
 
     #[test]

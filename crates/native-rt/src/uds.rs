@@ -34,6 +34,35 @@
 //! [`UdsClient::poll_cpus_reply`] maps to [`CpusPollReply::Unsupported`]
 //! — the cue to fall back to count-only polls.
 //!
+//! **Parked polls** (the wait form). A client that already holds a reply
+//! appends what it heard and how long the server may sit on the request:
+//!
+//! ```text
+//! client → server:  POLL <pid> wait <hold_ms> <n> <epoch>
+//! client → server:  POLL <pid> cpus wait <hold_ms> <n> <epoch> cpus=<cpulist>
+//! ```
+//!
+//! `<n> <epoch> [cpus=<cpulist>]` is the payload of the last `TARGET`
+//! reply, verbatim. If the reply the server would give now differs from
+//! it (another target, another CPU range, another epoch, or `ERR
+//! unregistered`), the server answers at once, exactly as to the plain
+//! form. Otherwise it keeps the request — the poll is *parked* — and
+//! writes that same reply in the wakeup in which a REGISTER, BYE, lease
+//! expiry or weighted REPORT changes it, or when `<hold_ms>` (clamped to
+//! half the lease) runs out, whichever comes first. The poll interval
+//! becomes time the client sleeps inside the server instead of beside
+//! it: a heartbeat still arrives once per hold, and a changed target no
+//! longer waits for the next one. Parking and releasing both refresh the
+//! lease. A later frame on a parked connection releases the park first,
+//! so replies stay in frame order; a connection that closes while parked
+//! is forgotten without a reply. Compatibility is the `cpus` story again:
+//! an old client never sends the suffix; an old server answers `ERR
+//! malformed`, and the thread-per-connection engine — which would have
+//! to block its connection thread to park — answers `ERR nowait`. The
+//! client takes any `ERR` other than `unregistered` as
+//! [`CpusPollReply::Unsupported`] and polls the old way for the rest of
+//! the connection.
+//!
 //! Fault tolerance (see DESIGN.md §"Failure modes & recovery"):
 //!
 //! - **Epochs.** The server stamps every reply with its boot epoch. A
@@ -385,7 +414,11 @@ struct HotCounters {
     snapshot_writes: Counter,
     snapshot_restores: Counter,
     snapshot_rejected: Counter,
+    polls_parked: Counter,
+    park_released_changed: Counter,
+    park_released_held: Counter,
     apps: Gauge,
+    parked: Gauge,
 }
 
 impl HotCounters {
@@ -406,7 +439,11 @@ impl HotCounters {
             snapshot_writes: r.counter("snapshot_writes"),
             snapshot_restores: r.counter("snapshot_restores"),
             snapshot_rejected: r.counter("snapshot_rejected"),
+            polls_parked: r.counter("polls_parked"),
+            park_released_changed: r.counter("park_released_changed"),
+            park_released_held: r.counter("park_released_held"),
             apps: r.gauge("apps"),
+            parked: r.gauge("parked"),
         }
     }
 }
@@ -815,9 +852,37 @@ impl ServerState {
         now: Instant,
     ) -> Option<(usize, u32, Vec<u32>)> {
         let (idx, target) = self.target_of(pid, cfg, now)?;
-        let start = self.targets[..idx].iter().map(|&t| t as usize).sum();
-        let set = cpu_range(&self.cpu_order, start, target).collect();
+        let set = cpu_range(&self.cpu_order, self.range_start(idx), target).collect();
         Some((idx, target, set))
+    }
+
+    /// Where slot `idx`'s CPU range starts in the order: the sum of the
+    /// targets before it.
+    fn range_start(&self, idx: usize) -> usize {
+        self.targets[..idx].iter().map(|&t| t as usize).sum()
+    }
+
+    /// Whether a poll for `pid` would now be answered differently from
+    /// `heard` (`ERR unregistered` counts as different). Reads the cached
+    /// partition: call [`ServerState::refresh_targets`] first.
+    fn differs_from(&self, pid: u32, heard: &Heard) -> bool {
+        let slot = self
+            .index
+            .get(&pid)
+            .and_then(|&idx| Some((idx, *self.targets.get(idx)?)));
+        let Some((idx, target)) = slot else {
+            return true;
+        };
+        target != heard.target
+            || heard.cpus.as_ref().is_some_and(|cpus| {
+                // A cpulist names a set: sorted, like the one the client
+                // parsed out of the reply it heard.
+                let mut set: Vec<u32> =
+                    cpu_range(&self.cpu_order, self.range_start(idx), target).collect();
+                set.sort_unstable();
+                set.dedup();
+                set != *cpus
+            })
     }
 }
 
@@ -909,11 +974,15 @@ impl UdsServer {
             "snapshot_writes",
             "snapshot_restores",
             "snapshot_rejected",
+            "polls_parked",
+            "park_released_changed",
+            "park_released_held",
         ] {
-            // sched-counters: registers polls byes reports malformed lease_expiries events_pushes traces journal_drops reactor_wakeups frames_batched recompute_coalesced timer_fires snapshot_writes snapshot_restores snapshot_rejected
+            // sched-counters: registers polls byes reports malformed lease_expiries events_pushes traces journal_drops reactor_wakeups frames_batched recompute_coalesced timer_fires snapshot_writes snapshot_restores snapshot_rejected polls_parked park_released_changed park_released_held
             registry.counter(name);
         }
         registry.gauge("apps");
+        registry.gauge("parked");
         registry.gauge("conn_handlers");
         let mut state = ServerState::new(&registry, &cfg);
         // Crash recovery: restore the previous instance's registrations
@@ -1070,6 +1139,249 @@ fn reply_malformed(st: &mut ServerState, out: &mut String) {
     out.push_str("ERR malformed\n");
 }
 
+/// What every frame of one wakeup is answered against. The caller reads
+/// the clock (a reactor wakeup serving hundreds of pipelined frames reads
+/// it once).
+#[derive(Clone, Copy)]
+pub(crate) struct FrameEnv<'a> {
+    pub(crate) cfg: &'a UdsServerConfig,
+    pub(crate) registry: &'a Registry,
+    pub(crate) epoch: u64,
+    pub(crate) now: Instant,
+}
+
+/// What the client of a wait-form POLL still holds: the payload of the
+/// last `TARGET` reply it heard (the epoch is compared on arrival — it
+/// cannot change under a parked poll).
+#[derive(Debug)]
+pub(crate) struct Heard {
+    target: u32,
+    /// The CPU set, sorted, for the `cpus` form.
+    cpus: Option<Vec<u32>>,
+}
+
+/// A wait-form POLL whose answer would repeat what its client heard: the
+/// engine keeps it and answers when that stops being true or at `until`.
+#[derive(Debug)]
+pub(crate) struct Park {
+    pid: u32,
+    heard: Heard,
+    until: Instant,
+}
+
+/// What [`handle_line_into`] did with a frame.
+#[must_use]
+pub(crate) enum Handled {
+    /// Exactly one reply was appended to `out`.
+    Replied,
+    /// Nothing was appended: the engine owes the reply (see [`Waiters`]),
+    /// or, if it cannot park, `ERR nowait` now.
+    Park(Park),
+}
+
+/// Appends the reply to a poll for `pid` — the `cpus` form when `cpus` —
+/// refreshing its lease and journaling a changed target. Plain polls,
+/// wait-form polls answered at once and released parks all end here, so
+/// the three cannot drift apart.
+fn poll_reply_into(
+    st: &mut ServerState,
+    pid: u32,
+    cpus: bool,
+    env: &FrameEnv<'_>,
+    out: &mut String,
+) {
+    let (cfg, epoch, now) = (env.cfg, env.epoch, env.now);
+    if !st.touch(pid, now) {
+        // Expired lease, dead registration, or a pre-restart client the
+        // new server never heard of.
+        out.push_str("ERR unregistered\n");
+        return;
+    }
+    if cpus {
+        match st.target_and_cpus_of(pid, cfg, now) {
+            Some((idx, t, cpus)) => {
+                st.note_decision(idx, t, cfg);
+                let list = crate::topology::format_cpulist(&cpus);
+                out.push_str(&format!("TARGET {t} {epoch} cpus={list}\n"));
+            }
+            None => out.push_str("ERR unregistered\n"),
+        }
+    } else {
+        match st.target_of(pid, cfg, now) {
+            Some((idx, t)) => {
+                st.note_decision(idx, t, cfg);
+                out.push_str("TARGET ");
+                push_u32(out, t);
+                out.push_str(st.epoch_suffix(epoch));
+            }
+            None => out.push_str("ERR unregistered\n"),
+        }
+    }
+}
+
+/// Parses what follows `wait` in a wait-form POLL: `<hold_ms> <n>
+/// <epoch>`, then `cpus=<cpulist>` in the `cpus` form, then nothing.
+fn parse_wait<'a>(
+    cpus: bool,
+    mut fields: impl Iterator<Item = &'a str>,
+) -> Option<(Duration, u64, Heard)> {
+    let hold = Duration::from_millis(fields.next()?.parse().ok()?);
+    let target = fields.next()?.parse().ok()?;
+    let epoch = fields.next()?.parse().ok()?;
+    let cpus = match cpus {
+        true => Some(crate::topology::parse_cpulist(
+            fields.next()?.strip_prefix("cpus=")?,
+        )?),
+        false => None,
+    };
+    fields
+        .next()
+        .is_none()
+        .then_some((hold, epoch, Heard { target, cpus }))
+}
+
+/// Answers a wait-form POLL at once when the answer is news to its
+/// client, and otherwise hands it back to be parked — for `hold`, but no
+/// longer than half a lease, so that the refresh on release always lands
+/// inside the lease the park started.
+fn poll_wait(
+    st: &mut ServerState,
+    pid: u32,
+    (hold, heard_epoch, heard): (Duration, u64, Heard),
+    env: &FrameEnv<'_>,
+    out: &mut String,
+) -> Handled {
+    st.prune(env.cfg, env.now);
+    st.refresh_targets(env.cfg, env.now);
+    if heard_epoch != env.epoch || st.differs_from(pid, &heard) {
+        poll_reply_into(st, pid, heard.cpus.is_some(), env, out);
+        return Handled::Replied;
+    }
+    st.touch(pid, env.now);
+    Handled::Park(Park {
+        pid,
+        heard,
+        until: env.now + hold.min(env.cfg.lease_ttl / 2),
+    })
+}
+
+/// The parked polls of one engine, in the order they parked: which
+/// connection each reply is owed to, what its client heard, and until
+/// when it may be held. Lives beside [`ServerState`] and touches no
+/// socket: the reactor maps the connection tokens to write buffers, a
+/// [`WireSession`] hands them back to its test.
+#[derive(Default)]
+pub(crate) struct Waiters {
+    parked: Vec<(u64, Park)>,
+    /// The earliest `until` among `parked`, or earlier: forgetting a
+    /// waiter leaves it, and the scan that finds nothing due corrects it.
+    next_due: Option<Instant>,
+    /// The recompute count (`RecomputeGate::recomputes`) the parked set
+    /// was last compared against.
+    seen_recomputes: u64,
+}
+
+impl Waiters {
+    /// The earliest hold deadline (for the reactor's wait timeout).
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        self.next_due
+    }
+
+    /// Keeps `park` for connection `conn`, which must have none.
+    pub(crate) fn park(&mut self, conn: u64, park: Park, st: &ServerState) {
+        debug_assert!(self.parked.iter().all(|(c, _)| *c != conn));
+        self.next_due = Some(self.next_due.map_or(park.until, |at| at.min(park.until)));
+        self.parked.push((conn, park));
+        st.hot.polls_parked.incr();
+        st.hot.parked.set(self.parked.len() as i64);
+    }
+
+    /// Forgets `conn`'s park without a reply: the connection is gone.
+    pub(crate) fn forget(&mut self, conn: u64, st: &ServerState) {
+        self.parked.retain(|(c, _)| *c != conn);
+        st.hot.parked.set(self.parked.len() as i64);
+    }
+
+    /// Releases `conn`'s park into `out` because a later frame arrived
+    /// on the same connection: replies go out in frame order.
+    pub(crate) fn cancel(
+        &mut self,
+        conn: u64,
+        st: &mut ServerState,
+        env: &FrameEnv<'_>,
+        out: &mut String,
+    ) {
+        if let Some(i) = self.parked.iter().position(|(c, _)| *c == conn) {
+            let (_, park) = self.parked.remove(i);
+            st.refresh_targets(env.cfg, env.now);
+            let changed = st.differs_from(park.pid, &park.heard);
+            release_into(st, &park, changed, env, out);
+            st.hot.parked.set(self.parked.len() as i64);
+        }
+    }
+
+    /// Releases every park whose reply stopped matching what its client
+    /// heard, or whose hold ran out, handing each `(connection, reply)`
+    /// to `emit` in park order. Call once per wakeup, after the wakeup's
+    /// own replies are on their way: whoever caused a change hears `OK`
+    /// before anyone hears its consequence. With nobody parked this is
+    /// one `is_empty()`; with somebody parked the set is scanned only if
+    /// the partition was recomputed since the last scan or a deadline is
+    /// due (`--account-system-load` recomputes on every read, so there
+    /// every wakeup scans).
+    pub(crate) fn release(
+        &mut self,
+        st: &mut ServerState,
+        env: &FrameEnv<'_>,
+        out: &mut String,
+        mut emit: impl FnMut(u64, &str),
+    ) {
+        if self.parked.is_empty() {
+            return;
+        }
+        let now = env.now;
+        st.refresh_targets(env.cfg, now);
+        let recomputes = st.targets_gate.recomputes();
+        let recomputed = env.cfg.account_system_load || recomputes != self.seen_recomputes;
+        if !recomputed && !self.next_due.is_some_and(|at| at <= now) {
+            return;
+        }
+        self.seen_recomputes = recomputes;
+        let mut next_due: Option<Instant> = None;
+        self.parked.retain(|(conn, park)| {
+            let changed = st.differs_from(park.pid, &park.heard);
+            if !changed && park.until > now {
+                next_due = Some(next_due.map_or(park.until, |at| at.min(park.until)));
+                return true;
+            }
+            out.clear();
+            release_into(st, park, changed, env, out);
+            emit(*conn, out);
+            false
+        });
+        self.next_due = next_due;
+        st.hot.parked.set(self.parked.len() as i64);
+    }
+}
+
+/// Appends a released park's reply (refreshing the lease, as the park
+/// did), counted by what the client learns: something new (`changed`),
+/// or that the hold passed with nothing new.
+fn release_into(
+    st: &mut ServerState,
+    park: &Park,
+    changed: bool,
+    env: &FrameEnv<'_>,
+    out: &mut String,
+) {
+    if changed {
+        st.hot.park_released_changed.incr();
+    } else {
+        st.hot.park_released_held.incr();
+    }
+    poll_reply_into(st, park.pid, park.heard.cpus.is_some(), env, out);
+}
+
 /// The complete wire-protocol verb set, in the order the dispatcher
 /// matches them. Both engines dispatch through [`handle_line_into`], so
 /// this table *is* the protocol surface: schedlint's SL050 audit checks
@@ -1081,15 +1393,16 @@ pub(crate) const WIRE_VERBS: &[&str] = &[
 ];
 
 /// Answers one request line against the (exclusively held) server
-/// state, appending exactly one reply to `out`. Every line gets a reply
-/// — malformed input is answered with `ERR <reason>` rather than
-/// silence, so a client blocked in `read_line` always makes progress.
+/// state, appending exactly one reply to `out` — or, for a wait-form
+/// POLL with nothing new to say, none yet ([`Handled::Park`]). Every line
+/// gets a reply — malformed input is answered with `ERR <reason>` rather
+/// than silence, so a client blocked in `read_line` always makes progress.
 ///
 /// Both engines funnel every frame through this one function — the
 /// thread-per-connection baseline holding the state mutex around each
 /// call, the reactor owning the state outright — which is what makes
 /// the wire protocol byte-identical across engines by construction.
-/// The caller supplies `now` (so a reactor wakeup serving hundreds of
+/// The caller supplies `env.now` (so a reactor wakeup serving hundreds of
 /// pipelined frames reads the clock once) and the `out` buffer (so the
 /// hot verbs reply with zero allocations: the request is parsed with a
 /// non-collecting token iterator, targets render through [`push_u32`],
@@ -1100,17 +1413,20 @@ pub(crate) const WIRE_VERBS: &[&str] = &[
 pub(crate) fn handle_line_into(
     line: &str,
     st: &mut ServerState,
-    cfg: &UdsServerConfig,
-    registry: &Registry,
-    epoch: u64,
-    now: Instant,
+    env: &FrameEnv<'_>,
     out: &mut String,
-) {
+) -> Handled {
+    let FrameEnv {
+        cfg,
+        registry,
+        epoch,
+        now,
+    } = *env;
     let mut fields = line.split_whitespace();
     let Some(verb) = fields.next() else {
         st.hot.malformed.incr();
         out.push_str("ERR empty\n");
-        return;
+        return Handled::Replied;
     };
     match verb {
         // The hot verb: every registered application polls continuously.
@@ -1120,22 +1436,7 @@ pub(crate) fn handle_line_into(
                 (Some(pid), None, _) => {
                     st.hot.polls.incr();
                     st.prune(cfg, now);
-                    if !st.touch(pid, now) {
-                        // Expired lease, dead registration, or a
-                        // pre-restart client the new server never heard
-                        // of.
-                        out.push_str("ERR unregistered\n");
-                        return;
-                    }
-                    match st.target_of(pid, cfg, now) {
-                        Some((idx, t)) => {
-                            st.note_decision(idx, t, cfg);
-                            out.push_str("TARGET ");
-                            push_u32(out, t);
-                            out.push_str(st.epoch_suffix(epoch));
-                        }
-                        None => out.push_str("ERR unregistered\n"),
-                    }
+                    poll_reply_into(st, pid, false, env, out);
                 }
                 // The CPU-set extension: same poll semantics, but the
                 // reply also names the processors (`cpus=<cpulist>`).
@@ -1144,19 +1445,26 @@ pub(crate) fn handle_line_into(
                 (Some(pid), Some("cpus"), None) => {
                     st.hot.polls.incr();
                     st.prune(cfg, now);
-                    if !st.touch(pid, now) {
-                        out.push_str("ERR unregistered\n");
-                        return;
-                    }
-                    match st.target_and_cpus_of(pid, cfg, now) {
-                        Some((idx, t, cpus)) => {
-                            st.note_decision(idx, t, cfg);
-                            let list = crate::topology::format_cpulist(&cpus);
-                            out.push_str(&format!("TARGET {t} {epoch} cpus={list}\n"));
+                    poll_reply_into(st, pid, true, env, out);
+                }
+                // The wait form of either: the client says what it last
+                // heard and how long a repeat of it may be withheld.
+                (Some(pid), Some("wait"), Some(hold)) => {
+                    match parse_wait(false, std::iter::once(hold).chain(fields)) {
+                        Some(wait) => {
+                            st.hot.polls.incr();
+                            return poll_wait(st, pid, wait, env, out);
                         }
-                        None => out.push_str("ERR unregistered\n"),
+                        None => reply_malformed(st, out),
                     }
                 }
+                (Some(pid), Some("cpus"), Some("wait")) => match parse_wait(true, fields) {
+                    Some(wait) => {
+                        st.hot.polls.incr();
+                        return poll_wait(st, pid, wait, env, out);
+                    }
+                    None => reply_malformed(st, out),
+                },
                 _ => reply_malformed(st, out),
             }
         }
@@ -1168,7 +1476,7 @@ pub(crate) fn handle_line_into(
                     if validate_processes(n).is_err() {
                         st.hot.malformed.incr();
                         out.push_str("ERR bad-nworkers\n");
-                        return;
+                        return Handled::Replied;
                     }
                     st.hot.registers.incr();
                     st.admit(pid, n, cfg, now);
@@ -1214,7 +1522,7 @@ pub(crate) fn handle_line_into(
                     st.prune(cfg, now);
                     if !st.touch(pid, now) {
                         out.push_str("ERR unregistered\n");
-                        return;
+                        return Handled::Replied;
                     }
                     st.append_events(pid, events, cfg);
                     out.push_str("OK");
@@ -1304,14 +1612,18 @@ pub(crate) fn handle_line_into(
             reply_malformed(st, out)
         }
     }
+    Handled::Replied
 }
 
 /// One server state answering wire lines with no socket, at an epoch and
-/// at instants the caller chooses: the per-frame path both engines run,
-/// for tests that need every reply to repeat byte for byte.
+/// at instants the caller chooses: the per-frame path both engines run
+/// and the parked polls the reactor keeps beside it, for tests that need
+/// every reply to repeat byte for byte. Connections are numbers the
+/// caller makes up.
 #[doc(hidden)]
 pub struct WireSession {
     state: ServerState,
+    waiters: Waiters,
     cfg: UdsServerConfig,
     registry: Registry,
     epoch: u64,
@@ -1324,25 +1636,77 @@ impl WireSession {
         let registry = Registry::new();
         WireSession {
             state: ServerState::new(&registry, &cfg),
+            waiters: Waiters::default(),
             cfg,
             registry,
             epoch,
         }
     }
 
-    /// The reply to `line` arriving at `now`, newline included.
-    pub fn answer(&mut self, line: &str, now: Instant) -> String {
-        let mut out = String::new();
-        handle_line_into(
-            line,
-            &mut self.state,
-            &self.cfg,
-            &self.registry,
-            self.epoch,
+    /// One reactor wakeup with one frame in it: `line` arrives on
+    /// connection `conn` at `now`. Returns every `(connection, reply)`
+    /// the wakeup writes, newlines included, in the order it writes them:
+    /// `conn`'s own park, if it had one (a later frame releases it);
+    /// the reply to `line`, unless `line` parked; then whatever parks the
+    /// frame released on other connections.
+    pub fn step(&mut self, conn: u64, line: &str, now: Instant) -> Vec<(u64, String)> {
+        self.wakeup(Some((conn, line)), now)
+    }
+
+    /// A wakeup with no frame in it (a timer fired): leases that lapsed
+    /// by `now` expire, then parks are released as in [`WireSession::step`].
+    pub fn due(&mut self, now: Instant) -> Vec<(u64, String)> {
+        self.wakeup(None, now)
+    }
+
+    fn wakeup(&mut self, frame: Option<(u64, &str)>, now: Instant) -> Vec<(u64, String)> {
+        let env = FrameEnv {
+            cfg: &self.cfg,
+            registry: &self.registry,
+            epoch: self.epoch,
             now,
-            &mut out,
-        );
-        out
+        };
+        let mut replies = Vec::new();
+        let mut out = String::new();
+        match frame {
+            Some((conn, line)) => {
+                self.waiters.cancel(conn, &mut self.state, &env, &mut out);
+                if !out.is_empty() {
+                    replies.push((conn, std::mem::take(&mut out)));
+                }
+                match handle_line_into(line, &mut self.state, &env, &mut out) {
+                    Handled::Replied => replies.push((conn, std::mem::take(&mut out))),
+                    Handled::Park(park) => self.waiters.park(conn, park, &self.state),
+                }
+            }
+            // The reactor prunes at the top of every wakeup; a frame's
+            // own verb decides that here, as it always has.
+            None => self.state.prune(&self.cfg, now),
+        }
+        self.waiters
+            .release(&mut self.state, &env, &mut out, |conn, reply| {
+                replies.push((conn, reply.to_string()));
+            });
+        replies
+    }
+
+    /// Connection `conn` closed: a park it held is forgotten.
+    pub fn hang_up(&mut self, conn: u64) {
+        self.waiters.forget(conn, &self.state);
+    }
+
+    /// Whether connection `conn` is owed the reply to a parked poll.
+    pub fn is_parked(&self, conn: u64) -> bool {
+        self.waiters.parked.iter().any(|(c, _)| *c == conn)
+    }
+
+    /// The replies to `line` arriving at `now` on connection 0,
+    /// concatenated: with nothing parked, exactly one line.
+    pub fn answer(&mut self, line: &str, now: Instant) -> String {
+        self.step(0, line, now)
+            .into_iter()
+            .map(|(_, reply)| reply)
+            .collect()
     }
 }
 
@@ -1382,15 +1746,18 @@ fn serve_connection(
             Err(e) => return Err(e),
         }
         reply.clear();
-        handle_line_into(
-            &line,
-            &mut state.lock(),
+        let env = FrameEnv {
             cfg,
             registry,
             epoch,
-            Instant::now(),
-            &mut reply,
-        );
+            now: Instant::now(),
+        };
+        if let Handled::Park(_) = handle_line_into(&line, &mut state.lock(), &env, &mut reply) {
+            // Parking here would block this connection's thread with no
+            // wakeup to release it from: refuse, and the client polls
+            // the old way for the rest of the connection.
+            reply.push_str("ERR nowait\n");
+        }
         writer.write_all(reply.as_bytes())?;
     }
 }
@@ -1441,9 +1808,26 @@ pub enum CpusPollReply {
     },
     /// No live registration for this pid — re-register before polling.
     Unregistered,
-    /// The server predates the extension (it answered `ERR malformed`).
-    /// Fall back to plain count-only [`UdsClient::poll_reply`].
+    /// The server lacks the form that was sent: it predates the `cpus`
+    /// extension or the wait form (`ERR malformed`), or cannot park
+    /// (`ERR nowait`). Fall back to the next simpler form, down to plain
+    /// count-only [`UdsClient::poll_reply`].
     Unsupported,
+}
+
+impl From<PollReply> for CpusPollReply {
+    /// A count-only reply, as the `cpus` form of a server that names no
+    /// set would have given it.
+    fn from(reply: PollReply) -> CpusPollReply {
+        match reply {
+            PollReply::Target { target, epoch } => CpusPollReply::Target {
+                target,
+                epoch,
+                cpus: None,
+            },
+            PollReply::Unregistered => CpusPollReply::Unregistered,
+        }
+    }
 }
 
 impl CpusPollReply {
@@ -1463,7 +1847,7 @@ impl CpusPollReply {
             )),
             CpusPollReply::Unsupported => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "server predates the cpus extension",
+                "server lacks this poll form",
             )),
         }
     }
@@ -1733,6 +2117,42 @@ impl UdsClient {
     pub fn poll_cpus_reply(&mut self) -> io::Result<CpusPollReply> {
         let pid = self.pid;
         self.send(&format!("POLL {pid} cpus\n"))?;
+        self.read_poll_reply()
+    }
+
+    /// Polls in the wait form: tells the server the reply this client
+    /// still holds — `target` and `epoch`, and the CPU set for the `cpus`
+    /// form — and lets it withhold a repeat of that reply for up to
+    /// `hold` (see the module docs, "Parked polls"). Returns when the
+    /// server has something new to say or the hold ran out, so this call
+    /// blocks for up to `hold`: keep it below the stream's I/O timeout.
+    /// A server that cannot park answers `ERR malformed` or `ERR
+    /// nowait`, surfaced as [`CpusPollReply::Unsupported`] — the cue to
+    /// go back to [`UdsClient::poll_reply`] / [`UdsClient::poll_cpus_reply`].
+    pub fn poll_wait_reply(
+        &mut self,
+        target: u32,
+        epoch: u64,
+        cpus: Option<&[u32]>,
+        hold: Duration,
+    ) -> io::Result<CpusPollReply> {
+        let (pid, hold_ms) = (self.pid, hold.as_millis());
+        match cpus {
+            Some(cpus) => {
+                let list = crate::topology::format_cpulist(cpus);
+                self.send(&format!(
+                    "POLL {pid} cpus wait {hold_ms} {target} {epoch} cpus={list}\n"
+                ))?;
+            }
+            None => self.send(&format!("POLL {pid} wait {hold_ms} {target} {epoch}\n"))?,
+        }
+        self.read_poll_reply()
+    }
+
+    /// Reads the reply to any POLL form that has a downgrade (`cpus`,
+    /// `wait`): `TARGET <n> <epoch> [cpus=<cpulist>]`, `ERR
+    /// unregistered`, or another `ERR` from a server without the form.
+    fn read_poll_reply(&mut self) -> io::Result<CpusPollReply> {
         let line = self.read_line()?;
         match line.split_whitespace().collect::<Vec<_>>().as_slice() {
             ["TARGET", n, e, rest @ ..] => match (n.parse::<u32>(), e.parse::<u64>()) {
@@ -1952,28 +2372,59 @@ impl UdsClient {
                     if let Some(reg) = &registry {
                         let _ = self.report(&reg.snapshot().render_line());
                     }
-                    std::thread::sleep(interval);
+                    sleep_unless_stopped(&stop2, interval);
                 }
                 let _ = self.bye();
             })
             .expect("spawn poller");
-        PollerGuard::from_parts(stop, handle)
+        PollerGuard::from_parts(stop, handle, ParkedStream::default())
+    }
+
+    /// A second handle on this connection's socket (see [`ParkedStream`]).
+    pub(crate) fn try_clone_stream(&self) -> io::Result<UnixStream> {
+        self.writer.try_clone()
     }
 }
 
-/// Stops the background poller (and sends BYE) when dropped.
+/// Sleeps `dur`, or until the owner of `stop` raises it and unparks this
+/// thread ([`PollerGuard`]'s drop).
+// sched-atomic(handoff): parameter view of PollerGuard::stop.
+pub(crate) fn sleep_unless_stopped(stop: &AtomicBool, dur: Duration) {
+    let wake = Instant::now() + dur;
+    while !stop.load(Ordering::Acquire) {
+        let left = wake.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        std::thread::park_timeout(left);
+    }
+}
+
+/// The socket of a poller's current connection (none while it has none),
+/// shared with its [`PollerGuard`]: a poll parked in the server sits in
+/// a read that only the socket can end early.
+pub(crate) type ParkedStream = Arc<Mutex<Option<UnixStream>>>;
+
+/// Stops the background poller (and sends BYE) when dropped — at once,
+/// whether the poller is asleep between rounds or parked in the server.
 pub struct PollerGuard {
     // sched-atomic(handoff): see UdsServer::stop — same protocol.
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
+    stream: ParkedStream,
 }
 
 impl PollerGuard {
-    // sched-atomic(handoff): parameter view of PollerGuard::stop.
-    pub(crate) fn from_parts(stop: Arc<AtomicBool>, handle: JoinHandle<()>) -> Self {
+    pub(crate) fn from_parts(
+        // sched-atomic(handoff): parameter view of PollerGuard::stop.
+        stop: Arc<AtomicBool>,
+        handle: JoinHandle<()>,
+        stream: ParkedStream,
+    ) -> Self {
         PollerGuard {
             stop,
             handle: Some(handle),
+            stream,
         }
     }
 }
@@ -1981,7 +2432,14 @@ impl PollerGuard {
 impl Drop for PollerGuard {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
+        // Ends a read the poller may be parked in (it sees EOF, then the
+        // raised flag) and leaves the write half open for its BYE.
+        let parked_on = self.stream.lock().take();
+        if let Some(stream) = parked_on {
+            let _ = stream.shutdown(std::net::Shutdown::Read);
+        }
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -2626,15 +3084,13 @@ mod tests {
         let start = Instant::now();
         for _ in 0..n {
             out.clear();
-            handle_line_into(
-                "POLL 900000",
-                &mut st,
-                &cfg,
-                &registry,
-                42,
-                Instant::now(),
-                &mut out,
-            );
+            let env = FrameEnv {
+                cfg: &cfg,
+                registry: &registry,
+                epoch: 42,
+                now: Instant::now(),
+            };
+            let _ = handle_line_into("POLL 900000", &mut st, &env, &mut out);
             std::hint::black_box(&out);
         }
         println!(
@@ -2674,15 +3130,13 @@ mod tests {
             for i in 0..n {
                 for line in [reports[i % 64].as_str(), "POLL 900000"] {
                     out.clear();
-                    handle_line_into(
-                        line,
-                        &mut server.state,
-                        &server.cfg,
-                        &server.registry,
-                        42,
+                    let env = FrameEnv {
+                        cfg: &server.cfg,
+                        registry: &server.registry,
+                        epoch: 42,
                         now,
-                        &mut out,
-                    );
+                    };
+                    let _ = handle_line_into(line, &mut server.state, &env, &mut out);
                     std::hint::black_box(&out);
                 }
             }
@@ -2824,6 +3278,262 @@ mod tests {
         assert_eq!(a.poll().expect("poll after torn peer"), 8);
     }
 
+    /// A reactor server on 8 processors whose fake pids survive.
+    fn reactor_server(tag: &str) -> (PathBuf, UdsServer) {
+        let path = sock_path(tag);
+        let mut cfg = UdsServerConfig::new(&path, 8);
+        cfg.prune_dead = false;
+        cfg.engine = ServerEngine::Reactor;
+        let server = UdsServer::start(cfg).expect("server");
+        (path, server)
+    }
+
+    /// Waits until the server's `parked` gauge reads `n`.
+    fn wait_parked(server: &UdsServer, n: i64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().gauges["parked"] != n {
+            assert!(Instant::now() < deadline, "never saw {n} parked polls");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn parked_poll_is_answered_when_the_target_changes() {
+        let (path, server) = reactor_server("park-toggle");
+        let pid = std::process::id();
+        let mut app = UdsClient::register(&path, 8).expect("app");
+        let (target, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        assert_eq!(target, 8);
+        // Heard something else: answered at once, nothing parked.
+        let start = Instant::now();
+        let reply = app
+            .poll_wait_reply(7, epoch, None, Duration::from_secs(5))
+            .expect("stale wait");
+        assert_eq!(reply.target().expect("target").0, 8);
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert_eq!(server.stats().counters["polls_parked"], 0);
+
+        // Heard exactly this: parked until a REGISTER halves the share
+        // (and again until a BYE gives it back). The bound is on the
+        // fastest of a few rounds: the suite's other tests share the CPUs.
+        let mut other = UdsClient::connect(&path, DEFAULT_IO_TIMEOUT).expect("other");
+        let mut fastest = Duration::MAX;
+        for round in 0..6 {
+            let (heard, toggle, news) = match round % 2 {
+                0 => (8, "REGISTER 910001 8\n", 4),
+                _ => (4, "BYE 910001\n", 8),
+            };
+            app.send(&format!("POLL {pid} wait 5000 {heard} {epoch}\n"))
+                .expect("send");
+            wait_parked(&server, 1);
+            let toggled = Instant::now();
+            other.send(toggle).expect("toggle");
+            assert!(other.read_line().expect("reply").starts_with("OK "));
+            assert_eq!(
+                app.read_line().expect("released"),
+                format!("TARGET {news} {epoch}")
+            );
+            fastest = fastest.min(toggled.elapsed());
+        }
+        assert!(
+            fastest < Duration::from_millis(5),
+            "a parked poll waited {fastest:?} for a target decided at once"
+        );
+        let stats = server.stats();
+        assert_eq!(stats.counters["polls_parked"], 6);
+        assert_eq!(stats.counters["park_released_changed"], 6);
+        assert_eq!(stats.counters["park_released_held"], 0);
+        assert_eq!(stats.gauges["parked"], 0);
+    }
+
+    #[test]
+    fn parked_poll_returns_the_unchanged_target_when_the_hold_runs_out() {
+        let (path, server) = reactor_server("park-hold");
+        let mut app = UdsClient::register(&path, 8).expect("app");
+        let (_, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        let hold = Duration::from_millis(100);
+        // Never early; on time in the best of a few rounds (the suite's
+        // other tests share the CPUs).
+        let mut soonest = Duration::MAX;
+        for _ in 0..3 {
+            let start = Instant::now();
+            let reply = app.poll_wait_reply(8, epoch, None, hold).expect("held");
+            let took = start.elapsed();
+            assert_eq!(reply.target().expect("target"), (8, epoch, None));
+            assert!(
+                took >= hold,
+                "released after {took:?}, before the hold ran out"
+            );
+            soonest = soonest.min(took);
+        }
+        assert!(
+            soonest <= hold + Duration::from_millis(20),
+            "released {soonest:?} after a {hold:?} hold"
+        );
+        // The cpus form holds the same way and returns the set.
+        let reply = app
+            .poll_wait_reply(8, epoch, Some(&[0, 1, 2, 3, 4, 5, 6, 7]), hold)
+            .expect("held cpus");
+        assert_eq!(
+            reply.target().expect("target"),
+            (8, epoch, Some((0..8).collect()))
+        );
+        let stats = server.stats();
+        assert_eq!(stats.counters["park_released_held"], 4);
+        assert_eq!(stats.counters["park_released_changed"], 0);
+    }
+
+    #[test]
+    fn frame_behind_a_park_releases_it_and_replies_stay_in_order() {
+        let (path, server) = reactor_server("park-pipelined");
+        let pid = std::process::id();
+        let mut app = UdsClient::register(&path, 8).expect("app");
+        let (_, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        // Both frames in one write: the park does not outlive its wakeup.
+        app.send(&format!("POLL {pid} wait 5000 8 {epoch}\nSTATS {pid}\n"))
+            .expect("send");
+        assert_eq!(app.read_line().expect("first"), format!("TARGET 8 {epoch}"));
+        assert_eq!(app.read_line().expect("second"), "STATS");
+        // And with the park settled before the next frame arrives.
+        app.send(&format!("POLL {pid} wait 5000 8 {epoch}\n"))
+            .expect("send");
+        wait_parked(&server, 1);
+        app.send(&format!("REPORT {pid} jobs_run=1\n"))
+            .expect("send");
+        assert_eq!(app.read_line().expect("first"), format!("TARGET 8 {epoch}"));
+        assert_eq!(app.read_line().expect("second"), format!("OK {epoch}"));
+        let stats = server.stats();
+        assert_eq!(stats.gauges["parked"], 0);
+        assert_eq!(stats.counters["park_released_held"], 2);
+    }
+
+    #[test]
+    fn a_thousand_parked_connections_are_released_by_one_register() {
+        const N: usize = 1000;
+        // 2 N descriptors in this process, beside the other tests'.
+        raise_fd_limit(4 * N as u64);
+        let (path, server) = reactor_server("park-thousand");
+        let pid = std::process::id();
+        let mut app = UdsClient::register(&path, 8).expect("app");
+        let (_, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        let frame = format!("POLL {pid} wait 10000 8 {epoch}\n");
+        let mut conns: Vec<UdsClient> = (0..N)
+            .map(|_| {
+                let mut c = UdsClient::connect(&path, DEFAULT_IO_TIMEOUT).expect("connect");
+                c.send(&frame).expect("send");
+                c
+            })
+            .collect();
+        wait_parked(&server, N as i64);
+        let wakeups = server.stats().counters["reactor_wakeups"];
+        app.send("REGISTER 910002 8\n").expect("register");
+        assert!(app.read_line().expect("reply").starts_with("OK "));
+        for c in &mut conns {
+            assert_eq!(
+                c.read_line().expect("released"),
+                format!("TARGET 4 {epoch}")
+            );
+        }
+        let stats = server.stats();
+        assert_eq!(stats.counters["park_released_changed"], N as u64);
+        assert_eq!(stats.gauges["parked"], 0);
+        // One wakeup released them all (a timer wakeup may sit beside it).
+        let spent = stats.counters["reactor_wakeups"] - wakeups;
+        assert!(spent <= 3, "{spent} wakeups to release {N} parks");
+    }
+
+    /// Lifts this process's soft open-files limit to at least `want`
+    /// (bounded by the hard limit).
+    fn raise_fd_limit(want: u64) {
+        #[repr(C)]
+        struct Rlimit {
+            cur: u64,
+            max: u64,
+        }
+        extern "C" {
+            fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+            fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+        }
+        const RLIMIT_NOFILE: i32 = 7;
+        let mut lim = Rlimit { cur: 0, max: 0 };
+        // SAFETY: `lim` is a live `struct rlimit` (two 64-bit words on
+        // 64-bit Linux) for both calls; the kernel only reads or writes it.
+        unsafe {
+            assert_eq!(getrlimit(RLIMIT_NOFILE, &mut lim), 0);
+            if lim.cur < want {
+                lim.cur = want.min(lim.max);
+                assert_eq!(setrlimit(RLIMIT_NOFILE, &lim), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn threads_engine_refuses_to_park_and_counts_a_poll() {
+        let path = sock_path("threads-nowait");
+        let mut cfg = UdsServerConfig::new(&path, 8);
+        cfg.engine = ServerEngine::Threads;
+        let server = UdsServer::start(cfg).expect("server");
+        let pid = std::process::id();
+        let mut c = UdsClient::register(&path, 16).expect("client");
+        let (_, epoch) = c.poll_reply().expect("poll").target().expect("target");
+        c.send(&format!("POLL {pid} wait 1000 8 {epoch}\n"))
+            .expect("send");
+        assert_eq!(c.read_line().expect("reply"), "ERR nowait");
+        assert_eq!(
+            c.poll_wait_reply(8, epoch, None, Duration::from_secs(1))
+                .expect("reply"),
+            CpusPollReply::Unsupported
+        );
+        // News needs no parking, so it is told on this engine too.
+        assert_eq!(
+            c.poll_wait_reply(7, epoch, None, Duration::from_secs(1))
+                .expect("reply")
+                .target()
+                .expect("target")
+                .0,
+            8
+        );
+        let stats = server.stats();
+        assert_eq!(stats.counters["polls"], 4);
+        assert_eq!(stats.counters["malformed"], 0);
+        assert_eq!(stats.counters["polls_parked"], 0);
+    }
+
+    #[test]
+    fn poller_guard_drop_is_prompt_and_says_bye_once() {
+        for engine in [ServerEngine::Reactor, ServerEngine::Threads] {
+            let path = sock_path(&format!("guard-drop-{}", engine.name()));
+            let mut cfg = UdsServerConfig::new(&path, 6);
+            cfg.engine = engine;
+            let server = UdsServer::start(cfg).expect("server");
+            // The bound is on the fastest of a few pollers: the suite's
+            // other tests share the CPUs.
+            let mut fastest = Duration::MAX;
+            for round in 1..=3 {
+                let client = UdsClient::register(&path, 12).expect("client");
+                let slot = Arc::new(TargetSlot::new(12));
+                let guard = client.spawn_poller(Arc::clone(&slot), Duration::from_secs(1));
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while slot.target.load(Ordering::Acquire) != 6 {
+                    assert!(Instant::now() < deadline, "poller never stored a target");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                // The poller is now asleep for most of a second.
+                let start = Instant::now();
+                drop(guard);
+                fastest = fastest.min(start.elapsed());
+                let stats = server.stats();
+                assert_eq!(stats.counters["byes"], round, "{}", engine.name());
+                assert_eq!(stats.gauges["apps"], 0, "{}", engine.name());
+            }
+            assert!(
+                fastest < Duration::from_millis(10),
+                "{}: drop took {fastest:?}",
+                engine.name()
+            );
+        }
+    }
+
     #[test]
     fn weighted_equal_reports_reduce_to_equal_partition() {
         let mut cfg = UdsServerConfig::new("/nonexistent", 8);
@@ -2904,9 +3614,16 @@ mod tests {
         /// model is the test's own table of live registrations (in
         /// order, with their last sign of life) and latest reports,
         /// replayed into a fresh state after every step.
+        ///
+        /// Parked polls ride along: some steps park a poll (each pid has
+        /// a connection per form) or fire the timer, and after every
+        /// step the parks the server holds are exactly the ones the
+        /// model expects, each for a pid still registered and each still
+        /// owed the reply its client heard — whatever changed an answer
+        /// also delivered it.
         #[test]
         fn cached_partition_matches_a_from_scratch_replay(
-            steps in prop::collection::vec((0u32..9, 0u32..6, 0u32..5_000, 0u64..12_000), 1..48),
+            steps in prop::collection::vec((0u32..12, 0u32..6, 0u32..5_000, 0u64..12_000), 1..48),
         ) {
             let mut cfg = UdsServerConfig::new("/nonexistent", 8);
             cfg.prune_dead = false;
@@ -2915,29 +3632,34 @@ mod tests {
             let mut real = WireSession::new(cfg.clone(), 7);
             let mut regs: Vec<(u32, u32, Instant)> = Vec::new();
             let mut reports = std::collections::BTreeMap::<u32, String>::new();
+            // connection → (pid, the plain form of its poll, the reply
+            // heard, the end of the hold)
+            let mut parked =
+                std::collections::BTreeMap::<u64, (u32, String, String, Instant)>::new();
             let mut now = Instant::now();
             for (op, pid, arg, gap_ms) in steps {
                 now += Duration::from_millis(gap_ms);
                 let pid = 900_000 + pid;
                 let slot = regs.iter().position(|r| r.0 == pid);
+                let mut own_conn = None;
                 // POLL and STATS ALL expire lapsed leases before they
                 // answer (and a POLL then refreshes its own); the other
                 // verbs leave them for the next prune.
-                let (prunes, polls) = match op {
+                let (written, prunes, polls) = match op {
                     0 | 1 => {
                         let n = 1 + arg % 9;
-                        real.answer(&format!("REGISTER {pid} {n}"), now);
+                        let written = real.step(0, &format!("REGISTER {pid} {n}"), now);
                         match slot {
                             Some(i) => regs[i] = (pid, n, now),
                             None => regs.push((pid, n, now)),
                         }
-                        (false, false)
+                        (written, false, false)
                     }
                     2 => {
-                        real.answer(&format!("BYE {pid}"), now);
+                        let written = real.step(0, &format!("BYE {pid}"), now);
                         regs.retain(|r| r.0 != pid);
                         reports.remove(&pid);
-                        (false, false)
+                        (written, false, false)
                     }
                     3 | 4 => {
                         let line = if arg % 11 == 0 {
@@ -2945,25 +3667,43 @@ mod tests {
                         } else {
                             format!("jobs_run={arg} steals=1")
                         };
-                        real.answer(&format!("REPORT {pid} {line}"), now);
+                        let written = real.step(0, &format!("REPORT {pid} {line}"), now);
                         reports.insert(pid, line);
                         if let Some(i) = slot {
                             regs[i].2 = now;
                         }
-                        (false, false)
+                        (written, false, false)
                     }
-                    5 | 6 => {
-                        real.answer(&format!("POLL {pid}"), now);
-                        (true, true)
+                    5 | 6 => (real.step(0, &format!("POLL {pid}"), now), true, true),
+                    7 => (real.step(0, &format!("POLL {pid} cpus"), now), true, true),
+                    8 => (real.step(0, "STATS ALL", now), true, false),
+                    // A poll, then the same poll again in the wait form,
+                    // saying what the first one heard: it parks. (A park
+                    // the connection already held ends with the first.)
+                    9 | 10 => {
+                        let cpus = arg % 2 == 1;
+                        let conn = u64::from(1 + 2 * (pid - 900_000) + u32::from(cpus));
+                        own_conn = Some(conn);
+                        let plain = if cpus {
+                            format!("POLL {pid} cpus")
+                        } else {
+                            format!("POLL {pid}")
+                        };
+                        let mut written = real.step(conn, &plain, now);
+                        parked.remove(&conn);
+                        let heard = written.iter().rfind(|w| w.0 == conn).expect("a reply").1.clone();
+                        if let Some(payload) = heard.strip_prefix("TARGET ") {
+                            let hold = Duration::from_millis(u64::from(7 * arg));
+                            let wait =
+                                format!("{plain} wait {} {}", hold.as_millis(), payload.trim_end());
+                            written.extend(real.step(conn, &wait, now));
+                            prop_assert!(real.is_parked(conn), "{} did not park", wait);
+                            let until = now + hold.min(cfg.lease_ttl / 2);
+                            parked.insert(conn, (pid, plain, heard, until));
+                        }
+                        (written, true, true)
                     }
-                    7 => {
-                        real.answer(&format!("POLL {pid} cpus"), now);
-                        (true, true)
-                    }
-                    _ => {
-                        real.answer("STATS ALL", now);
-                        (true, false)
-                    }
+                    _ => (real.due(now), true, false),
                 };
                 if prunes {
                     regs.retain(|r| {
@@ -2975,6 +3715,23 @@ mod tests {
                     });
                 }
                 if polls {
+                    if let Some(r) = regs.iter_mut().find(|r| r.0 == pid) {
+                        r.2 = now;
+                    }
+                }
+                // A reply to a connection the step did not talk on ends
+                // that connection's park — which takes news or the end
+                // of the hold — and, like any poll reply, refreshes the
+                // lease.
+                for (conn, reply) in &written {
+                    if *conn == 0 || Some(*conn) == own_conn {
+                        continue;
+                    }
+                    let (pid, _, heard, until) = parked.remove(conn).expect("a reply to a park");
+                    prop_assert!(
+                        *reply != heard || now >= until,
+                        "connection {} released early with nothing new: {}", conn, reply
+                    );
                     if let Some(r) = regs.iter_mut().find(|r| r.0 == pid) {
                         r.2 = now;
                     }
@@ -2995,6 +3752,12 @@ mod tests {
                         real.state.target_and_cpus_of(pid, &cfg, now),
                         fresh.state.target_and_cpus_of(pid, &cfg, now)
                     );
+                }
+                prop_assert_eq!(real.waiters.parked.len(), parked.len());
+                for (conn, (pid, plain, heard, _)) in &parked {
+                    prop_assert!(real.is_parked(*conn), "connection {} lost its park", conn);
+                    prop_assert!(regs.iter().any(|r| r.0 == *pid), "{} parked, not registered", pid);
+                    prop_assert_eq!(&fresh.answer(plain, now), heard, "{} is owed news", conn);
                 }
             }
         }

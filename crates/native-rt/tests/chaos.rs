@@ -241,7 +241,9 @@ fn client_survives_truncated_and_garbled_frames() {
     let proxy = ChaosProxy::start(cfg).expect("proxy");
 
     let mut sup_cfg = fast_sup_cfg(&proxy_path, 8);
-    sup_cfg.io_timeout = Duration::from_millis(120); // dropped replies resolve fast
+    // Dropped replies resolve fast, and so do parked polls: a healthy
+    // poll with nothing new is held for half of this.
+    sup_cfg.io_timeout = Duration::from_millis(30);
     let registry = Arc::new(native_rt::Registry::new());
     let mut sup = SupervisedClient::new(sup_cfg, Arc::clone(&registry));
 
@@ -440,17 +442,7 @@ fn kill_nine_serverd_restart_recovers_registrations_from_snapshot() {
     let snap =
         std::env::temp_dir().join(format!("procctl-chaos-{}-kill9.snap", std::process::id()));
     let _ = std::fs::remove_file(&snap);
-    let bin = env!("CARGO_BIN_EXE_procctl-serverd");
-    let spawn = || {
-        std::process::Command::new(bin)
-            .arg(path.as_os_str())
-            .args(["--cpus", "4", "--snapshot-interval-ms", "25", "--snapshot"])
-            .arg(snap.as_os_str())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn serverd")
-    };
+    let spawn = || spawn_serverd(&path, Some(&snap));
     let mut child = spawn();
     wait_for(10, "server socket", || path.exists());
 
@@ -501,9 +493,169 @@ fn kill_nine_serverd_restart_recovers_registrations_from_snapshot() {
     let _ = std::fs::remove_file(&snap);
 }
 
+/// Starts the standalone daemon on `path` with 4 processors, snapshotting
+/// to `snap` every 25 ms when given one.
+fn spawn_serverd(path: &std::path::Path, snap: Option<&std::path::Path>) -> std::process::Child {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_procctl-serverd"));
+    cmd.arg(path.as_os_str()).args(["--cpus", "4"]);
+    if let Some(snap) = snap {
+        cmd.args(["--snapshot-interval-ms", "25", "--snapshot"])
+            .arg(snap.as_os_str());
+    }
+    cmd.stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn serverd")
+}
+
+/// One of the server's own statistics, read over the wire.
+fn server_stat(path: &std::path::Path, key: &str) -> i64 {
+    let mut observer = UdsClient::connect(path, Duration::from_secs(2)).expect("observer");
+    let stats = observer.stats().expect("STATS");
+    stats
+        .iter()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no {key} in STATS"))
+        .1
+}
+
+/// `kill -9` with a poll parked in the server: the supervisor must see
+/// the EOF at once — not sit out its hold, let alone its I/O timeout —
+/// and then recover through the snapshot like any other restart. On the
+/// threads engine nothing ever parks (`ERR nowait`), and the same kill
+/// surfaces on the next plain poll.
+#[test]
+fn kill_nine_with_a_poll_parked_degrades_on_eof_and_recovers() {
+    let path = sock_path("kill9-parked");
+    let snap = std::env::temp_dir().join(format!(
+        "procctl-chaos-{}-kill9-parked.snap",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&snap);
+    let spawn = || spawn_serverd(&path, Some(&snap));
+    let mut child = spawn();
+    wait_for(10, "server socket", || path.exists());
+
+    // A long I/O timeout (hence a one-second hold): only the EOF can
+    // end the parked poll within the bound below.
+    let mut cfg = fast_sup_cfg(&path, 8);
+    cfg.io_timeout = Duration::from_secs(4);
+    let registry = Arc::new(native_rt::Registry::new());
+    let mut sup = SupervisedClient::new(cfg, Arc::clone(&registry));
+    wait_for(10, "first healthy poll", || {
+        sup.retry_now();
+        sup.poll_target() == Some(4)
+    });
+    let app_line = format!("app {} ", std::process::id());
+    wait_for(10, "registration snapshotted", || {
+        std::fs::read_to_string(&snap).is_ok_and(|s| s.contains(&app_line))
+    });
+
+    let parks = native_rt::ServerEngine::from_env() != Some(native_rt::ServerEngine::Threads);
+    let killer = {
+        let path = path.clone();
+        std::thread::spawn(move || {
+            if parks {
+                wait_for(10, "the poll to park", || server_stat(&path, "parked") == 1);
+            } else {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            child.kill().expect("kill -9");
+            let killed = Instant::now();
+            let _ = child.wait();
+            killed
+        })
+    };
+    while sup.poll_target().is_some() {}
+    let noticed = Instant::now();
+    let killed = killer.join().expect("killer thread");
+    let lag = noticed.saturating_duration_since(killed);
+    assert!(
+        lag < Duration::from_millis(200),
+        "the kill took {lag:?} to reach a supervisor with a one-second hold"
+    );
+    assert_eq!(registry.snapshot().gauges["degraded"], 1);
+
+    let mut child2 = spawn();
+    wait_for(10, "post-restart healthy poll", || {
+        sup.retry_now();
+        sup.poll_target() == Some(4)
+    });
+    assert_eq!(sup.last_restart(), Some(RestartKind::Recovered));
+    assert_eq!(registry.snapshot().counters["restarts_cold"], 0);
+
+    let _ = child2.kill();
+    let _ = child2.wait();
+    let _ = std::fs::remove_file(&snap);
+}
+
+/// Clients that die while parked (no BYE, just a closed socket) leave
+/// nothing behind in the server: no park, no descriptor.
+#[test]
+fn clients_killed_while_parked_leak_no_park_and_no_descriptor() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    if native_rt::ServerEngine::from_env() == Some(native_rt::ServerEngine::Threads) {
+        return; // nothing parks on that engine
+    }
+    let path = sock_path("parked-killed");
+    let mut child = spawn_serverd(&path, None);
+    wait_for(10, "server socket", || path.exists());
+    let open_fds = |pid: u32| {
+        std::fs::read_dir(format!("/proc/{pid}/fd"))
+            .expect("/proc/<pid>/fd")
+            .count()
+    };
+    // One round trip proves the reactor is up (its poller descriptor
+    // exists); the baseline is what is left once that connection's
+    // descriptor has closed again.
+    assert_eq!(server_stat(&path, "parked"), 0);
+    let mut baseline = open_fds(child.id());
+    wait_for(5, "the observer's descriptor to close", || {
+        std::thread::sleep(Duration::from_millis(20));
+        let before = std::mem::replace(&mut baseline, open_fds(child.id()));
+        before == baseline
+    });
+
+    let pid = std::process::id();
+    let mut clients = Vec::new();
+    for _ in 0..16 {
+        let mut s = UnixStream::connect(&path).expect("connect");
+        s.write_all(format!("REGISTER {pid} 8\n").as_bytes())
+            .expect("register");
+        let mut reader = BufReader::new(s.try_clone().expect("clone"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("OK");
+        let epoch = line
+            .trim()
+            .strip_prefix("OK ")
+            .expect("OK <epoch>")
+            .to_string();
+        s.write_all(format!("POLL {pid} wait 10000 4 {epoch}\n").as_bytes())
+            .expect("park");
+        clients.push((s, reader));
+    }
+    wait_for(5, "16 parked polls", || server_stat(&path, "parked") == 16);
+    assert!(open_fds(child.id()) >= baseline + 16);
+
+    drop(clients);
+    wait_for(5, "the parks to be forgotten", || {
+        server_stat(&path, "parked") == 0
+    });
+    wait_for(5, "the descriptors to close", || {
+        open_fds(child.id()) <= baseline
+    });
+    assert_eq!(server_stat(&path, "park_released_changed"), 0);
+    assert_eq!(server_stat(&path, "park_released_held"), 0);
+
+    let _ = child.kill();
+    let _ = child.wait();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A paused proxy is the "wedged but alive" server: the client's I/O
-/// timeout bounds the stall and degraded mode kicks in; resuming lets it
-/// recover.
+/// timeout bounds the stall — also for a poll that asked to be parked —
+/// and degraded mode kicks in; resuming lets it recover.
 #[test]
 fn wedged_server_bounded_by_client_timeout() {
     let server_path = sock_path("pause-upstream");
@@ -521,8 +673,9 @@ fn wedged_server_bounded_by_client_timeout() {
     let got = sup.poll_target();
     let stalled = start.elapsed();
     assert_eq!(got, None, "wedged server must yield the fallback");
+    // (250 ms of timeout; the hold this poll asked for was 125 ms.)
     assert!(
-        stalled < Duration::from_secs(2),
+        stalled < Duration::from_millis(500),
         "I/O timeout did not bound the stall: {stalled:?}"
     );
 

@@ -2,14 +2,21 @@
 //! by the per-frame path both engines run (`handle_line_into`, through
 //! [`WireSession`]) under `weighted` with a non-identity `cpu_order`, and
 //! compared byte for byte with the replies of a known-good build
-//! (`golden_wire.replies`, captured at fe9b03f, before report weights
-//! were cached and CPU sets became ranges). The unit tests pin what
-//! single replies mean; this pins that a change to how the partition is
-//! *computed* moves none of them.
+//! (`golden_wire.replies`; the first 350 lines were captured at fe9b03f,
+//! before report weights were cached and CPU sets became ranges, and
+//! line 350, the server's own `STATS`, has since gained keys). The unit
+//! tests pin what single replies mean; this pins that a change to how
+//! the partition is *computed* moves none of them.
+//!
+//! The second part of the transcript drives parked polls (the wait form
+//! of `POLL`) over several connections: a line of the capture is then
+//! `@<conn> <reply>` for a reply written to connection `<conn>`,
+//! `@<conn> PARKED` for a frame that got none yet, and `@due <n>` for a
+//! timer wakeup that released `<n>` parks (their replies follow).
 //!
 //! When a PR changes a reply on purpose, re-capture with
 //! `cargo test -p native-rt --test golden_wire -- --ignored print_golden --nocapture \
-//!  | grep -E '^(OK|TARGET|ERR|STATS)' > crates/native-rt/tests/golden_wire.replies`
+//!  | grep -E '^(OK|TARGET|ERR|STATS|@)' > crates/native-rt/tests/golden_wire.replies`
 //! and say so in CHANGES.md.
 
 use std::time::{Duration, Instant};
@@ -19,12 +26,22 @@ use native_rt::{UdsServerConfig, WireSession};
 const EPOCH: u64 = 42;
 const GOLDEN: &str = include_str!("golden_wire.replies");
 
-/// The transcript: `(arrival in ms since the first frame, request line)`.
+/// One wakeup of the transcript.
+enum Step {
+    /// A request line arriving on a connection.
+    Frame(u64, String),
+    /// A timer wakeup: no frame, only what is due.
+    Due,
+    /// A connection closing.
+    HangUp(u64),
+}
+
+/// The transcript: `(ms since the first frame, what happens)`.
 /// No `TRACE`: journal entries carry wall-clock stamps.
-fn transcript() -> Vec<(u64, String)> {
-    let mut t: Vec<(u64, String)> = Vec::new();
+fn transcript() -> Vec<(u64, Step)> {
+    let mut t: Vec<(u64, Step)> = Vec::new();
     let mut at = 0u64;
-    let mut say = |at: u64, line: &str| t.push((at, line.to_string()));
+    let mut say = |at: u64, line: &str| t.push((at, Step::Frame(0, line.to_string())));
 
     // Malformed and unregistered: every line still gets one reply.
     for line in [
@@ -217,9 +234,138 @@ fn transcript() -> Vec<(u64, String)> {
     // The server's own counters: how many recomputes were coalesced, how
     // many leases expired, how many timers fired.
     say(at, "STATS");
+    parked_polls(&mut t, at + 1_000);
     t
 }
 
+/// The parked-poll part: connection 1 polls for pid 400, 3 for 401, 4
+/// and 5 for 411; connection 2 is everybody else.
+fn parked_polls(t: &mut Vec<(u64, Step)>, mut at: u64) {
+    fn on(t: &mut Vec<(u64, Step)>, at: u64, conn: u64, line: &str) {
+        t.push((at, Step::Frame(conn, line.to_string())));
+    }
+    // Whoever the seeded mix left registered goes first.
+    for pid in 300..306 {
+        on(t, at, 2, &format!("BYE {pid}"));
+    }
+    on(t, at, 2, "STATS ALL");
+
+    // Heard something else, heard it from another server, or not
+    // registered: answered at once, like a plain poll.
+    on(t, at, 1, "REGISTER 400 8");
+    on(t, at, 1, "POLL 400");
+    on(t, at, 1, "POLL 400 wait 1000 7 42");
+    on(t, at, 1, "POLL 400 wait 1000 8 41");
+    on(t, at, 1, "POLL 499 wait 1000 1 42");
+    on(t, at, 1, "POLL 400 cpus wait 1000 8 42 cpus=0-6");
+
+    // Heard exactly this: parked, and released by a REGISTER that halves
+    // the share — after the REGISTER's own OK.
+    on(t, at, 1, "POLL 400 wait 1000 8 42");
+    on(t, at, 2, "REGISTER 401 8");
+    on(t, at, 3, "POLL 401 cpus");
+
+    // Two parks (one in the cpus form), released together by a third
+    // application arriving, then by its BYE.
+    at += 10;
+    on(t, at, 1, "POLL 400 wait 1000 4 42");
+    on(t, at, 3, "POLL 401 cpus wait 1000 4 42 cpus=2-3,6-7");
+    on(t, at, 2, "REGISTER 402 8");
+    on(t, at, 1, "POLL 400 wait 1000 3 42");
+    on(t, at, 3, "POLL 401 cpus wait 1000 3 42 cpus=2,5-6");
+    on(t, at, 2, "BYE 402");
+
+    // ... and by a REPORT that moves the weights.
+    at += 10;
+    on(t, at, 1, "POLL 400 wait 1000 4 42");
+    on(t, at, 3, "POLL 401 cpus wait 1000 4 42 cpus=2-3,6-7");
+    on(t, at, 2, "REPORT 401 jobs_run=3000");
+    on(t, at, 2, "REPORT 401 jobs_run=0");
+
+    // A hold is at most half a lease (15 s of the 20 s asked for); the
+    // release refreshes the lease, so pollers that stay parked never
+    // expire, and the lease of one that fell silent (403) releases them.
+    at += 10;
+    on(t, at, 2, "REGISTER 403 8");
+    on(t, at + 100, 1, "POLL 400 wait 20000 3 42");
+    on(t, at + 100, 3, "POLL 401 cpus wait 20000 3 42 cpus=2,5-6");
+    t.push((at + 15_000, Step::Due));
+    t.push((at + 15_100, Step::Due));
+    on(t, at + 15_200, 1, "POLL 400 wait 20000 3 42");
+    on(
+        t,
+        at + 15_200,
+        3,
+        "POLL 401 cpus wait 20000 3 42 cpus=2,5-6",
+    );
+    t.push((at + 29_999, Step::Due));
+    t.push((at + 30_000, Step::Due));
+    at += 31_000;
+
+    // The hold running out, to the millisecond.
+    on(t, at, 1, "POLL 400 wait 500 4 42");
+    t.push((at + 499, Step::Due));
+    t.push((at + 500, Step::Due));
+
+    // The parked pid itself departs (somebody's BYE) or expires (the
+    // server stalled past a whole lease): it must register again.
+    at += 1_000;
+    on(t, at, 1, "POLL 400 wait 1000 4 42");
+    on(t, at, 3, "POLL 401 cpus wait 20000 4 42 cpus=2-3,6-7");
+    on(t, at, 2, "BYE 400");
+    on(t, at, 3, "POLL 401 cpus wait 20000 8 42 cpus=0-7");
+    t.push((at + 31_000, Step::Due));
+    on(t, at + 31_000, 2, "STATS ALL");
+    at += 32_000;
+
+    // A range that shifts under an unchanged count releases the cpus
+    // form and not the count form.
+    on(t, at, 2, "REGISTER 410 3");
+    on(t, at, 2, "REGISTER 411 2");
+    on(t, at, 4, "POLL 411 cpus");
+    on(t, at, 4, "POLL 411 cpus wait 1000 2 42 cpus=2,5");
+    on(t, at, 5, "POLL 411 wait 1000 2 42");
+    on(t, at, 2, "REGISTER 410 1");
+    t.push((at + 1_000, Step::Due));
+
+    // A later frame on a parked connection releases the park first; a
+    // connection that closes while parked is owed nothing.
+    at += 2_000;
+    on(t, at, 4, "POLL 411 cpus wait 1000 2 42 cpus=1,4");
+    on(t, at, 4, "STATS 411");
+    on(t, at, 5, "POLL 411 wait 1000 2 42");
+    t.push((at, Step::HangUp(5)));
+    t.push((at + 1_000, Step::Due));
+
+    // Malformed wait suffixes.
+    at += 2_000;
+    for line in [
+        "POLL 411 wait",
+        "POLL 411 wait 1000",
+        "POLL 411 wait 1000 2",
+        "POLL 411 wait x 2 42",
+        "POLL 411 wait -5 2 42",
+        "POLL 411 wait 1000 two 42",
+        "POLL 411 wait 1000 2 42 extra",
+        "POLL 411 wait 1000 2 42 cpus=1,4",
+        "POLL 411 waits 1000 2 42",
+        "POLL x wait 1000 2 42",
+        "POLL 411 cpus wait",
+        "POLL 411 cpus wait 1000 2 42",
+        "POLL 411 cpus wait 1000 2 42 1,4",
+        "POLL 411 cpus wait 1000 2 42 cpus=x",
+        "POLL 411 cpus wait 1000 2 42 cpus=4-1",
+        "POLL 411 cpus wait 1000 2 42 cpus=1,4 extra",
+        "POLL 411 cpus hold 1000 2 42 cpus=1,4",
+    ] {
+        on(t, at, 4, line);
+    }
+    // How many parked, and how each park ended.
+    on(t, at, 2, "STATS");
+}
+
+/// Every line the transcript makes the server write, each with the step
+/// that caused it.
 fn replies() -> Vec<(String, String)> {
     let mut cfg = UdsServerConfig::new("/nonexistent", 8);
     cfg.prune_dead = false; // the pids are made up
@@ -227,32 +373,48 @@ fn replies() -> Vec<(String, String)> {
     cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
     let mut server = WireSession::new(cfg, EPOCH);
     let base = Instant::now();
-    transcript()
-        .into_iter()
-        .map(|(ms, line)| {
-            let reply = server.answer(&line, base + Duration::from_millis(ms));
-            (line, reply)
-        })
-        .collect()
+    // Connection 0 is the first part's only one, captured bare.
+    let tag = |(conn, reply): (u64, String)| match conn {
+        0 => reply,
+        _ => format!("@{conn} {reply}"),
+    };
+    let mut out = Vec::new();
+    for (ms, step) in transcript() {
+        let now = base + Duration::from_millis(ms);
+        match step {
+            Step::Frame(conn, line) => {
+                let written = server.step(conn, &line, now);
+                let mut lines: Vec<String> = written.into_iter().map(tag).collect();
+                if server.is_parked(conn) {
+                    lines.push(format!("@{conn} PARKED\n"));
+                }
+                out.extend(lines.into_iter().map(|l| (line.clone(), l)));
+            }
+            Step::Due => {
+                let released = server.due(now);
+                let what = format!("due at {ms} ms");
+                out.push((what.clone(), format!("@due {}\n", released.len())));
+                out.extend(released.into_iter().map(|r| (what.clone(), tag(r))));
+            }
+            Step::HangUp(conn) => server.hang_up(conn),
+        }
+    }
+    out
 }
 
 #[test]
 fn replies_match_the_captured_build_byte_for_byte() {
     let got = replies();
     let want: Vec<&str> = GOLDEN.split_inclusive('\n').collect();
-    for (i, ((line, reply), want)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(reply, want, "frame {i}: reply to {line:?} moved");
+    for (i, ((step, reply), want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(reply, want, "line {i}: what {step:?} wrote moved");
     }
     assert_eq!(
         got.len(),
         want.len(),
         "transcript and capture differ in length"
     );
-    assert!(
-        got.len() >= 300,
-        "transcript shrank to {} frames",
-        got.len()
-    );
+    assert!(got.len() >= 400, "transcript shrank to {} lines", got.len());
 }
 
 #[test]

@@ -16,11 +16,16 @@
 //!    dispatcher is exactly the drift the shared function exists to
 //!    prevent.
 //! 3. **Client emitted ⊆ server handled.** Every verb a client `send`s
-//!    must be a dispatcher arm.
+//!    must be a dispatcher arm — and so must every *form* of it: a bare
+//!    keyword after the verb in a sent frame (`POLL {pid} cpus wait …`,
+//!    `STATS ALL`) must be a `Some("…")` pattern inside that verb's arm,
+//!    and the reverse, so a suffix the client sends but the dispatcher
+//!    lacks, or one the dispatcher matches and nothing sends, fails.
 //! 4. **Server replies ⊆ client parsed.** Every reply head the
-//!    dispatcher (or its same-file helpers, one level) emits via
-//!    `push_str` must have a non-test parse site (slice pattern,
-//!    `strip_prefix`, `starts_with`, `Some(…)` comparison).
+//!    dispatcher (or its same-file helpers and callers, one level each
+//!    way — an engine may answer for a frame the dispatcher hands back)
+//!    emits via `push_str` must have a non-test parse site (slice
+//!    pattern, `strip_prefix`, `starts_with`, `Some(…)` comparison).
 //! 5. **ERR reasons catalogued.** Every `ERR <reason>` literal must
 //!    appear backticked in the protocol catalog (DESIGN.md §11).
 //! 6. **Sim protocol mapped.** Every `OP_<NAME>` opcode in `procctl`
@@ -165,7 +170,10 @@ fn audit_crate(
         }
     }
 
-    // -- 3. Client emissions ⊆ dispatcher verbs. -----------------------
+    // -- 3. Client emissions ⊆ dispatcher verbs, and their keyword
+    // forms = the arm's `Some("…")` patterns. ---------------------------
+    let arm_forms = arm_keywords(dm, df, &verbs);
+    let mut sent_forms: BTreeSet<(String, String)> = BTreeSet::new();
     for m in models.iter().filter(|m| &m.crate_name == krate) {
         for i in 0..m.tokens.len() {
             if !matches!(&m.tokens[i].tok, Tok::Ident(w) if w == "send")
@@ -192,8 +200,35 @@ fn audit_crate(
                              for it — the server answers `ERR malformed` forever"
                         ),
                     ));
+                    continue;
+                }
+                for kw in frame_keywords(text) {
+                    if !arm_forms.contains_key(&(head.clone(), kw.clone())) {
+                        diags.push(sl050(
+                            &m.path,
+                            m.tokens[j].line,
+                            format!(
+                                "client sends the `{kw}` form of `{head}` but the \
+                                 dispatcher's `{head}` arm matches no `Some(\"{kw}\")` — \
+                                 the server answers `ERR malformed` forever"
+                            ),
+                        ));
+                    }
+                    sent_forms.insert((head.clone(), kw));
                 }
             }
+        }
+    }
+    for ((verb, kw), line) in &arm_forms {
+        if !sent_forms.contains(&(verb.clone(), kw.clone())) {
+            diags.push(sl050(
+                &dm.path,
+                *line,
+                format!(
+                    "the dispatcher's `{verb}` arm matches the `{kw}` form but no \
+                     client sends it — a form nothing speaks is untested surface"
+                ),
+            ));
         }
     }
 
@@ -285,6 +320,58 @@ fn arm_verbs(m: &FileModel, f: &Func) -> BTreeSet<String> {
     verbs
 }
 
+/// The keyword forms each verb's arm accepts: alphabetic literals in
+/// `Some("…")` patterns between the verb's arm arrow and the next
+/// verb's, keyed `(verb, keyword)` with the first line seen.
+fn arm_keywords(
+    m: &FileModel,
+    f: &Func,
+    verbs: &BTreeSet<String>,
+) -> BTreeMap<(String, String), u32> {
+    let mut forms = BTreeMap::new();
+    let mut verb: Option<String> = None;
+    for i in f.body_start..f.body_end.min(m.tokens.len()) {
+        let Tok::Literal(text) = &m.tokens[i].tok else {
+            continue;
+        };
+        let word = text.trim_matches('"');
+        if arm_arrow(m, i) && verbs.contains(word) {
+            verb = Some(word.to_string());
+            continue;
+        }
+        let in_some = matches!(
+            m.tokens.get(i.wrapping_sub(1)).map(|t| &t.tok),
+            Some(Tok::Punct('('))
+        ) && matches!(
+            m.tokens.get(i.wrapping_sub(2)).map(|t| &t.tok),
+            Some(Tok::Ident(w)) if w == "Some"
+        );
+        if let (Some(v), true, true) = (&verb, in_some, is_keyword(word)) {
+            forms
+                .entry((v.clone(), word.to_string()))
+                .or_insert(m.tokens[i].line);
+        }
+    }
+    forms
+}
+
+/// The bare keywords of a sent frame: the words after the verb that are
+/// neither placeholders (`{pid}`) nor key-value fields (`cpus={list}`).
+fn frame_keywords(literal: &str) -> Vec<String> {
+    literal
+        .trim_matches('"')
+        .split_whitespace()
+        .skip(1)
+        .map(|w| w.strip_suffix("\\n").unwrap_or(w))
+        .filter(|w| is_keyword(w))
+        .map(str::to_string)
+        .collect()
+}
+
+fn is_keyword(word: &str) -> bool {
+    !word.is_empty() && word.chars().all(|c| c.is_ascii_alphabetic())
+}
+
 /// The `WIRE_VERBS` const's entries, with its site.
 fn verb_table(m: &FileModel) -> Option<(String, u32, BTreeSet<String>)> {
     for (i, t) in m.tokens.iter().enumerate() {
@@ -330,12 +417,20 @@ fn verb_table(m: &FileModel) -> Option<(String, u32, BTreeSet<String>)> {
 
 /// Literals the dispatcher writes to its reply buffer (`push_str`
 /// arguments, including through `format!`), plus the same from its
-/// same-file free-function callees, one level deep.
+/// same-file free-function callees and from its same-file non-test
+/// callers, one level deep each way.
 fn reply_literals(m: &FileModel, df: &Func) -> Vec<(String, u32)> {
     let mut out = Vec::new();
     let mut ranges = vec![(df.body_start, df.body_end)];
     let file_fns: BTreeMap<&str, &Func> =
         m.functions.iter().map(|f| (f.name.as_str(), f)).collect();
+    for f in &m.functions {
+        let calls = (f.body_start..f.body_end.min(m.tokens.len()))
+            .any(|i| matches!(&m.tokens[i].tok, Tok::Ident(w) if *w == df.name));
+        if calls && f.name != df.name && !m.in_tests(f.body_start) {
+            ranges.push((f.body_start, f.body_end));
+        }
+    }
     for i in df.body_start..df.body_end.min(m.tokens.len()) {
         let Tok::Ident(w) = &m.tokens[i].tok else {
             continue;
@@ -526,6 +621,69 @@ fn client(c: &mut C) {
             "{d:?}"
         );
         assert!(d.iter().any(|d| d.message.contains("`FLUSH`")), "{d:?}");
+    }
+
+    #[test]
+    fn keyword_forms_must_match_both_ways() {
+        let src = |arm: &str, sent: &str| {
+            format!(
+                r#"
+pub const WIRE_VERBS: &[&str] = &["PING"];
+fn handle_line_into(line: &str, out: &mut String) {{
+    let mut fields = line.split_whitespace();
+    match fields.next().unwrap_or("") {{
+        "PING" => match (fields.next(), fields.next()) {{
+            (Some(_), None) => out.push_str("OK\n"),
+            {arm}
+            _ => out.push_str("OK\n"),
+        }},
+        _ => {{}}
+    }}
+}}
+fn client(c: &mut C, id: u32) {{
+    c.send(&format!("PING {{id}}\n"));
+    {sent}
+    if c.read_line().starts_with("OK") {{}}
+}}
+"#
+            )
+        };
+        let arm = r#"(Some(_), Some("loud")) => out.push_str("OK\n"),"#;
+        let sent = r#"c.send(&format!("PING {id} loud\n"));"#;
+        assert!(run(&src(arm, sent)).is_empty());
+        // A suffix the client sends but the dispatcher lacks...
+        let d = run(&src("", sent));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("sends the `loud` form"), "{d:?}");
+        // ... and one the dispatcher matches and nothing sends.
+        let d = run(&src(arm, ""));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("no client sends it"), "{d:?}");
+        // Placeholders and key-value fields are not keywords.
+        let d = run(&src("", r#"c.send(&format!("PING {id} vol={v}\n"));"#));
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn engine_side_err_reason_is_catalogued_too() {
+        let src = r#"
+pub const WIRE_VERBS: &[&str] = &["PING"];
+fn handle_line_into(line: &str, out: &mut String) -> bool {
+    match line { "PING" => out.push_str("OK\n"), _ => {} }
+    line.len() > 9
+}
+fn engine(line: &str, out: &mut String) {
+    if handle_line_into(line, out) { out.push_str("ERR busy\n"); }
+}
+fn client(c: &mut C) {
+    c.send("PING\n");
+    let l = c.read_line();
+    if l.starts_with("OK") || l.starts_with("ERR") {}
+}
+"#;
+        let d = run(src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("ERR reason `busy`"), "{d:?}");
     }
 
     #[test]

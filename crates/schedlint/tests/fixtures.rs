@@ -142,7 +142,7 @@ fn sl040_undocumented_unsafe() {
 
 #[test]
 fn sl050_protocol_conformance() {
-    assert_fires("sl050_bad.rs", "SL050", 3);
+    assert_fires("sl050_bad.rs", "SL050", 4);
     assert_clean("sl050_good.rs");
 }
 
