@@ -7,10 +7,8 @@
 //!   `results/pool_bench_smoke_baseline.json`) — the *stealing*-engine
 //!   rows, compared on `jobs_per_sec`.
 //! * `serverd_bench --smoke` (`results/serverd_bench_smoke.json` vs
-//!   `results/serverd_bench_smoke_baseline.json`) — the *reactor*-engine
-//!   rows, compared on `frames_per_sec`. The thread-per-connection rows
-//!   are the experiment's baseline, not the protected engine, so they
-//!   are ignored here just as the central-queue pool rows are.
+//!   `results/serverd_bench_smoke_baseline.json`) — every row, compared
+//!   on `frames_per_sec`.
 //!
 //! A section fails (exit 1) when its geometric-mean throughput ratio
 //! drops below 0.75 (a >25% fleet-wide regression) or any single
@@ -38,25 +36,25 @@ use metrics::JsonValue;
 const GEOMEAN_FLOOR: f64 = 0.75;
 const SINGLE_FLOOR: f64 = 0.50;
 
-/// One guarded report pair: which engine's rows are protected and on
-/// which throughput field.
+/// One guarded report pair: which rows are protected (those of one
+/// `engine`, or all) and on which throughput field.
 struct Section {
     name: &'static str,
     fresh_path: String,
     baseline_path: String,
-    engine: &'static str,
+    engine: Option<&'static str>,
     rate_field: &'static str,
     regen_hint: &'static str,
 }
 
-/// `config label -> rate` for the section's protected-engine rows.
-fn rates(doc: &JsonValue, engine: &str, rate_field: &str) -> BTreeMap<String, f64> {
+/// `config label -> rate` for the section's protected rows.
+fn rates(doc: &JsonValue, engine: Option<&str>, rate_field: &str) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     let Some(runs) = doc.get("runs").and_then(JsonValue::as_arr) else {
         return out;
     };
     for run in runs {
-        if run.get("engine").and_then(JsonValue::as_str) != Some(engine) {
+        if engine.is_some() && run.get("engine").and_then(JsonValue::as_str) != engine {
             continue;
         }
         let (Some(label), Some(rate)) = (
@@ -72,26 +70,26 @@ fn rates(doc: &JsonValue, engine: &str, rate_field: &str) -> BTreeMap<String, f6
     out
 }
 
-fn load(path: &str, engine: &str, rate_field: &str) -> Result<BTreeMap<String, f64>, String> {
+fn load(path: &str, s: &Section) -> Result<BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = parse(&text).map_err(|e| format!("cannot parse {path}: {e:?}"))?;
-    let out = rates(&doc, engine, rate_field);
+    let out = rates(&doc, s.engine, s.rate_field);
     if out.is_empty() {
-        return Err(format!("{path} contains no {engine}-engine runs"));
+        return Err(format!("{path} contains no guarded runs"));
     }
     Ok(out)
 }
 
 /// Judges one section; returns whether it passed.
 fn judge(s: &Section) -> bool {
-    let fresh = match load(&s.fresh_path, s.engine, s.rate_field) {
+    let fresh = match load(&s.fresh_path, s) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("perf_guard[{}]: {e} (run `{}` first)", s.name, s.regen_hint);
             return false;
         }
     };
-    let baseline = match load(&s.baseline_path, s.engine, s.rate_field) {
+    let baseline = match load(&s.baseline_path, s) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(
@@ -120,10 +118,9 @@ fn judge(s: &Section) -> bool {
     let geomean =
         (ratios.iter().map(|(_, _, _, r)| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
     println!(
-        "perf_guard[{}]: {} matched {} configs, geomean {} ratio {:.3} (floor {GEOMEAN_FLOOR})",
+        "perf_guard[{}]: {} matched configs, geomean {} ratio {:.3} (floor {GEOMEAN_FLOOR})",
         s.name,
         ratios.len(),
-        s.engine,
         s.rate_field,
         geomean
     );
@@ -140,8 +137,8 @@ fn judge(s: &Section) -> bool {
     if geomean < GEOMEAN_FLOOR {
         eprintln!(
             "perf_guard[{}]: FAIL — geomean {} ratio {geomean:.3} below {GEOMEAN_FLOOR} \
-             (>25% fleet-wide regression on the {} engine)",
-            s.name, s.rate_field, s.engine
+             (>25% fleet-wide regression)",
+            s.name, s.rate_field
         );
         failed = true;
     }
@@ -152,7 +149,7 @@ fn judge(s: &Section) -> bool {
 fn promote(s: &Section) -> bool {
     // Validate before promoting: a garbled report must not become the
     // floor every future run is judged against.
-    if let Err(e) = load(&s.fresh_path, s.engine, s.rate_field) {
+    if let Err(e) = load(&s.fresh_path, s) {
         eprintln!("perf_guard[{}]: refusing to promote baseline: {e}", s.name);
         return false;
     }
@@ -177,7 +174,7 @@ fn main() -> ExitCode {
         name: "pool",
         fresh_path: "results/pool_bench_smoke.json".into(),
         baseline_path: "results/pool_bench_smoke_baseline.json".into(),
-        engine: "stealing",
+        engine: Some("stealing"),
         rate_field: "jobs_per_sec",
         regen_hint: "pool_bench --smoke",
     };
@@ -185,7 +182,7 @@ fn main() -> ExitCode {
         name: "serverd",
         fresh_path: "results/serverd_bench_smoke.json".into(),
         baseline_path: "results/serverd_bench_smoke_baseline.json".into(),
-        engine: "reactor",
+        engine: None,
         rate_field: "frames_per_sec",
         regen_hint: "serverd_bench --smoke",
     };

@@ -1,13 +1,11 @@
-//! `serverd_bench` — control-plane frame throughput, reactor vs threads.
+//! `serverd_bench` — control-plane frame throughput.
 //!
-//! Sweeps the live UDS server across engines, connection counts, and
-//! frame mixes with a bounded open-loop pipelined generator (see
-//! [`bench::serverdbench`]); prints an aligned table plus the
-//! reactor-over-threads speedup on matched configurations, then writes
+//! Sweeps the live UDS server across connection counts and frame mixes
+//! with a bounded open-loop pipelined generator (see
+//! [`bench::serverdbench`]); prints an aligned table, then writes
 //! `results/serverd_bench.json`. With `--smoke` (or `--quick`) a
-//! seconds-long subset runs — still including the 64-connection point
-//! the ≥5x acceptance criterion reads — and the artifact gets a
-//! `_smoke` suffix. `perf_guard` gates the reactor rows of the smoke
+//! seconds-long subset runs — still including the 64-connection point —
+//! and the artifact gets a `_smoke` suffix. `perf_guard` gates the smoke
 //! artifact against `results/serverd_bench_smoke_baseline.json`.
 //!
 //! A second, smaller sweep re-runs the poll mix with periodic state
@@ -17,9 +15,7 @@
 //! like.
 
 use bench::report::write_result;
-use bench::serverdbench::{
-    results_json, results_table, run_config, snapshot_suite, speedups, suite,
-};
+use bench::serverdbench::{results_json, results_table, run_config, snapshot_suite, suite};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -48,11 +44,6 @@ fn main() {
 
     println!("\n== serverd_bench results ==\n");
     print!("{}", results_table(&results));
-
-    println!("\n== reactor over threads (matched configs) ==\n");
-    for (label, s) in speedups(&results) {
-        println!("  {label:<20} {s:>6.2}x");
-    }
 
     let suffix = if smoke { "_smoke" } else { "" };
     write_result(

@@ -7,11 +7,9 @@
 //! connection keeps `window` frames in flight, writes each window with
 //! one syscall, and clocks every reply against its window's send
 //! instant, so reply latency includes the server-side queueing the
-//! window creates. Sweeps engine × connection count × frame mix and
-//! reports frames/sec plus p50/p99 reply latency per configuration,
-//! then the reactor-over-threads speedup on matched configurations —
-//! the number the ISSUE's ≥5x acceptance criterion and the
-//! `perf_guard` control-plane gate read. The binary writes
+//! window creates. Sweeps connection count × frame mix and reports
+//! frames/sec plus p50/p99 reply latency per configuration — the number
+//! the `perf_guard` control-plane gate reads. The binary writes
 //! `results/serverd_bench.json` (`_smoke` suffix with `--smoke`).
 //!
 //! The server config under test disables `/proc` liveness pruning and
@@ -25,7 +23,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use metrics::{table, JsonValue};
-use native_rt::{ServerEngine, Snapshot, UdsServer, UdsServerConfig};
+use native_rt::{Snapshot, UdsServer, UdsServerConfig};
 
 /// First fabricated application pid; connection `i` registers as
 /// `FAKE_PID_BASE + i` so every connection is a distinct application.
@@ -34,9 +32,8 @@ const FAKE_PID_BASE: u32 = 900_000;
 /// Frames kept in flight per connection (written one window per
 /// syscall). Deep enough that the server, not the generator, is the
 /// bottleneck: each connection keeps a full window queued, so the
-/// engines face identical offered load and the measurement exposes
-/// how each absorbs a backlog — the reactor batches replies per
-/// wakeup, the thread engine pays a syscall per reply.
+/// measurement exposes how the server absorbs a backlog (the reactor
+/// batches replies per wakeup).
 pub const WINDOW: usize = 512;
 
 /// What the fleet sends.
@@ -73,8 +70,6 @@ impl Mix {
 /// One benchmark configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
-    /// Which server core answers the fleet.
-    pub engine: ServerEngine,
     /// Concurrent connections (one fake application each).
     pub connections: usize,
     /// Frame mix each connection sends.
@@ -87,12 +82,11 @@ pub struct Config {
 }
 
 impl Config {
-    /// A short unique label, e.g. `reactor/poll/c64` (`+snap` when
-    /// snapshotting is on).
+    /// A short unique label, e.g. `poll/c64` (`+snap` when snapshotting
+    /// is on).
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/c{}{}",
-            self.engine.name(),
+            "{}/c{}{}",
             self.mix.name(),
             self.connections,
             if self.snapshot { "+snap" } else { "" }
@@ -204,10 +198,8 @@ fn run_conn(
 
 /// Repetitions per configuration; [`run_config`] reports the median
 /// run by frames/sec. On small hosts a single run is at the mercy of
-/// scheduler placement — the thread-per-connection engine in
-/// particular swings several-fold between convoyed and lucky-burst
-/// runs — and the median (applied identically to both engines) is
-/// what the `perf_guard` gate can hold steady against.
+/// scheduler placement, and the median is what the `perf_guard` gate
+/// can hold steady against.
 pub const REPS: usize = 3;
 
 /// Runs one configuration [`REPS`] times against fresh servers and
@@ -222,7 +214,6 @@ fn run_config_once(cfg: &Config) -> Outcome {
     let path = sock_path(&cfg.label().replace('/', "-"));
     let _ = std::fs::remove_file(&path);
     let mut server_cfg = UdsServerConfig::new(&path, 8);
-    server_cfg.engine = cfg.engine;
     server_cfg.prune_dead = false; // the fleet's pids are fabricated
     server_cfg.lease_ttl = Duration::from_secs(600);
     let snap_path = path.with_extension("snap");
@@ -275,8 +266,7 @@ fn run_config_once(cfg: &Config) -> Outcome {
 }
 
 /// The benchmark matrix. `smoke` is the CI subset — it still includes
-/// the 64-connection point, where the ≥5x reactor-over-threads
-/// acceptance criterion is read.
+/// the 64-connection point.
 pub fn suite(smoke: bool) -> Vec<Config> {
     let (conns, mixes, frames_per_conn): (&[usize], &[Mix], usize) = if smoke {
         (&[8, 64], &[Mix::Poll], 6_000)
@@ -284,17 +274,14 @@ pub fn suite(smoke: bool) -> Vec<Config> {
         (&[1, 8, 64, 128], &[Mix::Poll, Mix::Mixed], 4_000)
     };
     let mut cfgs = Vec::new();
-    for &engine in &[ServerEngine::Threads, ServerEngine::Reactor] {
-        for &mix in mixes {
-            for &connections in conns {
-                cfgs.push(Config {
-                    engine,
-                    connections,
-                    mix,
-                    frames_per_conn,
-                    snapshot: false,
-                });
-            }
+    for &mix in mixes {
+        for &connections in conns {
+            cfgs.push(Config {
+                connections,
+                mix,
+                frames_per_conn,
+                snapshot: false,
+            });
         }
     }
     cfgs
@@ -307,45 +294,15 @@ pub fn suite(smoke: bool) -> Vec<Config> {
 pub fn snapshot_suite(smoke: bool) -> Vec<Config> {
     let conns: &[usize] = if smoke { &[8] } else { &[8, 64] };
     let frames_per_conn = if smoke { 6_000 } else { 4_000 };
-    let mut cfgs = Vec::new();
-    for &engine in &[ServerEngine::Threads, ServerEngine::Reactor] {
-        for &connections in conns {
-            cfgs.push(Config {
-                engine,
-                connections,
-                mix: Mix::Poll,
-                frames_per_conn,
-                snapshot: true,
-            });
-        }
-    }
-    cfgs
-}
-
-/// Reactor-over-threads frames/sec speedup for every matched
-/// (mix, connections) pair, as `(label, speedup)`.
-pub fn speedups(results: &[(Config, Outcome)]) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for (cfg, outcome) in results {
-        if cfg.engine != ServerEngine::Reactor {
-            continue;
-        }
-        let twin = results.iter().find(|(c, _)| {
-            c.engine == ServerEngine::Threads
-                && c.mix == cfg.mix
-                && c.connections == cfg.connections
-                && c.frames_per_conn == cfg.frames_per_conn
-                && c.snapshot == cfg.snapshot
-        });
-        if let Some((_, threads)) = twin {
-            let label = format!("{}/c{}", cfg.mix.name(), cfg.connections);
-            out.push((
-                label,
-                outcome.frames_per_sec / threads.frames_per_sec.max(1e-9),
-            ));
-        }
-    }
-    out
+    conns
+        .iter()
+        .map(|&connections| Config {
+            connections,
+            mix: Mix::Poll,
+            frames_per_conn,
+            snapshot: true,
+        })
+        .collect()
 }
 
 /// Renders the results as an aligned stdout table.
@@ -402,7 +359,6 @@ pub fn results_json(results: &[(Config, Outcome)]) -> JsonValue {
         .map(|(cfg, o)| {
             JsonValue::obj([
                 ("config", JsonValue::str(cfg.label())),
-                ("engine", JsonValue::str(cfg.engine.name())),
                 ("mix", JsonValue::str(cfg.mix.name())),
                 ("connections", JsonValue::uint(cfg.connections as u64)),
                 ("window", JsonValue::uint(WINDOW as u64)),
@@ -438,19 +394,9 @@ pub fn results_json(results: &[(Config, Outcome)]) -> JsonValue {
             ])
         })
         .collect();
-    let speedup_objs: Vec<JsonValue> = speedups(results)
-        .into_iter()
-        .map(|(label, s)| {
-            JsonValue::obj([
-                ("config", JsonValue::str(label)),
-                ("reactor_over_threads", JsonValue::num(s)),
-            ])
-        })
-        .collect();
     JsonValue::obj([
         ("benchmark", JsonValue::str("serverd_bench")),
         ("runs", JsonValue::Arr(runs)),
-        ("speedups", JsonValue::Arr(speedup_objs)),
     ])
 }
 
@@ -459,21 +405,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_engines_serve_a_tiny_fleet_exactly() {
-        for engine in [ServerEngine::Threads, ServerEngine::Reactor] {
-            for mix in [Mix::Poll, Mix::Mixed] {
-                let cfg = Config {
-                    engine,
-                    connections: 3,
-                    mix,
-                    frames_per_conn: 90,
-                    snapshot: false,
-                };
-                let o = run_config(&cfg);
-                assert_eq!(o.frames, 270);
-                assert!(o.frames_per_sec > 0.0);
-                assert!(o.p99_reply_ns >= o.p50_reply_ns);
-            }
+    fn both_mixes_serve_a_tiny_fleet_exactly() {
+        for mix in [Mix::Poll, Mix::Mixed] {
+            let cfg = Config {
+                connections: 3,
+                mix,
+                frames_per_conn: 90,
+                snapshot: false,
+            };
+            let o = run_config(&cfg);
+            assert_eq!(o.frames, 270);
+            assert!(o.frames_per_sec > 0.0);
+            assert!(o.p99_reply_ns >= o.p50_reply_ns);
         }
     }
 
@@ -483,7 +426,6 @@ mod tests {
             assert!(c.snapshot && c.label().ends_with("+snap"), "{}", c.label());
         }
         let cfg = Config {
-            engine: ServerEngine::Reactor,
             connections: 3,
             mix: Mix::Poll,
             frames_per_conn: 90,
@@ -495,44 +437,22 @@ mod tests {
     }
 
     #[test]
-    fn smoke_suite_covers_both_engines_at_64_connections() {
+    fn smoke_suite_covers_64_connections() {
         let smoke = suite(true);
-        for engine in [ServerEngine::Threads, ServerEngine::Reactor] {
-            assert!(
-                smoke
-                    .iter()
-                    .any(|c| c.engine == engine && c.connections == 64),
-                "the ≥5x criterion is read at 64 connections"
-            );
-        }
+        assert!(smoke.iter().any(|c| c.connections == 64));
         assert!(smoke.len() < suite(false).len());
     }
 
     #[test]
-    fn json_report_round_trips_and_pairs_speedups() {
-        let cfgs = [
-            Config {
-                engine: ServerEngine::Threads,
-                connections: 2,
-                mix: Mix::Poll,
-                frames_per_conn: 40,
-                snapshot: false,
-            },
-            Config {
-                engine: ServerEngine::Reactor,
-                connections: 2,
-                mix: Mix::Poll,
-                frames_per_conn: 40,
-                snapshot: false,
-            },
-        ];
-        let results: Vec<_> = cfgs.iter().map(|c| (*c, run_config(c))).collect();
-        let j = results_json(&results);
-        assert_eq!(j.get("runs").and_then(JsonValue::as_arr).unwrap().len(), 2);
-        assert_eq!(
-            j.get("speedups").and_then(JsonValue::as_arr).unwrap().len(),
-            1
-        );
+    fn json_report_round_trips() {
+        let cfg = Config {
+            connections: 2,
+            mix: Mix::Poll,
+            frames_per_conn: 40,
+            snapshot: false,
+        };
+        let j = results_json(&[(cfg, run_config(&cfg))]);
+        assert_eq!(j.get("runs").and_then(JsonValue::as_arr).unwrap().len(), 1);
         metrics::json::parse(&j.render_pretty()).expect("valid json");
     }
 }

@@ -15,8 +15,8 @@
 //! ```text
 //! USAGE: procctl-serverd <socket-path> [--cpus N] [--lease-ttl-ms N]
 //!                        [--account-system-load] [--weighted]
-//!                        [--journal-cap N] [--engine threads|reactor]
-//!                        [--snapshot PATH] [--snapshot-interval-ms N]
+//!                        [--journal-cap N] [--snapshot PATH]
+//!                        [--snapshot-interval-ms N]
 //! ```
 //!
 //! `--weighted` skews each application's processor share by its observed
@@ -26,11 +26,8 @@
 //! the partitioned processor count matches the machine, so adjacent
 //! shares stay cache-adjacent. `--journal-cap` bounds the per-application
 //! flight-recorder journal (EVENTS pushes plus the server's own decision
-//! instants, drained via TRACE); 0 disables journaling. `--engine`
-//! selects the server core (DESIGN.md §13): the single-threaded epoll
-//! `reactor` (the default) or the thread-per-connection `threads`
-//! baseline; the flag wins over the `PROCCTL_ENGINE` environment
-//! override. Both speak the identical wire protocol.
+//! instants, drained via TRACE); 0 disables journaling. The server core
+//! is a single-threaded epoll reactor (DESIGN.md §13).
 //!
 //! `--snapshot PATH` makes the server crash-recoverable (DESIGN.md §14):
 //! registrations, leases, and the boot epoch are persisted to PATH
@@ -85,20 +82,11 @@ fn main() {
     let mut weighted = false;
     let mut lease_ttl = native_rt::DEFAULT_LEASE_TTL;
     let mut journal_cap = native_rt::DEFAULT_JOURNAL_CAP;
-    let mut engine: Option<native_rt::ServerEngine> = None;
     let mut snapshot: Option<std::path::PathBuf> = None;
     let mut snapshot_interval: Option<std::time::Duration> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--engine" => {
-                i += 1;
-                engine = Some(
-                    args.get(i)
-                        .and_then(|s| native_rt::ServerEngine::parse(s))
-                        .unwrap_or_else(|| usage("--engine needs `threads` or `reactor`")),
-                );
-            }
             "--journal-cap" => {
                 i += 1;
                 journal_cap = args
@@ -163,12 +151,6 @@ fn main() {
     if let Some(interval) = snapshot_interval {
         cfg.snapshot_interval = interval;
     }
-    // Explicit flag > PROCCTL_ENGINE env (already folded into the
-    // config default) > built-in reactor default.
-    if let Some(engine) = engine {
-        cfg.engine = engine;
-    }
-    let engine = cfg.engine;
     // Hand out CPU sets in the machine's topological order when we are
     // partitioning the real machine; a simulated size keeps the identity
     // order (the synthetic topology is identity-ordered anyway).
@@ -182,10 +164,9 @@ fn main() {
     });
     sig::install();
     println!(
-        "procctl-serverd: serving {} processors on {} (engine {}, epoch {}, lease {} ms, system-load accounting {}, {} shares, journal cap {}, snapshot {})",
+        "procctl-serverd: serving {} processors on {} (epoch {}, lease {} ms, system-load accounting {}, {} shares, journal cap {}, snapshot {})",
         cpus,
         server.path().display(),
-        engine.name(),
         server.epoch(),
         lease_ttl.as_millis(),
         if account { "on" } else { "off" },
@@ -210,7 +191,7 @@ fn usage(err: &str) -> ! {
         eprintln!("procctl-serverd: {err}");
     }
     eprintln!(
-        "USAGE: procctl-serverd <socket-path> [--cpus N] [--lease-ttl-ms N] [--account-system-load] [--weighted] [--journal-cap N] [--engine threads|reactor] [--snapshot PATH] [--snapshot-interval-ms N]"
+        "USAGE: procctl-serverd <socket-path> [--cpus N] [--lease-ttl-ms N] [--account-system-load] [--weighted] [--journal-cap N] [--snapshot PATH] [--snapshot-interval-ms N]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -17,10 +17,9 @@
 //! 1. drains every ready socket into its connection's [`FrameBuffer`]
 //!    (frames split across read boundaries reassemble; pipelined frames
 //!    all surface at once),
-//! 2. answers each complete frame through the same
-//!    [`handle_line`](crate::uds) the thread engine uses — the wire
-//!    protocol is byte-identical across engines *by construction* —
-//!    appending replies to the connection's write buffer,
+//! 2. answers each complete frame through
+//!    [`handle_line_into`](crate::uds), appending replies to the
+//!    connection's write buffer,
 //! 3. flushes each touched connection **once** (replies batched per
 //!    wakeup: N pipelined polls cost one `write(2)`, not N),
 //! 4. releases the parked polls ([`Waiters`](crate::uds)) whose answer
@@ -426,8 +425,7 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 
 /// Runs the reactor until `stop` is raised. Owns the listener, every
 /// connection, and the server state; on a poller setup failure the
-/// error is reported and the server goes dark (the same contract as the
-/// accept thread's `Err(_) => break`).
+/// error is reported and the server goes dark.
 pub(crate) fn serve(
     listener: UnixListener,
     mut state: ServerState,
@@ -683,8 +681,7 @@ fn drain_and_handle(
     }
     if !conn.closing && conn.frames.pending() > MAX_FRAME {
         // An unbounded line: answer (no silent drops) and drop the
-        // connection — the stream offset is unrecoverable, exactly like
-        // the thread engine's non-UTF-8 path.
+        // connection — the stream offset is unrecoverable.
         env.registry.counter("malformed").incr();
         conn.wbuf.extend_from_slice(b"ERR malformed\n");
         conn.closing = true;

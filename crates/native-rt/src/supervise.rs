@@ -29,8 +29,8 @@
 //!   new target arrives when it is decided, not at the next poll. The
 //!   hold stays below half the I/O timeout; a killed server ends the
 //!   parked read with EOF at once, a wedged one still costs at most the
-//!   timeout, and a server that cannot park (`ERR malformed`, `ERR
-//!   nowait`) is polled the old way for the life of the connection.
+//!   timeout, and a server that cannot park (`ERR malformed`, or any
+//!   other refusal) is polled the old way for the life of the connection.
 //!
 //! Recovery behavior is observable: the supervisor records `reconnects`,
 //! `degraded_enters`, `epoch_changes`, `poll_errors`, and
@@ -811,13 +811,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A server on 8 processors, with the given engine, whose fake pids
-    /// survive.
-    fn server(tag: &str, engine: crate::ServerEngine) -> (PathBuf, UdsServer) {
+    /// A server on 8 processors whose fake pids survive.
+    fn server(tag: &str) -> (PathBuf, UdsServer) {
         let path = sock_path(tag);
         let mut cfg = UdsServerConfig::new(&path, 8);
         cfg.prune_dead = false;
-        cfg.engine = engine;
         let server = UdsServer::start(cfg).expect("server");
         (path, server)
     }
@@ -842,7 +840,7 @@ mod tests {
 
     #[test]
     fn second_poll_parks_and_returns_when_the_target_changes() {
-        let (path, server) = server("parks", crate::ServerEngine::Reactor);
+        let (path, server) = server("parks");
         let mut cfg = fast_cfg(&path, 8);
         cfg.io_timeout = Duration::from_secs(4); // a one-second hold
         let mut sup = SupervisedClient::new(cfg, Arc::new(Registry::new()));
@@ -886,132 +884,150 @@ mod tests {
 
     #[test]
     fn server_that_cannot_park_costs_one_request_per_connection() {
-        // The threads engine: `ERR nowait`.
-        let (path, server) = server("nowait", crate::ServerEngine::Threads);
-        let registry = Arc::new(Registry::new());
-        let mut sup = SupervisedClient::new(fast_cfg(&path, 8), Arc::clone(&registry));
-        for _ in 0..4 {
-            assert_eq!(sup.poll_target(), Some(8));
-        }
-        assert!(!sup.wait_supported, "must remember the downgrade");
-        // Four polls, and the one refused probe before the second.
-        assert_eq!(server.stats().counters["polls"], 5);
-        assert_eq!(server.stats().counters["malformed"], 0);
-        assert_eq!(registry.snapshot().counters["degraded_enters"], 0);
-        assert_eq!(registry.snapshot().counters["poll_errors"], 0);
-        sup.bye();
-
-        // A server from before the wait form: `ERR malformed`.
+        // A server from before the wait form: `ERR malformed`. It serves
+        // one connection at a time, each to its EOF.
         use std::io::{BufRead, BufReader, Write};
         use std::os::unix::net::UnixListener;
         use std::sync::atomic::AtomicUsize;
-        let path = sock_path("nowait-old");
+        let path = sock_path("cannot-park");
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path).expect("bind");
-        let waits = Arc::new(AtomicUsize::new(0));
-        let waits2 = Arc::clone(&waits);
+        let [polls, waits, byes] = [(); 3].map(|()| Arc::new(AtomicUsize::new(0)));
+        let (polls2, waits2, byes2) = (polls.clone(), waits.clone(), byes.clone());
+        const POLLERS: usize = 3;
         let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut writer = stream.try_clone().expect("clone");
-            let mut reader = BufReader::new(stream);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    return;
+            for _ in 0..1 + POLLERS {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut writer = stream.try_clone().expect("clone");
+                let mut reader = BufReader::new(stream);
+                let mut line = String::new();
+                loop {
+                    line.clear();
+                    if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                        break;
+                    }
+                    let fields: Vec<&str> = line.split_whitespace().collect();
+                    if fields.contains(&"wait") {
+                        waits2.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let reply = match fields.as_slice() {
+                        ["REGISTER", ..] => "OK 1\n",
+                        ["POLL", _pid] => "TARGET 3 1\n",
+                        ["POLL", _pid, "cpus"] => "TARGET 3 1 cpus=0-2\n",
+                        ["BYE", ..] => {
+                            byes2.fetch_add(1, Ordering::Relaxed);
+                            "OK 1\n"
+                        }
+                        _ => "ERR malformed\n",
+                    };
+                    if fields.first() == Some(&"POLL") {
+                        polls2.fetch_add(1, Ordering::Relaxed);
+                    }
+                    // (A guard's BYE comes on a half-closed socket.)
+                    let _ = writer.write_all(reply.as_bytes());
                 }
-                let fields: Vec<&str> = line.split_whitespace().collect();
-                if fields.contains(&"wait") {
-                    waits2.fetch_add(1, Ordering::Relaxed);
-                }
-                let reply = match fields.as_slice() {
-                    ["REGISTER", ..] => "OK 1\n",
-                    ["POLL", _pid] => "TARGET 3 1\n",
-                    ["POLL", _pid, "cpus"] => "TARGET 3 1 cpus=0-2\n",
-                    ["BYE", ..] => return,
-                    _ => "ERR malformed\n",
-                };
-                writer.write_all(reply.as_bytes()).expect("write");
             }
         });
+        let registry = Arc::new(Registry::new());
         let mut sup = SupervisedClient::new(fast_cfg(&path, 8), Arc::clone(&registry));
         for _ in 0..4 {
             assert_eq!(sup.poll_target_cpus(), Some((3, Some(vec![0, 1, 2]))));
         }
-        assert_eq!(waits.load(Ordering::Relaxed), 1);
+        assert!(!sup.wait_supported, "must remember the downgrade");
         assert!(sup.cpus_supported, "the wait form went, not the cpus form");
+        // Four polls, and the one refused probe before the second.
+        assert_eq!(polls.load(Ordering::Relaxed), 5);
+        assert_eq!(waits.load(Ordering::Relaxed), 1);
         assert_eq!(registry.snapshot().counters["degraded_enters"], 0);
+        assert_eq!(registry.snapshot().counters["poll_errors"], 0);
         sup.bye();
+
+        // A poller pays the same one probe, then sleeps its whole
+        // interval here, where a dropped guard ends it at once. The
+        // bound on the drop is on the fastest of the pollers: the
+        // suite's other tests share the CPUs.
+        let mut fastest = Duration::MAX;
+        for round in 1..=POLLERS {
+            let registry = Arc::new(Registry::new());
+            let mut sup = SupervisedClient::new(SupervisorConfig::new(&path, 8), registry.clone());
+            assert_eq!(sup.poll_target_cpus(), Some((3, Some(vec![0, 1, 2]))));
+            let slot = Arc::new(TargetSlot::new(8));
+            let guard = sup.spawn_poller(Arc::clone(&slot), Duration::from_secs(1), false);
+            wait_until("the first target", || {
+                slot.cpus().is_some_and(|c| c.len() == 3)
+            });
+            // The poller is now asleep for most of a second.
+            let start = Instant::now();
+            drop(guard);
+            fastest = fastest.min(start.elapsed());
+            wait_until("the BYE", || byes.load(Ordering::Relaxed) == 1 + round);
+            // This connection: the poll above, the probe, the poll again.
+            assert_eq!(polls.load(Ordering::Relaxed), 5 + 3 * round);
+            assert_eq!(waits.load(Ordering::Relaxed), 1 + round);
+            let snap = registry.snapshot();
+            assert_eq!(snap.counters["degraded_enters"], 0);
+            assert_eq!(snap.counters["poll_errors"], 0);
+        }
+        assert!(fastest < Duration::from_millis(10), "drop took {fastest:?}");
+        // Every connection has reached its EOF: one BYE each, late ones
+        // included.
         handle.join().expect("old server thread");
+        assert_eq!(byes.load(Ordering::Relaxed), 1 + POLLERS);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn poller_delivers_a_change_mid_interval_and_its_guard_drops_at_once() {
-        for engine in [crate::ServerEngine::Reactor, crate::ServerEngine::Threads] {
-            let name = engine.name();
-            let (path, server) = server(&format!("poller-{name}"), engine);
-            let parks = engine == crate::ServerEngine::Reactor;
-            // Pollers with a one-second interval, dropped in each state
-            // one can be in; the bound on the drop is on the fastest of
-            // each three: the suite's other tests share the CPUs.
-            let mut fastest = [Duration::MAX; 2];
-            let mut byes = 0;
-            for round in 0..6 {
-                let registry = Arc::new(Registry::new());
-                let mut sup =
-                    SupervisedClient::new(SupervisorConfig::new(&path, 8), registry.clone());
-                // With a reply already in hand the poller's first round
-                // can park (else it would be its second, a second on).
-                assert_eq!(sup.poll_target_cpus(), Some((8, Some((0..8).collect()))));
-                let slot = Arc::new(TargetSlot::new(8));
-                let guard = sup.spawn_poller(Arc::clone(&slot), Duration::from_secs(1), false);
-                if parks {
-                    wait_until("the poll to park", || server.stats().gauges["parked"] == 1);
-                } else {
-                    wait_until("the first target", || {
-                        slot.cpus().is_some_and(|c| c.len() == 8)
-                    });
-                }
-                let asleep = round % 2 == 1;
-                if parks && asleep {
-                    // Where a change reaches the slot now, not at the
-                    // end of the second. The rest of it is slept out in
-                    // the poller, like all of it on the other engine.
-                    assert!(say(&path, "REGISTER 910020 8\n").starts_with("OK "));
-                    let toggled = Instant::now();
-                    wait_until("the halved target", || {
-                        slot.target.load(Ordering::Acquire) == 4
-                    });
-                    assert!(toggled.elapsed() < Duration::from_millis(200), "{name}");
-                    assert!(say(&path, "BYE 910020\n").starts_with("OK "));
-                    byes += 1;
-                }
-                let start = Instant::now();
-                drop(guard);
-                let state = usize::from(asleep);
-                fastest[state] = fastest[state].min(start.elapsed());
+        let (path, server) = server("poller");
+        // Pollers with a one-second interval, dropped in each state
+        // one can be in; the bound on the drop is on the fastest of
+        // each three: the suite's other tests share the CPUs.
+        let mut fastest = [Duration::MAX; 2];
+        let mut byes = 0;
+        for round in 0..6 {
+            let registry = Arc::new(Registry::new());
+            let mut sup = SupervisedClient::new(SupervisorConfig::new(&path, 8), registry.clone());
+            // With a reply already in hand the poller's first round
+            // can park (else it would be its second, a second on).
+            assert_eq!(sup.poll_target_cpus(), Some((8, Some((0..8).collect()))));
+            let slot = Arc::new(TargetSlot::new(8));
+            let guard = sup.spawn_poller(Arc::clone(&slot), Duration::from_secs(1), false);
+            wait_until("the poll to park", || server.stats().gauges["parked"] == 1);
+            let asleep = round % 2 == 1;
+            if asleep {
+                // Where a change reaches the slot now, not at the
+                // end of the second. The rest of it is slept out in
+                // the poller.
+                assert!(say(&path, "REGISTER 910020 8\n").starts_with("OK "));
+                let toggled = Instant::now();
+                wait_until("the halved target", || {
+                    slot.target.load(Ordering::Acquire) == 4
+                });
+                assert!(toggled.elapsed() < Duration::from_millis(200));
+                assert!(say(&path, "BYE 910020\n").starts_with("OK "));
                 byes += 1;
-                // (Parked, the BYE went out on a half-closed socket,
-                // unacknowledged: give the server a moment.)
-                wait_until("the BYE", || server.stats().counters["byes"] == byes);
-                let stats = server.stats();
-                assert_eq!(stats.gauges["apps"], 0, "{name}");
-                assert_eq!(stats.gauges["parked"], 0, "{name}");
-                let snap = registry.snapshot();
-                assert_eq!(snap.counters["degraded_enters"], 0, "{name}");
-                assert_eq!(snap.counters["poll_errors"], 0, "{name}");
             }
-            for took in fastest {
-                assert!(
-                    took < Duration::from_millis(10),
-                    "{name}: drop took {took:?}"
-                );
-            }
-            // Exactly one BYE per poller, late ones included.
-            std::thread::sleep(Duration::from_millis(20));
-            assert_eq!(server.stats().counters["byes"], byes, "{name}");
+            let start = Instant::now();
+            drop(guard);
+            let state = usize::from(asleep);
+            fastest[state] = fastest[state].min(start.elapsed());
+            byes += 1;
+            // (Parked, the BYE went out on a half-closed socket,
+            // unacknowledged: give the server a moment.)
+            wait_until("the BYE", || server.stats().counters["byes"] == byes);
+            let stats = server.stats();
+            assert_eq!(stats.gauges["apps"], 0);
+            assert_eq!(stats.gauges["parked"], 0);
+            let snap = registry.snapshot();
+            assert_eq!(snap.counters["degraded_enters"], 0);
+            assert_eq!(snap.counters["poll_errors"], 0);
         }
+        for took in fastest {
+            assert!(took < Duration::from_millis(10), "drop took {took:?}");
+        }
+        // Exactly one BYE per poller, late ones included.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(server.stats().counters["byes"], byes);
     }
 
     #[test]

@@ -57,9 +57,7 @@
 //! so replies stay in frame order; a connection that closes while parked
 //! is forgotten without a reply. Compatibility is the `cpus` story again:
 //! an old client never sends the suffix; an old server answers `ERR
-//! malformed`, and the thread-per-connection engine — which would have
-//! to block its connection thread to park — answers `ERR nowait`. The
-//! client takes any `ERR` other than `unregistered` as
+//! malformed`. The client takes any `ERR` other than `unregistered` as
 //! [`CpusPollReply::Unsupported`] and polls the old way for the rest of
 //! the connection.
 //!
@@ -181,51 +179,21 @@ pub const DEFAULT_TRACE_MAX: usize = 256;
 /// of processes that died without a BYE.
 const PROC_SWEEP_PERIOD: Duration = Duration::from_millis(500);
 
-/// Which server core answers the wire. Both speak the byte-identical
-/// text protocol; they differ only in how connections are scheduled.
+/// The server core: a single-threaded non-blocking reactor (epoll on
+/// Linux, `poll(2)` elsewhere) that owns every connection's state
+/// machine and the server state in one thread — pipelined frames parsed
+/// from buffered reads, replies batched per wakeup, lease expiry driven
+/// by a deadline-ordered timer queue. See [`crate::reactor`] and
+/// DESIGN.md §13.
+///
+/// A one-inhabitant type that selects nothing: it (and
+/// [`UdsServerConfig::engine`]) remain only because the frozen benchmark
+/// crate assigns `cfg.engine = ServerEngine::Reactor`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ServerEngine {
-    /// One OS thread per connection plus a sleepy accept loop — the
-    /// PR 3 control plane, kept as a selectable baseline for
-    /// `serverd_bench` A/Bs.
-    Threads,
-    /// A single-threaded non-blocking reactor (epoll on Linux, `poll(2)`
-    /// elsewhere) owning every connection's state machine in one thread:
-    /// no per-connection threads, no `Mutex<ServerState>`, pipelined
-    /// frames parsed from buffered reads, replies batched per wakeup,
-    /// lease expiry driven by a deadline-ordered timer queue. See
-    /// [`crate::reactor`] and DESIGN.md §13.
+    /// The only engine.
     #[default]
     Reactor,
-}
-
-impl ServerEngine {
-    /// Parses an engine name (`threads` | `reactor`, case-insensitive).
-    pub fn parse(s: &str) -> Option<ServerEngine> {
-        match s.to_ascii_lowercase().as_str() {
-            "threads" => Some(ServerEngine::Threads),
-            "reactor" => Some(ServerEngine::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The engine selected by the `PROCCTL_ENGINE` environment variable,
-    /// when set and valid. Lets the whole test suite (chaos lane
-    /// included) run unmodified against either engine.
-    pub fn from_env() -> Option<ServerEngine> {
-        std::env::var("PROCCTL_ENGINE")
-            .ok()
-            .as_deref()
-            .and_then(ServerEngine::parse)
-    }
-
-    /// The wire/CLI name (`threads` | `reactor`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ServerEngine::Threads => "threads",
-            ServerEngine::Reactor => "reactor",
-        }
-    }
 }
 
 /// Server tuning.
@@ -263,10 +231,7 @@ pub struct UdsServerConfig {
     /// entry (counted as `journal_drops`). `0` disables journaling —
     /// `TRACE` then always drains empty.
     pub journal_cap: usize,
-    /// Which server core to run (see [`ServerEngine`]). Defaults to the
-    /// reactor; `PROCCTL_ENGINE=threads|reactor` overrides the default
-    /// so the full test suite can be pointed at either engine without
-    /// modification.
+    /// Selects nothing (see [`ServerEngine`]).
     pub engine: ServerEngine,
     /// Where to persist the crash-recovery snapshot (see
     /// [`crate::snapshot`]): registrations, remaining lease time,
@@ -275,9 +240,9 @@ pub struct UdsServerConfig {
     /// shutdown, restored at the next boot. `None` (the default)
     /// disables snapshotting entirely.
     pub snapshot_path: Option<PathBuf>,
-    /// How often the periodic snapshot is written (both engines; the
-    /// reactor piggy-backs on its timer wakeups, so effective
-    /// granularity is bounded below by its wait cap). Ignored without a
+    /// How often the periodic snapshot is written (the reactor
+    /// piggy-backs on its timer wakeups, so effective granularity is
+    /// bounded below by its wait cap). Ignored without a
     /// [`UdsServerConfig::snapshot_path`].
     pub snapshot_interval: Duration,
 }
@@ -297,7 +262,7 @@ impl UdsServerConfig {
             cpu_order: None,
             weighted: false,
             journal_cap: DEFAULT_JOURNAL_CAP,
-            engine: ServerEngine::from_env().unwrap_or_default(),
+            engine: ServerEngine::Reactor,
             snapshot_path: None,
             snapshot_interval: Duration::from_secs(1),
         }
@@ -898,9 +863,8 @@ fn boot_epoch() -> u64 {
 }
 
 /// Persists the recoverable state when `cfg` names a snapshot path (a
-/// no-op otherwise). Both engines call this — the reactor from its
-/// timer wakeups, the thread engine from its accept loop — and both at
-/// shutdown, so a `kill -9` between intervals loses at most one
+/// no-op otherwise). The reactor calls this from its timer wakeups and
+/// at shutdown, so a `kill -9` between intervals loses at most one
 /// interval of registrations. A failed write is reported and retried
 /// at the next interval, never fatal: serving traffic outranks
 /// persistence.
@@ -983,7 +947,6 @@ impl UdsServer {
         }
         registry.gauge("apps");
         registry.gauge("parked");
-        registry.gauge("conn_handlers");
         let mut state = ServerState::new(&registry, &cfg);
         // Crash recovery: restore the previous instance's registrations
         // and pick an epoch strictly above the snapshotted one, so
@@ -1008,75 +971,17 @@ impl UdsServer {
                 }
             }
         }
-        let accept_thread = match cfg.engine {
-            ServerEngine::Reactor => {
-                // The reactor thread owns the state outright — no mutex.
-                let stop = Arc::clone(&stop);
-                let registry = Arc::clone(&registry);
-                let cfg2 = cfg.clone();
-                std::thread::Builder::new()
-                    .name("procctl-uds-reactor".into())
-                    .spawn(move || {
-                        crate::reactor::serve(listener, state, &cfg2, &stop, &registry, epoch);
-                    })
-                    .expect("spawn reactor thread")
-            }
-            ServerEngine::Threads => {
-                let state = Arc::new(Mutex::new(state));
-                let stop = Arc::clone(&stop);
-                let registry = Arc::clone(&registry);
-                let cfg2 = cfg.clone();
-                std::thread::Builder::new()
-                    .name("procctl-uds-server".into())
-                    .spawn(move || {
-                        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-                        let mut last_snapshot = Instant::now();
-                        while !stop.load(Ordering::Acquire) {
-                            // Reap handlers whose connection already ended;
-                            // without this the Vec grows without bound under
-                            // connection churn (joined only at shutdown).
-                            handlers.retain(|h| !h.is_finished());
-                            registry.gauge("conn_handlers").set(handlers.len() as i64);
-                            if cfg2.snapshot_path.is_some()
-                                && last_snapshot.elapsed() >= cfg2.snapshot_interval
-                            {
-                                let now = Instant::now();
-                                write_snapshot(&state.lock(), &cfg2, epoch, now);
-                                last_snapshot = now;
-                            }
-                            match listener.accept() {
-                                Ok((stream, _)) => {
-                                    let state = Arc::clone(&state);
-                                    let cfg3 = cfg2.clone();
-                                    let stop2 = Arc::clone(&stop);
-                                    let reg2 = Arc::clone(&registry);
-                                    handlers.push(
-                                        std::thread::Builder::new()
-                                            .name("procctl-uds-conn".into())
-                                            .spawn(move || {
-                                                let _ = serve_connection(
-                                                    stream, &state, &cfg3, &stop2, &reg2, epoch,
-                                                );
-                                            })
-                                            .expect("spawn connection handler"),
-                                    );
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                    std::thread::sleep(Duration::from_millis(20));
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        for h in handlers {
-                            let _ = h.join();
-                        }
-                        // Final write after every handler drained, so a
-                        // graceful shutdown (SIGTERM → drop) persists
-                        // the very last frames' effects.
-                        write_snapshot(&state.lock(), &cfg2, epoch, Instant::now());
-                    })
-                    .expect("spawn accept thread")
-            }
+        // The reactor thread owns the state outright.
+        let accept_thread = {
+            let stop = Arc::clone(&stop);
+            let registry = Arc::clone(&registry);
+            let cfg = cfg.clone();
+            std::thread::Builder::new()
+                .name("procctl-uds-reactor".into())
+                .spawn(move || {
+                    crate::reactor::serve(listener, state, &cfg, &stop, &registry, epoch);
+                })
+                .expect("spawn reactor thread")
         };
         Ok(UdsServer {
             cfg,
@@ -1161,7 +1066,7 @@ pub(crate) struct Heard {
 }
 
 /// A wait-form POLL whose answer would repeat what its client heard: the
-/// engine keeps it and answers when that stops being true or at `until`.
+/// reactor keeps it and answers when that stops being true or at `until`.
 #[derive(Debug)]
 pub(crate) struct Park {
     pid: u32,
@@ -1174,8 +1079,7 @@ pub(crate) struct Park {
 pub(crate) enum Handled {
     /// Exactly one reply was appended to `out`.
     Replied,
-    /// Nothing was appended: the engine owes the reply (see [`Waiters`]),
-    /// or, if it cannot park, `ERR nowait` now.
+    /// Nothing was appended: the reactor owes the reply (see [`Waiters`]).
     Park(Park),
 }
 
@@ -1265,7 +1169,7 @@ fn poll_wait(
     })
 }
 
-/// The parked polls of one engine, in the order they parked: which
+/// The parked polls of one server, in the order they parked: which
 /// connection each reply is owed to, what its client heard, and until
 /// when it may be held. Lives beside [`ServerState`] and touches no
 /// socket: the reactor maps the connection tokens to write buffers, a
@@ -1383,11 +1287,11 @@ fn release_into(
 }
 
 /// The complete wire-protocol verb set, in the order the dispatcher
-/// matches them. Both engines dispatch through [`handle_line_into`], so
-/// this table *is* the protocol surface: schedlint's SL050 audit checks
-/// it against the dispatcher arms, the client's emissions, and the
-/// reactor/thread engine files, so a verb added to one place but not
-/// the others fails the lint gate rather than shipping skewed.
+/// matches them. Every frame is dispatched through [`handle_line_into`],
+/// so this table *is* the protocol surface: schedlint's SL050 audit
+/// checks it against the dispatcher arms and the client's emissions, so
+/// a verb added to one place but not the others fails the lint gate
+/// rather than shipping skewed.
 pub(crate) const WIRE_VERBS: &[&str] = &[
     "POLL", "REGISTER", "BYE", "REPORT", "EVENTS", "TRACE", "STATS",
 ];
@@ -1398,10 +1302,8 @@ pub(crate) const WIRE_VERBS: &[&str] = &[
 /// gets a reply — malformed input is answered with `ERR <reason>` rather
 /// than silence, so a client blocked in `read_line` always makes progress.
 ///
-/// Both engines funnel every frame through this one function — the
-/// thread-per-connection baseline holding the state mutex around each
-/// call, the reactor owning the state outright — which is what makes
-/// the wire protocol byte-identical across engines by construction.
+/// The reactor and [`WireSession`] both answer through this one
+/// function, which is what lets a socket-free transcript pin the wire.
 /// The caller supplies `env.now` (so a reactor wakeup serving hundreds of
 /// pipelined frames reads the clock once) and the `out` buffer (so the
 /// hot verbs reply with zero allocations: the request is parsed with a
@@ -1616,7 +1518,7 @@ pub(crate) fn handle_line_into(
 }
 
 /// One server state answering wire lines with no socket, at an epoch and
-/// at instants the caller chooses: the per-frame path both engines run
+/// at instants the caller chooses: the per-frame path the reactor runs
 /// and the parked polls the reactor keeps beside it, for tests that need
 /// every reply to repeat byte for byte. Connections are numbers the
 /// caller makes up.
@@ -1631,7 +1533,7 @@ pub struct WireSession {
 
 impl WireSession {
     /// A server with no registrations, configured by `cfg` (its `path`
-    /// and `engine` are never used).
+    /// is never used).
     pub fn new(cfg: UdsServerConfig, epoch: u64) -> WireSession {
         let registry = Registry::new();
         WireSession {
@@ -1710,58 +1612,6 @@ impl WireSession {
     }
 }
 
-fn serve_connection(
-    stream: UnixStream,
-    state: &Mutex<ServerState>,
-    cfg: &UdsServerConfig,
-    stop: &AtomicBool,
-    registry: &Registry,
-    epoch: u64,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut reply = String::new();
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Non-UTF-8 bytes on the wire: answer, then drop the
-                // connection (the stream offset is unrecoverable).
-                registry.counter("malformed").incr();
-                let _ = writer.write_all(b"ERR malformed\n");
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        reply.clear();
-        let env = FrameEnv {
-            cfg,
-            registry,
-            epoch,
-            now: Instant::now(),
-        };
-        if let Handled::Park(_) = handle_line_into(&line, &mut state.lock(), &env, &mut reply) {
-            // Parking here would block this connection's thread with no
-            // wakeup to release it from: refuse, and the client polls
-            // the old way for the rest of the connection.
-            reply.push_str("ERR nowait\n");
-        }
-        writer.write_all(reply.as_bytes())?;
-    }
-}
-
 /// A decoded reply to `POLL`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PollReply {
@@ -1809,9 +1659,9 @@ pub enum CpusPollReply {
     /// No live registration for this pid — re-register before polling.
     Unregistered,
     /// The server lacks the form that was sent: it predates the `cpus`
-    /// extension or the wait form (`ERR malformed`), or cannot park
-    /// (`ERR nowait`). Fall back to the next simpler form, down to plain
-    /// count-only [`UdsClient::poll_reply`].
+    /// extension or the wait form (`ERR malformed`, or any other `ERR`
+    /// it refuses with). Fall back to the next simpler form, down to
+    /// plain count-only [`UdsClient::poll_reply`].
     Unsupported,
 }
 
@@ -2126,9 +1976,10 @@ impl UdsClient {
     /// `hold` (see the module docs, "Parked polls"). Returns when the
     /// server has something new to say or the hold ran out, so this call
     /// blocks for up to `hold`: keep it below the stream's I/O timeout.
-    /// A server that cannot park answers `ERR malformed` or `ERR
-    /// nowait`, surfaced as [`CpusPollReply::Unsupported`] — the cue to
-    /// go back to [`UdsClient::poll_reply`] / [`UdsClient::poll_cpus_reply`].
+    /// A server that cannot park answers `ERR malformed` (or refuses
+    /// with another `ERR`), surfaced as [`CpusPollReply::Unsupported`] —
+    /// the cue to go back to [`UdsClient::poll_reply`] /
+    /// [`UdsClient::poll_cpus_reply`].
     pub fn poll_wait_reply(
         &mut self,
         target: u32,
@@ -2617,7 +2468,7 @@ mod tests {
             first_epoch = server.epoch();
             let mut c = UdsClient::register(&path, 16).expect("client");
             c.report("jobs_run=7").expect("report");
-            // Graceful drop: the engine's exit path writes the final
+            // Graceful drop: the reactor's exit path writes the final
             // snapshot with the registration and report included.
         }
         assert!(snap.exists(), "shutdown must leave a snapshot behind");
@@ -3148,68 +2999,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_parse_accepts_both_names_and_rejects_garbage() {
-        assert_eq!(ServerEngine::parse("threads"), Some(ServerEngine::Threads));
-        assert_eq!(ServerEngine::parse("reactor"), Some(ServerEngine::Reactor));
-        assert_eq!(ServerEngine::parse("Reactor"), Some(ServerEngine::Reactor));
-        assert_eq!(ServerEngine::parse("green-threads"), None);
-        assert_eq!(ServerEngine::default(), ServerEngine::Reactor);
-    }
-
-    #[test]
-    fn threads_engine_serves_the_same_wire() {
-        // The selectable baseline: identical protocol, mutex-per-frame
-        // engine. The rest of the suite covers the reactor (the default).
-        let path = sock_path("threads-engine");
-        let mut cfg = UdsServerConfig::new(&path, 8);
-        cfg.engine = ServerEngine::Threads;
-        let server = UdsServer::start(cfg).expect("server");
-        let mut c = UdsClient::register(&path, 16).expect("client");
-        assert_eq!(c.poll().expect("poll"), 8);
-        c.send("NONSENSE\n").expect("send");
-        assert!(c.read_line().expect("reply").starts_with("ERR"));
-        c.bye().expect("bye");
-        assert_eq!(server.stats().counters["malformed"], 1);
-    }
-
-    #[test]
-    fn threads_engine_reaps_finished_handlers_under_churn() {
-        // Satellite fix: finished connection threads used to accumulate in
-        // the accept loop's Vec until shutdown. The `conn_handlers` gauge
-        // tracks the live length after each reap pass.
-        let path = sock_path("churn");
-        let mut cfg = UdsServerConfig::new(&path, 8);
-        cfg.engine = ServerEngine::Threads;
-        let server = UdsServer::start(cfg).expect("server");
-        for _ in 0..24 {
-            let mut c = UdsClient::register(&path, 4).expect("client");
-            assert_eq!(c.poll().expect("poll"), 4);
-            c.bye().expect("bye");
-        }
-        // The accept loop wakes every 20ms even with no new connections,
-        // so the gauge must fall back to ~0 once the churned handlers exit.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let live = server.stats().gauges["conn_handlers"];
-            if live <= 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "handlers never reaped: {live} still tracked"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-
-    #[test]
     fn reactor_serves_pipelined_bursts_in_order_and_batches() {
         // A client that writes a whole window of frames in one send must
         // get every reply, in order — and the reactor should batch them
         // (many frames per wakeup, one flush).
         let path = sock_path("pipelined");
         let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        assert_eq!(server.cfg.engine, ServerEngine::Reactor);
         let mut c = UdsClient::register(&path, 4).expect("client");
         let pid = std::process::id();
         let burst: String = (0..32).map(|_| format!("POLL {pid}\n")).collect();
@@ -3283,7 +3078,6 @@ mod tests {
         let path = sock_path(tag);
         let mut cfg = UdsServerConfig::new(&path, 8);
         cfg.prune_dead = false;
-        cfg.engine = ServerEngine::Reactor;
         let server = UdsServer::start(cfg).expect("server");
         (path, server)
     }
@@ -3468,70 +3262,30 @@ mod tests {
     }
 
     #[test]
-    fn threads_engine_refuses_to_park_and_counts_a_poll() {
-        let path = sock_path("threads-nowait");
-        let mut cfg = UdsServerConfig::new(&path, 8);
-        cfg.engine = ServerEngine::Threads;
-        let server = UdsServer::start(cfg).expect("server");
-        let pid = std::process::id();
-        let mut c = UdsClient::register(&path, 16).expect("client");
-        let (_, epoch) = c.poll_reply().expect("poll").target().expect("target");
-        c.send(&format!("POLL {pid} wait 1000 8 {epoch}\n"))
-            .expect("send");
-        assert_eq!(c.read_line().expect("reply"), "ERR nowait");
-        assert_eq!(
-            c.poll_wait_reply(8, epoch, None, Duration::from_secs(1))
-                .expect("reply"),
-            CpusPollReply::Unsupported
-        );
-        // News needs no parking, so it is told on this engine too.
-        assert_eq!(
-            c.poll_wait_reply(7, epoch, None, Duration::from_secs(1))
-                .expect("reply")
-                .target()
-                .expect("target")
-                .0,
-            8
-        );
-        let stats = server.stats();
-        assert_eq!(stats.counters["polls"], 4);
-        assert_eq!(stats.counters["malformed"], 0);
-        assert_eq!(stats.counters["polls_parked"], 0);
-    }
-
-    #[test]
     fn poller_guard_drop_is_prompt_and_says_bye_once() {
-        for engine in [ServerEngine::Reactor, ServerEngine::Threads] {
-            let path = sock_path(&format!("guard-drop-{}", engine.name()));
-            let mut cfg = UdsServerConfig::new(&path, 6);
-            cfg.engine = engine;
-            let server = UdsServer::start(cfg).expect("server");
-            // The bound is on the fastest of a few pollers: the suite's
-            // other tests share the CPUs.
-            let mut fastest = Duration::MAX;
-            for round in 1..=3 {
-                let client = UdsClient::register(&path, 12).expect("client");
-                let slot = Arc::new(TargetSlot::new(12));
-                let guard = client.spawn_poller(Arc::clone(&slot), Duration::from_secs(1));
-                let deadline = Instant::now() + Duration::from_secs(5);
-                while slot.target.load(Ordering::Acquire) != 6 {
-                    assert!(Instant::now() < deadline, "poller never stored a target");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                // The poller is now asleep for most of a second.
-                let start = Instant::now();
-                drop(guard);
-                fastest = fastest.min(start.elapsed());
-                let stats = server.stats();
-                assert_eq!(stats.counters["byes"], round, "{}", engine.name());
-                assert_eq!(stats.gauges["apps"], 0, "{}", engine.name());
+        let path = sock_path("guard-drop");
+        let server = UdsServer::start(UdsServerConfig::new(&path, 6)).expect("server");
+        // The bound is on the fastest of a few pollers: the suite's
+        // other tests share the CPUs.
+        let mut fastest = Duration::MAX;
+        for round in 1..=3 {
+            let client = UdsClient::register(&path, 12).expect("client");
+            let slot = Arc::new(TargetSlot::new(12));
+            let guard = client.spawn_poller(Arc::clone(&slot), Duration::from_secs(1));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while slot.target.load(Ordering::Acquire) != 6 {
+                assert!(Instant::now() < deadline, "poller never stored a target");
+                std::thread::sleep(Duration::from_millis(1));
             }
-            assert!(
-                fastest < Duration::from_millis(10),
-                "{}: drop took {fastest:?}",
-                engine.name()
-            );
+            // The poller is now asleep for most of a second.
+            let start = Instant::now();
+            drop(guard);
+            fastest = fastest.min(start.elapsed());
+            let stats = server.stats();
+            assert_eq!(stats.counters["byes"], round);
+            assert_eq!(stats.gauges["apps"], 0);
         }
+        assert!(fastest < Duration::from_millis(10), "drop took {fastest:?}");
     }
 
     #[test]

@@ -521,9 +521,7 @@ fn server_stat(path: &std::path::Path, key: &str) -> i64 {
 
 /// `kill -9` with a poll parked in the server: the supervisor must see
 /// the EOF at once — not sit out its hold, let alone its I/O timeout —
-/// and then recover through the snapshot like any other restart. On the
-/// threads engine nothing ever parks (`ERR nowait`), and the same kill
-/// surfaces on the next plain poll.
+/// and then recover through the snapshot like any other restart.
 #[test]
 fn kill_nine_with_a_poll_parked_degrades_on_eof_and_recovers() {
     let path = sock_path("kill9-parked");
@@ -551,15 +549,10 @@ fn kill_nine_with_a_poll_parked_degrades_on_eof_and_recovers() {
         std::fs::read_to_string(&snap).is_ok_and(|s| s.contains(&app_line))
     });
 
-    let parks = native_rt::ServerEngine::from_env() != Some(native_rt::ServerEngine::Threads);
     let killer = {
         let path = path.clone();
         std::thread::spawn(move || {
-            if parks {
-                wait_for(10, "the poll to park", || server_stat(&path, "parked") == 1);
-            } else {
-                std::thread::sleep(Duration::from_millis(50));
-            }
+            wait_for(10, "the poll to park", || server_stat(&path, "parked") == 1);
             child.kill().expect("kill -9");
             let killed = Instant::now();
             let _ = child.wait();
@@ -595,9 +588,6 @@ fn kill_nine_with_a_poll_parked_degrades_on_eof_and_recovers() {
 fn clients_killed_while_parked_leak_no_park_and_no_descriptor() {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
-    if native_rt::ServerEngine::from_env() == Some(native_rt::ServerEngine::Threads) {
-        return; // nothing parks on that engine
-    }
     let path = sock_path("parked-killed");
     let mut child = spawn_serverd(&path, None);
     wait_for(10, "server socket", || path.exists());

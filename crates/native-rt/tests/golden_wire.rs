@@ -1,5 +1,5 @@
 //! Golden wire replies: one fixed transcript of request lines, answered
-//! by the per-frame path both engines run (`handle_line_into`, through
+//! by the per-frame path the reactor runs (`handle_line_into`, through
 //! [`WireSession`]) under `weighted` with a non-identity `cpu_order`, and
 //! compared byte for byte with the replies of a known-good build
 //! (`golden_wire.replies`; the first 350 lines were captured at fe9b03f,

@@ -25,7 +25,7 @@
 //! | SL030 | a counter registered in `native_rt::stats` with no increment site, or missing from the DESIGN.md catalog; a dynamic registration with no `sched-counters` annotation |
 //! | SL031 | a `sched-counter-exits(a\|b)`-annotated function with an exit path (early return, `?`, fall-through) that increments none of the named counters |
 //! | SL040 | an `unsafe` block/impl/fn with no `// SAFETY:` comment |
-//! | SL050 | wire-protocol conformance: shared `WIRE_VERBS` table = dispatcher arms, engine parity through `handle_line_into`, client emitted ⊆ handled (verbs; keyword forms = arm patterns), reply heads ⊆ parsed, ERR reasons catalogued, sim opcodes mapped |
+//! | SL050 | wire-protocol conformance: `WIRE_VERBS` table = dispatcher arms, no match on a wire verb outside `handle_line_into`, client emitted ⊆ handled (verbs; keyword forms = arm patterns), reply heads ⊆ parsed, ERR reasons catalogued, sim opcodes mapped |
 //!
 //! There is no `syn` in the offline build environment, so the analyzer
 //! runs on its own minimal lexer ([`lexer`]) and token-pattern matching

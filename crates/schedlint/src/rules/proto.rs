@@ -1,20 +1,18 @@
 //! SL050 — wire-protocol conformance.
 //!
-//! The two-engine design (thread-per-connection and reactor) made the
-//! text protocol a cross-cutting contract: a verb added to one engine
-//! but not the other, a reply shape the client never learned to parse,
-//! or an `ERR` reason nobody documented are all silent drift. SL050
-//! audits the contract from the code itself:
+//! The text protocol is a contract between the server's one dispatcher
+//! and every client: a verb the dispatcher answers that its table
+//! forgot, a reply shape the client never learned to parse, or an `ERR`
+//! reason nobody documented are all silent drift. SL050 audits the
+//! contract from the code itself:
 //!
-//! 1. **Shared verb table.** The crate defining the shared dispatcher
+//! 1. **Verb table.** The crate defining the dispatcher
 //!    (`handle_line_into`) must also define a `WIRE_VERBS` const whose
-//!    entries are exactly the dispatcher's match arms — the table both
-//!    engines (and the docs) hang off.
-//! 2. **Engine parity.** Every configured engine file must route
-//!    through `handle_line_into`, and no non-test code outside the
-//!    dispatcher may match on a wire verb — a private second
-//!    dispatcher is exactly the drift the shared function exists to
-//!    prevent.
+//!    entries are exactly the dispatcher's match arms — the table the
+//!    docs hang off.
+//! 2. **One dispatcher.** No non-test code outside the dispatcher may
+//!    match on a wire verb — a private second dispatcher is exactly
+//!    the drift the one function exists to prevent.
 //! 3. **Client emitted ⊆ server handled.** Every verb a client `send`s
 //!    must be a dispatcher arm — and so must every *form* of it: a bare
 //!    keyword after the verb in a sent frame (`POLL {pid} cpus wait …`,
@@ -22,10 +20,9 @@
 //!    and the reverse, so a suffix the client sends but the dispatcher
 //!    lacks, or one the dispatcher matches and nothing sends, fails.
 //! 4. **Server replies ⊆ client parsed.** Every reply head the
-//!    dispatcher (or its same-file helpers and callers, one level each
-//!    way — an engine may answer for a frame the dispatcher hands back)
-//!    emits via `push_str` must have a non-test parse site (slice
-//!    pattern, `strip_prefix`, `starts_with`, `Some(…)` comparison).
+//!    dispatcher (or its same-file helpers, one level) emits via
+//!    `push_str` must have a non-test parse site (slice pattern,
+//!    `strip_prefix`, `starts_with`, `Some(…)` comparison).
 //! 5. **ERR reasons catalogued.** Every `ERR <reason>` literal must
 //!    appear backticked in the protocol catalog (DESIGN.md §11).
 //! 6. **Sim protocol mapped.** Every `OP_<NAME>` opcode in `procctl`
@@ -43,9 +40,9 @@ use crate::rules::{is_method, match_paren};
 use crate::workspace::Config;
 use crate::Diagnostic;
 
-/// The shared dispatcher's required name.
+/// The dispatcher's required name.
 const DISPATCH_FN: &str = "handle_line_into";
-/// The shared verb table's required name.
+/// The verb table's required name.
 const VERB_TABLE: &str = "WIRE_VERBS";
 
 pub(crate) fn check(models: &[FileModel], config: &Config) -> Vec<Diagnostic> {
@@ -93,8 +90,8 @@ fn audit_crate(
             df.line,
             format!(
                 "`{DISPATCH_FN}` dispatches {} verbs but crate `{krate}` defines no \
-                 `{VERB_TABLE}` const — hoist the verb set into the shared table both \
-                 engines (and the docs) reference",
+                 `{VERB_TABLE}` const — hoist the verb set into the table the docs \
+                 reference",
                 verbs.len()
             ),
         )),
@@ -105,7 +102,7 @@ fn audit_crate(
                     tline,
                     format!(
                         "`{DISPATCH_FN}` handles `{v}` but `{VERB_TABLE}` does not list \
-                         it — the shared table no longer describes the dispatcher"
+                         it — the table no longer describes the dispatcher"
                     ),
                 ));
             }
@@ -122,31 +119,7 @@ fn audit_crate(
         }
     }
 
-    // -- 2. Engine parity. ---------------------------------------------
-    for engine in &config.engine_paths {
-        let Some(em) = models.iter().find(|m| m.path.ends_with(engine.as_str())) else {
-            diags.push(sl050(
-                &dm.path,
-                df.line,
-                format!("engine file `{engine}` is configured but not in the scan scope"),
-            ));
-            continue;
-        };
-        let routes =
-            em.tokens.iter().enumerate().any(|(i, t)| {
-                matches!(&t.tok, Tok::Ident(w) if w == DISPATCH_FN) && !em.in_tests(i)
-            });
-        if !routes {
-            diags.push(sl050(
-                &em.path,
-                1,
-                format!(
-                    "engine `{engine}` never routes through `{DISPATCH_FN}` — the \
-                     engines no longer share a dispatcher and verb drift is unchecked"
-                ),
-            ));
-        }
-    }
+    // -- 2. One dispatcher. --------------------------------------------
     for m in models.iter().filter(|m| &m.crate_name == krate) {
         for (i, t) in m.tokens.iter().enumerate() {
             let Tok::Literal(text) = &t.tok else { continue };
@@ -163,8 +136,7 @@ fn audit_crate(
                 t.line,
                 format!(
                     "match arm on wire verb `{v}` outside `{DISPATCH_FN}` — a second \
-                     dispatcher reintroduces the engine-drift class the shared handler \
-                     exists to prevent"
+                     dispatcher reintroduces the drift the one handler exists to prevent"
                 ),
             ));
         }
@@ -417,20 +389,12 @@ fn verb_table(m: &FileModel) -> Option<(String, u32, BTreeSet<String>)> {
 
 /// Literals the dispatcher writes to its reply buffer (`push_str`
 /// arguments, including through `format!`), plus the same from its
-/// same-file free-function callees and from its same-file non-test
-/// callers, one level deep each way.
+/// same-file free-function callees, one level deep.
 fn reply_literals(m: &FileModel, df: &Func) -> Vec<(String, u32)> {
     let mut out = Vec::new();
     let mut ranges = vec![(df.body_start, df.body_end)];
     let file_fns: BTreeMap<&str, &Func> =
         m.functions.iter().map(|f| (f.name.as_str(), f)).collect();
-    for f in &m.functions {
-        let calls = (f.body_start..f.body_end.min(m.tokens.len()))
-            .any(|i| matches!(&m.tokens[i].tok, Tok::Ident(w) if *w == df.name));
-        if calls && f.name != df.name && !m.in_tests(f.body_start) {
-            ranges.push((f.body_start, f.body_end));
-        }
-    }
     for i in df.body_start..df.body_end.min(m.tokens.len()) {
         let Tok::Ident(w) = &m.tokens[i].tok else {
             continue;
@@ -662,28 +626,6 @@ fn client(c: &mut C, id: u32) {{
         // Placeholders and key-value fields are not keywords.
         let d = run(&src("", r#"c.send(&format!("PING {id} vol={v}\n"));"#));
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn engine_side_err_reason_is_catalogued_too() {
-        let src = r#"
-pub const WIRE_VERBS: &[&str] = &["PING"];
-fn handle_line_into(line: &str, out: &mut String) -> bool {
-    match line { "PING" => out.push_str("OK\n"), _ => {} }
-    line.len() > 9
-}
-fn engine(line: &str, out: &mut String) {
-    if handle_line_into(line, out) { out.push_str("ERR busy\n"); }
-}
-fn client(c: &mut C) {
-    c.send("PING\n");
-    let l = c.read_line();
-    if l.starts_with("OK") || l.starts_with("ERR") {}
-}
-"#;
-        let d = run(src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("ERR reason `busy`"), "{d:?}");
     }
 
     #[test]

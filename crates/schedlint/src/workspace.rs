@@ -21,37 +21,25 @@ pub struct Config {
     pub counter_doc: String,
     /// Display name of the catalog document for diagnostics.
     pub counter_doc_name: String,
-    /// Files that must dispatch the wire protocol through the shared
-    /// `handle_line_into` (SL050 engine parity). Suffix-matched against
-    /// model paths; empty disables the engine-presence check (unit
-    /// tests, single-engine fixtures).
-    pub engine_paths: Vec<String>,
 }
 
 impl Config {
-    /// The real configuration: `native-rt` is the registry crate, the
-    /// catalog lives in DESIGN.md §11, and both server engines must
-    /// route through the shared dispatcher.
+    /// The real configuration: `native-rt` is the registry crate and the
+    /// catalog lives in DESIGN.md §11.
     pub fn load(root: &Path) -> Config {
         Config {
             registry_crates: vec!["native-rt".to_string()],
             counter_doc: fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default(),
             counter_doc_name: "DESIGN.md §11".to_string(),
-            engine_paths: vec![
-                "crates/native-rt/src/uds.rs".to_string(),
-                "crates/native-rt/src/reactor.rs".to_string(),
-            ],
         }
     }
 
-    /// Unit-test configuration: same registry scope, empty catalog, no
-    /// engine roster.
+    /// Unit-test configuration: same registry scope, empty catalog.
     pub fn for_tests() -> Config {
         Config {
             registry_crates: vec!["native-rt".to_string()],
             counter_doc: String::new(),
             counter_doc_name: "DESIGN.md §11".to_string(),
-            engine_paths: Vec::new(),
         }
     }
 }
