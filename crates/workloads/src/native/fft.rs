@@ -6,6 +6,7 @@
 //! barrier between passes.
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// A complex number (we avoid an external dependency for one struct).
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -61,6 +62,10 @@ impl Complex {
 pub fn bit_reverse_permute(data: &mut [Complex]) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
+    if n == 1 {
+        // Zero index bits: the shift below would be by the full width.
+        return;
+    }
     let bits = n.trailing_zeros();
     for i in 0..n {
         let j = i.reverse_bits() >> (usize::BITS - bits);
@@ -70,25 +75,44 @@ pub fn bit_reverse_permute(data: &mut [Complex]) {
     }
 }
 
+/// The twiddles of butterfly span `len`: `cis(-2πk/len)` for `k` in
+/// `0..len/2`, each computed by the expression the per-butterfly loop
+/// used, so a transform's output bits do not depend on the table.
+///
+/// One table per span, built on first use and never freed: 16·(`len`/2)
+/// bytes each, so a process that transforms `n` points holds 16·(`n` − 1)
+/// bytes for all its stages together (32 KiB at `n` = 2048).
+fn twiddles(len: usize) -> &'static [Complex] {
+    static TABLES: [OnceLock<Vec<Complex>>; usize::BITS as usize] =
+        [const { OnceLock::new() }; usize::BITS as usize];
+    // Not a debug_assert: a table filed under the wrong power of two would
+    // outlive the call that built it.
+    assert!(
+        len.is_power_of_two(),
+        "butterfly span must be a power of two"
+    );
+    TABLES[len.trailing_zeros() as usize].get_or_init(|| {
+        let step = -2.0 * PI / len as f64; // forward transform
+        (0..len / 2)
+            .map(|k| Complex::cis(step * k as f64))
+            .collect()
+    })
+}
+
 /// Executes the butterflies of one FFT stage (`len` = butterfly span) for
 /// the group range `groups` — the parallel chunk of one phase.
 ///
 /// Stage `s` (1-based) has span `len = 2^s`; there are `n / len` groups,
 /// each independent of the others.
 pub fn fft_stage_groups(data: &mut [Complex], len: usize, groups: std::ops::Range<usize>) {
-    let n = data.len();
-    debug_assert!(len.is_power_of_two() && len <= n);
-    let half = len / 2;
-    let step = -2.0 * PI / len as f64; // forward transform
-    for g in groups {
-        let base = g * len;
-        debug_assert!(base + len <= n);
-        for k in 0..half {
-            let w = Complex::cis(step * k as f64);
-            let a = data[base + k];
-            let b = data[base + k + half].mul(w);
-            data[base + k] = a.add(b);
-            data[base + k + half] = a.sub(b);
+    let table = twiddles(len);
+    for group in data[groups.start * len..groups.end * len].chunks_exact_mut(len) {
+        let (lo, hi) = group.split_at_mut(len / 2);
+        for ((a, b), &w) in lo.iter_mut().zip(hi).zip(table) {
+            let x = *a;
+            let y = b.mul(w);
+            *a = x.add(y);
+            *b = x.sub(y);
         }
     }
 }
@@ -122,25 +146,88 @@ pub fn dft_reference(input: &[Complex]) -> Vec<Complex> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn close(a: Complex, b: Complex) -> bool {
         (a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9
     }
 
-    #[test]
-    fn matches_dft_on_random_data() {
-        let mut rng = 123u64;
+    fn random_signal(n: usize, seed: u64) -> Vec<Complex> {
+        let mut rng = seed;
         let mut next = move || {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
             (rng >> 33) as f64 / (1u64 << 31) as f64 - 0.5
         };
-        let input: Vec<Complex> = (0..64).map(|_| Complex::new(next(), next())).collect();
-        let expect = dft_reference(&input);
-        let mut data = input;
-        fft(&mut data);
-        for (a, b) in data.iter().zip(&expect) {
-            assert!(close(*a, *b), "{a:?} != {b:?}");
+        (0..n).map(|_| Complex::new(next(), next())).collect()
+    }
+
+    /// The stage as it was before the tables: `sin` and `cos` per
+    /// butterfly. The table version must reproduce it bit for bit.
+    fn stage_reference(data: &mut [Complex], len: usize, groups: std::ops::Range<usize>) {
+        let half = len / 2;
+        let step = -2.0 * PI / len as f64;
+        for g in groups {
+            let base = g * len;
+            for k in 0..half {
+                let w = Complex::cis(step * k as f64);
+                let a = data[base + k];
+                let b = data[base + k + half].mul(w);
+                data[base + k] = a.add(b);
+                data[base + k + half] = a.sub(b);
+            }
         }
+    }
+
+    fn fft_reference(data: &mut [Complex]) {
+        let n = data.len();
+        bit_reverse_permute(data);
+        let mut len = 2;
+        while len <= n {
+            stage_reference(data, len, 0..n / len);
+            len *= 2;
+        }
+    }
+
+    fn bits(data: &[Complex]) -> Vec<(u64, u64)> {
+        data.iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn matches_dft_on_random_data() {
+        for n in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
+            let input = random_signal(n, 123 + n as u64);
+            let expect = dft_reference(&input);
+            let mut data = input;
+            fft(&mut data);
+            for (a, b) in data.iter().zip(&expect) {
+                assert!(close(*a, *b), "n={n}: {a:?} != {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn matches_per_butterfly_reference_bit_for_bit() {
+        for log in 0..=12 {
+            let n = 1usize << log;
+            let input = random_signal(n, 99 + log);
+            let mut want = input.clone();
+            fft_reference(&mut want);
+            let mut got = input;
+            fft(&mut got);
+            assert_eq!(bits(&got), bits(&want), "n={n}");
+        }
+    }
+
+    #[test]
+    fn length_one_is_the_identity() {
+        let x = Complex::new(0.25, -3.0);
+        let mut data = [x];
+        bit_reverse_permute(&mut data);
+        assert_eq!(data, [x]);
+        fft(&mut data);
+        assert_eq!(data, [x]);
     }
 
     #[test]
@@ -165,19 +252,31 @@ mod tests {
 
     #[test]
     fn stage_groups_compose_to_full_stage() {
-        let mut rng = 7u64;
-        let mut next = move || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (rng >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let base: Vec<Complex> = (0..32).map(|_| Complex::new(next(), next())).collect();
-        // One full stage vs the same stage split into chunks.
-        let mut whole = base.clone();
-        fft_stage_groups(&mut whole, 8, 0..4);
-        let mut split = base;
-        fft_stage_groups(&mut split, 8, 0..2);
-        fft_stage_groups(&mut split, 8, 2..4);
-        assert_eq!(whole, split);
+        let n = 64;
+        let base = random_signal(n, 7);
+        let mut len = 2;
+        while len <= n {
+            let groups = n / len;
+            let mut whole = base.clone();
+            fft_stage_groups(&mut whole, len, 0..groups);
+            let mut want = base.clone();
+            stage_reference(&mut want, len, 0..groups);
+            assert_eq!(bits(&whole), bits(&want), "len={len}");
+            // Every two-way cut (empty sides included), run right half
+            // first, and one group at a time.
+            for cut in 0..=groups {
+                let mut split = base.clone();
+                fft_stage_groups(&mut split, len, cut..groups);
+                fft_stage_groups(&mut split, len, 0..cut);
+                assert_eq!(bits(&split), bits(&whole), "len={len} cut={cut}");
+            }
+            let mut single = base.clone();
+            for g in 0..groups {
+                fft_stage_groups(&mut single, len, g..g + 1);
+            }
+            assert_eq!(bits(&single), bits(&whole), "len={len} one by one");
+            len *= 2;
+        }
     }
 
     #[test]
@@ -185,5 +284,34 @@ mod tests {
     fn non_power_of_two_rejected() {
         let mut data = vec![Complex::default(); 12];
         bit_reverse_permute(&mut data);
+    }
+
+    #[test]
+    #[should_panic(expected = "span must be a power of two")]
+    fn non_power_of_two_span_rejected() {
+        let mut data = vec![Complex::default(); 12];
+        fft_stage_groups(&mut data, 12, 0..1);
+    }
+
+    #[test]
+    #[ignore] // microbenchmark, not an assertion: `cargo test --release -p workloads -- --ignored micro_ --nocapture --test-threads=1`
+    fn micro_fft_2048() {
+        let signal = random_signal(2048, 1);
+        let time = |transform: fn(&mut [Complex])| {
+            let n = 2_000u32;
+            let mut buf = signal.clone();
+            transform(&mut buf); // tables built, caches warm
+            let start = Instant::now();
+            for _ in 0..n {
+                buf.copy_from_slice(&signal);
+                transform(std::hint::black_box(&mut buf));
+            }
+            (start.elapsed() / n).as_nanos()
+        };
+        println!(
+            "fft 2048 points: {} ns/op, per-butterfly reference {} ns/op",
+            time(fft),
+            time(fft_reference)
+        );
     }
 }
