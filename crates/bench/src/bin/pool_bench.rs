@@ -9,11 +9,8 @@
 //! (artifacts get a `_pin` suffix); `--no-pin` is the explicit default.
 //! `--no-trace` disables the stealing pool's flight recorder (artifacts
 //! get a `_notrace` suffix) — the recorder-off arm of the overhead A/B
-//! in EXPERIMENTS.md. `--trace-out <path>` additionally runs the
-//! two-application fleet drill and writes the merged multi-process
-//! Perfetto timeline (per-app tracks + decision instants) to `path`.
+//! in EXPERIMENTS.md.
 
-use bench::fleettrace::fleet_drill;
 use bench::poolbench::{results_json, results_table, results_trace, run_config, speedups, suite};
 use bench::report::write_result;
 
@@ -22,12 +19,6 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
     let pin = args.iter().any(|a| a == "--pin") && !args.iter().any(|a| a == "--no-pin");
     let trace = !args.iter().any(|a| a == "--no-trace");
-    let trace_out = args.iter().position(|a| a == "--trace-out").map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("pool_bench: --trace-out needs a path");
-            std::process::exit(2);
-        })
-    });
     let mut cfgs = suite(smoke, pin);
     for cfg in &mut cfgs {
         cfg.trace = trace;
@@ -76,14 +67,4 @@ fn main() {
         &format!("pool_bench{suffix}_trace.json"),
         &results_trace(&results).render(),
     );
-
-    if let Some(path) = trace_out {
-        let jobs = if smoke { 256 } else { 2_000 };
-        let doc = fleet_drill(jobs).finish().render();
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("pool_bench: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nfleet timeline (2-app drill): {path}");
-    }
 }

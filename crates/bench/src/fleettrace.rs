@@ -6,9 +6,10 @@
 //! so the event vocabulary exists twice: [`native_rt::EventKind`] on the
 //! recording side, [`metrics::perfetto::SchedEventKind`] on the
 //! rendering side. This module is the one place the two meet — it
-//! converts drained ring/journal batches into [`AppTimeline`]s and runs
-//! the scripted two-application drill `pool_bench --trace-out` uses to
-//! produce the merged fleet timeline.
+//! converts drained ring/journal batches into [`AppTimeline`]s (the chaos
+//! drill's merged fleet timeline is built from them) and runs the
+//! scripted in-process two-application drill that `tests/observability.rs`
+//! checks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -9,11 +9,11 @@
 //! trace, and a JSON report (see [`observe`]). The figure binaries accept
 //! `--json <path>` to also write their plotted series as JSON. The
 //! `pool_bench` binary (see [`poolbench`]) measures the native runtime's
-//! work-stealing pool against its central-queue baseline, the
+//! work-stealing pool against its central-queue baseline, and the
 //! `lock_bench` binary (see [`lockbench`]) measures the
-//! concurrency-restricting lock against its bare inner spinlock, and the
-//! `serverd_bench` binary (see [`serverdbench`]) measures the control
-//! server's reactor core against the thread-per-connection baseline.
+//! concurrency-restricting lock against its bare inner spinlock. The
+//! end-to-end benchmark, control-plane throughput included, is
+//! `bench_all` (`crates/bench-all`).
 
 #![warn(missing_docs)]
 
@@ -24,8 +24,6 @@ pub mod observe;
 pub mod poolbench;
 pub mod report;
 pub mod scenario;
-#[cfg(unix)]
-pub mod serverdbench;
 
 pub use figures::{
     ablation_cache, ablation_crlock, ablation_policies, ablation_poll, baselines, fig1, fig3, fig4,

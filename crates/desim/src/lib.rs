@@ -15,8 +15,7 @@
 //! - [`SimRng`] — a local SplitMix64 generator, so results cannot drift with
 //!   `rand` version bumps;
 //! - [`Tracer`] — an append-only structured event log used to reconstruct
-//!   the paper's time-series figures;
-//! - [`Welford`], [`TimeWeighted`], [`DurHistogram`] — online statistics.
+//!   the paper's time-series figures.
 //!
 //! # Examples
 //!
@@ -38,12 +37,10 @@
 
 mod event;
 mod rng;
-mod stats;
 mod time;
 mod trace;
 
 pub use event::Calendar;
 pub use rng::SimRng;
-pub use stats::{DurHistogram, TimeWeighted, Welford};
 pub use time::{SimDur, SimTime, MSEC, SEC, USEC};
 pub use trace::{TraceEvent, Tracer};

@@ -1,6 +1,6 @@
 //! Property tests for the simulation engine.
 
-use desim::{Calendar, DurHistogram, SimDur, SimRng, SimTime, TimeWeighted};
+use desim::{Calendar, SimRng, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -76,36 +76,6 @@ proptest! {
         let mut b = SimRng::new(seed);
         for _ in 0..64 {
             prop_assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    /// A time-weighted average always lies between the signal's min and max.
-    #[test]
-    fn time_weighted_average_bounded(values in prop::collection::vec(0.0f64..100.0, 1..50)) {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, values[0]);
-        let mut t = SimTime::ZERO;
-        for (i, &v) in values.iter().enumerate().skip(1) {
-            t = SimTime::ZERO + SimDur::from_secs(i as u64);
-            tw.set(t, v);
-        }
-        let end = t + SimDur::from_secs(1);
-        let avg = tw.average(end);
-        let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(avg >= lo - 1e-9 && avg <= hi + 1e-9, "avg {} not in [{}, {}]", avg, lo, hi);
-    }
-
-    /// Histogram quantiles are monotone in q and total count is conserved.
-    #[test]
-    fn histogram_quantiles_monotone(samples in prop::collection::vec(0u64..10_000_000, 1..200)) {
-        let mut h = DurHistogram::exponential();
-        for &s in &samples {
-            h.record(SimDur(s));
-        }
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        let qs = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0];
-        for w in qs.windows(2) {
-            prop_assert!(h.quantile(w[0]) <= h.quantile(w[1]));
         }
     }
 }

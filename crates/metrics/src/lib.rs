@@ -3,22 +3,17 @@
 //! Turns `simkernel` traces into the data series behind the paper's
 //! figures (speed-up curves, wall-clock bars, runnable-process traces) and
 //! renders them as aligned text tables, quick ASCII charts, CSV, JSON run
-//! reports, and Perfetto-loadable Chrome trace-event files. Also provides
-//! the aggregation primitives the instrumentation layers share: named
-//! counters and log-bucketed mergeable histograms.
+//! reports, and Perfetto-loadable Chrome trace-event files. Runtime
+//! counters and histograms live in `native_rt::stats`.
 
 #![warn(missing_docs)]
 
-pub mod counters;
-pub mod histogram;
 pub mod json;
 pub mod perfetto;
 mod render;
 mod series;
 mod trace;
 
-pub use counters::Counters;
-pub use histogram::Histogram;
 pub use json::JsonValue;
 pub use perfetto::TraceBuilder;
 pub use render::{ascii_chart, series_csv, table};

@@ -1,6 +1,6 @@
 //! Property tests for series handling, rendering, and histograms.
 
-use metrics::{ascii_chart, series_csv, table, Histogram, Series};
+use metrics::{ascii_chart, series_csv, table, Series};
 use proptest::prelude::*;
 
 fn sorted_points() -> impl Strategy<Value = Vec<(f64, f64)>> {
@@ -96,66 +96,6 @@ proptest! {
             for s in &series {
                 prop_assert!(out.contains(&s.label), "label {} missing", s.label);
             }
-        }
-    }
-
-    /// Merging histograms loses no samples: counts, sums, and extrema all
-    /// match a histogram fed the concatenated inputs.
-    #[test]
-    fn histogram_merge_is_count_lossless(
-        a in prop::collection::vec(0u64..1u64 << 40, 0..200),
-        b in prop::collection::vec(0u64..1u64 << 40, 0..200),
-    ) {
-        let mut ha = Histogram::new();
-        let mut hb = Histogram::new();
-        let mut hall = Histogram::new();
-        for &v in &a {
-            ha.record(v);
-            hall.record(v);
-        }
-        for &v in &b {
-            hb.record(v);
-            hall.record(v);
-        }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.count(), (a.len() + b.len()) as u64);
-        prop_assert_eq!(ha.count(), hall.count());
-        prop_assert_eq!(ha.sum(), hall.sum());
-        prop_assert_eq!(ha.min(), hall.min());
-        prop_assert_eq!(ha.max(), hall.max());
-        let buckets: Vec<_> = ha.buckets().collect();
-        let expect: Vec<_> = hall.buckets().collect();
-        prop_assert_eq!(buckets, expect);
-    }
-
-    /// Merge order does not matter: a⊕b equals b⊕a bucket for bucket, and
-    /// quantiles agree.
-    #[test]
-    fn histogram_merge_is_order_independent(
-        a in prop::collection::vec(0u64..1u64 << 40, 0..200),
-        b in prop::collection::vec(0u64..1u64 << 40, 0..200),
-    ) {
-        let mut ha = Histogram::new();
-        for &v in &a {
-            ha.record(v);
-        }
-        let mut hb = Histogram::new();
-        for &v in &b {
-            hb.record(v);
-        }
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(ab.count(), ba.count());
-        prop_assert_eq!(ab.sum(), ba.sum());
-        prop_assert_eq!(ab.min(), ba.min());
-        prop_assert_eq!(ab.max(), ba.max());
-        let lhs: Vec<_> = ab.buckets().collect();
-        let rhs: Vec<_> = ba.buckets().collect();
-        prop_assert_eq!(lhs, rhs);
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            prop_assert_eq!(ab.quantile(q), ba.quantile(q));
         }
     }
 

@@ -4,7 +4,7 @@
 //! submit and dequeue serializes through one `Mutex<VecDeque>` and a
 //! global condvar — the saturated-lock collapse `pool_bench` quantifies.
 //! It stays in-tree so the comparison is reproducible on any host
-//! (`pool_bench --engine central` vs `--engine stealing`) and so the two
+//! (`pool_bench` runs every configuration on both engines) and so the two
 //! designs share the controller, stats, and safe-suspension-point
 //! semantics exactly.
 //!

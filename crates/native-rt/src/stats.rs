@@ -12,9 +12,8 @@
 //! per-worker [cells](crate::quiesce)) is summed into the snapshot under
 //! the same names, so the per-job path owns its lines.
 //!
-//! This intentionally mirrors (but does not depend on) the simulation-side
-//! `metrics` crate: the same power-of-two bucket scheme, so the two sides'
-//! histograms can be compared bucket-for-bucket in reports.
+//! This is the workspace's one counters/gauges/histograms implementation;
+//! the simulation side reports through its own ledgers and traces.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -223,24 +223,32 @@ pub fn steal_tiers(
 
 /// Parses a kernel cpulist ("0-3,8,10-11") into sorted, deduplicated
 /// CPU ids. Empty input is the empty set; `None` on malformed input.
+///
+/// The list is bounded by [`procctl::MAX_CPUS`], checked before anything
+/// is allocated: `None` for any id ≥ `MAX_CPUS` and for a list that
+/// expands to more than `MAX_CPUS` ids before dedup, so a client's
+/// `cpus=` text cannot make the server allocate without bound. On a host
+/// with larger ids, sysfs discovery skips such a `shared_cpu_list` and
+/// groups those CPUs' LLC by package instead.
 pub fn parse_cpulist(s: &str) -> Option<Vec<u32>> {
     let s = s.trim();
     let mut out = Vec::new();
     if s.is_empty() {
         return Some(out);
     }
+    let max = procctl::MAX_CPUS;
     for part in s.split(',') {
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                let lo: u32 = lo.trim().parse().ok()?;
-                let hi: u32 = hi.trim().parse().ok()?;
-                if lo > hi || hi - lo >= 1 << 20 {
-                    return None;
-                }
-                out.extend(lo..=hi);
+        let (lo, hi): (u32, u32) = match part.split_once('-') {
+            Some((lo, hi)) => (lo.trim().parse().ok()?, hi.trim().parse().ok()?),
+            None => {
+                let id = part.trim().parse().ok()?;
+                (id, id)
             }
-            None => out.push(part.trim().parse().ok()?),
+        };
+        if lo > hi || hi >= max || out.len() + (hi - lo) as usize >= max as usize {
+            return None;
         }
+        out.extend(lo..=hi);
     }
     out.sort_unstable();
     out.dedup();
@@ -393,6 +401,11 @@ mod tests {
         assert_eq!(parse_cpulist("3-1"), None);
         assert_eq!(parse_cpulist("a"), None);
         assert_eq!(parse_cpulist("0-"), None);
+        // Bounded by MAX_CPUS (4096): ids and the total before dedup.
+        assert_eq!(parse_cpulist("0-4095").map(|l| l.len()), Some(4096));
+        assert_eq!(parse_cpulist("4096"), None);
+        assert_eq!(parse_cpulist("0-4096"), None);
+        assert_eq!(parse_cpulist("0-4095,0-4095"), None);
     }
 
     #[test]

@@ -2353,6 +2353,21 @@ mod tests {
     }
 
     #[test]
+    fn oversized_cpulist_in_a_wait_poll_is_malformed() {
+        // 64 ranges of 2^20 ids each: 669 bytes on the wire that would
+        // ask the single reactor thread for 256 MiB of CPU ids.
+        let ranges = vec!["0-1048575"; 64].join(",");
+        let frame = format!("POLL 1 cpus wait 10 4 42 cpus={ranges}");
+        let mut server = WireSession::new(UdsServerConfig::new("/nonexistent", 8), 7);
+        let now = Instant::now();
+        server.answer("REGISTER 1 4", now);
+        let malformed = |s: &WireSession| s.registry.snapshot().counters["malformed"];
+        let before = malformed(&server);
+        assert_eq!(server.answer(&frame, now), "ERR malformed\n");
+        assert_eq!(malformed(&server), before + 1);
+    }
+
+    #[test]
     fn absurd_nworkers_rejected_over_the_wire() {
         let path = sock_path("absurd");
         let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");

@@ -236,9 +236,12 @@ proptest! {
         prop_assert_eq!(parse_cpulist(&rendered).expect("own output parses"), ids);
     }
 
-    /// The parser never panics on arbitrary short strings.
+    /// The parser never panics on arbitrary short strings, and anything
+    /// it accepts holds at most `MAX_CPUS` ids.
     #[test]
     fn cpulist_parser_total(s in "[0-9,\\- ]{0,24}") {
-        let _ = parse_cpulist(&s);
+        if let Some(ids) = parse_cpulist(&s) {
+            prop_assert!(ids.len() <= procctl::MAX_CPUS as usize);
+        }
     }
 }

@@ -208,7 +208,7 @@ fn main() {
 
     // Drain the server's journal for this app (shipped ring events plus
     // the post-restart decision instants) and merge it into a Perfetto
-    // fleet timeline — the wire-path twin of `pool_bench --trace-out`.
+    // fleet timeline — the wire-path twin of `fleettrace::fleet_drill`.
     match observer
         .trace(std::process::id(), None)
         .expect("TRACE over the wire")
