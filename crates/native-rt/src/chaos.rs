@@ -504,7 +504,8 @@ fn spawn_pumps(
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::uds::{UdsClient, UdsServer, UdsServerConfig};
+    use crate::uds::{UdsClient, UdsServer};
+    use crate::UdsServerConfig;
     use std::time::Instant;
 
     fn paths(tag: &str) -> (PathBuf, PathBuf) {

@@ -1,20 +1,25 @@
 //! The in-process central controller — the native analog of the paper's
 //! user-level server.
 //!
-//! Thread pools register with one [`Controller`]; a background thread
-//! periodically recomputes each pool's target number of *unsuspended*
-//! workers with the same fair-partition arithmetic the simulated server
-//! uses ([`procctl::partition`]), capped by each pool's worker count, at
-//! least one each. Pools read their target atomically at safe points.
+//! Thread pools register with one [`Controller`], which drives one
+//! [`ControlCore`](crate::control): a pool is a registration, a dropped
+//! pool a departure, and its target and CPU set are the core's partition
+//! and carve — the same ones every `UdsServer` reply is cut from. A
+//! background thread republishes them periodically; `register` and
+//! `recompute_now` do so at once. Each recompute departs the dead pools,
+//! reads the partition and stores it into the live pools' slots under one
+//! lock, so two recomputes never interleave and the last one stored is
+//! the newest. Pools read their target atomically at safe points.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use procctl::{assign_cpu_sets, partition, AppDemand};
 
+use crate::control::{ControlCore, UdsServerConfig};
 use crate::topology::CpuTopology;
 
 /// Per-pool slot the controller writes targets into.
@@ -79,18 +84,44 @@ impl TargetSlot {
     }
 }
 
-struct Registry {
-    pools: Vec<Weak<TargetSlot>>,
+/// The registered pools and the core that partitions among them.
+struct Pools {
+    core: ControlCore,
+    /// `(registration id, slot)` in registration order — the core's
+    /// partition order.
+    slots: Vec<(u32, Weak<TargetSlot>)>,
+    next_id: u32,
+}
+
+impl Pools {
+    /// Departs the pools that were dropped (the native analog of the BYE
+    /// message) and stores the partition into the live ones.
+    fn recompute(&mut self) {
+        let Pools { core, slots, .. } = self;
+        slots.retain(|(id, slot)| {
+            let live = slot.strong_count() > 0;
+            if !live {
+                core.depart(*id);
+            }
+            live
+        });
+        for ((id, slot), (pid, target, cpus)) in slots.iter().zip(core.assignments(Instant::now()))
+        {
+            debug_assert_eq!(*id, pid, "pool slots out of partition order");
+            // A pool dropped since the retain keeps its share until the
+            // next recompute departs it.
+            if let Some(slot) = slot.upgrade() {
+                slot.target.store(target as usize, Ordering::Release);
+                slot.set_cpus(Some(cpus.collect()));
+            }
+        }
+    }
 }
 
 /// The centralized controller.
 pub struct Controller {
     cpus: usize,
-    /// CPU ids in topological order (SMT siblings adjacent, then LLC
-    /// groups, then sockets) — the order contiguous CPU sets are cut
-    /// from at every recompute.
-    cpu_order: Arc<Vec<u32>>,
-    registry: Arc<Mutex<Registry>>,
+    pools: Arc<Mutex<Pools>>,
     // sched-atomic(handoff): Release store on shutdown; the ticker's
     // Acquire load pairs with it before the final recompute.
     stop: Arc<AtomicBool>,
@@ -120,81 +151,63 @@ impl Controller {
         // exactly its CPUs; otherwise (tests, simulated sizes) use the
         // deterministic synthetic layout of the requested size.
         let detected = CpuTopology::shared();
-        let topo = if detected.len() == cpus {
-            Arc::clone(detected)
+        let order = if detected.len() == cpus {
+            detected.linear_order()
         } else {
-            Arc::new(CpuTopology::synthetic(cpus))
+            CpuTopology::synthetic(cpus).linear_order()
         };
-        let cpu_order = Arc::new(topo.linear_order());
-        let registry = Arc::new(Mutex::new(Registry { pools: Vec::new() }));
+        Ok(Self::start(cpus, order, interval))
+    }
+
+    /// A controller cutting CPU sets from `cpu_order` (topological order:
+    /// SMT siblings adjacent, then LLC groups, then sockets).
+    fn start(cpus: usize, cpu_order: Vec<u32>, interval: Duration) -> Self {
+        let mut cfg = UdsServerConfig::new(PathBuf::new(), cpus);
+        cfg.cpu_order = Some(cpu_order);
+        let pools = Arc::new(Mutex::new(Pools {
+            core: ControlCore::new(cfg, 0),
+            slots: Vec::new(),
+            next_id: 0,
+        }));
         let stop = Arc::new(AtomicBool::new(false));
         let ticker = {
-            let registry = Arc::clone(&registry);
+            let pools = Arc::clone(&pools);
             let stop = Arc::clone(&stop);
-            let cpu_order = Arc::clone(&cpu_order);
             std::thread::Builder::new()
                 .name("procctl-server".into())
                 .spawn(move || {
                     while !stop.load(Ordering::Acquire) {
-                        Self::recompute(&registry, cpus, &cpu_order);
-                        std::thread::sleep(interval);
+                        pools.lock().recompute();
+                        sleep_unless_stopped(&stop, interval);
                     }
                 })
                 .expect("spawn controller thread")
         };
-        Ok(Controller {
+        Controller {
             cpus,
-            cpu_order,
-            registry,
+            pools,
             stop,
             ticker: Some(ticker),
-        })
+        }
     }
 
-    /// Registers a pool; returns its target slot (initialized to the whole
-    /// machine until the first recompute, like the simulated server).
+    /// Registers a pool; returns its target slot, already holding the
+    /// pool's share of the partition that includes it.
     pub fn register(&self, nworkers: usize) -> Arc<TargetSlot> {
-        let slot = Arc::new(TargetSlot {
-            target: AtomicUsize::new(self.cpus.min(nworkers.max(1))),
-            nworkers,
-            cpuset: Mutex::new(None),
-            cpuset_gen: AtomicUsize::new(0),
-        });
-        self.registry.lock().pools.push(Arc::downgrade(&slot));
-        Self::recompute(&self.registry, self.cpus, &self.cpu_order);
+        let slot = Arc::new(TargetSlot::new(nworkers));
+        let mut pools = self.pools.lock();
+        let id = pools.next_id;
+        pools.next_id = id.wrapping_add(1);
+        let nworkers = u32::try_from(nworkers).unwrap_or(u32::MAX);
+        pools.core.admit(id, nworkers, Instant::now());
+        pools.slots.push((id, Arc::downgrade(&slot)));
+        pools.recompute();
         slot
     }
 
     /// Recomputes all live pools' targets now (also called by the ticker).
     pub fn recompute_now(&self) {
-        Self::recompute(&self.registry, self.cpus, &self.cpu_order);
-    }
-
-    fn recompute(registry: &Mutex<Registry>, cpus: usize, cpu_order: &[u32]) {
-        let mut reg = registry.lock();
-        // Drop dead pools (their `Arc` slots were released on pool drop —
-        // the native analog of the BYE message).
-        reg.pools.retain(|w| w.strong_count() > 0);
-        let slots: Vec<Arc<TargetSlot>> = reg.pools.iter().filter_map(Weak::upgrade).collect();
-        drop(reg);
-        if slots.is_empty() {
-            return;
-        }
-        let demands: Vec<AppDemand> = slots
-            .iter()
-            .map(|s| AppDemand::new(s.nworkers as u32))
-            .collect();
-        // Effective targets (with the floor of one) drive both counts and
-        // CPU-set slices, so every pool's set matches its target size.
-        let targets: Vec<u32> = partition(cpus as u32, 0, &demands)
-            .into_iter()
-            .map(|t| t.max(1))
-            .collect();
-        let sets = assign_cpu_sets(cpu_order, &targets);
-        for ((slot, t), set) in slots.iter().zip(&targets).zip(sets) {
-            slot.target.store(*t as usize, Ordering::Release);
-            slot.set_cpus(Some(set));
-        }
+        self.pools.lock().recompute();
     }
 
     /// Number of processors this controller partitions.
@@ -207,14 +220,30 @@ impl Drop for Controller {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.ticker.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
+    }
+}
+
+/// Sleeps `dur`, or until the owner of `stop` raises it and unparks this
+/// thread (a [`Controller`]'s or a `PollerGuard`'s drop).
+// sched-atomic(handoff): parameter view of Controller::stop.
+pub(crate) fn sleep_unless_stopped(stop: &AtomicBool, dur: Duration) {
+    let wake = Instant::now() + dur;
+    while !stop.load(Ordering::Acquire) {
+        let left = wake.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        std::thread::park_timeout(left);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn single_pool_gets_whole_machine() {
@@ -254,6 +283,51 @@ mod tests {
         } // b dropped
         c.recompute_now();
         assert_eq!(a.target.load(Ordering::Acquire), 8);
+    }
+
+    /// A pool dropped while another thread recomputes in a loop: once the
+    /// dropping thread's own recompute has returned and the other thread
+    /// has finished, the last partition stored must not include the dead
+    /// pool.
+    #[test]
+    fn a_recompute_racing_a_drop_never_publishes_the_stale_partition() {
+        let c = Controller::new(8, Duration::from_millis(50));
+        let a = c.register(16);
+        let mut stale = 0;
+        for _ in 0..300 {
+            let stop = AtomicBool::new(false);
+            let spins = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Acquire) {
+                        c.recompute_now();
+                        spins.fetch_add(1, Ordering::Release);
+                    }
+                });
+                while spins.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+                drop(c.register(16));
+                c.recompute_now();
+                stop.store(true, Ordering::Release);
+            });
+            if a.target.load(Ordering::Acquire) != 8 || a.cpus().map(|s| s.len()) != Some(8) {
+                stale += 1;
+            }
+        }
+        assert_eq!(stale, 0, "{stale} of 300 rounds ended on a stale partition");
+    }
+
+    #[test]
+    fn drop_does_not_wait_out_the_ticker_interval() {
+        let c = Controller::new(8, Duration::from_secs(10));
+        let _a = c.register(16);
+        // Let the ticker reach its sleep.
+        std::thread::sleep(Duration::from_millis(20));
+        let start = Instant::now();
+        drop(c);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "drop took {took:?}");
     }
 
     #[test]
@@ -315,6 +389,74 @@ mod tests {
         while a.target.load(Ordering::Acquire) != 4 {
             assert!(std::time::Instant::now() < deadline, "ticker never ran");
             std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// The wire reply to `POLL <pid> cpus`: the target and the CPU set,
+    /// sorted.
+    fn wire_target(core: &mut ControlCore, pid: u32, now: Instant) -> (usize, Vec<u32>) {
+        let mut reply = String::new();
+        core.frame(0, format!("POLL {pid} cpus").as_bytes(), now, |r| {
+            reply.push_str(r)
+        });
+        let fields: Vec<&str> = reply.split_whitespace().collect();
+        let ["TARGET", target, _, cpus] = fields.as_slice() else {
+            panic!("unexpected reply {reply:?}");
+        };
+        let cpus = crate::topology::parse_cpulist(cpus.strip_prefix("cpus=").expect("cpus="))
+            .expect("cpulist");
+        (target.parse().expect("target"), cpus)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-process controller and the wire hand out the same
+        /// carve: after each recompute, every pool's slot holds exactly
+        /// the target and CPU set that `POLL <pid> cpus` answers for the
+        /// same registrations, in the same order, on the same CPU order —
+        /// also after a pool is dropped (a `BYE` on the wire).
+        #[test]
+        fn controller_slots_match_the_wire_replies(
+            cpus in 1usize..65,
+            shuffle in any::<u64>(),
+            workers in prop::collection::vec(1usize..48, 1..13),
+            dropped in any::<usize>(),
+        ) {
+            let mut order: Vec<u32> = (0..cpus as u32).collect();
+            let mut x = shuffle;
+            for i in (1..order.len()).rev() {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                order.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            let controller = Controller::start(cpus, order.clone(), Duration::from_secs(3600));
+            let mut cfg = UdsServerConfig::new(PathBuf::new(), cpus);
+            cfg.prune_dead = false;
+            cfg.cpu_order = Some(order);
+            let mut wire = ControlCore::new(cfg, 1);
+            let now = Instant::now();
+            let mut pools: Vec<Option<Arc<TargetSlot>>> = Vec::new();
+            for (pid, &n) in workers.iter().enumerate() {
+                pools.push(Some(controller.register(n)));
+                wire.frame(0, format!("REGISTER {pid} {n}").as_bytes(), now, |_| {});
+            }
+            let dropped = dropped % pools.len();
+            for round in 0..2 {
+                if round == 1 {
+                    pools[dropped] = None;
+                    wire.frame(0, format!("BYE {dropped}").as_bytes(), now, |_| {});
+                }
+                controller.recompute_now();
+                for (pid, slot) in pools.iter().enumerate() {
+                    let Some(slot) = slot else { continue };
+                    let (target, set) = wire_target(&mut wire, pid as u32, now);
+                    prop_assert_eq!(slot.target.load(Ordering::Acquire), target);
+                    let mut slot_set = slot.cpus().expect("a set").to_vec();
+                    slot_set.sort_unstable();
+                    slot_set.dedup();
+                    prop_assert_eq!(slot_set, set, "pool {} of {:?} on {} cpus", pid, workers, cpus);
+                }
+            }
         }
     }
 }

@@ -46,6 +46,7 @@
 pub mod baseline;
 #[cfg(unix)]
 pub mod chaos;
+mod control;
 mod controller;
 pub mod crlock;
 pub mod deque;
@@ -67,6 +68,10 @@ mod uds;
 pub use baseline::CentralPool;
 #[cfg(unix)]
 pub use chaos::{ChaosConfig, ChaosProxy, JobChaos, JobFault};
+pub use control::{
+    ControlCore, ServerEngine, UdsServerConfig, DEFAULT_JOURNAL_CAP, DEFAULT_LEASE_TTL,
+    DEFAULT_TRACE_MAX,
+};
 pub use controller::{Controller, TargetSlot};
 pub use crlock::{
     AdaptiveConfig, AdaptiveSizer, Admission, CrConfig, CrGate, CrGuard, CrLock, RawLock,
@@ -85,7 +90,6 @@ pub use topology::{CpuRecord, CpuTopology, NUM_STEAL_TIERS, STEAL_TIER_NAMES};
 pub use trace::{EventKind, FlightRecorder, SpscRing, TraceEvent};
 #[cfg(unix)]
 pub use uds::{
-    AppStatsEntry, CpusPollReply, EventsReply, PollReply, PollerGuard, ServerEngine, StatsAllReply,
-    TraceReply, UdsClient, UdsServer, UdsServerConfig, WireSession, DEFAULT_IO_TIMEOUT,
-    DEFAULT_JOURNAL_CAP, DEFAULT_LEASE_TTL, DEFAULT_TRACE_MAX,
+    AppStatsEntry, CpusPollReply, EventsReply, PollReply, PollerGuard, StatsAllReply, TraceReply,
+    UdsClient, UdsServer, DEFAULT_IO_TIMEOUT,
 };

@@ -1,4 +1,4 @@
-//! The single-threaded reactor core of the control server.
+//! The single-threaded reactor: the control server's sockets.
 //!
 //! Tucker & Gupta's centralized server must be cheaper than the
 //! resource it manages; a thread-per-connection control plane inverts
@@ -6,46 +6,45 @@
 //! thousands of mostly-idle server threads contending on one state
 //! mutex, the exact saturated-centralized-resource collapse the server
 //! exists to prevent. The reactor removes both costs: **one** thread
-//! owns every connection's state machine *and* the
-//! [`ServerState`](crate::uds) outright (no `Mutex`, no handoff), and a
-//! readiness loop (epoll on Linux, `poll(2)` elsewhere — hand-rolled
-//! FFI, matching the repo's zero-extra-dependency style) multiplexes
-//! thousands of sockets through it.
+//! owns every connection *and* the server's `ControlCore` outright (no
+//! `Mutex`, no handoff), and a readiness loop (epoll on Linux, `poll(2)`
+//! elsewhere — hand-rolled FFI, matching the repo's zero-extra-dependency
+//! style) multiplexes thousands of sockets through it. The core owns the
+//! state and the order each wakeup's events touch it in; the reactor
+//! owns only sockets, [`FrameBuffer`]s and flushes.
 //!
 //! Per wakeup, the loop:
 //!
-//! 1. drains every ready socket into its connection's [`FrameBuffer`]
+//! 1. expires the leases due by now (the core's deadline-ordered timer
+//!    queue: the wait timeout is the earliest lease or hold deadline, so
+//!    neither needs per-poll scans or idle spinning),
+//! 2. drains every ready socket into its connection's [`FrameBuffer`]
 //!    (frames split across read boundaries reassemble; pipelined frames
-//!    all surface at once),
-//! 2. answers each complete frame through
-//!    [`handle_line_into`](crate::uds), appending replies to the
-//!    connection's write buffer,
+//!    all surface at once) and hands each complete frame to the core,
+//!    appending its replies to the connection's write buffer,
 //! 3. flushes each touched connection **once** (replies batched per
-//!    wakeup: N pipelined polls cost one `write(2)`, not N),
-//! 4. releases the parked polls ([`Waiters`](crate::uds)) whose answer
-//!    the wakeup changed or whose hold ran out, after step 3, so whoever
-//!    caused a change hears `OK` before anyone hears its consequence, and
-//! 5. fires due lease timers from the server state's deadline-ordered
-//!    queue (the wait timeout is the earliest lease or hold deadline, so
-//!    neither needs per-poll scans or idle spinning).
+//!    wakeup: N pipelined polls cost one `write(2)`, not N), and
+//! 4. has the core release the parked polls whose answer the wakeup
+//!    changed or whose hold ran out, after step 3, so whoever caused a
+//!    change hears `OK` before anyone hears its consequence.
 //!
-//! Observability: `reactor_wakeups` counts readiness-loop returns,
+//! Observability: `reactor_wakeups` counts readiness-loop returns and
 //! `frames_batched` counts frames served beyond the first of each
-//! wakeup (the pipelining/batching win), and the server state's
-//! `timer_fires` / `recompute_coalesced` count timer pops and partition
-//! recomputations saved by the dirty-flag gate. See DESIGN.md §13.
+//! wakeup (the pipelining/batching win); the core's `timer_fires` /
+//! `recompute_coalesced` count timer pops and partition recomputations
+//! saved by the dirty-flag gate. See DESIGN.md §13.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::stats::Registry;
-use crate::uds::{
-    handle_line_into, write_snapshot, FrameEnv, Handled, ServerState, UdsServerConfig, Waiters,
-};
+use crate::control::ControlCore;
+use crate::stats::Counter;
+use crate::uds::write_snapshot;
 
 /// The longest line the reactor will buffer for one frame before
 /// answering `ERR malformed` and dropping the connection. Generous —
@@ -159,10 +158,6 @@ struct Conn {
     /// Close once `wbuf` drains (EOF seen or a fatal protocol error —
     /// the reply is still delivered first: no silent drops).
     closing: bool,
-    /// The last frame served was a wait-form POLL whose reply the
-    /// server's [`Waiters`] still owe. Stays readable: EOF forgets the
-    /// park, a later frame releases it first.
-    parked: bool,
 }
 
 impl Conn {
@@ -174,7 +169,6 @@ impl Conn {
             wpos: 0,
             want_write: false,
             closing: false,
-            parked: false,
         }
     }
 
@@ -423,153 +417,153 @@ mod sys {
 /// The listener's poller token; connections get ids counting up from 0.
 const LISTENER_TOKEN: u64 = u64::MAX;
 
-/// Runs the reactor until `stop` is raised. Owns the listener, every
-/// connection, and the server state; on a poller setup failure the
-/// error is reported and the server goes dark.
-pub(crate) fn serve(
+/// The server's event loop, with the core it drives and the two
+/// statistics only the loop can count.
+pub(crate) struct Reactor {
     listener: UnixListener,
-    mut state: ServerState,
-    cfg: &UdsServerConfig,
-    stop: &AtomicBool,
-    registry: &Registry,
-    epoch: u64,
-) {
-    let mut poller = match sys::Poller::new() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("procctl reactor: cannot create poller: {e}");
-            return;
+    core: ControlCore,
+    reactor_wakeups: Counter,
+    frames_batched: Counter,
+}
+
+impl Reactor {
+    /// A reactor serving `core` on `listener` (not yet running).
+    pub(crate) fn new(listener: UnixListener, core: ControlCore) -> Reactor {
+        let registry = Arc::clone(core.registry());
+        Reactor {
+            listener,
+            core,
+            reactor_wakeups: registry.counter("reactor_wakeups"),
+            frames_batched: registry.counter("frames_batched"),
         }
-    };
-    if let Err(e) = poller.add(listener.as_raw_fd(), LISTENER_TOKEN, false) {
-        eprintln!("procctl reactor: cannot watch listener: {e}");
-        return;
     }
-    let wakeups = registry.counter("reactor_wakeups");
-    let batched = registry.counter("frames_batched");
 
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut waiters = Waiters::default();
-    let mut next_token: u64 = 0;
-    let mut ready: Vec<(u64, bool, bool)> = Vec::new();
-    let mut released: Vec<u64> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut reply = String::new();
-    let mut last_snapshot = Instant::now();
-
-    while !stop.load(Ordering::Acquire) {
-        // Sleep until traffic, the next lease deadline or the next hold
-        // deadline, capped so the stop flag stays responsive.
-        let deadline = match (state.next_lease_deadline(), waiters.next_deadline()) {
-            (Some(lease), Some(hold)) => Some(lease.min(hold)),
-            (lease, hold) => lease.or(hold),
-        };
-        let timeout_ms = match deadline {
-            Some(at) => {
-                // Rounded up: a wait that ends a fraction of a
-                // millisecond early would find nothing due and spin.
-                let left = at.saturating_duration_since(Instant::now());
-                let ms = left.as_micros().div_ceil(1000);
-                (ms.min(MAX_WAIT_MS as u128) as i32).max(0)
+    /// Runs the loop until `stop` is raised. On a poller setup failure
+    /// the error is reported and the server goes dark.
+    pub(crate) fn serve(self, stop: &AtomicBool) {
+        let Reactor {
+            listener,
+            mut core,
+            reactor_wakeups,
+            frames_batched,
+        } = self;
+        let mut poller = match sys::Poller::new() {
+            Ok(p) => p,
+            Err(e) => {
+                eprintln!("procctl reactor: cannot create poller: {e}");
+                return;
             }
-            None => MAX_WAIT_MS,
         };
-        ready.clear();
-        if let Err(e) = poller.wait(timeout_ms, &mut ready) {
-            eprintln!("procctl reactor: wait failed: {e}");
+        if let Err(e) = poller.add(listener.as_raw_fd(), LISTENER_TOKEN, false) {
+            eprintln!("procctl reactor: cannot watch listener: {e}");
             return;
         }
-        wakeups.incr();
-        // One clock read serves the whole wakeup: the lease math is
-        // 30-second-granular, and a wakeup is microseconds long.
-        let now = Instant::now();
-        let env = FrameEnv {
-            cfg,
-            registry,
-            epoch,
-            now,
-        };
-        // Fire due lease timers (cheap heap peek when nothing is due;
-        // the /proc liveness sweep throttles itself inside).
-        state.prune(cfg, now);
-        // Periodic crash-recovery snapshot, off the same timer wakeups
-        // (the wait cap bounds staleness; the hot frame path below is
-        // untouched when no interval has elapsed).
-        if cfg.snapshot_path.is_some() && now.duration_since(last_snapshot) >= cfg.snapshot_interval
-        {
-            write_snapshot(&state, cfg, epoch, now);
-            last_snapshot = now;
-        }
 
-        // Phase 1: accept and drain every ready socket, staging batched
-        // replies. Nothing is written back yet, so the wakeup's frame
-        // accounting below is complete before any client can observe
-        // (and race) it.
-        let mut frames_this_wakeup: u64 = 0;
-        for &(token, readable, _) in &ready {
-            if token == LISTENER_TOKEN {
-                accept_ready(&listener, &mut poller, &mut conns, &mut next_token);
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
+        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let mut next_token: u64 = 0;
+        let mut ready: Vec<(u64, bool, bool)> = Vec::new();
+        let mut released: Vec<u64> = Vec::new();
+        let mut scratch = vec![0u8; 64 * 1024];
+        let mut last_snapshot = Instant::now();
+
+        while !stop.load(Ordering::Acquire) {
+            // Sleep until traffic, the next lease deadline or the next
+            // hold deadline, capped so the stop flag stays responsive.
+            let timeout_ms = match core.next_deadline() {
+                Some(at) => {
+                    // Rounded up: a wait that ends a fraction of a
+                    // millisecond early would find nothing due and spin.
+                    let left = at.saturating_duration_since(Instant::now());
+                    let ms = left.as_micros().div_ceil(1000);
+                    (ms.min(MAX_WAIT_MS as u128) as i32).max(0)
+                }
+                None => MAX_WAIT_MS,
             };
-            if readable && !conn.closing {
-                let mut serving = Serving {
-                    scratch: &mut scratch,
-                    reply: &mut reply,
-                    state: &mut state,
-                    waiters: &mut waiters,
-                };
-                frames_this_wakeup += drain_and_handle(token, conn, &mut serving, &env);
+            ready.clear();
+            if let Err(e) = poller.wait(timeout_ms, &mut ready) {
+                eprintln!("procctl reactor: wait failed: {e}");
+                return;
             }
-        }
-        if frames_this_wakeup > 1 {
-            batched.add(frames_this_wakeup - 1);
-        }
+            reactor_wakeups.incr();
+            // One clock read serves the whole wakeup: the lease math is
+            // 30-second-granular, and a wakeup is microseconds long.
+            let now = Instant::now();
+            // Fire due lease timers (cheap heap peek when nothing is due;
+            // the /proc liveness sweep throttles itself inside).
+            core.expire(now);
+            // Periodic crash-recovery snapshot, off the same timer
+            // wakeups (the wait cap bounds staleness; the hot frame path
+            // below is untouched when no interval has elapsed).
+            let cfg = core.cfg();
+            if cfg.snapshot_path.is_some()
+                && now.duration_since(last_snapshot) >= cfg.snapshot_interval
+            {
+                write_snapshot(&core, now);
+                last_snapshot = now;
+            }
 
-        // Phase 2: flush each touched connection once — N pipelined
-        // frames cost one write(2) — managing EPOLLOUT interest for the
-        // rare short write.
-        let mut dead: Vec<u64> = Vec::new();
-        for &(token, readable, writable) in &ready {
-            if token != LISTENER_TOKEN && (readable || writable) {
+            // Phase 1: accept and drain every ready socket, staging
+            // batched replies. Nothing is written back yet, so the
+            // wakeup's frame accounting below is complete before any
+            // client can observe (and race) it.
+            let mut frames_this_wakeup: u64 = 0;
+            for &(token, readable, _) in &ready {
+                if token == LISTENER_TOKEN {
+                    accept_ready(&listener, &mut poller, &mut conns, &mut next_token);
+                    continue;
+                }
+                let Some(conn) = conns.get_mut(&token) else {
+                    continue;
+                };
+                if readable && !conn.closing {
+                    frames_this_wakeup +=
+                        drain_and_handle(token, conn, &mut scratch, &mut core, now);
+                }
+            }
+            if frames_this_wakeup > 1 {
+                frames_batched.add(frames_this_wakeup - 1);
+            }
+
+            // Phase 2: flush each touched connection once — N pipelined
+            // frames cost one write(2) — managing EPOLLOUT interest for
+            // the rare short write.
+            let mut dead: Vec<u64> = Vec::new();
+            for &(token, readable, writable) in &ready {
+                if token != LISTENER_TOKEN && (readable || writable) {
+                    flush_conn(token, &mut conns, &mut poller, &mut dead);
+                }
+            }
+
+            // Phase 3: the parked polls this wakeup released — by what
+            // its frames or its expired leases did to the partition, or
+            // by a hold running out — written after the wakeup's own
+            // replies. Staged first and flushed after, like phases 1 and
+            // 2: a client that reads its release and asks for `STATS`
+            // finds the `parked` gauge already moved.
+            released.clear();
+            core.release(now, |token, line| {
+                if let Some(conn) = conns.get_mut(&token) {
+                    conn.wbuf.extend_from_slice(line.as_bytes());
+                    released.push(token);
+                }
+            });
+            for &token in &released {
                 flush_conn(token, &mut conns, &mut poller, &mut dead);
             }
-        }
 
-        // Phase 3: the parked polls this wakeup released — by what its
-        // frames or its expired leases did to the partition, or by a hold
-        // running out — written after the wakeup's own replies.
-        // Staged first and flushed after, like phases 1 and 2: a client
-        // that reads its release and asks for `STATS` finds the `parked`
-        // gauge already moved.
-        released.clear();
-        waiters.release(&mut state, &env, &mut reply, |token, line| {
-            if let Some(conn) = conns.get_mut(&token) {
-                conn.parked = false;
-                conn.wbuf.extend_from_slice(line.as_bytes());
-                released.push(token);
-            }
-        });
-        for &token in &released {
-            flush_conn(token, &mut conns, &mut poller, &mut dead);
-        }
-
-        for token in dead {
-            if let Some(conn) = conns.remove(&token) {
-                poller.remove(conn.stream.as_raw_fd());
-                if conn.parked {
-                    // A write failed behind a frame that had just parked.
-                    waiters.forget(token, &state);
+            for token in dead {
+                if let Some(conn) = conns.remove(&token) {
+                    poller.remove(conn.stream.as_raw_fd());
+                    // A write may have failed behind a frame that parked.
+                    core.hang_up(token);
                 }
             }
         }
+        // Final write on the way out: a graceful shutdown (SIGTERM →
+        // drop) persists everything served, so the next boot restores
+        // the exact fleet this instance was managing.
+        write_snapshot(&core, Instant::now());
     }
-    // Final write on the way out: a graceful shutdown (SIGTERM → drop)
-    // persists everything served, so the next boot restores the exact
-    // fleet this instance was managing.
-    write_snapshot(&state, cfg, epoch, Instant::now());
 }
 
 /// Writes out what `token`'s connection has staged, keeping EPOLLOUT
@@ -629,31 +623,24 @@ fn accept_ready(
     }
 }
 
-/// What serving a frame reads and writes besides its connection.
-struct Serving<'a> {
-    scratch: &'a mut [u8],
-    reply: &'a mut String,
-    state: &'a mut ServerState,
-    waiters: &'a mut Waiters,
-}
-
-/// Drains the socket, answers every complete frame, and stages the
-/// batched replies in the connection's write buffer. Returns the number
-/// of frames served.
+/// Drains the socket, has `core` answer every complete frame, and stages
+/// the batched replies in the connection's write buffer. Returns the
+/// number of frames served.
 fn drain_and_handle(
     token: u64,
     conn: &mut Conn,
-    serving: &mut Serving<'_>,
-    env: &FrameEnv<'_>,
+    scratch: &mut [u8],
+    core: &mut ControlCore,
+    now: Instant,
 ) -> u64 {
     let mut eof = false;
     loop {
-        match conn.stream.read(serving.scratch) {
+        match conn.stream.read(scratch) {
             Ok(0) => {
                 eof = true;
                 break;
             }
-            Ok(n) => conn.frames.extend(&serving.scratch[..n]),
+            Ok(n) => conn.frames.extend(&scratch[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -663,18 +650,13 @@ fn drain_and_handle(
         }
     }
     let mut frames: u64 = 0;
+    let wbuf = &mut conn.wbuf;
+    let mut stage = |reply: &str| wbuf.extend_from_slice(reply.as_bytes());
     while let Some(range) = conn.frames.next_frame_range() {
         frames += 1;
         // Field-disjoint borrows: the frame bytes stay in `conn.frames`
         // (no per-frame copy) while the reply lands in `conn.wbuf`.
-        if !answer_frame(
-            token,
-            conn.frames.frame_bytes(&range),
-            &mut conn.wbuf,
-            &mut conn.parked,
-            serving,
-            env,
-        ) {
+        if !core.frame(token, conn.frames.frame_bytes(&range), now, &mut stage) {
             conn.closing = true;
             break;
         }
@@ -682,8 +664,8 @@ fn drain_and_handle(
     if !conn.closing && conn.frames.pending() > MAX_FRAME {
         // An unbounded line: answer (no silent drops) and drop the
         // connection — the stream offset is unrecoverable.
-        env.registry.counter("malformed").incr();
-        conn.wbuf.extend_from_slice(b"ERR malformed\n");
+        core.hot.malformed.incr();
+        stage("ERR malformed\n");
         conn.closing = true;
     }
     if eof && !conn.closing {
@@ -692,67 +674,15 @@ fn drain_and_handle(
         let residue = conn.frames.take_residue();
         if !residue.is_empty() {
             frames += 1;
-            answer_frame(
-                token,
-                &residue,
-                &mut conn.wbuf,
-                &mut conn.parked,
-                serving,
-                env,
-            );
+            core.frame(token, &residue, now, &mut stage);
         }
         conn.closing = true;
     }
-    if conn.closing && conn.parked {
-        // Nobody is left to hear the reply.
-        serving.waiters.forget(token, serving.state);
-        conn.parked = false;
+    if conn.closing {
+        // Nobody is left to hear a parked poll's reply.
+        core.hang_up(token);
     }
     frames
-}
-
-/// Answers one frame, appending the reply to `wbuf` (via the reusable
-/// `reply` scratch) — after the reply a park on this connection still
-/// owed, so replies stay in frame order — or parks it. Returns false
-/// when the connection must close (non-UTF-8 on the wire).
-fn answer_frame(
-    token: u64,
-    frame: &[u8],
-    wbuf: &mut Vec<u8>,
-    parked: &mut bool,
-    serving: &mut Serving<'_>,
-    env: &FrameEnv<'_>,
-) -> bool {
-    let Serving {
-        reply,
-        state,
-        waiters,
-        ..
-    } = serving;
-    if *parked {
-        *parked = false;
-        reply.clear();
-        waiters.cancel(token, state, env, reply);
-        wbuf.extend_from_slice(reply.as_bytes());
-    }
-    match std::str::from_utf8(frame) {
-        Ok(line) => {
-            reply.clear();
-            match handle_line_into(line, state, env, reply) {
-                Handled::Replied => wbuf.extend_from_slice(reply.as_bytes()),
-                Handled::Park(park) => {
-                    waiters.park(token, park, state);
-                    *parked = true;
-                }
-            }
-            true
-        }
-        Err(_) => {
-            env.registry.counter("malformed").incr();
-            wbuf.extend_from_slice(b"ERR malformed\n");
-            false
-        }
-    }
 }
 
 #[cfg(test)]

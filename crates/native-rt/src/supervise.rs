@@ -46,12 +46,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::controller::TargetSlot;
+use crate::control::DEFAULT_TRACE_MAX;
+use crate::controller::{sleep_unless_stopped, TargetSlot};
 use crate::stats::{Counter, Gauge, Hist, Registry};
 use crate::trace::FlightRecorder;
 use crate::uds::{
-    sleep_unless_stopped, CpusPollReply, EventsReply, ParkedStream, PollReply, PollerGuard,
-    UdsClient, DEFAULT_IO_TIMEOUT, DEFAULT_TRACE_MAX,
+    CpusPollReply, EventsReply, ParkedStream, PollReply, PollerGuard, UdsClient, DEFAULT_IO_TIMEOUT,
 };
 
 /// The longest [`SupervisedClient::poll_target`] and
@@ -622,7 +622,8 @@ struct Heard {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::uds::{UdsServer, UdsServerConfig};
+    use crate::uds::UdsServer;
+    use crate::UdsServerConfig;
     use std::path::PathBuf;
 
     fn sock_path(tag: &str) -> PathBuf {

@@ -1,10 +1,15 @@
-//! Cross-process control over Unix domain sockets.
+//! Cross-process control over Unix domain sockets: the server's boot and
+//! the client.
 //!
 //! The closest native analog of the paper's deployment: the server is a
 //! standalone daemon ("a user-level centralized server"), applications are
 //! *separate processes* that register over a socket, poll periodically,
 //! and say goodbye when done — the same REGISTER/POLL/BYE protocol as the
-//! simulated server, as newline-terminated text:
+//! simulated server. [`UdsServer`] binds the socket, restores the
+//! crash-recovery snapshot, and hands a `ControlCore` (`control.rs`: the
+//! state, the one dispatcher, the wakeup order) to the reactor
+//! (`reactor.rs`: the sockets). This file holds that boot and the client;
+//! the protocol both sides speak is newline-terminated text:
 //!
 //! ```text
 //! client → server:  REGISTER <pid> <nworkers>
@@ -133,9 +138,6 @@
 //! the client surfaces as `Unsupported` ([`EventsReply`],
 //! [`TraceReply`], [`StatsAllReply`]) instead of an error.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -145,711 +147,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use procctl::{
-    cpu_range, partition_into, validate_cpus, validate_processes, AppDemand, PartitionScratch,
-    RecomputeGate,
-};
 
-use crate::controller::TargetSlot;
-use crate::proc_scan;
-use crate::stats::{Counter, Gauge, Registry, Snapshot};
-use crate::trace::{self, EventKind, TraceEvent};
+use crate::control::{ControlCore, UdsServerConfig};
+use crate::controller::{sleep_unless_stopped, TargetSlot};
+use crate::reactor::Reactor;
+use crate::snapshot::{ServerSnapshot, SnapshotError};
+use crate::stats::{Registry, Snapshot};
+use crate::trace::{self, TraceEvent};
 
 /// Default read/write timeout armed on every client stream: the longest a
 /// client call can block on a wedged (alive but unresponsive) server.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Default registration lease: a client that neither POLLs nor REPORTs
-/// for this long is deregistered and its processor share reclaimed.
-pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(30);
-
-/// Default per-application journal capacity: how many flight-recorder
-/// events (app-pushed via `EVENTS`, plus the server's own decision
-/// instants) the server retains per pid before dropping the oldest.
-pub const DEFAULT_JOURNAL_CAP: usize = 4096;
-
-/// Default number of journal events a `TRACE <pid>` without an explicit
-/// `max` drains in one reply.
-pub const DEFAULT_TRACE_MAX: usize = 256;
-
-/// How often the `/proc` liveness sweep may run. Scanning `/proc` is one
-/// `stat(2)` per registered application; doing it on *every* poll made
-/// the dead-process check O(apps) syscalls per frame. Leases remain the
-/// authoritative reclaim mechanism — the sweep only accelerates cleanup
-/// of processes that died without a BYE.
-const PROC_SWEEP_PERIOD: Duration = Duration::from_millis(500);
-
-/// The server core: a single-threaded non-blocking reactor (epoll on
-/// Linux, `poll(2)` elsewhere) that owns every connection's state
-/// machine and the server state in one thread — pipelined frames parsed
-/// from buffered reads, replies batched per wakeup, lease expiry driven
-/// by a deadline-ordered timer queue. See [`crate::reactor`] and
-/// DESIGN.md §13.
-///
-/// A one-inhabitant type that selects nothing: it (and
-/// [`UdsServerConfig::engine`]) remain only because the frozen benchmark
-/// crate assigns `cfg.engine = ServerEngine::Reactor`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ServerEngine {
-    /// The only engine.
-    #[default]
-    Reactor,
-}
-
-/// Server tuning.
-#[derive(Clone, Debug)]
-pub struct UdsServerConfig {
-    /// Socket path.
-    pub path: PathBuf,
-    /// Processors to partition.
-    pub cpus: usize,
-    /// Subtract system-wide runnable threads (full `/proc` sweep) from the
-    /// partitionable processors. Off by default: on a busy development
-    /// host this makes targets jittery, and tests need determinism.
-    pub account_system_load: bool,
-    /// How long a system-load sample stays fresh.
-    pub sample_ttl: Duration,
-    /// How long a registration stays valid without a POLL/REPORT refresh.
-    pub lease_ttl: Duration,
-    /// Drop registrations whose process no longer exists (`/proc` check;
-    /// Linux-only, a no-op elsewhere). Leases catch what this cannot:
-    /// processes that are alive but wedged.
-    pub prune_dead: bool,
-    /// CPU ids in topological order (SMT siblings adjacent, then LLC
-    /// groups, then sockets) that CPU-set replies are cut from. `None`
-    /// uses the identity order `0..cpus` — correct when `cpus` matches
-    /// the machine; pass [`crate::topology::CpuTopology::linear_order`]
-    /// of the detected topology to hand out cache-friendly slices.
-    pub cpu_order: Option<Vec<u32>>,
-    /// Weight each application's partition share by its observed
-    /// throughput (the `jobs_run` counter from its latest `REPORT`),
-    /// instead of splitting equally. Applications that have not reported
-    /// — or report equal counters — reduce to the equal partition.
-    pub weighted: bool,
-    /// Per-application event-journal capacity: `EVENTS` pushes and the
-    /// server's own decision instants beyond this bound drop the oldest
-    /// entry (counted as `journal_drops`). `0` disables journaling —
-    /// `TRACE` then always drains empty.
-    pub journal_cap: usize,
-    /// Selects nothing (see [`ServerEngine`]).
-    pub engine: ServerEngine,
-    /// Where to persist the crash-recovery snapshot (see
-    /// [`crate::snapshot`]): registrations, remaining lease time,
-    /// latest reports, and the boot epoch, written atomically
-    /// (tmp+rename) every [`UdsServerConfig::snapshot_interval`] and at
-    /// shutdown, restored at the next boot. `None` (the default)
-    /// disables snapshotting entirely.
-    pub snapshot_path: Option<PathBuf>,
-    /// How often the periodic snapshot is written (the reactor
-    /// piggy-backs on its timer wakeups, so effective granularity is
-    /// bounded below by its wait cap). Ignored without a
-    /// [`UdsServerConfig::snapshot_path`].
-    pub snapshot_interval: Duration,
-}
-
-impl UdsServerConfig {
-    /// Defaults: no system-load accounting, 1 s sample TTL, 30 s lease,
-    /// dead-process pruning on, identity CPU order, unweighted shares,
-    /// [`DEFAULT_JOURNAL_CAP`] events of journal per application.
-    pub fn new(path: impl Into<PathBuf>, cpus: usize) -> Self {
-        UdsServerConfig {
-            path: path.into(),
-            cpus,
-            account_system_load: false,
-            sample_ttl: Duration::from_secs(1),
-            lease_ttl: DEFAULT_LEASE_TTL,
-            prune_dead: true,
-            cpu_order: None,
-            weighted: false,
-            journal_cap: DEFAULT_JOURNAL_CAP,
-            engine: ServerEngine::Reactor,
-            snapshot_path: None,
-            snapshot_interval: Duration::from_secs(1),
-        }
-    }
-
-    /// Checks the configuration for values that would corrupt every
-    /// partition decision downstream (a 0 or absurd `cpus`).
-    pub fn validate(&self) -> io::Result<()> {
-        validate_cpus(u32::try_from(self.cpus).unwrap_or(u32::MAX))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct AppReg {
-    pid: u32,
-    nworkers: u32,
-    /// Last REGISTER/POLL/REPORT from this pid (the lease refresh).
-    last_seen: Instant,
-    /// Last target journaled as a decision instant for this pid —
-    /// dedups decision entries so the journal records target *changes*,
-    /// not every poll.
-    last_target: Option<u32>,
-    /// The share weight `cfg.weighted` partitions by: [`report_weight`]
-    /// of this pid's latest REPORT, parsed when the report arrives so a
-    /// recompute reads a number instead of a line.
-    weight: f64,
-}
-
-impl AppReg {
-    fn new(pid: u32, nworkers: u32, now: Instant, weight: f64) -> AppReg {
-        AppReg {
-            pid,
-            nworkers,
-            last_seen: now,
-            last_target: None,
-            weight,
-        }
-    }
-}
-
-/// The partition weight a REPORT line carries: `1.0 + jobs_run`, so
-/// observed throughput skews shares, equal (or absent) reports reduce to
-/// the equal partition, and a zero counter never zeroes an app out
-/// entirely. Only the first `jobs_run=` counts; one that does not parse,
-/// or is negative or NaN, weighs as 0 jobs.
-fn report_weight(line: &str) -> f64 {
-    let jobs = line
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("jobs_run="))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.0);
-    1.0 + jobs.max(0.0)
-}
-
-/// One application's bounded event journal: flight-recorder events the
-/// app pushed via `EVENTS`, interleaved with the server's own decision
-/// instants, oldest first.
-#[derive(Default)]
-struct Journal {
-    events: std::collections::VecDeque<TraceEvent>,
-}
-
-/// A multiply-mix hasher for the pid→slot map. Pids are small
-/// well-distributed integers, and SipHash (the `HashMap` default,
-/// keyed for DoS resistance) costs more than the rest of a small-map
-/// lookup on the poll path. The key space here is not attacker-
-/// amplifiable: a pid occupies exactly one slot however often it
-/// re-registers.
-#[derive(Default)]
-struct PidHasher(u64);
-
-impl Hasher for PidHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        // splitmix64-style finalization: enough diffusion that dense or
-        // stride-patterned pids spread across buckets.
-        let mut z = u64::from(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        self.0 = z ^ (z >> 27);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type PidIndex = HashMap<u32, usize, BuildHasherDefault<PidHasher>>;
-
-/// Cached handles for every statistic the frame path bumps.
-/// [`Registry::counter`] takes the registry mutex and allocates the
-/// name on every call — invisible at human polling rates, a large slice
-/// of the whole frame budget at reactor rates — so the handles are
-/// resolved once at state construction and each bump is one relaxed
-/// atomic add from then on. Field names are the registry names.
-struct HotCounters {
-    registers: Counter,
-    polls: Counter,
-    byes: Counter,
-    reports: Counter,
-    malformed: Counter,
-    lease_expiries: Counter,
-    events_pushes: Counter,
-    traces: Counter,
-    stats_queries: Counter,
-    journal_drops: Counter,
-    recompute_coalesced: Counter,
-    timer_fires: Counter,
-    snapshot_writes: Counter,
-    snapshot_restores: Counter,
-    snapshot_rejected: Counter,
-    polls_parked: Counter,
-    park_released_changed: Counter,
-    park_released_held: Counter,
-    apps: Gauge,
-    parked: Gauge,
-}
-
-impl HotCounters {
-    fn new(r: &Registry) -> HotCounters {
-        HotCounters {
-            registers: r.counter("registers"),
-            polls: r.counter("polls"),
-            byes: r.counter("byes"),
-            reports: r.counter("reports"),
-            malformed: r.counter("malformed"),
-            lease_expiries: r.counter("lease_expiries"),
-            events_pushes: r.counter("events_pushes"),
-            traces: r.counter("traces"),
-            stats_queries: r.counter("stats_queries"),
-            journal_drops: r.counter("journal_drops"),
-            recompute_coalesced: r.counter("recompute_coalesced"),
-            timer_fires: r.counter("timer_fires"),
-            snapshot_writes: r.counter("snapshot_writes"),
-            snapshot_restores: r.counter("snapshot_restores"),
-            snapshot_rejected: r.counter("snapshot_rejected"),
-            polls_parked: r.counter("polls_parked"),
-            park_released_changed: r.counter("park_released_changed"),
-            park_released_held: r.counter("park_released_held"),
-            apps: r.gauge("apps"),
-            parked: r.gauge("parked"),
-        }
-    }
-}
-
-pub(crate) struct ServerState {
-    apps: Vec<AppReg>,
-    /// pid → index into `apps` (and into `targets`, which shares
-    /// registration order): the per-frame lookups are O(1) hash probes
-    /// instead of O(apps) scans.
-    index: PidIndex,
-    /// Pre-resolved statistic handles (see [`HotCounters`]).
-    hot: HotCounters,
-    /// Rendered ` <epoch>\n` suffix shared by every OK/TARGET reply,
-    /// re-rendered only when the epoch changes (i.e. once).
-    epoch_suffix: (u64, String),
-    last_sample: Option<(Instant, u32)>,
-    /// Latest `REPORT` line per pid (cleared on BYE and lease expiry).
-    reports: std::collections::BTreeMap<u32, String>,
-    /// Bounded per-pid event journal (cleared on BYE and lease expiry).
-    journals: std::collections::BTreeMap<u32, Journal>,
-    /// Deadline-ordered lease timers: `(deadline, pid)`, earliest first.
-    /// One entry is pushed at registration; when it pops, the lease is
-    /// either expired (`last_seen + ttl` has passed) or the timer
-    /// re-arms itself at the refreshed deadline — so the heap stays
-    /// O(apps) no matter how fast clients poll, and lease expiry costs
-    /// O(log apps) amortized instead of an O(apps) scan per frame.
-    lease_timers: BinaryHeap<Reverse<(Instant, u32)>>,
-    /// Last `/proc` liveness sweep (throttled to [`PROC_SWEEP_PERIOD`]).
-    last_proc_sweep: Option<Instant>,
-    /// Coalesces partition recomputation: REGISTER/BYE/expiry (and
-    /// weighted REPORTs) mark the cache dirty; the next read recomputes
-    /// once for the whole burst.
-    targets_gate: RecomputeGate,
-    /// Cached per-app targets, registration order (valid unless dirty).
-    /// App `i`'s CPU set is not stored: it is the range of `cpu_order`
-    /// that starts at the sum of `targets[..i]` ([`procctl::cpu_range`]),
-    /// materialised for the one pid that asks.
-    targets: Vec<u32>,
-    /// Buffers a recompute fills, kept so it allocates nothing.
-    demands: Vec<AppDemand>,
-    scratch: PartitionScratch,
-    /// The CPU order sets are cut from: `cfg.cpu_order`, or the identity
-    /// order `0..cpus` when that is unset or empty.
-    cpu_order: Vec<u32>,
-}
-
-impl ServerState {
-    pub(crate) fn new(registry: &Registry, cfg: &UdsServerConfig) -> ServerState {
-        ServerState {
-            apps: Vec::new(),
-            index: PidIndex::default(),
-            hot: HotCounters::new(registry),
-            epoch_suffix: (0, String::new()),
-            last_sample: None,
-            reports: std::collections::BTreeMap::new(),
-            journals: std::collections::BTreeMap::new(),
-            lease_timers: BinaryHeap::new(),
-            last_proc_sweep: None,
-            targets_gate: RecomputeGate::new(),
-            targets: Vec::new(),
-            demands: Vec::new(),
-            scratch: PartitionScratch::default(),
-            cpu_order: match &cfg.cpu_order {
-                Some(o) if !o.is_empty() => o.clone(),
-                _ => (0..cfg.cpus as u32).collect(),
-            },
-        }
-    }
-
-    /// The rendered ` <epoch>\n` tail shared by OK and TARGET replies.
-    fn epoch_suffix(&mut self, epoch: u64) -> &str {
-        if self.epoch_suffix.0 != epoch || self.epoch_suffix.1.is_empty() {
-            self.epoch_suffix = (epoch, format!(" {epoch}\n"));
-        }
-        &self.epoch_suffix.1
-    }
-
-    /// Marks the cached partition stale, counting coalesced bursts.
-    fn invalidate_targets(&mut self) {
-        if self.targets_gate.invalidate() {
-            self.hot.recompute_coalesced.incr();
-        }
-    }
-
-    /// Registers `pid` (or refreshes an existing registration's lease
-    /// and worker count), arming a lease timer for new registrations.
-    fn admit(&mut self, pid: u32, nworkers: u32, cfg: &UdsServerConfig, now: Instant) {
-        match self.index.get(&pid) {
-            Some(&idx) => {
-                // Re-registration refreshes the lease and adopts the new
-                // worker count; its existing timer re-arms on pop.
-                let a = &mut self.apps[idx];
-                a.nworkers = nworkers;
-                a.last_seen = now;
-            }
-            None => {
-                // A pid may have reported before it registered.
-                let weight = self
-                    .reports
-                    .get(&pid)
-                    .map_or(1.0, |line| report_weight(line));
-                self.index.insert(pid, self.apps.len());
-                self.apps.push(AppReg::new(pid, nworkers, now, weight));
-                self.lease_timers.push(Reverse((now + cfg.lease_ttl, pid)));
-            }
-        }
-        self.invalidate_targets();
-        self.hot.apps.set(self.apps.len() as i64);
-    }
-
-    /// Removes `pid`'s registration and associated per-app state: the
-    /// slot's weight goes with the report it was parsed from, so a pid
-    /// that registers again starts at weight 1.0.
-    fn depart(&mut self, pid: u32) {
-        if let Some(idx) = self.index.remove(&pid) {
-            self.apps.remove(idx);
-            // Registration order is the partition order, so later slots
-            // shift down by one and their index entries follow.
-            for (i, a) in self.apps.iter().enumerate().skip(idx) {
-                self.index.insert(a.pid, i);
-            }
-            self.invalidate_targets();
-        }
-        self.reports.remove(&pid);
-        self.journals.remove(&pid);
-        self.hot.apps.set(self.apps.len() as i64);
-    }
-
-    /// Refreshes `pid`'s lease (POLL/REPORT/EVENTS all count as signs of
-    /// life). Returns false when the pid holds no live registration.
-    fn touch(&mut self, pid: u32, now: Instant) -> bool {
-        match self.index.get(&pid) {
-            Some(&idx) => {
-                self.apps[idx].last_seen = now;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Stores `pid`'s latest REPORT line (its fields joined by single
-    /// spaces, in the buffer of the line it replaces) and refreshes the
-    /// lease and the weight of a registered pid. Under `--weighted` the
-    /// report feeds the partition weights, so it dirties the target
-    /// cache.
-    fn record_report<'a>(
-        &mut self,
-        pid: u32,
-        fields: impl Iterator<Item = &'a str>,
-        cfg: &UdsServerConfig,
-        now: Instant,
-    ) {
-        let line = self.reports.entry(pid).or_default();
-        line.clear();
-        for f in fields {
-            if !line.is_empty() {
-                line.push(' ');
-            }
-            line.push_str(f);
-        }
-        if let Some(&idx) = self.index.get(&pid) {
-            let a = &mut self.apps[idx];
-            a.last_seen = now;
-            a.weight = report_weight(line);
-        }
-        if cfg.weighted {
-            self.invalidate_targets();
-        }
-    }
-
-    /// The earliest pending lease deadline (the reactor's wait timeout).
-    pub(crate) fn next_lease_deadline(&self) -> Option<Instant> {
-        self.lease_timers.peek().map(|Reverse((at, _))| *at)
-    }
-
-    /// Drops registrations that died (`/proc`, throttled, if enabled) or
-    /// let their lease lapse — the latter via the deadline-ordered timer
-    /// queue, so a call with no due deadline costs one heap peek. The
-    /// caller supplies `now` so a reactor wakeup reads the clock once.
-    pub(crate) fn prune(&mut self, cfg: &UdsServerConfig, now: Instant) {
-        #[cfg(target_os = "linux")]
-        if cfg.prune_dead {
-            let due = self
-                .last_proc_sweep
-                .map_or(true, |at| now.duration_since(at) >= PROC_SWEEP_PERIOD);
-            if due {
-                self.last_proc_sweep = Some(now);
-                let dead: Vec<u32> = self
-                    .apps
-                    .iter()
-                    .filter(|a| !proc_scan::process_exists(a.pid))
-                    .map(|a| a.pid)
-                    .collect();
-                for pid in dead {
-                    self.depart(pid);
-                }
-            }
-        }
-        while let Some(&Reverse((deadline, pid))) = self.lease_timers.peek() {
-            if deadline > now {
-                break;
-            }
-            self.lease_timers.pop();
-            self.hot.timer_fires.incr();
-            let Some(&idx) = self.index.get(&pid) else {
-                continue; // departed since the timer was armed
-            };
-            let fresh_deadline = self.apps[idx].last_seen + cfg.lease_ttl;
-            if fresh_deadline > now {
-                // The lease was refreshed since this timer was armed:
-                // re-arm at the fresh deadline instead of expiring.
-                self.lease_timers.push(Reverse((fresh_deadline, pid)));
-            } else {
-                self.hot.lease_expiries.incr();
-                self.depart(pid);
-            }
-        }
-        self.hot.apps.set(self.apps.len() as i64);
-    }
-
-    /// Appends events to `pid`'s journal, dropping the oldest beyond
-    /// `cfg.journal_cap` (counted, never silent).
-    fn append_events(
-        &mut self,
-        pid: u32,
-        events: impl IntoIterator<Item = TraceEvent>,
-        cfg: &UdsServerConfig,
-    ) {
-        if cfg.journal_cap == 0 {
-            return;
-        }
-        let journal = self.journals.entry(pid).or_default();
-        for ev in events {
-            if journal.events.len() >= cfg.journal_cap {
-                journal.events.pop_front();
-                self.hot.journal_drops.incr();
-            }
-            journal.events.push_back(ev);
-        }
-    }
-
-    /// Records a decision instant in the journal of the app at `idx`
-    /// when the computed target differs from the last one journaled —
-    /// the server-side half of the merged timeline (decision → effect).
-    fn note_decision(&mut self, idx: usize, target: u32, cfg: &UdsServerConfig) {
-        if self.apps[idx].last_target == Some(target) {
-            return;
-        }
-        self.apps[idx].last_target = Some(target);
-        let pid = self.apps[idx].pid;
-        let ev = TraceEvent {
-            ts_ns: trace::now_ns(),
-            worker: 0,
-            kind: EventKind::Decision,
-            arg: target,
-        };
-        self.append_events(pid, [ev], cfg);
-    }
-
-    /// Drains up to `max` of the oldest journaled events for `pid`.
-    fn drain_journal(&mut self, pid: u32, max: usize) -> Vec<TraceEvent> {
-        match self.journals.get_mut(&pid) {
-            Some(j) => {
-                let n = j.events.len().min(max);
-                j.events.drain(..n).collect()
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// The system-wide uncontrollable load to subtract (0 when
-    /// accounting is off), sampling `/proc` when the cached sample went
-    /// stale as of `now` (the caller's clock reading: with accounting on
-    /// every poll comes through here).
-    fn uncontrolled_load(&mut self, cfg: &UdsServerConfig, now: Instant) -> u32 {
-        if !cfg.account_system_load {
-            return 0;
-        }
-        let fresh = self
-            .last_sample
-            .is_some_and(|(at, _)| now.saturating_duration_since(at) < cfg.sample_ttl);
-        if !fresh {
-            let exclude: Vec<u32> = self
-                .apps
-                .iter()
-                .map(|a| a.pid)
-                .chain([std::process::id()])
-                .collect();
-            let n = proc_scan::system_runnable_excluding(&exclude).unwrap_or(0);
-            self.last_sample = Some((now, n));
-        }
-        self.last_sample.map_or(0, |(_, n)| n)
-    }
-
-    /// Recomputes the cached partition (the paper's partition with caps
-    /// and a floor of one, in registration order) when dirty: one pass
-    /// over the slots' worker counts and weights into buffers kept from
-    /// the last recompute. With system-load accounting on, the
-    /// uncontrollable load itself varies over time, so the cache is
-    /// bypassed and every read recomputes (the pre-coalescing behavior).
-    fn refresh_targets(&mut self, cfg: &UdsServerConfig, now: Instant) {
-        if !cfg.account_system_load && !self.targets_gate.take_dirty() {
-            return;
-        }
-        let uncontrolled = self.uncontrolled_load(cfg, now);
-        self.demands.clear();
-        self.demands.extend(self.apps.iter().map(|a| AppDemand {
-            processes: a.nworkers,
-            weight: if cfg.weighted { a.weight } else { 1.0 },
-        }));
-        partition_into(
-            cfg.cpus as u32,
-            uncontrolled,
-            &self.demands,
-            &mut self.targets,
-            &mut self.scratch,
-        );
-        for t in &mut self.targets {
-            *t = (*t).max(1);
-        }
-    }
-
-    /// The slot and target for `pid`, or `None` when `pid` holds no
-    /// live registration (never registered, lease expired, or the
-    /// server restarted since).
-    fn target_of(&mut self, pid: u32, cfg: &UdsServerConfig, now: Instant) -> Option<(usize, u32)> {
-        self.refresh_targets(cfg, now);
-        let idx = *self.index.get(&pid)?;
-        Some((idx, self.targets.get(idx).copied()?))
-    }
-
-    /// Serializes the recoverable state (see [`crate::snapshot`]):
-    /// registrations in partition order with their remaining lease
-    /// time, latest reports, and the boot epoch. Journals are
-    /// deliberately excluded — drains are destructive and replaying
-    /// stale events after restart would corrupt the merged timeline.
-    pub(crate) fn to_snapshot(
-        &self,
-        epoch: u64,
-        cfg: &UdsServerConfig,
-        now: Instant,
-    ) -> crate::snapshot::ServerSnapshot {
-        crate::snapshot::ServerSnapshot {
-            epoch,
-            apps: self
-                .apps
-                .iter()
-                .map(|a| crate::snapshot::SnapshotApp {
-                    pid: a.pid,
-                    nworkers: a.nworkers,
-                    lease_remaining: (a.last_seen + cfg.lease_ttl).saturating_duration_since(now),
-                })
-                .collect(),
-            reports: self
-                .reports
-                .iter()
-                .map(|(pid, line)| (*pid, line.clone()))
-                .collect(),
-        }
-    }
-
-    /// Restores a decoded snapshot into a freshly-constructed state:
-    /// registrations re-admit in snapshot (= partition) order with
-    /// their leases re-armed at the *remaining* time — a crash and
-    /// restart never extends a silent client's tenure — and reports
-    /// reattach to the pids that survived. Invalid worker counts are
-    /// skipped (the snapshot is data, not trusted input).
-    pub(crate) fn restore_snapshot(
-        &mut self,
-        snap: &crate::snapshot::ServerSnapshot,
-        cfg: &UdsServerConfig,
-        now: Instant,
-    ) {
-        for a in &snap.apps {
-            if validate_processes(a.nworkers).is_err() || self.index.contains_key(&a.pid) {
-                continue;
-            }
-            // Backdate last_seen so `last_seen + ttl` lands exactly at
-            // the snapshotted remaining-lease deadline.
-            let back = cfg.lease_ttl.saturating_sub(a.lease_remaining);
-            let seen = now.checked_sub(back).unwrap_or(now);
-            self.index.insert(a.pid, self.apps.len());
-            self.apps.push(AppReg::new(a.pid, a.nworkers, seen, 1.0));
-            self.lease_timers
-                .push(Reverse((seen + cfg.lease_ttl, a.pid)));
-        }
-        for (pid, line) in &snap.reports {
-            if let Some(&idx) = self.index.get(pid) {
-                self.apps[idx].weight = report_weight(line);
-                self.reports.insert(*pid, line.clone());
-            }
-        }
-        self.invalidate_targets();
-        self.hot.apps.set(self.apps.len() as i64);
-        self.hot.snapshot_restores.incr();
-    }
-
-    /// The slot, target, *and* concrete CPU set for `pid`: every app's
-    /// effective target is sliced contiguously from the configured CPU
-    /// order, so each reply is consistent with what every other
-    /// registered app would be told in the same instant.
-    fn target_and_cpus_of(
-        &mut self,
-        pid: u32,
-        cfg: &UdsServerConfig,
-        now: Instant,
-    ) -> Option<(usize, u32, Vec<u32>)> {
-        let (idx, target) = self.target_of(pid, cfg, now)?;
-        let set = cpu_range(&self.cpu_order, self.range_start(idx), target).collect();
-        Some((idx, target, set))
-    }
-
-    /// Where slot `idx`'s CPU range starts in the order: the sum of the
-    /// targets before it.
-    fn range_start(&self, idx: usize) -> usize {
-        self.targets[..idx].iter().map(|&t| t as usize).sum()
-    }
-
-    /// Whether a poll for `pid` would now be answered differently from
-    /// `heard` (`ERR unregistered` counts as different). Reads the cached
-    /// partition: call [`ServerState::refresh_targets`] first.
-    fn differs_from(&self, pid: u32, heard: &Heard) -> bool {
-        let slot = self
-            .index
-            .get(&pid)
-            .and_then(|&idx| Some((idx, *self.targets.get(idx)?)));
-        let Some((idx, target)) = slot else {
-            return true;
-        };
-        target != heard.target
-            || heard.cpus.as_ref().is_some_and(|cpus| {
-                // A cpulist names a set: sorted, like the one the client
-                // parsed out of the reply it heard.
-                let mut set: Vec<u32> =
-                    cpu_range(&self.cpu_order, self.range_start(idx), target).collect();
-                set.sort_unstable();
-                set.dedup();
-                set != *cpus
-            })
-    }
-}
 
 /// The server's boot epoch: distinct across restarts so clients can tell
 /// "the server I registered with" from "a new server that forgot me".
@@ -862,18 +170,18 @@ fn boot_epoch() -> u64 {
     nanos ^ (u64::from(std::process::id()).rotate_left(48)) | 1
 }
 
-/// Persists the recoverable state when `cfg` names a snapshot path (a
-/// no-op otherwise). The reactor calls this from its timer wakeups and
-/// at shutdown, so a `kill -9` between intervals loses at most one
-/// interval of registrations. A failed write is reported and retried
-/// at the next interval, never fatal: serving traffic outranks
+/// Persists `core`'s recoverable state when its config names a snapshot
+/// path (a no-op otherwise). The reactor calls this from its timer
+/// wakeups and at shutdown, so a `kill -9` between intervals loses at
+/// most one interval of registrations. A failed write is reported and
+/// retried at the next interval, never fatal: serving traffic outranks
 /// persistence.
-pub(crate) fn write_snapshot(st: &ServerState, cfg: &UdsServerConfig, epoch: u64, now: Instant) {
-    let Some(path) = &cfg.snapshot_path else {
+pub(crate) fn write_snapshot(core: &ControlCore, now: Instant) {
+    let Some(path) = &core.cfg().snapshot_path else {
         return;
     };
-    match st.to_snapshot(epoch, cfg, now).write_atomic(path) {
-        Ok(()) => st.hot.snapshot_writes.incr(),
+    match core.to_snapshot(now).write_atomic(path) {
+        Ok(()) => core.hot.snapshot_writes.incr(),
         Err(e) => eprintln!(
             "procctl server: snapshot write to {} failed: {e}",
             path.display()
@@ -881,9 +189,10 @@ pub(crate) fn write_snapshot(st: &ServerState, cfg: &UdsServerConfig, epoch: u64
     }
 }
 
-/// The standalone control server.
+/// The standalone control server: a socket, a [`ControlCore`] restored
+/// from the last snapshot, and the reactor thread that drives it.
 pub struct UdsServer {
-    cfg: UdsServerConfig,
+    path: PathBuf,
     epoch: u64,
     // sched-atomic(handoff): Release store in shutdown publishes the
     // final epoch state; accept/poll loops load with Acquire.
@@ -916,54 +225,19 @@ impl UdsServer {
         }
         let listener = UnixListener::bind(&cfg.path)?;
         listener.set_nonblocking(true)?;
-        let mut epoch = boot_epoch();
-        let stop = Arc::new(AtomicBool::new(false));
-        let registry = Arc::new(Registry::new());
-        // Pre-register every statistic so a STATS reply (and the in-process
-        // snapshot) always carries the full schema, zeros included.
-        for name in [
-            "registers",
-            "polls",
-            "byes",
-            "reports",
-            "malformed",
-            "lease_expiries",
-            "events_pushes",
-            "traces",
-            "journal_drops",
-            "reactor_wakeups",
-            "frames_batched",
-            "recompute_coalesced",
-            "timer_fires",
-            "snapshot_writes",
-            "snapshot_restores",
-            "snapshot_rejected",
-            "polls_parked",
-            "park_released_changed",
-            "park_released_held",
-        ] {
-            // sched-counters: registers polls byes reports malformed lease_expiries events_pushes traces journal_drops reactor_wakeups frames_batched recompute_coalesced timer_fires snapshot_writes snapshot_restores snapshot_rejected polls_parked park_released_changed park_released_held
-            registry.counter(name);
-        }
-        registry.gauge("apps");
-        registry.gauge("parked");
-        let mut state = ServerState::new(&registry, &cfg);
+        let path = cfg.path.clone();
+        let snapshot_path = cfg.snapshot_path.clone();
+        let mut core = ControlCore::new(cfg, boot_epoch());
         // Crash recovery: restore the previous instance's registrations
-        // and pick an epoch strictly above the snapshotted one, so
-        // epochs stay monotone across restarts even on coarse clocks.
-        // Any defect in the file — truncation, checksum, future version
-        // — cold-starts cleanly and is counted, never partially
-        // restored.
-        if let Some(spath) = &cfg.snapshot_path {
-            match crate::snapshot::ServerSnapshot::load(spath) {
-                Ok(snap) => {
-                    epoch = epoch.max(snap.epoch.wrapping_add(1));
-                    state.restore_snapshot(&snap, &cfg, Instant::now());
-                }
-                Err(crate::snapshot::SnapshotError::Io(e))
-                    if e.kind() == io::ErrorKind::NotFound => {} // first boot
+        // (which moves the epoch above the snapshotted one). Any defect
+        // in the file — truncation, checksum, future version —
+        // cold-starts cleanly and is counted, never partially restored.
+        if let Some(spath) = &snapshot_path {
+            match ServerSnapshot::load(spath) {
+                Ok(snap) => core.restore(&snap, Instant::now()),
+                Err(SnapshotError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {} // first boot
                 Err(e) => {
-                    state.hot.snapshot_rejected.incr();
+                    core.hot.snapshot_rejected.incr();
                     eprintln!(
                         "procctl server: rejecting snapshot {} ({e}); cold start",
                         spath.display()
@@ -971,20 +245,20 @@ impl UdsServer {
                 }
             }
         }
-        // The reactor thread owns the state outright.
+        let epoch = core.epoch();
+        let registry = Arc::clone(core.registry());
+        let stop = Arc::new(AtomicBool::new(false));
+        // The reactor thread owns the core outright.
+        let reactor = Reactor::new(listener, core);
         let accept_thread = {
             let stop = Arc::clone(&stop);
-            let registry = Arc::clone(&registry);
-            let cfg = cfg.clone();
             std::thread::Builder::new()
                 .name("procctl-uds-reactor".into())
-                .spawn(move || {
-                    crate::reactor::serve(listener, state, &cfg, &stop, &registry, epoch);
-                })
+                .spawn(move || reactor.serve(&stop))
                 .expect("spawn reactor thread")
         };
         Ok(UdsServer {
-            cfg,
+            path,
             epoch,
             stop,
             registry,
@@ -994,7 +268,7 @@ impl UdsServer {
 
     /// The socket path clients should connect to.
     pub fn path(&self) -> &Path {
-        &self.cfg.path
+        &self.path
     }
 
     /// This server instance's boot epoch (stamped on every reply).
@@ -1016,599 +290,7 @@ impl Drop for UdsServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let _ = std::fs::remove_file(&self.cfg.path);
-    }
-}
-
-/// Appends the ASCII decimal digits of `v` — the hot replies' no-alloc,
-/// no-formatting-machinery itoa.
-fn push_u32(out: &mut String, mut v: u32) {
-    let mut buf = [0u8; 10];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    for &b in &buf[i..] {
-        out.push(b as char);
-    }
-}
-
-/// Appends `ERR malformed\n`, counting it.
-fn reply_malformed(st: &mut ServerState, out: &mut String) {
-    st.hot.malformed.incr();
-    out.push_str("ERR malformed\n");
-}
-
-/// What every frame of one wakeup is answered against. The caller reads
-/// the clock (a reactor wakeup serving hundreds of pipelined frames reads
-/// it once).
-#[derive(Clone, Copy)]
-pub(crate) struct FrameEnv<'a> {
-    pub(crate) cfg: &'a UdsServerConfig,
-    pub(crate) registry: &'a Registry,
-    pub(crate) epoch: u64,
-    pub(crate) now: Instant,
-}
-
-/// What the client of a wait-form POLL still holds: the payload of the
-/// last `TARGET` reply it heard (the epoch is compared on arrival — it
-/// cannot change under a parked poll).
-#[derive(Debug)]
-pub(crate) struct Heard {
-    target: u32,
-    /// The CPU set, sorted, for the `cpus` form.
-    cpus: Option<Vec<u32>>,
-}
-
-/// A wait-form POLL whose answer would repeat what its client heard: the
-/// reactor keeps it and answers when that stops being true or at `until`.
-#[derive(Debug)]
-pub(crate) struct Park {
-    pid: u32,
-    heard: Heard,
-    until: Instant,
-}
-
-/// What [`handle_line_into`] did with a frame.
-#[must_use]
-pub(crate) enum Handled {
-    /// Exactly one reply was appended to `out`.
-    Replied,
-    /// Nothing was appended: the reactor owes the reply (see [`Waiters`]).
-    Park(Park),
-}
-
-/// Appends the reply to a poll for `pid` — the `cpus` form when `cpus` —
-/// refreshing its lease and journaling a changed target. Plain polls,
-/// wait-form polls answered at once and released parks all end here, so
-/// the three cannot drift apart.
-fn poll_reply_into(
-    st: &mut ServerState,
-    pid: u32,
-    cpus: bool,
-    env: &FrameEnv<'_>,
-    out: &mut String,
-) {
-    let (cfg, epoch, now) = (env.cfg, env.epoch, env.now);
-    if !st.touch(pid, now) {
-        // Expired lease, dead registration, or a pre-restart client the
-        // new server never heard of.
-        out.push_str("ERR unregistered\n");
-        return;
-    }
-    if cpus {
-        match st.target_and_cpus_of(pid, cfg, now) {
-            Some((idx, t, cpus)) => {
-                st.note_decision(idx, t, cfg);
-                let list = crate::topology::format_cpulist(&cpus);
-                out.push_str(&format!("TARGET {t} {epoch} cpus={list}\n"));
-            }
-            None => out.push_str("ERR unregistered\n"),
-        }
-    } else {
-        match st.target_of(pid, cfg, now) {
-            Some((idx, t)) => {
-                st.note_decision(idx, t, cfg);
-                out.push_str("TARGET ");
-                push_u32(out, t);
-                out.push_str(st.epoch_suffix(epoch));
-            }
-            None => out.push_str("ERR unregistered\n"),
-        }
-    }
-}
-
-/// Parses what follows `wait` in a wait-form POLL: `<hold_ms> <n>
-/// <epoch>`, then `cpus=<cpulist>` in the `cpus` form, then nothing.
-fn parse_wait<'a>(
-    cpus: bool,
-    mut fields: impl Iterator<Item = &'a str>,
-) -> Option<(Duration, u64, Heard)> {
-    let hold = Duration::from_millis(fields.next()?.parse().ok()?);
-    let target = fields.next()?.parse().ok()?;
-    let epoch = fields.next()?.parse().ok()?;
-    let cpus = match cpus {
-        true => Some(crate::topology::parse_cpulist(
-            fields.next()?.strip_prefix("cpus=")?,
-        )?),
-        false => None,
-    };
-    fields
-        .next()
-        .is_none()
-        .then_some((hold, epoch, Heard { target, cpus }))
-}
-
-/// Answers a wait-form POLL at once when the answer is news to its
-/// client, and otherwise hands it back to be parked — for `hold`, but no
-/// longer than half a lease, so that the refresh on release always lands
-/// inside the lease the park started.
-fn poll_wait(
-    st: &mut ServerState,
-    pid: u32,
-    (hold, heard_epoch, heard): (Duration, u64, Heard),
-    env: &FrameEnv<'_>,
-    out: &mut String,
-) -> Handled {
-    st.prune(env.cfg, env.now);
-    st.refresh_targets(env.cfg, env.now);
-    if heard_epoch != env.epoch || st.differs_from(pid, &heard) {
-        poll_reply_into(st, pid, heard.cpus.is_some(), env, out);
-        return Handled::Replied;
-    }
-    st.touch(pid, env.now);
-    Handled::Park(Park {
-        pid,
-        heard,
-        until: env.now + hold.min(env.cfg.lease_ttl / 2),
-    })
-}
-
-/// The parked polls of one server, in the order they parked: which
-/// connection each reply is owed to, what its client heard, and until
-/// when it may be held. Lives beside [`ServerState`] and touches no
-/// socket: the reactor maps the connection tokens to write buffers, a
-/// [`WireSession`] hands them back to its test.
-#[derive(Default)]
-pub(crate) struct Waiters {
-    parked: Vec<(u64, Park)>,
-    /// The earliest `until` among `parked`, or earlier: forgetting a
-    /// waiter leaves it, and the scan that finds nothing due corrects it.
-    next_due: Option<Instant>,
-    /// The recompute count (`RecomputeGate::recomputes`) the parked set
-    /// was last compared against.
-    seen_recomputes: u64,
-}
-
-impl Waiters {
-    /// The earliest hold deadline (for the reactor's wait timeout).
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.next_due
-    }
-
-    /// Keeps `park` for connection `conn`, which must have none.
-    pub(crate) fn park(&mut self, conn: u64, park: Park, st: &ServerState) {
-        debug_assert!(self.parked.iter().all(|(c, _)| *c != conn));
-        self.next_due = Some(self.next_due.map_or(park.until, |at| at.min(park.until)));
-        self.parked.push((conn, park));
-        st.hot.polls_parked.incr();
-        st.hot.parked.set(self.parked.len() as i64);
-    }
-
-    /// Forgets `conn`'s park without a reply: the connection is gone.
-    pub(crate) fn forget(&mut self, conn: u64, st: &ServerState) {
-        self.parked.retain(|(c, _)| *c != conn);
-        st.hot.parked.set(self.parked.len() as i64);
-    }
-
-    /// Releases `conn`'s park into `out` because a later frame arrived
-    /// on the same connection: replies go out in frame order.
-    pub(crate) fn cancel(
-        &mut self,
-        conn: u64,
-        st: &mut ServerState,
-        env: &FrameEnv<'_>,
-        out: &mut String,
-    ) {
-        if let Some(i) = self.parked.iter().position(|(c, _)| *c == conn) {
-            let (_, park) = self.parked.remove(i);
-            st.refresh_targets(env.cfg, env.now);
-            let changed = st.differs_from(park.pid, &park.heard);
-            release_into(st, &park, changed, env, out);
-            st.hot.parked.set(self.parked.len() as i64);
-        }
-    }
-
-    /// Releases every park whose reply stopped matching what its client
-    /// heard, or whose hold ran out, handing each `(connection, reply)`
-    /// to `emit` in park order. Call once per wakeup, after the wakeup's
-    /// own replies are on their way: whoever caused a change hears `OK`
-    /// before anyone hears its consequence. With nobody parked this is
-    /// one `is_empty()`; with somebody parked the set is scanned only if
-    /// the partition was recomputed since the last scan or a deadline is
-    /// due (`--account-system-load` recomputes on every read, so there
-    /// every wakeup scans).
-    pub(crate) fn release(
-        &mut self,
-        st: &mut ServerState,
-        env: &FrameEnv<'_>,
-        out: &mut String,
-        mut emit: impl FnMut(u64, &str),
-    ) {
-        if self.parked.is_empty() {
-            return;
-        }
-        let now = env.now;
-        st.refresh_targets(env.cfg, now);
-        let recomputes = st.targets_gate.recomputes();
-        let recomputed = env.cfg.account_system_load || recomputes != self.seen_recomputes;
-        if !recomputed && !self.next_due.is_some_and(|at| at <= now) {
-            return;
-        }
-        self.seen_recomputes = recomputes;
-        let mut next_due: Option<Instant> = None;
-        self.parked.retain(|(conn, park)| {
-            let changed = st.differs_from(park.pid, &park.heard);
-            if !changed && park.until > now {
-                next_due = Some(next_due.map_or(park.until, |at| at.min(park.until)));
-                return true;
-            }
-            out.clear();
-            release_into(st, park, changed, env, out);
-            emit(*conn, out);
-            false
-        });
-        self.next_due = next_due;
-        st.hot.parked.set(self.parked.len() as i64);
-    }
-}
-
-/// Appends a released park's reply (refreshing the lease, as the park
-/// did), counted by what the client learns: something new (`changed`),
-/// or that the hold passed with nothing new.
-fn release_into(
-    st: &mut ServerState,
-    park: &Park,
-    changed: bool,
-    env: &FrameEnv<'_>,
-    out: &mut String,
-) {
-    if changed {
-        st.hot.park_released_changed.incr();
-    } else {
-        st.hot.park_released_held.incr();
-    }
-    poll_reply_into(st, park.pid, park.heard.cpus.is_some(), env, out);
-}
-
-/// The complete wire-protocol verb set, in the order the dispatcher
-/// matches them. Every frame is dispatched through [`handle_line_into`],
-/// so this table *is* the protocol surface: schedlint's SL050 audit
-/// checks it against the dispatcher arms and the client's emissions, so
-/// a verb added to one place but not the others fails the lint gate
-/// rather than shipping skewed.
-pub(crate) const WIRE_VERBS: &[&str] = &[
-    "POLL", "REGISTER", "BYE", "REPORT", "EVENTS", "TRACE", "STATS",
-];
-
-/// Answers one request line against the (exclusively held) server
-/// state, appending exactly one reply to `out` — or, for a wait-form
-/// POLL with nothing new to say, none yet ([`Handled::Park`]). Every line
-/// gets a reply — malformed input is answered with `ERR <reason>` rather
-/// than silence, so a client blocked in `read_line` always makes progress.
-///
-/// The reactor and [`WireSession`] both answer through this one
-/// function, which is what lets a socket-free transcript pin the wire.
-/// The caller supplies `env.now` (so a reactor wakeup serving hundreds of
-/// pipelined frames reads the clock once) and the `out` buffer (so the
-/// hot verbs reply with zero allocations: the request is parsed with a
-/// non-collecting token iterator, targets render through [`push_u32`],
-/// and the ` <epoch>\n` tail comes from a cached rendering).
-// sched-counter-exits(polls|registers|byes|reports|events_pushes|traces|stats_queries|malformed):
-// every frame must land in exactly one per-verb counter so the STATS
-// export and schedtop's rates account for all traffic.
-pub(crate) fn handle_line_into(
-    line: &str,
-    st: &mut ServerState,
-    env: &FrameEnv<'_>,
-    out: &mut String,
-) -> Handled {
-    let FrameEnv {
-        cfg,
-        registry,
-        epoch,
-        now,
-    } = *env;
-    let mut fields = line.split_whitespace();
-    let Some(verb) = fields.next() else {
-        st.hot.malformed.incr();
-        out.push_str("ERR empty\n");
-        return Handled::Replied;
-    };
-    match verb {
-        // The hot verb: every registered application polls continuously.
-        "POLL" => {
-            let pid = fields.next().and_then(|f| f.parse::<u32>().ok());
-            match (pid, fields.next(), fields.next()) {
-                (Some(pid), None, _) => {
-                    st.hot.polls.incr();
-                    st.prune(cfg, now);
-                    poll_reply_into(st, pid, false, env, out);
-                }
-                // The CPU-set extension: same poll semantics, but the
-                // reply also names the processors (`cpus=<cpulist>`).
-                // Old servers answer `ERR malformed` here, which new
-                // clients treat as "extension unsupported".
-                (Some(pid), Some("cpus"), None) => {
-                    st.hot.polls.incr();
-                    st.prune(cfg, now);
-                    poll_reply_into(st, pid, true, env, out);
-                }
-                // The wait form of either: the client says what it last
-                // heard and how long a repeat of it may be withheld.
-                (Some(pid), Some("wait"), Some(hold)) => {
-                    match parse_wait(false, std::iter::once(hold).chain(fields)) {
-                        Some(wait) => {
-                            st.hot.polls.incr();
-                            return poll_wait(st, pid, wait, env, out);
-                        }
-                        None => reply_malformed(st, out),
-                    }
-                }
-                (Some(pid), Some("cpus"), Some("wait")) => match parse_wait(true, fields) {
-                    Some(wait) => {
-                        st.hot.polls.incr();
-                        return poll_wait(st, pid, wait, env, out);
-                    }
-                    None => reply_malformed(st, out),
-                },
-                _ => reply_malformed(st, out),
-            }
-        }
-        "REGISTER" => {
-            let pid = fields.next().and_then(|f| f.parse::<u32>().ok());
-            let n = fields.next().and_then(|f| f.parse::<u32>().ok());
-            match (pid, n, fields.next()) {
-                (Some(pid), Some(n), None) => {
-                    if validate_processes(n).is_err() {
-                        st.hot.malformed.incr();
-                        out.push_str("ERR bad-nworkers\n");
-                        return Handled::Replied;
-                    }
-                    st.hot.registers.incr();
-                    st.admit(pid, n, cfg, now);
-                    out.push_str("OK");
-                    out.push_str(st.epoch_suffix(epoch));
-                }
-                _ => reply_malformed(st, out),
-            }
-        }
-        "BYE" => match (
-            fields.next().and_then(|f| f.parse::<u32>().ok()),
-            fields.next(),
-        ) {
-            (Some(pid), None) => {
-                st.hot.byes.incr();
-                st.depart(pid);
-                out.push_str("OK");
-                out.push_str(st.epoch_suffix(epoch));
-            }
-            _ => reply_malformed(st, out),
-        },
-        "REPORT" => match fields.next().and_then(|f| f.parse::<u32>().ok()) {
-            Some(pid) => {
-                st.hot.reports.incr();
-                st.record_report(pid, fields, cfg, now);
-                out.push_str("OK");
-                out.push_str(st.epoch_suffix(epoch));
-            }
-            None => reply_malformed(st, out),
-        },
-        // Flight-recorder push: an application drains its per-worker
-        // rings and forwards the batch (comma-joined `ts:kind:worker:arg`
-        // frames, no spaces — so this is always exactly three fields).
-        // Accepting the batch refreshes the lease like POLL/REPORT do;
-        // old servers answer `ERR malformed`, the client's cue to stop
-        // pushing (see [`EventsReply::Unsupported`]).
-        "EVENTS" => {
-            let pid = fields.next().and_then(|f| f.parse::<u32>().ok());
-            let events = fields.next().and_then(trace::parse_events);
-            match (pid, events, fields.next()) {
-                (Some(pid), Some(events), None) => {
-                    st.hot.events_pushes.incr();
-                    st.prune(cfg, now);
-                    if !st.touch(pid, now) {
-                        out.push_str("ERR unregistered\n");
-                        return Handled::Replied;
-                    }
-                    st.append_events(pid, events, cfg);
-                    out.push_str("OK");
-                    out.push_str(st.epoch_suffix(epoch));
-                }
-                _ => reply_malformed(st, out),
-            }
-        }
-        // Journal drain: anyone (schedtop, the merge tooling) can read
-        // back up to `max` of the oldest journaled events for a pid.
-        // Reading does not refresh the lease — it is an observer verb —
-        // and an unknown pid simply drains empty rather than erroring,
-        // so a monitor can poll pids that have not pushed yet.
-        "TRACE" => {
-            let pid = fields.next().and_then(|f| f.parse::<u32>().ok());
-            let max = match (fields.next(), fields.next()) {
-                (None, _) => Some(DEFAULT_TRACE_MAX),
-                (Some(m), None) => m.parse::<usize>().ok(),
-                _ => None,
-            };
-            match (pid, max) {
-                (Some(pid), Some(max)) => {
-                    st.hot.traces.incr();
-                    let events = st.drain_journal(pid, max);
-                    let n = events.len();
-                    if events.is_empty() {
-                        out.push_str(&format!("TRACE {epoch} 0\n"));
-                    } else {
-                        out.push_str(&format!(
-                            "TRACE {epoch} {n} {}\n",
-                            trace::render_events(&events)
-                        ));
-                    }
-                }
-                _ => reply_malformed(st, out),
-            }
-        }
-        "STATS" => {
-            st.hot.stats_queries.incr();
-            match (fields.next(), fields.next()) {
-                (None, _) => {
-                    out.push_str(&format!("STATS {}\n", registry.snapshot().render_line()))
-                }
-                // Fleet snapshot: every registered pid's target and latest
-                // report in one round-trip (`|`-separated), so a monitor
-                // scales O(1) in requests instead of O(apps). Old servers
-                // answer `ERR malformed` ("ALL" fails their pid parse), the
-                // downgrade cue.
-                (Some("ALL"), None) => {
-                    st.prune(cfg, now);
-                    st.refresh_targets(cfg, now);
-                    let parts: Vec<String> = st
-                        .apps
-                        .iter()
-                        .zip(&st.targets)
-                        .map(|(a, &t)| {
-                            let mut part =
-                                format!("pid={} target={} nworkers={}", a.pid, t, a.nworkers);
-                            if let Some(report) = st.reports.get(&a.pid).filter(|r| !r.is_empty()) {
-                                part.push(' ');
-                                part.push_str(report);
-                            }
-                            part
-                        })
-                        .collect();
-                    if parts.is_empty() {
-                        out.push_str("STATS ALL\n");
-                    } else {
-                        out.push_str(&format!("STATS ALL {}\n", parts.join("|")));
-                    }
-                }
-                (Some(pid), None) => match pid.parse::<u32>() {
-                    Ok(pid) => match st.reports.get(&pid) {
-                        Some(line) if !line.is_empty() => out.push_str(&format!("STATS {line}\n")),
-                        _ => out.push_str("STATS\n"),
-                    },
-                    _ => reply_malformed(st, out),
-                },
-                _ => reply_malformed(st, out),
-            }
-        }
-        _ => {
-            debug_assert!(
-                !WIRE_VERBS.contains(&verb),
-                "verb {verb} is in WIRE_VERBS but has no dispatch arm"
-            );
-            reply_malformed(st, out)
-        }
-    }
-    Handled::Replied
-}
-
-/// One server state answering wire lines with no socket, at an epoch and
-/// at instants the caller chooses: the per-frame path the reactor runs
-/// and the parked polls the reactor keeps beside it, for tests that need
-/// every reply to repeat byte for byte. Connections are numbers the
-/// caller makes up.
-#[doc(hidden)]
-pub struct WireSession {
-    state: ServerState,
-    waiters: Waiters,
-    cfg: UdsServerConfig,
-    registry: Registry,
-    epoch: u64,
-}
-
-impl WireSession {
-    /// A server with no registrations, configured by `cfg` (its `path`
-    /// is never used).
-    pub fn new(cfg: UdsServerConfig, epoch: u64) -> WireSession {
-        let registry = Registry::new();
-        WireSession {
-            state: ServerState::new(&registry, &cfg),
-            waiters: Waiters::default(),
-            cfg,
-            registry,
-            epoch,
-        }
-    }
-
-    /// One reactor wakeup with one frame in it: `line` arrives on
-    /// connection `conn` at `now`. Returns every `(connection, reply)`
-    /// the wakeup writes, newlines included, in the order it writes them:
-    /// `conn`'s own park, if it had one (a later frame releases it);
-    /// the reply to `line`, unless `line` parked; then whatever parks the
-    /// frame released on other connections.
-    pub fn step(&mut self, conn: u64, line: &str, now: Instant) -> Vec<(u64, String)> {
-        self.wakeup(Some((conn, line)), now)
-    }
-
-    /// A wakeup with no frame in it (a timer fired): leases that lapsed
-    /// by `now` expire, then parks are released as in [`WireSession::step`].
-    pub fn due(&mut self, now: Instant) -> Vec<(u64, String)> {
-        self.wakeup(None, now)
-    }
-
-    fn wakeup(&mut self, frame: Option<(u64, &str)>, now: Instant) -> Vec<(u64, String)> {
-        let env = FrameEnv {
-            cfg: &self.cfg,
-            registry: &self.registry,
-            epoch: self.epoch,
-            now,
-        };
-        let mut replies = Vec::new();
-        let mut out = String::new();
-        match frame {
-            Some((conn, line)) => {
-                self.waiters.cancel(conn, &mut self.state, &env, &mut out);
-                if !out.is_empty() {
-                    replies.push((conn, std::mem::take(&mut out)));
-                }
-                match handle_line_into(line, &mut self.state, &env, &mut out) {
-                    Handled::Replied => replies.push((conn, std::mem::take(&mut out))),
-                    Handled::Park(park) => self.waiters.park(conn, park, &self.state),
-                }
-            }
-            // The reactor prunes at the top of every wakeup; a frame's
-            // own verb decides that here, as it always has.
-            None => self.state.prune(&self.cfg, now),
-        }
-        self.waiters
-            .release(&mut self.state, &env, &mut out, |conn, reply| {
-                replies.push((conn, reply.to_string()));
-            });
-        replies
-    }
-
-    /// Connection `conn` closed: a park it held is forgotten.
-    pub fn hang_up(&mut self, conn: u64) {
-        self.waiters.forget(conn, &self.state);
-    }
-
-    /// Whether connection `conn` is owed the reply to a parked poll.
-    pub fn is_parked(&self, conn: u64) -> bool {
-        self.waiters.parked.iter().any(|(c, _)| *c == conn)
-    }
-
-    /// The replies to `line` arriving at `now` on connection 0,
-    /// concatenated: with nothing parked, exactly one line.
-    pub fn answer(&mut self, line: &str, now: Instant) -> String {
-        self.step(0, line, now)
-            .into_iter()
-            .map(|(_, reply)| reply)
-            .collect()
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -2237,20 +919,6 @@ impl UdsClient {
     }
 }
 
-/// Sleeps `dur`, or until the owner of `stop` raises it and unparks this
-/// thread ([`PollerGuard`]'s drop).
-// sched-atomic(handoff): parameter view of PollerGuard::stop.
-pub(crate) fn sleep_unless_stopped(stop: &AtomicBool, dur: Duration) {
-    let wake = Instant::now() + dur;
-    while !stop.load(Ordering::Acquire) {
-        let left = wake.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            break;
-        }
-        std::thread::park_timeout(left);
-    }
-}
-
 /// The socket of a poller's current connection (none while it has none),
 /// shared with its [`PollerGuard`]: a poll parked in the server sits in
 /// a read that only the socket can end early.
@@ -2299,6 +967,7 @@ impl Drop for PollerGuard {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
+    use crate::trace::EventKind;
     use proptest::prelude::*;
 
     fn sock_path(tag: &str) -> PathBuf {
@@ -2358,13 +1027,13 @@ mod tests {
         // ask the single reactor thread for 256 MiB of CPU ids.
         let ranges = vec!["0-1048575"; 64].join(",");
         let frame = format!("POLL 1 cpus wait 10 4 42 cpus={ranges}");
-        let mut server = WireSession::new(UdsServerConfig::new("/nonexistent", 8), 7);
+        let mut core = ControlCore::new(UdsServerConfig::new("/nonexistent", 8), 7);
         let now = Instant::now();
-        server.answer("REGISTER 1 4", now);
-        let malformed = |s: &WireSession| s.registry.snapshot().counters["malformed"];
-        let before = malformed(&server);
-        assert_eq!(server.answer(&frame, now), "ERR malformed\n");
-        assert_eq!(malformed(&server), before + 1);
+        answer(&mut core, "REGISTER 1 4", now);
+        let malformed = |c: &ControlCore| c.registry().snapshot().counters["malformed"];
+        let before = malformed(&core);
+        assert_eq!(answer(&mut core, &frame, now), "ERR malformed\n");
+        assert_eq!(malformed(&core), before + 1);
     }
 
     #[test]
@@ -2656,22 +1325,67 @@ mod tests {
         assert!(t == 8, "got {t}");
     }
 
-    /// Builds a parser harness around [`handle_line`] with no sockets.
-    fn fuzz_reply(line: &str) -> String {
-        let mut server = WireSession::new(UdsServerConfig::new("/nonexistent", 8), 7);
-        let now = Instant::now();
-        server.answer("REGISTER 1 4", now);
-        server.answer(line, now)
+    /// What one reactor wakeup with one frame in it writes, newlines
+    /// included, in the order it writes them: `line` arrives on `conn` at
+    /// `now`, then the parks it released are answered.
+    fn step(core: &mut ControlCore, conn: u64, line: &str, now: Instant) -> Vec<(u64, String)> {
+        let mut written = Vec::new();
+        core.frame(conn, line.as_bytes(), now, |r| {
+            written.push((conn, r.to_string()))
+        });
+        core.release(now, |c, r| written.push((c, r.to_string())));
+        written
     }
 
-    /// A socketless two-app server state for partition-policy tests.
-    fn two_app_state(cfg: &UdsServerConfig, registry: &Registry) -> ServerState {
-        // prune_dead is on in the configs below, so both pids must be
-        // live processes: use this test process and pid 1 (init).
-        let mut state = ServerState::new(registry, cfg);
-        state.admit(std::process::id(), 16, cfg, Instant::now());
-        state.admit(1, 16, cfg, Instant::now());
-        state
+    /// What a timer wakeup at `now` writes: leases expire, then parks
+    /// are released as in [`step`].
+    fn due(core: &mut ControlCore, now: Instant) -> Vec<(u64, String)> {
+        let mut written = Vec::new();
+        core.expire(now);
+        core.release(now, |c, r| written.push((c, r.to_string())));
+        written
+    }
+
+    /// The replies to `line` arriving at `now` on connection 0,
+    /// concatenated: with nothing parked, exactly one line.
+    fn answer(core: &mut ControlCore, line: &str, now: Instant) -> String {
+        step(core, 0, line, now)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect()
+    }
+
+    /// Every registration's `(pid, target, CPU range)` as of `now`.
+    fn assignments(core: &mut ControlCore, now: Instant) -> Vec<(u32, u32, Vec<u32>)> {
+        core.assignments(now)
+            .map(|(pid, target, cpus)| (pid, target, cpus.collect()))
+            .collect()
+    }
+
+    /// The targets alone, in registration order.
+    fn targets(core: &mut ControlCore, now: Instant) -> Vec<u32> {
+        core.assignments(now).map(|(_, target, _)| target).collect()
+    }
+
+    /// The one reply to `line` of a fresh 8-CPU core with pid 1 registered.
+    fn fuzz_reply(line: &str) -> String {
+        let mut core = ControlCore::new(UdsServerConfig::new("/nonexistent", 8), 7);
+        let now = Instant::now();
+        answer(&mut core, "REGISTER 1 4", now);
+        answer(&mut core, line, now)
+    }
+
+    /// A socketless two-app core for partition-policy tests: this test
+    /// process, then pid 1 (init) — both live, as `prune_dead` wants.
+    fn two_app_core(cfg: UdsServerConfig, now: Instant) -> ControlCore {
+        let mut core = ControlCore::new(cfg, 7);
+        answer(
+            &mut core,
+            &format!("REGISTER {} 16", std::process::id()),
+            now,
+        );
+        answer(&mut core, "REGISTER 1 16", now);
+        core
     }
 
     #[test]
@@ -2940,24 +1654,16 @@ mod tests {
     fn micro_poll_frame_cost() {
         let mut cfg = UdsServerConfig::new("/nonexistent", 8);
         cfg.prune_dead = false;
-        let registry = Registry::new();
-        let mut st = ServerState::new(&registry, &cfg);
+        let mut core = ControlCore::new(cfg, 42);
         for pid in 0..64 {
-            st.admit(900_000 + pid, 4, &cfg, Instant::now());
+            core.admit(900_000 + pid, 4, Instant::now());
         }
         let n = 1_000_000u32;
-        let mut out = String::new();
         let start = Instant::now();
         for _ in 0..n {
-            out.clear();
-            let env = FrameEnv {
-                cfg: &cfg,
-                registry: &registry,
-                epoch: 42,
-                now: Instant::now(),
-            };
-            let _ = handle_line_into("POLL 900000", &mut st, &env, &mut out);
-            std::hint::black_box(&out);
+            core.frame(0, b"POLL 900000", Instant::now(), |reply| {
+                std::hint::black_box(reply);
+            });
         }
         println!(
             "handle_line POLL (64 apps): {:?}/frame",
@@ -2976,10 +1682,10 @@ mod tests {
             let mut cfg = UdsServerConfig::new("/nonexistent", cpus);
             cfg.prune_dead = false;
             cfg.weighted = true;
-            let mut server = WireSession::new(cfg, 42);
+            let mut core = ControlCore::new(cfg, 42);
             let now = Instant::now();
             for pid in 0..64 {
-                server.answer(&format!("REGISTER {} 4", 900_000 + pid), now);
+                answer(&mut core, &format!("REGISTER {} 4", 900_000 + pid), now);
             }
             let reports: Vec<String> = (0..64)
                 .map(|i| {
@@ -2991,19 +1697,12 @@ mod tests {
                 })
                 .collect();
             let n = 200_000usize;
-            let mut out = String::new();
             let start = Instant::now();
             for i in 0..n {
                 for line in [reports[i % 64].as_str(), "POLL 900000"] {
-                    out.clear();
-                    let env = FrameEnv {
-                        cfg: &server.cfg,
-                        registry: &server.registry,
-                        epoch: 42,
-                        now,
-                    };
-                    let _ = handle_line_into(line, &mut server.state, &env, &mut out);
-                    std::hint::black_box(&out);
+                    core.frame(0, line.as_bytes(), now, |reply| {
+                        std::hint::black_box(reply);
+                    });
                 }
             }
             println!(
@@ -3217,6 +1916,30 @@ mod tests {
     }
 
     #[test]
+    fn a_park_released_early_leaves_the_reactor_asleep() {
+        let (path, server) = reactor_server("park-early");
+        let pid = std::process::id();
+        let mut app = UdsClient::register(&path, 8).expect("app");
+        let (_, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        // The only park, released by the next frame on its connection
+        // well before its 20 ms hold would have run out.
+        app.send(&format!("POLL {pid} wait 20 8 {epoch}\n"))
+            .expect("send");
+        wait_parked(&server, 1);
+        app.send(&format!("REPORT {pid} jobs_run=1\n"))
+            .expect("send");
+        assert_eq!(app.read_line().expect("first"), format!("TARGET 8 {epoch}"));
+        assert_eq!(app.read_line().expect("second"), format!("OK {epoch}"));
+        // With nothing parked and the next lease 30 s away, the loop
+        // sleeps its 100 ms cap, also after the forgotten hold's end.
+        std::thread::sleep(Duration::from_millis(40));
+        let before = server.stats().counters["reactor_wakeups"];
+        std::thread::sleep(Duration::from_millis(300));
+        let spent = server.stats().counters["reactor_wakeups"] - before;
+        assert!(spent < 30, "{spent} wakeups in 300 ms with nothing to do");
+    }
+
+    #[test]
     fn a_thousand_parked_connections_are_released_by_one_register() {
         const N: usize = 1000;
         // 2 N descriptors in this process, beside the other tests'.
@@ -3307,41 +2030,42 @@ mod tests {
     fn weighted_equal_reports_reduce_to_equal_partition() {
         let mut cfg = UdsServerConfig::new("/nonexistent", 8);
         cfg.weighted = true;
-        let registry = Registry::new();
-        let mut st = two_app_state(&cfg, &registry);
-        let my_pid = std::process::id();
         let now = Instant::now();
+        let mut core = two_app_core(cfg, now);
         // With no reports at all, weighting degrades to equal.
-        assert_eq!(st.target_of(my_pid, &cfg, now).map(|(_, t)| t), Some(4));
-        assert_eq!(st.target_of(1, &cfg, now).map(|(_, t)| t), Some(4));
+        assert_eq!(targets(&mut core, now), [4, 4]);
         // And with identical throughput reports for both apps too.
-        for pid in [my_pid, 1] {
-            st.record_report(pid, "jobs_run=500 steals=7".split_whitespace(), &cfg, now);
+        for pid in [std::process::id(), 1] {
+            answer(
+                &mut core,
+                &format!("REPORT {pid} jobs_run=500 steals=7"),
+                now,
+            );
         }
-        assert_eq!(st.target_of(my_pid, &cfg, now).map(|(_, t)| t), Some(4));
-        assert_eq!(st.target_of(1, &cfg, now).map(|(_, t)| t), Some(4));
+        assert_eq!(targets(&mut core, now), [4, 4]);
     }
 
     #[test]
     fn weighted_unequal_reports_skew_shares() {
         let mut cfg = UdsServerConfig::new("/nonexistent", 8);
         cfg.weighted = true;
-        let registry = Registry::new();
-        let mut st = two_app_state(&cfg, &registry);
-        let my_pid = std::process::id();
         let now = Instant::now();
-        st.record_report(my_pid, "jobs_run=3000".split_whitespace(), &cfg, now);
-        st.record_report(1, "jobs_run=100".split_whitespace(), &cfg, now);
-        let (_, hot) = st.target_of(my_pid, &cfg, now).expect("hot target");
-        let (_, cold) = st.target_of(1, &cfg, now).expect("cold target");
+        let reported = |cfg: UdsServerConfig| {
+            let mut core = two_app_core(cfg, now);
+            let me = std::process::id();
+            answer(&mut core, &format!("REPORT {me} jobs_run=3000"), now);
+            answer(&mut core, "REPORT 1 jobs_run=100", now);
+            targets(&mut core, now)
+        };
+        let (hot, cold) = match reported(cfg.clone())[..] {
+            [hot, cold] => (hot, cold),
+            ref t => panic!("two apps, got {t:?}"),
+        };
         assert!(hot > cold, "throughput should skew shares: {hot} vs {cold}");
         assert_eq!(hot + cold, 8, "still partitions the whole machine");
-        // The same reports with weighting off: equal shares. The cached
-        // partition was computed under `weighted`, so flipping the policy
-        // must dirty it (a config change is an invalidation event).
+        // The same reports with weighting off: equal shares.
         cfg.weighted = false;
-        st.invalidate_targets();
-        assert_eq!(st.target_of(my_pid, &cfg, now).map(|(_, t)| t), Some(4));
+        assert_eq!(reported(cfg), [4, 4]);
     }
 
     #[test]
@@ -3350,7 +2074,7 @@ mod tests {
         cfg.prune_dead = false;
         cfg.weighted = true;
         let now = Instant::now();
-        let mut before = WireSession::new(cfg.clone(), 7);
+        let mut before = ControlCore::new(cfg.clone(), 7);
         for line in [
             "REGISTER 900001 16",
             "REGISTER 900002 16",
@@ -3358,20 +2082,17 @@ mod tests {
             "REPORT 900001 jobs_run=4000 steals=2",
             "REPORT 900003 steals=5 jobs_run=1000",
         ] {
-            before.answer(line, now);
+            answer(&mut before, line, now);
         }
-        before.state.refresh_targets(&cfg, now);
-        let targets = before.state.targets.clone();
+        let targets_before = targets(&mut before, now);
         assert!(
-            targets[0] > targets[2] && targets[2] > targets[1],
-            "reports should skew shares: {targets:?}"
+            targets_before[0] > targets_before[2] && targets_before[2] > targets_before[1],
+            "reports should skew shares: {targets_before:?}"
         );
-        let snap = before.state.to_snapshot(7, &cfg, now);
-        let registry = Registry::new();
-        let mut after = ServerState::new(&registry, &cfg);
-        after.restore_snapshot(&snap, &cfg, now);
-        after.refresh_targets(&cfg, now);
-        assert_eq!(after.targets, targets);
+        let snap = before.to_snapshot(now);
+        let mut after = ControlCore::new(cfg, 7);
+        after.restore(&snap, now);
+        assert_eq!(targets(&mut after, now), targets_before);
     }
 
     proptest! {
@@ -3398,7 +2119,7 @@ mod tests {
             cfg.prune_dead = false;
             cfg.weighted = true;
             cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
-            let mut real = WireSession::new(cfg.clone(), 7);
+            let mut real = ControlCore::new(cfg.clone(), 7);
             let mut regs: Vec<(u32, u32, Instant)> = Vec::new();
             let mut reports = std::collections::BTreeMap::<u32, String>::new();
             // connection → (pid, the plain form of its poll, the reply
@@ -3417,7 +2138,7 @@ mod tests {
                 let (written, prunes, polls) = match op {
                     0 | 1 => {
                         let n = 1 + arg % 9;
-                        let written = real.step(0, &format!("REGISTER {pid} {n}"), now);
+                        let written = step(&mut real, 0, &format!("REGISTER {pid} {n}"), now);
                         match slot {
                             Some(i) => regs[i] = (pid, n, now),
                             None => regs.push((pid, n, now)),
@@ -3425,7 +2146,7 @@ mod tests {
                         (written, false, false)
                     }
                     2 => {
-                        let written = real.step(0, &format!("BYE {pid}"), now);
+                        let written = step(&mut real, 0, &format!("BYE {pid}"), now);
                         regs.retain(|r| r.0 != pid);
                         reports.remove(&pid);
                         (written, false, false)
@@ -3436,16 +2157,16 @@ mod tests {
                         } else {
                             format!("jobs_run={arg} steals=1")
                         };
-                        let written = real.step(0, &format!("REPORT {pid} {line}"), now);
+                        let written = step(&mut real, 0, &format!("REPORT {pid} {line}"), now);
                         reports.insert(pid, line);
                         if let Some(i) = slot {
                             regs[i].2 = now;
                         }
                         (written, false, false)
                     }
-                    5 | 6 => (real.step(0, &format!("POLL {pid}"), now), true, true),
-                    7 => (real.step(0, &format!("POLL {pid} cpus"), now), true, true),
-                    8 => (real.step(0, "STATS ALL", now), true, false),
+                    5 | 6 => (step(&mut real, 0, &format!("POLL {pid}"), now), true, true),
+                    7 => (step(&mut real, 0, &format!("POLL {pid} cpus"), now), true, true),
+                    8 => (step(&mut real, 0, "STATS ALL", now), true, false),
                     // A poll, then the same poll again in the wait form,
                     // saying what the first one heard: it parks. (A park
                     // the connection already held ends with the first.)
@@ -3458,21 +2179,21 @@ mod tests {
                         } else {
                             format!("POLL {pid}")
                         };
-                        let mut written = real.step(conn, &plain, now);
+                        let mut written = step(&mut real, conn, &plain, now);
                         parked.remove(&conn);
                         let heard = written.iter().rfind(|w| w.0 == conn).expect("a reply").1.clone();
                         if let Some(payload) = heard.strip_prefix("TARGET ") {
                             let hold = Duration::from_millis(u64::from(7 * arg));
                             let wait =
                                 format!("{plain} wait {} {}", hold.as_millis(), payload.trim_end());
-                            written.extend(real.step(conn, &wait, now));
+                            written.extend(step(&mut real, conn, &wait, now));
                             prop_assert!(real.is_parked(conn), "{} did not park", wait);
                             let until = now + hold.min(cfg.lease_ttl / 2);
                             parked.insert(conn, (pid, plain, heard, until));
                         }
                         (written, true, true)
                     }
-                    _ => (real.due(now), true, false),
+                    _ => (due(&mut real, now), true, false),
                 };
                 if prunes {
                     regs.retain(|r| {
@@ -3506,27 +2227,20 @@ mod tests {
                     }
                 }
 
-                let mut fresh = WireSession::new(cfg.clone(), 7);
+                let mut fresh = ControlCore::new(cfg.clone(), 7);
                 for &(pid, n, _) in &regs {
-                    fresh.answer(&format!("REGISTER {pid} {n}"), now);
+                    answer(&mut fresh, &format!("REGISTER {pid} {n}"), now);
                 }
                 for (pid, line) in &reports {
-                    fresh.answer(&format!("REPORT {pid} {line}"), now);
+                    answer(&mut fresh, &format!("REPORT {pid} {line}"), now);
                 }
-                real.state.refresh_targets(&cfg, now);
-                fresh.state.refresh_targets(&cfg, now);
-                prop_assert_eq!(&real.state.targets, &fresh.state.targets);
-                for pid in 900_000..900_006 {
-                    prop_assert_eq!(
-                        real.state.target_and_cpus_of(pid, &cfg, now),
-                        fresh.state.target_and_cpus_of(pid, &cfg, now)
-                    );
-                }
-                prop_assert_eq!(real.waiters.parked.len(), parked.len());
+                prop_assert_eq!(assignments(&mut real, now), assignments(&mut fresh, now));
+                let held = real.registry().snapshot().gauges["parked"];
+                prop_assert_eq!(held, parked.len() as i64);
                 for (conn, (pid, plain, heard, _)) in &parked {
                     prop_assert!(real.is_parked(*conn), "connection {} lost its park", conn);
                     prop_assert!(regs.iter().any(|r| r.0 == *pid), "{} parked, not registered", pid);
-                    prop_assert_eq!(&fresh.answer(plain, now), heard, "{} is owed news", conn);
+                    prop_assert_eq!(&answer(&mut fresh, plain, now), heard, "{} is owed news", conn);
                 }
             }
         }

@@ -1,7 +1,9 @@
 //! Golden wire replies: one fixed transcript of request lines, answered
-//! by the per-frame path the reactor runs (`handle_line_into`, through
-//! [`WireSession`]) under `weighted` with a non-identity `cpu_order`, and
-//! compared byte for byte with the replies of a known-good build
+//! by the [`ControlCore`] the reactor drives, through the same calls in
+//! the same order per wakeup (`frame` then `release` for a frame,
+//! `expire` then `release` for a timer), under `weighted` with a
+//! non-identity `cpu_order`, and compared byte for byte with the replies
+//! of a known-good build
 //! (`golden_wire.replies`; the first 350 lines were captured at fe9b03f,
 //! before report weights were cached and CPU sets became ranges, and
 //! line 350, the server's own `STATS`, has since gained keys). The unit
@@ -21,7 +23,7 @@
 
 use std::time::{Duration, Instant};
 
-use native_rt::{UdsServerConfig, WireSession};
+use native_rt::{ControlCore, UdsServerConfig};
 
 const EPOCH: u64 = 42;
 const GOLDEN: &str = include_str!("golden_wire.replies");
@@ -371,11 +373,11 @@ fn replies() -> Vec<(String, String)> {
     cfg.prune_dead = false; // the pids are made up
     cfg.weighted = true;
     cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
-    let mut server = WireSession::new(cfg, EPOCH);
+    let mut core = ControlCore::new(cfg, EPOCH);
     let base = Instant::now();
     // Connection 0 is the first part's only one, captured bare.
-    let tag = |(conn, reply): (u64, String)| match conn {
-        0 => reply,
+    let tag = |conn: u64, reply: &str| match conn {
+        0 => reply.to_string(),
         _ => format!("@{conn} {reply}"),
     };
     let mut out = Vec::new();
@@ -383,20 +385,23 @@ fn replies() -> Vec<(String, String)> {
         let now = base + Duration::from_millis(ms);
         match step {
             Step::Frame(conn, line) => {
-                let written = server.step(conn, &line, now);
-                let mut lines: Vec<String> = written.into_iter().map(tag).collect();
-                if server.is_parked(conn) {
+                let mut lines = Vec::new();
+                core.frame(conn, line.as_bytes(), now, |r| lines.push(tag(conn, r)));
+                core.release(now, |c, r| lines.push(tag(c, r)));
+                if core.is_parked(conn) {
                     lines.push(format!("@{conn} PARKED\n"));
                 }
                 out.extend(lines.into_iter().map(|l| (line.clone(), l)));
             }
             Step::Due => {
-                let released = server.due(now);
+                let mut released = Vec::new();
+                core.expire(now);
+                core.release(now, |c, r| released.push(tag(c, r)));
                 let what = format!("due at {ms} ms");
                 out.push((what.clone(), format!("@due {}\n", released.len())));
-                out.extend(released.into_iter().map(|r| (what.clone(), tag(r))));
+                out.extend(released.into_iter().map(|r| (what.clone(), r)));
             }
-            Step::HangUp(conn) => server.hang_up(conn),
+            Step::HangUp(conn) => core.hang_up(conn),
         }
     }
     out

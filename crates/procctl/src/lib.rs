@@ -40,7 +40,7 @@ pub use partition::{
     AppDemand, PartitionScratch, SizeError, MAX_CPUS, MAX_PROCESSES,
 };
 pub use proto::{
-    decode_request, decode_target, decode_target_cpus, encode_bye, encode_poll, encode_register,
-    encode_register_weighted, encode_target, encode_target_cpus, Request,
+    decode_request, decode_target, encode_bye, encode_poll, encode_register,
+    encode_register_weighted, encode_target, Request,
 };
 pub use server::{classify, Classified, DecisionLog, Server, ServerConfig, SweepApp, SweepRecord};

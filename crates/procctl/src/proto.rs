@@ -13,12 +13,8 @@
 //!   priority" equal split.
 //! - `POLL root_pid reply_port` — sent periodically (every 6 s in the
 //!   paper) by some process of the application.
-//! - `TARGET n [cpu…]` — the server's reply: how many runnable processes
-//!   the application should have, optionally followed by the concrete
-//!   processor ids assigned (the topology-aware CPU-set extension).
-//!   Decoders written before the extension used an exact two-word match
-//!   and dropped extended replies; [`decode_target`] now accepts the
-//!   tail, and [`decode_target_cpus`] surfaces it.
+//! - `TARGET n` — the server's reply: how many runnable processes the
+//!   application should have.
 //! - `BYE root_pid` — optional courtesy message when an application
 //!   finishes, letting the server drop it before the next rpstat sweep.
 
@@ -86,17 +82,6 @@ pub fn encode_target(target: u32) -> Vec<u64> {
     vec![OP_TARGET, u64::from(target)]
 }
 
-/// Encodes a target reply carrying the assigned CPU set (the
-/// topology-aware extension). An empty `cpus` encodes identically to
-/// [`encode_target`].
-pub fn encode_target_cpus(target: u32, cpus: &[u32]) -> Vec<u64> {
-    let mut body = Vec::with_capacity(2 + cpus.len());
-    body.push(OP_TARGET);
-    body.push(u64::from(target));
-    body.extend(cpus.iter().map(|&c| u64::from(c)));
-    body
-}
-
 /// Decodes a client→server request; `None` for malformed messages (the
 /// server ignores them rather than crashing — defensive, as a real daemon
 /// must be).
@@ -123,31 +108,11 @@ pub fn decode_request(msg: &Message) -> Option<Request> {
     }
 }
 
-/// Decodes a server→client target reply, tolerating (and ignoring) a
-/// CPU-set tail — a count-only client keeps working against a server
-/// that hands out sets.
+/// Decodes a server→client target reply. Words after the count are
+/// ignored.
 pub fn decode_target(msg: &Message) -> Option<u32> {
     match *msg.body.as_slice() {
         [OP_TARGET, n, ..] => u32::try_from(n).ok(),
-        _ => None,
-    }
-}
-
-/// Decodes a target reply *with* its CPU set: `None` cpus when the
-/// server sent the plain two-word reply (pre-extension), `Some` with the
-/// assigned processors otherwise. A non-u32 id anywhere in the tail
-/// makes the whole message malformed.
-pub fn decode_target_cpus(msg: &Message) -> Option<(u32, Option<Vec<u32>>)> {
-    match *msg.body.as_slice() {
-        [OP_TARGET, n] => Some((u32::try_from(n).ok()?, None)),
-        [OP_TARGET, n, ref cpus @ ..] => {
-            let n = u32::try_from(n).ok()?;
-            let cpus = cpus
-                .iter()
-                .map(|&c| u32::try_from(c).ok())
-                .collect::<Option<Vec<u32>>>()?;
-            Some((n, Some(cpus)))
-        }
         _ => None,
     }
 }
@@ -211,20 +176,6 @@ mod tests {
     fn target_round_trip() {
         let m = msg(encode_target(12));
         assert_eq!(decode_target(&m), Some(12));
-        assert_eq!(decode_target_cpus(&m), Some((12, None)));
-    }
-
-    #[test]
-    fn target_cpus_round_trip_and_cross_version_tolerance() {
-        let m = msg(encode_target_cpus(3, &[4, 5, 6]));
-        assert_eq!(decode_target_cpus(&m), Some((3, Some(vec![4, 5, 6]))));
-        // An old count-only decoder reads the same reply fine.
-        assert_eq!(decode_target(&m), Some(3));
-        // Empty set degenerates to the plain encoding.
-        assert_eq!(encode_target_cpus(7, &[]), encode_target(7));
-        // A garbage id in the tail poisons the whole message.
-        let bad = msg(vec![OP_TARGET, 3, u64::MAX]);
-        assert_eq!(decode_target_cpus(&bad), None);
     }
 
     #[test]
