@@ -15,13 +15,13 @@
 //! `--once` prints a single snapshot and exits (CI smoke mode); the
 //! default is a live display redrawn every `--interval-ms` (1000 ms).
 //! The numbers come from each application's own `REPORT` line (pushed by
-//! its reporting poller), so a row goes stale-then-absent when an
+//! its supervised poller), so a row goes stale-then-absent when an
 //! application stops polling and its lease expires — exactly the
 //! visibility the lease mechanism is meant to give.
 
 #[cfg(unix)]
 mod tool {
-    use native_rt::{AppStatsEntry, StatsAllReply, UdsClient};
+    use native_rt::{AppStatsEntry, UdsClient};
     use std::collections::BTreeMap;
     use std::time::Duration;
 
@@ -122,15 +122,9 @@ mod tool {
         let server = client
             .stats()
             .map_err(|e| format!("server stats failed: {e}"))?;
-        let apps = match client
+        let apps = client
             .stats_all()
-            .map_err(|e| format!("STATS ALL failed: {e}"))?
-        {
-            StatsAllReply::Apps(apps) => apps,
-            StatsAllReply::Unsupported => {
-                return Err("server predates STATS ALL (upgrade procctl-serverd)".to_string())
-            }
-        };
+            .map_err(|e| format!("STATS ALL failed: {e}"))?;
         let server: BTreeMap<String, i64> = server.into_iter().collect();
         let mut out = String::new();
         let _ = writeln!(

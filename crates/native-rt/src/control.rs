@@ -1071,8 +1071,6 @@ fn handle_line_into(
                 }
                 // The CPU-set extension: same poll semantics, but the
                 // reply also names the processors (`cpus=<cpulist>`).
-                // Old servers answer `ERR malformed` here, which new
-                // clients treat as "extension unsupported".
                 (Some(pid), Some("cpus"), None) => {
                     st.hot.polls.incr();
                     st.expire(now);
@@ -1129,21 +1127,21 @@ fn handle_line_into(
             }
             _ => reply_malformed(st, out),
         },
+        // `STATS ALL` joins the stored lines with `|`: a line with one
+        // in it would split into a spoofed row or an unparsable one.
         "REPORT" => match fields.next().and_then(|f| f.parse::<u32>().ok()) {
-            Some(pid) => {
+            Some(pid) if !line.contains('|') => {
                 st.hot.reports.incr();
                 st.record_report(pid, fields, now);
                 out.push_str("OK");
                 out.push_str(&st.epoch_suffix);
             }
-            None => reply_malformed(st, out),
+            _ => reply_malformed(st, out),
         },
         // Flight-recorder push: an application drains its per-worker
         // rings and forwards the batch (comma-joined `ts:kind:worker:arg`
         // frames, no spaces — so this is always exactly three fields).
-        // Accepting the batch refreshes the lease like POLL/REPORT do;
-        // old servers answer `ERR malformed`, the client's cue to stop
-        // pushing.
+        // Accepting the batch refreshes the lease like POLL/REPORT do.
         "EVENTS" => {
             let pid = fields.next().and_then(|f| f.parse::<u32>().ok());
             let events = fields.next().and_then(trace::parse_events);
@@ -1199,9 +1197,7 @@ fn handle_line_into(
                 }
                 // Fleet snapshot: every registered pid's target and latest
                 // report in one round-trip (`|`-separated), so a monitor
-                // scales O(1) in requests instead of O(apps). Old servers
-                // answer `ERR malformed` ("ALL" fails their pid parse), the
-                // downgrade cue.
+                // scales O(1) in requests instead of O(apps).
                 (Some("ALL"), None) => {
                     st.expire(now);
                     st.refresh_targets(now);

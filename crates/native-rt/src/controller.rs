@@ -33,7 +33,7 @@ pub struct TargetSlot {
     pub nworkers: usize,
     /// The concrete CPUs assigned to this pool, when the control plane
     /// hands out sets and not just counts (`None` = count-only mode:
-    /// old servers, degraded mode, or no controller).
+    /// degraded mode, or no controller).
     cpuset: Mutex<Option<Arc<Vec<u32>>>>,
     /// Bumped on every *actual change* of `cpuset`, so workers can poll
     /// cheaply for "did my assignment move?" without taking the lock.

@@ -85,11 +85,8 @@ pub use reactor::FrameBuffer;
 pub use snapshot::{ServerSnapshot, SnapshotApp, SnapshotError};
 pub use stats::{Registry, Snapshot};
 #[cfg(unix)]
-pub use supervise::{RestartKind, SupervisedClient, SupervisorConfig};
+pub use supervise::{PollerGuard, RestartKind, SupervisedClient, SupervisorConfig};
 pub use topology::{CpuRecord, CpuTopology, NUM_STEAL_TIERS, STEAL_TIER_NAMES};
 pub use trace::{EventKind, FlightRecorder, SpscRing, TraceEvent};
 #[cfg(unix)]
-pub use uds::{
-    AppStatsEntry, CpusPollReply, EventsReply, PollReply, PollerGuard, StatsAllReply, TraceReply,
-    UdsClient, UdsServer, DEFAULT_IO_TIMEOUT,
-};
+pub use uds::{AppStatsEntry, EventsReply, PollReply, UdsClient, UdsServer, DEFAULT_IO_TIMEOUT};

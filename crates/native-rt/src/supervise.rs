@@ -1,4 +1,5 @@
-//! A supervised, fault-tolerant wrapper around [`UdsClient`].
+//! The one client applications use: a supervised, fault-tolerant wrapper
+//! around [`UdsClient`], and its background poller.
 //!
 //! The paper's control plane is a single centralized server; the 1989
 //! prototype never asked what happens when it crashes, hangs, or returns
@@ -15,7 +16,9 @@
 //!   fair-partition target on the first healthy poll.
 //! - An `ERR unregistered` reply (lease expiry, or a restarted server
 //!   reached through a still-open proxy connection) is healed in place by
-//!   re-registering on the same connection.
+//!   re-registering on the same connection. Any other `ERR` — the server
+//!   refusing a frame — is a fault like a garbled reply: counted in
+//!   `poll_errors`, and the connection goes.
 //! - A reconnect after a lost connection starts as an *observer* and
 //!   classifies what it finds ([`RestartKind`]): a server that answers
 //!   the probe poll with a fresh epoch **recovered this registration
@@ -28,9 +31,12 @@
 //!   on the request until the answer changes or a hold runs out, so a
 //!   new target arrives when it is decided, not at the next poll. The
 //!   hold stays below half the I/O timeout; a killed server ends the
-//!   parked read with EOF at once, a wedged one still costs at most the
-//!   timeout, and a server that cannot park (`ERR malformed`, or any
-//!   other refusal) is polled the old way for the life of the connection.
+//!   parked read with EOF at once, and a wedged one still costs at most
+//!   the timeout.
+//!
+//! - [`SupervisedClient::spawn_poller`] runs the rounds on a thread of
+//!   its own and publishes each target into a [`TargetSlot`]; its
+//!   [`PollerGuard`] stops it, at once, with a BYE.
 //!
 //! Recovery behavior is observable: the supervisor records `reconnects`,
 //! `degraded_enters`, `epoch_changes`, `poll_errors`, and
@@ -41,18 +47,20 @@
 //! the existing REPORT/STATS/Perfetto pipeline alongside the
 //! work-stealing counters.
 
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use crate::control::DEFAULT_TRACE_MAX;
 use crate::controller::{sleep_unless_stopped, TargetSlot};
 use crate::stats::{Counter, Gauge, Hist, Registry};
 use crate::trace::FlightRecorder;
-use crate::uds::{
-    CpusPollReply, EventsReply, ParkedStream, PollReply, PollerGuard, UdsClient, DEFAULT_IO_TIMEOUT,
-};
+use crate::uds::{EventsReply, PollReply, UdsClient, DEFAULT_IO_TIMEOUT};
 
 /// The longest [`SupervisedClient::poll_target`] and
 /// [`SupervisedClient::poll_target_cpus`] let the server park them: how
@@ -126,18 +134,6 @@ pub struct SupervisedClient {
     conn: Option<UdsClient>,
     last_epoch: Option<u64>,
     ever_connected: bool,
-    /// Whether the connected server speaks the `POLL <pid> cpus`
-    /// extension. Optimistically true after every (re)connect — the
-    /// replacement server may be newer — and cleared on the first
-    /// `ERR malformed` downgrade, so one old server costs exactly one
-    /// wasted request per connection, not one per poll.
-    cpus_supported: bool,
-    /// Whether the connected server speaks the `EVENTS` flight-recorder
-    /// push. Same optimistic-probe lifecycle as `cpus_supported`.
-    events_supported: bool,
-    /// Whether the connected server parks wait-form polls. Same
-    /// lifecycle again.
-    wait_supported: bool,
     /// The last healthy reply on this connection — what a wait-form poll
     /// tells the server it need not repeat. `None` after any
     /// (re)connect, re-register or error: the next poll is then a plain
@@ -196,9 +192,6 @@ impl SupervisedClient {
             conn: None,
             last_epoch: None,
             ever_connected: false,
-            cpus_supported: true,
-            events_supported: true,
-            wait_supported: true,
             heard: None,
             stream: ParkedStream::default(),
             stop: Arc::new(AtomicBool::new(false)),
@@ -275,7 +268,8 @@ impl SupervisedClient {
         self.schedule_retry();
     }
 
-    /// An I/O error or a garbage reply: counted, and the connection goes.
+    /// An I/O error, a garbled reply or a refused request: counted, and
+    /// the connection goes.
     fn lost(&mut self) {
         if self.stopping() {
             return;
@@ -350,11 +344,6 @@ impl SupervisedClient {
                 self.conn = Some(c);
                 self.backoff = self.cfg.backoff_initial;
                 self.next_attempt = None;
-                // A fresh connection may be to an upgraded server: probe
-                // the extensions again.
-                self.cpus_supported = true;
-                self.events_supported = true;
-                self.wait_supported = true;
                 true
             }
             Err(_) => {
@@ -393,10 +382,7 @@ impl SupervisedClient {
     }
 
     /// Polls with the CPU-set extension. `Some((target, cpus))` is a
-    /// healthy reply; `cpus` is `None` when the server is too old for
-    /// the extension (detected via its `ERR malformed` answer, after
-    /// which this falls back to a plain poll in the same round and stops
-    /// sending the extension until the next reconnect). `None` means
+    /// healthy reply, with the set the server assigned. `None` means
     /// degraded — apply [`SupervisedClient::fallback_target`] and drop
     /// any CPU pinning, since nobody owns the partition anymore. Parks
     /// like [`SupervisedClient::poll_target`].
@@ -404,33 +390,31 @@ impl SupervisedClient {
         self.poll(true, MAX_HOLD)
     }
 
-    /// One poll round, in the richest form the connection is known to
-    /// take: the wait form (for up to `hold`) once a reply is held, else
-    /// the `cpus` form if `want_cpus`, else the plain one. A form the
-    /// server refuses is dropped for the life of the connection and the
-    /// round asks again in the next simpler one; `ERR unregistered` is
-    /// healed in place by re-registering, once per round.
+    /// The reply a poll in the `want_cpus` form can wait on: the held
+    /// one, if it has a CPU set when the form needs one.
+    fn held(heard: &Option<Heard>, want_cpus: bool) -> Option<&Heard> {
+        heard.as_ref().filter(|h| !want_cpus || h.cpus.is_some())
+    }
+
+    /// One poll round: the wait form (for up to `hold`) once a reply is
+    /// held, else the `cpus` form if `want_cpus`, else the plain one.
+    /// `ERR unregistered` is healed in place by re-registering, once per
+    /// round; any other failure is [`SupervisedClient::lost`].
     fn poll(&mut self, want_cpus: bool, hold: Duration) -> Option<(u32, Option<Vec<u32>>)> {
         let hold = hold.min(self.cfg.io_timeout / 2);
         let mut re_registered = false;
         while self.ensure_connected() {
             let conn = self.conn.as_mut().expect("just connected");
-            let cpus_form = want_cpus && self.cpus_supported;
-            let heard = self
-                .heard
-                .as_ref()
-                .filter(|h| self.wait_supported && (!cpus_form || h.cpus.is_some()));
-            let reply = match heard {
+            let reply = match Self::held(&self.heard, want_cpus) {
                 Some(h) => {
-                    let cpus = h.cpus.as_deref().filter(|_| cpus_form);
+                    let cpus = h.cpus.as_deref().filter(|_| want_cpus);
                     conn.poll_wait_reply(h.target, h.epoch, cpus, hold)
                 }
-                None if cpus_form => conn.poll_cpus_reply(),
-                None => conn.poll_reply().map(CpusPollReply::from),
+                None if want_cpus => conn.poll_cpus_reply(),
+                None => conn.poll_reply(),
             };
-            let waited = heard.is_some();
             match reply {
-                Ok(CpusPollReply::Target {
+                Ok(PollReply::Target {
                     target,
                     epoch,
                     cpus,
@@ -444,7 +428,7 @@ impl SupervisedClient {
                     });
                     return Some((target, cpus));
                 }
-                Ok(CpusPollReply::Unregistered) => {
+                Ok(PollReply::Unregistered) => {
                     // Lease lapsed or the server restarted behind a
                     // still-open connection: re-register in place, then
                     // retry the poll once.
@@ -467,15 +451,6 @@ impl SupervisedClient {
                         Err(_) => self.lost(),
                     }
                 }
-                Ok(CpusPollReply::Unsupported) => {
-                    // One wasted request per connection and form.
-                    if waited {
-                        self.wait_supported = false;
-                    } else {
-                        self.cpus_supported = false;
-                    }
-                    continue;
-                }
                 Err(_) => self.lost(),
             }
             break;
@@ -488,34 +463,25 @@ impl SupervisedClient {
 
     /// Drains one batch (up to [`DEFAULT_TRACE_MAX`] events) from the
     /// attached flight recorder and pushes it to the server's journal,
-    /// best effort: with no recorder, no connection, or against a
-    /// pre-extension server (remembered until the next reconnect, like
-    /// the CPU-set downgrade) this is a no-op, and a batch the server
-    /// never acknowledged is dropped rather than retried — observability
-    /// must not buffer unboundedly against a dead server.
+    /// best effort: with no recorder or no connection this is a no-op,
+    /// and a batch the server never acknowledged is dropped rather than
+    /// retried — observability must not buffer unboundedly against a
+    /// dead server.
     pub fn ship_events(&mut self) {
-        if !self.events_supported || self.conn.is_none() {
-            return;
-        }
-        let Some(recorder) = &self.recorder else {
+        let (Some(conn), Some(recorder)) = (self.conn.as_mut(), &self.recorder) else {
             return;
         };
         let events = recorder.drain(DEFAULT_TRACE_MAX);
         if events.is_empty() {
             return;
         }
-        let reply = match self.conn.as_mut() {
-            Some(conn) => conn.push_events(&events),
-            None => return,
-        };
-        match reply {
+        match conn.push_events(&events) {
             Ok(EventsReply::Accepted { epoch }) => {
                 self.note_epoch(epoch);
                 self.events_shipped.add(events.len() as u64);
             }
             // The next poll re-registers; this batch is gone.
             Ok(EventsReply::Unregistered) => {}
-            Ok(EventsReply::Unsupported) => self.events_supported = false,
             Err(_) => self.lost(),
         }
     }
@@ -540,30 +506,27 @@ impl SupervisedClient {
     }
 
     /// Spawns a background thread that polls once per `interval`, storing
-    /// the (healthy or fallback) target — and, against a CPU-set-capable
-    /// server, the assigned CPU set — into `slot`, and — when `report`
-    /// is true — REPORTing a snapshot of the supervisor's registry (and
-    /// everything else in it, e.g. a pool's counters) to the server on
-    /// every healthy poll. With a recorder attached
+    /// the (healthy or fallback) target and the assigned CPU set into
+    /// `slot`, and — when `report` is true — REPORTing a snapshot of the
+    /// supervisor's registry (and everything else in it, e.g. a pool's
+    /// counters) to the server every round. With a recorder attached
     /// ([`SupervisedClient::with_recorder`]), each round also ships one
     /// batch of flight-recorder events into the server's journal. The
     /// thread exits, with a BYE, as soon as the guard drops.
     /// Entering degraded mode clears the slot's CPU set (workers unpin
     /// back to the whole machine); recovery re-publishes it.
     ///
-    /// A round spends its interval parked in the server (the hold it
-    /// asks for is `interval`), so a target that changes mid-round lands
-    /// in the slot when it is decided; whatever part of the interval the
-    /// server did not hold — all of it when degraded or against a server
-    /// that cannot park, the rest of it after a change cut the hold
-    /// short — is slept out here, so rounds never come faster than
-    /// `interval`.
-    ///
-    /// This is the fault-tolerant replacement for
-    /// [`UdsClient::spawn_poller`]: a killed or restarted server drives
-    /// the slot to the degraded target (all workers runnable) within one
-    /// poll interval, and the slot snaps back once the server answers
-    /// again.
+    /// A round spends its interval parked in the server, so a target
+    /// that changes mid-round lands in the slot when it is decided. The
+    /// first round after a (re)connect holds no reply to wait on: its
+    /// poll is answered at once, and it parks for the rest of the round
+    /// with a second, wait-form poll. Whatever part of the interval the
+    /// server did not hold — all of it when degraded, the rest of it
+    /// after a change cut the hold short — is slept out here, so rounds
+    /// never come faster than `interval`. A killed or restarted server
+    /// drives the slot to the degraded target (all workers runnable)
+    /// within one poll interval, and the slot snaps back once the server
+    /// answers again.
     pub fn spawn_poller(
         mut self,
         slot: Arc<TargetSlot>,
@@ -572,30 +535,35 @@ impl SupervisedClient {
     ) -> PollerGuard {
         let stop = Arc::clone(&self.stop);
         let stream = Arc::clone(&self.stream);
+        let publish = move |polled: Option<(u32, Option<Vec<u32>>)>| match polled {
+            Some((t, cpus)) => {
+                slot.target
+                    .store((t as usize).clamp(1, slot.nworkers), Ordering::Release);
+                slot.set_cpus(cpus);
+            }
+            // Degraded: uncontrolled behavior — every worker runnable
+            // (floor of one preserved by max(1)), and no CPU set: nobody
+            // owns the partition, so workers widen their affinity back out.
+            None => {
+                slot.target.store(slot.nworkers.max(1), Ordering::Release);
+                slot.set_cpus(None);
+            }
+        };
         let handle = std::thread::Builder::new()
             .name("procctl-supervised-poller".into())
             .spawn(move || {
-                while !self.stopping() {
+                'rounds: while !self.stopping() {
                     let round = Instant::now();
-                    let polled = self.poll(true, interval);
-                    if self.stopping() {
-                        break; // `polled` may be the guard's doing
-                    }
-                    match polled {
-                        Some((t, cpus)) => {
-                            slot.target
-                                .store((t as usize).clamp(1, slot.nworkers), Ordering::Release);
-                            // `None` against a pre-extension server keeps
-                            // the pool in count-only mode.
-                            slot.set_cpus(cpus);
+                    loop {
+                        let waits = Self::held(&self.heard, true).is_some();
+                        let polled = self.poll(true, interval.saturating_sub(round.elapsed()));
+                        if self.stopping() {
+                            break 'rounds; // `polled` may be the guard's doing
                         }
-                        // Degraded: uncontrolled behavior — every worker
-                        // runnable (floor of one preserved by max(1)),
-                        // and no CPU set: nobody owns the partition, so
-                        // workers widen their affinity back out.
-                        None => {
-                            slot.target.store(slot.nworkers.max(1), Ordering::Release);
-                            slot.set_cpus(None);
+                        let healthy = polled.is_some();
+                        publish(polled);
+                        if waits || !healthy || round.elapsed() >= interval {
+                            break;
                         }
                     }
                     if report {
@@ -608,7 +576,11 @@ impl SupervisedClient {
                 self.bye();
             })
             .expect("spawn supervised poller");
-        PollerGuard::from_parts(stop, handle, stream)
+        PollerGuard {
+            stop,
+            handle: Some(handle),
+            stream,
+        }
     }
 }
 
@@ -617,6 +589,37 @@ struct Heard {
     target: u32,
     epoch: u64,
     cpus: Option<Vec<u32>>,
+}
+
+/// The socket of a poller's current connection (none while it has none),
+/// shared with its [`PollerGuard`]: a poll parked in the server sits in
+/// a read that only the socket can end early.
+type ParkedStream = Arc<Mutex<Option<UnixStream>>>;
+
+/// Stops the background poller (and sends BYE) when dropped — at once,
+/// whether the poller is asleep between rounds or parked in the server.
+pub struct PollerGuard {
+    // sched-atomic(handoff): Release store in drop publishes the stop to
+    // the poller, which loads it with Acquire between and after reads.
+    stop: Arc<AtomicBool>,
+    handle: Option<JoinHandle<()>>,
+    stream: ParkedStream,
+}
+
+impl Drop for PollerGuard {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        // Ends a read the poller may be parked in (it sees EOF, then the
+        // raised flag) and leaves the write half open for its BYE.
+        let parked_on = self.stream.lock().take();
+        if let Some(stream) = parked_on {
+            let _ = stream.shutdown(std::net::Shutdown::Read);
+        }
+        if let Some(h) = self.handle.take() {
+            h.thread().unpark();
+            let _ = h.join();
+        }
+    }
 }
 
 #[cfg(all(test, target_os = "linux"))]
@@ -769,49 +772,6 @@ mod tests {
         assert_eq!(cpus.expect("cpu set"), vec![0, 1, 2, 3]);
     }
 
-    #[test]
-    fn old_server_downgrades_to_count_only_same_round() {
-        use std::io::{BufRead, BufReader, Write};
-        use std::os::unix::net::UnixListener;
-        // A pre-extension server: REGISTER and two-field POLL work,
-        // anything else (including `POLL <pid> cpus`) is ERR malformed.
-        let path = sock_path("cpus-old");
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).expect("bind");
-        let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut writer = stream.try_clone().expect("clone");
-            let mut reader = BufReader::new(stream);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    return;
-                }
-                let fields: Vec<&str> = line.split_whitespace().collect();
-                let reply = match fields.as_slice() {
-                    ["REGISTER", ..] => "OK 1\n".to_string(),
-                    ["POLL", _pid] => "TARGET 3 1\n".to_string(),
-                    ["BYE", ..] => return,
-                    _ => "ERR malformed\n".to_string(),
-                };
-                writer.write_all(reply.as_bytes()).expect("write");
-            }
-        });
-        let registry = Arc::new(Registry::new());
-        let mut sup = SupervisedClient::new(fast_cfg(&path, 8), Arc::clone(&registry));
-        // First poll: extension probe gets ERR malformed, downgrade, and
-        // the SAME call still produces a count-only healthy target.
-        assert_eq!(sup.poll_target_cpus(), Some((3, None)));
-        assert!(!sup.cpus_supported, "must remember the downgrade");
-        // Subsequent polls skip the probe entirely and stay healthy.
-        assert_eq!(sup.poll_target_cpus(), Some((3, None)));
-        assert_eq!(registry.snapshot().counters["degraded_enters"], 0);
-        sup.bye();
-        handle.join().expect("old server thread");
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// A server on 8 processors whose fake pids survive.
     fn server(tag: &str) -> (PathBuf, UdsServer) {
         let path = sock_path(tag);
@@ -884,100 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn server_that_cannot_park_costs_one_request_per_connection() {
-        // A server from before the wait form: `ERR malformed`. It serves
-        // one connection at a time, each to its EOF.
-        use std::io::{BufRead, BufReader, Write};
-        use std::os::unix::net::UnixListener;
-        use std::sync::atomic::AtomicUsize;
-        let path = sock_path("cannot-park");
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).expect("bind");
-        let [polls, waits, byes] = [(); 3].map(|()| Arc::new(AtomicUsize::new(0)));
-        let (polls2, waits2, byes2) = (polls.clone(), waits.clone(), byes.clone());
-        const POLLERS: usize = 3;
-        let handle = std::thread::spawn(move || {
-            for _ in 0..1 + POLLERS {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut writer = stream.try_clone().expect("clone");
-                let mut reader = BufReader::new(stream);
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                        break;
-                    }
-                    let fields: Vec<&str> = line.split_whitespace().collect();
-                    if fields.contains(&"wait") {
-                        waits2.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let reply = match fields.as_slice() {
-                        ["REGISTER", ..] => "OK 1\n",
-                        ["POLL", _pid] => "TARGET 3 1\n",
-                        ["POLL", _pid, "cpus"] => "TARGET 3 1 cpus=0-2\n",
-                        ["BYE", ..] => {
-                            byes2.fetch_add(1, Ordering::Relaxed);
-                            "OK 1\n"
-                        }
-                        _ => "ERR malformed\n",
-                    };
-                    if fields.first() == Some(&"POLL") {
-                        polls2.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // (A guard's BYE comes on a half-closed socket.)
-                    let _ = writer.write_all(reply.as_bytes());
-                }
-            }
-        });
-        let registry = Arc::new(Registry::new());
-        let mut sup = SupervisedClient::new(fast_cfg(&path, 8), Arc::clone(&registry));
-        for _ in 0..4 {
-            assert_eq!(sup.poll_target_cpus(), Some((3, Some(vec![0, 1, 2]))));
-        }
-        assert!(!sup.wait_supported, "must remember the downgrade");
-        assert!(sup.cpus_supported, "the wait form went, not the cpus form");
-        // Four polls, and the one refused probe before the second.
-        assert_eq!(polls.load(Ordering::Relaxed), 5);
-        assert_eq!(waits.load(Ordering::Relaxed), 1);
-        assert_eq!(registry.snapshot().counters["degraded_enters"], 0);
-        assert_eq!(registry.snapshot().counters["poll_errors"], 0);
-        sup.bye();
-
-        // A poller pays the same one probe, then sleeps its whole
-        // interval here, where a dropped guard ends it at once. The
-        // bound on the drop is on the fastest of the pollers: the
-        // suite's other tests share the CPUs.
-        let mut fastest = Duration::MAX;
-        for round in 1..=POLLERS {
-            let registry = Arc::new(Registry::new());
-            let mut sup = SupervisedClient::new(SupervisorConfig::new(&path, 8), registry.clone());
-            assert_eq!(sup.poll_target_cpus(), Some((3, Some(vec![0, 1, 2]))));
-            let slot = Arc::new(TargetSlot::new(8));
-            let guard = sup.spawn_poller(Arc::clone(&slot), Duration::from_secs(1), false);
-            wait_until("the first target", || {
-                slot.cpus().is_some_and(|c| c.len() == 3)
-            });
-            // The poller is now asleep for most of a second.
-            let start = Instant::now();
-            drop(guard);
-            fastest = fastest.min(start.elapsed());
-            wait_until("the BYE", || byes.load(Ordering::Relaxed) == 1 + round);
-            // This connection: the poll above, the probe, the poll again.
-            assert_eq!(polls.load(Ordering::Relaxed), 5 + 3 * round);
-            assert_eq!(waits.load(Ordering::Relaxed), 1 + round);
-            let snap = registry.snapshot();
-            assert_eq!(snap.counters["degraded_enters"], 0);
-            assert_eq!(snap.counters["poll_errors"], 0);
-        }
-        assert!(fastest < Duration::from_millis(10), "drop took {fastest:?}");
-        // Every connection has reached its EOF: one BYE each, late ones
-        // included.
-        handle.join().expect("old server thread");
-        assert_eq!(byes.load(Ordering::Relaxed), 1 + POLLERS);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn poller_delivers_a_change_mid_interval_and_its_guard_drops_at_once() {
         let (path, server) = server("poller");
         // Pollers with a one-second interval, dropped in each state
@@ -988,8 +854,7 @@ mod tests {
         for round in 0..6 {
             let registry = Arc::new(Registry::new());
             let mut sup = SupervisedClient::new(SupervisorConfig::new(&path, 8), registry.clone());
-            // With a reply already in hand the poller's first round
-            // can park (else it would be its second, a second on).
+            // With a reply already in hand the poller's first poll parks.
             assert_eq!(sup.poll_target_cpus(), Some((8, Some((0..8).collect()))));
             let slot = Arc::new(TargetSlot::new(8));
             let guard = sup.spawn_poller(Arc::clone(&slot), Duration::from_secs(1), false);
@@ -1032,6 +897,72 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_pollers_first_round_parks_instead_of_sleeping() {
+        let (path, server) = server("first-round");
+        // The first round's poll holds nothing to wait on and is answered
+        // at once; the rest of the round must still hear a change. The
+        // bound is on the fastest of three pollers: the suite's other
+        // tests share the CPUs.
+        let mut fastest = Duration::MAX;
+        for _ in 0..3 {
+            let registry = Arc::new(Registry::new());
+            let sup = SupervisedClient::new(SupervisorConfig::new(&path, 8), registry);
+            let slot = Arc::new(TargetSlot::new(8));
+            let guard = sup.spawn_poller(Arc::clone(&slot), Duration::from_secs(1), false);
+            wait_until("the first target", || slot.cpus().is_some());
+            assert!(say(&path, "REGISTER 910030 8\n").starts_with("OK "));
+            let toggled = Instant::now();
+            wait_until("the halved target", || {
+                slot.target.load(Ordering::Acquire) == 4
+            });
+            fastest = fastest.min(toggled.elapsed());
+            assert!(say(&path, "BYE 910030\n").starts_with("OK "));
+            drop(guard);
+        }
+        assert!(
+            fastest < Duration::from_millis(200),
+            "the first round slept {fastest:?} beside the server"
+        );
+        wait_until("every BYE", || server.stats().gauges["apps"] == 0);
+    }
+
+    #[test]
+    fn a_refused_poll_is_a_fault_and_drops_the_connection() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixListener;
+        // A server that registers and then refuses every frame: the
+        // refusal is counted like a garbled reply, and the round is
+        // degraded instead of retried in another form.
+        let path = sock_path("refused");
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let handle = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut writer = stream.try_clone().expect("clone");
+            for line in BufReader::new(stream).lines() {
+                let Ok(line) = line else { return };
+                let reply = if line.starts_with("REGISTER") {
+                    "OK 1\n"
+                } else {
+                    "ERR malformed\n"
+                };
+                writer.write_all(reply.as_bytes()).expect("write");
+            }
+        });
+        let registry = Arc::new(Registry::new());
+        let mut sup = SupervisedClient::new(fast_cfg(&path, 8), Arc::clone(&registry));
+        assert!(sup.connected());
+        assert_eq!(sup.poll_target_cpus(), None);
+        assert!(!sup.connected(), "the refusing connection must go");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["poll_errors"], 1);
+        assert_eq!(snap.counters["degraded_enters"], 1);
+        drop(sup);
+        handle.join().expect("refusing server thread");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn ship_events_drains_recorder_into_server_journal() {
         use crate::trace::{EventKind, FlightRecorder};
         use crate::uds::UdsClient;
@@ -1051,11 +982,7 @@ mod tests {
         // A reader sees the shipped events (after the poll's decision
         // instant) in the server journal.
         let mut reader = UdsClient::register(&path, 1).expect("reader");
-        let (_, events) = reader
-            .trace(std::process::id(), None)
-            .expect("trace")
-            .into_events()
-            .expect("events reply");
+        let (_, events) = reader.trace(std::process::id(), None).expect("trace");
         let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::JobStart), "{kinds:?}");
         assert!(kinds.contains(&EventKind::Steal), "{kinds:?}");
@@ -1063,63 +990,6 @@ mod tests {
         // Nothing resident → shipping again is a no-op.
         sup.ship_events();
         assert_eq!(registry.snapshot().counters["events_shipped"], 2);
-    }
-
-    #[test]
-    fn old_server_downgrades_event_shipping_without_errors() {
-        use crate::trace::{EventKind, FlightRecorder};
-        use std::io::{BufRead, BufReader, Write};
-        use std::os::unix::net::UnixListener;
-        use std::sync::atomic::AtomicUsize;
-
-        // A pre-extension server: REGISTER/POLL only. EVENTS gets ERR
-        // malformed; the supervisor must remember the downgrade and stop
-        // sending EVENTS lines on this connection.
-        let path = sock_path("ship-old");
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).expect("bind");
-        let events_lines = Arc::new(AtomicUsize::new(0));
-        let events_lines2 = Arc::clone(&events_lines);
-        let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut writer = stream.try_clone().expect("clone");
-            let mut reader = BufReader::new(stream);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    return;
-                }
-                if line.starts_with("EVENTS") {
-                    events_lines2.fetch_add(1, Ordering::Relaxed);
-                }
-                let fields: Vec<&str> = line.split_whitespace().collect();
-                let reply = match fields.as_slice() {
-                    ["REGISTER", ..] => "OK 1\n".to_string(),
-                    ["POLL", _pid] => "TARGET 2 1\n".to_string(),
-                    ["BYE", ..] => return,
-                    _ => "ERR malformed\n".to_string(),
-                };
-                writer.write_all(reply.as_bytes()).expect("write");
-            }
-        });
-        let registry = Arc::new(Registry::new());
-        let recorder = Arc::new(FlightRecorder::new(1, 16, &registry));
-        let mut sup = SupervisedClient::new(fast_cfg(&path, 4), Arc::clone(&registry))
-            .with_recorder(Arc::clone(&recorder));
-        assert_eq!(sup.poll_target(), Some(2));
-        recorder.record(0, EventKind::JobStart, 0);
-        sup.ship_events();
-        assert!(!sup.events_supported, "must remember the downgrade");
-        assert_eq!(registry.snapshot().counters["events_shipped"], 0);
-        // Further batches are not even sent on this connection.
-        recorder.record(0, EventKind::JobStart, 1);
-        sup.ship_events();
-        assert_eq!(events_lines.load(Ordering::Relaxed), 1);
-        assert_eq!(sup.poll_target(), Some(2), "connection still healthy");
-        sup.bye();
-        handle.join().expect("old server thread");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

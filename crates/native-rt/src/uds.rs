@@ -31,13 +31,8 @@
 //!
 //! where `<cpulist>` is kernel cpulist syntax (`0-3,8`), a contiguous
 //! slice of the server's topology-linearized CPU order
-//! ([`procctl::cpu_range`]). The extension is client-opt-in per
-//! request, which is what makes it wire-compatible in both directions: an
-//! *old client* never sends the suffix and sees unchanged `TARGET <n>
-//! <epoch>` replies; a *new client* against an *old server* gets `ERR
-//! malformed` (the old parser's total fallback), which
-//! [`UdsClient::poll_cpus_reply`] maps to [`CpusPollReply::Unsupported`]
-//! — the cue to fall back to count-only polls.
+//! ([`procctl::cpu_range`]). A client that never sends the suffix sees
+//! the count-only `TARGET <n> <epoch>`.
 //!
 //! **Parked polls** (the wait form). A client that already holds a reply
 //! appends what it heard and how long the server may sit on the request:
@@ -60,11 +55,13 @@
 //! longer waits for the next one. Parking and releasing both refresh the
 //! lease. A later frame on a parked connection releases the park first,
 //! so replies stay in frame order; a connection that closes while parked
-//! is forgotten without a reply. Compatibility is the `cpus` story again:
-//! an old client never sends the suffix; an old server answers `ERR
-//! malformed`. The client takes any `ERR` other than `unregistered` as
-//! [`CpusPollReply::Unsupported`] and polls the old way for the rest of
-//! the connection.
+//! is forgotten without a reply.
+//!
+//! One [`PollReply`] answers all three forms. The client's reply readers
+//! are pure functions of the reply line: `ERR unregistered` is a typed
+//! outcome where the verb has one (POLL, EVENTS), and every other `ERR`
+//! — the server refusing a frame it cannot parse — is an
+//! [`io::ErrorKind::InvalidData`] error, like a garbled reply.
 //!
 //! Fault tolerance (see DESIGN.md §"Failure modes & recovery"):
 //!
@@ -87,9 +84,10 @@
 //!   reclaimed.
 //! - **Client timeouts.** [`UdsClient::register`] arms read *and* write
 //!   timeouts on the stream, so even the unsupervised client can never
-//!   hang indefinitely on a wedged server. For automatic reconnect,
-//!   backoff, and degraded-mode fallback, wrap it in
-//!   [`crate::SupervisedClient`].
+//!   hang indefinitely on a wedged server. Applications use
+//!   [`crate::SupervisedClient`], which wraps it with reconnect,
+//!   backoff, degraded-mode fallback and the background poller; the
+//!   bare client serves monitors and tests.
 //!
 //! The server additionally prunes registered applications whose processes
 //! have died without a BYE (checked against `/proc`), and can optionally
@@ -105,10 +103,10 @@
 //! ```
 //!
 //! Applications may additionally push their pool's statistics line to the
-//! server (the reporting poller does this on every poll), and anyone can
-//! read back the latest report for a given pid — cross-process visibility
-//! into the work-stealing counters (`steals`, `local_hits`, …) without
-//! attaching to the application:
+//! server (a supervised poller spawned with `report` does this every
+//! round), and anyone can read back the latest report for a given pid —
+//! cross-process visibility into the work-stealing counters (`steals`,
+//! `local_hits`, …) without attaching to the application:
 //!
 //! ```text
 //! client → server:  REPORT <pid> jobs_run=100 steals=7 ...
@@ -117,12 +115,12 @@
 //! server → client:  STATS jobs_run=100 steals=7 ...
 //! ```
 //!
-//! **Flight-recorder extension** (observability, same compatibility
-//! story as `cpus`). Applications push batches of scheduling events
-//! drained from their [`crate::FlightRecorder`] rings; the server keeps
-//! a bounded per-pid journal — interleaving its own partition-decision
-//! instants — that anyone (e.g. `schedtop`, the Perfetto merge) can
-//! drain back out, correlated across restarts by the boot epoch:
+//! **Flight recorder** (observability). Applications push batches of
+//! scheduling events drained from their [`crate::FlightRecorder`] rings;
+//! the server keeps a bounded per-pid journal — interleaving its own
+//! partition-decision instants — that anyone (e.g. `schedtop`, the
+//! Perfetto merge) can drain back out, correlated across restarts by the
+//! boot epoch:
 //!
 //! ```text
 //! client → server:  EVENTS <pid> <ts:kind:worker:arg,...>
@@ -133,10 +131,9 @@
 //!
 //! A monitor refreshes the whole fleet in one round-trip with
 //! `STATS ALL`, answered as `STATS ALL pid=<pid> target=<t>
-//! nworkers=<n> <latest report>|…`. All three verbs degrade against
-//! pre-extension servers: the old parser answers `ERR malformed`, which
-//! the client surfaces as `Unsupported` ([`EventsReply`],
-//! [`TraceReply`], [`StatsAllReply`]) instead of an error.
+//! nworkers=<n> <latest report>|…`. Because `|` separates the rows, a
+//! `REPORT` with `|` in it is refused (`ERR malformed`) and the client
+//! will not send one.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -146,10 +143,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::control::{ControlCore, UdsServerConfig};
-use crate::controller::{sleep_unless_stopped, TargetSlot};
 use crate::reactor::Reactor;
 use crate::snapshot::{ServerSnapshot, SnapshotError};
 use crate::stats::{Registry, Snapshot};
@@ -294,8 +288,8 @@ impl Drop for UdsServer {
     }
 }
 
-/// A decoded reply to `POLL`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A decoded reply to `POLL`, in any of its forms.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PollReply {
     /// A live target, stamped with the server's boot epoch.
     Target {
@@ -303,6 +297,9 @@ pub enum PollReply {
         target: u32,
         /// The replying server's boot epoch.
         epoch: u64,
+        /// The processors assigned, when the `cpus` form was asked and
+        /// the reply names a non-empty set.
+        cpus: Option<Vec<u32>>,
     },
     /// The server holds no registration for this pid: the lease expired
     /// or the server restarted. Re-register before polling again.
@@ -310,76 +307,20 @@ pub enum PollReply {
 }
 
 impl PollReply {
-    /// The `(target, epoch)` of a live reply, or a typed
+    /// The `(target, epoch, cpus)` of a live reply, or a typed
     /// [`io::ErrorKind::NotConnected`] error for `Unregistered` — so
     /// tests and chaos drills can assert on the unexpected case instead
     /// of `panic!`ing the harness.
-    pub fn target(self) -> io::Result<(u32, u64)> {
-        match self {
-            PollReply::Target { target, epoch } => Ok((target, epoch)),
-            PollReply::Unregistered => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "expected a target, server answered unregistered",
-            )),
-        }
-    }
-}
-
-/// A decoded reply to `POLL <pid> cpus` (the CPU-set extension).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CpusPollReply {
-    /// A live target, with the assigned CPU set when the server speaks
-    /// the extension (a server may legitimately answer without one).
-    Target {
-        /// Desired number of unsuspended workers.
-        target: u32,
-        /// The replying server's boot epoch.
-        epoch: u64,
-        /// The concrete processors assigned, when present and non-empty.
-        cpus: Option<Vec<u32>>,
-    },
-    /// No live registration for this pid — re-register before polling.
-    Unregistered,
-    /// The server lacks the form that was sent: it predates the `cpus`
-    /// extension or the wait form (`ERR malformed`, or any other `ERR`
-    /// it refuses with). Fall back to the next simpler form, down to
-    /// plain count-only [`UdsClient::poll_reply`].
-    Unsupported,
-}
-
-impl From<PollReply> for CpusPollReply {
-    /// A count-only reply, as the `cpus` form of a server that names no
-    /// set would have given it.
-    fn from(reply: PollReply) -> CpusPollReply {
-        match reply {
-            PollReply::Target { target, epoch } => CpusPollReply::Target {
-                target,
-                epoch,
-                cpus: None,
-            },
-            PollReply::Unregistered => CpusPollReply::Unregistered,
-        }
-    }
-}
-
-impl CpusPollReply {
-    /// The `(target, epoch, cpus)` of a live reply, or a typed error:
-    /// [`io::ErrorKind::NotConnected`] for `Unregistered`,
-    /// [`io::ErrorKind::Unsupported`] for a pre-extension server.
     pub fn target(self) -> io::Result<(u32, u64, Option<Vec<u32>>)> {
         match self {
-            CpusPollReply::Target {
+            PollReply::Target {
                 target,
                 epoch,
                 cpus,
             } => Ok((target, epoch, cpus)),
-            CpusPollReply::Unregistered => Err(io::Error::new(
+            PollReply::Unregistered => Err(io::Error::new(
                 io::ErrorKind::NotConnected,
-                "expected a target, server answered unregistered",
-            )),
-            CpusPollReply::Unsupported => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "server lacks this poll form",
+                "server holds no registration for this pid (lease expired or server restarted)",
             )),
         }
     }
@@ -395,58 +336,6 @@ pub enum EventsReply {
     },
     /// No live registration for this pid — re-register before pushing.
     Unregistered,
-    /// The server predates the flight-recorder extension (it answered
-    /// `ERR malformed`). Stop pushing until the next reconnect.
-    Unsupported,
-}
-
-impl EventsReply {
-    /// The epoch of an accepted push, or a typed error:
-    /// [`io::ErrorKind::NotConnected`] for `Unregistered`,
-    /// [`io::ErrorKind::Unsupported`] for a pre-extension server.
-    pub fn accepted(self) -> io::Result<u64> {
-        match self {
-            EventsReply::Accepted { epoch } => Ok(epoch),
-            EventsReply::Unregistered => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "events push rejected: unregistered",
-            )),
-            EventsReply::Unsupported => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "server predates the events extension",
-            )),
-        }
-    }
-}
-
-/// A decoded reply to `TRACE <pid> [max]` (the journal drain).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceReply {
-    /// The oldest journaled events for the pid (possibly none), removed
-    /// from the server's journal by this read.
-    Events {
-        /// The replying server's boot epoch — merge tooling uses it to
-        /// correlate drains across server restarts.
-        epoch: u64,
-        /// Drained events, oldest first.
-        events: Vec<TraceEvent>,
-    },
-    /// The server predates the extension (it answered `ERR`).
-    Unsupported,
-}
-
-impl TraceReply {
-    /// The `(epoch, events)` of a served drain, or a typed
-    /// [`io::ErrorKind::Unsupported`] error for a pre-extension server.
-    pub fn into_events(self) -> io::Result<(u64, Vec<TraceEvent>)> {
-        match self {
-            TraceReply::Events { epoch, events } => Ok((epoch, events)),
-            TraceReply::Unsupported => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "server predates the trace extension",
-            )),
-        }
-    }
 }
 
 /// One application's row in a `STATS ALL` reply.
@@ -477,29 +366,111 @@ impl AppStatsEntry {
     }
 }
 
-/// A decoded reply to `STATS ALL` (the one-round-trip fleet snapshot).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StatsAllReply {
-    /// Every registered application's target and latest report.
-    Apps(Vec<AppStatsEntry>),
-    /// The server predates the verb ("ALL" fails its pid parse and it
-    /// answered `ERR malformed`). Fall back to per-pid
-    /// [`UdsClient::app_stats`] calls.
-    Unsupported,
+// The reply readers: one pure function of the reply line per reply
+// shape, so the socket read stays in `UdsClient` and the readers can be
+// checked against a transcript of the real server. A line that is not
+// the expected shape — an `ERR` without a typed outcome included — is
+// `InvalidData`.
+
+fn invalid(line: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("unexpected reply {line:?}"),
+    )
 }
 
-impl StatsAllReply {
-    /// The fleet rows of a served snapshot, or a typed
-    /// [`io::ErrorKind::Unsupported`] error for a pre-verb server.
-    pub fn into_apps(self) -> io::Result<Vec<AppStatsEntry>> {
-        match self {
-            StatsAllReply::Apps(apps) => Ok(apps),
-            StatsAllReply::Unsupported => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "server predates STATS ALL",
-            )),
-        }
+/// `OK <epoch>` → the epoch.
+fn read_ok(line: &str) -> io::Result<u64> {
+    match line.split_whitespace().collect::<Vec<_>>().as_slice() {
+        ["OK", e] => e.parse().map_err(|_| invalid(line)),
+        _ => Err(invalid(line)),
     }
+}
+
+/// `TARGET <n> <epoch> [cpus=<cpulist>]` or `ERR unregistered`: the
+/// reply to every POLL form.
+fn read_poll(line: &str) -> io::Result<PollReply> {
+    match line.split_whitespace().collect::<Vec<_>>().as_slice() {
+        ["TARGET", n, e, rest @ ..] => match (n.parse(), e.parse()) {
+            (Ok(target), Ok(epoch)) => Ok(PollReply::Target {
+                target,
+                epoch,
+                cpus: rest
+                    .iter()
+                    .find_map(|f| f.strip_prefix("cpus="))
+                    .and_then(crate::topology::parse_cpulist)
+                    .filter(|c| !c.is_empty()),
+            }),
+            _ => Err(invalid(line)),
+        },
+        ["ERR", "unregistered"] => Ok(PollReply::Unregistered),
+        _ => Err(invalid(line)),
+    }
+}
+
+/// `OK <epoch>` or `ERR unregistered`: the reply to EVENTS.
+fn read_events(line: &str) -> io::Result<EventsReply> {
+    match line.split_whitespace().collect::<Vec<_>>().as_slice() {
+        ["ERR", "unregistered"] => Ok(EventsReply::Unregistered),
+        _ => read_ok(line).map(|epoch| EventsReply::Accepted { epoch }),
+    }
+}
+
+/// `TRACE <epoch> <n> [<events>]` → the epoch and the `n` events.
+fn read_trace(line: &str) -> io::Result<(u64, Vec<TraceEvent>)> {
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    let ["TRACE", e, n, rest @ ..] = fields.as_slice() else {
+        return Err(invalid(line));
+    };
+    let (Ok(epoch), Ok(n)) = (e.parse::<u64>(), n.parse::<usize>()) else {
+        return Err(invalid(line));
+    };
+    let events = match rest {
+        [] => Vec::new(),
+        [payload] => trace::parse_events(payload).ok_or_else(|| invalid(line))?,
+        _ => return Err(invalid(line)),
+    };
+    if events.len() != n {
+        return Err(invalid(line));
+    }
+    Ok((epoch, events))
+}
+
+/// `STATS ALL [<row>|<row>…]` → one entry per row.
+fn read_stats_all(line: &str) -> io::Result<Vec<AppStatsEntry>> {
+    let rest = line
+        .strip_prefix("STATS ALL")
+        .ok_or_else(|| invalid(line))?
+        .trim_start();
+    if rest.is_empty() {
+        return Ok(Vec::new());
+    }
+    rest.split('|')
+        .map(|part| AppStatsEntry::parse(part).ok_or_else(|| invalid(line)))
+        .collect()
+}
+
+/// `STATS [<report>]` → the report line (empty when none).
+fn read_app_stats(line: &str) -> io::Result<String> {
+    match line.strip_prefix("STATS") {
+        Some(rest) => Ok(rest.trim_start().to_string()),
+        None => Err(invalid(line)),
+    }
+}
+
+/// `STATS k=v …` → the server's counters as `(key, value)` pairs.
+fn read_stats(line: &str) -> io::Result<Vec<(String, i64)>> {
+    let mut fields = line.split_whitespace();
+    if fields.next() != Some("STATS") {
+        return Err(invalid(line));
+    }
+    fields
+        .map(|kv| {
+            let (k, v) = kv.split_once('=').ok_or_else(|| invalid(line))?;
+            let v = v.parse::<f64>().map_err(|_| invalid(line))?;
+            Ok((k.to_string(), v as i64))
+        })
+        .collect()
 }
 
 /// Client-side connection to a [`UdsServer`].
@@ -558,7 +529,7 @@ impl UdsClient {
     pub fn re_register(&mut self) -> io::Result<u64> {
         let (pid, nworkers) = (self.pid, self.nworkers);
         self.send(&format!("REGISTER {pid} {nworkers}\n"))?;
-        let epoch = self.expect_ok()?;
+        let epoch = read_ok(&self.read_line()?)?;
         self.epoch = epoch;
         Ok(epoch)
     }
@@ -598,58 +569,20 @@ impl UdsClient {
         Ok(line.trim().to_string())
     }
 
-    /// Reads a reply, mapping `ERR <reason>` lines to errors.
-    fn read_reply(&mut self) -> io::Result<String> {
-        let line = self.read_line()?;
-        if let Some(reason) = line.strip_prefix("ERR") {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("server error:{reason}"),
-            ));
-        }
-        Ok(line)
-    }
-
-    /// Expects `OK <epoch>` and returns the epoch.
-    fn expect_ok(&mut self) -> io::Result<u64> {
-        let line = self.read_reply()?;
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["OK", e] => e
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, line.clone())),
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected OK, got {line}"),
-            )),
-        }
-    }
-
     /// Polls the server, distinguishing a live target from "the server no
     /// longer knows this pid" (lease expiry or restart).
     pub fn poll_reply(&mut self) -> io::Result<PollReply> {
         let pid = self.pid;
         self.send(&format!("POLL {pid}\n"))?;
-        let line = self.read_line()?;
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["TARGET", n, e] => match (n.parse(), e.parse()) {
-                (Ok(target), Ok(epoch)) => Ok(PollReply::Target { target, epoch }),
-                _ => Err(io::Error::new(io::ErrorKind::InvalidData, line.clone())),
-            },
-            ["ERR", "unregistered"] => Ok(PollReply::Unregistered),
-            _ => Err(io::Error::new(io::ErrorKind::InvalidData, line)),
-        }
+        read_poll(&self.read_line()?)
     }
 
-    /// Polls with the CPU-set extension (`POLL <pid> cpus`),
-    /// distinguishing a live target (with its assigned processors) from
-    /// "unregistered" from "server too old for the extension". The last
-    /// case is how wire compatibility with pre-extension servers works:
-    /// they answer `ERR malformed`, and the caller downgrades to plain
-    /// [`UdsClient::poll_reply`].
-    pub fn poll_cpus_reply(&mut self) -> io::Result<CpusPollReply> {
+    /// Polls with the CPU-set extension (`POLL <pid> cpus`): a live
+    /// reply also carries the assigned processors.
+    pub fn poll_cpus_reply(&mut self) -> io::Result<PollReply> {
         let pid = self.pid;
         self.send(&format!("POLL {pid} cpus\n"))?;
-        self.read_poll_reply()
+        read_poll(&self.read_line()?)
     }
 
     /// Polls in the wait form: tells the server the reply this client
@@ -658,17 +591,13 @@ impl UdsClient {
     /// `hold` (see the module docs, "Parked polls"). Returns when the
     /// server has something new to say or the hold ran out, so this call
     /// blocks for up to `hold`: keep it below the stream's I/O timeout.
-    /// A server that cannot park answers `ERR malformed` (or refuses
-    /// with another `ERR`), surfaced as [`CpusPollReply::Unsupported`] —
-    /// the cue to go back to [`UdsClient::poll_reply`] /
-    /// [`UdsClient::poll_cpus_reply`].
     pub fn poll_wait_reply(
         &mut self,
         target: u32,
         epoch: u64,
         cpus: Option<&[u32]>,
         hold: Duration,
-    ) -> io::Result<CpusPollReply> {
+    ) -> io::Result<PollReply> {
         let (pid, hold_ms) = (self.pid, hold.as_millis());
         match cpus {
             Some(cpus) => {
@@ -679,43 +608,12 @@ impl UdsClient {
             }
             None => self.send(&format!("POLL {pid} wait {hold_ms} {target} {epoch}\n"))?,
         }
-        self.read_poll_reply()
-    }
-
-    /// Reads the reply to any POLL form that has a downgrade (`cpus`,
-    /// `wait`): `TARGET <n> <epoch> [cpus=<cpulist>]`, `ERR
-    /// unregistered`, or another `ERR` from a server without the form.
-    fn read_poll_reply(&mut self) -> io::Result<CpusPollReply> {
-        let line = self.read_line()?;
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["TARGET", n, e, rest @ ..] => match (n.parse::<u32>(), e.parse::<u64>()) {
-                (Ok(target), Ok(epoch)) => {
-                    let cpus = rest
-                        .iter()
-                        .find_map(|f| f.strip_prefix("cpus="))
-                        .and_then(crate::topology::parse_cpulist)
-                        .filter(|c| !c.is_empty());
-                    Ok(CpusPollReply::Target {
-                        target,
-                        epoch,
-                        cpus,
-                    })
-                }
-                _ => Err(io::Error::new(io::ErrorKind::InvalidData, line.clone())),
-            },
-            ["ERR", "unregistered"] => Ok(CpusPollReply::Unregistered),
-            ["ERR", ..] => Ok(CpusPollReply::Unsupported),
-            _ => Err(io::Error::new(io::ErrorKind::InvalidData, line)),
-        }
+        read_poll(&self.read_line()?)
     }
 
     /// Pushes a batch of flight-recorder events for this process into
     /// the server's bounded journal (refreshing the lease, like POLL).
     /// An empty batch sends nothing and reports the last-known epoch.
-    ///
-    /// Wire compatibility mirrors the CPU-set extension: a pre-extension
-    /// server answers `ERR malformed`, surfaced as
-    /// [`EventsReply::Unsupported`] — the cue to stop pushing.
     pub fn push_events(&mut self, events: &[TraceEvent]) -> io::Result<EventsReply> {
         if events.is_empty() {
             return Ok(EventsReply::Accepted { epoch: self.epoch });
@@ -723,75 +621,28 @@ impl UdsClient {
         let pid = self.pid;
         let payload = trace::render_events(events);
         self.send(&format!("EVENTS {pid} {payload}\n"))?;
-        let line = self.read_line()?;
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["OK", e] => match e.parse() {
-                Ok(epoch) => Ok(EventsReply::Accepted { epoch }),
-                Err(_) => Err(io::Error::new(io::ErrorKind::InvalidData, line.clone())),
-            },
-            ["ERR", "unregistered"] => Ok(EventsReply::Unregistered),
-            ["ERR", ..] => Ok(EventsReply::Unsupported),
-            _ => Err(io::Error::new(io::ErrorKind::InvalidData, line)),
-        }
+        read_events(&self.read_line()?)
     }
 
     /// Drains up to `max` (server default when `None`) of the oldest
     /// journaled events for `pid` — both the events that application
-    /// pushed and the server's own decision instants. Any client may
-    /// read any pid's journal; the drain is destructive.
-    pub fn trace(&mut self, pid: u32, max: Option<usize>) -> io::Result<TraceReply> {
+    /// pushed and the server's own decision instants — with the replying
+    /// server's boot epoch, which merge tooling uses to correlate drains
+    /// across restarts. Any client may read any pid's journal; the drain
+    /// is destructive.
+    pub fn trace(&mut self, pid: u32, max: Option<usize>) -> io::Result<(u64, Vec<TraceEvent>)> {
         match max {
             Some(m) => self.send(&format!("TRACE {pid} {m}\n"))?,
             None => self.send(&format!("TRACE {pid}\n"))?,
         }
-        let line = self.read_line()?;
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["TRACE", e, n, rest @ ..] => {
-                let parsed = (e.parse::<u64>(), n.parse::<usize>());
-                let (Ok(epoch), Ok(n)) = parsed else {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, line.clone()));
-                };
-                let events = match rest {
-                    [] => Vec::new(),
-                    [payload] => trace::parse_events(payload)
-                        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, line.clone()))?,
-                    _ => return Err(io::Error::new(io::ErrorKind::InvalidData, line.clone())),
-                };
-                if events.len() != n {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, line.clone()));
-                }
-                Ok(TraceReply::Events { epoch, events })
-            }
-            ["ERR", ..] => Ok(TraceReply::Unsupported),
-            _ => Err(io::Error::new(io::ErrorKind::InvalidData, line)),
-        }
+        read_trace(&self.read_line()?)
     }
 
     /// Fetches every registered application's target and latest report
-    /// in one round-trip — what `schedtop` refreshes on. A pre-verb
-    /// server answers `ERR malformed`, surfaced as
-    /// [`StatsAllReply::Unsupported`].
-    pub fn stats_all(&mut self) -> io::Result<StatsAllReply> {
+    /// in one round-trip — what `schedtop` refreshes on.
+    pub fn stats_all(&mut self) -> io::Result<Vec<AppStatsEntry>> {
         self.send("STATS ALL\n")?;
-        let line = self.read_line()?;
-        if line.starts_with("ERR") {
-            return Ok(StatsAllReply::Unsupported);
-        }
-        let rest = line
-            .strip_prefix("STATS ALL")
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, line.clone()))?
-            .trim_start();
-        if rest.is_empty() {
-            return Ok(StatsAllReply::Apps(Vec::new()));
-        }
-        let apps = rest
-            .split('|')
-            .map(|part| {
-                AppStatsEntry::parse(part)
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, part.to_string()))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(StatsAllReply::Apps(apps))
+        read_stats_all(&self.read_line()?)
     }
 
     /// Polls the server for this process's current target. An
@@ -799,168 +650,48 @@ impl UdsClient {
     /// see [`UdsClient::poll_reply`] to handle it without string
     /// matching.
     pub fn poll(&mut self) -> io::Result<u32> {
-        match self.poll_reply()? {
-            PollReply::Target { target, .. } => Ok(target),
-            PollReply::Unregistered => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "server holds no registration for this pid (lease expired or server restarted)",
-            )),
-        }
+        self.poll_reply()?.target().map(|(target, ..)| target)
     }
 
     /// Deregisters (the paper's courtesy goodbye).
     pub fn bye(&mut self) -> io::Result<()> {
         let pid = self.pid;
         self.send(&format!("BYE {pid}\n"))?;
-        self.expect_ok().map(|_| ())
+        read_ok(&self.read_line()?).map(|_| ())
     }
 
-    /// Pushes this process's statistics line to the server (newlines in
-    /// `line` are not allowed by the wire format and are rejected).
+    /// Pushes this process's statistics line to the server. The wire
+    /// format forbids newlines in `line`, and `STATS ALL` separates its
+    /// rows with `|`, so a line with either is rejected unsent.
     pub fn report(&mut self, line: &str) -> io::Result<()> {
-        if line.contains('\n') {
+        if line.contains(['\n', '|']) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "report line must be newline-free",
+                "report line must be free of newlines and `|`",
             ));
         }
         let pid = self.pid;
         self.send(&format!("REPORT {pid} {line}\n"))?;
-        self.expect_ok().map(|_| ())
+        read_ok(&self.read_line()?).map(|_| ())
     }
 
     /// Fetches the latest statistics line another application reported,
     /// or an empty string when `pid` never reported.
     pub fn app_stats(&mut self, pid: u32) -> io::Result<String> {
         self.send(&format!("STATS {pid}\n"))?;
-        let line = self.read_reply()?;
-        match line.strip_prefix("STATS") {
-            Some(rest) => Ok(rest.trim_start().to_string()),
-            None => Err(io::Error::new(io::ErrorKind::InvalidData, line)),
-        }
+        read_app_stats(&self.read_line()?)
     }
 
     /// Fetches the server's statistics as sorted `(key, value)` pairs.
     pub fn stats(&mut self) -> io::Result<Vec<(String, i64)>> {
         self.send("STATS\n")?;
-        let line = self.read_reply()?;
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some("STATS") {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, line));
-        }
-        fields
-            .map(|kv| {
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, kv.to_string()))?;
-                let v = v
-                    .parse::<f64>()
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, kv.to_string()))?;
-                Ok((k.to_string(), v as i64))
-            })
-            .collect()
+        read_stats(&self.read_line()?)
     }
 
-    /// Spawns a background thread that polls every `interval` and stores
-    /// the target into `slot` (for wiring a [`crate::Pool`] to a remote
-    /// server). The thread exits when the returned guard is dropped.
-    ///
-    /// This poller does not reconnect: a dead or restarted server leaves
-    /// the slot at its last value. Use
-    /// [`crate::SupervisedClient::spawn_poller`] for the fault-tolerant
-    /// version with reconnect and degraded-mode fallback.
-    pub fn spawn_poller(self, slot: Arc<TargetSlot>, interval: Duration) -> PollerGuard {
-        self.spawn_poller_inner(slot, interval, None)
-    }
-
-    /// Like [`UdsClient::spawn_poller`], but also `REPORT`s a snapshot of
-    /// `registry` (e.g. a [`crate::Pool`]'s work-stealing counters) to
-    /// the server on every poll, making them readable cross-process via
-    /// `STATS <pid>`.
-    pub fn spawn_reporting_poller(
-        self,
-        slot: Arc<TargetSlot>,
-        interval: Duration,
-        registry: Arc<Registry>,
-    ) -> PollerGuard {
-        self.spawn_poller_inner(slot, interval, Some(registry))
-    }
-
-    fn spawn_poller_inner(
-        mut self,
-        slot: Arc<TargetSlot>,
-        interval: Duration,
-        registry: Option<Arc<Registry>>,
-    ) -> PollerGuard {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("procctl-uds-poller".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    if let Ok(PollReply::Target { target, .. }) = self.poll_reply() {
-                        slot.target
-                            .store((target as usize).clamp(1, slot.nworkers), Ordering::Release);
-                    }
-                    if let Some(reg) = &registry {
-                        let _ = self.report(&reg.snapshot().render_line());
-                    }
-                    sleep_unless_stopped(&stop2, interval);
-                }
-                let _ = self.bye();
-            })
-            .expect("spawn poller");
-        PollerGuard::from_parts(stop, handle, ParkedStream::default())
-    }
-
-    /// A second handle on this connection's socket (see [`ParkedStream`]).
+    /// A second handle on this connection's socket, for the supervised
+    /// poller's guard to end a parked read with.
     pub(crate) fn try_clone_stream(&self) -> io::Result<UnixStream> {
         self.writer.try_clone()
-    }
-}
-
-/// The socket of a poller's current connection (none while it has none),
-/// shared with its [`PollerGuard`]: a poll parked in the server sits in
-/// a read that only the socket can end early.
-pub(crate) type ParkedStream = Arc<Mutex<Option<UnixStream>>>;
-
-/// Stops the background poller (and sends BYE) when dropped — at once,
-/// whether the poller is asleep between rounds or parked in the server.
-pub struct PollerGuard {
-    // sched-atomic(handoff): see UdsServer::stop — same protocol.
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-    stream: ParkedStream,
-}
-
-impl PollerGuard {
-    pub(crate) fn from_parts(
-        // sched-atomic(handoff): parameter view of PollerGuard::stop.
-        stop: Arc<AtomicBool>,
-        handle: JoinHandle<()>,
-        stream: ParkedStream,
-    ) -> Self {
-        PollerGuard {
-            stop,
-            handle: Some(handle),
-            stream,
-        }
-    }
-}
-
-impl Drop for PollerGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Ends a read the poller may be parked in (it sees EOF, then the
-        // raised flag) and leaves the write half open for its BYE.
-        let parked_on = self.stream.lock().take();
-        if let Some(stream) = parked_on {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-        if let Some(h) = self.handle.take() {
-            h.thread().unpark();
-            let _ = h.join();
-        }
     }
 }
 
@@ -968,6 +699,7 @@ impl Drop for PollerGuard {
 mod tests {
     use super::*;
     use crate::trace::EventKind;
+    use crate::{SupervisedClient, SupervisorConfig, TargetSlot};
     use proptest::prelude::*;
 
     fn sock_path(tag: &str) -> PathBuf {
@@ -1130,7 +862,7 @@ mod tests {
             first_epoch = server.epoch();
             let mut c = UdsClient::register(&path, 4).expect("client");
             assert_eq!(c.epoch(), first_epoch);
-            let (_, epoch) = c.poll_reply().expect("poll").target().expect("target");
+            let (_, epoch, _) = c.poll_reply().expect("poll").target().expect("target");
             assert_eq!(epoch, first_epoch);
         }
         let server2 = UdsServer::start(UdsServerConfig::new(&path, 4)).expect("server2");
@@ -1165,7 +897,7 @@ mod tests {
         // The registration survived: an *observer* connection (which
         // never sends REGISTER) polls a live target straight away.
         let mut c2 = UdsClient::connect(&path, DEFAULT_IO_TIMEOUT).expect("observer");
-        let (target, epoch) = c2.poll_reply().expect("poll").target().expect("restored");
+        let (target, epoch, _) = c2.poll_reply().expect("poll").target().expect("restored");
         assert_eq!(target, 8);
         assert_eq!(epoch, server2.epoch());
         assert_eq!(
@@ -1232,13 +964,19 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A supervised client of the server at `path`, registered with
+    /// `nworkers` and counting into `registry`.
+    fn supervised(path: &Path, nworkers: u32, registry: Arc<Registry>) -> SupervisedClient {
+        SupervisedClient::new(SupervisorConfig::new(path, nworkers), registry)
+    }
+
     #[test]
     fn poller_updates_slot() {
         let path = sock_path("poller");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 6)).expect("server");
-        let client = UdsClient::register(&path, 12).expect("client");
+        let client = supervised(&path, 12, Arc::new(Registry::new()));
         let slot = Arc::new(TargetSlot::new(12));
-        let _guard = client.spawn_poller(Arc::clone(&slot), Duration::from_millis(20));
+        let _guard = client.spawn_poller(Arc::clone(&slot), Duration::from_millis(20), false);
         let deadline = Instant::now() + Duration::from_secs(5);
         while slot.target.load(Ordering::Acquire) != 6 {
             assert!(Instant::now() < deadline, "poller never updated the slot");
@@ -1288,15 +1026,130 @@ mod tests {
     }
 
     #[test]
+    fn a_report_with_a_pipe_can_neither_spoof_nor_break_stats_all() {
+        let mut cfg = UdsServerConfig::new("/nonexistent", 8);
+        cfg.prune_dead = false;
+        let mut core = ControlCore::new(cfg, 7);
+        let now = Instant::now();
+        answer(&mut core, "REGISTER 1 4", now);
+        let malformed = |c: &ControlCore| c.registry().snapshot().counters["malformed"];
+        for report in ["x|pid=9 target=9 nworkers=9", "a|b", "jobs_run=1 |"] {
+            let before = malformed(&core);
+            let reply = answer(&mut core, &format!("REPORT 1 {report}"), now);
+            assert_eq!(reply, "ERR malformed\n", "REPORT 1 {report}");
+            assert_eq!(malformed(&core), before + 1);
+        }
+        let rows = read_stats_all(answer(&mut core, "STATS ALL", now).trim_end()).expect("rows");
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        assert_eq!(rows[0].report, "", "no refused report was stored");
+
+        // The client refuses to send one.
+        let path = sock_path("report-pipe");
+        let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
+        let mut c = UdsClient::register(&path, 4).expect("client");
+        let err = c.report("a|b").expect_err("a `|` must not reach the wire");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(server.stats().counters["reports"], 0);
+        assert_eq!(c.stats_all().expect("stats all").len(), 1);
+    }
+
+    /// The reply readers against every reply the real server wrote in
+    /// the golden transcript: each line parses as its head says, `ERR
+    /// unregistered` is the typed outcome where the verb has one, and
+    /// every other catalogued `ERR` is `InvalidData` to every reader.
+    #[test]
+    fn reply_readers_accept_every_line_of_the_golden_transcript() {
+        let golden = include_str!("../tests/golden_wire.replies");
+        // The catalog is DESIGN.md §11's table: `| \`<reason>\` | … |`.
+        let design = include_str!("../../../DESIGN.md");
+        let catalog = &design[design.find("### Wire-protocol catalog").expect("catalog")..];
+        let reasons: Vec<&str> = catalog
+            .lines()
+            .skip_while(|l| !l.starts_with("| `"))
+            .take_while(|l| l.starts_with("| `"))
+            .filter_map(|l| l.split('`').nth(1))
+            .collect();
+        assert!(
+            reasons.contains(&"unregistered") && reasons.len() >= 4,
+            "{reasons:?}"
+        );
+
+        let kind = |r: io::Result<()>| r.err().map(|e| e.kind());
+        let invalid = Some(io::ErrorKind::InvalidData);
+        let mut seen = std::collections::BTreeMap::<&str, usize>::new();
+        for raw in golden.lines() {
+            // `@<conn> <reply>`; `@<conn> PARKED` and `@due <n>` are not
+            // replies.
+            let line = match raw.strip_prefix('@') {
+                Some(tagged) => match tagged.split_once(' ') {
+                    Some(("due", _)) | Some((_, "PARKED")) => continue,
+                    Some((_, reply)) => reply,
+                    None => panic!("bad tag {raw:?}"),
+                },
+                None => raw,
+            };
+            let head = line.split_whitespace().next().unwrap_or("");
+            *seen.entry(head).or_default() += 1;
+            match head {
+                "TARGET" => {
+                    read_poll(line).expect(line).target().expect(line);
+                }
+                "OK" => {
+                    read_ok(line).expect(line);
+                    let accepted = read_events(line).expect(line);
+                    assert!(matches!(accepted, EventsReply::Accepted { .. }), "{line}");
+                }
+                "TRACE" => {
+                    read_trace(line).expect(line);
+                }
+                "STATS" if line.starts_with("STATS ALL") => {
+                    read_stats_all(line).expect(line);
+                }
+                "STATS" => {
+                    read_app_stats(line).expect(line);
+                }
+                "ERR" => {
+                    let reason = line.strip_prefix("ERR ").expect(line);
+                    assert!(reasons.contains(&reason), "{reason} is not catalogued");
+                    assert_eq!(kind(read_ok(line).map(drop)), invalid, "{line}");
+                    assert_eq!(kind(read_trace(line).map(drop)), invalid, "{line}");
+                    assert_eq!(kind(read_stats_all(line).map(drop)), invalid, "{line}");
+                    assert_eq!(kind(read_app_stats(line).map(drop)), invalid, "{line}");
+                    assert_eq!(kind(read_stats(line).map(drop)), invalid, "{line}");
+                }
+                _ => panic!("unclassifiable reply {raw:?}"),
+            }
+        }
+        for head in ["TARGET", "OK", "STATS", "ERR"] {
+            assert!(
+                seen.get(head).is_some_and(|&n| n > 0),
+                "no {head} line: {seen:?}"
+            );
+        }
+        // The readers with a typed refusal: `unregistered` is that
+        // outcome, every other catalogued reason is `InvalidData`.
+        for reason in &reasons {
+            let line = format!("ERR {reason}");
+            let (poll, events) = (read_poll(&line), read_events(&line));
+            if *reason == "unregistered" {
+                assert_eq!(poll.expect(&line), PollReply::Unregistered);
+                assert_eq!(events.expect(&line), EventsReply::Unregistered);
+            } else {
+                assert_eq!(kind(poll.map(drop)), invalid, "{line}");
+                assert_eq!(kind(events.map(drop)), invalid, "{line}");
+            }
+        }
+    }
+
+    #[test]
     fn reporting_poller_publishes_pool_counters() {
         let path = sock_path("report-poller");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 4)).expect("server");
-        let client = UdsClient::register(&path, 4).expect("client");
-        let slot = Arc::new(TargetSlot::new(4));
         let registry = Arc::new(Registry::new());
         registry.counter("jobs_run").add(42);
-        let _guard =
-            client.spawn_reporting_poller(Arc::clone(&slot), Duration::from_millis(20), registry);
+        let client = supervised(&path, 4, registry);
+        let slot = Arc::new(TargetSlot::new(4));
+        let _guard = client.spawn_poller(Arc::clone(&slot), Duration::from_millis(20), true);
         let mut reader = UdsClient::register(&path, 1).expect("reader");
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -1424,40 +1277,6 @@ mod tests {
         assert_eq!(cpus.expect("cpu set"), vec![2, 3]);
     }
 
-    #[test]
-    fn cpus_poll_against_pre_extension_server_is_unsupported() {
-        // Simulate an old server: answers REGISTER, but its parser has
-        // never heard of the three-field POLL and replies ERR malformed.
-        let path = sock_path("oldserver");
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).expect("bind");
-        let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut writer = stream.try_clone().expect("clone");
-            let mut reader = BufReader::new(stream);
-            let mut line = String::new();
-            for _ in 0..2 {
-                line.clear();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    return;
-                }
-                let reply = if line.starts_with("REGISTER") {
-                    "OK 1\n"
-                } else {
-                    "ERR malformed\n"
-                };
-                writer.write_all(reply.as_bytes()).expect("write");
-            }
-        });
-        let mut c = UdsClient::register(&path, 4).expect("register on old server");
-        assert_eq!(
-            c.poll_cpus_reply().expect("reply"),
-            CpusPollReply::Unsupported
-        );
-        handle.join().expect("old server thread");
-        let _ = std::fs::remove_file(&path);
-    }
-
     fn ev(ts_ns: u64, kind: EventKind, arg: u32) -> TraceEvent {
         TraceEvent {
             ts_ns,
@@ -1479,25 +1298,19 @@ mod tests {
             ev(20, EventKind::Steal, 1),
             ev(30, EventKind::Park, 0),
         ];
-        let epoch = c.push_events(&batch).expect("push").accepted().expect("ok");
-        assert_eq!(epoch, c.epoch());
+        assert_eq!(
+            c.push_events(&batch).expect("push"),
+            EventsReply::Accepted { epoch: c.epoch() }
+        );
         let me = std::process::id();
-        let (epoch, events) = c
-            .trace(me, None)
-            .expect("trace")
-            .into_events()
-            .expect("events");
+        let (epoch, events) = c.trace(me, None).expect("trace");
         assert_eq!(epoch, c.epoch());
         assert_eq!(events.len(), 4, "decision + 3 pushed: {events:?}");
         assert_eq!(events[0].kind, EventKind::Decision);
         assert_eq!(events[0].arg, 8);
         assert_eq!(&events[1..], &batch[..]);
         // The drain is destructive: a second read is empty.
-        let (_, events) = c
-            .trace(me, None)
-            .expect("trace again")
-            .into_events()
-            .expect("events");
+        let (_, events) = c.trace(me, None).expect("trace again");
         assert!(events.is_empty());
         // After BYE the pid is unregistered for pushes.
         c.bye().expect("bye");
@@ -1522,17 +1335,9 @@ mod tests {
             EventsReply::Accepted { .. }
         ));
         let me = std::process::id();
-        let (_, events) = c
-            .trace(me, Some(2))
-            .expect("trace max 2")
-            .into_events()
-            .expect("events");
+        let (_, events) = c.trace(me, Some(2)).expect("trace max 2");
         assert_eq!(events, batch[..2], "oldest two first");
-        let (_, events) = c
-            .trace(me, None)
-            .expect("trace rest")
-            .into_events()
-            .expect("events");
+        let (_, events) = c.trace(me, None).expect("trace rest");
         assert_eq!(events, batch[2..]);
     }
 
@@ -1550,11 +1355,7 @@ mod tests {
             c.push_events(&batch).expect("push"),
             EventsReply::Accepted { .. }
         ));
-        let (_, events) = c
-            .trace(std::process::id(), None)
-            .expect("trace")
-            .into_events()
-            .expect("events");
+        let (_, events) = c.trace(std::process::id(), None).expect("trace");
         assert_eq!(events, batch[6..], "survivors are the newest 4");
         assert_eq!(server.stats().counters["journal_drops"], 6);
     }
@@ -1573,11 +1374,7 @@ mod tests {
         c.send("REGISTER 1 16\n").expect("send");
         assert!(c.read_line().expect("reply").starts_with("OK"));
         assert_eq!(c.poll().expect("poll"), 4);
-        let (_, events) = c
-            .trace(std::process::id(), None)
-            .expect("trace")
-            .into_events()
-            .expect("events");
+        let (_, events) = c.trace(std::process::id(), None).expect("trace");
         let decisions: Vec<u32> = events
             .iter()
             .filter(|e| e.kind == EventKind::Decision)
@@ -1594,7 +1391,7 @@ mod tests {
         c.send("REGISTER 1 16\n").expect("send");
         assert!(c.read_line().expect("reply").starts_with("OK"));
         c.report("jobs_run=42 steals=3").expect("report");
-        let apps = c.stats_all().expect("stats all").into_apps().expect("apps");
+        let apps = c.stats_all().expect("stats all");
         assert_eq!(apps.len(), 2, "{apps:?}");
         let me = apps
             .iter()
@@ -1606,47 +1403,6 @@ mod tests {
         let init = apps.iter().find(|a| a.pid == 1).expect("init entry");
         assert_eq!(init.target, 4);
         assert_eq!(init.report, "");
-    }
-
-    #[test]
-    fn observability_verbs_against_pre_extension_server_are_unsupported() {
-        // An old server answers REGISTER and nothing else (its parser
-        // falls through to ERR malformed) — every new verb must degrade,
-        // not error.
-        let path = sock_path("oldserver-obs");
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).expect("bind");
-        let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut writer = stream.try_clone().expect("clone");
-            let mut reader = BufReader::new(stream);
-            let mut line = String::new();
-            for _ in 0..4 {
-                line.clear();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    return;
-                }
-                let reply = if line.starts_with("REGISTER") {
-                    "OK 1\n"
-                } else {
-                    "ERR malformed\n"
-                };
-                writer.write_all(reply.as_bytes()).expect("write");
-            }
-        });
-        let mut c = UdsClient::register(&path, 4).expect("register on old server");
-        assert_eq!(
-            c.push_events(&[ev(1, EventKind::JobStart, 0)])
-                .expect("push"),
-            EventsReply::Unsupported
-        );
-        assert_eq!(c.trace(1, None).expect("trace"), TraceReply::Unsupported);
-        assert_eq!(
-            c.stats_all().expect("stats all"),
-            StatsAllReply::Unsupported
-        );
-        handle.join().expect("old server thread");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1810,7 +1566,7 @@ mod tests {
         let (path, server) = reactor_server("park-toggle");
         let pid = std::process::id();
         let mut app = UdsClient::register(&path, 8).expect("app");
-        let (target, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        let (target, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         assert_eq!(target, 8);
         // Heard something else: answered at once, nothing parked.
         let start = Instant::now();
@@ -1858,7 +1614,7 @@ mod tests {
     fn parked_poll_returns_the_unchanged_target_when_the_hold_runs_out() {
         let (path, server) = reactor_server("park-hold");
         let mut app = UdsClient::register(&path, 8).expect("app");
-        let (_, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        let (_, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         let hold = Duration::from_millis(100);
         // Never early; on time in the best of a few rounds (the suite's
         // other tests share the CPUs).
@@ -1896,7 +1652,7 @@ mod tests {
         let (path, server) = reactor_server("park-pipelined");
         let pid = std::process::id();
         let mut app = UdsClient::register(&path, 8).expect("app");
-        let (_, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        let (_, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         // Both frames in one write: the park does not outlive its wakeup.
         app.send(&format!("POLL {pid} wait 5000 8 {epoch}\nSTATS {pid}\n"))
             .expect("send");
@@ -1920,7 +1676,7 @@ mod tests {
         let (path, server) = reactor_server("park-early");
         let pid = std::process::id();
         let mut app = UdsClient::register(&path, 8).expect("app");
-        let (_, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        let (_, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         // The only park, released by the next frame on its connection
         // well before its 20 ms hold would have run out.
         app.send(&format!("POLL {pid} wait 20 8 {epoch}\n"))
@@ -1947,7 +1703,7 @@ mod tests {
         let (path, server) = reactor_server("park-thousand");
         let pid = std::process::id();
         let mut app = UdsClient::register(&path, 8).expect("app");
-        let (_, epoch) = app.poll_reply().expect("poll").target().expect("target");
+        let (_, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         let frame = format!("POLL {pid} wait 10000 8 {epoch}\n");
         let mut conns: Vec<UdsClient> = (0..N)
             .map(|_| {
@@ -1997,33 +1753,6 @@ mod tests {
                 assert_eq!(setrlimit(RLIMIT_NOFILE, &lim), 0);
             }
         }
-    }
-
-    #[test]
-    fn poller_guard_drop_is_prompt_and_says_bye_once() {
-        let path = sock_path("guard-drop");
-        let server = UdsServer::start(UdsServerConfig::new(&path, 6)).expect("server");
-        // The bound is on the fastest of a few pollers: the suite's
-        // other tests share the CPUs.
-        let mut fastest = Duration::MAX;
-        for round in 1..=3 {
-            let client = UdsClient::register(&path, 12).expect("client");
-            let slot = Arc::new(TargetSlot::new(12));
-            let guard = client.spawn_poller(Arc::clone(&slot), Duration::from_secs(1));
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while slot.target.load(Ordering::Acquire) != 6 {
-                assert!(Instant::now() < deadline, "poller never stored a target");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // The poller is now asleep for most of a second.
-            let start = Instant::now();
-            drop(guard);
-            fastest = fastest.min(start.elapsed());
-            let stats = server.stats();
-            assert_eq!(stats.counters["byes"], round);
-            assert_eq!(stats.gauges["apps"], 0);
-        }
-        assert!(fastest < Duration::from_millis(10), "drop took {fastest:?}");
     }
 
     #[test]

@@ -104,10 +104,13 @@ fn run_worker(sock: &str, name: &str) {
 
     let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
     let nworkers = 2 * cores;
-    let client = native_rt::UdsClient::register(sock, nworkers as u32).expect("register");
     let slot = Arc::new(native_rt::TargetSlot::new(nworkers));
-    let _poller = client.spawn_poller(Arc::clone(&slot), Duration::from_millis(100));
-    let pool = native_rt::Pool::with_slot(slot, nworkers, false);
+    let pool = native_rt::Pool::with_slot(Arc::clone(&slot), nworkers, false);
+    // The supervisor's fault counters join the pool's in one registry.
+    let cfg = native_rt::SupervisorConfig::new(sock, nworkers as u32);
+    let client = native_rt::SupervisedClient::new(cfg, pool.registry());
+    assert!(client.connected(), "no server on {sock}");
+    let _poller = client.spawn_poller(slot, Duration::from_millis(100), false);
 
     for seed in 0..128u64 {
         pool.execute(move || {
