@@ -1,19 +1,19 @@
-//! Intra-function control-flow model for the path-sensitive rules.
+//! Intra-function control-flow model for the guard-liveness and
+//! exit-conservation rules.
 //!
-//! PR 5's rules walk function bodies *linearly*: a `drop(guard)` kills
-//! the guard no matter which branch it sits in, and an early `return`
-//! is invisible. That is exactly where conditional bugs hide — a guard
-//! dropped on one arm but held across a blocking call on the other
-//! (SL021), or a counter bumped on the success path but skipped by an
-//! `ERR` early-return (SL031). This module parses each body into a
+//! A linear walk over a function body cannot tell which branch a
+//! `drop(guard)` sits in, and an early `return` is invisible to it.
+//! That is exactly where conditional bugs hide — a guard dropped on one
+//! arm but held across a blocking call on the other (SL020), or a
+//! counter bumped on the success path but skipped by an `ERR`
+//! early-return (SL031). This module parses each body into a
 //! structured region tree (sequences, branch alternatives, loops,
-//! scopes, early exits — including `?`) and runs small dataflow
-//! analyses over it:
+//! scopes, early exits — including `?` and `let … else`) and runs small
+//! dataflow analyses over it:
 //!
-//! - [`may_live_blocking`]: a *may* analysis of live `MutexGuard`s —
-//!   which blocking calls can execute with a guard live on **some**
-//!   path. Sites the linear SL020 pass already reports are subtracted
-//!   by the caller; the remainder are SL021.
+//! - [`may_live`]: a *may* analysis of live `MutexGuard`s — every event
+//!   together with the guards that can be live there on **some** path.
+//!   SL010, SL011 and SL020 (`rules::locks`) are all answered from it.
 //! - [`exit_increments`]: a *must* analysis for functions annotated
 //!   `// sched-counter-exits(a|b): why` — every path from entry to
 //!   every exit (normal end, `return`, `?`) must increment at least one
@@ -31,7 +31,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::Tok;
 use crate::model::{FileModel, Func};
-use crate::rules::{acquire_info, is_method, is_path_call, receiver_name, BLOCKING};
+use crate::rules::{
+    acquire_info, is_method, is_path_call, match_paren, receiver_name, BLOCKING, WAITS,
+};
 
 /// Structural nesting bound: beyond this the builder stops adding
 /// structure (events still terminate) so pathological input cannot
@@ -64,6 +66,8 @@ pub enum Event {
         bind: Option<String>,
         /// Unbound temporary: dies at the next statement end.
         temp: bool,
+        /// 1-based source line.
+        line: u32,
     },
     /// `drop(name)` — kills guards bound as (or locked on) `name`.
     Drop(
@@ -79,16 +83,29 @@ pub enum Event {
         /// 1-based source line.
         line: u32,
     },
+    /// A condvar-style wait (`cv.wait(&mut g)`): it releases the guards
+    /// its arguments name while parked, and no others.
+    Wait {
+        /// Every identifier in the argument list.
+        names: Vec<String>,
+        /// 1-based source line.
+        line: u32,
+    },
     /// `recv.incr()` / `recv.add(…)` — bumps counter binding `recv`.
     Incr(
         /// Receiver (counter binding) name.
         String,
     ),
-    /// A call to a same-crate free function (for one-level summaries).
-    Call(
+    /// A call to a function named like one in the analyzed set.
+    Call {
         /// Callee name.
-        String,
-    ),
+        name: String,
+        /// `recv.name(…)` rather than `name(…)`/`path::name(…)`; only
+        /// free calls earn SL031's one-level summaries.
+        method: bool,
+        /// 1-based source line.
+        line: u32,
+    },
     /// A path exit.
     Exit {
         /// How the path leaves.
@@ -104,7 +121,8 @@ pub enum Node {
     /// A `{ … }` scope: guards born inside die at its end.
     Block(Vec<Node>),
     /// Mutually exclusive alternatives (if/else arms, match arms). An
-    /// `if` without `else` carries an empty second alternative.
+    /// `if` without `else` carries an empty second alternative, as does
+    /// a `let … else` beside its diverging block.
     Branch(Vec<Vec<Node>>),
     /// A loop body (may run zero times).
     Loop(Vec<Node>),
@@ -112,7 +130,8 @@ pub enum Node {
     Event(Event),
 }
 
-/// Builds the region tree for one function body.
+/// Builds the region tree for one function body. Calls to names in
+/// `known_fns` become [`Event::Call`]s.
 pub fn build(m: &FileModel, f: &Func, known_fns: &BTreeSet<String>) -> Vec<Node> {
     let mut b = Builder {
         m,
@@ -233,6 +252,17 @@ impl Builder<'_> {
                             *i += 1;
                             nodes.push(self.parse_loop(i, end, &w));
                         }
+                        // An `else` that `parse_if` did not consume is a
+                        // `let PAT = EXPR else { … }`: its block runs
+                        // only on the path where the pattern fails.
+                        "else" if self.punct(*i + 1, '{') && self.depth <= MAX_DEPTH => {
+                            *i += 2;
+                            let diverge = self.parse_seq(i, end, false);
+                            if self.punct(*i, '}') {
+                                *i += 1;
+                            }
+                            nodes.push(Node::Branch(vec![Vec::new(), diverge]));
+                        }
                         _ => {
                             self.leaf(&w, i, &mut nodes);
                         }
@@ -246,57 +276,66 @@ impl Builder<'_> {
         nodes
     }
 
-    /// One non-structural token: lock/drop/blocking/incr/call events.
+    /// One non-structural token: lock/drop/blocking/wait/incr/call
+    /// events.
     fn leaf(&mut self, w: &str, i: &mut usize, nodes: &mut Vec<Node>) {
         let at = *i;
-        if w == "drop" && self.punct(at + 1, '(') {
-            if let Some(victim) = self.ident(at + 2) {
-                if self.punct(at + 3, ')') {
-                    nodes.push(Node::Event(Event::Drop(victim.to_string())));
+        *i = at + 1;
+        if !self.punct(at + 1, '(') {
+            return;
+        }
+        let method = is_method(self.m, at);
+        let line = self.line(at);
+        let mut push = |ev| nodes.push(Node::Event(ev));
+        match w {
+            // `drop` is never a callable crate function (E0040).
+            "drop" => {
+                if let (Some(victim), true) = (self.ident(at + 2), self.punct(at + 3, ')')) {
+                    push(Event::Drop(victim.to_string()));
                     *i = at + 4;
-                    return;
+                }
+            }
+            "lock" if method => {
+                if let Some(lock) = receiver_name(self.m, at - 1) {
+                    let info = acquire_info(self.m, self.body_start, at);
+                    push(Event::Acquire {
+                        id: self.next_id,
+                        lock,
+                        bind: info.bind,
+                        temp: info.temp,
+                        line,
+                    });
+                    self.next_id += 1;
+                }
+            }
+            _ if method && WAITS.contains(&w) => {
+                let close = match_paren(self.m, at + 1).min(self.m.tokens.len());
+                let names = (at + 2..close)
+                    .filter_map(|k| self.ident(k).map(str::to_string))
+                    .collect();
+                push(Event::Wait { names, line });
+            }
+            _ if BLOCKING.contains(&w) && (method || is_path_call(self.m, at)) => {
+                push(Event::Blocking {
+                    name: w.to_string(),
+                    line,
+                });
+            }
+            _ => {
+                if (w == "incr" || w == "add") && method {
+                    if let Some(recv) = receiver_name(self.m, at - 1) {
+                        push(Event::Incr(recv));
+                    }
+                }
+                if self.known_fns.contains(w) {
+                    push(Event::Call {
+                        name: w.to_string(),
+                        method,
+                        line,
+                    });
                 }
             }
         }
-        if w == "lock" && self.punct(at + 1, '(') && is_method(self.m, at) {
-            if let Some(lock) = receiver_name(self.m, at - 1) {
-                let info = acquire_info(self.m, self.body_start, at);
-                let id = self.next_id;
-                self.next_id += 1;
-                nodes.push(Node::Event(Event::Acquire {
-                    id,
-                    lock,
-                    bind: info.bind,
-                    temp: info.temp,
-                }));
-                *i = at + 1;
-                return;
-            }
-        }
-        if BLOCKING.contains(&w)
-            && self.punct(at + 1, '(')
-            && (is_method(self.m, at) || is_path_call(self.m, at))
-        {
-            nodes.push(Node::Event(Event::Blocking {
-                name: w.to_string(),
-                line: self.line(at),
-            }));
-            *i = at + 1;
-            return;
-        }
-        if (w == "incr" || w == "add") && self.punct(at + 1, '(') && is_method(self.m, at) {
-            if let Some(recv) = receiver_name(self.m, at - 1) {
-                nodes.push(Node::Event(Event::Incr(recv)));
-                *i = at + 1;
-                return;
-            }
-        }
-        if self.punct(at + 1, '(') && !is_method(self.m, at) && self.known_fns.contains(w) {
-            nodes.push(Node::Event(Event::Call(w.to_string())));
-            *i = at + 1;
-            return;
-        }
-        *i = at + 1;
     }
 
     /// `if [let …] cond { then } [else if … | else { … }]`. Condition
@@ -496,31 +535,22 @@ impl Builder<'_> {
 // Analyses
 // ---------------------------------------------------------------------
 
-/// A blocking call that can run with guards live on some path.
+/// A `MutexGuard` that can be live at a program point.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct BlockingSite {
-    /// 1-based source line of the blocking call.
-    pub line: u32,
-    /// The blocking callee name.
-    pub name: String,
-    /// Lock names possibly live at the call.
-    pub locks: Vec<String>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct LiveGuard {
+pub struct LiveGuard {
     id: usize,
-    lock: String,
-    bind: Option<String>,
+    /// Receiver name of the `.lock()` call — the lock's identity.
+    pub lock: String,
+    /// `let` binding holding the guard, when there is one.
+    pub bind: Option<String>,
     temp: bool,
 }
 
-/// May-analysis: every blocking call together with the guards that can
-/// be live there on at least one path.
-pub fn may_live_blocking(nodes: &[Node]) -> Vec<BlockingSite> {
-    let mut sites = BTreeSet::new();
-    walk_may(nodes, &BTreeSet::new(), &mut sites);
-    sites.into_iter().collect()
+/// May-analysis of live guards: calls `visit` once per event, in source
+/// order, with the guards that can be live just before it on at least
+/// one path.
+pub fn may_live(nodes: &[Node], visit: &mut impl FnMut(&Event, &BTreeSet<LiveGuard>)) {
+    walk_may(nodes, &BTreeSet::new(), visit);
 }
 
 struct MayOut {
@@ -528,71 +558,61 @@ struct MayOut {
     ended: bool,
 }
 
-fn walk_may(
+fn walk_may<F: FnMut(&Event, &BTreeSet<LiveGuard>)>(
     nodes: &[Node],
     live_in: &BTreeSet<LiveGuard>,
-    sites: &mut BTreeSet<BlockingSite>,
+    visit: &mut F,
 ) -> MayOut {
     let mut live = live_in.clone();
     for n in nodes {
         match n {
-            Node::Event(ev) => match ev {
-                Event::Acquire {
-                    id,
-                    lock,
-                    bind,
-                    temp,
-                } => {
-                    live.insert(LiveGuard {
-                        id: *id,
-                        lock: lock.clone(),
-                        bind: bind.clone(),
-                        temp: *temp,
-                    });
-                }
-                Event::Drop(name) => {
-                    live.retain(|g| g.bind.as_deref() != Some(name.as_str()) && g.lock != *name);
-                }
-                Event::StmtEnd => live.retain(|g| !g.temp),
-                Event::Blocking { name, line } => {
-                    if !live.is_empty() {
-                        let mut locks: Vec<String> = live.iter().map(|g| g.lock.clone()).collect();
-                        locks.dedup();
-                        sites.insert(BlockingSite {
-                            line: *line,
-                            name: name.clone(),
-                            locks,
+            Node::Event(ev) => {
+                visit(ev, &live);
+                match ev {
+                    Event::Acquire {
+                        id,
+                        lock,
+                        bind,
+                        temp,
+                        ..
+                    } => {
+                        live.insert(LiveGuard {
+                            id: *id,
+                            lock: lock.clone(),
+                            bind: bind.clone(),
+                            temp: *temp,
                         });
                     }
-                }
-                Event::Exit { kind, .. } => {
-                    if !matches!(kind, ExitKind::Question) {
+                    Event::Drop(name) => {
+                        live.retain(|g| {
+                            g.bind.as_deref() != Some(name.as_str()) && g.lock != *name
+                        });
+                    }
+                    // A temporary dies at the end of its own statement,
+                    // not at a `;` inside a closure or block nested in
+                    // it.
+                    Event::StmtEnd => live.retain(|g| !g.temp || live_in.contains(g)),
+                    Event::Exit { kind, .. } if !matches!(kind, ExitKind::Question) => {
                         return MayOut { live, ended: true };
                     }
+                    _ => {}
                 }
-                Event::Incr(_) | Event::Call(_) => {}
-            },
+            }
             Node::Block(inner) => {
-                let born_outside: BTreeSet<usize> = live.iter().map(|g| g.id).collect();
-                let r = walk_may(inner, &live, sites);
+                let r = walk_may(inner, &live, visit);
                 if r.ended {
                     return MayOut { live, ended: true };
                 }
-                live = r
-                    .live
-                    .into_iter()
-                    .filter(|g| born_outside.contains(&g.id))
-                    .collect();
+                live.retain(|g| r.live.contains(g));
             }
             Node::Branch(alts) => {
                 let mut merged: BTreeSet<LiveGuard> = BTreeSet::new();
                 let mut any_continues = false;
                 for alt in alts {
-                    let born_outside: BTreeSet<usize> = live.iter().map(|g| g.id).collect();
-                    let r = walk_may(alt, &live, sites);
+                    let r = walk_may(alt, &live, visit);
                     if !r.ended {
                         any_continues = true;
-                        merged.extend(r.live.into_iter().filter(|g| born_outside.contains(&g.id)));
+                        merged.extend(r.live.into_iter().filter(|g| live.contains(g)));
                     }
                 }
                 if !any_continues {
@@ -603,8 +623,8 @@ fn walk_may(
             Node::Loop(body) => {
                 // Guards born in the body die at iteration end, and the
                 // body may run zero times: liveness after the loop is
-                // the entry set. One walk records the body's sites.
-                let _ = walk_may(body, &live, sites);
+                // the entry set. One walk visits the body's events.
+                let _ = walk_may(body, &live, visit);
             }
         }
     }
@@ -661,8 +681,12 @@ fn walk_must(
         match n {
             Node::Event(ev) => match ev {
                 Event::Incr(recv) if targets.contains(recv) => done = true,
-                Event::Call(callee) => {
-                    if let Some(summary) = summaries.get(callee) {
+                Event::Call {
+                    name,
+                    method: false,
+                    ..
+                } => {
+                    if let Some(summary) = summaries.get(name) {
                         if summary.iter().any(|c| targets.contains(c)) {
                             done = true;
                         }
@@ -813,10 +837,13 @@ mod tests {
             .find(|f| f.name == fn_name)
             .expect("fn present");
         let tree = build(&m, f, &known);
-        may_live_blocking(&tree)
-            .into_iter()
-            .map(|s| s.line)
-            .collect()
+        let mut lines = Vec::new();
+        may_live(&tree, &mut |ev, live| {
+            if let (Event::Blocking { line, .. }, false) = (ev, live.is_empty()) {
+                lines.push(*line);
+            }
+        });
+        lines
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! | SL005 | a `seqcst` Dekker atomic whose non-test sites have only one half of the store-load handshake at SeqCst (one-sided downgrade) |
 //! | SL010 | a cycle in the cross-function lock-order graph (potential deadlock) |
 //! | SL011 | nested acquisition of the same lock name in one function (self-deadlock with non-reentrant `parking_lot` locks) |
-//! | SL020 | a blocking call (sleep/park/UDS I/O/foreign condvar wait) while a `MutexGuard` is live — the static analogue of the paper's preempted-lock-holder pathology |
-//! | SL021 | a guard live across a blocking call on *some* path of the [`cfg`] region tree (conditional drops the linear SL020 scan loses track of) |
+//! | SL020 | a blocking call (sleep/park/UDS I/O/foreign condvar wait) while a `MutexGuard` is live on *some* path of the [`cfg`] region tree — the static analogue of the paper's preempted-lock-holder pathology |
 //! | SL030 | a counter registered in `native_rt::stats` with no increment site, or missing from the DESIGN.md catalog; a dynamic registration with no `sched-counters` annotation |
 //! | SL031 | a `sched-counter-exits(a\|b)`-annotated function with an exit path (early return, `?`, fall-through) that increments none of the named counters |
 //! | SL040 | an `unsafe` block/impl/fn with no `// SAFETY:` comment |
@@ -29,25 +28,22 @@
 //!
 //! There is no `syn` in the offline build environment, so the analyzer
 //! runs on its own minimal lexer ([`lexer`]) and token-pattern matching
-//! — the same in-tree-substitute policy as `shims/*`. Flow-sensitive
-//! rules (SL021/SL031) run on the [`cfg`] region tree built over that
-//! token model. The blind spots this buys (macro-generated code,
-//! aliased names, cross-crate dataflow) are listed in DESIGN.md §11;
-//! triaged exceptions go to the checked-in `schedlint.toml` allowlist,
-//! each with a justification and an optional `expires` date.
+//! — the same in-tree-substitute policy as `shims/*`. The lock rules
+//! (SL010/SL011/SL020) and SL031 run on the [`cfg`] region tree built
+//! over that token model. The blind spots this buys (macro-generated
+//! code, aliased names, cross-crate dataflow) are listed in DESIGN.md
+//! §11. A finding has no exception mechanism: it is fixed at its
+//! source, or the rule that produced it is corrected.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod allowlist;
 pub mod cfg;
 pub mod lexer;
 pub mod model;
 pub mod rules;
-pub mod sarif;
 pub mod workspace;
 
-pub use allowlist::{Allowlist, AllowlistError};
 pub use model::{AtomicCategory, FileModel};
 pub use workspace::{analyze_workspace, collect_files, Config};
 

@@ -1,90 +1,32 @@
 //! `cargo run -p schedlint` — the CI gate.
 //!
-//! Exit codes: 0 clean (possibly with allowlisted findings), 1 findings
-//! / stale or expired allowlist entries / new-vs-baseline findings /
-//! blown time budget, 2 usage/configuration error.
+//! Prints one `path:line: RULE message` line per finding on stdout and
+//! a one-line summary on stderr. Exit codes: 0 clean, 1 any finding,
+//! 2 usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use schedlint::allowlist::today_utc;
-use schedlint::{analyze_workspace, sarif, Allowlist, Config};
-
-struct Cli {
-    root: Option<PathBuf>,
-    format: Format,
-    out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    budget_ms: Option<u64>,
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+use schedlint::{analyze_workspace, Config};
 
 const HELP: &str = "schedlint — workspace concurrency-invariant analyzer
 
-USAGE: schedlint [OPTIONS]
+USAGE: schedlint [--root <dir>]
 
-  --root <dir>            workspace root (default: walk up from cwd)
-  --format <text|json|sarif>
-                          output format for the findings report
-  --out <file>            write the report there instead of stdout
-  --baseline <file>       gate only on findings whose fingerprint is
-                          not in this previously emitted json/sarif
-                          report (pre-existing findings still print)
-  --write-baseline <file> write the current findings as a json baseline
-                          and exit 0 (use to [re]bless the tree)
-  --budget-ms <n>         fail if the analysis itself exceeds n ms
+  --root <dir>   workspace root (default: walk up from cwd)
 
 Scans crates/*/src/**/*.rs and enforces SL001..SL050 (see
-crates/schedlint/src/lib.rs for the rule catalog). Findings are
-filtered through the checked-in schedlint.toml allowlist; unused or
-expired allowlist entries fail the run.";
+crates/schedlint/src/lib.rs for the rule catalog). Prints one
+`path:line: RULE message` line per finding; exits 0 when clean, 1 on
+any finding, 2 on a usage error.";
 
-fn parse_cli() -> Result<Cli, String> {
-    let mut cli = Cli {
-        root: None,
-        format: Format::Text,
-        out: None,
-        baseline: None,
-        write_baseline: None,
-        budget_ms: None,
-    };
+fn parse_root() -> Result<Option<PathBuf>, String> {
+    let mut root = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let path_arg = |args: &mut dyn Iterator<Item = String>| {
-            args.next()
-                .map(PathBuf::from)
-                .ok_or(format!("{a} needs a value"))
-        };
         match a.as_str() {
-            "--root" => cli.root = Some(path_arg(&mut args)?),
-            "--out" => cli.out = Some(path_arg(&mut args)?),
-            "--baseline" => cli.baseline = Some(path_arg(&mut args)?),
-            "--write-baseline" => cli.write_baseline = Some(path_arg(&mut args)?),
-            "--format" => {
-                cli.format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
-                    other => {
-                        return Err(format!("--format must be text|json|sarif, got {other:?}"))
-                    }
-                }
-            }
-            "--budget-ms" => {
-                cli.budget_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--budget-ms needs an integer")?,
-                )
-            }
+            "--root" => root = Some(args.next().ok_or("--root needs a value")?.into()),
             "--help" | "-h" => {
                 println!("{HELP}");
                 std::process::exit(0);
@@ -92,146 +34,37 @@ fn parse_cli() -> Result<Cli, String> {
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    Ok(cli)
+    Ok(root)
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_cli() {
-        Ok(c) => c,
+    let root = match parse_root() {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("schedlint: {e}");
             return ExitCode::from(2);
         }
     };
-    let root = match cli.root.clone().or_else(|| {
+    let Some(root) = root.or_else(|| {
         std::env::current_dir()
             .ok()
             .and_then(|d| schedlint::workspace::find_root(&d))
-    }) {
-        Some(r) => r,
-        None => {
-            eprintln!("schedlint: no workspace root found (no ancestor with crates/ + Cargo.toml)");
-            return ExitCode::from(2);
-        }
+    }) else {
+        eprintln!("schedlint: no workspace root found (no ancestor with crates/ + Cargo.toml)");
+        return ExitCode::from(2);
     };
-
-    let config = Config::load(&root);
-    let allowlist = match std::fs::read_to_string(root.join("schedlint.toml")) {
-        Ok(text) => match Allowlist::parse(&text) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("schedlint: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Allowlist::default(),
-    };
-    let today = today_utc();
-    let expired = allowlist.expired(&today);
 
     let started = Instant::now();
-    let diags = analyze_workspace(&root, &config);
-    let elapsed_ms = started.elapsed().as_millis() as u64;
-
-    let total = diags.len();
-    let (remaining, excused, unused) = allowlist.apply(diags);
-
-    if let Some(path) = &cli.write_baseline {
-        let doc = sarif::to_json(&remaining);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("schedlint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "schedlint: baseline with {} finding(s) written to {}",
-            remaining.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Baseline diff: pre-existing fingerprints do not gate (they still
-    // print, marked), new ones do.
-    let known: Vec<String> = match &cli.baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => sarif::baseline_fingerprints(&text),
-            Err(e) => {
-                eprintln!("schedlint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => Vec::new(),
-    };
-    let prints = sarif::fingerprints(&remaining);
-    let gating: Vec<bool> = prints.iter().map(|fp| !known.contains(fp)).collect();
-    let new_count = gating.iter().filter(|g| **g).count();
-
-    let report = match cli.format {
-        Format::Json => sarif::to_json(&remaining),
-        Format::Sarif => sarif::to_sarif(&remaining),
-        Format::Text => {
-            let mut s = String::new();
-            for (d, is_new) in remaining.iter().zip(&gating) {
-                let tag = if cli.baseline.is_some() && !is_new {
-                    " [baseline]"
-                } else {
-                    ""
-                };
-                s.push_str(&format!("{d}{tag}\n"));
-            }
-            s
-        }
-    };
-    match &cli.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &report) {
-                eprintln!("schedlint: cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-        None => print!("{report}"),
-    }
-
-    for e in &unused {
-        eprintln!(
-            "schedlint.toml:{}: unused allowlist entry ({}) — the finding it excused is \
-             gone; remove the entry",
-            e.line,
-            e.describe()
-        );
-    }
-    for e in &expired {
-        eprintln!(
-            "schedlint.toml:{}: allowlist entry expired {} (today is {today}): {} — \
-             re-triage the finding or fix it at source",
-            e.line,
-            e.expires.as_deref().unwrap_or("?"),
-            e.describe()
-        );
-    }
-    let budget_blown = cli.budget_ms.is_some_and(|b| elapsed_ms > b);
-    if budget_blown {
-        eprintln!(
-            "schedlint: analysis took {elapsed_ms} ms, over the --budget-ms {} gate",
-            cli.budget_ms.unwrap_or(0)
-        );
+    let diags = analyze_workspace(&root, &Config::load(&root));
+    for d in &diags {
+        println!("{d}");
     }
     eprintln!(
-        "schedlint: {} finding(s): {} failing ({} new vs baseline), {} allowlisted, \
-         {} stale and {} expired allowlist entr(y/ies), {elapsed_ms} ms",
-        total,
-        remaining.len(),
-        new_count,
-        excused,
-        unused.len(),
-        expired.len()
+        "schedlint: {} finding(s), {} ms",
+        diags.len(),
+        started.elapsed().as_millis()
     );
-    let failing = if cli.baseline.is_some() {
-        new_count
-    } else {
-        remaining.len()
-    };
-    if failing == 0 && unused.is_empty() && expired.is_empty() && !budget_blown {
+    if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,20 +1,18 @@
-//! SL010/SL011/SL020/SL021 — lock-order and blocking-under-lock
-//! analysis.
+//! SL010/SL011/SL020 — lock-order and blocking-under-lock analysis.
 //!
 //! This is the static analogue of the paper's core pathology: a process
 //! preempted (or blocked) while holding a lock stalls every sibling
-//! spinning on it. Per function we track live `MutexGuard`s with a
-//! scope/`drop()` heuristic; nested acquisitions become edges in a
-//! crate-scoped lock-order graph (cycle ⇒ SL010), same-name nesting is
-//! an immediate self-deadlock with non-reentrant `parking_lot` locks
-//! (SL011), and a blocking call while any guard is live is SL020.
+//! spinning on it. Every question here is asked of one guard-liveness
+//! model, the [`crate::cfg`] region tree's may-analysis: which
+//! `MutexGuard`s can be live at each event on *some* path, so a guard
+//! dropped on one `if` arm is still live after the other. Per function:
 //!
-//! The linear SL020 scan is *flow-insensitive*: a `drop(g)` inside one
-//! `if` arm kills the guard for the rest of the scan even though the
-//! other arm still holds it. SL021 closes that hole by re-running the
-//! guard-liveness question on the region tree from [`crate::cfg`] — a
-//! blocking call with a guard live on *some* path fires, minus the
-//! sites SL020 already reported.
+//! - acquiring a lock while another is live adds an edge to a
+//!   crate-scoped lock-order graph (cycle ⇒ SL010); acquiring the *same*
+//!   lock name is an immediate self-deadlock with non-reentrant
+//!   `parking_lot` locks (SL011);
+//! - a blocking call — or a condvar wait whose arguments name none of
+//!   the live guards — while any guard is live is SL020.
 //!
 //! Cross-function flow is one level deep: holding guard `A` while
 //! calling a same-crate function that acquires `B` adds edge `A → B`.
@@ -23,23 +21,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg;
-use crate::lexer::Tok;
+use crate::cfg::{self, Event, LiveGuard};
 use crate::model::FileModel;
-use crate::rules::{is_method, is_path_call, match_paren, receiver_name, BLOCKING, WAITS};
 use crate::Diagnostic;
-
-#[derive(Debug, Clone)]
-struct Guard {
-    /// Receiver name of the `.lock()` call — the lock's identity.
-    lock: String,
-    /// The `let` binding holding the guard, when there is one.
-    bind: Option<String>,
-    /// Brace depth the guard lives at; it dies when depth drops below.
-    birth_depth: i32,
-    /// Unbound temporary: dies at the end of its statement.
-    temp: bool,
-}
 
 /// A lock-order edge with its witness site.
 #[derive(Debug, Clone)]
@@ -51,167 +35,103 @@ struct Edge {
 
 pub(crate) fn check(models: &[FileModel]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    let mut crate_fns: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for m in models {
+        let fns = crate_fns.entry(m.crate_name.as_str()).or_default();
+        fns.extend(m.functions.iter().map(|f| f.name.clone()));
+    }
 
-    // Pass 1: per-function direct analysis. Also records, per
-    // (crate, fn-name), the set of locks the function acquires, and the
-    // calls made while guards were held.
+    // Pass 1: walk each function's region tree. Records, per
+    // (crate, fn-name), the locks the function acquires, and the calls
+    // made while guards were live.
     let mut fn_locks: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
-    let mut known_fns: BTreeSet<(String, String)> = BTreeSet::new();
     // (crate, held-locks, callee, path, line)
     let mut held_calls: Vec<(String, Vec<String>, String, String, u32)> = Vec::new();
     // (crate, from, to) → witness
     let mut edges: BTreeMap<(String, String, String), Edge> = BTreeMap::new();
-
     for m in models {
-        for f in &m.functions {
-            known_fns.insert((m.crate_name.clone(), f.name.clone()));
-        }
-    }
-
-    for m in models {
+        let known = &crate_fns[m.crate_name.as_str()];
         for f in &m.functions {
             if m.in_tests(f.body_start) {
                 continue;
             }
-            let mut depth: i32 = 0;
-            let mut guards: Vec<Guard> = Vec::new();
-            let mut i = f.body_start;
-            while i < f.body_end.min(m.tokens.len()) {
-                let line = m.tokens[i].line;
-                match &m.tokens[i].tok {
-                    Tok::Punct('{') => depth += 1,
-                    Tok::Punct('}') => {
-                        depth -= 1;
-                        guards.retain(|g| g.birth_depth <= depth);
-                    }
-                    Tok::Punct(';') => {
-                        guards.retain(|g| !(g.temp && g.birth_depth == depth));
-                    }
-                    Tok::Ident(w) if w == "drop" && punct(m, i + 1, '(') => {
-                        if let Some(Tok::Ident(victim)) = m.tokens.get(i + 2).map(|t| &t.tok) {
-                            if punct(m, i + 3, ')') {
-                                guards.retain(|g| {
-                                    g.bind.as_deref() != Some(victim.as_str()) && g.lock != *victim
-                                });
-                            }
-                        }
-                    }
-                    Tok::Ident(w) if w == "lock" && punct(m, i + 1, '(') && is_method(m, i) => {
-                        if let Some(lock) = receiver_name(m, i - 1) {
-                            for g in &guards {
-                                if g.lock == lock {
-                                    diags.push(Diagnostic {
-                                        rule: "SL011",
-                                        path: m.path.clone(),
-                                        line,
-                                        message: format!(
-                                            "`{}` acquires `{}` while already holding it — \
-                                             parking_lot mutexes are not reentrant; this \
-                                             self-deadlocks",
-                                            f.name, lock
-                                        ),
-                                    });
-                                } else {
-                                    edges
-                                        .entry((m.crate_name.clone(), g.lock.clone(), lock.clone()))
-                                        .or_insert(Edge {
-                                            path: m.path.clone(),
-                                            line,
-                                            via: None,
-                                        });
-                                }
-                            }
-                            fn_locks
-                                .entry((m.crate_name.clone(), f.name.clone()))
-                                .or_default()
-                                .insert(lock.clone());
-                            // `mu.lock().pop_front()` chains past the
-                            // guard (handled by `acquire_info`); a
-                            // guard — or scrutinee temporary, edition
-                            // 2021 — in an `if let`/`while let`
-                            // condition lives through the *following*
-                            // block, one level deeper.
-                            let info = crate::rules::acquire_info(m, f.body_start, i);
-                            guards.push(Guard {
-                                lock,
-                                bind: info.bind,
-                                birth_depth: if info.cond { depth + 1 } else { depth },
-                                temp: info.temp,
-                            });
-                        }
-                    }
-                    Tok::Ident(w)
-                        if WAITS.contains(&w.as_str())
-                            && punct(m, i + 1, '(')
-                            && is_method(m, i)
-                            && !guards.is_empty() =>
-                    {
-                        // `cv.wait(&mut g)` releases `g` while parked —
-                        // legal. A wait naming none of our guards parks
-                        // while every held lock stays held.
-                        let close = match_paren(m, i + 1);
-                        let names: BTreeSet<&str> = (i + 2..close.min(m.tokens.len()))
-                            .filter_map(|k| match &m.tokens[k].tok {
-                                Tok::Ident(s) => Some(s.as_str()),
-                                _ => None,
-                            })
-                            .collect();
-                        let foreign = !guards.iter().any(|g| {
-                            g.bind.as_deref().is_some_and(|b| names.contains(b))
-                                || names.contains(g.lock.as_str())
-                        });
-                        if foreign {
+            let tree = cfg::build(m, f, known);
+            let sl020 = |line: u32, message: String| Diagnostic {
+                rule: "SL020",
+                path: m.path.clone(),
+                line,
+                message,
+            };
+            cfg::may_live(&tree, &mut |ev, live| match ev {
+                Event::Acquire { lock, line, .. } => {
+                    for g in live {
+                        if g.lock == *lock {
                             diags.push(Diagnostic {
-                                rule: "SL020",
+                                rule: "SL011",
                                 path: m.path.clone(),
-                                line,
+                                line: *line,
                                 message: format!(
-                                    "`{}` waits on a condvar that releases none of the held \
-                                     guards ({}) — the paper's preempted-lock-holder stall, \
-                                     made unconditional",
-                                    f.name,
-                                    held_list(&guards)
+                                    "`{}` acquires `{lock}` while already holding it — \
+                                     parking_lot mutexes are not reentrant; this \
+                                     self-deadlocks",
+                                    f.name
                                 ),
                             });
+                        } else {
+                            edges
+                                .entry((m.crate_name.clone(), g.lock.clone(), lock.clone()))
+                                .or_insert(Edge {
+                                    path: m.path.clone(),
+                                    line: *line,
+                                    via: None,
+                                });
                         }
                     }
-                    Tok::Ident(w)
-                        if BLOCKING.contains(&w.as_str())
-                            && punct(m, i + 1, '(')
-                            && (is_method(m, i) || is_path_call(m, i))
-                            && !guards.is_empty() =>
-                    {
-                        diags.push(Diagnostic {
-                            rule: "SL020",
-                            path: m.path.clone(),
-                            line,
-                            message: format!(
-                                "`{}` calls blocking `{}` while holding {} — a descheduled \
-                                 lock holder stalls every thread contending for it",
+                    fn_locks
+                        .entry((m.crate_name.clone(), f.name.clone()))
+                        .or_default()
+                        .insert(lock.clone());
+                }
+                _ if live.is_empty() => {}
+                Event::Blocking { name, line } => diags.push(sl020(
+                    *line,
+                    format!(
+                        "`{}` calls blocking `{name}` with {} held on at least one path — \
+                         a descheduled lock holder stalls every thread contending for it",
+                        f.name,
+                        held_list(live)
+                    ),
+                )),
+                // `cv.wait(&mut g)` releases `g` while parked — legal. A
+                // wait naming none of the live guards parks while every
+                // held lock stays held.
+                Event::Wait { names, line } => {
+                    let named = |n: &str| names.iter().any(|a| a == n);
+                    let releases = live
+                        .iter()
+                        .any(|g| g.bind.as_deref().is_some_and(named) || named(&g.lock));
+                    if !releases {
+                        diags.push(sl020(
+                            *line,
+                            format!(
+                                "`{}` waits on a condvar that releases none of the held \
+                                 guards ({}) — the paper's preempted-lock-holder stall, \
+                                 made unconditional",
                                 f.name,
-                                w,
-                                held_list(&guards)
+                                held_list(live)
                             ),
-                        });
-                    }
-                    Tok::Ident(callee)
-                        if punct(m, i + 1, '(')
-                            && !guards.is_empty()
-                            && known_fns.contains(&(m.crate_name.clone(), callee.clone()))
-                            && callee != &f.name =>
-                    {
-                        held_calls.push((
-                            m.crate_name.clone(),
-                            guards.iter().map(|g| g.lock.clone()).collect(),
-                            callee.clone(),
-                            m.path.clone(),
-                            line,
                         ));
                     }
-                    _ => {}
                 }
-                i += 1;
-            }
+                Event::Call { name, line, .. } if *name != f.name => held_calls.push((
+                    m.crate_name.clone(),
+                    live.iter().map(|g| g.lock.clone()).collect(),
+                    name.clone(),
+                    m.path.clone(),
+                    *line,
+                )),
+                _ => {}
+            });
         }
     }
 
@@ -249,55 +169,13 @@ pub(crate) fn check(models: &[FileModel]) -> Vec<Diagnostic> {
 
     // Pass 3: cycles in the per-crate lock-order graph.
     diags.extend(find_cycles(&edges));
-
-    // Pass 4 (SL021): re-ask the blocking-under-guard question on the
-    // region tree, path-sensitively. Sites the linear SL020 pass
-    // already reported are subtracted — SL021 is exactly the residue
-    // the flow-insensitive scan missed (conditional drops, branch-local
-    // holds).
-    let reported: BTreeSet<(String, u32)> = diags
-        .iter()
-        .filter(|d| d.rule == "SL020")
-        .map(|d| (d.path.clone(), d.line))
-        .collect();
-    for m in models {
-        let file_fns: BTreeSet<String> = m.functions.iter().map(|f| f.name.clone()).collect();
-        for f in &m.functions {
-            if m.in_tests(f.body_start) {
-                continue;
-            }
-            let tree = cfg::build(m, f, &file_fns);
-            for site in cfg::may_live_blocking(&tree) {
-                if reported.contains(&(m.path.clone(), site.line)) {
-                    continue;
-                }
-                let locks: Vec<String> = site.locks.iter().map(|l| format!("`{l}`")).collect();
-                diags.push(Diagnostic {
-                    rule: "SL021",
-                    path: m.path.clone(),
-                    line: site.line,
-                    message: format!(
-                        "`{}` can reach blocking `{}` with {} held on some path — a \
-                         conditional drop or branch-local acquire leaves the guard live \
-                         where the linear scan loses track of it",
-                        f.name,
-                        site.name,
-                        locks.join(", ")
-                    ),
-                });
-            }
-        }
-    }
     diags
 }
 
-fn punct(m: &FileModel, i: usize, c: char) -> bool {
-    matches!(m.tokens.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
-}
-
-fn held_list(guards: &[Guard]) -> String {
-    let names: Vec<String> = guards.iter().map(|g| format!("`{}`", g.lock)).collect();
-    names.join(", ")
+/// The distinct lock names of `live`, backticked.
+fn held_list(live: &BTreeSet<LiveGuard>) -> String {
+    let names: BTreeSet<String> = live.iter().map(|g| format!("`{}`", g.lock)).collect();
+    names.into_iter().collect::<Vec<_>>().join(", ")
 }
 
 /// DFS over the lock graph; a gray-node hit yields the cycle from the
@@ -409,8 +287,9 @@ fn two(s: &S) { let a = s.alpha.lock(); let b = s.beta.lock(); }
 fn direct(s: &S) { let a = s.mu.lock(); let b = s.mu.lock(); }
 fn helper(s: &S) { let g = s.mu.lock(); }
 fn through(s: &S) { let a = s.mu.lock(); helper(s); }
+fn method(s: &S) { let a = s.mu.lock(); s.helper(); }
 "#);
-        assert_eq!(d.iter().filter(|d| d.rule == "SL011").count(), 2, "{d:?}");
+        assert_eq!(d.iter().filter(|d| d.rule == "SL011").count(), 3, "{d:?}");
     }
 
     #[test]
@@ -420,10 +299,30 @@ fn bad(s: &S) { let g = s.mu.lock(); thread::sleep(D); }
 fn scoped(s: &S) { { let g = s.mu.lock(); } thread::sleep(D); }
 fn dropped(s: &S) { let g = s.mu.lock(); drop(g); thread::sleep(D); }
 fn temp(s: &S) { s.mu.lock().x = 1; thread::sleep(D); }
+fn closure(s: &S) { s.mu.lock().with(|x| { x.touch(); thread::sleep(D); }); }
 "#);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "SL020");
-        assert_eq!(d[0].line, 2);
+        let lines: Vec<(&str, u32)> = d.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(lines, [("SL020", 2), ("SL020", 6)], "{d:?}");
+    }
+
+    #[test]
+    fn conditional_drop_is_sl020_on_the_path_that_keeps_the_guard() {
+        let d = run(r#"
+fn f(s: &S, flush: bool) {
+    let g = s.mu.lock();
+    if flush { drop(g); }
+    thread::sleep(D);
+}
+fn g(s: &S) {
+    let Some(x) = s.mu.lock().peek() else { return };
+    thread::sleep(D);
+    let g = s.mu.lock();
+    let Some(y) = g.next() else { drop(g); return };
+    thread::sleep(D);
+}
+"#);
+        let lines: Vec<(&str, u32)> = d.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(lines, [("SL020", 5), ("SL020", 12)], "{d:?}");
     }
 
     #[test]
@@ -431,6 +330,7 @@ fn temp(s: &S) { s.mu.lock().x = 1; thread::sleep(D); }
         let d = run(r#"
 fn ok(s: &S) { let mut g = s.mu.lock(); while !*g { s.cv.wait(&mut g); } }
 fn bad(s: &S) { let g = s.mu.lock(); s.other_cv.wait(&mut unrelated); }
+fn idle(s: &S) { s.cv.wait(&mut unrelated); }
 "#);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "SL020");

@@ -121,17 +121,16 @@ pub(crate) fn is_path_call(m: &FileModel, i: usize) -> bool {
 pub(crate) struct AcquireInfo {
     /// The `let` binding holding the guard, if any.
     pub bind: Option<String>,
-    /// The call sits in an `if let`/`while let` condition (the guard —
-    /// or scrutinee temporary, edition 2021 — lives through the block).
-    pub cond: bool,
-    /// The guard is an unbound temporary dying at its statement's end.
+    /// The guard is an unbound temporary dying at its statement's end
+    /// (not one in an `if`/`while` condition, which lives through the
+    /// block).
     pub temp: bool,
 }
 
 /// Analyzes the `.lock()` call at token `i` (the `lock` ident):
 /// resolves the `let` binding by scanning back to the statement head,
-/// detects `if let`/`while let` conditions, and treats method chains
-/// past the guard (other than `.unwrap()`/`.expect()`) as unbinding it.
+/// detects `if`/`while` conditions, and treats method chains past the
+/// guard (other than `.unwrap()`/`.expect()`) as unbinding it.
 pub(crate) fn acquire_info(m: &FileModel, body_start: usize, i: usize) -> AcquireInfo {
     let (mut bind, cond) = binding_for(m, body_start, i);
     let mut j = match_paren(m, i + 1);
@@ -151,7 +150,6 @@ pub(crate) fn acquire_info(m: &FileModel, body_start: usize, i: usize) -> Acquir
     AcquireInfo {
         temp: (bind.is_none() || chained) && !cond,
         bind,
-        cond,
     }
 }
 

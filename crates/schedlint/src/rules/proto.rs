@@ -428,8 +428,10 @@ fn reply_literals(m: &FileModel, df: &Func) -> Vec<(String, u32)> {
 }
 
 /// Non-test reply-parse sites across the crate: an ALL-CAPS literal in
-/// a slice pattern (`["OK", e]`, preceded by `[`/`,`) or as the sole
-/// argument of `strip_prefix`/`starts_with`/`Some`/`eq`.
+/// a slice pattern (`["OK", e] =>`, `let ["TRACE", …] = … else`) or as
+/// the sole argument of `strip_prefix`/`starts_with`/`Some`/`eq`. A
+/// literal in an array expression or a `format!` argument list is not
+/// a parse site.
 fn parse_heads(models: &[FileModel], krate: &str) -> BTreeSet<String> {
     const PARSE_FNS: &[&str] = &["strip_prefix", "starts_with", "Some", "eq"];
     let mut heads = BTreeSet::new();
@@ -443,7 +445,7 @@ fn parse_heads(models: &[FileModel], krate: &str) -> BTreeSet<String> {
                 continue;
             };
             let ctx = match m.tokens.get(i.wrapping_sub(1)).map(|t| &t.tok) {
-                Some(Tok::Punct('[')) | Some(Tok::Punct(',')) => true,
+                Some(Tok::Punct('[')) | Some(Tok::Punct(',')) => in_slice_pattern(m, i),
                 Some(Tok::Punct('(')) => matches!(
                     m.tokens.get(i.wrapping_sub(2)).map(|t| &t.tok),
                     Some(Tok::Ident(f)) if PARSE_FNS.contains(&f.as_str())
@@ -456,6 +458,27 @@ fn parse_heads(models: &[FileModel], krate: &str) -> BTreeSet<String> {
         }
     }
     heads
+}
+
+/// True when the token at `i` sits directly inside `[ … ]` whose `]` is
+/// followed by `=` (`=>`, or `let [ … ] =`) or `|` (an or-pattern).
+fn in_slice_pattern(m: &FileModel, i: usize) -> bool {
+    let mut depth = 0usize;
+    for j in i + 1..m.tokens.len() {
+        match m.tokens[j].tok {
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct(']') if depth == 0 => {
+                return matches!(
+                    m.tokens.get(j + 1).map(|t| &t.tok),
+                    Some(Tok::Punct('=' | '|'))
+                )
+            }
+            Tok::Punct(')' | '}') if depth == 0 => return false,
+            Tok::Punct(')' | ']' | '}') => depth -= 1,
+            _ => {}
+        }
+    }
+    false
 }
 
 /// The literal's first word when it looks like a protocol head:

@@ -2,11 +2,11 @@
 //! (with the expected count) and a `good` twin that must stay silent,
 //! so a rule that silently stops matching fails CI the same way a rule
 //! that over-matches does. Plus the self-run test: the workspace itself
-//! must be clean modulo the checked-in allowlist.
+//! must be clean.
 
 use std::path::{Path, PathBuf};
 
-use schedlint::{analyze_workspace, run_rules, Allowlist, Config, FileModel};
+use schedlint::{analyze_workspace, run_rules, Config, FileModel};
 
 fn fixture(name: &str) -> FileModel {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -117,9 +117,9 @@ fn sl020_blocking_under_lock() {
 }
 
 #[test]
-fn sl021_flow_sensitive_blocking() {
-    assert_fires("sl021_bad.rs", "SL021", 1);
-    assert_clean("sl021_good.rs");
+fn sl020_flow_sensitive_blocking() {
+    assert_fires("sl020_flow_bad.rs", "SL020", 1);
+    assert_clean("sl020_flow_good.rs");
 }
 
 #[test]
@@ -142,37 +142,26 @@ fn sl040_undocumented_unsafe() {
 
 #[test]
 fn sl050_protocol_conformance() {
-    assert_fires("sl050_bad.rs", "SL050", 4);
+    assert_fires("sl050_bad.rs", "SL050", 5);
     assert_clean("sl050_good.rs");
 }
 
-/// The gate itself, as a test: the real workspace must be clean modulo
-/// the checked-in allowlist, and the allowlist must carry no stale
-/// entries. This is what `cargo run -p schedlint` enforces in CI; having
-/// it in `cargo test` too means a plain test run catches regressions.
+/// The gate itself, as a test: the real workspace must have no
+/// findings. This is what `cargo run -p schedlint` enforces in CI;
+/// having it in `cargo test` too means a plain test run catches
+/// regressions.
 #[test]
-fn workspace_is_clean_modulo_allowlist() {
+fn workspace_is_clean() {
     let root = workspace_root();
-    let config = Config::load(&root);
-    let diags = analyze_workspace(&root, &config);
-    let allowlist = match std::fs::read_to_string(root.join("schedlint.toml")) {
-        Ok(text) => Allowlist::parse(&text).expect("schedlint.toml must parse"),
-        Err(_) => Allowlist::default(),
-    };
-    let (remaining, _excused, unused) = allowlist.apply(diags);
+    let diags = analyze_workspace(&root, &Config::load(&root));
     assert!(
-        remaining.is_empty(),
-        "workspace has unallowlisted findings:\n{}",
-        remaining
+        diags.is_empty(),
+        "workspace has findings:\n{}",
+        diags
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        unused.is_empty(),
-        "schedlint.toml has stale entries: {:?}",
-        unused.iter().map(|e| e.describe()).collect::<Vec<_>>()
     );
 }
 

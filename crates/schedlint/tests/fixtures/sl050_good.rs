@@ -21,8 +21,7 @@ fn client(c: &mut Chan) {
     c.send("QUIT\n");
     let line = c.read_line();
     match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-        ["PONG"] => {}
-        ["OK"] => {}
+        ["PONG"] | ["OK"] => {}
         _ => {}
     }
 }
