@@ -2,11 +2,16 @@
 //!
 //! `submit()` calls arrive from arbitrary threads; funnelling them through
 //! one mutex recreates exactly the saturated-lock collapse this crate's
-//! rewrite removes. Instead the injector spreads pushes round-robin over
-//! `2 × nworkers` (power-of-two) independently locked FIFO shards, so two
-//! concurrent producers collide only with probability `1/shards`, and a
+//! rewrite removes. Instead the injector spreads pushes over
+//! `2 × nworkers` (power-of-two) independently locked FIFO shards, and a
 //! consumer drains whichever shard it reaches first — starting from its
 //! own index so workers prefer disjoint shards.
+//!
+//! Choosing a shard writes no shared line: each producer thread walks
+//! the shards in turn from a thread-local position, seeded once per
+//! thread from a process-wide count of producers. Two producers
+//! therefore start on different shards, and two that push in step stay
+//! on different ones.
 //!
 //! An approximate global length (`AtomicUsize`) gives consumers a
 //! lock-free emptiness fast path: idle workers spin-polling the injector
@@ -23,12 +28,25 @@
 //! shard lock just to prove them empty. Skips by the certain sweep are
 //! counted as `injector_sweep_skips` when the pool wires a counter in.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::stats::Counter;
+
+/// Threads that have pushed to an injector so far: each new producer's
+/// starting shard.
+// sched-atomic(relaxed): a distribution hint, taken once per thread; the
+// shard mutexes do the synchronization.
+static PRODUCERS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's next shard (masked per injector), shared by every
+    /// injector the thread pushes to.
+    static CURSOR: Cell<usize> = Cell::new(PRODUCERS.fetch_add(1, Ordering::Relaxed));
+}
 
 /// Pad each shard to its own cache line so neighboring shard locks don't
 /// false-share.
@@ -51,10 +69,6 @@ struct Shard<T> {
 /// A sharded MPMC FIFO queue.
 pub struct Injector<T> {
     shards: Box<[Shard<T>]>,
-    /// Round-robin cursor for producers.
-    // sched-atomic(relaxed): pure distribution hint; shard mutexes do
-    // the real synchronization.
-    cursor: AtomicUsize,
     /// Approximate element count (see module docs).
     // sched-atomic(handoff): the Release add after a shard push is the
     // producers' publish signal for the consumers' sleep/wake fast path
@@ -86,7 +100,6 @@ impl<T> Injector<T> {
                     occupancy: AtomicUsize::new(0),
                 })
                 .collect(),
-            cursor: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
             sweep_skips,
         }
@@ -107,10 +120,9 @@ impl<T> Injector<T> {
         self.len() == 0
     }
 
-    /// Enqueues `value` on the next shard in round-robin order.
+    /// Enqueues `value` on the calling thread's next shard.
     pub fn push(&self, value: T) {
-        let mask = self.shards.len() - 1;
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed) & mask;
+        let i = CURSOR.with(|c| c.replace(c.get().wrapping_add(1))) & (self.shards.len() - 1);
         // Occupancy rises before the element does (see the field docs):
         // a sweep that reads zero afterward can only be missing a push
         // that had not reached the global `len` publish either.
@@ -203,16 +215,29 @@ mod tests {
         assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
+    /// The shard the calling thread's next push to `inj` lands on.
+    fn next_shard<T>(inj: &Injector<T>) -> usize {
+        CURSOR.with(Cell::get) & (inj.shards() - 1)
+    }
+
+    /// The shard holding `value`, if any.
+    fn shard_holding<T: PartialEq>(inj: &Injector<T>, value: &T) -> Option<usize> {
+        inj.shards
+            .iter()
+            .position(|s| s.queue.lock().contains(value))
+    }
+
     #[test]
     fn certain_sweep_skips_empty_shards_and_counts_them() {
         let registry = crate::stats::Registry::new();
         let skips = registry.counter("injector_sweep_skips");
-        // 4 workers → 8 shards; one element lands on shard 0.
+        // 4 workers → 8 shards; one element lands on `home`.
         let inj = Injector::with_counter(4, skips.clone());
+        let home = next_shard(&inj);
         inj.push(7u32);
-        // Sweeping from shard 1, the seven empty shards (1..8) are all
-        // skipped on occupancy before the element is found on shard 0.
-        assert_eq!(inj.certain_sweep(1), Some(7));
+        // Sweeping from the shard after it, the seven empty shards are
+        // all skipped on occupancy before the element is found.
+        assert_eq!(inj.certain_sweep(home + 1), Some(7));
         assert_eq!(skips.get(), 7);
         // A sweep of a fully empty injector skips every shard.
         assert_eq!(inj.certain_sweep(0), None);
@@ -235,6 +260,44 @@ mod tests {
         for s in inj.shards.iter() {
             assert_eq!(s.occupancy.load(Ordering::Acquire), 0);
         }
+    }
+
+    #[test]
+    fn one_producer_visits_every_shard_in_turn() {
+        let inj = Injector::new(4); // 8 shards
+        let (n, start) = (inj.shards(), next_shard(&inj));
+        for k in 0..2 * n {
+            inj.push(k);
+        }
+        for (k, shard) in inj.shards.iter().enumerate() {
+            // Shard `start + j` took pushes j and n + j, in that order.
+            let j = k.wrapping_sub(start) & (n - 1);
+            let queued: Vec<usize> = shard.queue.lock().iter().copied().collect();
+            assert_eq!(queued, [j, n + j], "shard {k}");
+        }
+    }
+
+    #[test]
+    fn two_producer_threads_start_on_different_shards() {
+        // 64 shards: two producers seeded in turn share a start only if
+        // 63 other threads made their first push in between.
+        let inj = Arc::new(Injector::new(32));
+        let both_ready = Arc::new(std::sync::Barrier::new(2));
+        let producers: Vec<_> = (0..2usize)
+            .map(|p| {
+                let (inj, both_ready) = (Arc::clone(&inj), Arc::clone(&both_ready));
+                std::thread::spawn(move || {
+                    both_ready.wait();
+                    inj.push(p);
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        let first = shard_holding(&inj, &0).expect("pushed");
+        let second = shard_holding(&inj, &1).expect("pushed");
+        assert_ne!(first, second, "both producers started on shard {first}");
     }
 
     #[test]

@@ -48,6 +48,7 @@
 //! queue version had).
 
 use std::cell::Cell;
+use std::mem::{ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -67,15 +68,99 @@ use crate::trace::{self, EventKind, FlightRecorder};
 /// A unit of work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A worker stamps one in this many of its own spawns with the clock
-/// (outside submissions are all stamped).
-const SPAWN_STAMP_EVERY: u64 = 32;
+/// One submission in this many is stamped with the clock and recorded
+/// with this weight — counted per worker for its own spawns, and over
+/// the pool's outside submissions for the rest.
+const STAMP_EVERY: u64 = 32;
 
-/// A queued job and, when it was chosen as a queue-wait sample, its
-/// submission instant with the number of jobs the sample stands for.
+/// Four words of closure storage: a closure of at most this size and
+/// alignment lives here itself, a larger one as a thin `Box<F>`.
+#[repr(C, align(8))]
+struct Inline(MaybeUninit<[u8; 32]>);
+
+/// Whether a closure of type `F` is stored in [`Inline`] unboxed.
+const fn fits_inline<F>() -> bool {
+    size_of::<F>() <= size_of::<Inline>() && align_of::<F>() <= align_of::<Inline>()
+}
+
+/// Moves the closure out of a task's [`Inline`] and calls it (`true`)
+/// or drops it (`false`).
+///
+/// # Safety
+/// The storage must hold the initialised closure this function was
+/// minted for ([`take`]), and nothing may take it again afterwards.
+type TakeFn = unsafe fn(*mut Inline, bool);
+
+/// A queued job: its closure — in the task itself when it fits
+/// [`Inline`], so an outside submission of a small closure allocates
+/// nothing and a fork allocates only the deque's `Box<Task>` — and,
+/// when it was chosen as a queue-wait sample, its submission instant
+/// with the number of jobs the sample stands for. The closure is taken
+/// exactly once: called by [`Task::run`], or dropped with a task that
+/// never ran.
 struct Task {
     stamp: Option<(Instant, u64)>,
-    job: Job,
+    take: TakeFn,
+    data: Inline,
+}
+
+// stamp 24 + take 8 + data 32: a field that grows the task fails here.
+const _: () = assert!(size_of::<Task>() == 64);
+
+impl Task {
+    fn new<F: FnOnce() + Send + 'static>(job: F, stamp: Option<(Instant, u64)>) -> Task {
+        let mut data = Inline(MaybeUninit::uninit());
+        let slot = data.0.as_mut_ptr();
+        let take: TakeFn = if fits_inline::<F>() {
+            // SAFETY: `fits_inline` checked that an `F` fits the
+            // storage's size and alignment; the storage is fresh.
+            unsafe { slot.cast::<F>().write(job) };
+            take::<F>
+        } else {
+            // SAFETY: a `Box` of a sized `F` is one pointer, which the
+            // storage holds at pointer alignment; the storage is fresh.
+            unsafe { slot.cast::<Box<F>>().write(Box::new(job)) };
+            take::<Box<F>>
+        };
+        Task { stamp, take, data }
+    }
+
+    /// Runs the job. A panic unwinds out of here with the closure's
+    /// captures already dropped.
+    fn run(self) {
+        let mut task = ManuallyDrop::new(self);
+        // SAFETY: `data` holds the closure `take` was minted for, and it
+        // was never taken: only this consuming call and `drop` take it,
+        // and `ManuallyDrop` keeps `drop` from running after this one.
+        unsafe { (task.take)(&mut task.data, true) }
+    }
+}
+
+impl Drop for Task {
+    fn drop(&mut self) {
+        // SAFETY: a task reaches `drop` only if `run` never consumed it,
+        // so its closure is still in `data`, and `drop` runs once.
+        unsafe { (self.take)(&mut self.data, false) }
+    }
+}
+
+/// The [`TakeFn`] for a closure stored as an `F` (itself a `Box` when
+/// the closure did not fit).
+///
+/// # Safety
+/// As for [`TakeFn`]: `data` holds an initialised `F` nobody takes again.
+unsafe fn take<F: FnOnce()>(data: *mut Inline, call: bool) {
+    // SAFETY: the caller's contract above.
+    let job = unsafe { data.cast::<F>().read() };
+    if call {
+        job();
+    }
+}
+
+/// The queue-wait stamp of the `nth` submission on one counter: the
+/// first and then every [`STAMP_EVERY`]-th, standing for that many jobs.
+fn stamp(nth: u64) -> Option<(Instant, u64)> {
+    (nth % STAMP_EVERY == 1).then(|| (Instant::now(), STAMP_EVERY))
 }
 
 /// Pool counters, mirroring the simulated package's
@@ -344,9 +429,9 @@ struct PoolShared {
     affinity_applied: Gauge,
     /// The most recently recomputed adaptive spin budget, nanoseconds.
     spin_budget: Gauge,
-    /// Submission-to-dequeue latency, nanoseconds: every outside
-    /// submission, and one in [`SPAWN_STAMP_EVERY`] of a worker's own
-    /// spawns recorded with that weight.
+    /// Submission-to-dequeue latency, nanoseconds: one in
+    /// [`STAMP_EVERY`] of the outside submissions and of each worker's
+    /// own spawns, recorded with that weight.
     queue_wait: Hist,
     /// How long each suspension lasted, nanoseconds.
     park: Hist,
@@ -603,24 +688,22 @@ impl Pool {
     /// injector; a job submitting from inside a worker pushes onto that
     /// worker's own deque (the fork-join fast path).
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let job: Job = Box::new(job);
         let key = Arc::as_ptr(&self.shared) as usize;
         let (tls_key, tls_ptr, index) = CURRENT_WORKER.with(Cell::get);
         // The job is counted (and stamped) before any queue can show it:
         // a finish is never visible ahead of its submission, and the
-        // instrumentation cannot inflate the contention it measures.
+        // instrumentation cannot inflate the contention it measures. The
+        // count doubles as the sampling tick.
         if tls_key == key {
-            // The worker's own cell doubles as the sampling tick.
             let nth = self.shared.quiesce.cells(index).count_spawn();
-            let stamp = (nth % SPAWN_STAMP_EVERY == 1).then(|| (Instant::now(), SPAWN_STAMP_EVERY));
+            let task = Box::new(Task::new(job, stamp(nth)));
             // SAFETY: the entry was set by this thread's own worker_loop
             // for this pool; the Worker lives (pinned) in that frame
             // until the loop returns, which clears the entry first.
-            unsafe { (*(tls_ptr as *const Worker<Task>)).push(Box::new(Task { stamp, job })) };
+            unsafe { (*(tls_ptr as *const Worker<Task>)).push(task) };
         } else {
-            let stamp = Some((Instant::now(), 1));
-            self.shared.quiesce.submit_external();
-            self.shared.injector.push(Task { stamp, job });
+            let nth = self.shared.quiesce.submit_external();
+            self.shared.injector.push(Task::new(job, stamp(nth)));
         }
         wake_one(&self.shared);
     }
@@ -1370,7 +1453,7 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                 // queue-wait sample, a pending wake-to-run or
                 // suspend-to-resume latency, or the JobStart event of a
                 // burst's first pickup. Mid-burst pickups of unstamped
-                // tasks — the fork-join fast path — read none.
+                // tasks — 31 in 32, forked or from outside — read none.
                 let opens_burst = burst_jobs == 0;
                 if task.stamp.is_some()
                     || opens_burst
@@ -1419,12 +1502,12 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                         // invariants hold either way, and shared state a
                         // job mutates is the job author's contract.
                         let caught =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(task.job));
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run()));
                         if caught.is_err() {
                             sh.jobs_panicked.incr();
                         }
                     } else {
-                        (task.job)();
+                        task.run();
                     }
                 }
             }
@@ -1598,8 +1681,12 @@ mod tests {
             snap.counters["local_hits"] + snap.counters["injector_pops"] + snap.counters["steals"],
             300
         );
-        // Every job passed through the queue-wait histogram.
-        assert_eq!(snap.histograms["queue_wait_ns"].count, 300);
+        // Outside submissions 1, 33, …, 289 were stamped, each standing
+        // for STAMP_EVERY jobs.
+        assert_eq!(
+            snap.histograms["queue_wait_ns"].count,
+            300u64.div_ceil(STAMP_EVERY) * STAMP_EVERY
+        );
         assert!(snap.histograms["queue_wait_ns"].quantile(0.5).is_some());
         // Gauges were sampled at safe points.
         assert_eq!(snap.gauges["target"], 2);
@@ -2070,14 +2157,177 @@ mod tests {
     fn own_spawns_are_sampled_with_the_weight_they_stand_for() {
         let c = controller(1);
         let pool = Arc::new(Pool::new(&c, 1, false));
-        fork_from_inside(&pool, 2 * SPAWN_STAMP_EVERY as usize, |_| {});
+        fork_from_inside(&pool, 2 * STAMP_EVERY as usize, |_| {});
         pool.wait_idle();
         let snap = pool.stats();
-        let jobs = 1 + 2 * SPAWN_STAMP_EVERY;
-        assert_eq!(snap.counters["jobs_run"], jobs);
-        // The outside root counts once, spawns 1 and 33 were stamped and
-        // stand for 32 jobs each: the histogram still estimates all jobs.
-        assert_eq!(snap.histograms["queue_wait_ns"].count, jobs);
+        assert_eq!(snap.counters["jobs_run"], 1 + 2 * STAMP_EVERY);
+        // Spawns 1 and 33 were stamped and stand for 32 jobs each; so
+        // does the root, the pool's first outside submission.
+        assert_eq!(snap.histograms["queue_wait_ns"].count, 3 * STAMP_EVERY);
+    }
+
+    #[test]
+    fn outside_submissions_are_sampled_with_the_weight_they_stand_for() {
+        let c = controller(1);
+        let pool = Pool::new(&c, 1, false);
+        for _ in 0..2 * STAMP_EVERY {
+            pool.execute(|| {});
+        }
+        pool.wait_idle();
+        let snap = pool.stats();
+        assert_eq!(snap.counters["jobs_run"], 2 * STAMP_EVERY);
+        assert_eq!(snap.counters["injector_pops"], 2 * STAMP_EVERY);
+        // Submissions 1 and 33 were stamped and stand for 32 jobs each:
+        // the histogram still estimates all jobs.
+        assert_eq!(snap.histograms["queue_wait_ns"].count, 2 * STAMP_EVERY);
+    }
+
+    /// Counts its drops: a task must drop its closure's captures once,
+    /// whether the closure ran, panicked or never ran.
+    struct DropCount(Arc<AtomicUsize>);
+
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether `f` would be stored in the task itself.
+    fn stored_inline<F>(_: &F) -> bool {
+        fits_inline::<F>()
+    }
+
+    #[test]
+    fn a_task_runs_its_job_exactly_once() {
+        let (ran, drops) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (r, d) = (Arc::clone(&ran), DropCount(Arc::clone(&drops)));
+        let job = move || {
+            let _d = &d;
+            r.fetch_add(1, Ordering::Relaxed);
+        };
+        assert!(stored_inline(&job));
+        Task::new(job, None).run();
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(Arc::strong_count(&ran), 1);
+    }
+
+    #[test]
+    fn a_task_dropped_unrun_drops_its_captures_once() {
+        let probe = Arc::new(AtomicUsize::new(0));
+        let p = Arc::clone(&probe);
+        let job = move || {
+            p.fetch_add(1, Ordering::Relaxed);
+        };
+        assert!(stored_inline(&job));
+        drop(Task::new(job, None));
+        assert_eq!(probe.load(Ordering::Relaxed), 0, "ran");
+        assert_eq!(Arc::strong_count(&probe), 1);
+    }
+
+    #[test]
+    fn large_and_overaligned_closures_take_the_boxed_path_and_run() {
+        #[repr(align(16))]
+        struct Aligned(u64);
+        let probe = Arc::new(AtomicUsize::new(0));
+        let (p, wide) = (Arc::clone(&probe), [1u64; 4]);
+        let large = move || {
+            p.fetch_add(wide.iter().sum::<u64>() as usize, Ordering::Relaxed);
+        };
+        let (p, aligned) = (Arc::clone(&probe), Aligned(10));
+        let overaligned = move || {
+            let whole = aligned; // capture the struct, not just its field
+            p.fetch_add(whole.0 as usize, Ordering::Relaxed);
+        };
+        assert!(size_of_val(&large) > size_of::<Inline>() && !stored_inline(&large));
+        assert!(align_of_val(&overaligned) == 16 && !stored_inline(&overaligned));
+        Task::new(large, None).run();
+        Task::new(overaligned, None).run();
+        assert_eq!(probe.load(Ordering::Relaxed), 14);
+        // A boxed closure that never ran is freed with its captures.
+        let p = Arc::clone(&probe);
+        drop(Task::new(move || drop((p, wide)), None));
+        assert_eq!(Arc::strong_count(&probe), 1);
+    }
+
+    #[test]
+    fn a_zero_sized_closure_runs() {
+        static RAN: AtomicUsize = AtomicUsize::new(0);
+        let job = || {
+            RAN.fetch_add(1, Ordering::Relaxed);
+        };
+        assert_eq!(size_of_val(&job), 0);
+        Task::new(job, None).run();
+        assert_eq!(RAN.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panicking_inline_job_drops_its_captures_once() {
+        let c = controller(1);
+        let pool = Pool::new(&c, 1, false); // isolate_panics defaults on
+        let drops = Arc::new(AtomicUsize::new(0));
+        let d = DropCount(Arc::clone(&drops));
+        let job = move || {
+            let _d = &d;
+            panic!("inline job panics");
+        };
+        assert!(stored_inline(&job));
+        pool.execute(job);
+        pool.wait_idle();
+        assert_eq!(pool.metrics().jobs_panicked, 1);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(Arc::strong_count(&drops), 1);
+    }
+
+    #[test]
+    fn a_pool_dropped_with_queued_jobs_releases_every_capture() {
+        let c = controller(1);
+        let pool = Arc::new(Pool::new(&c, 1, false));
+        let probe = Arc::new(());
+        let shared = Arc::clone(&pool.shared);
+        let (forked_tx, forked) = std::sync::mpsc::channel();
+        // The one worker forks children onto its own deque, then holds
+        // on until the pool is shutting down: nothing queued ever runs.
+        let (p, k) = (Arc::clone(&pool), Arc::clone(&probe));
+        pool.execute(move || {
+            for _ in 0..8 {
+                let k = Arc::clone(&k);
+                p.execute(move || drop(k));
+            }
+            drop((p, k));
+            forked_tx.send(()).expect("test alive");
+            while !shared.shutdown.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        forked.recv().expect("the root ran");
+        for _ in 0..8 {
+            let k = Arc::clone(&probe);
+            pool.execute(move || drop(k));
+        }
+        assert_eq!(Arc::strong_count(&probe), 17, "16 queued jobs hold it");
+        let pool = Arc::into_inner(pool).expect("the root dropped its handle");
+        drop(pool);
+        assert_eq!(Arc::strong_count(&probe), 1);
+    }
+
+    #[test]
+    #[ignore] // microbenchmark, not an assertion: `cargo test --release -- --ignored micro_ --nocapture`
+    fn micro_outside_submit_cost() {
+        let c = controller(1);
+        let pool = Pool::new(&c, 1, false);
+        let n = 200_000u32;
+        let start = Instant::now();
+        for i in 0..n {
+            pool.execute(move || {
+                std::hint::black_box(i);
+            });
+        }
+        pool.wait_idle();
+        println!(
+            "outside submit + run (1 worker): {:?}/job",
+            start.elapsed() / n
+        );
     }
 
     #[test]

@@ -200,9 +200,10 @@ impl Quiesce {
     }
 
     /// Counts a job submitted from outside the pool (call *before* the
-    /// push).
-    pub fn submit_external(&self) {
-        self.outside.ext_submitted.fetch_add(1, Ordering::Relaxed);
+    /// push). Returns the new count, which the pool samples outside
+    /// submissions on as it does spawns on [`WorkerCells::count_spawn`]'s.
+    pub fn submit_external(&self) -> u64 {
+        self.outside.ext_submitted.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     fn sum(&self, cell: impl Fn(&WorkerCells) -> u64) -> u64 {
