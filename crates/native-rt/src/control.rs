@@ -188,26 +188,34 @@ impl AppReg {
     }
 }
 
-/// The partition weight a REPORT line carries: `1.0 + jobs_run`, so
+/// The partition weight a REPORT's fields carry: `1.0 + jobs_run`, so
 /// observed throughput skews shares, equal (or absent) reports reduce to
 /// the equal partition, and a zero counter never zeroes an app out
 /// entirely. Only the first `jobs_run=` counts; one that does not parse,
-/// or is negative or NaN, weighs as 0 jobs.
-fn report_weight(line: &str) -> f64 {
-    let jobs = line
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("jobs_run="))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.0);
+/// or is negative or NaN, weighs as 0 jobs. Every field is drawn, so
+/// [`ControlCore::record_report`] stores the fields in the same pass; a
+/// stored line is weighed by splitting it as the dispatcher split its
+/// frame.
+fn report_weight<'a>(fields: impl Iterator<Item = &'a str>) -> f64 {
+    let mut jobs = None;
+    for f in fields {
+        if jobs.is_none() {
+            jobs = f.strip_prefix("jobs_run=");
+        }
+    }
+    let jobs = jobs.and_then(|v| v.parse::<f64>().ok()).unwrap_or(0.0);
     1.0 + jobs.max(0.0)
 }
 
-/// A multiply-mix hasher for the pid→slot map. Pids are small
-/// well-distributed integers, and SipHash (the `HashMap` default,
-/// keyed for DoS resistance) costs more than the rest of a small-map
-/// lookup on the poll path. The key space here is not attacker-
-/// amplifiable: a pid occupies exactly one slot however often it
-/// re-registers.
+/// A multiply-mix hasher for the pid-keyed maps (slots and reports).
+/// Pids are small well-distributed integers, and SipHash (the `HashMap`
+/// default, keyed for DoS resistance) costs more than the rest of a
+/// small-map lookup on the poll path. The key space here is not
+/// attacker-amplifiable: a pid occupies exactly one entry however often
+/// it re-registers or reports. The hasher is unkeyed, so a client that
+/// picks colliding pids slows their lookups; any client of the socket can
+/// already register as many pids as it likes, each of which every
+/// recompute then walks.
 #[derive(Default)]
 struct PidHasher(u64);
 
@@ -231,7 +239,9 @@ impl Hasher for PidHasher {
     }
 }
 
-type PidIndex = HashMap<u32, usize, BuildHasherDefault<PidHasher>>;
+/// A map keyed by pid, hashed with [`PidHasher`]: iteration order is
+/// arbitrary, so a reader that needs an order sorts.
+type PidMap<V> = HashMap<u32, V, BuildHasherDefault<PidHasher>>;
 
 /// Handles for every statistic of the core, each registered once, here.
 /// [`Registry::counter`] takes the registry mutex and allocates the name
@@ -326,10 +336,10 @@ pub struct ControlCore {
     /// pid → index into `apps` (and into `targets`, which shares
     /// registration order): the per-frame lookups are O(1) hash probes
     /// instead of O(apps) scans.
-    index: PidIndex,
+    index: PidMap<usize>,
     last_sample: Option<(Instant, u32)>,
     /// Latest `REPORT` line per pid (cleared on BYE and lease expiry).
-    reports: BTreeMap<u32, String>,
+    reports: PidMap<String>,
     /// Bounded per-pid event journal: flight-recorder events the app
     /// pushed via `EVENTS`, interleaved with the server's own decision
     /// instants, oldest first (cleared on BYE and lease expiry).
@@ -383,9 +393,9 @@ impl ControlCore {
             hot: HotCounters::new(&registry),
             registry,
             apps: Vec::new(),
-            index: PidIndex::default(),
+            index: PidMap::default(),
             last_sample: None,
-            reports: BTreeMap::new(),
+            reports: PidMap::default(),
             journals: BTreeMap::new(),
             lease_timers: BinaryHeap::new(),
             last_proc_sweep: None,
@@ -616,7 +626,7 @@ impl ControlCore {
                 let weight = self
                     .reports
                     .get(&pid)
-                    .map_or(1.0, |line| report_weight(line));
+                    .map_or(1.0, |line| report_weight(line.split_ascii_whitespace()));
                 self.index.insert(pid, self.apps.len());
                 self.apps.push(AppReg::new(pid, nworkers, now, weight));
                 self.lease_timers
@@ -675,22 +685,22 @@ impl ControlCore {
 
     /// Stores `pid`'s latest REPORT line (its fields joined by single
     /// spaces, in the buffer of the line it replaces) and refreshes the
-    /// lease and the weight of a registered pid. Under `weighted` the
-    /// report feeds the partition weights, so it dirties the target
-    /// cache.
+    /// lease and the weight of a registered pid, weighing the fields as
+    /// it joins them. Under `weighted` the report feeds the partition
+    /// weights, so it dirties the target cache.
     fn record_report<'a>(&mut self, pid: u32, fields: impl Iterator<Item = &'a str>, now: Instant) {
         let line = self.reports.entry(pid).or_default();
         line.clear();
-        for f in fields {
+        let weight = report_weight(fields.inspect(|f| {
             if !line.is_empty() {
                 line.push(' ');
             }
             line.push_str(f);
-        }
+        }));
         if let Some(&idx) = self.index.get(&pid) {
             let a = &mut self.apps[idx];
             a.last_seen = now;
-            a.weight = report_weight(line);
+            a.weight = weight;
         }
         if self.cfg.weighted {
             self.invalidate_targets();
@@ -847,10 +857,18 @@ impl ControlCore {
 
     /// Serializes the recoverable state (see [`crate::snapshot`]):
     /// registrations in partition order with their remaining lease
-    /// time, latest reports, and the epoch. Journals are deliberately
-    /// excluded — drains are destructive and replaying stale events
-    /// after restart would corrupt the merged timeline.
+    /// time, latest reports in pid order (the map is hashed; the order
+    /// keeps the encoded bytes a function of the state), and the epoch.
+    /// Journals are deliberately excluded — drains are destructive and
+    /// replaying stale events after restart would corrupt the merged
+    /// timeline.
     pub(crate) fn to_snapshot(&self, now: Instant) -> ServerSnapshot {
+        let mut reports: Vec<(u32, String)> = self
+            .reports
+            .iter()
+            .map(|(pid, line)| (*pid, line.clone()))
+            .collect();
+        reports.sort_unstable_by_key(|&(pid, _)| pid);
         ServerSnapshot {
             epoch: self.epoch,
             apps: self
@@ -863,11 +881,7 @@ impl ControlCore {
                         .saturating_duration_since(now),
                 })
                 .collect(),
-            reports: self
-                .reports
-                .iter()
-                .map(|(pid, line)| (*pid, line.clone()))
-                .collect(),
+            reports,
         }
     }
 
@@ -897,7 +911,7 @@ impl ControlCore {
         }
         for (pid, line) in &snap.reports {
             if let Some(&idx) = self.index.get(pid) {
-                self.apps[idx].weight = report_weight(line);
+                self.apps[idx].weight = report_weight(line.split_ascii_whitespace());
                 self.reports.insert(*pid, line.clone());
             }
         }
@@ -1043,7 +1057,10 @@ pub(crate) const WIRE_VERBS: &[&str] = &[
 /// The hot verbs reply with zero allocations: the request is parsed with
 /// a non-collecting token iterator, targets render through [`push_u32`],
 /// the ` <epoch>\n` tail is rendered once, and `out` is the core's own
-/// kept buffer.
+/// kept buffer. Fields are separated by runs of ASCII whitespace (space,
+/// `\t`, `\r`, `\f`; `uds.rs` documents the grammar), so splitting reads
+/// bytes and never decodes a char: `\v` and non-ASCII spaces are field
+/// content.
 // sched-counter-exits(polls|registers|byes|reports|events_pushes|traces|stats_queries|malformed):
 // every frame must land in exactly one per-verb counter so the STATS
 // export and schedtop's rates account for all traffic.
@@ -1053,7 +1070,7 @@ fn handle_line_into(
     now: Instant,
     out: &mut String,
 ) -> Option<Park> {
-    let mut fields = line.split_whitespace();
+    let mut fields = line.split_ascii_whitespace();
     let Some(verb) = fields.next() else {
         st.hot.malformed.incr();
         out.push_str("ERR empty\n");

@@ -28,6 +28,13 @@
 //!    changed or whose hold ran out, after step 3, so whoever caused a
 //!    change hears `OK` before anyone hears its consequence.
 //!
+//! A client that does not read its replies is not read either: once more
+//! than [`MAX_FRAME`] of a connection's replies are unflushed, step 2
+//! stops serving it and the poller watches it only for writability, until
+//! a writable wakeup's flush brings the backlog back under the bound. No
+//! reply is dropped, and a connection's unflushed replies stay under the
+//! cap plus one reply.
+//!
 //! Observability: `reactor_wakeups` counts readiness-loop returns and
 //! `frames_batched` counts frames served beyond the first of each
 //! wakeup (the pipelining/batching win); the core's `timer_fires` /
@@ -49,7 +56,9 @@ use crate::uds::write_snapshot;
 /// The longest line the reactor will buffer for one frame before
 /// answering `ERR malformed` and dropping the connection. Generous —
 /// a full EVENTS batch is a few KiB — but bounded, so one misbehaving
-/// client cannot grow the reactor's memory without limit.
+/// client cannot grow the reactor's memory without limit. Also the
+/// unflushed-reply backlog beyond which a connection is not served until
+/// its client reads.
 pub const MAX_FRAME: usize = 256 * 1024;
 
 /// Upper bound on one readiness wait, so the shutdown flag is honored
@@ -153,8 +162,13 @@ struct Conn {
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written.
     wpos: usize,
-    /// Whether the poller currently watches this fd for writability.
-    want_write: bool,
+    /// What the poller watches this fd for: `(readable, writable)`.
+    watching: (bool, bool),
+    /// The client is not reading its replies: more than [`MAX_FRAME`] of
+    /// them were unflushed when the connection was last served, so its
+    /// frames wait, in the socket or in `frames`, until a writable wakeup
+    /// flushes the backlog back under the bound.
+    throttled: bool,
     /// Close once `wbuf` drains (EOF seen or a fatal protocol error —
     /// the reply is still delivered first: no silent drops).
     closing: bool,
@@ -167,8 +181,30 @@ impl Conn {
             frames: FrameBuffer::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            want_write: false,
+            watching: (true, false),
+            throttled: false,
             closing: false,
+        }
+    }
+
+    /// Reply bytes staged and not yet written.
+    fn unflushed(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// Points the poller at what the connection waits for: readability
+    /// unless it is closing or throttled (epoll is level-triggered, so an
+    /// fd left unread but watched would end every wait at once), and
+    /// writability while replies are unflushed or it is throttled (the
+    /// wakeup that resumes it).
+    fn watch(&mut self, poller: &mut sys::Poller, token: u64) {
+        let want = (
+            !self.closing && !self.throttled,
+            self.throttled || self.unflushed() > 0,
+        );
+        if want != self.watching {
+            self.watching = want;
+            let _ = poller.modify(self.stream.as_raw_fd(), token, want.0, want.1);
         }
     }
 
@@ -244,9 +280,9 @@ mod sys {
             })
         }
 
-        fn ctl(&mut self, op: i32, fd: RawFd, token: u64, write: bool) -> io::Result<()> {
+        fn ctl(&mut self, op: i32, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
             let mut ev = EpollEvent {
-                events: EPOLLIN | if write { EPOLLOUT } else { 0 },
+                events,
                 data: token,
             };
             // SAFETY: `ev` is a live stack value for the duration of the
@@ -259,23 +295,26 @@ mod sys {
             Ok(())
         }
 
-        pub fn add(&mut self, fd: RawFd, token: u64, write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, write)
+        /// Watches `fd` for readability.
+        pub fn add(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, EPOLLIN)
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: u64, write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, write)
+        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+            let events = if read { EPOLLIN } else { 0 } | if write { EPOLLOUT } else { 0 };
+            self.ctl(EPOLL_CTL_MOD, fd, token, events)
         }
 
         pub fn remove(&mut self, fd: RawFd) {
             // Best-effort: the fd is about to be closed anyway (closing
             // an fd removes it from every epoll set it belongs to).
-            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, false);
+            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
         }
 
         /// Waits up to `timeout_ms` and appends `(token, readable,
         /// writable)` for each ready fd. Error/hangup conditions report
-        /// as readable so the read path observes the EOF/error.
+        /// as readable so the read path observes the EOF/error; the
+        /// kernel reports them with no interest registered too.
         pub fn wait(
             &mut self,
             timeout_ms: i32,
@@ -352,7 +391,8 @@ mod sys {
 
     /// A thin `poll(2)`-backed poller with the epoll backend's API.
     pub struct Poller {
-        interest: Vec<(RawFd, u64, bool)>,
+        /// `(fd, token, read, write)`.
+        interest: Vec<(RawFd, u64, bool, bool)>,
     }
 
     impl Poller {
@@ -362,20 +402,21 @@ mod sys {
             })
         }
 
-        pub fn add(&mut self, fd: RawFd, token: u64, write: bool) -> io::Result<()> {
-            self.interest.push((fd, token, write));
+        /// Watches `fd` for readability.
+        pub fn add(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.interest.push((fd, token, true, false));
             Ok(())
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: u64, write: bool) -> io::Result<()> {
-            if let Some(e) = self.interest.iter_mut().find(|(f, _, _)| *f == fd) {
-                *e = (fd, token, write);
+        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+            if let Some(e) = self.interest.iter_mut().find(|e| e.0 == fd) {
+                *e = (fd, token, read, write);
             }
             Ok(())
         }
 
         pub fn remove(&mut self, fd: RawFd) {
-            self.interest.retain(|(f, _, _)| *f != fd);
+            self.interest.retain(|e| e.0 != fd);
         }
 
         pub fn wait(
@@ -386,9 +427,9 @@ mod sys {
             let mut fds: Vec<PollFd> = self
                 .interest
                 .iter()
-                .map(|&(fd, _, write)| PollFd {
+                .map(|&(fd, _, read, write)| PollFd {
                     fd,
-                    events: POLLIN | if write { POLLOUT } else { 0 },
+                    events: if read { POLLIN } else { 0 } | if write { POLLOUT } else { 0 },
                     revents: 0,
                 })
                 .collect();
@@ -402,7 +443,7 @@ mod sys {
                 }
                 return Err(e);
             }
-            for (pfd, &(_, token, _)) in fds.iter().zip(&self.interest) {
+            for (pfd, &(_, token, ..)) in fds.iter().zip(&self.interest) {
                 let readable = pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0;
                 let writable = pfd.revents & POLLOUT != 0;
                 if readable || writable {
@@ -454,7 +495,7 @@ impl Reactor {
                 return;
             }
         };
-        if let Err(e) = poller.add(listener.as_raw_fd(), LISTENER_TOKEN, false) {
+        if let Err(e) = poller.add(listener.as_raw_fd(), LISTENER_TOKEN) {
             eprintln!("procctl reactor: cannot watch listener: {e}");
             return;
         }
@@ -507,7 +548,7 @@ impl Reactor {
             // wakeup's frame accounting below is complete before any
             // client can observe (and race) it.
             let mut frames_this_wakeup: u64 = 0;
-            for &(token, readable, _) in &ready {
+            for &(token, readable, writable) in &ready {
                 if token == LISTENER_TOKEN {
                     accept_ready(&listener, &mut poller, &mut conns, &mut next_token);
                     continue;
@@ -515,10 +556,23 @@ impl Reactor {
                 let Some(conn) = conns.get_mut(&token) else {
                     continue;
                 };
-                if readable && !conn.closing {
-                    frames_this_wakeup +=
-                        drain_and_handle(token, conn, &mut scratch, &mut core, now);
+                if conn.closing {
+                    continue;
                 }
+                if conn.throttled {
+                    // Only its client reading replies resumes it: a
+                    // writable wakeup whose flush (of replies staged in
+                    // earlier wakeups) brings the backlog under the
+                    // bound. A hang-up or a failed write is phase 2's,
+                    // whose flush fails and closes the connection.
+                    if !writable || conn.flush().is_err() || conn.unflushed() > MAX_FRAME {
+                        continue;
+                    }
+                    conn.throttled = false;
+                } else if !readable {
+                    continue;
+                }
+                frames_this_wakeup += drain_and_handle(token, conn, &mut scratch, &mut core, now);
             }
             if frames_this_wakeup > 1 {
                 frames_batched.add(frames_this_wakeup - 1);
@@ -526,7 +580,7 @@ impl Reactor {
 
             // Phase 2: flush each touched connection once — N pipelined
             // frames cost one write(2) — managing EPOLLOUT interest for
-            // the rare short write.
+            // the rare short write and EPOLLIN interest for throttling.
             let mut dead: Vec<u64> = Vec::new();
             for &(token, readable, writable) in &ready {
                 if token != LISTENER_TOKEN && (readable || writable) {
@@ -566,8 +620,8 @@ impl Reactor {
     }
 }
 
-/// Writes out what `token`'s connection has staged, keeping EPOLLOUT
-/// interest in step with whether anything is left, and queues the
+/// Writes out what `token`'s connection has staged, keeping the poller's
+/// interest in step with what is left ([`Conn::watch`]), and queues the
 /// connection on `dead` when it failed or finished closing.
 fn flush_conn(
     token: u64,
@@ -579,20 +633,8 @@ fn flush_conn(
         return; // closed earlier this wakeup
     };
     match conn.flush() {
-        Ok(true) => {
-            if conn.closing {
-                dead.push(token);
-            } else if conn.want_write {
-                conn.want_write = false;
-                let _ = poller.modify(conn.stream.as_raw_fd(), token, false);
-            }
-        }
-        Ok(false) => {
-            if !conn.want_write {
-                conn.want_write = true;
-                let _ = poller.modify(conn.stream.as_raw_fd(), token, true);
-            }
-        }
+        Ok(true) if conn.closing => dead.push(token),
+        Ok(_) => conn.watch(poller, token),
         Err(_) => dead.push(token),
     }
 }
@@ -612,7 +654,7 @@ fn accept_ready(
                 }
                 let token = *next_token;
                 *next_token += 1;
-                if poller.add(stream.as_raw_fd(), token, false).is_ok() {
+                if poller.add(stream.as_raw_fd(), token).is_ok() {
                     conns.insert(token, Conn::new(stream));
                 }
             }
@@ -623,9 +665,13 @@ fn accept_ready(
     }
 }
 
-/// Drains the socket, has `core` answer every complete frame, and stages
-/// the batched replies in the connection's write buffer. Returns the
-/// number of frames served.
+/// Has `core` answer the connection's complete frames, reading more from
+/// the socket whenever the buffered ones run out, and stages the batched
+/// replies in its write buffer. Stops when the socket is drained, when
+/// the connection must close, or when the unflushed replies exceed
+/// [`MAX_FRAME`]: that throttles the connection, and the frames it sent
+/// since wait where they are, so a client that never reads cannot grow
+/// the server. Returns the number of frames served.
 fn drain_and_handle(
     token: u64,
     conn: &mut Conn,
@@ -633,50 +679,63 @@ fn drain_and_handle(
     core: &mut ControlCore,
     now: Instant,
 ) -> u64 {
-    let mut eof = false;
+    let mut frames: u64 = 0;
     loop {
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                eof = true;
+        while conn.unflushed() <= MAX_FRAME {
+            let Some(range) = conn.frames.next_frame_range() else {
                 break;
-            }
-            Ok(n) => conn.frames.extend(&scratch[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                eof = true;
+            };
+            frames += 1;
+            // Field-disjoint borrows: the frame bytes stay in
+            // `conn.frames` (no per-frame copy) while the reply lands in
+            // `conn.wbuf`.
+            let wbuf = &mut conn.wbuf;
+            let stage = |reply: &str| wbuf.extend_from_slice(reply.as_bytes());
+            if !core.frame(token, conn.frames.frame_bytes(&range), now, stage) {
+                conn.closing = true;
                 break;
             }
         }
-    }
-    let mut frames: u64 = 0;
-    let wbuf = &mut conn.wbuf;
-    let mut stage = |reply: &str| wbuf.extend_from_slice(reply.as_bytes());
-    while let Some(range) = conn.frames.next_frame_range() {
-        frames += 1;
-        // Field-disjoint borrows: the frame bytes stay in `conn.frames`
-        // (no per-frame copy) while the reply lands in `conn.wbuf`.
-        if !core.frame(token, conn.frames.frame_bytes(&range), now, &mut stage) {
+        if conn.closing {
+            break;
+        }
+        if conn.unflushed() > MAX_FRAME {
+            conn.throttled = true;
+            break;
+        }
+        if conn.frames.pending() > MAX_FRAME {
+            // An unbounded line: answer (no silent drops) and drop the
+            // connection — the stream offset is unrecoverable.
+            core.hot.malformed.incr();
+            conn.wbuf.extend_from_slice(b"ERR malformed\n");
             conn.closing = true;
             break;
         }
-    }
-    if !conn.closing && conn.frames.pending() > MAX_FRAME {
-        // An unbounded line: answer (no silent drops) and drop the
-        // connection — the stream offset is unrecoverable.
-        core.hot.malformed.incr();
-        stage("ERR malformed\n");
-        conn.closing = true;
-    }
-    if eof && !conn.closing {
-        // Mirror `BufReader::read_line` semantics: a final unterminated
-        // line still gets served before the connection closes.
-        let residue = conn.frames.take_residue();
-        if !residue.is_empty() {
-            frames += 1;
-            core.frame(token, &residue, now, &mut stage);
+        let eof = match conn.stream.read(scratch) {
+            Ok(0) => true,
+            Ok(n) => {
+                conn.frames.extend(&scratch[..n]);
+                false
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => false,
+            Err(_) => true,
+        };
+        if eof {
+            // Mirror `BufReader::read_line` semantics: a final
+            // unterminated line still gets served before the connection
+            // closes.
+            let residue = conn.frames.take_residue();
+            if !residue.is_empty() {
+                frames += 1;
+                let wbuf = &mut conn.wbuf;
+                core.frame(token, &residue, now, |reply| {
+                    wbuf.extend_from_slice(reply.as_bytes())
+                });
+            }
+            conn.closing = true;
+            break;
         }
-        conn.closing = true;
     }
     if conn.closing {
         // Nobody is left to hear a parked poll's reply.
@@ -778,6 +837,52 @@ mod tests {
             let want: Vec<Vec<u8>> = head.iter().map(|f| f.as_bytes().to_vec()).collect();
             prop_assert_eq!(got, want);
             prop_assert_eq!(fb.take_residue(), tail.as_bytes().to_vec());
+        }
+
+        /// Any bytes at all, not only printable ASCII, through the
+        /// zero-copy path the reactor reads frames with, split as a
+        /// byte-by-byte reference splits them, wherever the reads end.
+        /// One byte in `sparsity` is a newline; most others are bytes a
+        /// word-at-a-time scan could mistake for one (`\v`, `\t`, `0x8a`,
+        /// `0x00`, `0xff`).
+        #[test]
+        fn arbitrary_bytes_split_like_a_byte_scan(
+            sparsity in 1usize..24,
+            draws in prop::collection::vec((any::<usize>(), any::<u8>()), 0..256),
+            cuts in prop::collection::vec(any::<usize>(), 0..8),
+        ) {
+            const NEIGHBOURS: [u8; 5] = [0x0b, 0x09, 0x8a, 0x00, 0xff];
+            let stream: Vec<u8> = draws
+                .iter()
+                .map(|&(pick, byte)| match pick % sparsity {
+                    0 => b'\n',
+                    _ => NEIGHBOURS.get(pick / sparsity % 8).copied().unwrap_or(byte),
+                })
+                .collect();
+            let mut positions: Vec<usize> =
+                cuts.iter().map(|i| i % (stream.len() + 1)).collect();
+            positions.push(stream.len());
+            positions.sort_unstable();
+            let mut fb = FrameBuffer::new();
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            let mut prev = 0;
+            for &at in &positions {
+                fb.extend(&stream[prev..at]);
+                prev = at;
+                while let Some(range) = fb.next_frame_range() {
+                    got.push(fb.frame_bytes(&range).to_vec());
+                }
+            }
+            let mut want: Vec<Vec<u8>> = Vec::new();
+            let mut frame = Vec::new();
+            for &b in &stream {
+                match b {
+                    b'\n' => want.push(std::mem::take(&mut frame)),
+                    _ => frame.push(b),
+                }
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(fb.take_residue(), frame);
         }
     }
 }

@@ -20,6 +20,13 @@
 //! server → client:  OK <epoch>
 //! ```
 //!
+//! A frame ends at `\n` and must be UTF-8: a frame that is not is
+//! answered `ERR malformed` and the connection closes. Its fields are
+//! separated by runs of space, `\t`, `\r` or `\f`, and by nothing else —
+//! `\v` and non-ASCII spaces (U+00A0, U+3000, …) are field content, so a
+//! verb or number written with them is malformed, and a `REPORT` keeps
+//! them. The server splits fields without decoding a char.
+//!
 //! **CPU-set extension** (topology-aware handout). A client that wants to
 //! know *which* processors it was assigned — not just how many — appends
 //! `cpus` to its poll:
@@ -353,7 +360,7 @@ pub struct AppStatsEntry {
 
 impl AppStatsEntry {
     fn parse(part: &str) -> Option<AppStatsEntry> {
-        let mut fields = part.split_whitespace();
+        let mut fields = part.split_ascii_whitespace();
         let pid = fields.next()?.strip_prefix("pid=")?.parse().ok()?;
         let target = fields.next()?.strip_prefix("target=")?.parse().ok()?;
         let nworkers = fields.next()?.strip_prefix("nworkers=")?.parse().ok()?;
@@ -453,7 +460,7 @@ fn read_stats_all(line: &str) -> io::Result<Vec<AppStatsEntry>> {
 /// `STATS [<report>]` → the report line (empty when none).
 fn read_app_stats(line: &str) -> io::Result<String> {
     match line.strip_prefix("STATS") {
-        Some(rest) => Ok(rest.trim_start().to_string()),
+        Some(rest) => Ok(rest.trim_ascii_start().to_string()),
         None => Err(invalid(line)),
     }
 }
@@ -566,7 +573,7 @@ impl UdsClient {
                 "server closed the connection",
             ));
         }
-        Ok(line.trim().to_string())
+        Ok(line.trim_ascii().to_string())
     }
 
     /// Polls the server, distinguishing a live target from "the server no
@@ -701,6 +708,7 @@ mod tests {
     use crate::trace::EventKind;
     use crate::{SupervisedClient, SupervisorConfig, TargetSlot};
     use proptest::prelude::*;
+    use std::io::Read;
 
     fn sock_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("procctl-test-{}-{tag}.sock", std::process::id()))
@@ -766,6 +774,64 @@ mod tests {
         let before = malformed(&core);
         assert_eq!(answer(&mut core, &frame, now), "ERR malformed\n");
         assert_eq!(malformed(&core), before + 1);
+    }
+
+    #[test]
+    fn fields_are_separated_by_ascii_whitespace_and_nothing_else() {
+        let mut cfg = UdsServerConfig::new("/nonexistent", 8);
+        cfg.prune_dead = false;
+        let mut core = ControlCore::new(cfg, 7);
+        let now = Instant::now();
+        let malformed = |c: &ControlCore| c.registry().snapshot().counters["malformed"];
+        // Runs of space, `\t`, `\r` and `\f` separate fields.
+        assert_eq!(answer(&mut core, "REGISTER\t1 \t4\r", now), "OK 7\n");
+        assert_eq!(answer(&mut core, "POLL\r1", now), "TARGET 4 7\n");
+        assert_eq!(answer(&mut core, "\x0cPOLL\t\t1\x0c ", now), "TARGET 4 7\n");
+        // `\v` and non-ASCII spaces do not: the verb or the pid is then
+        // not one, and the frame is malformed.
+        for sep in ["\x0b", "\u{a0}", "\u{2003}", "\u{3000}"] {
+            for frame in [format!("POLL{sep}1"), format!("POLL 1{sep}")] {
+                let before = malformed(&core);
+                assert_eq!(
+                    answer(&mut core, &frame, now),
+                    "ERR malformed\n",
+                    "{frame:?}"
+                );
+                assert_eq!(malformed(&core), before + 1, "{frame:?}");
+            }
+        }
+        // A REPORT keeps them, and any other UTF-8, inside its fields.
+        let report = "site=Zürich pair=a\u{a0}b\x0bc wide=\u{3000}";
+        assert_eq!(
+            answer(&mut core, &format!("REPORT 1\t{report}\r"), now),
+            "OK 7\n"
+        );
+        assert_eq!(
+            answer(&mut core, "STATS 1", now),
+            format!("STATS {report}\n")
+        );
+    }
+
+    #[test]
+    fn non_ascii_reports_round_trip_and_a_non_utf8_frame_closes_the_connection() {
+        let (path, server) = reactor_server("grammar");
+        let mut c = UdsClient::register(&path, 4).expect("client");
+        let me = std::process::id();
+        let report = "site=Zürich pair=a\u{a0}b";
+        c.report(report).expect("report");
+        assert_eq!(c.app_stats(me).expect("stats"), report);
+        let rows = c.stats_all().expect("stats all");
+        assert_eq!(rows[0].report, report);
+
+        let mut raw = UnixStream::connect(&path).expect("connect");
+        raw.set_read_timeout(Some(DEFAULT_IO_TIMEOUT))
+            .expect("timeout");
+        raw.write_all(b"POLL \xff1\nPOLL 1\n").expect("send");
+        let mut replies = String::new();
+        raw.read_to_string(&mut replies)
+            .expect("read until the server closes");
+        assert_eq!(replies, "ERR malformed\n", "nothing after the bad frame");
+        assert_eq!(server.stats().counters["malformed"], 1);
     }
 
     #[test]
@@ -1468,6 +1534,74 @@ mod tests {
         }
     }
 
+    /// `ctl_saturated`'s frames through `ControlCore::frame`: 64 pids
+    /// with `2 + pid % 7` workers on 64 processors, `weighted`, pids and
+    /// job counts drawn at random. A POLL-only stream, a REPORT-only
+    /// stream, and the benchmark's mix: POLL:REPORT 3:1 (the first POLL
+    /// after each REPORT recomputes) with one BYE/REGISTER pair per
+    /// 1 024 frames.
+    #[test]
+    #[ignore] // microbenchmark, not an assertion: `cargo test --release -- --ignored micro_ --nocapture`
+    fn micro_saturated_mix_cost() {
+        const PIDS: u32 = 64;
+        const BASE_PID: u32 = 100_000;
+        let mut cfg = UdsServerConfig::new("/nonexistent", PIDS as usize);
+        cfg.prune_dead = false;
+        cfg.weighted = true;
+        let mut core = ControlCore::new(cfg, 42);
+        let now = Instant::now();
+        for pid in BASE_PID..BASE_PID + PIDS {
+            answer(&mut core, &format!("REGISTER {pid} {}", 2 + pid % 7), now);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let (mut polls, mut reports, mut mix) = (Vec::new(), Vec::new(), Vec::new());
+        while mix.len() < 4096 {
+            let pid = BASE_PID + below(u64::from(PIDS)) as u32;
+            let jobs = below(1_000_000);
+            let poll = format!("POLL {pid}");
+            let report = format!(
+                "REPORT {pid} jobs_run={jobs} steals={} local_hits={jobs}",
+                jobs / 100
+            );
+            match mix.len() {
+                n if n % 1024 == 1022 => {
+                    mix.push(format!("BYE {pid}"));
+                    mix.push(format!("REGISTER {pid} {}", 2 + pid % 7));
+                }
+                n if n % 4 == 3 => mix.push(report.clone()),
+                _ => mix.push(poll.clone()),
+            }
+            polls.push(poll);
+            reports.push(report);
+        }
+        let mut best_ns = |frames: &[String]| {
+            (0..7)
+                .map(|_| {
+                    let start = Instant::now();
+                    for _ in 0..25 {
+                        for f in frames {
+                            core.frame(0, f.as_bytes(), now, |reply| {
+                                std::hint::black_box(reply);
+                            });
+                        }
+                    }
+                    start.elapsed().as_nanos() as f64 / (25 * frames.len()) as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (mix_ns, poll_ns, report_ns) = (best_ns(&mix), best_ns(&polls), best_ns(&reports));
+        println!(
+            "ctl_saturated frames (64 apps, weighted, 64 cpus), best of 7: \
+             POLL {poll_ns:.1} ns, REPORT {report_ns:.1} ns, 3:1 mix {mix_ns:.1} ns/frame"
+        );
+    }
+
     #[test]
     fn reactor_serves_pipelined_bursts_in_order_and_batches() {
         // A client that writes a whole window of frames in one send must
@@ -1541,6 +1675,123 @@ mod tests {
         drop(b);
         // The survivor still gets service.
         assert_eq!(a.poll().expect("poll after torn peer"), 8);
+    }
+
+    /// Writes `frame(0)`, `frame(1)`, … to `stream` without reading,
+    /// until a write times out or `limit` bytes went out. Returns the
+    /// bytes written.
+    fn push_unread(stream: &mut UnixStream, frame: impl Fn(u64) -> String, limit: usize) -> usize {
+        stream
+            .set_write_timeout(Some(Duration::from_millis(200)))
+            .expect("write timeout");
+        let (mut sent, mut k) = (0, 0);
+        let mut chunk: Vec<u8> = Vec::new();
+        let mut off = 0;
+        while sent < limit {
+            if off == chunk.len() {
+                chunk.clear();
+                off = 0;
+                while chunk.len() < 64 * 1024 {
+                    chunk.extend_from_slice(frame(k).as_bytes());
+                    k += 1;
+                }
+            }
+            match stream.write(&chunk[off..]) {
+                Ok(n) => (off, sent) = (off + n, sent + n),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    break
+                }
+                Err(e) => panic!("write failed: {e}"),
+            }
+        }
+        sent
+    }
+
+    /// The number of reactor wakeups in 300 ms, once the loop settled.
+    fn idle_wakeups(server: &UdsServer) -> u64 {
+        std::thread::sleep(Duration::from_millis(50));
+        let before = server.stats().counters["reactor_wakeups"];
+        std::thread::sleep(Duration::from_millis(300));
+        server.stats().counters["reactor_wakeups"] - before
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_throttled_then_answered_in_order() {
+        let (path, server) = reactor_server("backpressure");
+        let epoch = server.epoch();
+        // Frame k is `REPORT 7 seq=<k/2>` for even k and `STATS 7` for
+        // odd k, whose reply echoes the report: each reply names the
+        // frame it answers.
+        let frame = |k: u64| match k % 2 {
+            0 => format!("REPORT 7 seq={}\n", k / 2),
+            _ => "STATS 7\n".to_string(),
+        };
+        let reply = |k: u64| match k % 2 {
+            0 => format!("OK {epoch}\n"),
+            _ => format!("STATS seq={}\n", k / 2),
+        };
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        let sent = push_unread(&mut stream, frame, 64 << 20);
+        assert!(
+            sent < 8 << 20,
+            "the server took {} MiB from a client that reads nothing",
+            sent >> 20
+        );
+        // Throttled, the connection is not watched for reading: its
+        // unread bytes would otherwise end every wait at once.
+        let spent = idle_wakeups(&server);
+        assert!(spent < 30, "{spent} wakeups in 300 ms while throttled");
+
+        // Every frame sent whole is answered, once, in order; the torn
+        // one is answered once its tail arrives.
+        let (mut whole, mut at) = (0u64, 0usize);
+        while at + frame(whole).len() <= sent {
+            at += frame(whole).len();
+            whole += 1;
+        }
+        stream
+            .set_read_timeout(Some(DEFAULT_IO_TIMEOUT))
+            .expect("read timeout");
+        let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+        let mut line = String::new();
+        for k in 0..whole {
+            line.clear();
+            replies.read_line(&mut line).expect("reply");
+            assert_eq!(line, reply(k), "reply {k} of {whole}");
+        }
+        stream
+            .write_all(&frame(whole).as_bytes()[sent - at..])
+            .expect("the torn frame's tail");
+        line.clear();
+        replies.read_line(&mut line).expect("reply");
+        assert_eq!(line, reply(whole));
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        line.clear();
+        replies
+            .read_to_string(&mut line)
+            .expect("read until closed");
+        assert_eq!(line, "", "replies beyond one per frame");
+    }
+
+    #[test]
+    fn a_throttled_client_that_hangs_up_is_closed() {
+        let (path, server) = reactor_server("backpressure-hangup");
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        let sent = push_unread(&mut stream, |_| "STATS ALL\n".to_string(), 64 << 20);
+        assert!(sent < 8 << 20, "{} MiB taken", sent >> 20);
+        drop(stream);
+        // A hang-up left unhandled would end every wait at once.
+        let spent = idle_wakeups(&server);
+        assert!(spent < 30, "{spent} wakeups in 300 ms after the hang-up");
+        let mut c = UdsClient::register(&path, 4).expect("client");
+        assert_eq!(c.poll().expect("poll"), 4);
     }
 
     /// A reactor server on 8 processors whose fake pids survive.
@@ -1822,6 +2073,30 @@ mod tests {
         let mut after = ControlCore::new(cfg, 7);
         after.restore(&snap, now);
         assert_eq!(targets(&mut after, now), targets_before);
+    }
+
+    #[test]
+    fn a_snapshot_does_not_depend_on_the_order_reports_arrived_in() {
+        let mut cfg = UdsServerConfig::new("/nonexistent", 64);
+        cfg.prune_dead = false;
+        let now = Instant::now();
+        // Registered pids and pids that only report, spread out so that
+        // they share hash buckets.
+        let pids: Vec<u32> = (0..300).map(|i| 900_000 + i * 37).collect();
+        let snapshot = |reporting: &mut dyn Iterator<Item = &u32>| {
+            let mut core = ControlCore::new(cfg.clone(), 7);
+            for pid in pids.iter().step_by(2) {
+                answer(&mut core, &format!("REGISTER {pid} 4"), now);
+            }
+            for pid in reporting {
+                answer(&mut core, &format!("REPORT {pid} jobs_run={pid}"), now);
+            }
+            core.to_snapshot(now).encode()
+        };
+        let forward = snapshot(&mut pids.iter());
+        let backward = snapshot(&mut pids.iter().rev());
+        assert!(forward.contains("jobs_run=900037"), "{forward}");
+        assert_eq!(forward, backward);
     }
 
     proptest! {
