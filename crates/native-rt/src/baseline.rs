@@ -4,15 +4,10 @@
 //! submit and dequeue serializes through one `Mutex<VecDeque>` and a
 //! global condvar — the saturated-lock collapse `pool_bench` quantifies.
 //! It stays in-tree so the comparison is reproducible on any host
-//! (`pool_bench` runs every configuration on both engines) and so the two
-//! designs share the controller, stats, and safe-suspension-point
-//! semantics exactly.
-//!
-//! Two latent defects of the original were fixed here as well, so the
-//! benchmark compares queue disciplines rather than bugs: the
-//! suspension hand-off is atomic (token claimed under the suspended-list
-//! lock, withdrawal on shutdown — see [`crate::Pool`] for the race), and
-//! job timestamps are taken *before* the queue lock is acquired so the
+//! (`pool_bench` runs every configuration on both engines). The two
+//! designs share the controller, the stats and one safe suspension point
+//! ([`crate::safepoint`]), so they differ only in queue discipline. Job
+//! timestamps are taken *before* the queue lock is acquired so the
 //! queue-wait histogram does not inflate the contention it measures.
 
 use std::collections::VecDeque;
@@ -26,18 +21,8 @@ use parking_lot::{Condvar, Mutex};
 use crate::controller::{Controller, TargetSlot};
 use crate::crlock::{CrConfig, CrGate};
 use crate::pool::{Job, PoolMetrics};
-use crate::stats::{Counter, Gauge, Hist, Registry, Snapshot};
-
-#[derive(Clone, Copy)]
-enum ParkState {
-    Parked,
-    Resumed(Option<Instant>),
-}
-
-struct ParkToken {
-    state: Mutex<ParkState>,
-    cv: Condvar,
-}
+use crate::safepoint::{SafePoint, SuspendOutcome};
+use crate::stats::{Counter, Hist, Registry, Snapshot};
 
 struct PoolShared {
     /// Jobs with their submission instants (for queue-wait latency).
@@ -49,23 +34,16 @@ struct PoolShared {
     outstanding: AtomicUsize,
     idle_cv: Condvar,
     idle_mu: Mutex<()>,
-    // sched-atomic(handoff): suspend/resume CAS (AcqRel) orders the
-    // worker's hand-off against peers reading the count.
-    active: AtomicUsize,
-    suspended: Mutex<Vec<Arc<ParkToken>>>,
+    safepoint: SafePoint,
     target: Arc<TargetSlot>,
     // sched-atomic(handoff): Release store in shutdown() publishes final
     // queue state to the workers' Acquire re-check.
     shutdown: AtomicBool,
     registry: Arc<Registry>,
     jobs_run: Counter,
-    suspends: Counter,
-    resumes: Counter,
-    active_gauge: Gauge,
-    target_gauge: Gauge,
+    /// Job panics caught (the worker survived).
+    jobs_panicked: Counter,
     queue_wait: Hist,
-    park: Hist,
-    unpark: Hist,
     /// Concurrency-restricting gate over the central queue's dequeue
     /// (the pool's one collapse-prone lock); `None` = ungated baseline.
     cr_gate: Option<CrGate>,
@@ -110,18 +88,12 @@ impl CentralPool {
             outstanding: AtomicUsize::new(0),
             idle_cv: Condvar::new(),
             idle_mu: Mutex::new(()),
-            active: AtomicUsize::new(nworkers),
-            suspended: Mutex::new(Vec::new()),
+            safepoint: SafePoint::new(nworkers, &registry),
             target,
             shutdown: AtomicBool::new(false),
             jobs_run: registry.counter("jobs_run"),
-            suspends: registry.counter("suspends"),
-            resumes: registry.counter("resumes"),
-            active_gauge: registry.gauge("active"),
-            target_gauge: registry.gauge("target"),
+            jobs_panicked: registry.counter("jobs_panicked"),
             queue_wait: registry.histogram("queue_wait_ns"),
-            park: registry.histogram("park_ns"),
-            unpark: registry.histogram("unpark_ns"),
             cr_gate: cr.map(|c| CrGate::with_registry(c, &registry)),
             registry,
             idle_spin,
@@ -159,7 +131,7 @@ impl CentralPool {
 
     /// Current number of unsuspended workers.
     pub fn active(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
+        self.shared.safepoint.active()
     }
 
     /// The controller's current target for this pool.
@@ -171,8 +143,9 @@ impl CentralPool {
     pub fn metrics(&self) -> PoolMetrics {
         PoolMetrics {
             jobs_run: self.shared.jobs_run.get(),
-            suspends: self.shared.suspends.get(),
-            resumes: self.shared.resumes.get(),
+            suspends: self.shared.safepoint.suspends(),
+            resumes: self.shared.safepoint.resumes(),
+            jobs_panicked: self.shared.jobs_panicked.get(),
             ..PoolMetrics::default()
         }
     }
@@ -192,55 +165,10 @@ impl Drop for CentralPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.work_cv.notify_all();
-        {
-            let mut suspended = self.shared.suspended.lock();
-            for t in suspended.drain(..) {
-                *t.state.lock() = ParkState::Resumed(None);
-                t.cv.notify_one();
-            }
-        }
+        self.shared.safepoint.release_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-    }
-}
-
-enum SuspendOutcome {
-    Resumed,
-    Shutdown,
-}
-
-fn park_suspended(sh: &PoolShared) -> SuspendOutcome {
-    let token = Arc::new(ParkToken {
-        state: Mutex::new(ParkState::Parked),
-        cv: Condvar::new(),
-    });
-    sh.suspended.lock().push(Arc::clone(&token));
-    let parked_at = Instant::now();
-    let mut st = token.state.lock();
-    loop {
-        if let ParkState::Resumed(signaled_at) = *st {
-            drop(st);
-            sh.park.record(parked_at.elapsed().as_nanos() as u64);
-            if let Some(at) = signaled_at {
-                sh.unpark.record(at.elapsed().as_nanos() as u64);
-            }
-            return SuspendOutcome::Resumed;
-        }
-        if sh.shutdown.load(Ordering::Acquire) {
-            drop(st);
-            let mut list = sh.suspended.lock();
-            if let Some(pos) = list.iter().position(|t| Arc::ptr_eq(t, &token)) {
-                list.remove(pos);
-                drop(list);
-                sh.park.record(parked_at.elapsed().as_nanos() as u64);
-                return SuspendOutcome::Shutdown;
-            }
-            drop(list);
-            st = token.state.lock();
-            continue;
-        }
-        token.cv.wait_for(&mut st, Duration::from_millis(50));
     }
 }
 
@@ -250,29 +178,10 @@ fn worker_loop(sh: &Arc<PoolShared>) {
             return;
         }
         // --- Safe suspension point: no job held, no lock held. ---
-        let target = sh.target.target.load(Ordering::Acquire);
-        let active = sh.active.load(Ordering::Acquire);
-        sh.active_gauge.set(active as i64);
-        sh.target_gauge.set(target as i64);
-        if active > target && active > 1 {
-            if sh
-                .active
-                .compare_exchange(active, active - 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                sh.suspends.incr();
-                match park_suspended(sh) {
-                    SuspendOutcome::Resumed => continue,
-                    SuspendOutcome::Shutdown => return,
-                }
-            }
-        } else if active < target {
-            let mut list = sh.suspended.lock();
-            if let Some(token) = list.pop() {
-                sh.active.fetch_add(1, Ordering::AcqRel);
-                sh.resumes.incr();
-                *token.state.lock() = ParkState::Resumed(Some(Instant::now()));
-                token.cv.notify_one();
+        if sh.safepoint.check(sh.target.target.load(Ordering::Acquire)) {
+            match sh.safepoint.park_suspended(&sh.shutdown) {
+                SuspendOutcome::Resumed(_) => continue,
+                SuspendOutcome::Shutdown => return,
             }
         }
         // --- Dequeue and run. ---
@@ -300,7 +209,11 @@ fn worker_loop(sh: &Arc<PoolShared>) {
                 // outside the critical section.
                 sh.queue_wait
                     .record(submitted_at.elapsed().as_nanos() as u64);
-                job();
+                // An unwinding job would kill the worker before the
+                // `outstanding` decrement and hang `wait_idle`.
+                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+                    sh.jobs_panicked.incr();
+                }
                 sh.jobs_run.incr();
                 if sh.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
                     let _g = sh.idle_mu.lock();
@@ -369,18 +282,28 @@ mod tests {
     }
 
     #[test]
-    fn central_pool_still_suspends_and_shuts_down() {
-        let c = Controller::new(1, Duration::from_millis(10));
-        let pool = CentralPool::new(&c, 4, false);
-        for _ in 0..100 {
-            pool.execute(|| std::thread::sleep(Duration::from_micros(100)));
-        }
-        pool.wait_idle();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while pool.metrics().suspends == 0 {
-            assert!(Instant::now() < deadline, "no worker suspended");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        drop(pool); // must join cleanly with suspended workers
+    fn a_panicking_job_neither_kills_its_worker_nor_hangs_wait_idle() {
+        let c = Controller::new(2, Duration::from_millis(10));
+        let pool = Arc::new(CentralPool::new(&c, 1, false));
+        pool.execute(|| panic!("injected job panic"));
+        pool.execute(|| {});
+        // Wait on a helper thread so a regression fails instead of
+        // hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let p = Arc::clone(&pool);
+        let waiter = std::thread::spawn(move || {
+            p.wait_idle();
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "wait_idle still blocked 5 s after a job panicked"
+        );
+        waiter.join().expect("waiter thread");
+        let m = pool.metrics();
+        assert_eq!((m.jobs_run, m.jobs_panicked), (2, 1));
+        assert_eq!(pool.active(), 1, "the worker survived its job's panic");
     }
+
+    crate::safepoint::suspend_resume_tests!(CentralPool);
 }

@@ -56,6 +56,8 @@ pub mod proc_scan;
 pub mod quiesce;
 #[cfg(unix)]
 pub mod reactor;
+#[doc(hidden)]
+pub mod safepoint;
 pub mod snapshot;
 pub mod stats;
 #[cfg(unix)]
