@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod fleettrace;
 pub mod lockbench;
 pub mod observe;
 pub mod poolbench;

@@ -3,13 +3,8 @@
 //! Simulator components append [`TraceEvent`]s to a [`Tracer`]; harnesses
 //! read the log back to build figures (e.g. runnable-process counts over
 //! time, as in Figure 5 of the paper). Tracing can be disabled wholesale for
-//! benchmark runs, in which case appends are nearly free.
-//!
-//! A tracer may be bounded with [`Tracer::with_capacity`], giving it
-//! ring-buffer semantics: once full, each append overwrites the oldest
-//! retained event and bumps a dropped-event counter. Long multiprogrammed
-//! scenarios can therefore keep a recent window of the schedule without
-//! growing an unbounded `Vec`.
+//! benchmark runs, in which case appends are nearly free. The log is
+//! unbounded: the figures replay a run's full history.
 
 use crate::time::SimTime;
 
@@ -22,17 +17,12 @@ pub struct TraceEvent<K> {
     pub kind: K,
 }
 
-/// An append-only trace log, optionally bounded (ring buffer).
+/// An append-only trace log.
 #[derive(Clone, Debug)]
 pub struct Tracer<K> {
     enabled: bool,
-    /// Retained events. When bounded and full this is used as a ring with
-    /// `head` marking the oldest entry; otherwise it is in emission order.
+    /// Events in emission order.
     events: Vec<TraceEvent<K>>,
-    capacity: Option<usize>,
-    /// Index of the oldest retained event once the ring has wrapped.
-    head: usize,
-    dropped: u64,
 }
 
 impl<K> Default for Tracer<K> {
@@ -42,69 +32,25 @@ impl<K> Default for Tracer<K> {
 }
 
 impl<K> Tracer<K> {
-    /// Creates an unbounded tracer; if `enabled` is false all appends are
-    /// dropped (and not counted — the tracer is off, not overflowing).
+    /// Creates a tracer; if `enabled` is false all appends are dropped.
     pub fn new(enabled: bool) -> Self {
         Tracer {
             enabled,
             events: Vec::new(),
-            capacity: None,
-            head: 0,
-            dropped: 0,
         }
     }
 
-    /// Creates an enabled tracer retaining at most `capacity` events; once
-    /// full, each append evicts the oldest event and increments
-    /// [`dropped`](Self::dropped). A capacity of 0 retains nothing.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Tracer {
-            enabled: true,
-            events: Vec::new(),
-            capacity: Some(capacity),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Returns whether events are being retained.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The retention bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Number of events evicted (or refused, for capacity 0) because the
-    /// buffer was full. Always 0 for unbounded or disabled tracers.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Appends an event (no-op when disabled; evicts the oldest retained
-    /// event when bounded and full).
+    /// Appends an event (no-op when disabled).
     #[inline]
     pub fn emit(&mut self, time: SimTime, kind: K) {
-        if !self.enabled {
-            return;
-        }
-        match self.capacity {
-            Some(0) => self.dropped += 1,
-            Some(cap) if self.events.len() == cap => {
-                self.events[self.head] = TraceEvent { time, kind };
-                self.head = (self.head + 1) % cap;
-                self.dropped += 1;
-            }
-            _ => self.events.push(TraceEvent { time, kind }),
+        if self.enabled {
+            self.events.push(TraceEvent { time, kind });
         }
     }
 
-    /// Retained events in emission order (oldest first).
+    /// Events in emission order (oldest first).
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent<K>> {
-        let (wrapped, start) = self.events.split_at(self.head);
-        start.iter().chain(wrapped.iter())
+        self.events.iter()
     }
 
     /// Number of retained events.
@@ -115,12 +61,6 @@ impl<K> Tracer<K> {
     /// Returns true if no events were retained.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Consumes the tracer and returns the event log in emission order.
-    pub fn into_events(mut self) -> Vec<TraceEvent<K>> {
-        self.events.rotate_left(self.head);
-        self.events
     }
 
     /// Iterates over events matching a predicate, oldest first.
@@ -146,7 +86,6 @@ mod tests {
         let events: Vec<_> = t.events().collect();
         assert_eq!(events[0].kind, "a");
         assert_eq!(events[1].time, SimTime::ZERO + SimDur::from_secs(1));
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
@@ -154,8 +93,6 @@ mod tests {
         let mut t = Tracer::new(false);
         t.emit(SimTime::ZERO, 1u8);
         assert!(t.is_empty());
-        assert!(!t.is_enabled());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
@@ -166,50 +103,5 @@ mod tests {
         }
         let evens: Vec<u32> = t.filtered(|k| k % 2 == 0).map(|e| e.kind).collect();
         assert_eq!(evens, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn bounded_keeps_most_recent_in_order() {
-        let mut t = Tracer::with_capacity(4);
-        for i in 0..10u32 {
-            t.emit(SimTime(i as u64), i);
-        }
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.dropped(), 6);
-        let kept: Vec<u32> = t.events().map(|e| e.kind).collect();
-        assert_eq!(kept, vec![6, 7, 8, 9]);
-        // Timestamps still monotone across the ring seam.
-        let times: Vec<u64> = t.events().map(|e| e.time.nanos()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn bounded_into_events_linearizes() {
-        let mut t = Tracer::with_capacity(3);
-        for i in 0..5u32 {
-            t.emit(SimTime(i as u64), i);
-        }
-        let out: Vec<u32> = t.into_events().into_iter().map(|e| e.kind).collect();
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn capacity_zero_counts_but_keeps_nothing() {
-        let mut t = Tracer::with_capacity(0);
-        t.emit(SimTime::ZERO, 1u8);
-        t.emit(SimTime::ZERO, 2u8);
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 2);
-    }
-
-    #[test]
-    fn under_capacity_behaves_like_unbounded() {
-        let mut t = Tracer::with_capacity(16);
-        for i in 0..5u32 {
-            t.emit(SimTime(i as u64), i);
-        }
-        assert_eq!(t.dropped(), 0);
-        let kept: Vec<u32> = t.events().map(|e| e.kind).collect();
-        assert_eq!(kept, vec![0, 1, 2, 3, 4]);
     }
 }

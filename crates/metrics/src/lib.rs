@@ -18,4 +18,4 @@ pub use json::JsonValue;
 pub use perfetto::TraceBuilder;
 pub use render::{ascii_chart, series_csv, table};
 pub use series::Series;
-pub use trace::{preemption_count, runnable_app_series, runnable_total_series};
+pub use trace::{runnable_app_series, runnable_total_series};

@@ -7,9 +7,14 @@
 //! per-processor timeline: one track per CPU whose slices are the dispatched
 //! processes, counter tracks for runnable-process counts, and instants for
 //! the paper's pathologies (spin starts, preempt-while-spinning, lock
-//! hand-offs).
+//! hand-offs). [`sched_timeline`] renders `native-rt` flight-recorder
+//! events — the recorder's own [`TraceEvent`] and [`EventKind`], not a
+//! copy of them — from several applications as one multi-process
+//! timeline. The dependency points from here to the runtime only: the
+//! recorder stays a leaf its pool calls from the hot path.
 
 use desim::{SimTime, Tracer};
+use native_rt::{EventKind, TraceEvent};
 use simkernel::KTrace;
 
 use crate::json::JsonValue;
@@ -315,63 +320,9 @@ pub fn kernel_trace(trace: &Tracer<KTrace>, num_cpus: usize, end: SimTime) -> Tr
 /// [`sched_timeline`] document — far above any plausible worker index.
 pub const DECISION_TID: u64 = 9_999;
 
-/// A decoded scheduling event from a `native-rt` flight recorder (or a
-/// `uthreads` span mirror). This crate deliberately does not depend on
-/// the runtimes, so callers (e.g. `bench`) convert their event types
-/// into this one before merging.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SchedEvent {
-    /// Nanoseconds since the producing process's clock origin.
-    pub ts_ns: u64,
-    /// Worker index within the application (0 for server decisions).
-    pub worker: u16,
-    /// What happened.
-    pub kind: SchedEventKind,
-    /// Kind-specific argument (wait µs, steal tier, target, …).
-    pub arg: u32,
-}
-
-/// The event vocabulary of the flight recorder, mirrored.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedEventKind {
-    /// A worker picked up a job (`arg` = queue wait µs).
-    JobStart,
-    /// A worker finished a running burst (`arg` = jobs in the burst).
-    JobEnd,
-    /// A successful steal (`arg` = topology tier).
-    Steal,
-    /// The worker committed to an idle park.
-    Park,
-    /// The worker woke from an idle park.
-    Unpark,
-    /// The worker suspended itself at a safe point (`arg` = target).
-    Suspend,
-    /// The worker resumed from suspension (`arg` = wake latency µs).
-    Resume,
-    /// The worker observed a CPU-set change (`arg` = generation).
-    CpuSet,
-    /// The worker observed a new decision epoch (`arg` = target).
-    Epoch,
-    /// The worker rebuilt its victim rings (`arg` = new home CPU).
-    Retier,
-    /// A control-server partition decision (`arg` = target).
-    Decision,
-    /// The watchdog flagged a worker as stalled (`arg` = observed
-    /// staleness in ms).
-    Stall,
-    /// A stalled worker made progress again (`arg` = episode ms).
-    Recovered,
-    /// The worker was culled by a concurrency-restricting gate
-    /// (`arg` = time spent culled in µs, recorded on wake).
-    CrCull,
-    /// The worker's gate exit promoted a culled thread
-    /// (`arg` = the gate's active-set bound).
-    CrPromote,
-}
-
-/// One application's slice of the fleet: its events (flight-recorder
-/// drains plus any server-journal entries for its pid, which carry the
-/// [`SchedEventKind::Decision`] kind) under one trace process.
+/// One application's slice of the fleet: its flight-recorder drains plus
+/// any server-journal entries for its pid (which carry the
+/// [`EventKind::Decision`] kind) under one trace process.
 #[derive(Clone, Debug)]
 pub struct AppTimeline {
     /// Trace-process id (the real pid, or a synthetic one per pool).
@@ -379,7 +330,7 @@ pub struct AppTimeline {
     /// Track-group label shown in the UI.
     pub name: String,
     /// Events in any order; the merge sorts per application.
-    pub events: Vec<SchedEvent>,
+    pub events: Vec<TraceEvent>,
 }
 
 /// Merges per-application flight-recorder streams into one multi-process
@@ -395,6 +346,7 @@ pub struct AppTimeline {
 /// nondecreasing timestamp order.
 pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
     use std::collections::{BTreeMap, BTreeSet};
+    use EventKind::*;
 
     enum Open {
         Job { start_ns: u64, wait_us: u32 },
@@ -404,7 +356,7 @@ pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
     let mut b = TraceBuilder::new();
     for app in apps {
         b.process_name(app.pid, &app.name);
-        let mut events: Vec<&SchedEvent> = app.events.iter().collect();
+        let mut events: Vec<&TraceEvent> = app.events.iter().collect();
         events.sort_by_key(|e| (e.ts_ns, e.worker));
         let mut named: BTreeSet<u64> = BTreeSet::new();
         let mut open: BTreeMap<u16, Open> = BTreeMap::new();
@@ -431,7 +383,7 @@ pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
             None => {}
         };
         for e in &events {
-            let (tid, track_label) = if e.kind == SchedEventKind::Decision {
+            let (tid, track_label) = if e.kind == Decision {
                 (DECISION_TID, "server decisions".to_string())
             } else {
                 (e.worker as u64, format!("worker {}", e.worker))
@@ -439,125 +391,40 @@ pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
             if named.insert(tid) {
                 b.thread_name(app.pid, tid, &track_label);
             }
-            let ts_us = e.ts_ns as f64 / 1_000.0;
-            let arg = JsonValue::uint(e.arg as u64);
-            match e.kind {
-                SchedEventKind::JobStart => {
-                    close(&mut b, e.worker, open.remove(&e.worker), e.ts_ns);
-                    open.insert(
-                        e.worker,
-                        Open::Job {
-                            start_ns: e.ts_ns,
-                            wait_us: e.arg,
-                        },
-                    );
-                }
-                SchedEventKind::JobEnd => {
-                    close(&mut b, e.worker, open.remove(&e.worker), e.ts_ns);
-                    b.instant(
-                        "burst end",
-                        "job",
-                        app.pid,
-                        tid,
-                        ts_us,
-                        JsonValue::obj([("jobs", arg)]),
-                    );
-                }
-                SchedEventKind::Steal => b.instant(
-                    "steal",
-                    "steal",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("tier", arg)]),
-                ),
-                SchedEventKind::Park => {
-                    close(&mut b, e.worker, open.remove(&e.worker), e.ts_ns);
-                    b.instant("park", "idle", app.pid, tid, ts_us, JsonValue::Null);
-                }
-                SchedEventKind::Unpark => {
-                    b.instant("unpark", "idle", app.pid, tid, ts_us, JsonValue::Null);
-                }
-                SchedEventKind::Suspend => {
-                    close(&mut b, e.worker, open.remove(&e.worker), e.ts_ns);
-                    open.insert(e.worker, Open::Suspended { start_ns: e.ts_ns });
-                }
-                SchedEventKind::Resume => {
-                    close(&mut b, e.worker, open.remove(&e.worker), e.ts_ns);
-                    b.instant(
-                        "resume",
-                        "control",
-                        app.pid,
-                        tid,
-                        ts_us,
-                        JsonValue::obj([("wake_us", arg)]),
-                    );
-                }
-                SchedEventKind::CpuSet => b.instant(
-                    "cpu-set change",
-                    "control",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("generation", arg)]),
-                ),
-                SchedEventKind::Epoch => b.instant(
-                    "new target",
-                    "control",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("target", arg)]),
-                ),
-                SchedEventKind::Retier => b.instant(
-                    "retier",
-                    "control",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("home_cpu", arg)]),
-                ),
-                SchedEventKind::Decision => b.instant(
-                    "decision",
-                    "control",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("target", arg)]),
-                ),
-                SchedEventKind::Stall => b.instant(
-                    "stall",
-                    "watchdog",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("stale_ms", arg)]),
-                ),
-                SchedEventKind::Recovered => b.instant(
-                    "recovered",
-                    "watchdog",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("episode_ms", arg)]),
-                ),
-                SchedEventKind::CrCull => b.instant(
-                    "cr-cull",
-                    "crlock",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("culled_us", arg)]),
-                ),
-                SchedEventKind::CrPromote => b.instant(
-                    "cr-promote",
-                    "crlock",
-                    app.pid,
-                    tid,
-                    ts_us,
-                    JsonValue::obj([("active_set", arg)]),
-                ),
+            // These five end the worker's open slice, and a pickup or a
+            // suspend opens the next one. Every other kind is an instant:
+            // its name, category and the key its `arg` is shown under.
+            if matches!(e.kind, JobStart | JobEnd | Park | Suspend | Resume) {
+                close(&mut b, e.worker, open.remove(&e.worker), e.ts_ns);
             }
+            let (name, cat, key) = match e.kind {
+                JobStart => {
+                    let (start_ns, wait_us) = (e.ts_ns, e.arg);
+                    open.insert(e.worker, Open::Job { start_ns, wait_us });
+                    continue;
+                }
+                Suspend => {
+                    open.insert(e.worker, Open::Suspended { start_ns: e.ts_ns });
+                    continue;
+                }
+                JobEnd => ("burst end", "job", Some("jobs")),
+                Steal => ("steal", "steal", Some("tier")),
+                Park => ("park", "idle", None),
+                Unpark => ("unpark", "idle", None),
+                Resume => ("resume", "control", Some("wake_us")),
+                CpuSet => ("cpu-set change", "control", Some("generation")),
+                Epoch => ("new target", "control", Some("target")),
+                Retier => ("retier", "control", Some("home_cpu")),
+                Decision => ("decision", "control", Some("target")),
+                Stall => ("stall", "watchdog", Some("stale_ms")),
+                Recovered => ("recovered", "watchdog", Some("episode_ms")),
+                CrCull => ("cr-cull", "crlock", Some("culled_us")),
+                CrPromote => ("cr-promote", "crlock", Some("active_set")),
+            };
+            let args = key.map_or(JsonValue::Null, |k| {
+                JsonValue::obj([(k, JsonValue::uint(e.arg as u64))])
+            });
+            b.instant(name, cat, app.pid, tid, e.ts_ns as f64 / 1_000.0, args);
         }
         for (w, slot) in open {
             close(&mut b, w, Some(slot), end_ns);
@@ -593,8 +460,8 @@ mod tests {
         assert_eq!(slice.get("dur").and_then(|v| v.as_num()), Some(50.0));
     }
 
-    fn ev(ts_ns: u64, worker: u16, kind: SchedEventKind, arg: u32) -> SchedEvent {
-        SchedEvent {
+    fn ev(ts_ns: u64, worker: u16, kind: EventKind, arg: u32) -> TraceEvent {
+        TraceEvent {
             ts_ns,
             worker,
             kind,
@@ -609,26 +476,89 @@ mod tests {
                 name: "app-a".into(),
                 // Deliberately out of order: the merge must sort.
                 events: vec![
-                    ev(5_000, 0, SchedEventKind::JobEnd, 2),
-                    ev(1_000, 0, SchedEventKind::JobStart, 7),
-                    ev(3_000, 0, SchedEventKind::JobStart, 0),
-                    ev(2_000, 1, SchedEventKind::Steal, 1),
-                    ev(2_500, 0, SchedEventKind::Decision, 4),
-                    ev(6_000, 1, SchedEventKind::Suspend, 2),
-                    ev(9_000, 1, SchedEventKind::Resume, 42),
+                    ev(5_000, 0, EventKind::JobEnd, 2),
+                    ev(1_000, 0, EventKind::JobStart, 7),
+                    ev(3_000, 0, EventKind::JobStart, 0),
+                    ev(2_000, 1, EventKind::Steal, 1),
+                    ev(2_500, 0, EventKind::Decision, 4),
+                    ev(6_000, 1, EventKind::Suspend, 2),
+                    ev(9_000, 1, EventKind::Resume, 42),
                 ],
             },
             AppTimeline {
                 pid: 202,
                 name: "app-b".into(),
                 events: vec![
-                    ev(500, 3, SchedEventKind::JobStart, 1),
-                    ev(700, 3, SchedEventKind::Park, 0),
-                    ev(900, 3, SchedEventKind::Unpark, 0),
-                    ev(950, 0, SchedEventKind::Decision, 2),
+                    ev(500, 3, EventKind::JobStart, 1),
+                    ev(700, 3, EventKind::Park, 0),
+                    ev(900, 3, EventKind::Unpark, 0),
+                    ev(950, 0, EventKind::Decision, 2),
                 ],
             },
         ]
+    }
+
+    /// The exact document, so a relabelled instant, a moved track or a
+    /// dropped arg fails here, not only in a structural check.
+    #[test]
+    fn sched_timeline_renders_the_pinned_document() {
+        let doc = sched_timeline(&two_app_fleet()).finish().render();
+        let want = concat!(
+            r#"{"traceEvents":[{"name":"process_name","cat":"__metadata","ph":"M","pid":101,"tid":0,"ts":0,"args":{"name":"app-a"}}"#,
+            r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":101,"tid":0,"ts":0,"args":{"name":"worker 0"}}"#,
+            r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":101,"tid":1,"ts":0,"args":{"name":"worker 1"}}"#,
+            r#",{"name":"steal","cat":"steal","ph":"i","pid":101,"tid":1,"ts":2,"s":"t","args":{"tier":1}}"#,
+            r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":101,"tid":9999,"ts":0,"args":{"name":"server decisions"}}"#,
+            r#",{"name":"decision","cat":"control","ph":"i","pid":101,"tid":9999,"ts":2.5,"s":"t","args":{"target":4}}"#,
+            r#",{"name":"job","cat":"job","ph":"X","pid":101,"tid":0,"ts":1,"dur":2,"args":{"wait_us":7}}"#,
+            r#",{"name":"job","cat":"job","ph":"X","pid":101,"tid":0,"ts":3,"dur":2,"args":{"wait_us":0}}"#,
+            r#",{"name":"burst end","cat":"job","ph":"i","pid":101,"tid":0,"ts":5,"s":"t","args":{"jobs":2}}"#,
+            r#",{"name":"suspended","cat":"control","ph":"X","pid":101,"tid":1,"ts":6,"dur":3}"#,
+            r#",{"name":"resume","cat":"control","ph":"i","pid":101,"tid":1,"ts":9,"s":"t","args":{"wake_us":42}}"#,
+            r#",{"name":"process_name","cat":"__metadata","ph":"M","pid":202,"tid":0,"ts":0,"args":{"name":"app-b"}}"#,
+            r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":202,"tid":3,"ts":0,"args":{"name":"worker 3"}}"#,
+            r#",{"name":"job","cat":"job","ph":"X","pid":202,"tid":3,"ts":0.5,"dur":0.2,"args":{"wait_us":1}}"#,
+            r#",{"name":"park","cat":"idle","ph":"i","pid":202,"tid":3,"ts":0.7,"s":"t"}"#,
+            r#",{"name":"unpark","cat":"idle","ph":"i","pid":202,"tid":3,"ts":0.9,"s":"t"}"#,
+            r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":202,"tid":9999,"ts":0,"args":{"name":"server decisions"}}"#,
+            r#",{"name":"decision","cat":"control","ph":"i","pid":202,"tid":9999,"ts":0.95,"s":"t","args":{"target":2}}],"displayTimeUnit":"ms"}"#,
+        );
+        assert_eq!(doc, want);
+    }
+
+    /// One event of every kind on one worker: each renders its pinned
+    /// slice or instant, with its arg under its pinned key.
+    #[test]
+    fn every_event_kind_renders_its_pinned_slice_or_instant() {
+        let app = AppTimeline {
+            pid: 7,
+            name: "every kind".into(),
+            events: (EventKind::ALL.iter().enumerate())
+                .map(|(i, &kind)| ev(1_000 * (i as u64 + 1), 0, kind, 10 + i as u32))
+                .collect(),
+        };
+        let doc = sched_timeline(&[app]).finish().render();
+        let want = concat!(
+            r#"{"traceEvents":[{"name":"process_name","cat":"__metadata","ph":"M","pid":7,"tid":0,"ts":0,"args":{"name":"every kind"}}"#,
+            r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":7,"tid":0,"ts":0,"args":{"name":"worker 0"}}"#,
+            r#",{"name":"job","cat":"job","ph":"X","pid":7,"tid":0,"ts":1,"dur":1,"args":{"wait_us":10}}"#,
+            r#",{"name":"burst end","cat":"job","ph":"i","pid":7,"tid":0,"ts":2,"s":"t","args":{"jobs":11}}"#,
+            r#",{"name":"steal","cat":"steal","ph":"i","pid":7,"tid":0,"ts":3,"s":"t","args":{"tier":12}}"#,
+            r#",{"name":"park","cat":"idle","ph":"i","pid":7,"tid":0,"ts":4,"s":"t"}"#,
+            r#",{"name":"unpark","cat":"idle","ph":"i","pid":7,"tid":0,"ts":5,"s":"t"}"#,
+            r#",{"name":"suspended","cat":"control","ph":"X","pid":7,"tid":0,"ts":6,"dur":1}"#,
+            r#",{"name":"resume","cat":"control","ph":"i","pid":7,"tid":0,"ts":7,"s":"t","args":{"wake_us":16}}"#,
+            r#",{"name":"cpu-set change","cat":"control","ph":"i","pid":7,"tid":0,"ts":8,"s":"t","args":{"generation":17}}"#,
+            r#",{"name":"new target","cat":"control","ph":"i","pid":7,"tid":0,"ts":9,"s":"t","args":{"target":18}}"#,
+            r#",{"name":"retier","cat":"control","ph":"i","pid":7,"tid":0,"ts":10,"s":"t","args":{"home_cpu":19}}"#,
+            r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":7,"tid":9999,"ts":0,"args":{"name":"server decisions"}}"#,
+            r#",{"name":"decision","cat":"control","ph":"i","pid":7,"tid":9999,"ts":11,"s":"t","args":{"target":20}}"#,
+            r#",{"name":"stall","cat":"watchdog","ph":"i","pid":7,"tid":0,"ts":12,"s":"t","args":{"stale_ms":21}}"#,
+            r#",{"name":"recovered","cat":"watchdog","ph":"i","pid":7,"tid":0,"ts":13,"s":"t","args":{"episode_ms":22}}"#,
+            r#",{"name":"cr-cull","cat":"crlock","ph":"i","pid":7,"tid":0,"ts":14,"s":"t","args":{"culled_us":23}}"#,
+            r#",{"name":"cr-promote","cat":"crlock","ph":"i","pid":7,"tid":0,"ts":15,"s":"t","args":{"active_set":24}}],"displayTimeUnit":"ms"}"#,
+        );
+        assert_eq!(doc, want);
     }
 
     #[test]

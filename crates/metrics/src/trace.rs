@@ -8,62 +8,53 @@ use crate::series::Series;
 /// Builds the total-runnable-processes-over-time series (the system-wide
 /// curve of Figure 5) from a kernel trace.
 pub fn runnable_total_series(trace: &Tracer<KTrace>, label: impl Into<String>) -> Series {
-    let mut s = Series::new(label);
-    s.push(0.0, 0.0);
-    let mut last_total = 0.0;
-    for e in trace.events() {
-        if let KTrace::Runnable { total, .. } = e.kind {
-            let x = e.time.as_secs_f64();
-            // Collapse same-timestamp updates to the final value.
-            if s.points.last().is_some_and(|&(px, _)| px == x) {
-                s.points.last_mut().expect("non-empty").1 = f64::from(total);
-            } else {
-                s.push(x, f64::from(total));
-            }
-            last_total = f64::from(total);
-        }
-    }
-    let _ = last_total;
-    s
+    runnable_series(trace, label, |_, _, total| Some(total))
 }
 
 /// Builds one application's runnable-processes-over-time series (the
 /// per-application curves of Figure 5).
 pub fn runnable_app_series(trace: &Tracer<KTrace>, app: AppId, label: impl Into<String>) -> Series {
+    runnable_series(trace, label, |a, app_count, _| {
+        (a == app).then_some(app_count)
+    })
+}
+
+/// A step series from the trace's `Runnable` events, starting at (0, 0):
+/// `pick` takes `(app, app_count, total)` and returns the count to plot,
+/// or `None` to skip the event. Same-timestamp updates collapse to the
+/// final value.
+fn runnable_series(
+    trace: &Tracer<KTrace>,
+    label: impl Into<String>,
+    pick: impl Fn(AppId, u32, u32) -> Option<u32>,
+) -> Series {
     let mut s = Series::new(label);
     s.push(0.0, 0.0);
     for e in trace.events() {
-        if let KTrace::Runnable {
-            app: a, app_count, ..
+        let KTrace::Runnable {
+            app,
+            app_count,
+            total,
         } = e.kind
-        {
-            if a == app {
-                let x = e.time.as_secs_f64();
-                if s.points.last().is_some_and(|&(px, _)| px == x) {
-                    s.points.last_mut().expect("non-empty").1 = f64::from(app_count);
-                } else {
-                    s.push(x, f64::from(app_count));
-                }
-            }
+        else {
+            continue;
+        };
+        let Some(count) = pick(app, app_count, total) else {
+            continue;
+        };
+        let (x, y) = (e.time.as_secs_f64(), f64::from(count));
+        match s.points.last_mut() {
+            Some(last) if last.0 == x => last.1 = y,
+            _ => s.push(x, y),
         }
     }
     s
-}
-
-/// Counts preemptions recorded in the trace (a cheap proxy for scheduling
-/// churn when comparing policies).
-pub fn preemption_count(trace: &Tracer<KTrace>) -> u64 {
-    trace
-        .events()
-        .filter(|e| matches!(e.kind, KTrace::Preempt { .. }))
-        .count() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use desim::{SimDur, SimTime};
-    use simkernel::Pid;
 
     fn runnable(app: u32, app_count: u32, total: u32) -> KTrace {
         KTrace::Runnable {
@@ -103,18 +94,5 @@ mod tests {
         tr.emit(SimTime::ZERO + SimDur::from_secs(2), runnable(1, 5, 6));
         let s = runnable_app_series(&tr, AppId(1), "app1");
         assert_eq!(s.points, vec![(0.0, 0.0), (2.0, 5.0)]);
-    }
-
-    #[test]
-    fn preemptions_counted() {
-        let mut tr = Tracer::new(true);
-        tr.emit(
-            SimTime::ZERO,
-            KTrace::Preempt {
-                cpu: machine::CpuId(0),
-                pid: Pid(1),
-            },
-        );
-        assert_eq!(preemption_count(&tr), 1);
     }
 }

@@ -472,16 +472,6 @@ impl FlightRecorder {
     pub fn resident(&self) -> usize {
         self.rings.iter().map(SpscRing::len).sum()
     }
-
-    /// Total events discarded by overflow across all rings.
-    pub fn total_dropped(&self) -> u64 {
-        self.rings.iter().map(SpscRing::dropped).sum()
-    }
-
-    /// Total events ever pushed across all rings.
-    pub fn total_pushed(&self) -> u64 {
-        self.rings.iter().map(SpscRing::pushed).sum()
-    }
 }
 
 /// Renders a batch of events as the comma-separated wire payload used by

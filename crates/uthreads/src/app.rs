@@ -85,7 +85,7 @@ impl ThreadsApp {
     /// A copy of the span records emitted so far (task pickup/finish,
     /// suspension enter/exit, queue-lock waits, control polls).
     pub fn spans(&self) -> Vec<crate::span::SpanRecord> {
-        self.shared.borrow().spans().records()
+        self.shared.borrow().spans().to_vec()
     }
 
     /// Poll-to-convergence latencies observed so far: how long after each
@@ -93,8 +93,7 @@ impl ThreadsApp {
     /// [`crate::poll_to_convergence`].
     pub fn convergence(&self) -> Vec<(desim::SimTime, desim::SimDur)> {
         let sh = self.shared.borrow();
-        let records = sh.spans().records();
-        crate::span::poll_to_convergence(&records, sh.nprocs())
+        crate::span::poll_to_convergence(sh.spans(), sh.nprocs())
     }
 }
 

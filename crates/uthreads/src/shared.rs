@@ -11,11 +11,11 @@
 
 use std::collections::VecDeque;
 
-use desim::SimDur;
+use desim::{SimDur, SimTime};
 use procctl::ClientControl;
 use simkernel::{LockId, Pid};
 
-use crate::span::SpanLog;
+use crate::span::{SpanKind, SpanRecord};
 use crate::task::{Task, TaskEvent};
 
 /// Package-level counters, kept per application.
@@ -275,10 +275,6 @@ pub struct ThreadsConfig {
     /// unrestricted spinlock. Orthogonal to `control`: the four-way
     /// ablation crosses the two switches.
     pub cr: Option<CrParams>,
-    /// Span-log capacity (records retained); 0 = unbounded. The figure
-    /// harnesses replay full histories, so unbounded is the default;
-    /// bounded logs mirror the native flight recorder's drop-oldest ring.
-    pub span_capacity: usize,
 }
 
 /// How an application learns its target number of runnable processes.
@@ -324,7 +320,6 @@ impl ThreadsConfig {
             idle_spin: SimDur::from_micros(500),
             control: None,
             cr: None,
-            span_capacity: 0,
         }
     }
 
@@ -400,13 +395,12 @@ pub struct AppShared {
     pub(crate) cr: Option<CrSimState>,
     pub(crate) metrics: AppMetrics,
     /// Span events emitted by the workers (task/suspension/lock-wait/poll).
-    pub(crate) spans: SpanLog,
+    pub(crate) spans: Vec<SpanRecord>,
 }
 
 impl AppShared {
     pub(crate) fn new(cfg: ThreadsConfig, qlock: LockId) -> Self {
         let active = cfg.nprocs;
-        let spans = SpanLog::bounded(cfg.span_capacity);
         let cr = cfg.cr.map(|p| CrSimState::new(p, cfg.nprocs));
         AppShared {
             cfg,
@@ -422,8 +416,13 @@ impl AppShared {
             poll_in_flight: false,
             control: None,
             metrics: AppMetrics::default(),
-            spans,
+            spans: Vec::new(),
         }
+    }
+
+    /// Appends a span record.
+    pub(crate) fn span(&mut self, time: SimTime, pid: Pid, kind: SpanKind) {
+        self.spans.push(SpanRecord { time, pid, kind });
     }
 
     /// Enqueues a fresh task.
@@ -458,8 +457,8 @@ impl AppShared {
         self.cr.as_ref().map(|cr| cr.active_max)
     }
 
-    /// The span log recorded so far.
-    pub fn spans(&self) -> &SpanLog {
+    /// The span records emitted so far, oldest first.
+    pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
     }
 

@@ -1,7 +1,8 @@
 //! Span events: what each worker was doing, and when.
 //!
-//! The workers append timestamped records to a per-application [`SpanLog`]
-//! at the package's own state transitions — task pickup/finish, suspension
+//! The workers append timestamped [`SpanRecord`]s to their application's
+//! log (a plain `Vec`, unbounded: the figure harnesses replay full
+//! histories) at the package's own state transitions — task pickup/finish, suspension
 //! enter/exit, queue-lock waits, and control polls. Harnesses read the log
 //! back to build Perfetto tracks and to measure the latency the paper's
 //! Figure 5 claim rests on: how long after a poll applies a new target does
@@ -57,59 +58,6 @@ pub struct SpanRecord {
     pub pid: Pid,
     /// What happened.
     pub kind: SpanKind,
-}
-
-/// A log of span records for one application — the simulation's mirror
-/// of `native-rt`'s flight-recorder ring. Unbounded by default (the
-/// figure harnesses replay full histories); [`SpanLog::bounded`] gives
-/// it flight-recorder semantics: a fixed capacity where the oldest
-/// record is dropped (and counted) to admit the newest.
-#[derive(Clone, Debug, Default)]
-pub struct SpanLog {
-    records: std::collections::VecDeque<SpanRecord>,
-    /// Maximum records retained; 0 = unbounded.
-    capacity: usize,
-    dropped: u64,
-}
-
-impl SpanLog {
-    /// A bounded log holding at most `capacity` records (0 = unbounded).
-    pub fn bounded(capacity: usize) -> Self {
-        SpanLog {
-            records: std::collections::VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends a record, evicting the oldest at capacity.
-    pub(crate) fn push(&mut self, time: SimTime, pid: Pid, kind: SpanKind) {
-        if self.capacity != 0 && self.records.len() >= self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(SpanRecord { time, pid, kind });
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> Vec<SpanRecord> {
-        self.records.iter().copied().collect()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// How many records were evicted to make room (0 when unbounded).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 /// Poll-to-convergence latencies: for each applied target that differed
@@ -220,39 +168,6 @@ mod tests {
     fn already_met_targets_produce_no_entry() {
         let records = vec![rec(100, SpanKind::TargetApplied { target: 4 })];
         assert!(poll_to_convergence(&records, 4).is_empty());
-    }
-
-    #[test]
-    fn bounded_log_drops_oldest_and_counts() {
-        let mut log = SpanLog::bounded(3);
-        for ms in 0..5 {
-            log.push(
-                SimTime::ZERO + SimDur::from_millis(ms),
-                Pid(0),
-                SpanKind::TaskStart,
-            );
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 2);
-        let times: Vec<SimTime> = log.records().iter().map(|r| r.time).collect();
-        // Survivors are the newest three, oldest first.
-        assert_eq!(
-            times,
-            (2..5)
-                .map(|ms| SimTime::ZERO + SimDur::from_millis(ms))
-                .collect::<Vec<_>>()
-        );
-        // Unbounded (the default) never drops.
-        let mut unbounded = SpanLog::default();
-        for ms in 0..100 {
-            unbounded.push(
-                SimTime::ZERO + SimDur::from_millis(ms),
-                Pid(0),
-                SpanKind::TaskStart,
-            );
-        }
-        assert_eq!(unbounded.len(), 100);
-        assert_eq!(unbounded.dropped(), 0);
     }
 
     fn prec(ms: u64, pid: u32, kind: SpanKind) -> SpanRecord {

@@ -163,8 +163,7 @@ impl Worker {
                     sh.active -= 1;
                     sh.suspended.push(ctx.my_pid());
                     sh.metrics.suspends += 1;
-                    sh.spans
-                        .push(ctx.now(), ctx.my_pid(), SpanKind::SuspendEnter);
+                    sh.span(ctx.now(), ctx.my_pid(), SpanKind::SuspendEnter);
                     self.state = WState::Suspending;
                     return Action::WaitSignal;
                 }
@@ -192,7 +191,7 @@ impl Worker {
             };
             if let Some((port, msg)) = poll_action {
                 sh.metrics.polls += 1;
-                sh.spans.push(now, ctx.my_pid(), SpanKind::PollSent);
+                sh.span(now, ctx.my_pid(), SpanKind::PollSent);
                 match mode {
                     ControlMode::Centralized { .. } => {
                         sh.poll_in_flight = true;
@@ -293,7 +292,7 @@ impl Worker {
         }
         sh.active -= 1;
         sh.metrics.cr_passivations += 1;
-        sh.spans.push(ctx.now(), ctx.my_pid(), SpanKind::CrCull);
+        sh.span(ctx.now(), ctx.my_pid(), SpanKind::CrCull);
         true
     }
 
@@ -319,7 +318,7 @@ impl Worker {
             }
         };
         sh.metrics.cr_promotions += 1;
-        sh.spans.push(ctx.now(), pid, SpanKind::CrPromote);
+        sh.span(ctx.now(), pid, SpanKind::CrPromote);
         Some(pid)
     }
 
@@ -374,8 +373,7 @@ impl Worker {
             if let Some(cr) = &mut sh.cr {
                 cr.observe_wait(waited, queue_op);
             }
-            sh.spans
-                .push(ctx.now(), ctx.my_pid(), SpanKind::QueueLockWait { waited });
+            sh.span(ctx.now(), ctx.my_pid(), SpanKind::QueueLockWait { waited });
         }
     }
 
@@ -388,8 +386,7 @@ impl Worker {
                 self.cur = Some(task);
                 self.shared
                     .borrow_mut()
-                    .spans
-                    .push(ctx.now(), ctx.my_pid(), SpanKind::TaskStart);
+                    .span(ctx.now(), ctx.my_pid(), SpanKind::TaskStart);
                 self.task_step(ev, ctx)
             }
             None => self.safe_point(ctx),
@@ -420,8 +417,7 @@ impl Worker {
                     sh.barriers[b.0 as usize].arrived = arrived;
                     let t = self.cur.take().expect("barrier from a running task");
                     sh.barriers[b.0 as usize].parked.push(t);
-                    sh.spans
-                        .push(now, pid, SpanKind::TaskEnd { finished: false });
+                    sh.span(now, pid, SpanKind::TaskEnd { finished: false });
                     Resume::ToSafe
                 }
             }
@@ -441,24 +437,21 @@ impl Worker {
                 } else {
                     let t = self.cur.take().expect("recv from a running task");
                     sh.channels[c.0 as usize].parked.push(t);
-                    sh.spans
-                        .push(now, pid, SpanKind::TaskEnd { finished: false });
+                    sh.span(now, pid, SpanKind::TaskEnd { finished: false });
                     Resume::ToSafe
                 }
             }
             QOp::Requeue => {
                 let t = self.cur.take().expect("requeue from a running task");
                 sh.queue.push_back((t, TaskEvent::Requeued));
-                sh.spans
-                    .push(now, pid, SpanKind::TaskEnd { finished: false });
+                sh.span(now, pid, SpanKind::TaskEnd { finished: false });
                 Resume::ToSafe
             }
             QOp::Finish => {
                 sh.outstanding -= 1;
                 sh.metrics.tasks_run += 1;
                 self.cur = None;
-                sh.spans
-                    .push(now, pid, SpanKind::TaskEnd { finished: true });
+                sh.span(now, pid, SpanKind::TaskEnd { finished: true });
                 Resume::ToSafe
             }
         }
@@ -542,8 +535,7 @@ impl Behavior for Worker {
             (WState::Suspending, Wakeup::Resumed) => {
                 self.shared
                     .borrow_mut()
-                    .spans
-                    .push(ctx.now(), ctx.my_pid(), SpanKind::SuspendExit);
+                    .span(ctx.now(), ctx.my_pid(), SpanKind::SuspendExit);
                 self.safe_point(ctx)
             }
             (WState::ResumeSignal, Wakeup::SignalSent) => self.safe_point(ctx),
@@ -558,8 +550,7 @@ impl Behavior for Worker {
                 let ok = ctl.apply_reply(&m);
                 debug_assert!(ok, "malformed target reply");
                 let target = ctl.target();
-                sh.spans
-                    .push(ctx.now(), ctx.my_pid(), SpanKind::TargetApplied { target });
+                sh.span(ctx.now(), ctx.my_pid(), SpanKind::TargetApplied { target });
                 drop(sh);
                 self.safe_point(ctx)
             }
@@ -657,7 +648,7 @@ impl Behavior for Worker {
                     .as_mut()
                     .expect("decentralized control")
                     .set_target(est);
-                sh.spans.push(
+                sh.span(
                     ctx.now(),
                     ctx.my_pid(),
                     SpanKind::TargetApplied { target: est },

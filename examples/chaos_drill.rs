@@ -208,18 +208,23 @@ fn main() {
 
     // Drain the server's journal for this app (shipped ring events plus
     // the post-restart decision instants) and merge it into a Perfetto
-    // fleet timeline — the wire-path twin of `fleettrace::fleet_drill`.
+    // fleet timeline — the wire-path twin of the in-process two-pool drill
+    // in tests/observability.rs.
     let (epoch, events) = observer
         .trace(std::process::id(), None)
         .expect("TRACE over the wire");
-    let app = bench::fleettrace::app_timeline(u64::from(std::process::id()), "drill pool", &events);
+    let journaled = events.len();
+    let app = metrics::perfetto::AppTimeline {
+        pid: u64::from(std::process::id()),
+        name: "drill pool".into(),
+        events,
+    };
     let doc = metrics::perfetto::sched_timeline(&[app]).finish().render();
     let out = std::env::temp_dir().join("chaos_drill_fleet_trace.json");
     std::fs::write(&out, &doc).expect("write fleet timeline");
     println!(
-        "[t={}ms] fleet timeline: {} journaled events (epoch {epoch}) -> {}",
+        "[t={}ms] fleet timeline: {journaled} journaled events (epoch {epoch}) -> {}",
         t(start),
-        events.len(),
         out.display()
     );
     let _ = std::fs::remove_file(&snap_path);

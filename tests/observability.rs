@@ -217,13 +217,89 @@ fn sim_wake_to_run_mirrors_native_histogram() {
     );
 }
 
+/// Runs the scripted two-application multiprogrammed drill and returns
+/// the merged fleet timeline: two work-stealing pools share one
+/// [`native_rt::Controller`], the second's arrival halves the partition
+/// (recorded as `Decision` instants on each application's decision
+/// track), and each pool's flight recorder is drained into its own trace
+/// process. `jobs` is the per-application job count; the job body sleeps
+/// ~50 µs so suspends actually bite.
+fn fleet_drill(jobs: usize) -> metrics::TraceBuilder {
+    use metrics::perfetto::{sched_timeline, AppTimeline};
+    use native_rt::{Controller, EventKind, Pool, PoolConfig, TraceEvent};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let (cpus, nworkers) = (4, 4);
+    let controller = Controller::new(cpus, Duration::from_millis(5));
+    let mut pools: Vec<Arc<Pool>> = Vec::new();
+    let mut decisions: Vec<Vec<TraceEvent>> = Vec::new();
+    let note_decisions = |pools: &[Arc<Pool>], decisions: &mut Vec<Vec<TraceEvent>>| {
+        for (pool, log) in pools.iter().zip(decisions.iter_mut()) {
+            log.push(TraceEvent {
+                ts_ns: native_rt::trace::now_ns(),
+                worker: 0,
+                kind: EventKind::Decision,
+                arg: pool.target() as u32,
+            });
+        }
+    };
+    // Register the applications one at a time: the first briefly owns
+    // the whole machine (target = nworkers), then the second's arrival
+    // halves the partition — so the timeline shows a real target change,
+    // not a flat line.
+    for _ in 0..2 {
+        let mut pc = PoolConfig::new(nworkers);
+        // Headroom over the drill's event volume: nothing drops, so the
+        // merged file is the complete history.
+        pc.trace_capacity = 8 * jobs.max(64);
+        pools.push(Arc::new(Pool::with_config(&controller, pc)));
+        decisions.push(Vec::new());
+        note_decisions(&pools, &mut decisions);
+    }
+
+    let done = Arc::new(AtomicUsize::new(0));
+    for pool in &pools {
+        for _ in 0..jobs {
+            let d = Arc::clone(&done);
+            pool.execute(move || {
+                std::thread::sleep(Duration::from_micros(50));
+                d.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+    }
+    for pool in &pools {
+        pool.wait_idle();
+    }
+    note_decisions(&pools, &mut decisions);
+    assert_eq!(done.load(Ordering::Relaxed), 2 * jobs, "drill lost jobs");
+
+    let apps: Vec<AppTimeline> = pools
+        .iter()
+        .zip(decisions)
+        .enumerate()
+        .map(|(i, (pool, decisions))| {
+            let mut events = pool.recorder().drain(usize::MAX);
+            events.extend(decisions);
+            AppTimeline {
+                pid: i as u64 + 1,
+                name: format!("pool {}", i + 1),
+                events,
+            }
+        })
+        .collect();
+    sched_timeline(&apps)
+}
+
 /// The merged fleet timeline (two pools, one controller, decision
-/// instants) is valid JSON, shows both applications, and every track's
-/// slices are time-ordered and non-overlapping — the "merged traces
-/// never go backwards" guarantee of the single clock origin.
+/// instants) is valid JSON, names both applications, shows job slices
+/// and decision instants for each, and every track's slices are
+/// time-ordered and non-overlapping — the "merged traces never go
+/// backwards" guarantee of the single clock origin.
 #[test]
 fn fleet_timeline_is_valid_and_monotonic_per_track() {
-    let doc = bench::fleettrace::fleet_drill(64).finish().render();
+    let doc = fleet_drill(64).finish().render();
     let back = json::parse(&doc).expect("fleet timeline is valid JSON");
     let events = back
         .get("traceEvents")
@@ -231,23 +307,33 @@ fn fleet_timeline_is_valid_and_monotonic_per_track() {
         .expect("traceEvents");
 
     let mut pids = std::collections::BTreeSet::new();
+    let mut names = std::collections::BTreeSet::new();
     let mut slices: std::collections::BTreeMap<(u64, u64), Vec<(f64, f64)>> =
         std::collections::BTreeMap::new();
     let mut decisions = std::collections::BTreeSet::new();
+    let mut jobs = std::collections::BTreeSet::new();
     for e in events {
         let ts = e.get("ts").and_then(|v| v.as_num()).unwrap_or(0.0);
         assert!(ts.is_finite() && ts >= 0.0, "bad timestamp {ts}");
         let pid = e.get("pid").and_then(|v| v.as_num()).expect("pid") as u64;
         let tid = e.get("tid").and_then(|v| v.as_num()).unwrap_or(0.0) as u64;
+        let name = e.get("name").and_then(|v| v.as_str());
         pids.insert(pid);
         match e.get("ph").and_then(|v| v.as_str()) {
             Some("X") => {
                 let dur = e.get("dur").and_then(|v| v.as_num()).expect("dur");
                 assert!(dur >= 0.0, "negative duration {dur}");
                 slices.entry((pid, tid)).or_default().push((ts, dur));
+                if name == Some("job") {
+                    jobs.insert(pid);
+                }
             }
-            Some("i") if e.get("name").and_then(|v| v.as_str()) == Some("decision") => {
+            Some("i") if name == Some("decision") => {
                 decisions.insert(pid);
+            }
+            Some("M") if name == Some("process_name") => {
+                let label = e.get("args").and_then(|a| a.get("name"));
+                names.insert(label.and_then(|v| v.as_str()).expect("process label"));
             }
             _ => {}
         }
@@ -258,9 +344,20 @@ fn fleet_timeline_is_valid_and_monotonic_per_track() {
         "expected exactly the two drill applications"
     );
     assert_eq!(
+        names.into_iter().collect::<Vec<_>>(),
+        vec!["pool 1", "pool 2"],
+        "process names"
+    );
+    assert_eq!(
         decisions.into_iter().collect::<Vec<_>>(),
         vec![1, 2],
         "both applications need decision instants"
+    );
+    // Real work happened and was recorded: job slices on both apps.
+    assert_eq!(
+        jobs.into_iter().collect::<Vec<_>>(),
+        vec![1, 2],
+        "both applications need job slices"
     );
     for ((pid, tid), mut sl) in slices {
         sl.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite ts"));
