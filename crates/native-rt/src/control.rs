@@ -29,6 +29,7 @@
 //! [`WIRE_VERBS`] and `handle_line_into` here are its one server side.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
@@ -340,13 +341,19 @@ pub struct ControlCore {
     last_sample: Option<(Instant, u32)>,
     /// Latest `REPORT` line per pid (cleared on BYE and lease expiry).
     reports: PidMap<String>,
+    /// The reports of pids not registered, each with the deadline of the
+    /// lease timer its first report armed. If the pid has not registered
+    /// when that timer pops, its report is dropped: a report waits at
+    /// most one lease for its REGISTER.
+    unclaimed: PidMap<Instant>,
     /// Bounded per-pid event journal: flight-recorder events the app
     /// pushed via `EVENTS`, interleaved with the server's own decision
     /// instants, oldest first (cleared on BYE and lease expiry).
     journals: BTreeMap<u32, VecDeque<TraceEvent>>,
     /// Deadline-ordered lease timers: `(deadline, pid)`, earliest first.
-    /// One entry is pushed at registration; when it pops, the lease is
-    /// either expired (`last_seen + ttl` has passed) or the timer
+    /// One entry is pushed at registration (or at an unclaimed report,
+    /// whose timer the registration then takes over); when it pops, the
+    /// lease is either expired (`last_seen + ttl` has passed) or the timer
     /// re-arms itself at the refreshed deadline — so the heap stays
     /// O(apps) no matter how fast clients poll, and lease expiry costs
     /// O(log apps) amortized instead of an O(apps) scan per frame.
@@ -396,6 +403,7 @@ impl ControlCore {
             index: PidMap::default(),
             last_sample: None,
             reports: PidMap::default(),
+            unclaimed: PidMap::default(),
             journals: BTreeMap::new(),
             lease_timers: BinaryHeap::new(),
             last_proc_sweep: None,
@@ -507,7 +515,13 @@ impl ControlCore {
             self.lease_timers.pop();
             self.hot.timer_fires.incr();
             let Some(&idx) = self.index.get(&pid) else {
-                continue; // departed since the timer was armed
+                // Departed since the timer was armed, or an unclaimed
+                // report's timer.
+                if self.unclaimed.get(&pid) == Some(&deadline) {
+                    self.unclaimed.remove(&pid);
+                    self.reports.remove(&pid);
+                }
+                continue;
             };
             let fresh_deadline = self.apps[idx].last_seen + ttl;
             if fresh_deadline > now {
@@ -629,8 +643,12 @@ impl ControlCore {
                     .map_or(1.0, |line| report_weight(line.split_ascii_whitespace()));
                 self.index.insert(pid, self.apps.len());
                 self.apps.push(AppReg::new(pid, nworkers, now, weight));
-                self.lease_timers
-                    .push(Reverse((now + self.cfg.lease_ttl, pid)));
+                // An unclaimed report's timer is still armed: on pop it
+                // finds the registration and re-arms at the lease deadline.
+                if self.unclaimed.remove(&pid).is_none() {
+                    self.lease_timers
+                        .push(Reverse((now + self.cfg.lease_ttl, pid)));
+                }
             }
         }
         self.invalidate_targets();
@@ -651,6 +669,7 @@ impl ControlCore {
             self.invalidate_targets();
         }
         self.reports.remove(&pid);
+        self.unclaimed.remove(&pid);
         self.journals.remove(&pid);
         self.hot.apps.set(self.apps.len() as i64);
     }
@@ -686,10 +705,22 @@ impl ControlCore {
     /// Stores `pid`'s latest REPORT line (its fields joined by single
     /// spaces, in the buffer of the line it replaces) and refreshes the
     /// lease and the weight of a registered pid, weighing the fields as
-    /// it joins them. Under `weighted` the report feeds the partition
-    /// weights, so it dirties the target cache.
+    /// it joins them. The first report of a pid not registered is
+    /// unclaimed: it arms a lease timer, and is dropped if the pid has
+    /// not registered when the timer pops. Under `weighted` the report
+    /// feeds the partition weights, so it dirties the target cache.
     fn record_report<'a>(&mut self, pid: u32, fields: impl Iterator<Item = &'a str>, now: Instant) {
-        let line = self.reports.entry(pid).or_default();
+        let line = match self.reports.entry(pid) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                if !self.index.contains_key(&pid) {
+                    let deadline = now + self.cfg.lease_ttl;
+                    self.lease_timers.push(Reverse((deadline, pid)));
+                    self.unclaimed.insert(pid, deadline);
+                }
+                e.insert(String::new())
+            }
+        };
         line.clear();
         let weight = report_weight(fields.inspect(|f| {
             if !line.is_empty() {

@@ -122,6 +122,11 @@
 //! server → client:  STATS jobs_run=100 steals=7 ...
 //! ```
 //!
+//! A `REPORT` may come before its pid's `REGISTER`, and then weighs in
+//! when the pid registers — but a report waits at most one lease for its
+//! `REGISTER`: one lease after the first report of a pid that has not
+//! registered since, its line is dropped.
+//!
 //! **Flight recorder** (observability). Applications push batches of
 //! scheduling events drained from their [`crate::FlightRecorder`] rings;
 //! the server keeps a bounded per-pid journal — interleaving its own
@@ -1089,6 +1094,43 @@ mod tests {
         c.bye().expect("bye");
         let mut c2 = UdsClient::register(&path, 4).expect("client2");
         assert_eq!(c2.app_stats(me).expect("stats after bye"), "");
+    }
+
+    #[test]
+    fn a_report_waits_at_most_one_lease_for_its_register() {
+        let mut cfg = UdsServerConfig::new("/nonexistent", 8);
+        cfg.prune_dead = false; // the pids are made up
+        let ttl = cfg.lease_ttl;
+        let mut core = ControlCore::new(cfg, 7);
+        let t0 = Instant::now();
+        // 50 pids report and never register; one more registers in time.
+        for pid in (1000..1050).chain([2000]) {
+            let reply = answer(&mut core, &format!("REPORT {pid} jobs_run=5"), t0);
+            assert_eq!(reply, "OK 7\n");
+        }
+        let half = t0 + ttl / 2;
+        assert_eq!(answer(&mut core, "STATS 1000", half), "STATS jobs_run=5\n");
+        assert_eq!(answer(&mut core, "REGISTER 2000 4", half), "OK 7\n");
+
+        // One lease after the reports: only the claimed one is left, and
+        // its registration took over the timer the report armed.
+        let lease = t0 + ttl;
+        assert!(due(&mut core, lease).is_empty());
+        assert_eq!(core.next_deadline(), Some(half + ttl));
+        for pid in 1000..1050 {
+            assert_eq!(answer(&mut core, &format!("STATS {pid}"), lease), "STATS\n");
+        }
+        for pid in 1000..1050 {
+            answer(&mut core, &format!("REGISTER {pid} 1"), lease);
+        }
+        let all = answer(&mut core, "STATS ALL", lease);
+        let rows: Vec<&str> = all.trim_end().split('|').collect();
+        assert_eq!(rows.len(), 51, "{all}");
+        assert!(rows[0].ends_with("pid=2000 target=1 nworkers=4 jobs_run=5"));
+        assert!(
+            rows[1..].iter().all(|row| !row.contains("jobs_run")),
+            "{all}"
+        );
     }
 
     #[test]
@@ -2106,8 +2148,9 @@ mod tests {
         /// reports arrive, targets recomputed behind the dirty gate, CPU
         /// sets cut on demand — always equals a from-scratch one. The
         /// model is the test's own table of live registrations (in
-        /// order, with their last sign of life) and latest reports,
-        /// replayed into a fresh state after every step.
+        /// order, with their last sign of life) and latest reports (an
+        /// unregistered pid's for one lease), replayed into a fresh
+        /// state after every step.
         ///
         /// Parked polls ride along: some steps park a poll (each pid has
         /// a connection per form) or fire the timer, and after every
@@ -2126,6 +2169,8 @@ mod tests {
             let mut real = ControlCore::new(cfg.clone(), 7);
             let mut regs: Vec<(u32, u32, Instant)> = Vec::new();
             let mut reports = std::collections::BTreeMap::<u32, String>::new();
+            // pid → when its report is dropped unless it registers first
+            let mut unclaimed = std::collections::BTreeMap::<u32, Instant>::new();
             // connection → (pid, the plain form of its poll, the reply
             // heard, the end of the hold)
             let mut parked =
@@ -2147,12 +2192,14 @@ mod tests {
                             Some(i) => regs[i] = (pid, n, now),
                             None => regs.push((pid, n, now)),
                         }
+                        unclaimed.remove(&pid);
                         (written, false, false)
                     }
                     2 => {
                         let written = step(&mut real, 0, &format!("BYE {pid}"), now);
                         regs.retain(|r| r.0 != pid);
                         reports.remove(&pid);
+                        unclaimed.remove(&pid);
                         (written, false, false)
                     }
                     3 | 4 => {
@@ -2162,6 +2209,9 @@ mod tests {
                             format!("jobs_run={arg} steals=1")
                         };
                         let written = step(&mut real, 0, &format!("REPORT {pid} {line}"), now);
+                        if slot.is_none() && !reports.contains_key(&pid) {
+                            unclaimed.insert(pid, now + cfg.lease_ttl);
+                        }
                         reports.insert(pid, line);
                         if let Some(i) = slot {
                             regs[i].2 = now;
@@ -2200,6 +2250,13 @@ mod tests {
                     _ => (due(&mut real, now), true, false),
                 };
                 if prunes {
+                    unclaimed.retain(|pid, until| {
+                        let waits = *until > now;
+                        if !waits {
+                            reports.remove(pid);
+                        }
+                        waits
+                    });
                     regs.retain(|r| {
                         let live = r.2 + cfg.lease_ttl > now;
                         if !live {

@@ -6,7 +6,9 @@
 //! of a known-good build
 //! (`golden_wire.replies`; the first 350 lines were captured at fe9b03f,
 //! before report weights were cached and CPU sets became ranges, and
-//! line 350, the server's own `STATS`, has since gained keys). The unit
+//! line 350, the server's own `STATS`, has since gained keys; lines
+//! 223–244 and the two `STATS` counter lines moved when a report came to
+//! wait at most one lease for its `REGISTER`). The unit
 //! tests pin what single replies mean; this pins that a change to how
 //! the partition is *computed* moves none of them.
 //!

@@ -48,13 +48,6 @@ impl Matrix {
     }
 }
 
-/// The accumulator tile of [`matmul_rows`]. 2 rows × 8 columns of sums
-/// is 8 two-lane vector registers, which beside the 4 of a `b` row slice
-/// and the 2 broadcast `a` elements fits the 16 of baseline x86-64; a
-/// 4 × 8 tile spills there and measured ~10 % slower.
-const TILE_ROWS: usize = 2;
-const TILE_COLS: usize = 8;
-
 /// Multiplies the row band `rows` of `a` by `b` into the matching rows of
 /// `out` (added to what `out` holds). This is the unit of work a parallel
 /// worker executes — "the multiplication is parallelized by splitting the
@@ -62,42 +55,89 @@ const TILE_COLS: usize = 8;
 ///
 /// Each element is `out[i][j] + a[i][0]·b[0][j] + a[i][1]·b[1][j] + …`
 /// summed in that order whichever path computes it, so the result does
-/// not depend on how the rows are split into bands. The sums of a tile
-/// stay in registers across the whole `k` loop: `b` is read once per
-/// [`TILE_ROWS`] rows and `out` touched once per tile. The loop this
-/// replaced skipped `a[i][k] == 0.0`; the skip is gone, which changes a
-/// result only where it hid a non-finite `b[k][j]` (`0·∞` now yields NaN,
-/// as IEEE matrix multiplication does) or kept a `-0.0` already in `out`.
+/// not depend on how the rows are split into bands, nor on which of the
+/// two compiled instances of one body runs: the baseline one (2 × 8
+/// tiles), or the AVX2 one (4 × 8 tiles) on a CPU that has AVX2. Rust
+/// never contracts `x * y + z` into a fused multiply-add, so each sum
+/// rounds the same at any vector width. The sums of a tile stay in
+/// registers across the whole `k` loop: `b` is read once per tile row
+/// count and `out` touched once per tile. The loop this replaced skipped
+/// `a[i][k] == 0.0`; the skip is gone, which changes a result only where
+/// it hid a non-finite `b[k][j]` (`0·∞` now yields NaN, as IEEE matrix
+/// multiplication does) or kept a `-0.0` already in `out`.
 ///
 /// # Panics
 ///
 /// Panics if dimensions disagree or the band is out of range.
 pub fn matmul_rows(a: &Matrix, b: &Matrix, out: &mut Matrix, rows: std::ops::Range<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    if super::avx2() {
+        // SAFETY: the CPU has AVX2, the one feature the instance enables.
+        return unsafe { matmul_rows_avx2(a, b, out, rows) };
+    }
+    matmul_rows_baseline(a, b, out, rows);
+}
+
+/// The baseline instance: 2 rows × 8 columns of sums is 8 two-lane
+/// vector registers, which beside the 4 of a `b` row slice and the 2
+/// broadcast `a` elements fits the 16 of baseline x86-64; a 4 × 8 tile
+/// spills there and measured ~10 % slower.
+fn matmul_rows_baseline(a: &Matrix, b: &Matrix, out: &mut Matrix, rows: std::ops::Range<usize>) {
+    tiled::<2, 8>(a, b, out, rows);
+}
+
+/// The AVX2 instance: 4 × 8 sums of four lanes are 8 of the 16 `ymm`
+/// registers, beside the 2 of a `b` row slice and the 4 broadcasts.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_rows_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, rows: std::ops::Range<usize>) {
+    tiled::<4, 8>(a, b, out, rows);
+}
+
+/// The one body of [`matmul_rows`]: whole `R` × `C` tiles, then the rows
+/// and columns no whole tile covers.
+#[inline(always)]
+fn tiled<const R: usize, const C: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    rows: std::ops::Range<usize>,
+) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, b.cols);
     assert!(rows.end <= a.rows, "row band out of range");
-    let tiled_rows = rows.start..rows.start + rows.len() / TILE_ROWS * TILE_ROWS;
-    let tiled_cols = b.cols - b.cols % TILE_COLS;
-    for i in tiled_rows.clone().step_by(TILE_ROWS) {
-        for j in (0..tiled_cols).step_by(TILE_COLS) {
-            tile(a, b, out, i, j);
+    let tiled_rows = rows.start..rows.start + rows.len() / R * R;
+    let tiled_cols = b.cols - b.cols % C;
+    for i in tiled_rows.clone().step_by(R) {
+        for j in (0..tiled_cols).step_by(C) {
+            tile::<R, C>(a, b, out, i, j);
         }
     }
     row_at_a_time(a, b, out, tiled_rows.clone(), tiled_cols..b.cols);
     row_at_a_time(a, b, out, tiled_rows.end..rows.end, 0..b.cols);
 }
 
-/// `out[i..i + TILE_ROWS][j..j + TILE_COLS] += a[i..][..] · b[..][j..]`.
-fn tile(a: &Matrix, b: &Matrix, out: &mut Matrix, i: usize, j: usize) {
-    let mut acc = [[0.0; TILE_COLS]; TILE_ROWS];
+/// `out[i..i + R][j..j + C] += a[i..][..] · b[..][j..]`.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    i: usize,
+    j: usize,
+) {
+    let mut acc = [[0.0; C]; R];
     for (r, acc) in acc.iter_mut().enumerate() {
-        acc.copy_from_slice(&out.data[(i + r) * out.cols + j..][..TILE_COLS]);
+        acc.copy_from_slice(&out.data[(i + r) * out.cols + j..][..C]);
     }
-    let a_rows: [&[f64]; TILE_ROWS] =
+    let a_rows: [&[f64]; R] =
         std::array::from_fn(|r| &a.data[(i + r) * a.cols..(i + r + 1) * a.cols]);
     for (k, b_row) in b.data.chunks_exact(b.cols).enumerate() {
-        let b_row = &b_row[j..j + TILE_COLS];
+        let b_row = &b_row[j..j + C];
         for (acc, a_row) in acc.iter_mut().zip(a_rows) {
             let aik = a_row[k];
             for (sum, &bv) in acc.iter_mut().zip(b_row) {
@@ -106,11 +146,12 @@ fn tile(a: &Matrix, b: &Matrix, out: &mut Matrix, i: usize, j: usize) {
         }
     }
     for (r, acc) in acc.iter().enumerate() {
-        out.data[(i + r) * out.cols + j..][..TILE_COLS].copy_from_slice(acc);
+        out.data[(i + r) * out.cols + j..][..C].copy_from_slice(acc);
     }
 }
 
 /// The remainder path: rows and columns no whole tile covers.
+#[inline(always)]
 fn row_at_a_time(
     a: &Matrix,
     b: &Matrix,
@@ -212,12 +253,37 @@ mod tests {
         m.data.iter().map(|v| v.to_bits()).collect()
     }
 
+    type Band = fn(&Matrix, &Matrix, &mut Matrix, Range<usize>);
+
+    /// Every compiled instance of the kernel this CPU can run, by name:
+    /// the baseline one always, the AVX2 one where the CPU has AVX2 (a
+    /// skip line otherwise), and `matmul_rows`, which picks one of them.
+    fn instances() -> Vec<(&'static str, Band)> {
+        let mut all: Vec<(&'static str, Band)> = vec![
+            ("baseline", matmul_rows_baseline),
+            ("dispatched", matmul_rows),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if crate::native::avx2() {
+            all.push(("avx2", |a, b, out, rows| {
+                // SAFETY: the CPU has AVX2, checked just above.
+                unsafe { matmul_rows_avx2(a, b, out, rows) }
+            }));
+        } else {
+            println!("matmul avx2 instance: skipped, this CPU has no AVX2");
+        }
+        all
+    }
+
     #[test]
     fn matches_naive_loop_bit_for_bit_under_every_band_split() {
+        // Row counts that leave remainders under a 2- and a 4-row tile,
+        // column counts that leave remainders under an 8-column one.
         for (n, inner, m) in [
             (1, 1, 1),
             (5, 7, 3),
             (17, 9, 13),
+            (6, 33, 21),
             (16, 256, 256),
             (4, 0, 16),
         ] {
@@ -229,17 +295,19 @@ mod tests {
             let start = random_matrix(n, m, 13);
             let mut want = start.clone();
             matmul_rows_reference(&a, &b, &mut want, 0..n);
-            for band in [n, 1, 3] {
-                let mut got = start.clone();
-                // Bands in descending order: no band may depend on another.
-                for lo in (0..n).step_by(band).rev() {
-                    matmul_rows(&a, &b, &mut got, lo..(lo + band).min(n));
+            for (name, instance) in instances() {
+                for band in 1..=n {
+                    let mut got = start.clone();
+                    // Bands in descending order: no band may depend on another.
+                    for lo in (0..n).step_by(band).rev() {
+                        instance(&a, &b, &mut got, lo..(lo + band).min(n));
+                    }
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{name}: {n}x{inner} . {inner}x{m}, bands of {band}"
+                    );
                 }
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "{n}x{inner} . {inner}x{m}, bands of {band}"
-                );
             }
         }
     }
@@ -260,21 +328,30 @@ mod tests {
     fn micro_matmul_band_16x256() {
         let a = random_matrix(16, 256, 1);
         let b = random_matrix(256, 256, 2);
-        let time = |band: fn(&Matrix, &Matrix, &mut Matrix, Range<usize>)| {
-            let n = 2_000u32;
-            let start = Instant::now();
-            for _ in 0..n {
-                let mut out = Matrix::zeros(16, 256);
-                band(std::hint::black_box(&a), &b, &mut out, 0..16);
-                std::hint::black_box(&out);
-            }
-            (start.elapsed() / n).as_nanos()
+        // The fastest of 7 rounds: one round is no number on a shared host.
+        let time = |band: Band| {
+            (0..7)
+                .map(|_| {
+                    let n = 300u32;
+                    let start = Instant::now();
+                    for _ in 0..n {
+                        let mut out = Matrix::zeros(16, 256);
+                        band(std::hint::black_box(&a), &b, &mut out, 0..16);
+                        std::hint::black_box(&out);
+                    }
+                    (start.elapsed() / n).as_nanos()
+                })
+                .min()
+                .expect("seven rounds")
         };
-        println!(
-            "matmul 16x256 . 256x256: {} ns/op, row-at-a-time reference {} ns/op",
-            time(matmul_rows),
-            time(matmul_rows_reference)
-        );
+        let mut all = instances();
+        all.push(("row-at-a-time reference", matmul_rows_reference));
+        for (name, band) in all {
+            println!(
+                "matmul 16x256 . 256x256, {name}: {} ns/op (min of 7 rounds)",
+                time(band)
+            );
+        }
     }
 
     #[test]
