@@ -425,4 +425,58 @@ mod tests {
         // The uncontrolled total must at some point exceed the machine.
         assert!(plain[3].y_max() > 8.0);
     }
+
+    /// ns per `Kernel::step` of one fixed Figure-4 pair — fft, gauss and
+    /// matmul at `Presets::paper()`, 16 workers each on 16 processors,
+    /// started 10 s apart, 6 s polls — with control on and off: the step
+    /// loop after the last launch, as `bench_all`'s `sim_fig4` counts it.
+    /// Minimum of 5 rounds.
+    #[test]
+    #[ignore] // microbenchmark, not an assertion: `cargo test --release -p bench --lib -- --ignored micro_ --nocapture --test-threads=1`
+    fn micro_fig4_pair_step_cost() {
+        use crate::scenario::spawn_server;
+        use simkernel::AppId;
+        use uthreads::{launch, ThreadsConfig};
+
+        let presets = Presets::paper();
+        let run = |control: bool| {
+            let mut kernel = SimEnv::default().make_kernel();
+            let port = control.then(|| spawn_server(&mut kernel));
+            let mut ids = Vec::new();
+            for (i, l) in fig4_launches(16, PAPER_STAGGER).iter().enumerate() {
+                kernel.run_until(l.start);
+                let mut cfg = ThreadsConfig::new(l.nprocs);
+                if let Some(port) = port {
+                    cfg = cfg.with_control(port, SimDur::from_secs(6));
+                }
+                let id = AppId(i as u32);
+                std::hint::black_box(launch(&mut kernel, id, cfg, l.kind.spec(&presets)));
+                ids.push(id);
+            }
+            let start = std::time::Instant::now();
+            let mut steps = 0u64;
+            while !kernel.apps_done(&ids) && kernel.step() {
+                steps += 1;
+            }
+            (steps, start.elapsed().as_nanos() as f64)
+        };
+        let mut best = [f64::INFINITY; 3];
+        let mut steps = [0u64; 2];
+        for _ in 0..5 {
+            let (on, off) = (run(true), run(false));
+            steps = [on.0, off.0];
+            let ns = [
+                on.1 / on.0 as f64,
+                off.1 / off.0 as f64,
+                (on.1 + off.1) / (on.0 + off.0) as f64,
+            ];
+            for (b, n) in best.iter_mut().zip(ns) {
+                *b = b.min(n);
+            }
+        }
+        println!(
+            "fig4 pair: {:.1} ns/step (control on {:.1} over {} steps, off {:.1} over {} steps)",
+            best[2], best[0], steps[0], best[1], steps[1]
+        );
+    }
 }

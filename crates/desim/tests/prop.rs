@@ -1,5 +1,7 @@
 //! Property tests for the simulation engine.
 
+use std::collections::BTreeSet;
+
 use desim::{Calendar, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -57,6 +59,93 @@ proptest! {
             prop_assert_eq!(cal.is_empty(), model.is_empty());
             prop_assert_eq!(cal.peek_time().map(|t| t.nanos()), model.first().map(|k| k.0));
         }
+    }
+
+    /// The calendar at the simulated kernel's shape, against a `BTreeSet`
+    /// of `(time, seq)` keys: up to ~1 000 events pending; each pop
+    /// followed by 0–3 schedules, as a `Kernel::step` does; runs of
+    /// consecutive pops and of consecutive schedules; schedules at exactly
+    /// the popped `now`. `len`, `is_empty` and `peek_time` are checked
+    /// after every single operation, so every state the dirty root can be
+    /// in is read.
+    #[test]
+    fn calendar_matches_model_at_kernel_shape(
+        fill in 0usize..1_000,
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..8, 0u64..64), 1..600),
+    ) {
+        let mut cal = Calendar::new();
+        let mut model = BTreeSet::new();
+        let mut next_seq = 0u64;
+        let mut now = 0u64;
+        let mut rng = SimRng::new(seed);
+        // A quarter of all schedules land on `now` exactly; the rest
+        // within the next ~2 ms, or (one in eight) a 100 ms quantum out.
+        let delay = |rng: &mut SimRng| match rng.range_u64(0, 8) {
+            0 | 1 => 0,
+            2 => 100_000_000,
+            _ => rng.range_u64(1, 2_000_000),
+        };
+        macro_rules! check {
+            () => {
+                prop_assert_eq!(cal.len(), model.len());
+                prop_assert_eq!(cal.is_empty(), model.is_empty());
+                prop_assert_eq!(
+                    cal.peek_time().map(|t| t.nanos()),
+                    model.first().map(|k: &(u64, u64)| k.0)
+                );
+            };
+        }
+        macro_rules! schedule {
+            () => {
+                let t = now + delay(&mut rng);
+                cal.schedule(SimTime(t), next_seq);
+                model.insert((t, next_seq));
+                next_seq += 1;
+                check!();
+            };
+        }
+        macro_rules! pop {
+            () => {
+                let got = cal.pop().map(|(t, seq)| (t.nanos(), seq));
+                prop_assert_eq!(got, model.pop_first());
+                if let Some((t, _)) = got {
+                    now = t;
+                }
+                check!();
+            };
+        }
+        for _ in 0..fill {
+            schedule!();
+        }
+        for (op, arg) in ops {
+            match op {
+                // A step: one pop, then 0–3 schedules.
+                0..=3 => {
+                    pop!();
+                    for _ in 0..op {
+                        schedule!();
+                    }
+                }
+                // A run of 2–9 pops.
+                4 | 5 => {
+                    for _ in 0..2 + arg % 8 {
+                        pop!();
+                    }
+                }
+                // A run of 1–4 schedules.
+                _ => {
+                    for _ in 0..1 + arg % 4 {
+                        schedule!();
+                    }
+                }
+            }
+        }
+        while let Some(first) = model.pop_first() {
+            prop_assert_eq!(cal.pop().map(|(t, seq)| (t.nanos(), seq)), Some(first));
+            check!();
+        }
+        prop_assert!(cal.pop().is_none());
     }
 
     /// `range_u64` stays within bounds for arbitrary non-empty ranges.

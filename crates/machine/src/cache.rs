@@ -164,7 +164,12 @@ impl CacheSim {
                     p.lines_left
                 };
                 p.lines_left = (p.lines_left - gained).max(0.0);
-                let done = p.lines_left <= f64::EPSILON;
+                // A remainder under half a nanosecond is retired too. It
+                // rounds to a `need` of 0, so every later `run` would gain
+                // 0 lines and change nothing, and `pending_refill` would
+                // read 0, until the next `dispatch` overwrites `pending`;
+                // retiring it skips that arithmetic and changes no result.
+                let done = p.lines_left <= f64::EPSILON || p.lines_left * p.ns_per_line < 0.5;
                 let fp = fp.as_deref_mut().expect("dispatched process has footprint");
                 fp.resident = (fp.resident + gained).min(fp.ws_lines as f64);
                 if done {

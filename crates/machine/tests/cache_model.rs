@@ -5,6 +5,11 @@
 //! operations in the same order. Random `dispatch`/`run`/`forget`/`warmth`
 //! sequences must return the same durations and the same warmth *bit for
 //! bit*: the simulator's figures are byte-identical only while that holds.
+//!
+//! The model keeps a refill pending until `lines_left <= f64::EPSILON`;
+//! `CacheSim` also retires one whose remainder is under half a nanosecond.
+//! The second property drives runs to just such remainders and checks
+//! that nothing observable tells the two rules apart.
 
 use std::collections::HashMap;
 
@@ -109,6 +114,14 @@ impl Model {
         }
     }
 
+    /// Whether `cpu` holds a refill of `tag` that the `EPSILON` rule
+    /// keeps but that rounds to 0 ns: the case `CacheSim` retires early.
+    fn holds_sub_half_ns_refill(&self, cpu: usize, tag: u64) -> bool {
+        self.cpus[cpu].pending.as_ref().is_some_and(|p| {
+            p.tag == tag && p.lines_left > f64::EPSILON && p.lines_left * p.ns_per_line < 0.5
+        })
+    }
+
     fn warmth(&self, cpu: usize, tag: u64) -> f64 {
         let c = &self.cpus[cpu];
         match c.footprints.get(&tag) {
@@ -187,4 +200,97 @@ proptest! {
             }
         }
     }
+
+    /// Fractional per-line costs (a non-integer refill cost times
+    /// non-integer bus multipliers) and runs that end exactly at, just
+    /// short of or just past the remaining refill, so that remainders
+    /// under 0.5 ns are common: `run`, `pending_refill` and `warmth` still
+    /// agree with the `EPSILON`-rule model bit for bit, before and after
+    /// the remainder is retired.
+    #[test]
+    fn sub_half_nanosecond_refills_retire_unobservably(
+        ops in prop::collection::vec(
+            (0u8..6, 0usize..CPUS, 0u64..4, 0u64..3_000_000, 0u8..5),
+            1..300,
+        ),
+    ) {
+        let cfg = CacheConfig {
+            line_refill_cost: SimDur::from_nanos(333),
+            capacity_lines: 400,
+            evict_tau: SimDur::from_millis(3),
+        };
+        let mut real = CacheSim::new(cfg, CPUS);
+        let mut model = Model::new(cfg, CPUS);
+        for (what, cpu, tag, amount, bus) in ops {
+            match what {
+                0 => {
+                    let ws = 50 + (amount % 600);
+                    let mult = 1.0 + f64::from(bus) * 0.173;
+                    prop_assert_eq!(
+                        real.dispatch(CpuId(cpu), tag, ws, mult),
+                        model.dispatch(cpu, tag, ws, mult)
+                    );
+                }
+                // Up to 2 ns short of, at, or past what the model says is
+                // left, in one run or split in two.
+                1..=4 => {
+                    let left = model.pending_refill(cpu, tag).nanos();
+                    let dur = (left + amount % 5).saturating_sub(2);
+                    let parts = if what == 4 { [dur / 3, dur - dur / 3] } else { [dur, 0] };
+                    for part in parts {
+                        let part = SimDur(part);
+                        prop_assert_eq!(real.run(CpuId(cpu), tag, part), model.run(cpu, tag, part));
+                    }
+                }
+                _ => {
+                    let dur = SimDur(amount);
+                    prop_assert_eq!(real.run(CpuId(cpu), tag, dur), model.run(cpu, tag, dur));
+                }
+            }
+            for c in 0..CPUS {
+                for t in 0..4 {
+                    prop_assert_eq!(real.pending_refill(CpuId(c), t), model.pending_refill(c, t));
+                    prop_assert_eq!(real.warmth(CpuId(c), t).to_bits(), model.warmth(c, t).to_bits());
+                }
+            }
+        }
+    }
+}
+
+/// One remainder under 0.5 ns, reached on purpose: 102 lines at
+/// 333 ns × 1.173 = 390.609 ns each need 39 842.118 ns, which rounds to
+/// 39 842, leaving 0.118 ns (3e-4 lines, far above `EPSILON`). The model
+/// keeps that refill pending; `CacheSim` retires it, and no later `run`,
+/// `pending_refill` or `warmth` can tell.
+#[test]
+fn a_sub_half_nanosecond_remainder_is_retired_unobservably() {
+    let cfg = CacheConfig {
+        line_refill_cost: SimDur::from_nanos(333),
+        ..cfg()
+    };
+    let mut real = CacheSim::new(cfg, 1);
+    let mut model = Model::new(cfg, 1);
+    let need = real.dispatch(CpuId(0), 1, 102, 1.173);
+    assert_eq!(need, model.dispatch(0, 1, 102, 1.173));
+    assert_eq!(need, SimDur(39_842));
+    assert_eq!(real.run(CpuId(0), 1, need), model.run(0, 1, need));
+    assert!(model.holds_sub_half_ns_refill(0, 1));
+    for dur in [0, 1, 2, 1_000] {
+        assert_eq!(real.pending_refill(CpuId(0), 1), model.pending_refill(0, 1));
+        assert_eq!(
+            real.warmth(CpuId(0), 1).to_bits(),
+            model.warmth(0, 1).to_bits()
+        );
+        let dur = SimDur(dur);
+        assert_eq!(real.run(CpuId(0), 1, dur), model.run(0, 1, dur));
+    }
+    assert!(
+        model.holds_sub_half_ns_refill(0, 1),
+        "still pending in the model"
+    );
+    assert_eq!(real.pending_refill(CpuId(0), 1), SimDur::ZERO);
+    assert_eq!(
+        real.warmth(CpuId(0), 1).to_bits(),
+        model.warmth(0, 1).to_bits()
+    );
 }

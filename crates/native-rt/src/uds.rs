@@ -2141,169 +2141,249 @@ mod tests {
         assert_eq!(forward, backward);
     }
 
+    /// The partition the server caches — slot weights parsed as
+    /// reports arrive, targets recomputed behind the dirty gate, CPU
+    /// sets cut on demand — always equals a from-scratch one. The
+    /// model is the test's own table of live registrations (in
+    /// order, with their last sign of life) and latest reports (an
+    /// unregistered pid's for one lease), replayed into a fresh
+    /// state after every step.
+    ///
+    /// Parked polls ride along: some steps park a poll (each pid has
+    /// a connection per form) or fire the timer, and after every
+    /// step the parks the server holds are exactly the ones the
+    /// model expects, each for a pid still registered and each still
+    /// owed the reply its client heard — whatever changed an answer
+    /// also delivered it.
+    fn replay_against_a_from_scratch_core(steps: Vec<(u32, u32, u32, u64)>) {
+        let mut cfg = UdsServerConfig::new("/nonexistent", 8);
+        cfg.prune_dead = false;
+        cfg.weighted = true;
+        cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
+        let mut real = ControlCore::new(cfg.clone(), 7);
+        let mut regs: Vec<(u32, u32, Instant)> = Vec::new();
+        let mut reports = std::collections::BTreeMap::<u32, String>::new();
+        // pid → when its report is dropped unless it registers first
+        let mut unclaimed = std::collections::BTreeMap::<u32, Instant>::new();
+        // connection → (pid, the plain form of its poll, the reply
+        // heard, the end of the hold)
+        let mut parked = std::collections::BTreeMap::<u64, (u32, String, String, Instant)>::new();
+        let mut now = Instant::now();
+        for (op, pid, arg, gap_ms) in steps {
+            now += Duration::from_millis(gap_ms);
+            let pid = 900_000 + pid;
+            let slot = regs.iter().position(|r| r.0 == pid);
+            let mut own_conn = None;
+            // POLL and STATS ALL expire lapsed leases before they
+            // answer (and a POLL then refreshes its own); the other
+            // verbs leave them for the next prune.
+            let (written, prunes, polls) = match op {
+                0 | 1 => {
+                    let n = 1 + arg % 9;
+                    let written = step(&mut real, 0, &format!("REGISTER {pid} {n}"), now);
+                    match slot {
+                        Some(i) => regs[i] = (pid, n, now),
+                        None => regs.push((pid, n, now)),
+                    }
+                    unclaimed.remove(&pid);
+                    (written, false, false)
+                }
+                2 => {
+                    let written = step(&mut real, 0, &format!("BYE {pid}"), now);
+                    regs.retain(|r| r.0 != pid);
+                    reports.remove(&pid);
+                    unclaimed.remove(&pid);
+                    (written, false, false)
+                }
+                3 | 4 => {
+                    let line = if arg % 11 == 0 {
+                        format!("steals={arg}")
+                    } else {
+                        format!("jobs_run={arg} steals=1")
+                    };
+                    let written = step(&mut real, 0, &format!("REPORT {pid} {line}"), now);
+                    if slot.is_none() && !reports.contains_key(&pid) {
+                        unclaimed.insert(pid, now + cfg.lease_ttl);
+                    }
+                    reports.insert(pid, line);
+                    if let Some(i) = slot {
+                        regs[i].2 = now;
+                    }
+                    (written, false, false)
+                }
+                5 | 6 => (step(&mut real, 0, &format!("POLL {pid}"), now), true, true),
+                7 => (
+                    step(&mut real, 0, &format!("POLL {pid} cpus"), now),
+                    true,
+                    true,
+                ),
+                8 => (step(&mut real, 0, "STATS ALL", now), true, false),
+                // A poll, then the same poll again in the wait form,
+                // saying what the first one heard: it parks. (A park
+                // the connection already held ends with the first.)
+                9 | 10 => {
+                    let cpus = arg % 2 == 1;
+                    let conn = u64::from(1 + 2 * (pid - 900_000) + u32::from(cpus));
+                    own_conn = Some(conn);
+                    let plain = if cpus {
+                        format!("POLL {pid} cpus")
+                    } else {
+                        format!("POLL {pid}")
+                    };
+                    let mut written = step(&mut real, conn, &plain, now);
+                    parked.remove(&conn);
+                    let heard = written
+                        .iter()
+                        .rfind(|w| w.0 == conn)
+                        .expect("a reply")
+                        .1
+                        .clone();
+                    if let Some(payload) = heard.strip_prefix("TARGET ") {
+                        let hold = Duration::from_millis(u64::from(7 * arg));
+                        let wait =
+                            format!("{plain} wait {} {}", hold.as_millis(), payload.trim_end());
+                        let before = written.len();
+                        written.extend(step(&mut real, conn, &wait, now));
+                        let until = now + hold.min(cfg.lease_ttl / 2);
+                        if until > now {
+                            prop_assert!(real.is_parked(conn), "{} did not park", wait);
+                            parked.insert(conn, (pid, plain, heard, until));
+                        } else {
+                            // A hold of 0 runs out as it starts: the wakeup that parks
+                            // the poll releases it, with the reply the client already
+                            // heard.
+                            prop_assert!(!real.is_parked(conn), "{} stayed parked", wait);
+                            let mine: Vec<_> =
+                                written[before..].iter().filter(|w| w.0 == conn).collect();
+                            prop_assert_eq!(mine.len(), 1, "{} answered once", wait);
+                            prop_assert_eq!(&mine[0].1, &heard);
+                        }
+                    }
+                    (written, true, true)
+                }
+                _ => (due(&mut real, now), true, false),
+            };
+            if prunes {
+                unclaimed.retain(|pid, until| {
+                    let waits = *until > now;
+                    if !waits {
+                        reports.remove(pid);
+                    }
+                    waits
+                });
+                regs.retain(|r| {
+                    let live = r.2 + cfg.lease_ttl > now;
+                    if !live {
+                        reports.remove(&r.0);
+                    }
+                    live
+                });
+            }
+            if polls {
+                if let Some(r) = regs.iter_mut().find(|r| r.0 == pid) {
+                    r.2 = now;
+                }
+            }
+            // A reply to a connection the step did not talk on ends
+            // that connection's park — which takes news or the end
+            // of the hold — and, like any poll reply, refreshes the
+            // lease.
+            for (conn, reply) in &written {
+                if *conn == 0 || Some(*conn) == own_conn {
+                    continue;
+                }
+                let (pid, _, heard, until) = parked.remove(conn).expect("a reply to a park");
+                prop_assert!(
+                    *reply != heard || now >= until,
+                    "connection {} released early with nothing new: {}",
+                    conn,
+                    reply
+                );
+                if let Some(r) = regs.iter_mut().find(|r| r.0 == pid) {
+                    r.2 = now;
+                }
+            }
+
+            let mut fresh = ControlCore::new(cfg.clone(), 7);
+            for &(pid, n, _) in &regs {
+                answer(&mut fresh, &format!("REGISTER {pid} {n}"), now);
+            }
+            for (pid, line) in &reports {
+                answer(&mut fresh, &format!("REPORT {pid} {line}"), now);
+            }
+            prop_assert_eq!(assignments(&mut real, now), assignments(&mut fresh, now));
+            let held = real.registry().snapshot().gauges["parked"];
+            prop_assert_eq!(held, parked.len() as i64);
+            for (conn, (pid, plain, heard, _)) in &parked {
+                prop_assert!(real.is_parked(*conn), "connection {} lost its park", conn);
+                prop_assert!(
+                    regs.iter().any(|r| r.0 == *pid),
+                    "{} parked, not registered",
+                    pid
+                );
+                prop_assert_eq!(
+                    &answer(&mut fresh, plain, now),
+                    heard,
+                    "{} is owed news",
+                    conn
+                );
+            }
+        }
+    }
+
+    /// Case 3913 of 20 000 of the replay below, the first to draw a
+    /// `wait 0` poll (the last step): the core answers it in the wakeup
+    /// that parks it, its hold being over as it starts, where the model
+    /// once expected a park.
+    #[test]
+    fn replay_with_a_zero_hold_poll_matches() {
+        replay_against_a_from_scratch_core(vec![
+            (7, 5, 3850, 9831),
+            (7, 1, 3255, 6087),
+            (10, 4, 2432, 2054),
+            (5, 2, 1667, 4264),
+            (1, 3, 3662, 6730),
+            (5, 1, 3273, 4195),
+            (8, 0, 3138, 3274),
+            (7, 3, 1635, 3721),
+            (7, 2, 4438, 5168),
+            (2, 0, 3865, 6163),
+            (3, 1, 177, 10132),
+            (3, 2, 2975, 3837),
+            (5, 2, 4319, 5550),
+            (9, 1, 1101, 3515),
+            (5, 2, 4517, 2457),
+            (4, 3, 2582, 3350),
+            (6, 5, 3422, 7761),
+            (2, 5, 3253, 8193),
+            (6, 1, 4971, 4144),
+            (10, 5, 1452, 2722),
+            (9, 5, 2399, 10776),
+            (11, 2, 175, 10022),
+            (7, 4, 4878, 9716),
+            (10, 2, 2791, 8740),
+            (9, 2, 1011, 9350),
+            (8, 1, 142, 3663),
+            (11, 1, 1670, 3615),
+            (0, 0, 3504, 5303),
+            (11, 0, 4369, 3718),
+            (1, 4, 1868, 2165),
+            (7, 5, 3657, 9374),
+            (1, 2, 4630, 4319),
+            (0, 5, 4521, 7900),
+            (9, 2, 0, 10785),
+        ]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The partition the server caches — slot weights parsed as
-        /// reports arrive, targets recomputed behind the dirty gate, CPU
-        /// sets cut on demand — always equals a from-scratch one. The
-        /// model is the test's own table of live registrations (in
-        /// order, with their last sign of life) and latest reports (an
-        /// unregistered pid's for one lease), replayed into a fresh
-        /// state after every step.
-        ///
-        /// Parked polls ride along: some steps park a poll (each pid has
-        /// a connection per form) or fire the timer, and after every
-        /// step the parks the server holds are exactly the ones the
-        /// model expects, each for a pid still registered and each still
-        /// owed the reply its client heard — whatever changed an answer
-        /// also delivered it.
+        /// [`replay_against_a_from_scratch_core`] on random steps.
         #[test]
         fn cached_partition_matches_a_from_scratch_replay(
             steps in prop::collection::vec((0u32..12, 0u32..6, 0u32..5_000, 0u64..12_000), 1..48),
         ) {
-            let mut cfg = UdsServerConfig::new("/nonexistent", 8);
-            cfg.prune_dead = false;
-            cfg.weighted = true;
-            cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
-            let mut real = ControlCore::new(cfg.clone(), 7);
-            let mut regs: Vec<(u32, u32, Instant)> = Vec::new();
-            let mut reports = std::collections::BTreeMap::<u32, String>::new();
-            // pid → when its report is dropped unless it registers first
-            let mut unclaimed = std::collections::BTreeMap::<u32, Instant>::new();
-            // connection → (pid, the plain form of its poll, the reply
-            // heard, the end of the hold)
-            let mut parked =
-                std::collections::BTreeMap::<u64, (u32, String, String, Instant)>::new();
-            let mut now = Instant::now();
-            for (op, pid, arg, gap_ms) in steps {
-                now += Duration::from_millis(gap_ms);
-                let pid = 900_000 + pid;
-                let slot = regs.iter().position(|r| r.0 == pid);
-                let mut own_conn = None;
-                // POLL and STATS ALL expire lapsed leases before they
-                // answer (and a POLL then refreshes its own); the other
-                // verbs leave them for the next prune.
-                let (written, prunes, polls) = match op {
-                    0 | 1 => {
-                        let n = 1 + arg % 9;
-                        let written = step(&mut real, 0, &format!("REGISTER {pid} {n}"), now);
-                        match slot {
-                            Some(i) => regs[i] = (pid, n, now),
-                            None => regs.push((pid, n, now)),
-                        }
-                        unclaimed.remove(&pid);
-                        (written, false, false)
-                    }
-                    2 => {
-                        let written = step(&mut real, 0, &format!("BYE {pid}"), now);
-                        regs.retain(|r| r.0 != pid);
-                        reports.remove(&pid);
-                        unclaimed.remove(&pid);
-                        (written, false, false)
-                    }
-                    3 | 4 => {
-                        let line = if arg % 11 == 0 {
-                            format!("steals={arg}")
-                        } else {
-                            format!("jobs_run={arg} steals=1")
-                        };
-                        let written = step(&mut real, 0, &format!("REPORT {pid} {line}"), now);
-                        if slot.is_none() && !reports.contains_key(&pid) {
-                            unclaimed.insert(pid, now + cfg.lease_ttl);
-                        }
-                        reports.insert(pid, line);
-                        if let Some(i) = slot {
-                            regs[i].2 = now;
-                        }
-                        (written, false, false)
-                    }
-                    5 | 6 => (step(&mut real, 0, &format!("POLL {pid}"), now), true, true),
-                    7 => (step(&mut real, 0, &format!("POLL {pid} cpus"), now), true, true),
-                    8 => (step(&mut real, 0, "STATS ALL", now), true, false),
-                    // A poll, then the same poll again in the wait form,
-                    // saying what the first one heard: it parks. (A park
-                    // the connection already held ends with the first.)
-                    9 | 10 => {
-                        let cpus = arg % 2 == 1;
-                        let conn = u64::from(1 + 2 * (pid - 900_000) + u32::from(cpus));
-                        own_conn = Some(conn);
-                        let plain = if cpus {
-                            format!("POLL {pid} cpus")
-                        } else {
-                            format!("POLL {pid}")
-                        };
-                        let mut written = step(&mut real, conn, &plain, now);
-                        parked.remove(&conn);
-                        let heard = written.iter().rfind(|w| w.0 == conn).expect("a reply").1.clone();
-                        if let Some(payload) = heard.strip_prefix("TARGET ") {
-                            let hold = Duration::from_millis(u64::from(7 * arg));
-                            let wait =
-                                format!("{plain} wait {} {}", hold.as_millis(), payload.trim_end());
-                            written.extend(step(&mut real, conn, &wait, now));
-                            prop_assert!(real.is_parked(conn), "{} did not park", wait);
-                            let until = now + hold.min(cfg.lease_ttl / 2);
-                            parked.insert(conn, (pid, plain, heard, until));
-                        }
-                        (written, true, true)
-                    }
-                    _ => (due(&mut real, now), true, false),
-                };
-                if prunes {
-                    unclaimed.retain(|pid, until| {
-                        let waits = *until > now;
-                        if !waits {
-                            reports.remove(pid);
-                        }
-                        waits
-                    });
-                    regs.retain(|r| {
-                        let live = r.2 + cfg.lease_ttl > now;
-                        if !live {
-                            reports.remove(&r.0);
-                        }
-                        live
-                    });
-                }
-                if polls {
-                    if let Some(r) = regs.iter_mut().find(|r| r.0 == pid) {
-                        r.2 = now;
-                    }
-                }
-                // A reply to a connection the step did not talk on ends
-                // that connection's park — which takes news or the end
-                // of the hold — and, like any poll reply, refreshes the
-                // lease.
-                for (conn, reply) in &written {
-                    if *conn == 0 || Some(*conn) == own_conn {
-                        continue;
-                    }
-                    let (pid, _, heard, until) = parked.remove(conn).expect("a reply to a park");
-                    prop_assert!(
-                        *reply != heard || now >= until,
-                        "connection {} released early with nothing new: {}", conn, reply
-                    );
-                    if let Some(r) = regs.iter_mut().find(|r| r.0 == pid) {
-                        r.2 = now;
-                    }
-                }
-
-                let mut fresh = ControlCore::new(cfg.clone(), 7);
-                for &(pid, n, _) in &regs {
-                    answer(&mut fresh, &format!("REGISTER {pid} {n}"), now);
-                }
-                for (pid, line) in &reports {
-                    answer(&mut fresh, &format!("REPORT {pid} {line}"), now);
-                }
-                prop_assert_eq!(assignments(&mut real, now), assignments(&mut fresh, now));
-                let held = real.registry().snapshot().gauges["parked"];
-                prop_assert_eq!(held, parked.len() as i64);
-                for (conn, (pid, plain, heard, _)) in &parked {
-                    prop_assert!(real.is_parked(*conn), "connection {} lost its park", conn);
-                    prop_assert!(regs.iter().any(|r| r.0 == *pid), "{} parked, not registered", pid);
-                    prop_assert_eq!(&answer(&mut fresh, plain, now), heard, "{} is owed news", conn);
-                }
-            }
+            replay_against_a_from_scratch_core(steps);
         }
 
         /// The wire parser never panics and always produces exactly one

@@ -251,6 +251,11 @@ pub struct Kernel {
     cfg: KernelConfig,
     policy: Box<dyn SchedPolicy>,
     st: KState,
+    /// Each process's behavior, indexed by pid beside the process table
+    /// (`None` once it exited): `deliver` steps it in place while the
+    /// behavior reads `st`, instead of taking it out of the `Pcb` and
+    /// putting it back on every event.
+    behaviors: Vec<Option<Box<dyn Behavior>>>,
 }
 
 struct CtxView<'a> {
@@ -309,7 +314,12 @@ impl Kernel {
         };
         st.cal.schedule(st.now + cfg.tick, KEvent::Tick);
         st.tick_armed = true;
-        Kernel { cfg, policy, st }
+        Kernel {
+            cfg,
+            policy,
+            st,
+            behaviors: Vec::new(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -330,8 +340,22 @@ impl Kernel {
     /// runnable immediately; its behavior is first stepped with
     /// [`Wakeup::Start`].
     pub fn spawn_root(&mut self, app: AppId, ws_lines: u64, behavior: Box<dyn Behavior>) -> Pid {
-        let pid = self.st.procs.insert(None, app, ws_lines, behavior);
+        let pid = self.spawn(None, app, ws_lines, behavior);
         self.finish_spawn(pid, app);
+        pid
+    }
+
+    /// Creates the process and files its behavior under its pid.
+    fn spawn(
+        &mut self,
+        parent: Option<Pid>,
+        app: AppId,
+        ws_lines: u64,
+        behavior: Box<dyn Behavior>,
+    ) -> Pid {
+        let pid = self.st.procs.insert(parent, app, ws_lines);
+        debug_assert_eq!(pid.0 as usize, self.behaviors.len());
+        self.behaviors.push(Some(behavior));
         pid
     }
 
@@ -798,21 +822,15 @@ impl Kernel {
     /// action as its next operation. If the process is running, the
     /// operation's completion is (re)scheduled.
     fn deliver(&mut self, pid: Pid, wakeup: Wakeup) {
-        let mut behavior = self
-            .st
-            .procs
-            .get_mut(pid)
-            .behavior
-            .take()
+        let behavior = self.behaviors[pid.0 as usize]
+            .as_mut()
             .expect("deliver to a process whose behavior is present");
-        let action = {
-            let mut ctx = CtxView {
-                st: &self.st,
-                pid,
-                num_cpus: self.st.cpus.len(),
-            };
-            behavior.step(wakeup, &mut ctx)
+        let mut ctx = CtxView {
+            st: &self.st,
+            pid,
+            num_cpus: self.st.cpus.len(),
         };
+        let action = behavior.step(wakeup, &mut ctx);
         let costs = &self.cfg.costs;
         let (left, then) = match action {
             Action::Compute(d) => (d, Then::ComputeDone),
@@ -830,7 +848,6 @@ impl Kernel {
         };
         let left = left.max(SimDur::from_nanos(1));
         let pcb = self.st.procs.get_mut(pid);
-        pcb.behavior = Some(behavior);
         pcb.op = Op::Service { left, then };
         pcb.epoch += 1;
         if let ProcState::Running(cpu) = pcb.state {
@@ -952,7 +969,7 @@ impl Kernel {
             Then::DoSpawn(behavior, ws) => {
                 let behavior = behavior.expect("spawn behavior present");
                 let app = self.st.procs.get(pid).app;
-                let child = self.st.procs.insert(Some(pid), app, ws, behavior);
+                let child = self.spawn(Some(pid), app, ws, behavior);
                 self.finish_spawn(child, app);
                 self.deliver(pid, Wakeup::Spawned(child));
             }
@@ -1049,9 +1066,9 @@ impl Kernel {
             debug_assert_eq!(pcb.locks_held, 0, "{pid} exited while holding a spinlock");
             pcb.state = ProcState::Exited;
             pcb.epoch += 1;
-            pcb.behavior = None;
             pcb.app_slot
         };
+        self.behaviors[pid.0 as usize] = None;
         self.note_runnable_change(slot, -1);
         self.policy_remove(pid);
         self.st.cache.forget(pid.0 as u64);

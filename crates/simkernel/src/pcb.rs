@@ -128,7 +128,6 @@ pub(crate) struct Pcb {
     pub app_slot: u32,
     pub state: ProcState,
     pub op: Op,
-    pub behavior: Option<Box<dyn Behavior>>,
     /// Working-set size in cache lines (drives the cache-corruption model).
     pub ws_lines: u64,
     /// Number of spinlocks currently held; used by the spinlock-flag
@@ -154,13 +153,7 @@ pub(crate) struct Pcb {
 }
 
 impl Pcb {
-    pub(crate) fn new(
-        pid: Pid,
-        parent: Option<Pid>,
-        app: AppId,
-        ws_lines: u64,
-        behavior: Box<dyn Behavior>,
-    ) -> Self {
+    pub(crate) fn new(pid: Pid, parent: Option<Pid>, app: AppId, ws_lines: u64) -> Self {
         Pcb {
             pid,
             parent,
@@ -168,7 +161,6 @@ impl Pcb {
             app_slot: 0,
             state: ProcState::Ready,
             op: Op::Idle,
-            behavior: Some(behavior),
             ws_lines,
             locks_held: 0,
             pending_signal: false,
@@ -195,16 +187,9 @@ impl ProcTable {
         ProcTable { slots: Vec::new() }
     }
 
-    pub(crate) fn insert(
-        &mut self,
-        parent: Option<Pid>,
-        app: AppId,
-        ws_lines: u64,
-        behavior: Box<dyn Behavior>,
-    ) -> Pid {
+    pub(crate) fn insert(&mut self, parent: Option<Pid>, app: AppId, ws_lines: u64) -> Pid {
         let pid = Pid(self.slots.len() as u32);
-        self.slots
-            .push(Pcb::new(pid, parent, app, ws_lines, behavior));
+        self.slots.push(Pcb::new(pid, parent, app, ws_lines));
         pid
     }
 
@@ -230,13 +215,12 @@ impl ProcTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::{Action, Script};
 
     #[test]
     fn table_assigns_sequential_pids() {
         let mut t = ProcTable::new();
-        let a = t.insert(None, AppId(0), 10, Box::new(Script::new(vec![])));
-        let b = t.insert(Some(a), AppId(0), 10, Box::new(Script::new(vec![])));
+        let a = t.insert(None, AppId(0), 10);
+        let b = t.insert(Some(a), AppId(0), 10);
         assert_eq!(a, Pid(0));
         assert_eq!(b, Pid(1));
         assert_eq!(t.len(), 2);
@@ -255,13 +239,7 @@ mod tests {
 
     #[test]
     fn new_pcb_is_ready_and_clean() {
-        let pcb = Pcb::new(
-            Pid(3),
-            None,
-            AppId(1),
-            64,
-            Box::new(Script::new(vec![Action::Exit])),
-        );
+        let pcb = Pcb::new(Pid(3), None, AppId(1), 64);
         assert_eq!(pcb.state, ProcState::Ready);
         assert_eq!(pcb.locks_held, 0);
         assert!(!pcb.pending_signal);

@@ -86,12 +86,11 @@ mod tests {
     use super::*;
     use crate::ids::AppId;
     use crate::pcb::ProcTable;
-    use crate::Script;
 
     fn table(n: u32) -> ProcTable {
         let mut t = ProcTable::new();
         for _ in 0..n {
-            t.insert(None, AppId(0), 1, Box::new(Script::new(vec![])));
+            t.insert(None, AppId(0), 1);
         }
         t
     }

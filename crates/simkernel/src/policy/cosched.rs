@@ -126,14 +126,13 @@ impl SchedPolicy for Coscheduling {
 mod tests {
     use super::*;
     use crate::pcb::ProcTable;
-    use crate::Script;
 
     /// Builds a ProcTable with `napps` apps of `per` processes each.
     fn table(napps: u32, per: u32) -> ProcTable {
         let mut t = ProcTable::new();
         for a in 0..napps {
             for _ in 0..per {
-                t.insert(None, AppId(a), 1, Box::new(Script::new(vec![])));
+                t.insert(None, AppId(a), 1);
             }
         }
         t

@@ -166,14 +166,13 @@ impl SchedPolicy for GroupPolicy {
 mod tests {
     use super::*;
     use crate::pcb::ProcTable;
-    use crate::Script;
 
     fn table() -> ProcTable {
         let mut t = ProcTable::new();
         // app0: pids 0,1 (gang); app1: pids 2,3 (normal).
         for a in 0..2u32 {
             for _ in 0..2 {
-                t.insert(None, AppId(a), 1, Box::new(Script::new(vec![])));
+                t.insert(None, AppId(a), 1);
             }
         }
         t

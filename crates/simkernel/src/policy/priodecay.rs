@@ -115,12 +115,7 @@ mod tests {
     fn table(n: u32) -> ProcTable {
         let mut t = ProcTable::new();
         for _ in 0..n {
-            t.insert(
-                None,
-                crate::ids::AppId(0),
-                1,
-                Box::new(crate::Script::new(vec![])),
-            );
+            t.insert(None, crate::ids::AppId(0), 1);
         }
         t
     }

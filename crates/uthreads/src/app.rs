@@ -85,7 +85,7 @@ impl ThreadsApp {
     /// A copy of the span records emitted so far (task pickup/finish,
     /// suspension enter/exit, queue-lock waits, control polls).
     pub fn spans(&self) -> Vec<crate::span::SpanRecord> {
-        self.shared.borrow().spans().to_vec()
+        self.shared.borrow().spans().copied().collect()
     }
 
     /// Poll-to-convergence latencies observed so far: how long after each

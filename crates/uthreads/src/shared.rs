@@ -15,7 +15,7 @@ use desim::{SimDur, SimTime};
 use procctl::ClientControl;
 use simkernel::{LockId, Pid};
 
-use crate::span::{SpanKind, SpanRecord};
+use crate::span::{SpanKind, SpanLog, SpanRecord};
 use crate::task::{Task, TaskEvent};
 
 /// Package-level counters, kept per application.
@@ -395,7 +395,7 @@ pub struct AppShared {
     pub(crate) cr: Option<CrSimState>,
     pub(crate) metrics: AppMetrics,
     /// Span events emitted by the workers (task/suspension/lock-wait/poll).
-    pub(crate) spans: Vec<SpanRecord>,
+    pub(crate) spans: SpanLog,
 }
 
 impl AppShared {
@@ -416,7 +416,7 @@ impl AppShared {
             poll_in_flight: false,
             control: None,
             metrics: AppMetrics::default(),
-            spans: Vec::new(),
+            spans: SpanLog::default(),
         }
     }
 
@@ -458,8 +458,8 @@ impl AppShared {
     }
 
     /// The span records emitted so far, oldest first.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
+    pub fn spans(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.spans.iter()
     }
 
     /// The configured worker count.

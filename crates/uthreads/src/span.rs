@@ -1,12 +1,14 @@
 //! Span events: what each worker was doing, and when.
 //!
 //! The workers append timestamped [`SpanRecord`]s to their application's
-//! log (a plain `Vec`, unbounded: the figure harnesses replay full
-//! histories) at the package's own state transitions — task pickup/finish, suspension
-//! enter/exit, queue-lock waits, and control polls. Harnesses read the log
-//! back to build Perfetto tracks and to measure the latency the paper's
-//! Figure 5 claim rests on: how long after a poll applies a new target does
-//! the application actually reach it ([`poll_to_convergence`]).
+//! log at the package's own state transitions — task pickup/finish,
+//! suspension enter/exit, queue-lock waits, and control polls. The log is
+//! unbounded (the figure harnesses replay full histories) and kept in
+//! fixed-size chunks, so it grows without ever copying a record: a Fig-4
+//! run appends ~125 k of them. Harnesses read the log back, in order, to
+//! build Perfetto tracks and to measure the latency the paper's Figure 5
+//! claim rests on: how long after a poll applies a new target does the
+//! application actually reach it ([`poll_to_convergence`]).
 
 use desim::{SimDur, SimTime};
 use simkernel::Pid;
@@ -60,6 +62,36 @@ pub struct SpanRecord {
     pub kind: SpanKind,
 }
 
+/// Records per chunk of a [`SpanLog`] (32 B each: 128 KiB a chunk).
+const CHUNK: usize = 4_096;
+
+/// An append-only log of span records in chunks of [`CHUNK`]: a full
+/// chunk is left where it is and a new one started, so an append never
+/// moves the records already logged.
+#[derive(Default)]
+pub(crate) struct SpanLog {
+    chunks: Vec<Vec<SpanRecord>>,
+}
+
+impl SpanLog {
+    /// Appends one record.
+    pub(crate) fn push(&mut self, record: SpanRecord) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(record),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(record);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    /// The records, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.chunks.iter().flatten()
+    }
+}
+
 /// Poll-to-convergence latencies: for each applied target that differed
 /// from the application's active worker count at that moment, how long the
 /// package took to actually reach it (by workers suspending or resuming at
@@ -67,7 +99,10 @@ pub struct SpanRecord {
 /// exactly the cases where the server moved the goalposts mid-adjustment.
 ///
 /// `initial_active` is the worker count at launch (`nprocs`).
-pub fn poll_to_convergence(records: &[SpanRecord], initial_active: u32) -> Vec<(SimTime, SimDur)> {
+pub fn poll_to_convergence<'a>(
+    records: impl IntoIterator<Item = &'a SpanRecord>,
+    initial_active: u32,
+) -> Vec<(SimTime, SimDur)> {
     let mut active = initial_active;
     let mut pending: Option<(SimTime, u32)> = None;
     let mut out = Vec::new();
@@ -102,7 +137,9 @@ pub fn poll_to_convergence(records: &[SpanRecord], initial_active: u32) -> Vec<(
 /// useful work). A worker resumed again before ever starting a task
 /// restarts its clock; a worker that never runs again contributes
 /// nothing.
-pub fn wake_to_run(records: &[SpanRecord]) -> Vec<(Pid, SimTime, SimDur)> {
+pub fn wake_to_run<'a>(
+    records: impl IntoIterator<Item = &'a SpanRecord>,
+) -> Vec<(Pid, SimTime, SimDur)> {
     let mut pending: std::collections::BTreeMap<u32, SimTime> = Default::default();
     let mut out = Vec::new();
     for r in records {
@@ -198,5 +235,21 @@ mod tests {
         assert_eq!(w[0].0, Pid(1));
         assert_eq!(w[0].2, SimDur::from_millis(50));
         assert_eq!(w[1].2, SimDur::from_millis(30));
+    }
+
+    #[test]
+    fn log_keeps_order_across_chunks_without_moving_a_chunk() {
+        let mut log = SpanLog::default();
+        let n = 2 * CHUNK + 3;
+        let mut first_chunk = None;
+        for i in 0..n {
+            log.push(prec(i as u64, 0, SpanKind::TaskStart));
+            let at = log.chunks[0].as_ptr();
+            assert_eq!(*first_chunk.get_or_insert(at), at, "a chunk moved");
+        }
+        assert_eq!(log.chunks.len(), 3);
+        assert!(log.chunks.iter().all(|c| c.capacity() == CHUNK));
+        let times: Vec<u64> = log.iter().map(|r| r.time.nanos() / 1_000_000).collect();
+        assert_eq!(times, (0..n as u64).collect::<Vec<_>>());
     }
 }
