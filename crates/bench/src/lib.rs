@@ -1,4 +1,4 @@
-//! `bench` — figure-reproduction harnesses and criterion benchmarks.
+//! `bench` — figure-reproduction harnesses.
 //!
 //! One binary per figure of the paper (`fig1`, `fig3`, `fig4`, `fig5`) and
 //! per ablation (`ablation_policies`, `ablation_poll`, `ablation_cache`,
@@ -8,19 +8,16 @@
 //! observability: a per-application cycle-breakdown table, a Perfetto
 //! trace, and a JSON report (see [`observe`]). The figure binaries accept
 //! `--json <path>` to also write their plotted series as JSON. The
-//! `pool_bench` binary (see [`poolbench`]) measures the native runtime's
-//! work-stealing pool against its central-queue baseline, and the
 //! `lock_bench` binary (see [`lockbench`]) measures the
 //! concurrency-restricting lock against its bare inner spinlock. The
-//! end-to-end benchmark, control-plane throughput included, is
-//! `bench_all` (`crates/bench-all`).
+//! end-to-end benchmark, native pool and control-plane throughput
+//! included, is `bench_all` (`crates/bench-all`).
 
 #![warn(missing_docs)]
 
 pub mod figures;
 pub mod lockbench;
 pub mod observe;
-pub mod poolbench;
 pub mod report;
 pub mod scenario;
 

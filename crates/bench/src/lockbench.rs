@@ -19,8 +19,6 @@ use std::time::{Duration, Instant};
 use metrics::{table, JsonValue};
 use native_rt::{AdaptiveConfig, CrConfig, CrLock, RawLock, RawSpin};
 
-use crate::poolbench::burn;
-
 /// Which lock build serves the threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockKind {
@@ -179,6 +177,16 @@ impl AnyLock {
             }
             AnyLock::Cr(l) => *l.lock(),
         }
+    }
+}
+
+/// Burns roughly `spins` iterations of untraceable arithmetic.
+#[inline]
+fn burn(spins: u64) {
+    let mut acc = 0u64;
+    for i in 0..spins {
+        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+        std::hint::black_box(acc);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Scenario drivers shared by the figure binaries and criterion benches.
+//! Scenario drivers shared by the figure binaries, the report and the tests.
 
 use desim::{SimDur, SimTime};
 use procctl::{DecisionLog, Server, ServerConfig, SweepRecord};

@@ -223,19 +223,6 @@ pub fn series_to_json(series: &[Series]) -> JsonValue {
     )
 }
 
-/// Converts a name→count map (e.g. a stats-registry snapshot's counters)
-/// into a JSON object, preserving the map's iteration order. Used by
-/// `pool_bench` to embed per-configuration scheduler counters in its
-/// report.
-pub fn counts_to_json<'a>(counts: impl IntoIterator<Item = (&'a str, u64)>) -> JsonValue {
-    JsonValue::Obj(
-        counts
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), JsonValue::uint(v)))
-            .collect(),
-    )
-}
-
 /// Parses a JSON document. Strict: rejects trailing garbage, unknown
 /// escapes, and malformed numbers. Used by tests to validate emitted
 /// traces and reports without an external dependency.
@@ -514,17 +501,6 @@ mod tests {
             _ => panic!("not an object"),
         }
         assert_eq!(v.get("a").and_then(JsonValue::as_num), Some(2.0));
-    }
-
-    #[test]
-    fn counts_to_json_preserves_order_and_values() {
-        let counts = [("steals", 3u64), ("jobs_run", 100), ("local_hits", 97)];
-        let j = counts_to_json(counts.iter().map(|&(k, v)| (k, v)));
-        assert_eq!(
-            j.render(),
-            "{\"steals\":3,\"jobs_run\":100,\"local_hits\":97}"
-        );
-        assert_eq!(j.get("jobs_run").and_then(JsonValue::as_num), Some(100.0));
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! The pre-work-stealing pool, kept as the measured baseline.
+//! The pre-work-stealing pool: one central queue.
 //!
 //! This is the central-queue design [`crate::Pool`] replaced: every
 //! submit and dequeue serializes through one `Mutex<VecDeque>` and a
-//! global condvar — the saturated-lock collapse `pool_bench` quantifies.
-//! It stays in-tree so the comparison is reproducible on any host
-//! (`pool_bench` runs every configuration on both engines). The two
-//! designs share the controller, the stats and one safe suspension point
-//! ([`crate::safepoint`]), so they differ only in queue discipline. Job
-//! timestamps are taken *before* the queue lock is acquired so the
-//! queue-wait histogram does not inflate the contention it measures.
+//! global condvar. It stays in-tree as the shape of an application that
+//! dequeues from one shared, lock-protected queue (optionally behind a
+//! [`CrGate`]), and as the second pool the suspend/resume tests run
+//! against. The two designs share the controller, the stats and one safe
+//! suspension point ([`crate::safepoint`]), so they differ only in queue
+//! discipline. Job timestamps are taken *before* the queue lock is
+//! acquired so the queue-wait histogram does not inflate the contention
+//! it measures.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -256,6 +257,29 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 200);
         assert_eq!(pool.metrics().jobs_run, 200);
         assert_eq!(pool.stats().histograms["queue_wait_ns"].count, 200);
+    }
+
+    #[test]
+    fn central_pool_runs_jobs_forked_inside_jobs() {
+        // A binary tree of 6 levels below one root: every job but the
+        // root is submitted from inside a running job.
+        fn spawn_tree(pool: &Arc<CentralPool>, depth: usize, done: &Arc<AtomicUsize>) {
+            let (p, d) = (Arc::clone(pool), Arc::clone(done));
+            pool.execute(move || {
+                d.fetch_add(1, Ordering::Relaxed);
+                if depth > 0 {
+                    spawn_tree(&p, depth - 1, &d);
+                    spawn_tree(&p, depth - 1, &d);
+                }
+            });
+        }
+        let c = Controller::new(2, Duration::from_millis(10));
+        let pool = Arc::new(CentralPool::new(&c, 2, false));
+        let counter = Arc::new(AtomicUsize::new(0));
+        spawn_tree(&pool, 6, &counter);
+        pool.wait_idle();
+        assert_eq!(counter.load(Ordering::Relaxed), 127);
+        assert_eq!(pool.metrics().jobs_run, 127);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! deque](deque), external submissions go through a [sharded
 //! injector](injector), and idle workers spin briefly before parking on
 //! private condvars. The central-queue design this replaced survives as
-//! [`baseline::CentralPool`] so `pool_bench` can measure the difference
-//! on any host.
+//! [`baseline::CentralPool`]: one shared queue is the shape a
+//! spin-protected dequeue needs, and it is the second pool the
+//! suspend/resume tests run against.
 //!
 //! For cross-process deployments the control plane is fault-tolerant:
 //! the [`UdsServer`] leases registrations and stamps replies with a boot

@@ -332,7 +332,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Per-counter increase since an `earlier` snapshot of the same
     /// registry (saturating, so a counter absent earlier reports its full
-    /// value) — what `pool_bench` uses to attribute one measurement
+    /// value) — what `bench_all` uses to attribute one measurement
     /// phase's jobs to the local/injector/steal acquisition paths.
     pub fn counters_delta(&self, earlier: &Snapshot) -> BTreeMap<String, u64> {
         self.counters
