@@ -5,7 +5,11 @@
 //! `Mutex<VecDeque>`:
 //!
 //! - each worker owns a lock-free deque and runs its own submissions
-//!   LIFO off the bottom (the `local_hits` fast path — no lock, no CAS);
+//!   LIFO off the bottom (the `local_hits` fast path — no lock, no CAS).
+//!   A fork writes its task once, straight into a box the worker kept
+//!   from a task it ran, and the worker runs the task in that box: once
+//!   the worker has spare boxes, a fork allocates nothing and copies no
+//!   task;
 //! - external [`Pool::execute`] calls land in a [sharded
 //!   injector](crate::injector) (the `injector_pops` path), unless the
 //!   caller *is* a worker of this pool, in which case the job goes
@@ -40,8 +44,9 @@
 //! first drains its own deque into the injector, so no submitted job is
 //! stranded behind a parked worker.
 
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::mem::{ManuallyDrop, MaybeUninit};
+use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -86,12 +91,15 @@ const fn fits_inline<F>() -> bool {
 type TakeFn = unsafe fn(*mut Inline, bool);
 
 /// A queued job: its closure — in the task itself when it fits
-/// [`Inline`], so an outside submission of a small closure allocates
-/// nothing and a fork allocates only the deque's `Box<Task>` — and,
-/// when it was chosen as a queue-wait sample, its submission instant
-/// with the number of jobs the sample stands for. The closure is taken
-/// exactly once: called by [`Task::run`], or dropped with a task that
-/// never ran.
+/// [`Inline`], a thin `Box<F>` otherwise — and, when it was chosen as a
+/// queue-wait sample, its submission instant with the number of jobs
+/// the sample stands for. A fork writes its task once, straight into
+/// the box its worker's deque queues ([`Local::fork`]); an outside
+/// submission is a task by value in the injector, so neither allocates
+/// for a small closure once the worker has spare boxes. Either way the
+/// worker runs the task where it lies ([`Task::run_in_place`]). The
+/// closure is taken exactly once: called there, or dropped with a task
+/// that never ran.
 struct Task {
     stamp: Option<(Instant, u64)>,
     take: TakeFn,
@@ -102,31 +110,62 @@ struct Task {
 const _: () = assert!(size_of::<Task>() == 64);
 
 impl Task {
-    fn new<F: FnOnce() + Send + 'static>(job: F, stamp: Option<(Instant, u64)>) -> Task {
-        let mut data = Inline(MaybeUninit::uninit());
-        let slot = data.0.as_mut_ptr();
-        let take: TakeFn = if fits_inline::<F>() {
-            // SAFETY: `fits_inline` checked that an `F` fits the
-            // storage's size and alignment; the storage is fresh.
-            unsafe { slot.cast::<F>().write(job) };
-            take::<F>
-        } else {
-            // SAFETY: a `Box` of a sized `F` is one pointer, which the
-            // storage holds at pointer alignment; the storage is fresh.
-            unsafe { slot.cast::<Box<F>>().write(Box::new(job)) };
-            take::<Box<F>>
-        };
-        Task { stamp, take, data }
+    /// Writes a task for `job` into `slot`, each field once and the
+    /// closure straight into `data` (or into a box of its own when it
+    /// does not fit [`Inline`]). Every field is initialised on return.
+    #[inline]
+    fn init<F: FnOnce() + Send + 'static>(
+        slot: &mut MaybeUninit<Task>,
+        job: F,
+        stamp: Option<(Instant, u64)>,
+    ) {
+        let task = slot.as_mut_ptr();
+        // SAFETY: every pointer is to a field of `slot`, which is valid
+        // for writes and aligned for a `Task`. `data` is at least as
+        // large and aligned as an `F` when `fits_inline` says so, and
+        // holds a `Box<F>` (one pointer, pointer-aligned) otherwise.
+        unsafe {
+            addr_of_mut!((*task).stamp).write(stamp);
+            let data = addr_of_mut!((*task).data);
+            if fits_inline::<F>() {
+                data.cast::<F>().write(job);
+                addr_of_mut!((*task).take).write(take::<F>);
+            } else {
+                data.cast::<Box<F>>().write(Box::new(job));
+                addr_of_mut!((*task).take).write(take::<Box<F>>);
+            }
+        }
     }
 
-    /// Runs the job. A panic unwinds out of here with the closure's
-    /// captures already dropped.
+    /// A task by value, for the injector.
+    fn new<F: FnOnce() + Send + 'static>(job: F, stamp: Option<(Instant, u64)>) -> Task {
+        let mut slot = MaybeUninit::uninit();
+        Task::init(&mut slot, job, stamp);
+        // SAFETY: `init` initialised every field.
+        unsafe { slot.assume_init() }
+    }
+
+    /// Runs the job of the task at `task` where it lies: `take` moves
+    /// the closure out of `data` once, at its own type, and calls it. A
+    /// panic unwinds out of here with the closure's captures already
+    /// dropped.
+    ///
+    /// # Safety
+    /// `task` points to an initialised task, spent once this returns or
+    /// unwinds: its storage may be reused, but not run or dropped again.
+    #[inline]
+    unsafe fn run_in_place(task: *mut Task) {
+        // SAFETY: by the caller's contract, `data` holds the closure
+        // `take` was minted for and nothing takes it after this call.
+        unsafe { ((*task).take)(addr_of_mut!((*task).data), true) }
+    }
+
+    /// Runs the job of a task held by value (the injector's).
     fn run(self) {
         let mut task = ManuallyDrop::new(self);
-        // SAFETY: `data` holds the closure `take` was minted for, and it
-        // was never taken: only this consuming call and `drop` take it,
-        // and `ManuallyDrop` keeps `drop` from running after this one.
-        unsafe { (task.take)(&mut task.data, true) }
+        // SAFETY: the task is initialised, and `ManuallyDrop` keeps
+        // `drop` from taking its closure again.
+        unsafe { Task::run_in_place(&mut *task) }
     }
 }
 
@@ -153,8 +192,123 @@ unsafe fn take<F: FnOnce()>(data: *mut Inline, call: bool) {
 
 /// The queue-wait stamp of the `nth` submission on one counter: the
 /// first and then every [`STAMP_EVERY`]-th, standing for that many jobs.
+#[inline]
 fn stamp(nth: u64) -> Option<(Instant, u64)> {
     (nth % STAMP_EVERY == 1).then(|| (Instant::now(), STAMP_EVERY))
+}
+
+/// Most spent task boxes a worker keeps for its next forks; it frees
+/// the box of a task it ran beyond this many. A binary tree of depth
+/// `d` run depth-first keeps at most `d + 2` boxes in use at once.
+const SPARE_BOXES: usize = 64;
+
+/// A worker's half of the local fast path, which [`Pool::execute`]
+/// reaches through `CURRENT_WORKER` from a job the worker runs: its
+/// deque, and the boxes of the tasks it ran, in which its next forks
+/// are built.
+struct Local {
+    worker: Worker<Task>,
+    /// Spent task boxes, at most [`SPARE_BOXES`] (the capacity reserved
+    /// up front). Only this worker's thread reaches them: `Local` is
+    /// neither `Sync` nor handed to another thread. The boxes are the
+    /// point: each is a task allocation kept for reuse, so `vec_box`'s
+    /// advice to store the values in the `Vec` does not apply.
+    #[allow(clippy::vec_box)]
+    spares: UnsafeCell<Vec<Box<MaybeUninit<Task>>>>,
+}
+
+impl Local {
+    fn new(worker: Worker<Task>) -> Local {
+        Local {
+            worker,
+            spares: UnsafeCell::new(Vec::with_capacity(SPARE_BOXES)),
+        }
+    }
+
+    /// Queues `job` on this worker's deque, its task written once in a
+    /// spare box, or in a fresh one when none is left.
+    #[inline]
+    fn fork<F: FnOnce() + Send + 'static>(&self, job: F, stamp: Option<(Instant, u64)>) {
+        // SAFETY: only this thread reaches `spares` (see the field), and
+        // no other reference into it is live: `recycle` is the one other
+        // user, and neither holds one past a statement that could call
+        // back into this pool.
+        let spare = unsafe { (*self.spares.get()).pop() };
+        let mut slot = spare.unwrap_or_else(|| Box::new(MaybeUninit::uninit()));
+        Task::init(&mut slot, job, stamp);
+        // SAFETY: `init` initialised every field, and `MaybeUninit<Task>`
+        // has `Task`'s layout, so this is the same allocation, typed.
+        let task = unsafe { Box::from_raw(Box::into_raw(slot).cast::<Task>()) };
+        self.worker.push(task);
+    }
+
+    /// Keeps the box of a spent task for a later fork, or frees it when
+    /// the spare list is full.
+    fn recycle(&self, slot: Box<MaybeUninit<Task>>) {
+        // SAFETY: as in `fork`; a push within the reserved capacity
+        // allocates nothing, and a full list drops `slot` afterwards.
+        let spares = unsafe { &mut *self.spares.get() };
+        if spares.len() < SPARE_BOXES {
+            spares.push(slot);
+        }
+    }
+}
+
+/// A task a worker acquired, where it lies. (`repr(u8)` gives it a tag
+/// byte of its own: the niche in `stamp` had the worker store 4 bytes
+/// of it and read them back as 8, a store-forwarding stall per job.)
+#[repr(u8)]
+enum Acquired {
+    /// Popped off this worker's deque or stolen from another's: it runs
+    /// in its box, which then goes to this worker's spares.
+    Boxed(Box<Task>),
+    /// Taken from the injector by value, onto the worker's stack.
+    Injected(Task),
+}
+
+impl Acquired {
+    fn stamp(&self) -> Option<(Instant, u64)> {
+        match self {
+            Acquired::Boxed(task) => task.stamp,
+            Acquired::Injected(task) => task.stamp,
+        }
+    }
+
+    /// Runs the job in place ([`Task::run_in_place`]). A boxed task's box
+    /// goes to `local`'s spares once the job returned or unwound.
+    #[inline]
+    fn run(self, local: &Local) {
+        match self {
+            Acquired::Boxed(task) => {
+                let spent = Spent {
+                    local,
+                    task: Box::into_raw(task),
+                };
+                // SAFETY: `spent.task` is the initialised task just taken
+                // out of its box, and `spent` only ever hands the box back
+                // as storage.
+                unsafe { Task::run_in_place(spent.task) }
+            }
+            Acquired::Injected(task) => task.run(),
+        }
+    }
+}
+
+/// The box of a task running in place, handed back to its worker's
+/// spares when the task is spent, whether its job returned or unwound.
+struct Spent<'a> {
+    local: &'a Local,
+    task: *mut Task,
+}
+
+impl Drop for Spent<'_> {
+    fn drop(&mut self) {
+        // SAFETY: `task` came from `Box::into_raw` (`Acquired::run`) and
+        // this guard is its only owner. The task is spent, so its box is
+        // uninitialised storage of the same layout.
+        let slot = unsafe { Box::from_raw(self.task.cast::<MaybeUninit<Task>>()) };
+        self.local.recycle(slot);
+    }
 }
 
 /// Pool counters, mirroring the simulated package's
@@ -310,13 +464,14 @@ impl SpinState {
 }
 
 thread_local! {
-    /// `(pool key, worker deque, worker index)` of the pool worker
+    /// `(pool key, worker's [`Local`], worker index)` of the pool worker
     /// running on this thread, if any — lets `execute` from inside a job
-    /// push to the submitting worker's own deque and count the spawn in
-    /// its own cells. The key is the address of the pool's shared state;
-    /// the worker's `Arc` keeps that address live (and unreusable) for
-    /// as long as the entry is set.
-    static CURRENT_WORKER: Cell<(usize, *const (), usize)> =
+    /// build its task in the submitting worker's own spare box, push it
+    /// to that worker's own deque and count the spawn in its own cells.
+    /// The key is the address of the pool's shared state; the worker's
+    /// `Arc` keeps that address live (and unreusable) for as long as the
+    /// entry is set.
+    static CURRENT_WORKER: Cell<(usize, *const Local, usize)> =
         const { Cell::new((0, std::ptr::null(), 0)) };
 }
 
@@ -324,9 +479,8 @@ thread_local! {
 struct TlsGuard;
 
 impl TlsGuard {
-    fn set(key: usize, worker: &Worker<Task>, index: usize) -> TlsGuard {
-        let worker = worker as *const Worker<Task> as *const ();
-        CURRENT_WORKER.with(|c| c.set((key, worker, index)));
+    fn set(key: usize, local: &Local, index: usize) -> TlsGuard {
+        CURRENT_WORKER.with(|c| c.set((key, local as *const Local, index)));
         TlsGuard
     }
 }
@@ -451,7 +605,8 @@ pub struct PoolConfig {
     pub topology: Option<Arc<CpuTopology>>,
     /// Per-worker flight-recorder ring capacity in events (rounded up
     /// to a power of two). `0` disables the recorder entirely — the
-    /// EXPERIMENTS.md overhead A/B baseline.
+    /// recorder-off arm of EXPERIMENTS.md's "Flight-recorder overhead
+    /// A/B" (frozen at 04b0ca1).
     pub trace_capacity: usize,
     /// Run every job under `catch_unwind` so a panicking job is counted
     /// (`jobs_panicked`) and the worker keeps running (default).
@@ -477,12 +632,12 @@ pub struct PoolConfig {
 /// Default flight-recorder ring capacity per worker ("always-on": large
 /// enough to hold a poll interval's worth of scheduling transitions,
 /// small enough that 8 workers cost ~50 KiB).
-pub const DEFAULT_TRACE_CAPACITY: usize = 256;
+const DEFAULT_TRACE_CAPACITY: usize = 256;
 
 impl PoolConfig {
     /// Defaults: spin-then-park idling, no pinning, detected topology,
-    /// flight recorder on at [`DEFAULT_TRACE_CAPACITY`], panic
-    /// isolation on, no watchdog.
+    /// flight recorder on at 256 events per worker, panic isolation on,
+    /// no watchdog.
     pub fn new(nworkers: usize) -> Self {
         PoolConfig {
             nworkers,
@@ -633,8 +788,12 @@ impl Pool {
     }
 
     /// Submits a job. Callers outside the pool go through the sharded
-    /// injector; a job submitting from inside a worker pushes onto that
-    /// worker's own deque (the fork-join fast path).
+    /// injector, which holds the task by value; a job submitting from
+    /// inside a worker pushes onto that worker's own deque (the
+    /// fork-join fast path), its task built in one of the worker's spare
+    /// boxes. A closure of at most four words and pointer alignment is
+    /// stored in the task itself, so neither path allocates for it once
+    /// the worker has spare boxes; a larger one is boxed on its own.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         let key = Arc::as_ptr(&self.shared) as usize;
         let (tls_key, tls_ptr, index) = CURRENT_WORKER.with(Cell::get);
@@ -644,11 +803,11 @@ impl Pool {
         // count doubles as the sampling tick.
         if tls_key == key {
             let nth = self.shared.quiesce.cells(index).count_spawn();
-            let task = Box::new(Task::new(job, stamp(nth)));
             // SAFETY: the entry was set by this thread's own worker_loop
-            // for this pool; the Worker lives (pinned) in that frame
+            // for this pool; the `Local` lives (pinned) in that frame
             // until the loop returns, which clears the entry first.
-            unsafe { (*(tls_ptr as *const Worker<Task>)).push(task) };
+            let local = unsafe { &*tls_ptr };
+            local.fork(job, stamp(nth));
         } else {
             let nth = self.shared.quiesce.submit_external();
             self.shared.injector.push(Task::new(job, stamp(nth)));
@@ -745,10 +904,16 @@ impl Drop for Pool {
 }
 
 /// Wakes one idle-parked worker, if any (producer side).
+#[inline]
 fn wake_one(sh: &PoolShared) {
-    if sh.nsleepers.load(Ordering::SeqCst) == 0 {
-        return;
+    if sh.nsleepers.load(Ordering::SeqCst) != 0 {
+        wake_sleeper(sh);
     }
+}
+
+/// [`wake_one`] past its no-sleeper fast path: pops one parked worker,
+/// if one is still listed, and signals it.
+fn wake_sleeper(sh: &PoolShared) {
     let slot = {
         let mut sleepers = sh.sleepers.lock();
         let s = sleepers.pop();
@@ -775,12 +940,12 @@ fn find_shared_task(
     index: usize,
     rings: &VictimRings,
     rng: &mut u64,
-) -> Option<Task> {
+) -> Option<Acquired> {
     if let Some(t) = injector_pop(sh, index) {
         sh.quiesce.cells(index).count_injector_pop();
-        return Some(t);
+        return Some(Acquired::Injected(t));
     }
-    steal_task(sh, index, rings, rng)
+    steal_task(sh, index, rings, rng).map(Acquired::Boxed)
 }
 
 /// The injector leg of [`find_task`], routed through the CR gate when
@@ -896,7 +1061,12 @@ fn apply_affinity(sh: &PoolShared, rings: &VictimRings, was_narrow: bool) -> boo
 /// load — with exponential backoff between sweeps while CAS races
 /// persist. Suspended victims are skipped outright: their deques were
 /// drained before they parked.
-fn steal_task(sh: &PoolShared, index: usize, rings: &VictimRings, rng: &mut u64) -> Option<Task> {
+fn steal_task(
+    sh: &PoolShared,
+    index: usize,
+    rings: &VictimRings,
+    rng: &mut u64,
+) -> Option<Box<Task>> {
     if sh.stealers.len() <= 1 {
         return None;
     }
@@ -920,7 +1090,7 @@ fn steal_task(sh: &PoolShared, index: usize, rings: &VictimRings, rng: &mut u64)
                         cells.count_steal();
                         sh.steal_tier_hits[tier].incr();
                         sh.recorder.record(index, EventKind::Steal, tier as u32);
-                        return Some(*t);
+                        return Some(t);
                     }
                     Steal::Retry => {
                         cells.count_steal_fail();
@@ -942,9 +1112,9 @@ fn steal_task(sh: &PoolShared, index: usize, rings: &VictimRings, rng: &mut u64)
 
 /// Empties a suspending worker's deque into the injector so its queued
 /// jobs stay runnable while it is parked.
-fn drain_local(sh: &PoolShared, worker: &Worker<Task>) {
+fn drain_local(sh: &PoolShared, local: &Local) {
     let mut drained = false;
-    while let Some(t) = worker.pop() {
+    while let Some(t) = local.worker.pop() {
         sh.injector.push(*t);
         drained = true;
     }
@@ -1206,7 +1376,8 @@ fn respawn_dead_workers(sh: &Arc<PoolShared>) {
 }
 
 fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
-    let _tls = TlsGuard::set(Arc::as_ptr(sh) as usize, &worker, index);
+    let local = Local::new(worker);
+    let _tls = TlsGuard::set(Arc::as_ptr(sh) as usize, &local, index);
     let cells = sh.quiesce.cells(index);
     let mut death = DeathWatch {
         sh,
@@ -1265,7 +1436,7 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
             // stranded behind a suspended worker. Only then raise
             // the suspended flag — stealers may skip a flagged
             // victim only while its deque is provably empty.
-            drain_local(sh, &worker);
+            drain_local(sh, &local);
             sh.suspended_flags[index].store(true, Ordering::Release);
             let suspended_at = Instant::now();
             cells.mark(quiesce::SUSPENDED);
@@ -1304,10 +1475,10 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
             }
         }
         // --- Acquire and run. ---
-        let task = match worker.pop() {
+        let task = match local.worker.pop() {
             Some(t) => {
                 cells.count_local_hit();
-                Some(*t)
+                Some(Acquired::Boxed(t))
             }
             None => {
                 // Leaving the local-deque fast path is where a finished
@@ -1329,7 +1500,8 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                 // burst's first pickup. Mid-burst pickups of unstamped
                 // tasks — 31 in 32, forked or from outside — read none.
                 let opens_burst = burst_jobs == 0;
-                if task.stamp.is_some()
+                let stamp = task.stamp();
+                if stamp.is_some()
                     || opens_burst
                     || pending_wake.is_some()
                     || pending_suspend.is_some()
@@ -1338,7 +1510,7 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                     // submission time, before the producer touched a
                     // shard).
                     let now = Instant::now();
-                    let wait = task.stamp.map(|(submitted, weight)| {
+                    let wait = stamp.map(|(submitted, weight)| {
                         let wait = now.duration_since(submitted);
                         sh.queue_wait.record_n(wait.as_nanos() as u64, weight);
                         wait
@@ -1375,13 +1547,14 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                         // `PoolConfig::isolate_panics`): the pool's own
                         // invariants hold either way, and shared state a
                         // job mutates is the job author's contract.
-                        let caught =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run()));
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            task.run(&local);
+                        }));
                         if caught.is_err() {
                             sh.jobs_panicked.incr();
                         }
                     } else {
-                        task.run();
+                        task.run(&local);
                     }
                 }
             }
@@ -2085,6 +2258,181 @@ mod tests {
         let pool = Arc::into_inner(pool).expect("the root dropped its handle");
         drop(pool);
         assert_eq!(Arc::strong_count(&probe), 1);
+    }
+
+    /// Addresses of the calling worker's spare boxes; empty off a worker.
+    fn spare_addrs() -> Vec<usize> {
+        let (key, local, _) = CURRENT_WORKER.with(Cell::get);
+        if key == 0 {
+            return Vec::new();
+        }
+        // SAFETY: as in `Pool::execute`: the entry names this thread's own
+        // live `Local`, and nothing else touches its spares while this
+        // job runs.
+        let spares = unsafe { &*(*local).spares.get() };
+        spares.iter().map(|b| &**b as *const _ as usize).collect()
+    }
+
+    #[test]
+    fn a_panicking_forked_job_drops_its_captures_once_and_its_box_is_reused() {
+        let c = controller(1);
+        let pool = Arc::new(Pool::new(&c, 1, false)); // isolate_panics defaults on
+        let drops = Arc::new(AtomicUsize::new(0));
+        let d = DropCount(Arc::clone(&drops));
+        let p = Arc::clone(&pool);
+        pool.execute(move || {
+            p.execute(move || {
+                let _d = &d;
+                panic!("forked job panics");
+            });
+        });
+        pool.wait_idle();
+        assert_eq!(pool.metrics().jobs_panicked, 1);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(Arc::strong_count(&drops), 1, "the panicked job leaked");
+        // The panicked task's box is the worker's one spare (the root came
+        // from outside, by value). The next fork is built in it: the
+        // spare is gone while the fork runs, and back once it is spent.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (p, s) = (Arc::clone(&pool), Arc::clone(&seen));
+        pool.execute(move || {
+            s.lock().push(spare_addrs());
+            let s2 = Arc::clone(&s);
+            p.execute(move || s2.lock().push(spare_addrs()));
+            s.lock().push(spare_addrs());
+        });
+        pool.wait_idle();
+        let s = Arc::clone(&seen);
+        pool.execute(move || s.lock().push(spare_addrs()));
+        pool.wait_idle();
+        let seen = seen.lock();
+        let [before, after_fork, in_fork, after] = &seen[..] else {
+            panic!("four samples expected: {seen:?}");
+        };
+        assert_eq!(before.len(), 1, "the panicked job's box was not kept");
+        assert!(after_fork.is_empty() && in_fork.is_empty(), "{seen:?}");
+        assert_eq!(after, before, "the fork ran in the panicked job's box");
+    }
+
+    #[test]
+    fn large_and_overaligned_forks_run_and_drop_their_captures_once() {
+        #[repr(align(16))]
+        struct Aligned(u64);
+        let c = controller(1);
+        let pool = Arc::new(Pool::new(&c, 1, false));
+        let (ran, drops) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        // One root per round: rounds 2 and 3 build their forks in the
+        // boxes the rounds before them left spare.
+        for round in 0..3 {
+            let (p, r, d) = (Arc::clone(&pool), Arc::clone(&ran), Arc::clone(&drops));
+            pool.execute(move || {
+                let (r1, d1, wide) = (Arc::clone(&r), DropCount(Arc::clone(&d)), [1u64; 4]);
+                let large = move || {
+                    let _d = &d1;
+                    r1.fetch_add(wide.iter().sum::<u64>() as usize, Ordering::Relaxed);
+                };
+                let (r2, d2, aligned) = (r, DropCount(Arc::clone(&d)), Aligned(10));
+                let overaligned = move || {
+                    let (_d, whole) = (&d2, aligned);
+                    r2.fetch_add(whole.0 as usize, Ordering::Relaxed);
+                };
+                assert!(!stored_inline(&large) && !stored_inline(&overaligned));
+                p.execute(large);
+                p.execute(overaligned);
+                if round == 1 {
+                    let d3 = DropCount(d);
+                    p.execute(move || {
+                        let _d = (&d3, wide);
+                        panic!("a boxed closure panics on the local path");
+                    });
+                }
+            });
+            pool.wait_idle();
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 3 * 14);
+        assert_eq!(drops.load(Ordering::Relaxed), 7);
+        assert_eq!(pool.metrics().jobs_panicked, 1);
+        assert_eq!(pool.metrics().local_hits, 7);
+        assert_eq!(Arc::strong_count(&ran), 1);
+        assert_eq!(Arc::strong_count(&drops), 1);
+    }
+
+    #[test]
+    fn a_pool_dropped_with_forked_tasks_queued_drops_each_capture_once() {
+        #[repr(align(16))]
+        struct Aligned(u64);
+        let c = controller(1);
+        let pool = Arc::new(Pool::new(&c, 1, false));
+        // Four forks that run leave four spare boxes behind.
+        let p = Arc::clone(&pool);
+        pool.execute(move || {
+            for _ in 0..4 {
+                p.execute(|| {});
+            }
+        });
+        pool.wait_idle();
+        let (ran, drops) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let shared = Arc::clone(&pool.shared);
+        let (forked_tx, forked) = std::sync::mpsc::channel();
+        let (p, r, d) = (Arc::clone(&pool), Arc::clone(&ran), Arc::clone(&drops));
+        // Nine forks, three of each kind: four in spare boxes, five in
+        // fresh ones. The worker then holds on until the pool shuts down,
+        // so none of them runs.
+        pool.execute(move || {
+            for _ in 0..3 {
+                let (r1, d1) = (Arc::clone(&r), DropCount(Arc::clone(&d)));
+                p.execute(move || drop((r1.fetch_add(1, Ordering::Relaxed), d1)));
+                let (r2, d2, wide) = (Arc::clone(&r), DropCount(Arc::clone(&d)), [1u64; 4]);
+                p.execute(move || drop((r2.fetch_add(1, Ordering::Relaxed), d2, wide)));
+                let (r3, d3, aligned) = (Arc::clone(&r), DropCount(Arc::clone(&d)), Aligned(1));
+                p.execute(move || {
+                    let (_d, whole) = (&d3, aligned);
+                    r3.fetch_add(whole.0 as usize, Ordering::Relaxed);
+                });
+            }
+            drop((p, r, d));
+            forked_tx.send(spare_addrs().len()).expect("test alive");
+            while !shared.shutdown.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert_eq!(forked.recv().expect("the root ran"), 0, "spares unused");
+        let pool = Arc::into_inner(pool).expect("the root dropped its handle");
+        drop(pool);
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "a queued fork ran");
+        assert_eq!(drops.load(Ordering::Relaxed), 9);
+        assert_eq!(Arc::strong_count(&ran), 1);
+        assert_eq!(Arc::strong_count(&drops), 1);
+    }
+
+    #[test]
+    #[ignore] // microbenchmark, not an assertion: `cargo test --release -- --ignored micro_ --nocapture`
+    fn micro_fork_join_cost() {
+        fn tree(pool: &'static Pool, depth: u32) {
+            if depth > 0 {
+                for _ in 0..2 {
+                    pool.execute(move || tree(pool, depth - 1));
+                }
+            }
+        }
+        let c = controller(1);
+        // Leaked so that a job can capture it as a plain reference; its
+        // one worker stays parked until the test process exits.
+        let pool: &'static Pool = Box::leak(Box::new(Pool::new(&c, 1, false)));
+        const DEPTH: u32 = 16;
+        let jobs = (1u32 << (DEPTH + 1)) - 1;
+        tree(pool, 10); // warm-up: the spare boxes and the deque's buffer
+        pool.wait_idle();
+        let best = (0..7)
+            .map(|_| {
+                let start = Instant::now();
+                pool.execute(move || tree(pool, DEPTH));
+                pool.wait_idle();
+                start.elapsed() / jobs
+            })
+            .min()
+            .expect("seven rounds");
+        println!("fork + run of an empty job (1 worker, min of 7 rounds of {jobs}): {best:?}/job");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | SL005 | a `seqcst` Dekker atomic whose non-test sites have only one half of the store-load handshake at SeqCst (one-sided downgrade) |
 //! | SL010 | a cycle in the cross-function lock-order graph (potential deadlock) |
 //! | SL011 | nested acquisition of the same lock name in one function (self-deadlock with non-reentrant `parking_lot` locks) |
-//! | SL020 | a blocking call (sleep/park/UDS I/O/foreign condvar wait) while a `MutexGuard` is live on *some* path of the [`cfg`] region tree — the static analogue of the paper's preempted-lock-holder pathology |
+//! | SL020 | a blocking call (sleep/park/UDS I/O/foreign condvar wait) while a `MutexGuard` is live on *some* path of the [`cfg`](mod@cfg) region tree — the static analogue of the paper's preempted-lock-holder pathology |
 //! | SL030 | a counter registered in `native_rt::stats` with no increment site, or missing from the DESIGN.md catalog; a dynamic registration with no `sched-counters` annotation |
 //! | SL031 | a `sched-counter-exits(a\|b)`-annotated function with an exit path (early return, `?`, fall-through) that increments none of the named counters |
 //! | SL040 | an `unsafe` block/impl/fn with no `// SAFETY:` comment |
@@ -29,7 +29,7 @@
 //! There is no `syn` in the offline build environment, so the analyzer
 //! runs on its own minimal lexer ([`lexer`]) and token-pattern matching
 //! — the same in-tree-substitute policy as `shims/*`. The lock rules
-//! (SL010/SL011/SL020) and SL031 run on the [`cfg`] region tree built
+//! (SL010/SL011/SL020) and SL031 run on the [`cfg`](mod@cfg) region tree built
 //! over that token model. The blind spots this buys (macro-generated
 //! code, aliased names, cross-crate dataflow) are listed in DESIGN.md
 //! §11. A finding has no exception mechanism: it is fixed at its

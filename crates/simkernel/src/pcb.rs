@@ -113,9 +113,10 @@ pub struct ProcAccounting {
     /// Processor time consumed by context-switch costs on this process's
     /// behalf (charged to the incoming process at dispatch).
     pub switch_time: SimDur,
-    /// Wall-clock time spent suspended in [`ProcState::SigWait`]. This is
-    /// *not* processor time — a suspended process occupies no processor —
-    /// so it sits outside the per-processor cycle conservation sum.
+    /// Wall-clock time spent suspended, waiting for the resume signal.
+    /// This is *not* processor time — a suspended process occupies no
+    /// processor — so it sits outside the per-processor cycle
+    /// conservation sum.
     pub suspended: SimDur,
 }
 
