@@ -1,144 +1,20 @@
-//! A fault-injecting Unix-socket proxy for chaos-testing the control
-//! plane.
+//! Seeded fault injection.
 //!
-//! The proxy sits between a [`crate::UdsClient`] and a
-//! [`crate::UdsServer`], forwarding request lines upstream untouched and
-//! applying seeded, deterministic faults to the reply stream:
+//! [`JobChaos`] wraps pool jobs so a deterministic fraction panic or
+//! stall in place. That is what the pool's panic isolation
+//! (`jobs_panicked` conservation) and stall watchdog (`stalls_detected`,
+//! `Stall`/`Recovered` trace events) are tested against.
 //!
-//! - **drop** — swallow a reply line (the client waits, then times out);
-//! - **delay** — hold a reply for a fixed duration before forwarding;
-//! - **truncate** — forward half a reply with no newline, then sever the
-//!   connection (a torn frame);
-//! - **garble** — overwrite the reply's payload bytes (a corrupt frame,
-//!   still newline-terminated);
-//! - **disconnect** — sever the connection between replies.
-//!
-//! The whole proxy can also be [paused](ChaosProxy::pause), freezing both
-//! directions — the "wedged but alive" server that only client-side
-//! timeouts and server-side leases can defend against.
-//!
-//! All randomness comes from one seeded xorshift per connection
-//! (`seed ^ connection-index`), so a given configuration replays the same
-//! fault schedule every run — chaos tests stay deterministic. Injected
-//! faults are counted in a [`Registry`] readable via
-//! [`ChaosProxy::stats`].
-//!
-//! Wire faults exercise the *control* plane; [`JobChaos`] extends the
-//! same seeded-schedule idea to the *data* plane, wrapping pool jobs so
-//! a deterministic fraction panic or stall in place. That is what the
-//! pool's panic isolation (`jobs_panicked` conservation) and stall
-//! watchdog (`stalls_detected`, `Stall`/`Recovered` trace events) are
-//! tested against.
-//!
-//! This is a test-support module: the CI `chaos` lane drives it with a
-//! fixed seed (see `crates/native-rt/tests/chaos.rs`).
+//! The control plane gets the same seeded-schedule idea without a
+//! socket: the tests below run a simulation of the whole control loop —
+//! several clients' cores against one server core, restarts through the
+//! snapshot, over a link that drops, delays, tears, garbles and severs
+//! replies and wedges the server, all drawn from one seed — and check the
+//! paper's safety argument at every step. CI's `chaos` lane sweeps 10 000
+//! seeds (`cargo test --release -p native-rt --lib -- --ignored
+//! sweep_control_loop --nocapture`).
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crate::stats::{Registry, Snapshot};
-
-/// Proxy tuning: where to listen, where to forward, and the fault mix.
-///
-/// Probabilities are per reply line and evaluated in the order
-/// disconnect → drop → truncate → garble → delay; their sum should stay
-/// ≤ 1.0 (the remainder is clean forwarding).
-#[derive(Clone, Debug)]
-pub struct ChaosConfig {
-    /// Socket path the proxy listens on (clients connect here).
-    pub listen: PathBuf,
-    /// Socket path of the real server.
-    pub upstream: PathBuf,
-    /// RNG seed; a fixed seed replays the same fault schedule.
-    pub seed: u64,
-    /// Probability of severing the connection instead of forwarding.
-    pub disconnect_prob: f64,
-    /// Probability of swallowing a reply line.
-    pub drop_prob: f64,
-    /// Probability of forwarding a torn (half, unterminated) reply and
-    /// then severing the connection.
-    pub truncate_prob: f64,
-    /// Probability of corrupting a reply's payload bytes.
-    pub garble_prob: f64,
-    /// Probability of delaying a reply by [`ChaosConfig::delay`].
-    pub delay_prob: f64,
-    /// How long a delayed reply is held.
-    pub delay: Duration,
-}
-
-impl ChaosConfig {
-    /// A clean pass-through proxy (all fault probabilities zero).
-    pub fn passthrough(
-        listen: impl Into<PathBuf>,
-        upstream: impl Into<PathBuf>,
-        seed: u64,
-    ) -> Self {
-        ChaosConfig {
-            listen: listen.into(),
-            upstream: upstream.into(),
-            seed,
-            disconnect_prob: 0.0,
-            drop_prob: 0.0,
-            truncate_prob: 0.0,
-            garble_prob: 0.0,
-            delay_prob: 0.0,
-            delay: Duration::from_millis(50),
-        }
-    }
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-fn unit(state: &mut u64) -> f64 {
-    (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// What the fault schedule decided for one reply line.
-enum Fault {
-    Forward,
-    Disconnect,
-    Drop,
-    Truncate,
-    Garble,
-    Delay,
-}
-
-fn pick_fault(cfg: &ChaosConfig, rng: &mut u64) -> Fault {
-    let r = unit(rng);
-    let mut edge = cfg.disconnect_prob;
-    if r < edge {
-        return Fault::Disconnect;
-    }
-    edge += cfg.drop_prob;
-    if r < edge {
-        return Fault::Drop;
-    }
-    edge += cfg.truncate_prob;
-    if r < edge {
-        return Fault::Truncate;
-    }
-    edge += cfg.garble_prob;
-    if r < edge {
-        return Fault::Garble;
-    }
-    edge += cfg.delay_prob;
-    if r < edge {
-        return Fault::Delay;
-    }
-    Fault::Forward
-}
 
 /// What [`JobChaos`] decided for one wrapped job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,8 +32,8 @@ pub enum JobFault {
 /// Seeded generator of misbehaving pool jobs.
 ///
 /// Wraps ordinary closures so a deterministic fraction panic or stall
-/// in place, with the same replay guarantee as the wire proxy: one
-/// xorshift stream per instance, schedule a pure function of the seed.
+/// in place: one xorshift stream per instance, so the schedule is a pure
+/// function of the seed.
 /// The caller reads [`JobChaos::injected`] afterwards to know exactly
 /// how many faults of each kind went in, which is what conservation
 /// assertions (`submitted == jobs_run + jobs_panicked`) check against.
@@ -188,7 +64,7 @@ impl JobChaos {
 
     /// Draws the next fault from the schedule and tallies it.
     pub fn next_fault(&mut self) -> JobFault {
-        let r = unit(&mut self.rng);
+        let r = crate::unit(&mut self.rng);
         if r < self.panic_prob {
             self.panics += 1;
             JobFault::Panic
@@ -226,328 +102,20 @@ impl JobChaos {
     }
 }
 
-/// The running fault-injection proxy. Dropping it stops the listener,
-/// severs every proxied connection, and removes the listen socket.
-pub struct ChaosProxy {
-    listen_path: PathBuf,
-    // sched-atomic(handoff): Release store in Drop publishes the
-    // tear-down decision before the listener socket is unlinked; pump
-    // threads' Acquire loads pair with it.
-    stop: Arc<AtomicBool>,
-    // sched-atomic(handoff): pause()/resume() publish with Release; the
-    // pump loop's Acquire load pairs with it.
-    paused: Arc<AtomicBool>,
-    registry: Arc<Registry>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl ChaosProxy {
-    /// Binds the listen socket and starts proxying to the upstream path.
-    /// The upstream server does not need to be up yet (each client
-    /// connection dials upstream on arrival, and fails that client if
-    /// nobody answers).
-    pub fn start(cfg: ChaosConfig) -> io::Result<Self> {
-        let listen_path = cfg.listen.clone();
-        let _ = std::fs::remove_file(&cfg.listen);
-        let listener = UnixListener::bind(&cfg.listen)?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let paused = Arc::new(AtomicBool::new(false));
-        let registry = Arc::new(Registry::new());
-        for name in [
-            "connections",
-            "upstream_failures",
-            "forwards",
-            "disconnects",
-            "drops",
-            "truncates",
-            "garbles",
-            "delays",
-        ] {
-            // sched-counters: connections upstream_failures forwards disconnects drops truncates garbles delays
-            registry.counter(name);
-        }
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let paused = Arc::clone(&paused);
-            let registry = Arc::clone(&registry);
-            std::thread::Builder::new()
-                .name("chaos-proxy-accept".into())
-                .spawn(move || {
-                    let mut pumps: Vec<JoinHandle<()>> = Vec::new();
-                    let mut conn_index: u64 = 0;
-                    while !stop.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((client, _)) => {
-                                conn_index += 1;
-                                registry.counter("connections").incr();
-                                let upstream = match UnixStream::connect(&cfg.upstream) {
-                                    Ok(s) => s,
-                                    Err(_) => {
-                                        registry.counter("upstream_failures").incr();
-                                        // Dropping `client` gives the real
-                                        // client an immediate EOF.
-                                        continue;
-                                    }
-                                };
-                                spawn_pumps(
-                                    &mut pumps, client, upstream, &cfg, conn_index, &stop, &paused,
-                                    &registry,
-                                );
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(10));
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    for p in pumps {
-                        let _ = p.join();
-                    }
-                })
-                .expect("spawn chaos accept thread")
-        };
-        Ok(ChaosProxy {
-            listen_path,
-            stop,
-            paused,
-            registry,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The path clients should connect to.
-    pub fn path(&self) -> &Path {
-        &self.listen_path
-    }
-
-    /// Freezes both directions: requests and replies are held (not
-    /// dropped) until [`ChaosProxy::resume`] — the wedged-server
-    /// simulation.
-    pub fn pause(&self) {
-        self.paused.store(true, Ordering::Release);
-    }
-
-    /// Thaws a [`ChaosProxy::pause`]; held lines flow again.
-    pub fn resume(&self) {
-        self.paused.store(false, Ordering::Release);
-    }
-
-    /// Counts of injected faults and proxied connections so far.
-    pub fn stats(&self) -> Snapshot {
-        self.registry.snapshot()
-    }
-}
-
-impl Drop for ChaosProxy {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let _ = std::fs::remove_file(&self.listen_path);
-    }
-}
-
-/// Severs both halves of a proxied connection.
-fn sever(a: &UnixStream, b: &UnixStream) {
-    let _ = a.shutdown(std::net::Shutdown::Both);
-    let _ = b.shutdown(std::net::Shutdown::Both);
-}
-
-/// Blocks while the proxy is paused; false when stopping.
-fn wait_unpaused(stop: &AtomicBool, paused: &AtomicBool) -> bool {
-    while paused.load(Ordering::Acquire) {
-        if stop.load(Ordering::Acquire) {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    !stop.load(Ordering::Acquire)
-}
-
-/// Reads one line, treating read timeouts as "check the stop flag and
-/// keep waiting". Returns `None` on EOF, any hard error, or shutdown.
-fn read_line_interruptible(
-    reader: &mut BufReader<UnixStream>,
-    line: &mut String,
-    stop: &AtomicBool,
-) -> Option<usize> {
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return None;
-        }
-        line.clear();
-        match reader.read_line(line) {
-            Ok(0) => return None,
-            Ok(n) => return Some(n),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return None,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_pumps(
-    pumps: &mut Vec<JoinHandle<()>>,
-    client: UnixStream,
-    upstream: UnixStream,
-    cfg: &ChaosConfig,
-    conn_index: u64,
-    stop: &Arc<AtomicBool>,
-    paused: &Arc<AtomicBool>,
-    registry: &Arc<Registry>,
-) {
-    let _ = client.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = upstream.set_read_timeout(Some(Duration::from_millis(50)));
-
-    // Request pump: client → server, faithful pass-through (requests are
-    // the client's own words; the chaos budget is spent on replies).
-    {
-        let (client, upstream) = (
-            client.try_clone().expect("clone client"),
-            upstream.try_clone().expect("clone upstream"),
-        );
-        let (stop, paused) = (Arc::clone(stop), Arc::clone(paused));
-        pumps.push(
-            std::thread::Builder::new()
-                .name("chaos-proxy-up".into())
-                .spawn(move || {
-                    let mut writer = upstream.try_clone().expect("clone upstream writer");
-                    let mut reader = BufReader::new(client.try_clone().expect("clone client"));
-                    let mut line = String::new();
-                    while read_line_interruptible(&mut reader, &mut line, &stop).is_some() {
-                        if !wait_unpaused(&stop, &paused) {
-                            break;
-                        }
-                        if writer.write_all(line.as_bytes()).is_err() {
-                            break;
-                        }
-                    }
-                    sever(&client, &upstream);
-                })
-                .expect("spawn up pump"),
-        );
-    }
-
-    // Reply pump: server → client, with the fault schedule applied.
-    {
-        let cfg = cfg.clone();
-        let (stop, paused) = (Arc::clone(stop), Arc::clone(paused));
-        let registry = Arc::clone(registry);
-        let mut rng = cfg.seed ^ conn_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        pumps.push(
-            std::thread::Builder::new()
-                .name("chaos-proxy-down".into())
-                .spawn(move || {
-                    let mut writer = client.try_clone().expect("clone client writer");
-                    let mut reader = BufReader::new(upstream.try_clone().expect("clone upstream"));
-                    let mut line = String::new();
-                    while read_line_interruptible(&mut reader, &mut line, &stop).is_some() {
-                        if !wait_unpaused(&stop, &paused) {
-                            break;
-                        }
-                        match pick_fault(&cfg, &mut rng) {
-                            Fault::Forward => {
-                                registry.counter("forwards").incr();
-                                if writer.write_all(line.as_bytes()).is_err() {
-                                    break;
-                                }
-                            }
-                            Fault::Disconnect => {
-                                registry.counter("disconnects").incr();
-                                break;
-                            }
-                            Fault::Drop => {
-                                registry.counter("drops").incr();
-                            }
-                            Fault::Truncate => {
-                                registry.counter("truncates").incr();
-                                let torn = &line.as_bytes()[..line.len() / 2];
-                                let _ = writer.write_all(torn);
-                                break;
-                            }
-                            Fault::Garble => {
-                                registry.counter("garbles").incr();
-                                // Corrupt the payload but keep it valid
-                                // UTF-8 and newline-terminated: the parser
-                                // must answer, not crash or stall.
-                                let garbled: String = line
-                                    .trim_end()
-                                    .chars()
-                                    .map(|c| if c.is_whitespace() { c } else { '#' })
-                                    .collect();
-                                if writer.write_all(format!("{garbled}\n").as_bytes()).is_err() {
-                                    break;
-                                }
-                            }
-                            Fault::Delay => {
-                                registry.counter("delays").incr();
-                                std::thread::sleep(cfg.delay);
-                                if writer.write_all(line.as_bytes()).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    sever(&client, &upstream);
-                })
-                .expect("spawn down pump"),
-        );
-    }
-}
-
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::uds::{UdsClient, UdsServer};
-    use crate::UdsServerConfig;
+    use std::cmp::Reverse;
+    use std::collections::{BTreeMap, BinaryHeap};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::time::Instant;
 
-    fn paths(tag: &str) -> (PathBuf, PathBuf) {
-        let base = std::env::temp_dir();
-        let pid = std::process::id();
-        (
-            base.join(format!("chaos-{pid}-{tag}-proxy.sock")),
-            base.join(format!("chaos-{pid}-{tag}-server.sock")),
-        )
-    }
-
-    #[test]
-    fn passthrough_proxy_is_transparent() {
-        let (listen, upstream) = paths("clean");
-        let _server = UdsServer::start(UdsServerConfig::new(&upstream, 8)).expect("server");
-        let _proxy =
-            ChaosProxy::start(ChaosConfig::passthrough(&listen, &upstream, 1)).expect("proxy");
-        let mut c = UdsClient::register(&listen, 16).expect("client via proxy");
-        assert_eq!(c.poll().expect("poll"), 8);
-        c.bye().expect("bye");
-    }
-
-    #[test]
-    fn fault_schedule_is_deterministic_per_seed() {
-        let mut a = 42u64;
-        let mut b = 42u64;
-        let cfg = ChaosConfig {
-            drop_prob: 0.3,
-            garble_prob: 0.3,
-            ..ChaosConfig::passthrough("/x", "/y", 42)
-        };
-        for _ in 0..100 {
-            let fa = pick_fault(&cfg, &mut a);
-            let fb = pick_fault(&cfg, &mut b);
-            assert_eq!(
-                std::mem::discriminant(&fa),
-                std::mem::discriminant(&fb),
-                "same seed must give the same schedule"
-            );
-        }
-        assert_eq!(a, b);
-    }
+    use crate::control::{ControlCore, UdsServerConfig};
+    use crate::snapshot::ServerSnapshot;
+    use crate::stats::{Counter, Registry};
+    use crate::supervise::{Action, ClientCore, Event, SupervisorConfig, Target};
+    use crate::uds::complete_line;
 
     #[test]
     fn job_chaos_schedule_is_deterministic_and_tallied() {
@@ -575,26 +143,653 @@ mod tests {
         assert!(ran.load(Ordering::Acquire));
     }
 
+    // The control loop under seeded faults: client cores against one
+    // server core on virtual time, over a link that severs, drops, tears,
+    // garbles and delays replies, with server restarts and wedges and
+    // silent clients. Every run is a pure function of its seed, and a
+    // broken invariant names the seed.
+
+    const fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    const LEASE: Duration = ms(400);
+    /// Under half the I/O timeout, as the shell keeps it.
+    const HOLD: Duration = ms(60);
+    const IO_TIMEOUT: Duration = ms(150);
+    /// A degraded client's next round is this far off, or when its
+    /// backoff (10 ms doubling to 80) runs out, if later.
+    const ROUND: Duration = ms(50);
+    /// Every fault ends by here. `CONVERGE` later every client publishes
+    /// the server's target: one unanswered request's timeout, a full
+    /// backoff, a degraded round and some link latency, with room to spare.
+    const FAULTS_END: Duration = ms(1500);
+    const CONVERGE: Duration = ms(500);
+    /// A pid that only ever REPORTs: its line stays unclaimed.
+    const STRAY: u32 = 999;
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Rng {
+            Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            crate::xorshift(&mut self.0) % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            crate::unit(&mut self.0)
+        }
+
+        fn time(&mut self, lo: Duration, hi: Duration) -> Duration {
+            lo + (hi - lo).mul_f64(self.unit())
+        }
+    }
+
+    /// What a run does besides what its clients decide.
+    #[derive(Clone)]
+    struct Plan {
+        cpus: usize,
+        weighted: bool,
+        /// Each client's worker count, and whether it polls the `cpus` form.
+        clients: Vec<(u32, bool)>,
+        /// Odds per reply, tried in turn: sever, drop, tear and sever,
+        /// garble, delay.
+        odds: [f64; 5],
+        /// Server deaths: when, down for how long, snapshot first or not.
+        restarts: Vec<(Duration, Duration, bool)>,
+        /// Spans in which the server does nothing.
+        wedges: Vec<(Duration, Duration)>,
+        /// Spans in which a client asks nothing: `(client, from, until)`.
+        silences: Vec<(usize, Duration, Duration)>,
+        /// When the stray pid reports.
+        strays: Vec<Duration>,
+    }
+
+    impl Plan {
+        fn drawn(seed: u64) -> Plan {
+            let mut r = Rng::new(seed);
+            let n = 2 + r.below(3) as usize;
+            let span = |r: &mut Rng, most| {
+                let at = r.time(ms(0), ms(1200));
+                (at, (at + r.time(ms(50), most)).min(FAULTS_END))
+            };
+            Plan {
+                cpus: 1 + r.below(8) as usize,
+                weighted: r.below(2) == 0,
+                clients: (0..n)
+                    .map(|_| (1 + r.below(8) as u32, r.below(2) == 0))
+                    .collect(),
+                odds: [(); 5].map(|()| 0.08 * r.unit()),
+                // One restart at most in each 600 ms slot: none overlap.
+                restarts: (0..r.below(3))
+                    .map(|i| {
+                        let at = r.time(ms(100 + 600 * i), ms(600 + 600 * i));
+                        (at, r.time(ms(0), ms(100)), r.below(2) == 0)
+                    })
+                    .collect(),
+                wedges: (0..r.below(2)).map(|_| span(&mut r, ms(300))).collect(),
+                silences: (0..r.below(3))
+                    .map(|_| {
+                        let (from, until) = span(&mut r, ms(800));
+                        (r.below(n as u64) as usize, from, until)
+                    })
+                    .collect(),
+                strays: (0..r.below(3)).map(|_| r.time(ms(0), FAULTS_END)).collect(),
+            }
+        }
+
+        /// `n` plain clients of 8 workers on 4 processors, nothing wrong.
+        fn quiet(n: usize) -> Plan {
+            Plan {
+                cpus: 4,
+                weighted: false,
+                clients: vec![(8, false); n],
+                odds: [0.0; 5],
+                restarts: Vec::new(),
+                wedges: Vec::new(),
+                silences: Vec::new(),
+                strays: Vec::new(),
+            }
+        }
+    }
+
+    enum Ev {
+        /// A client's application asks for its next round.
+        Wake(usize),
+        ToServer(u64, String),
+        /// Reply bytes reach a client; `None` is the connection ending.
+        ToClient(usize, u64, Option<String>),
+        /// A client's I/O timeout for one request.
+        Timeout(usize, u64),
+        /// The server's next lease or hold deadline.
+        Timer,
+        /// The server dies, snapshotting first or not.
+        Kill(bool),
+        Boot,
+        Stray,
+    }
+
+    struct Client {
+        pid: u32,
+        nworkers: u32,
+        cpus: bool,
+        core: ClientCore,
+        registry: Registry,
+        recovered: Counter,
+        recovered_seen: u64,
+        conn: Option<u64>,
+        /// The request awaiting its reply.
+        awaiting: Option<u64>,
+        /// This round starts with a REPORT.
+        reporting: bool,
+        /// A REGISTER went out on this connection.
+        registered_here: bool,
+        retry_at: Duration,
+        published: Option<Target>,
+        healthy: Vec<u32>,
+        /// The epochs this client has moved off.
+        left: Vec<u64>,
+    }
+
+    struct Sim {
+        seed: u64,
+        plan: Plan,
+        rng: Rng,
+        base: Instant,
+        t: Duration,
+        queue: BinaryHeap<Reverse<(Duration, usize)>>,
+        events: Vec<Option<Ev>>,
+        server: Option<ControlCore>,
+        snapshot: Option<ServerSnapshot>,
+        /// The server's open connections, each with its client.
+        live: BTreeMap<u64, usize>,
+        ids: u64,
+        timer_at: Option<Duration>,
+        /// When the stray pid's unclaimed report first arrived.
+        stray_since: Option<Duration>,
+        clients: Vec<Client>,
+    }
+
+    impl Sim {
+        fn new(seed: u64, plan: Plan) -> Sim {
+            let mut rng = Rng::new(!seed);
+            let mut clients = Vec::new();
+            for (i, &(nworkers, cpus)) in plan.clients.iter().enumerate() {
+                let mut cfg = SupervisorConfig::new("sim", nworkers);
+                cfg.backoff_initial = ms(10);
+                cfg.backoff_max = ms(80);
+                cfg.seed = rng.below(u64::MAX);
+                let (pid, registry) = (1000 + i as u32, Registry::new());
+                clients.push(Client {
+                    core: ClientCore::new(pid, &cfg, &registry),
+                    recovered: registry.counter("restarts_recovered"),
+                    registry,
+                    pid,
+                    nworkers,
+                    cpus,
+                    recovered_seen: 0,
+                    conn: None,
+                    awaiting: None,
+                    reporting: false,
+                    registered_here: false,
+                    retry_at: Duration::ZERO,
+                    published: None,
+                    healthy: Vec::new(),
+                    left: Vec::new(),
+                });
+            }
+            let mut sim = Sim {
+                seed,
+                plan,
+                rng,
+                base: Instant::now(),
+                t: Duration::ZERO,
+                queue: BinaryHeap::new(),
+                events: Vec::new(),
+                server: None,
+                snapshot: None,
+                live: BTreeMap::new(),
+                ids: 0,
+                timer_at: None,
+                stray_since: None,
+                clients,
+            };
+            sim.boot();
+            sim
+        }
+
+        fn now(&self) -> Instant {
+            self.base + self.t
+        }
+
+        fn at(&mut self, t: Duration, ev: Ev) {
+            self.queue.push(Reverse((t, self.events.len())));
+            self.events.push(Some(ev));
+        }
+
+        /// `ev` after one link latency, plus `extra`.
+        fn later(&mut self, extra: Duration, ev: Ev) {
+            let latency = self.rng.time(Duration::from_micros(100), ms(2));
+            self.at(self.t + latency + extra, ev);
+        }
+
+        #[track_caller]
+        fn check(&self, ok: bool, what: impl FnOnce() -> String) {
+            assert!(ok, "seed {} at {:?}: {}", self.seed, self.t, what());
+        }
+
+        fn wedged_until(&self) -> Option<Duration> {
+            let t = self.t;
+            self.plan
+                .wedges
+                .iter()
+                .find(|w| w.0 <= t && t < w.1)
+                .map(|w| w.1)
+        }
+
+        /// Runs the plan to its end and checks every client converged.
+        fn run(mut self) -> Sim {
+            for c in 0..self.clients.len() {
+                let at = self.rng.time(ms(0), ms(20));
+                self.at(at, Ev::Wake(c));
+            }
+            for (at, down, snapshot) in self.plan.restarts.clone() {
+                self.at(at, Ev::Kill(snapshot));
+                self.at(at + down, Ev::Boot);
+            }
+            for at in self.plan.strays.clone() {
+                self.at(at, Ev::Stray);
+            }
+            let end = FAULTS_END + CONVERGE;
+            while let Some(&Reverse((t, id))) = self.queue.peek() {
+                if t > end {
+                    break;
+                }
+                self.queue.pop();
+                self.t = t;
+                self.check(id < 100_000, || "the run does not settle".into());
+                let ev = self.events[id].take().expect("each event runs once");
+                self.step(ev);
+            }
+            self.t = end;
+            let now = self.now();
+            let server = self.server.as_mut().expect("up at the end");
+            let assigned: Vec<(u32, u32, Vec<u32>)> = server
+                .assignments(now)
+                .map(|(pid, t, cpus)| (pid, t, cpus.collect()))
+                .collect();
+            for (c, client) in self.clients.iter().enumerate() {
+                let want = assigned
+                    .iter()
+                    .find(|a| a.0 == client.pid)
+                    .map(|(_, t, cpus)| (*t, client.cpus.then(|| cpus.clone())));
+                self.check(want.is_some(), || format!("client {c} ends unregistered"));
+                self.check(client.published == want, || {
+                    format!("client {c} published {:?}, not {want:?}", client.published)
+                });
+            }
+            self
+        }
+
+        fn step(&mut self, ev: Ev) {
+            let t = self.t;
+            match ev {
+                Ev::Wake(c) => {
+                    let silent = self
+                        .plan
+                        .silences
+                        .iter()
+                        .find(|s| s.0 == c && s.1 <= t && t < s.2);
+                    if let Some(&(_, _, until)) = silent {
+                        self.at(until, Ev::Wake(c));
+                    } else if t < FAULTS_END && self.rng.below(5) == 0 {
+                        let line = format!("jobs_run={}", self.rng.below(1000));
+                        self.clients[c].reporting = true;
+                        self.feed(c, Event::Report(&line));
+                    } else {
+                        self.poll(c);
+                    }
+                }
+                Ev::ToServer(conn, frame) => match self.wedged_until() {
+                    Some(until) => self.at(until, Ev::ToServer(conn, frame)),
+                    None if self.live.contains_key(&conn) => self.wakeup(|server, now, out| {
+                        server.frame(conn, frame.trim_end().as_bytes(), now, |reply| {
+                            out.push((conn, reply.to_string()))
+                        });
+                    }),
+                    None => {} // on a connection the server lost
+                },
+                Ev::ToClient(c, conn, raw) => {
+                    let client = &mut self.clients[c];
+                    if client.conn == Some(conn) && client.awaiting.take().is_some() {
+                        let event = match raw.as_deref().map(complete_line) {
+                            Some(Ok(line)) => Event::Reply(line),
+                            _ => Event::Eof,
+                        };
+                        self.feed(c, event);
+                    }
+                }
+                Ev::Timeout(c, request) => {
+                    if self.clients[c].awaiting == Some(request) {
+                        self.clients[c].awaiting = None;
+                        self.feed(c, Event::Timeout);
+                    }
+                }
+                Ev::Timer if self.timer_at == Some(t) => {
+                    self.timer_at = self.wedged_until();
+                    match self.timer_at {
+                        Some(until) => self.at(until, Ev::Timer),
+                        None => self.wakeup(|_, _, _| {}),
+                    }
+                }
+                Ev::Timer => {}
+                Ev::Kill(snapshot) => {
+                    let server = self.server.take().expect("restarts do not overlap");
+                    self.snapshot = snapshot.then(|| server.to_snapshot(self.base + t));
+                    // Its connections end; a client waiting on one hears so.
+                    for (conn, c) in std::mem::take(&mut self.live) {
+                        if self.clients[c].conn == Some(conn) {
+                            self.later(Duration::ZERO, Ev::ToClient(c, conn, None));
+                        }
+                    }
+                    (self.timer_at, self.stray_since) = (None, None);
+                }
+                Ev::Boot => self.boot(),
+                Ev::Stray if self.server.is_some() && self.wedged_until().is_none() => {
+                    self.stray_since = self.stray_since.or(Some(t));
+                    let frame = format!("REPORT {STRAY} jobs_run={}", self.rng.below(1000));
+                    self.wakeup(|server, now, _| {
+                        server.frame(0, frame.as_bytes(), now, |_| {});
+                    });
+                }
+                Ev::Stray => {}
+            }
+        }
+
+        /// A server comes up under an epoch drawn from the seed — at, above
+        /// or below any before it — restoring its predecessor's snapshot.
+        fn boot(&mut self) {
+            let mut cfg = UdsServerConfig::new("sim", self.plan.cpus);
+            cfg.lease_ttl = LEASE;
+            cfg.prune_dead = false;
+            cfg.weighted = self.plan.weighted;
+            cfg.journal_cap = 0;
+            let mut server = ControlCore::new(cfg, self.rng.below(u64::MAX) | 1);
+            if let Some(snap) = self.snapshot.take() {
+                server.restore(&snap, self.now());
+                let (epoch, was) = (server.epoch(), snap.epoch);
+                self.check(epoch > was, || {
+                    format!("restored at epoch {epoch}, from {was}")
+                });
+            }
+            self.server = Some(server);
+            self.wakeup(|_, _, _| {});
+        }
+
+        fn poll(&mut self, c: usize) {
+            let cpus = self.clients[c].cpus;
+            self.feed(c, Event::Poll { cpus, hold: HOLD });
+        }
+
+        /// Hands `event` to client `c`, carries out what it asks, and
+        /// checks the client's invariants.
+        fn feed(&mut self, c: usize, event: Event<'_>) {
+            let (from, now) = (self.clients[c].core.epoch(), self.now());
+            self.clients[c].core.on(now, event);
+            while let Some(action) = self.clients[c].core.next_action() {
+                self.act(c, action);
+            }
+            let client = &self.clients[c];
+            let to = client.core.epoch();
+            if let Some(from) = from.filter(|&e| to != Some(e)) {
+                let back = to.is_some_and(|e| client.left.contains(&e));
+                self.check(!back, || format!("client {c} went back to epoch {to:?}"));
+                self.clients[c].left.push(from);
+            }
+            let client = &mut self.clients[c];
+            let seen = std::mem::replace(&mut client.recovered_seen, client.recovered.get());
+            let bad = seen != client.recovered_seen && client.registered_here;
+            self.check(!bad, || {
+                format!("client {c} registered, then called it recovered")
+            });
+            let client = &mut self.clients[c];
+            if client.reporting && client.awaiting.is_none() {
+                client.reporting = false;
+                self.poll(c);
+            }
+        }
+
+        fn act(&mut self, c: usize, action: Action) {
+            match action {
+                Action::Connect => {
+                    let conn = self.server.as_ref().map(|_| {
+                        self.ids += 1;
+                        self.live.insert(self.ids, c);
+                        self.ids
+                    });
+                    (self.clients[c].conn, self.clients[c].registered_here) = (conn, false);
+                    let event = conn.map_or(Event::ConnectFailed, |_| Event::Connected);
+                    let now = self.now();
+                    self.clients[c].core.on(now, event);
+                }
+                Action::Send(frame) => {
+                    self.ids += 1;
+                    let client = &mut self.clients[c];
+                    client.registered_here |= frame.starts_with("REGISTER");
+                    client.awaiting = Some(self.ids);
+                    let conn = client.conn.expect("a frame goes out on a connection");
+                    if self.live.contains_key(&conn) {
+                        self.later(Duration::ZERO, Ev::ToServer(conn, frame));
+                        self.at(self.t + IO_TIMEOUT, Ev::Timeout(c, self.ids));
+                    } else {
+                        self.later(Duration::ZERO, Ev::ToClient(c, conn, None));
+                    }
+                }
+                Action::Close => {
+                    let conn = self.clients[c].conn.take();
+                    if let Some(conn) = conn.filter(|conn| self.live.remove(conn).is_some()) {
+                        self.server.as_mut().expect("live").hang_up(conn);
+                    }
+                }
+                Action::WaitUntil(at) => self.clients[c].retry_at = at - self.base,
+                Action::Publish(target) => {
+                    let n = self.clients[c].nworkers;
+                    let t = target.as_ref().map_or(n, |t| t.0);
+                    self.check((1..=n).contains(&t), || {
+                        format!("client {c} of {n} got {t}")
+                    });
+                    let next = match target {
+                        Some(_) => self.t + self.rng.time(ms(0), ms(10)),
+                        None => (self.t + ROUND).max(self.clients[c].retry_at),
+                    };
+                    if target.is_some() {
+                        self.clients[c].healthy.push(t);
+                    }
+                    self.clients[c].published = target;
+                    self.at(next, Ev::Wake(c));
+                }
+            }
+        }
+
+        /// One server wakeup in the reactor's order — expire, the frame,
+        /// release — with the server's invariants checked around it and
+        /// its replies put on the link.
+        fn wakeup(&mut self, op: impl FnOnce(&mut ControlCore, Instant, &mut Vec<(u64, String)>)) {
+            let now = self.now();
+            let mut server = self.server.take().expect("a wakeup of a live server");
+            let before = server.registrations(now);
+            server.expire(now);
+            for &(pid, _, seen, _) in &server.registrations(now) {
+                self.check(seen + LEASE > now, || {
+                    format!("pid {pid} outlived its lease")
+                });
+            }
+            let mut out = Vec::new();
+            op(&mut server, now, &mut out);
+            server.release(now, |conn, reply| out.push((conn, reply.to_string())));
+            let after = server.registrations(now);
+            for &(pid, _, seen, _) in &before {
+                let early = seen + LEASE > now && !after.iter().any(|a| a.0 == pid);
+                self.check(!early, || {
+                    format!("pid {pid} left before its lease ran out")
+                });
+            }
+            let cap = self.plan.cpus.max(after.len()) as u32;
+            let sum: u32 = after.iter().map(|a| a.3).sum();
+            self.check(sum <= cap, || {
+                format!("{after:?} overcommit {cap} processors")
+            });
+            for &(pid, n, _, t) in &after {
+                self.check((1..=n).contains(&t), || format!("pid {pid} of {n} got {t}"));
+            }
+            if let Some(since) = self.stray_since {
+                let (kept, due) = (server.has_report(STRAY), since + LEASE);
+                self.check(kept == (self.t < due), || {
+                    format!("kept {kept}, due {due:?}")
+                });
+                self.stray_since = self.stray_since.filter(|_| kept);
+            }
+            if let Some(at) = server.next_deadline().map(|at| at - self.base) {
+                if self.timer_at.map_or(true, |t| at < t) {
+                    self.timer_at = Some(at);
+                    self.at(at, Ev::Timer);
+                }
+            }
+            self.server = Some(server);
+            for (conn, reply) in out {
+                self.deliver(conn, reply);
+            }
+        }
+
+        /// Puts one reply on the link, which may sever, drop, tear,
+        /// garble or delay it.
+        fn deliver(&mut self, conn: u64, reply: String) {
+            let Some(&c) = self.live.get(&conn) else {
+                return;
+            };
+            let (roll, mut edge) = (self.rng.unit(), 0.0);
+            let odds = self.plan.odds.iter().position(|p| {
+                edge += p;
+                roll < edge
+            });
+            let raw = match odds.filter(|_| self.t < FAULTS_END) {
+                None => Some(reply),
+                Some(0) => None,
+                Some(1) => return,
+                Some(2) => Some(reply[..reply.len() / 2].to_string()),
+                Some(3) => Some(
+                    reply
+                        .chars()
+                        .map(|ch| if ch.is_whitespace() { ch } else { '#' })
+                        .collect(),
+                ),
+                Some(_) => {
+                    let delay = self.rng.time(ms(20), ms(200));
+                    return self.later(delay, Ev::ToClient(c, conn, Some(reply)));
+                }
+            };
+            if raw.as_ref().map_or(true, |r| !r.ends_with('\n')) {
+                self.live.remove(&conn);
+                self.server.as_mut().expect("live").hang_up(conn);
+            }
+            self.later(Duration::ZERO, Ev::ToClient(c, conn, raw));
+        }
+
+        fn counter(&self, c: usize, name: &str) -> u64 {
+            self.clients[c].registry.snapshot().counters[name]
+        }
+    }
+
+    fn run_seeds(seeds: std::ops::Range<u64>) {
+        for seed in seeds {
+            Sim::new(seed, Plan::drawn(seed)).run();
+        }
+    }
+
     #[test]
-    fn paused_proxy_wedges_then_releases() {
-        let (listen, upstream) = paths("pause");
-        let _server = UdsServer::start(UdsServerConfig::new(&upstream, 4)).expect("server");
-        let proxy =
-            ChaosProxy::start(ChaosConfig::passthrough(&listen, &upstream, 7)).expect("proxy");
-        let mut c = UdsClient::register_with_timeout(&listen, 4, Duration::from_millis(150))
-            .expect("client");
-        proxy.pause();
+    fn control_loop_holds_its_invariants_under_seeded_faults() {
+        run_seeds(0..256);
+    }
+
+    /// CI's chaos lane: `cargo test --release -p native-rt --lib --
+    /// --ignored sweep_control_loop --nocapture`.
+    #[test]
+    #[ignore]
+    fn sweep_control_loop_invariants() {
+        const SEEDS: u64 = 10_000;
         let started = Instant::now();
-        assert!(
-            c.poll().is_err(),
-            "poll through a wedged proxy must time out"
-        );
-        assert!(started.elapsed() >= Duration::from_millis(100));
-        proxy.resume();
-        // The held request eventually flows; drain until a fresh poll
-        // succeeds on a new connection (this one's stream offset may be
-        // torn by the timed-out read).
-        let mut c2 = UdsClient::register(&listen, 4).expect("fresh client");
-        assert_eq!(c2.poll().expect("poll after resume"), 4);
+        std::thread::scope(|s| {
+            s.spawn(|| run_seeds(SEEDS / 2..SEEDS));
+            run_seeds(0..SEEDS / 2);
+        });
+        let took = started.elapsed().as_secs_f64();
+        println!("control-loop sweep: {SEEDS} seeds in {took:.2} s");
+    }
+
+    #[test]
+    fn fault_schedule_is_deterministic_per_seed() {
+        // What every client heard: its healthy targets and the epochs it
+        // moved off, in order.
+        let heard = |seed| {
+            let sim = Sim::new(seed, Plan::drawn(seed)).run();
+            let heard = sim.clients.into_iter().map(|c| (c.healthy, c.left));
+            heard.collect::<Vec<_>>()
+        };
+        let runs: Vec<_> = (0..8).map(heard).collect();
+        assert_eq!(runs, (0..8).map(heard).collect::<Vec<_>>());
+        assert!(runs.windows(2).all(|w| w[0] != w[1]));
+    }
+
+    /// Torn and corrupted replies never wedge a client: it keeps
+    /// publishing targets through the noise, and counts each bad reply.
+    #[test]
+    fn client_survives_truncated_and_garbled_frames() {
+        for seed in 0..16 {
+            let mut plan = Plan::quiet(2);
+            plan.odds = [0.0, 0.10, 0.15, 0.15, 0.0];
+            let sim = Sim::new(seed, plan).run();
+            for c in 0..2 {
+                assert!(sim.clients[c].healthy.len() >= 10, "seed {seed}");
+                assert!(sim.counter(c, "poll_errors") >= 1, "seed {seed}");
+            }
+        }
+    }
+
+    /// After a cold restart each client is on the new epoch, having
+    /// reconnected and registered again.
+    #[test]
+    fn restart_bumps_epoch_and_client_re_registers() {
+        for seed in 0..16 {
+            let mut plan = Plan::quiet(3);
+            plan.restarts = vec![(ms(600), ms(30), false)];
+            let sim = Sim::new(seed, plan).run();
+            for c in 0..3 {
+                assert_eq!(sim.clients[c].left.len(), 1, "seed {seed}");
+                assert_eq!(
+                    sim.clients[c].core.last_restart(),
+                    Some(crate::RestartKind::Cold)
+                );
+                for name in ["reconnects", "epoch_changes", "restarts_cold"] {
+                    assert_eq!(sim.counter(c, name), 1, "seed {seed}: {name}");
+                }
+            }
+        }
+    }
+
+    /// A client that stops asking loses its registration one lease after
+    /// it was last heard (the invariants check the instant), and the other
+    /// client's share grows back to the whole machine until it returns.
+    #[test]
+    fn wedged_client_lease_expires_and_share_returns() {
+        for seed in 0..16 {
+            let mut plan = Plan::quiet(2);
+            plan.silences = vec![(0, ms(300), ms(1300))];
+            let heard = Sim::new(seed, plan).run().clients.remove(1).healthy;
+            assert!(heard.contains(&4), "seed {seed}: {heard:?}");
+            assert_eq!(heard.last(), Some(&2), "seed {seed}: shared again");
+        }
     }
 }

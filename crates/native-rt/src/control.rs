@@ -1289,3 +1289,22 @@ fn handle_line_into(
     }
     None
 }
+
+#[cfg(test)]
+impl ControlCore {
+    /// Every registration as `(pid, nworkers, last_seen, target)`, in
+    /// partition order: what the control-loop simulation checks.
+    pub(crate) fn registrations(&mut self, now: Instant) -> Vec<(u32, u32, Instant, u32)> {
+        self.refresh_targets(now);
+        self.apps
+            .iter()
+            .zip(&self.targets)
+            .map(|(a, &t)| (a.pid, a.nworkers, a.last_seen, t))
+            .collect()
+    }
+
+    /// Whether a REPORT line is stored for `pid`.
+    pub(crate) fn has_report(&self, pid: u32) -> bool {
+        self.reports.contains_key(&pid)
+    }
+}

@@ -19,9 +19,11 @@
 //! For cross-process deployments the control plane is fault-tolerant:
 //! the [`UdsServer`] leases registrations and stamps replies with a boot
 //! epoch, the [`SupervisedClient`] reconnects with backoff and falls
-//! back to degraded (uncontrolled) targets while the server is away, and
-//! the [`chaos`] proxy injects deterministic wire faults so all of it is
-//! testable. See DESIGN.md §"Failure modes & recovery".
+//! back to degraded (uncontrolled) targets while the server is away. The
+//! client's decisions are a core with no socket and no clock, so a seeded
+//! simulation of the whole control loop (in [`chaos`]'s tests) checks them
+//! under wire faults and server restarts. See DESIGN.md §"Failure modes &
+//! recovery".
 //!
 //! # Examples
 //!
@@ -70,7 +72,7 @@ mod uds;
 
 pub use baseline::CentralPool;
 #[cfg(unix)]
-pub use chaos::{ChaosConfig, ChaosProxy, JobChaos, JobFault};
+pub use chaos::{JobChaos, JobFault};
 pub use control::{
     ControlCore, ServerEngine, UdsServerConfig, DEFAULT_JOURNAL_CAP, DEFAULT_LEASE_TTL,
     DEFAULT_TRACE_MAX,
@@ -92,4 +94,23 @@ pub use supervise::{PollerGuard, RestartKind, SupervisedClient, SupervisorConfig
 pub use topology::{CpuRecord, CpuTopology, NUM_STEAL_TIERS, STEAL_TIER_NAMES};
 pub use trace::{EventKind, FlightRecorder, SpscRing, TraceEvent};
 #[cfg(unix)]
-pub use uds::{AppStatsEntry, EventsReply, PollReply, UdsClient, UdsServer, DEFAULT_IO_TIMEOUT};
+pub use uds::{AppStatsEntry, UdsClient, UdsServer, DEFAULT_IO_TIMEOUT};
+
+/// One step of xorshift64 — the crate's one seeded generator: the pool's
+/// steal-victim start, the client's backoff jitter and [`JobChaos`]'s
+/// fault schedule. The state is forced odd first, so a zero seed cannot
+/// pin it at zero.
+pub(crate) fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state | 1;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
+/// The next draw of [`xorshift`] as a float in [0, 1).
+#[cfg(unix)]
+pub(crate) fn unit(state: &mut u64) -> f64 {
+    (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64
+}

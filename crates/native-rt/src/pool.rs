@@ -976,15 +976,6 @@ fn injector_pop(sh: &PoolShared, index: usize) -> Option<Task> {
     popped
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// One worker's view of the others as steal victims, grouped by CPU
 /// distance and tagged with the [`TargetSlot::cpus_generation`] it was
 /// derived from (stale rings are rebuilt at the next safe point).
@@ -1078,7 +1069,7 @@ fn steal_task(
             if ring.is_empty() {
                 continue;
             }
-            let start = (xorshift(rng) as usize) % ring.len();
+            let start = (crate::xorshift(rng) as usize) % ring.len();
             for off in 0..ring.len() {
                 let victim = ring[(start + off) % ring.len()];
                 if sh.suspended_flags[victim].load(Ordering::Acquire) {

@@ -89,12 +89,11 @@
 //!   file: if a live server answers, startup fails with `AddrInUse`;
 //!   if nothing is listening, the stale file (a previous crash) is
 //!   reclaimed.
-//! - **Client timeouts.** [`UdsClient::register`] arms read *and* write
-//!   timeouts on the stream, so even the unsupervised client can never
-//!   hang indefinitely on a wedged server. Applications use
-//!   [`crate::SupervisedClient`], which wraps it with reconnect,
-//!   backoff, degraded-mode fallback and the background poller; the
-//!   bare client serves monitors and tests.
+//! - **Client timeouts.** [`UdsClient::connect`] arms read *and* write
+//!   timeouts on the stream, so no client can hang indefinitely on a
+//!   wedged server. Applications use [`crate::SupervisedClient`], which
+//!   adds registration, reconnect, backoff, degraded-mode fallback and
+//!   the background poller; the bare client serves monitors.
 //!
 //! The server additionally prunes registered applications whose processes
 //! have died without a BYE (checked against `/proc`), and can optionally
@@ -302,7 +301,7 @@ impl Drop for UdsServer {
 
 /// A decoded reply to `POLL`, in any of its forms.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PollReply {
+pub(crate) enum PollReply {
     /// A live target, stamped with the server's boot epoch.
     Target {
         /// Desired number of unsuspended workers.
@@ -318,29 +317,9 @@ pub enum PollReply {
     Unregistered,
 }
 
-impl PollReply {
-    /// The `(target, epoch, cpus)` of a live reply, or a typed
-    /// [`io::ErrorKind::NotConnected`] error for `Unregistered` — so
-    /// tests and chaos drills can assert on the unexpected case instead
-    /// of `panic!`ing the harness.
-    pub fn target(self) -> io::Result<(u32, u64, Option<Vec<u32>>)> {
-        match self {
-            PollReply::Target {
-                target,
-                epoch,
-                cpus,
-            } => Ok((target, epoch, cpus)),
-            PollReply::Unregistered => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "server holds no registration for this pid (lease expired or server restarted)",
-            )),
-        }
-    }
-}
-
 /// A decoded reply to `EVENTS <pid> <batch>` (the flight-recorder push).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventsReply {
+pub(crate) enum EventsReply {
     /// The server journaled the batch (and refreshed the lease).
     Accepted {
         /// The replying server's boot epoch.
@@ -391,8 +370,22 @@ fn invalid(line: &str) -> io::Error {
     )
 }
 
+/// A reply line as read off the socket, without its terminator. Nothing
+/// read (EOF) and a line torn off before its newline are both the
+/// connection ending, never a reply: a torn `TARGET 4 12` must not pass
+/// for epoch 12.
+pub(crate) fn complete_line(raw: &str) -> io::Result<&str> {
+    match raw.strip_suffix('\n') {
+        Some(line) => Ok(line.trim_ascii()),
+        None => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        )),
+    }
+}
+
 /// `OK <epoch>` → the epoch.
-fn read_ok(line: &str) -> io::Result<u64> {
+pub(crate) fn read_ok(line: &str) -> io::Result<u64> {
     match line.split_whitespace().collect::<Vec<_>>().as_slice() {
         ["OK", e] => e.parse().map_err(|_| invalid(line)),
         _ => Err(invalid(line)),
@@ -401,7 +394,7 @@ fn read_ok(line: &str) -> io::Result<u64> {
 
 /// `TARGET <n> <epoch> [cpus=<cpulist>]` or `ERR unregistered`: the
 /// reply to every POLL form.
-fn read_poll(line: &str) -> io::Result<PollReply> {
+pub(crate) fn read_poll(line: &str) -> io::Result<PollReply> {
     match line.split_whitespace().collect::<Vec<_>>().as_slice() {
         ["TARGET", n, e, rest @ ..] => match (n.parse(), e.parse()) {
             (Ok(target), Ok(epoch)) => Ok(PollReply::Target {
@@ -421,7 +414,7 @@ fn read_poll(line: &str) -> io::Result<PollReply> {
 }
 
 /// `OK <epoch>` or `ERR unregistered`: the reply to EVENTS.
-fn read_events(line: &str) -> io::Result<EventsReply> {
+pub(crate) fn read_events(line: &str) -> io::Result<EventsReply> {
     match line.split_whitespace().collect::<Vec<_>>().as_slice() {
         ["ERR", "unregistered"] => Ok(EventsReply::Unregistered),
         _ => read_ok(line).map(|epoch| EventsReply::Accepted { epoch }),
@@ -485,42 +478,21 @@ fn read_stats(line: &str) -> io::Result<Vec<(String, i64)>> {
         .collect()
 }
 
-/// Client-side connection to a [`UdsServer`].
+/// A connection to a [`UdsServer`] that registers nothing: the observer
+/// monitors (`schedtop`, trace-merge tooling) read `STATS`, `STATS ALL`,
+/// `STATS <pid>` and `TRACE <pid>` through without taking a share of the
+/// partition, and the transport under [`crate::SupervisedClient`], the
+/// one client applications use.
 #[derive(Debug)]
 pub struct UdsClient {
     reader: BufReader<UnixStream>,
     writer: UnixStream,
-    pid: u32,
-    nworkers: u32,
-    epoch: u64,
 }
 
 impl UdsClient {
-    /// Connects and registers this process with `nworkers` workers, with
-    /// the [`DEFAULT_IO_TIMEOUT`] armed on the stream.
-    pub fn register(path: impl AsRef<Path>, nworkers: u32) -> io::Result<Self> {
-        Self::register_with_timeout(path, nworkers, DEFAULT_IO_TIMEOUT)
-    }
-
-    /// Connects and registers, arming `io_timeout` as both read and write
-    /// timeout — even against a wedged (accepting but silent) server, no
-    /// client call blocks longer than the timeout.
-    pub fn register_with_timeout(
-        path: impl AsRef<Path>,
-        nworkers: u32,
-        io_timeout: Duration,
-    ) -> io::Result<Self> {
-        let mut client = Self::connect(path, io_timeout)?;
-        client.nworkers = nworkers;
-        client.re_register()?;
-        Ok(client)
-    }
-
-    /// Connects **without registering** — an observer connection for
-    /// monitors (`schedtop`, trace-merge tooling) that read `STATS`,
-    /// `STATS ALL`, `STATS <pid>`, and `TRACE <pid>` but must not take a
-    /// share of the partition. Calling [`UdsClient::poll`] on an
-    /// unregistered connection answers `Unregistered`, as it should.
+    /// Connects, arming `io_timeout` as both read and write timeout —
+    /// even against a wedged (accepting but silent) server, no call
+    /// blocks longer than the timeout.
     pub fn connect(path: impl AsRef<Path>, io_timeout: Duration) -> io::Result<Self> {
         let stream = UnixStream::connect(path)?;
         stream.set_read_timeout(Some(io_timeout))?;
@@ -529,41 +501,7 @@ impl UdsClient {
         Ok(UdsClient {
             reader: BufReader::new(stream),
             writer,
-            pid: std::process::id(),
-            nworkers: 0,
-            epoch: 0,
         })
-    }
-
-    /// Re-sends REGISTER on the existing connection (after `ERR
-    /// unregistered`: a lapsed lease or a restarted server behind a
-    /// proxy). Returns the server's boot epoch.
-    pub fn re_register(&mut self) -> io::Result<u64> {
-        let (pid, nworkers) = (self.pid, self.nworkers);
-        self.send(&format!("REGISTER {pid} {nworkers}\n"))?;
-        let epoch = read_ok(&self.read_line()?)?;
-        self.epoch = epoch;
-        Ok(epoch)
-    }
-
-    /// The boot epoch of the server this client last registered with.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Arms the worker count a later [`UdsClient::re_register`] will
-    /// declare — used by the supervisor's reconnect path, which starts
-    /// from an observer [`UdsClient::connect`] and only registers if
-    /// the restarted server did *not* recover its registration.
-    pub(crate) fn set_nworkers(&mut self, nworkers: u32) {
-        self.nworkers = nworkers;
-    }
-
-    /// Adopts an epoch observed on a reply without re-registering (the
-    /// snapshot-recovered-server path: the registration survived, only
-    /// the epoch moved).
-    pub(crate) fn adopt_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
     }
 
     fn send(&mut self, msg: &str) -> io::Result<()> {
@@ -572,68 +510,14 @@ impl UdsClient {
 
     fn read_line(&mut self) -> io::Result<String> {
         let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(line.trim_ascii().to_string())
+        self.reader.read_line(&mut line)?;
+        complete_line(&line).map(str::to_string)
     }
 
-    /// Polls the server, distinguishing a live target from "the server no
-    /// longer knows this pid" (lease expiry or restart).
-    pub fn poll_reply(&mut self) -> io::Result<PollReply> {
-        let pid = self.pid;
-        self.send(&format!("POLL {pid}\n"))?;
-        read_poll(&self.read_line()?)
-    }
-
-    /// Polls with the CPU-set extension (`POLL <pid> cpus`): a live
-    /// reply also carries the assigned processors.
-    pub fn poll_cpus_reply(&mut self) -> io::Result<PollReply> {
-        let pid = self.pid;
-        self.send(&format!("POLL {pid} cpus\n"))?;
-        read_poll(&self.read_line()?)
-    }
-
-    /// Polls in the wait form: tells the server the reply this client
-    /// still holds — `target` and `epoch`, and the CPU set for the `cpus`
-    /// form — and lets it withhold a repeat of that reply for up to
-    /// `hold` (see the module docs, "Parked polls"). Returns when the
-    /// server has something new to say or the hold ran out, so this call
-    /// blocks for up to `hold`: keep it below the stream's I/O timeout.
-    pub fn poll_wait_reply(
-        &mut self,
-        target: u32,
-        epoch: u64,
-        cpus: Option<&[u32]>,
-        hold: Duration,
-    ) -> io::Result<PollReply> {
-        let (pid, hold_ms) = (self.pid, hold.as_millis());
-        match cpus {
-            Some(cpus) => {
-                let list = crate::topology::format_cpulist(cpus);
-                self.send(&format!(
-                    "POLL {pid} cpus wait {hold_ms} {target} {epoch} cpus={list}\n"
-                ))?;
-            }
-            None => self.send(&format!("POLL {pid} wait {hold_ms} {target} {epoch}\n"))?,
-        }
-        read_poll(&self.read_line()?)
-    }
-
-    /// Pushes a batch of flight-recorder events for this process into
-    /// the server's bounded journal (refreshing the lease, like POLL).
-    /// An empty batch sends nothing and reports the last-known epoch.
-    pub fn push_events(&mut self, events: &[TraceEvent]) -> io::Result<EventsReply> {
-        if events.is_empty() {
-            return Ok(EventsReply::Accepted { epoch: self.epoch });
-        }
-        let pid = self.pid;
-        let payload = trace::render_events(events);
-        self.send(&format!("EVENTS {pid} {payload}\n"))?;
-        read_events(&self.read_line()?)
+    /// Writes one frame (newline included) and reads its reply line.
+    pub(crate) fn round_trip(&mut self, frame: &str) -> io::Result<String> {
+        self.send(frame)?;
+        self.read_line()
     }
 
     /// Drains up to `max` (server default when `None`) of the oldest
@@ -657,38 +541,8 @@ impl UdsClient {
         read_stats_all(&self.read_line()?)
     }
 
-    /// Polls the server for this process's current target. An
-    /// unregistered reply surfaces as [`io::ErrorKind::NotConnected`];
-    /// see [`UdsClient::poll_reply`] to handle it without string
-    /// matching.
-    pub fn poll(&mut self) -> io::Result<u32> {
-        self.poll_reply()?.target().map(|(target, ..)| target)
-    }
-
-    /// Deregisters (the paper's courtesy goodbye).
-    pub fn bye(&mut self) -> io::Result<()> {
-        let pid = self.pid;
-        self.send(&format!("BYE {pid}\n"))?;
-        read_ok(&self.read_line()?).map(|_| ())
-    }
-
-    /// Pushes this process's statistics line to the server. The wire
-    /// format forbids newlines in `line`, and `STATS ALL` separates its
-    /// rows with `|`, so a line with either is rejected unsent.
-    pub fn report(&mut self, line: &str) -> io::Result<()> {
-        if line.contains(['\n', '|']) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "report line must be free of newlines and `|`",
-            ));
-        }
-        let pid = self.pid;
-        self.send(&format!("REPORT {pid} {line}\n"))?;
-        read_ok(&self.read_line()?).map(|_| ())
-    }
-
-    /// Fetches the latest statistics line another application reported,
-    /// or an empty string when `pid` never reported.
+    /// Fetches the latest statistics line an application reported, or
+    /// an empty string when `pid` never reported.
     pub fn app_stats(&mut self, pid: u32) -> io::Result<String> {
         self.send(&format!("STATS {pid}\n"))?;
         read_app_stats(&self.read_line()?)
@@ -715,6 +569,135 @@ mod tests {
     use proptest::prelude::*;
     use std::io::Read;
 
+    impl PollReply {
+        /// The `(target, epoch, cpus)` of a live reply, or a typed
+        /// `NotConnected` error for `Unregistered`.
+        fn target(self) -> io::Result<(u32, u64, Option<Vec<u32>>)> {
+            match self {
+                PollReply::Target {
+                    target,
+                    epoch,
+                    cpus,
+                } => Ok((target, epoch, cpus)),
+                PollReply::Unregistered => Err(io::Error::new(
+                    io::ErrorKind::NotConnected,
+                    "server holds no registration for this pid (lease expired or server restarted)",
+                )),
+            }
+        }
+    }
+
+    /// An application on the bare client: the frames a supervised client
+    /// sends, one call each, for the tests that speak the protocol by
+    /// hand.
+    #[derive(Debug)]
+    struct App {
+        conn: UdsClient,
+        nworkers: u32,
+        epoch: u64,
+    }
+
+    impl std::ops::Deref for App {
+        type Target = UdsClient;
+        fn deref(&self) -> &UdsClient {
+            &self.conn
+        }
+    }
+
+    impl std::ops::DerefMut for App {
+        fn deref_mut(&mut self) -> &mut UdsClient {
+            &mut self.conn
+        }
+    }
+
+    impl App {
+        /// Connects without registering.
+        fn observe(path: impl AsRef<Path>) -> App {
+            let conn = UdsClient::connect(path, DEFAULT_IO_TIMEOUT).expect("observer");
+            App {
+                conn,
+                nworkers: 0,
+                epoch: 0,
+            }
+        }
+
+        fn register(path: impl AsRef<Path>, nworkers: u32) -> io::Result<App> {
+            App::register_with_timeout(path, nworkers, DEFAULT_IO_TIMEOUT)
+        }
+
+        fn register_with_timeout(
+            path: impl AsRef<Path>,
+            nworkers: u32,
+            io_timeout: Duration,
+        ) -> io::Result<App> {
+            let conn = UdsClient::connect(path, io_timeout)?;
+            let mut app = App {
+                conn,
+                nworkers,
+                epoch: 0,
+            };
+            app.re_register()?;
+            Ok(app)
+        }
+
+        fn ask(&mut self, frame: &str) -> io::Result<String> {
+            self.conn.round_trip(frame)
+        }
+
+        fn re_register(&mut self) -> io::Result<u64> {
+            let (pid, n) = (std::process::id(), self.nworkers);
+            self.epoch = read_ok(&self.ask(&format!("REGISTER {pid} {n}\n"))?)?;
+            Ok(self.epoch)
+        }
+
+        fn epoch(&self) -> u64 {
+            self.epoch
+        }
+
+        fn poll_reply(&mut self) -> io::Result<PollReply> {
+            read_poll(&self.ask(&format!("POLL {}\n", std::process::id()))?)
+        }
+
+        fn poll_cpus_reply(&mut self) -> io::Result<PollReply> {
+            read_poll(&self.ask(&format!("POLL {} cpus\n", std::process::id()))?)
+        }
+
+        fn poll_wait_reply(
+            &mut self,
+            target: u32,
+            epoch: u64,
+            cpus: Option<&[u32]>,
+            hold: Duration,
+        ) -> io::Result<PollReply> {
+            let (pid, hold_ms) = (std::process::id(), hold.as_millis());
+            let frame = match cpus {
+                Some(cpus) => {
+                    let list = crate::topology::format_cpulist(cpus);
+                    format!("POLL {pid} cpus wait {hold_ms} {target} {epoch} cpus={list}\n")
+                }
+                None => format!("POLL {pid} wait {hold_ms} {target} {epoch}\n"),
+            };
+            read_poll(&self.ask(&frame)?)
+        }
+
+        fn poll(&mut self) -> io::Result<u32> {
+            self.poll_reply()?.target().map(|(target, ..)| target)
+        }
+
+        fn push_events(&mut self, events: &[TraceEvent]) -> io::Result<EventsReply> {
+            let (pid, payload) = (std::process::id(), trace::render_events(events));
+            read_events(&self.ask(&format!("EVENTS {pid} {payload}\n"))?)
+        }
+
+        fn bye(&mut self) -> io::Result<()> {
+            read_ok(&self.ask(&format!("BYE {}\n", std::process::id()))?).map(|_| ())
+        }
+
+        fn report(&mut self, line: &str) -> io::Result<()> {
+            read_ok(&self.ask(&format!("REPORT {} {line}\n", std::process::id()))?).map(|_| ())
+        }
+    }
+
     fn sock_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("procctl-test-{}-{tag}.sock", std::process::id()))
     }
@@ -723,7 +706,7 @@ mod tests {
     fn register_poll_bye_roundtrip() {
         let path = sock_path("roundtrip");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 16).expect("client");
+        let mut c = App::register(&path, 16).expect("client");
         assert_eq!(c.poll().expect("poll"), 8);
         c.bye().expect("bye");
     }
@@ -732,7 +715,7 @@ mod tests {
     fn single_small_app_capped() {
         let path = sock_path("capped");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 3).expect("client");
+        let mut c = App::register(&path, 3).expect("client");
         assert_eq!(c.poll().expect("poll"), 3);
     }
 
@@ -743,8 +726,8 @@ mod tests {
         // matching the paper's root-pid identity.
         let path = sock_path("same-pid");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut a = UdsClient::register(&path, 16).expect("a");
-        let mut b = UdsClient::register(&path, 16).expect("b");
+        let mut a = App::register(&path, 16).expect("a");
+        let mut b = App::register(&path, 16).expect("b");
         assert_eq!(a.poll().expect("poll"), 8);
         assert_eq!(b.poll().expect("poll"), 8);
     }
@@ -753,7 +736,7 @@ mod tests {
     fn malformed_requests_get_err_replies() {
         let path = sock_path("malformed");
         let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         // Garbage on the wire gets an ERR reply (not silence), and the
         // connection keeps working.
         c.send("NONSENSE 1 2 3\n").expect("send");
@@ -820,7 +803,7 @@ mod tests {
     #[test]
     fn non_ascii_reports_round_trip_and_a_non_utf8_frame_closes_the_connection() {
         let (path, server) = reactor_server("grammar");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         let me = std::process::id();
         let report = "site=Zürich pair=a\u{a0}b";
         c.report(report).expect("report");
@@ -843,7 +826,7 @@ mod tests {
     fn absurd_nworkers_rejected_over_the_wire() {
         let path = sock_path("absurd");
         let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         c.send("REGISTER 4242 0\n").expect("send");
         assert!(c.read_line().expect("reply").starts_with("ERR"));
         c.send(&format!("REGISTER 4242 {}\n", u32::MAX))
@@ -887,7 +870,7 @@ mod tests {
     fn poll_without_register_is_unregistered() {
         let path = sock_path("unreg");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         c.bye().expect("bye");
         assert_eq!(c.poll_reply().expect("reply"), PollReply::Unregistered);
         // Re-registering on the same connection restores service.
@@ -902,7 +885,7 @@ mod tests {
         cfg.lease_ttl = Duration::from_millis(80);
         cfg.prune_dead = false; // isolate the lease mechanism
         let server = UdsServer::start(cfg).expect("server");
-        let mut live = UdsClient::register(&path, 8).expect("live client");
+        let mut live = App::register(&path, 8).expect("live client");
         // A second "application" that registers and then goes silent —
         // wedged but (hypothetically) alive. Fake pid, so only the lease
         // can reclaim it (pruning is off).
@@ -931,14 +914,14 @@ mod tests {
         {
             let server = UdsServer::start(UdsServerConfig::new(&path, 4)).expect("server");
             first_epoch = server.epoch();
-            let mut c = UdsClient::register(&path, 4).expect("client");
+            let mut c = App::register(&path, 4).expect("client");
             assert_eq!(c.epoch(), first_epoch);
             let (_, epoch, _) = c.poll_reply().expect("poll").target().expect("target");
             assert_eq!(epoch, first_epoch);
         }
         let server2 = UdsServer::start(UdsServerConfig::new(&path, 4)).expect("server2");
         assert_ne!(server2.epoch(), first_epoch, "restart must bump the epoch");
-        let c2 = UdsClient::register(&path, 4).expect("client2");
+        let c2 = App::register(&path, 4).expect("client2");
         assert_eq!(c2.epoch(), server2.epoch());
     }
 
@@ -953,7 +936,7 @@ mod tests {
         {
             let server = UdsServer::start(cfg.clone()).expect("server");
             first_epoch = server.epoch();
-            let mut c = UdsClient::register(&path, 16).expect("client");
+            let mut c = App::register(&path, 16).expect("client");
             c.report("jobs_run=7").expect("report");
             // Graceful drop: the reactor's exit path writes the final
             // snapshot with the registration and report included.
@@ -967,7 +950,7 @@ mod tests {
         assert_eq!(server2.stats().counters["snapshot_restores"], 1);
         // The registration survived: an *observer* connection (which
         // never sends REGISTER) polls a live target straight away.
-        let mut c2 = UdsClient::connect(&path, DEFAULT_IO_TIMEOUT).expect("observer");
+        let mut c2 = App::observe(&path);
         let (target, epoch, _) = c2.poll_reply().expect("poll").target().expect("restored");
         assert_eq!(target, 8);
         assert_eq!(epoch, server2.epoch());
@@ -1002,7 +985,7 @@ mod tests {
         let server = UdsServer::start(cfg).expect("server");
         assert_eq!(server.stats().counters["snapshot_rejected"], 1);
         assert_eq!(server.stats().counters["snapshot_restores"], 0);
-        let mut c = UdsClient::connect(&path, DEFAULT_IO_TIMEOUT).expect("observer");
+        let mut c = App::observe(&path);
         assert_eq!(c.poll_reply().expect("poll"), PollReply::Unregistered);
         drop(server);
         let _ = std::fs::remove_file(&snap);
@@ -1017,7 +1000,7 @@ mod tests {
         let listener = UnixListener::bind(&path).expect("bind");
         let held = std::thread::spawn(move || listener.accept().map(|(s, _)| s));
         let started = Instant::now();
-        let err = UdsClient::register_with_timeout(&path, 4, Duration::from_millis(150))
+        let err = App::register_with_timeout(&path, 4, Duration::from_millis(150))
             .expect_err("register against a silent server must time out");
         assert!(
             matches!(
@@ -1059,7 +1042,7 @@ mod tests {
     fn stats_roundtrip() {
         let path = sock_path("stats");
         let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         c.poll().expect("poll");
         c.poll().expect("poll");
         let stats: std::collections::BTreeMap<String, i64> =
@@ -1081,7 +1064,7 @@ mod tests {
     fn report_and_per_app_stats_roundtrip() {
         let path = sock_path("report");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         let me = std::process::id();
         assert_eq!(c.app_stats(me).expect("empty stats"), "");
         c.report("jobs_run=10 steals=3").expect("report");
@@ -1089,10 +1072,9 @@ mod tests {
         // Latest report wins.
         c.report("jobs_run=20 steals=5").expect("report");
         assert_eq!(c.app_stats(me).expect("stats"), "jobs_run=20 steals=5");
-        assert!(c.report("bad\nline").is_err());
         // BYE clears the stored report.
         c.bye().expect("bye");
-        let mut c2 = UdsClient::register(&path, 4).expect("client2");
+        let mut c2 = App::register(&path, 4).expect("client2");
         assert_eq!(c2.app_stats(me).expect("stats after bye"), "");
     }
 
@@ -1151,14 +1133,14 @@ mod tests {
         assert_eq!(rows.len(), 1, "{rows:?}");
         assert_eq!(rows[0].report, "", "no refused report was stored");
 
-        // The client refuses to send one.
+        // The supervised client refuses to send one.
         let path = sock_path("report-pipe");
         let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
-        let err = c.report("a|b").expect_err("a `|` must not reach the wire");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let mut c = supervised(&path, 4, Arc::new(Registry::new()));
+        c.report("a|b");
+        assert!(c.connected(), "a refused line is not a fault");
         assert_eq!(server.stats().counters["reports"], 0);
-        assert_eq!(c.stats_all().expect("stats all").len(), 1);
+        assert_eq!(server.stats().gauges["apps"], 1);
     }
 
     /// The reply readers against every reply the real server wrote in
@@ -1258,7 +1240,7 @@ mod tests {
         let client = supervised(&path, 4, registry);
         let slot = Arc::new(TargetSlot::new(4));
         let _guard = client.spawn_poller(Arc::clone(&slot), Duration::from_millis(20), true);
-        let mut reader = UdsClient::register(&path, 1).expect("reader");
+        let mut reader = App::register(&path, 1).expect("reader");
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let line = reader.app_stats(std::process::id()).expect("app stats");
@@ -1275,10 +1257,10 @@ mod tests {
         let path = sock_path("disconnect");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
         {
-            let _c = UdsClient::register(&path, 8).expect("first client");
+            let _c = App::register(&path, 8).expect("first client");
             // Dropped without BYE.
         }
-        let mut c2 = UdsClient::register(&path, 8).expect("second client");
+        let mut c2 = App::register(&path, 8).expect("second client");
         // The dead "application" shares this process's pid, which is very
         // much alive, so it still counts — this mirrors the paper's
         // reliance on pid liveness. Target is the equal share.
@@ -1353,7 +1335,7 @@ mod tests {
     fn cpus_poll_roundtrip_over_the_wire() {
         let path = sock_path("cpuspoll");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 16).expect("client");
+        let mut c = App::register(&path, 16).expect("client");
         let (target, epoch, cpus) = c
             .poll_cpus_reply()
             .expect("poll cpus")
@@ -1375,7 +1357,7 @@ mod tests {
         // neighbors — the set must be a prefix slice of THIS order.
         cfg.cpu_order = Some(vec![2, 3, 0, 1]);
         let _server = UdsServer::start(cfg).expect("server");
-        let mut c = UdsClient::register(&path, 2).expect("client");
+        let mut c = App::register(&path, 2).expect("client");
         let (target, _, cpus) = c
             .poll_cpus_reply()
             .expect("poll cpus")
@@ -1398,7 +1380,7 @@ mod tests {
     fn events_push_and_trace_drain_roundtrip() {
         let path = sock_path("events");
         let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 16).expect("client");
+        let mut c = App::register(&path, 16).expect("client");
         // The first poll journals a decision instant (target 8).
         assert_eq!(c.poll().expect("poll"), 8);
         let batch = vec![
@@ -1434,7 +1416,7 @@ mod tests {
     fn trace_max_caps_the_drain_oldest_first() {
         let path = sock_path("tracemax");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         let batch: Vec<TraceEvent> = (0..5)
             .map(|i| ev(i * 100, EventKind::JobStart, i as u32))
             .collect();
@@ -1455,7 +1437,7 @@ mod tests {
         let mut cfg = UdsServerConfig::new(&path, 8);
         cfg.journal_cap = 4;
         let server = UdsServer::start(cfg).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         let batch: Vec<TraceEvent> = (0..10)
             .map(|i| ev(i, EventKind::JobStart, i as u32))
             .collect();
@@ -1472,7 +1454,7 @@ mod tests {
     fn decision_journal_records_target_changes_not_every_poll() {
         let path = sock_path("decisions");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 16).expect("client");
+        let mut c = App::register(&path, 16).expect("client");
         // Several polls at a stable partition: one decision instant.
         for _ in 0..3 {
             assert_eq!(c.poll().expect("poll"), 8);
@@ -1495,7 +1477,7 @@ mod tests {
     fn stats_all_snapshots_every_app_in_one_roundtrip() {
         let path = sock_path("statsall");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 16).expect("client");
+        let mut c = App::register(&path, 16).expect("client");
         c.send("REGISTER 1 16\n").expect("send");
         assert!(c.read_line().expect("reply").starts_with("OK"));
         c.report("jobs_run=42 steals=3").expect("report");
@@ -1651,7 +1633,7 @@ mod tests {
         // (many frames per wakeup, one flush).
         let path = sock_path("pipelined");
         let server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         let pid = std::process::id();
         let burst: String = (0..32).map(|_| format!("POLL {pid}\n")).collect();
         c.send(&burst).expect("send burst");
@@ -1679,7 +1661,7 @@ mod tests {
         let mut cfg = UdsServerConfig::new(&path, 8);
         cfg.prune_dead = false; // fake pids below must survive
         let server = UdsServer::start(cfg).expect("server");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         let mut burst = String::new();
         for pid in 910_000..910_006 {
             burst.push_str(&format!("REGISTER {pid} 4\n"));
@@ -1703,7 +1685,7 @@ mod tests {
         // disappears mid-frame doesn't wedge the loop for others.
         let path = sock_path("torn");
         let _server = UdsServer::start(UdsServerConfig::new(&path, 8)).expect("server");
-        let mut a = UdsClient::register(&path, 16).expect("a");
+        let mut a = App::register(&path, 16).expect("a");
         let pid = std::process::id();
         let frame = format!("POLL {pid}\n");
         for byte in frame.bytes() {
@@ -1712,7 +1694,7 @@ mod tests {
         }
         assert!(a.read_line().expect("reply").starts_with("TARGET "));
         // A second client dies mid-frame (no newline, then EOF).
-        let mut b = UdsClient::register(&path, 16).expect("b");
+        let mut b = App::register(&path, 16).expect("b");
         b.send("POLL 91").expect("partial");
         drop(b);
         // The survivor still gets service.
@@ -1832,7 +1814,7 @@ mod tests {
         // A hang-up left unhandled would end every wait at once.
         let spent = idle_wakeups(&server);
         assert!(spent < 30, "{spent} wakeups in 300 ms after the hang-up");
-        let mut c = UdsClient::register(&path, 4).expect("client");
+        let mut c = App::register(&path, 4).expect("client");
         assert_eq!(c.poll().expect("poll"), 4);
     }
 
@@ -1858,7 +1840,7 @@ mod tests {
     fn parked_poll_is_answered_when_the_target_changes() {
         let (path, server) = reactor_server("park-toggle");
         let pid = std::process::id();
-        let mut app = UdsClient::register(&path, 8).expect("app");
+        let mut app = App::register(&path, 8).expect("app");
         let (target, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         assert_eq!(target, 8);
         // Heard something else: answered at once, nothing parked.
@@ -1906,7 +1888,7 @@ mod tests {
     #[test]
     fn parked_poll_returns_the_unchanged_target_when_the_hold_runs_out() {
         let (path, server) = reactor_server("park-hold");
-        let mut app = UdsClient::register(&path, 8).expect("app");
+        let mut app = App::register(&path, 8).expect("app");
         let (_, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         let hold = Duration::from_millis(100);
         // Never early; on time in the best of a few rounds (the suite's
@@ -1944,7 +1926,7 @@ mod tests {
     fn frame_behind_a_park_releases_it_and_replies_stay_in_order() {
         let (path, server) = reactor_server("park-pipelined");
         let pid = std::process::id();
-        let mut app = UdsClient::register(&path, 8).expect("app");
+        let mut app = App::register(&path, 8).expect("app");
         let (_, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         // Both frames in one write: the park does not outlive its wakeup.
         app.send(&format!("POLL {pid} wait 5000 8 {epoch}\nSTATS {pid}\n"))
@@ -1968,7 +1950,7 @@ mod tests {
     fn a_park_released_early_leaves_the_reactor_asleep() {
         let (path, server) = reactor_server("park-early");
         let pid = std::process::id();
-        let mut app = UdsClient::register(&path, 8).expect("app");
+        let mut app = App::register(&path, 8).expect("app");
         let (_, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         // The only park, released by the next frame on its connection
         // well before its 20 ms hold would have run out.
@@ -1995,7 +1977,7 @@ mod tests {
         raise_fd_limit(4 * N as u64);
         let (path, server) = reactor_server("park-thousand");
         let pid = std::process::id();
-        let mut app = UdsClient::register(&path, 8).expect("app");
+        let mut app = App::register(&path, 8).expect("app");
         let (_, epoch, _) = app.poll_reply().expect("poll").target().expect("target");
         let frame = format!("POLL {pid} wait 10000 8 {epoch}\n");
         let mut conns: Vec<UdsClient> = (0..N)

@@ -1,16 +1,18 @@
 //! Chaos-lane integration tests for the fault-tolerant control plane.
 //!
-//! Every test is deterministic: fault schedules come from fixed seeds
-//! (see `chaos::ChaosProxy`), and timing assertions use generous
-//! deadlines rather than exact sleeps. CI runs this file in its own
+//! Real processes, sockets and threads: server kills and restarts, a
+//! wedged server, injected job panics and stalls. Job fault schedules come
+//! from fixed seeds (`JobChaos`), and timing assertions use generous
+//! deadlines rather than exact sleeps. The client's decisions under wire
+//! faults are checked without sockets, by the seeded control-loop
+//! simulation in `native_rt::chaos`'s tests. CI runs both in its own
 //! `chaos` lane.
 
 #![cfg(target_os = "linux")]
 
 use native_rt::{
-    ChaosConfig, ChaosProxy, CrConfig, JobChaos, JobFault, Pool, PoolConfig, RestartKind,
-    SupervisedClient, SupervisorConfig, TargetSlot, UdsClient, UdsServer, UdsServerConfig,
-    WatchdogConfig,
+    CrConfig, JobChaos, JobFault, Pool, PoolConfig, RestartKind, SupervisedClient,
+    SupervisorConfig, TargetSlot, UdsClient, UdsServer, UdsServerConfig, WatchdogConfig,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,7 +105,7 @@ fn pool_survives_server_kill_and_restart() {
 
     // ...and over the wire: the poller REPORTs the shared registry, so a
     // second client can read the fault counters through STATS.
-    let mut observer = UdsClient::register(&path, 1).expect("observer");
+    let mut observer = UdsClient::connect(&path, native_rt::DEFAULT_IO_TIMEOUT).expect("observer");
     let line = loop {
         let line = observer.app_stats(std::process::id()).expect("app stats");
         if line.contains("reconnects=") {
@@ -156,117 +158,6 @@ fn cpu_set_targets_survive_server_kill_and_restart() {
         slot.cpus().is_some_and(|c| c.len() == 4)
     });
     assert_eq!(slot.target.load(Ordering::Acquire), 4);
-}
-
-/// A restarted server hands out a fresh epoch; a direct (non-poller)
-/// supervised client observes the bump and counts it.
-#[test]
-fn restart_bumps_epoch_and_client_re_registers() {
-    let path = sock_path("epoch-bump");
-    let server = UdsServer::start(UdsServerConfig::new(&path, 4)).expect("server");
-    let registry = Arc::new(native_rt::Registry::new());
-    let mut sup = SupervisedClient::new(fast_sup_cfg(&path, 4), Arc::clone(&registry));
-    assert_eq!(sup.poll_target(), Some(4));
-    let e1 = sup.epoch().expect("epoch after first poll");
-
-    drop(server);
-    // First poll after the kill fails and enters degraded mode.
-    wait_for(5, "degraded after kill", || sup.poll_target().is_none());
-
-    let _server = UdsServer::start(UdsServerConfig::new(&path, 4)).expect("restart");
-    wait_for(5, "healthy poll after restart", || {
-        sup.poll_target() == Some(4)
-    });
-    let e2 = sup.epoch().expect("epoch after restart");
-    assert_ne!(e1, e2, "boot epoch must change across restarts");
-    let snap = registry.snapshot();
-    assert!(snap.counters["epoch_changes"] >= 1);
-    assert!(snap.counters["reconnects"] >= 1);
-}
-
-/// A client that stops polling loses its lease: the remaining app's
-/// share grows back to the whole machine and the server counts the
-/// expiry.
-#[test]
-fn wedged_client_lease_expires_and_share_returns() {
-    let path = sock_path("lease-reclaim");
-    let mut cfg = UdsServerConfig::new(&path, 4);
-    cfg.lease_ttl = Duration::from_millis(80);
-    cfg.prune_dead = false; // isolate lease expiry from the /proc prune
-    let server = UdsServer::start(cfg).expect("server");
-
-    // The "wedged" app registers over a raw connection with a pid that is
-    // not ours (same-process registrations share one pid) and never polls
-    // again.
-    {
-        use std::io::{BufRead, BufReader, Write};
-        let mut s = std::os::unix::net::UnixStream::connect(&path).expect("connect");
-        s.write_all(b"REGISTER 999999 8\n").expect("register");
-        let mut line = String::new();
-        BufReader::new(&s).read_line(&mut line).expect("reply");
-        assert!(line.starts_with("OK "), "unexpected reply: {line}");
-        // Keep the stream open but silent — a wedged client, not a dead one.
-        std::mem::forget(s);
-    }
-
-    let mut live = UdsClient::register(&path, 8).expect("live app");
-    // Two registered apps on 4 cpus: 2 each.
-    assert_eq!(live.poll().expect("poll"), 2);
-
-    // Outlive the wedged app's lease, keeping our own fresh.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        std::thread::sleep(Duration::from_millis(30));
-        if live.poll().expect("poll") == 4 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "lease never expired");
-    }
-    let snap = server.stats();
-    assert!(snap.counters["lease_expiries"] >= 1, "{snap:?}");
-}
-
-/// Torn and corrupted reply frames, injected by the chaos proxy with a
-/// fixed seed, never wedge or panic the supervised client — it keeps
-/// producing targets (healthy or fallback) through the noise.
-#[test]
-fn client_survives_truncated_and_garbled_frames() {
-    let server_path = sock_path("garble-upstream");
-    let proxy_path = sock_path("garble-listen");
-    let _server = UdsServer::start(UdsServerConfig::new(&server_path, 4)).expect("server");
-    let mut cfg = ChaosConfig::passthrough(&proxy_path, &server_path, 0xC0FFEE);
-    cfg.truncate_prob = 0.15;
-    cfg.garble_prob = 0.15;
-    cfg.drop_prob = 0.10;
-    let proxy = ChaosProxy::start(cfg).expect("proxy");
-
-    let mut sup_cfg = fast_sup_cfg(&proxy_path, 8);
-    // Dropped replies resolve fast, and so do parked polls: a healthy
-    // poll with nothing new is held for half of this.
-    sup_cfg.io_timeout = Duration::from_millis(30);
-    let registry = Arc::new(native_rt::Registry::new());
-    let mut sup = SupervisedClient::new(sup_cfg, Arc::clone(&registry));
-
-    let mut healthy = 0u32;
-    for _ in 0..120 {
-        if sup.poll_target() == Some(4) {
-            healthy += 1;
-        }
-        sup.retry_now();
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        healthy >= 10,
-        "made almost no progress through faults: {healthy}"
-    );
-
-    let faults = proxy.stats();
-    let injected =
-        faults.counters["truncates"] + faults.counters["garbles"] + faults.counters["drops"];
-    assert!(injected >= 1, "proxy injected nothing: {faults:?}");
-    // Garbled frames surface as poll errors, never as panics or hangs.
-    let snap = registry.snapshot();
-    assert!(snap.counters["poll_errors"] >= 1, "{snap:?}");
 }
 
 /// Panic isolation under churn: a seeded fraction of jobs panic, yet no
@@ -643,38 +534,55 @@ fn clients_killed_while_parked_leak_no_park_and_no_descriptor() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A paused proxy is the "wedged but alive" server: the client's I/O
-/// timeout bounds the stall — also for a poll that asked to be parked —
-/// and degraded mode kicks in; resuming lets it recover.
+/// A wedged server — it accepts, answers the registration and one poll,
+/// then reads and never answers — costs a parked poll its I/O timeout and
+/// no more: the fallback comes back, degraded mode is counted, and the
+/// client recovers once a real server binds the path.
 #[test]
 fn wedged_server_bounded_by_client_timeout() {
-    let server_path = sock_path("pause-upstream");
-    let proxy_path = sock_path("pause-listen");
-    let _server = UdsServer::start(UdsServerConfig::new(&server_path, 4)).expect("server");
-    let proxy =
-        ChaosProxy::start(ChaosConfig::passthrough(&proxy_path, &server_path, 7)).expect("proxy");
+    use std::io::{BufRead, BufReader, Write};
+    let path = sock_path("wedged");
+    let _ = std::fs::remove_file(&path);
+    let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind");
+    let wedged = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut lines = BufReader::new(stream).lines();
+        for reply in ["OK 1\n", "TARGET 4 1\n"] {
+            lines.next().expect("a frame").expect("read");
+            writer.write_all(reply.as_bytes()).expect("reply");
+        }
+        // Read on, answering nothing, until the client hangs up.
+        lines.count()
+    });
 
     let registry = Arc::new(native_rt::Registry::new());
-    let mut sup = SupervisedClient::new(fast_sup_cfg(&proxy_path, 8), Arc::clone(&registry));
+    let mut sup = SupervisedClient::new(fast_sup_cfg(&path, 8), Arc::clone(&registry));
     assert_eq!(sup.poll_target(), Some(4));
-
-    proxy.pause();
+    // Holding a reply, the next poll is the wait form (a 125 ms hold);
+    // the 250 ms I/O timeout ends it.
     let start = Instant::now();
     let got = sup.poll_target();
     let stalled = start.elapsed();
-    assert_eq!(got, None, "wedged server must yield the fallback");
-    // (250 ms of timeout; the hold this poll asked for was 125 ms.)
+    assert_eq!(got, None, "a wedged server must yield the fallback");
     assert!(
         stalled < Duration::from_millis(500),
-        "I/O timeout did not bound the stall: {stalled:?}"
+        "the I/O timeout did not bound the stall: {stalled:?}"
+    );
+    assert_eq!(registry.snapshot().counters["degraded_enters"], 1);
+    assert!(!sup.connected(), "the wedged connection must go");
+    assert!(
+        wedged.join().expect("wedged server") >= 1,
+        "the wait-form poll went out"
     );
 
-    proxy.resume();
-    wait_for(5, "recovery after resume", || {
+    let _ = std::fs::remove_file(&path);
+    let _server = UdsServer::start(UdsServerConfig::new(&path, 4)).expect("server");
+    wait_for(5, "recovery on a real server", || {
         sup.retry_now();
         sup.poll_target() == Some(4)
     });
     let snap = registry.snapshot();
-    assert!(snap.counters["degraded_enters"] >= 1);
     assert_eq!(snap.gauges["degraded"], 0);
+    assert_eq!(snap.counters["degraded_enters"], 1);
 }
