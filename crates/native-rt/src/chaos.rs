@@ -645,6 +645,21 @@ mod tests {
             for &(pid, n, _, t) in &after {
                 self.check((1..=n).contains(&t), || format!("pid {pid} of {n} got {t}"));
             }
+            // The cached partition is the one the registrations and their
+            // stored weights give from scratch.
+            let demands: Vec<procctl::AppDemand> = after
+                .iter()
+                .zip(server.weights())
+                .map(|(&(_, processes, _, _), weight)| procctl::AppDemand {
+                    processes,
+                    weight: if self.plan.weighted { weight } else { 1.0 },
+                })
+                .collect();
+            let fresh = procctl::partition(self.plan.cpus as u32, 0, &demands);
+            let cached: Vec<u32> = after.iter().map(|a| a.3).collect();
+            self.check(cached == fresh, || {
+                format!("cached targets {cached:?}, from scratch {fresh:?}")
+            });
             if let Some(since) = self.stray_since {
                 let (kept, due) = (server.has_report(STRAY), since + LEASE);
                 self.check(kept == (self.t < due), || {

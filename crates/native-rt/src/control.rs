@@ -89,8 +89,12 @@ pub struct UdsServerConfig {
     /// Processors to partition.
     pub cpus: usize,
     /// Subtract system-wide runnable threads (full `/proc` sweep) from the
-    /// partitionable processors. Off by default: on a busy development
-    /// host this makes targets jittery, and tests need determinism.
+    /// partitionable processors. A sample is taken by the first read
+    /// after the last one went stale ([`UdsServerConfig::sample_ttl`]),
+    /// and the partition is recomputed only when its count differs from
+    /// the one the cached targets used. Off by default: on a busy
+    /// development host this makes targets jittery, and tests need
+    /// determinism.
     pub account_system_load: bool,
     /// How long a system-load sample stays fresh.
     pub sample_ttl: Duration,
@@ -360,10 +364,15 @@ pub struct ControlCore {
     lease_timers: BinaryHeap<Reverse<(Instant, u32)>>,
     /// Last `/proc` liveness sweep (throttled to [`PROC_SWEEP_PERIOD`]).
     last_proc_sweep: Option<Instant>,
-    /// Coalesces partition recomputation: REGISTER/BYE/expiry (and
-    /// weighted REPORTs) mark the cache dirty; the next read recomputes
-    /// once for the whole burst.
+    /// Coalesces partition recomputation: REGISTER/BYE/expiry, a changed
+    /// load sample and a weighted REPORT that can move a target mark the
+    /// cache dirty; the next read recomputes once for the whole burst.
     targets_gate: RecomputeGate,
+    /// Whether the cached targets depend on the weights (what
+    /// `partition_into` returned): if not, a weighted REPORT leaves them.
+    weights_read: bool,
+    /// The uncontrollable load the cached targets were computed with.
+    uncontrolled: u32,
     /// Cached per-app targets, registration order (valid unless dirty).
     /// App `i`'s CPU set is not stored: it is the range of `cpu_order`
     /// that starts at the sum of `targets[..i]` ([`procctl::cpu_range`]),
@@ -408,6 +417,8 @@ impl ControlCore {
             lease_timers: BinaryHeap::new(),
             last_proc_sweep: None,
             targets_gate: RecomputeGate::new(),
+            weights_read: false,
+            uncontrolled: 0,
             targets: Vec::new(),
             demands: Vec::new(),
             scratch: PartitionScratch::default(),
@@ -543,15 +554,16 @@ impl ControlCore {
     /// hears `OK` before anyone hears its consequence. With nobody parked
     /// this is one `is_empty()`; with somebody parked the set is scanned
     /// only if the partition was recomputed since the last scan or a
-    /// deadline is due (`account_system_load` recomputes on every read,
-    /// so there every wakeup scans).
+    /// deadline is due: a target moves only in a recompute, and with
+    /// `account_system_load` a load sample recomputes only when its
+    /// count changed.
     pub fn release(&mut self, now: Instant, mut emit: impl FnMut(u64, &str)) {
         if self.parked.is_empty() {
             return;
         }
         self.refresh_targets(now);
         let recomputes = self.targets_gate.recomputes();
-        let recomputed = self.cfg.account_system_load || recomputes != self.seen_recomputes;
+        let recomputed = recomputes != self.seen_recomputes;
         if !recomputed && !self.next_due.is_some_and(|at| at <= now) {
             return;
         }
@@ -708,7 +720,9 @@ impl ControlCore {
     /// it joins them. The first report of a pid not registered is
     /// unclaimed: it arms a lease timer, and is dropped if the pid has
     /// not registered when the timer pops. Under `weighted` the report
-    /// feeds the partition weights, so it dirties the target cache.
+    /// feeds the partition weights, so it dirties the target cache — if
+    /// the cached targets depend on the weights, or the cache is dirty
+    /// already (the report is then counted as coalesced).
     fn record_report<'a>(&mut self, pid: u32, fields: impl Iterator<Item = &'a str>, now: Instant) {
         let line = match self.reports.entry(pid) {
             Entry::Occupied(e) => e.into_mut(),
@@ -733,7 +747,7 @@ impl ControlCore {
             a.last_seen = now;
             a.weight = weight;
         }
-        if self.cfg.weighted {
+        if self.cfg.weighted && (self.weights_read || self.targets_gate.is_dirty()) {
             self.invalidate_targets();
         }
     }
@@ -784,14 +798,10 @@ impl ControlCore {
         }
     }
 
-    /// The system-wide uncontrollable load to subtract (0 when
-    /// accounting is off), sampling `/proc` when the cached sample went
-    /// stale as of `now` (the caller's clock reading: with accounting on
-    /// every poll comes through here).
+    /// The system-wide uncontrollable load to subtract, sampling `/proc`
+    /// when the cached sample went stale as of `now` (the caller's clock
+    /// reading: with accounting on every read comes through here).
     fn uncontrolled_load(&mut self, now: Instant) -> u32 {
-        if !self.cfg.account_system_load {
-            return 0;
-        }
         let ttl = self.cfg.sample_ttl;
         let fresh = self
             .last_sample
@@ -813,22 +823,29 @@ impl ControlCore {
     /// and a floor of one, in registration order) when dirty: one pass
     /// over the slots' worker counts and weights into buffers kept from
     /// the last recompute. With system-load accounting on, the
-    /// uncontrollable load itself varies over time, so the cache is
-    /// bypassed and every read recomputes (the pre-coalescing behavior).
+    /// uncontrollable load is an input that changes with no event: a
+    /// sample whose count differs from the one the cached targets used
+    /// dirties the cache like a REGISTER, and an unchanged one keeps it.
     fn refresh_targets(&mut self, now: Instant) {
-        if !self.cfg.account_system_load && !self.targets_gate.take_dirty() {
+        if self.cfg.account_system_load {
+            let uncontrolled = self.uncontrolled_load(now);
+            if uncontrolled != self.uncontrolled {
+                self.uncontrolled = uncontrolled;
+                self.invalidate_targets();
+            }
+        }
+        if !self.targets_gate.take_dirty() {
             return;
         }
-        let uncontrolled = self.uncontrolled_load(now);
         let weighted = self.cfg.weighted;
         self.demands.clear();
         self.demands.extend(self.apps.iter().map(|a| AppDemand {
             processes: a.nworkers,
             weight: if weighted { a.weight } else { 1.0 },
         }));
-        partition_into(
+        self.weights_read = partition_into(
             self.cfg.cpus as u32,
-            uncontrolled,
+            self.uncontrolled,
             &self.demands,
             &mut self.targets,
             &mut self.scratch,
@@ -1306,5 +1323,22 @@ impl ControlCore {
     /// Whether a REPORT line is stored for `pid`.
     pub(crate) fn has_report(&self, pid: u32) -> bool {
         self.reports.contains_key(&pid)
+    }
+
+    /// Every registration's stored weight, in partition order (what a
+    /// recompute reads under `weighted`).
+    pub(crate) fn weights(&self) -> Vec<f64> {
+        self.apps.iter().map(|a| a.weight).collect()
+    }
+
+    /// Partition recomputes since the core was built.
+    pub(crate) fn recomputes(&self) -> u64 {
+        self.targets_gate.recomputes()
+    }
+
+    /// Stands in for a `/proc` load sample of `runnable` threads taken
+    /// at `at`: until `sample_ttl` after it, reads use it.
+    pub(crate) fn seed_sample(&mut self, at: Instant, runnable: u32) {
+        self.last_sample = Some((at, runnable));
     }
 }

@@ -228,7 +228,9 @@ impl ServerSnapshot {
     /// Writes the snapshot to `path` atomically: the full rendering goes
     /// to a sibling `.tmp` file, is fsynced, and renamed over `path` —
     /// a reader (or a restarting server) sees either the old complete
-    /// snapshot or the new complete snapshot, never a torn mix.
+    /// snapshot or the new complete snapshot, never a torn mix. The
+    /// directory is fsynced after the rename, so a power loss cannot
+    /// undo it.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
@@ -238,7 +240,12 @@ impl ServerSnapshot {
             f.write_all(self.encode().as_bytes())?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()
     }
 
     /// Loads and decodes the snapshot at `path`. A missing file surfaces

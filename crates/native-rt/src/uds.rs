@@ -1517,19 +1517,25 @@ mod tests {
         );
     }
 
-    /// What one weighted REPORT costs the next POLL: each pair dirties
-    /// the gate and recomputes the 64-app partition once. On 64
+    /// What one weighted REPORT costs the next POLL, and how many
+    /// recomputes of the 64-app partition the pair makes. On 64
     /// processors the floor of one uses them all (`ctl_saturated`'s
-    /// shape); on 128 the other 64 are water-filled by weight.
+    /// shape), so no weight moves a target; on 128 the other 64 are
+    /// water-filled by weight. With `account_system_load` (on 64) the
+    /// load sample is seeded, not read from `/proc`, and its count
+    /// changes every 1 000 pairs.
     #[test]
     #[ignore] // microbenchmark, not an assertion: `cargo test --release -- --ignored micro_ --nocapture`
     fn micro_report_poll_pair_cost() {
-        for cpus in [64, 128] {
+        for (cpus, accounting) in [(64, false), (128, false), (64, true)] {
             let mut cfg = UdsServerConfig::new("/nonexistent", cpus);
             cfg.prune_dead = false;
             cfg.weighted = true;
+            cfg.account_system_load = accounting;
+            cfg.sample_ttl = Duration::from_secs(3600);
             let mut core = ControlCore::new(cfg, 42);
             let now = Instant::now();
+            core.seed_sample(now, 0);
             for pid in 0..64 {
                 answer(&mut core, &format!("REGISTER {} 4", 900_000 + pid), now);
             }
@@ -1543,17 +1549,24 @@ mod tests {
                 })
                 .collect();
             let n = 200_000usize;
+            let recomputes = core.recomputes();
             let start = Instant::now();
             for i in 0..n {
+                if accounting && i % 1_000 == 999 {
+                    core.seed_sample(now, (i / 1_000 % 2 == 0).into());
+                }
                 for line in [reports[i % 64].as_str(), "POLL 900000"] {
                     core.frame(0, line.as_bytes(), now, |reply| {
                         std::hint::black_box(reply);
                     });
                 }
             }
+            let took = start.elapsed() / n as u32;
+            let per_pair = (core.recomputes() - recomputes) as f64 / n as f64;
+            let load = if accounting { ", load sampled" } else { "" };
             println!(
-                "handle_line REPORT+POLL (64 apps, weighted, {cpus} cpus): {:?}/pair",
-                start.elapsed() / n as u32
+                "handle_line REPORT+POLL (64 apps, weighted, {cpus} cpus{load}): {took:?}/pair, \
+                 {per_pair:.3} recomputes/pair"
             );
         }
     }
@@ -2131,17 +2144,25 @@ mod tests {
     /// unregistered pid's for one lease), replayed into a fresh
     /// state after every step.
     ///
+    /// On `cpus` processors (cut from an interleaved order) up to six
+    /// pids of 1–9 workers meet all three regimes of the exact cache;
+    /// the steps that ended in each are returned as `[floor takes every
+    /// processor, weights divide the rest, every demand fits]`. In the
+    /// first and last a weighted REPORT recomputes nothing.
+    ///
     /// Parked polls ride along: some steps park a poll (each pid has
     /// a connection per form) or fire the timer, and after every
     /// step the parks the server holds are exactly the ones the
     /// model expects, each for a pid still registered and each still
     /// owed the reply its client heard — whatever changed an answer
     /// also delivered it.
-    fn replay_against_a_from_scratch_core(steps: Vec<(u32, u32, u32, u64)>) {
-        let mut cfg = UdsServerConfig::new("/nonexistent", 8);
+    fn replay_against_a_from_scratch_core(cpus: u32, steps: Vec<(u32, u32, u32, u64)>) -> [u64; 3] {
+        let mut cfg = UdsServerConfig::new("/nonexistent", cpus as usize);
         cfg.prune_dead = false;
         cfg.weighted = true;
-        cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
+        let half = cpus / 2;
+        cfg.cpu_order = Some((0..half).flat_map(|i| [i, half + i]).collect());
+        let mut regimes = [0u64; 3];
         let mut real = ControlCore::new(cfg.clone(), 7);
         let mut regs: Vec<(u32, u32, Instant)> = Vec::new();
         let mut reports = std::collections::BTreeMap::<u32, String>::new();
@@ -2310,7 +2331,18 @@ mod tests {
                     conn
                 );
             }
+            let free = cpus.saturating_sub(regs.len() as u32);
+            let room: u32 = regs.iter().map(|r| r.1 - 1).sum();
+            let regime = if free == 0 {
+                0
+            } else if room > free {
+                1
+            } else {
+                2
+            };
+            regimes[regime] += 1;
         }
+        regimes
     }
 
     /// Case 3913 of 20 000 of the replay below, the first to draw a
@@ -2319,53 +2351,150 @@ mod tests {
     /// once expected a park.
     #[test]
     fn replay_with_a_zero_hold_poll_matches() {
-        replay_against_a_from_scratch_core(vec![
-            (7, 5, 3850, 9831),
-            (7, 1, 3255, 6087),
-            (10, 4, 2432, 2054),
-            (5, 2, 1667, 4264),
-            (1, 3, 3662, 6730),
-            (5, 1, 3273, 4195),
-            (8, 0, 3138, 3274),
-            (7, 3, 1635, 3721),
-            (7, 2, 4438, 5168),
-            (2, 0, 3865, 6163),
-            (3, 1, 177, 10132),
-            (3, 2, 2975, 3837),
-            (5, 2, 4319, 5550),
-            (9, 1, 1101, 3515),
-            (5, 2, 4517, 2457),
-            (4, 3, 2582, 3350),
-            (6, 5, 3422, 7761),
-            (2, 5, 3253, 8193),
-            (6, 1, 4971, 4144),
-            (10, 5, 1452, 2722),
-            (9, 5, 2399, 10776),
-            (11, 2, 175, 10022),
-            (7, 4, 4878, 9716),
-            (10, 2, 2791, 8740),
-            (9, 2, 1011, 9350),
-            (8, 1, 142, 3663),
-            (11, 1, 1670, 3615),
-            (0, 0, 3504, 5303),
-            (11, 0, 4369, 3718),
-            (1, 4, 1868, 2165),
-            (7, 5, 3657, 9374),
-            (1, 2, 4630, 4319),
-            (0, 5, 4521, 7900),
-            (9, 2, 0, 10785),
-        ]);
+        replay_against_a_from_scratch_core(
+            8,
+            vec![
+                (7, 5, 3850, 9831),
+                (7, 1, 3255, 6087),
+                (10, 4, 2432, 2054),
+                (5, 2, 1667, 4264),
+                (1, 3, 3662, 6730),
+                (5, 1, 3273, 4195),
+                (8, 0, 3138, 3274),
+                (7, 3, 1635, 3721),
+                (7, 2, 4438, 5168),
+                (2, 0, 3865, 6163),
+                (3, 1, 177, 10132),
+                (3, 2, 2975, 3837),
+                (5, 2, 4319, 5550),
+                (9, 1, 1101, 3515),
+                (5, 2, 4517, 2457),
+                (4, 3, 2582, 3350),
+                (6, 5, 3422, 7761),
+                (2, 5, 3253, 8193),
+                (6, 1, 4971, 4144),
+                (10, 5, 1452, 2722),
+                (9, 5, 2399, 10776),
+                (11, 2, 175, 10022),
+                (7, 4, 4878, 9716),
+                (10, 2, 2791, 8740),
+                (9, 2, 1011, 9350),
+                (8, 1, 142, 3663),
+                (11, 1, 1670, 3615),
+                (0, 0, 3504, 5303),
+                (11, 0, 4369, 3718),
+                (1, 4, 1868, 2165),
+                (7, 5, 3657, 9374),
+                (1, 2, 4630, 4319),
+                (0, 5, 4521, 7900),
+                (9, 2, 0, 10785),
+            ],
+        );
+    }
+
+    /// CI's chaos lane: `cargo test --release -p native-rt --lib --
+    /// --ignored sweep_cached_partition_replay --nocapture`.
+    /// [`replay_against_a_from_scratch_core`] on 20 000 seeded cases, a
+    /// third each on 2, 4 and 8 processors. A failing case prints the
+    /// call that replays it.
+    #[test]
+    #[ignore]
+    fn sweep_cached_partition_replay() {
+        const CASES: u64 = 20_000;
+        let started = Instant::now();
+        let mut regimes = [0u64; 3];
+        for case in 0..CASES {
+            let mut state = case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut below = |n: u64| crate::xorshift(&mut state) % n;
+            let cpus = 2 << (case % 3);
+            let len = 1 + below(47);
+            let steps: Vec<(u32, u32, u32, u64)> = (0..len)
+                .map(|_| {
+                    let (op, pid, arg) = (below(12), below(6), below(5_000));
+                    (op as u32, pid as u32, arg as u32, below(12_000))
+                })
+                .collect();
+            match std::panic::catch_unwind(|| {
+                replay_against_a_from_scratch_core(cpus, steps.clone())
+            }) {
+                Ok(seen) => regimes.iter_mut().zip(seen).for_each(|(n, k)| *n += k),
+                Err(panic) => {
+                    eprintln!(
+                        "case {case}: replay_against_a_from_scratch_core({cpus}, vec!{steps:?})"
+                    );
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+        let took = started.elapsed().as_secs_f64();
+        let [floor, weights, fit] = regimes;
+        println!(
+            "cached-partition sweep: {CASES} cases in {took:.2} s; steps ending with the floor \
+             taking every processor {floor}, weights dividing the rest {weights}, every demand \
+             fitting {fit}"
+        );
+    }
+
+    /// With `account_system_load`, a load sample dirties the cached
+    /// partition only when its count differs from the one the targets
+    /// were computed with: an unchanged one leaves the recompute count
+    /// and the parked polls alone, a changed one recomputes once and
+    /// releases the parks whose reply it moved.
+    #[test]
+    fn a_load_sample_recomputes_only_when_its_count_changes() {
+        let mut cfg = UdsServerConfig::new("/nonexistent", 8);
+        cfg.prune_dead = false;
+        cfg.account_system_load = true;
+        cfg.sample_ttl = Duration::from_secs(3600);
+        let mut core = ControlCore::new(cfg, 7);
+        let mut now = Instant::now();
+        core.seed_sample(now, 0);
+        answer(&mut core, "REGISTER 900001 8", now);
+        answer(&mut core, "REGISTER 900002 8", now);
+        assert_eq!(answer(&mut core, "POLL 900001", now), "TARGET 4 7\n");
+        assert_eq!(
+            answer(&mut core, "POLL 900002 cpus", now),
+            "TARGET 4 7 cpus=4-7\n"
+        );
+        let parks = [
+            (1, "POLL 900001 wait 5000 4 7"),
+            (2, "POLL 900002 cpus wait 5000 4 7 cpus=4-7"),
+        ];
+        for (conn, line) in parks {
+            assert!(step(&mut core, conn, line, now).is_empty(), "{line}");
+        }
+        let recomputes = core.recomputes();
+
+        now += Duration::from_millis(1);
+        core.seed_sample(now, 0);
+        assert!(due(&mut core, now).is_empty());
+        assert_eq!(answer(&mut core, "POLL 900001", now), "TARGET 4 7\n");
+        assert_eq!(core.recomputes(), recomputes, "an unchanged sample");
+        assert!(core.is_parked(1) && core.is_parked(2));
+
+        // One runnable outsider: 7 processors, 4 + 3. Only the second
+        // pid's reply moved.
+        now += Duration::from_millis(1);
+        core.seed_sample(now, 1);
+        assert_eq!(
+            due(&mut core, now),
+            vec![(2, "TARGET 3 7 cpus=4-6\n".to_string())]
+        );
+        assert_eq!(core.recomputes(), recomputes + 1, "a changed sample");
+        assert!(core.is_parked(1) && !core.is_parked(2));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// [`replay_against_a_from_scratch_core`] on random steps.
+        /// [`replay_against_a_from_scratch_core`] on random steps, on 2,
+        /// 4 or 8 processors.
         #[test]
         fn cached_partition_matches_a_from_scratch_replay(
+            cpus in (1u32..4).prop_map(|k| 1 << k),
             steps in prop::collection::vec((0u32..12, 0u32..6, 0u32..5_000, 0u64..12_000), 1..48),
         ) {
-            replay_against_a_from_scratch_core(steps);
+            replay_against_a_from_scratch_core(cpus, steps);
         }
 
         /// The wire parser never panics and always produces exactly one

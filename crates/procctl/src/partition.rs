@@ -134,13 +134,21 @@ pub struct PartitionScratch {
 
 /// [`partition`] into caller-owned buffers: overwrites `targets` with one
 /// entry per element of `apps`.
+///
+/// Returns whether the targets depend on the weights. They do not — any
+/// positive weights give the same targets — when the floor of one takes
+/// every free processor, when no application has room above its floor,
+/// or when every demand fits in what the floor leaves and every
+/// application with room has a positive weight: then each application is
+/// granted its whole demand, without the water-fill. A cache of the
+/// targets can then ignore a weight change.
 pub fn partition_into(
     num_cpus: u32,
     uncontrolled: u32,
     apps: &[AppDemand],
     targets: &mut Vec<u32>,
     scratch: &mut PartitionScratch,
-) {
+) -> bool {
     let available = num_cpus.saturating_sub(uncontrolled);
 
     // Start from the starvation floor: one process each (0 for empty apps).
@@ -148,11 +156,35 @@ pub fn partition_into(
     targets.extend(apps.iter().map(|a| u32::from(a.processes > 0)));
     let floor: u32 = targets.iter().sum();
     let mut remaining = available.saturating_sub(floor);
+    if remaining == 0 {
+        return false;
+    }
+
+    // The room above the floor, and whether every app with room has a
+    // positive weight (the water-fill stops once only apps without one
+    // have room left).
+    let (mut room, mut positive) = (0u64, true);
+    for (a, &t) in apps.iter().zip(targets.iter()) {
+        if t < a.processes {
+            room += u64::from(a.processes - t);
+            positive &= a.weight > 0.0;
+        }
+    }
+    if room == 0 {
+        return false;
+    }
+    if positive && room <= u64::from(remaining) {
+        // Every demand fits: the water-fill would fill every app to its
+        // cap, whatever the weights.
+        for (t, a) in targets.iter_mut().zip(apps) {
+            *t = a.processes;
+        }
+        return false;
+    }
 
     // Water-fill the remaining processors by weight, capped per app.
     // Each round distributes proportionally among apps with headroom;
-    // integer rounding goes to the largest fractional remainders. A
-    // floor that already uses every processor never enters the loop.
+    // integer rounding goes to the largest fractional remainders.
     let fractional = &mut scratch.fractional;
     while remaining > 0 {
         fractional.clear();
@@ -206,6 +238,7 @@ pub fn partition_into(
             break;
         }
     }
+    true
 }
 
 /// The CPUs of one slot of the carve: `len` consecutive entries of

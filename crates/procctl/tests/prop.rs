@@ -85,6 +85,34 @@ proptest! {
         prop_assert_eq!(partition(cpus, uncontrolled, &apps), partition(cpus, uncontrolled, &apps));
     }
 
+    /// What a cache of the targets may rely on: `partition_into` says
+    /// the weights went unread exactly when the floor takes every free
+    /// processor, no app has room above its floor, or every demand fits;
+    /// and then any other positive weights give the same targets.
+    #[test]
+    fn unread_weights_change_no_target(
+        cpus in 1u32..64,
+        uncontrolled in 0u32..80,
+        apps in weighted_demands(),
+        other in weighted_demands(),
+    ) {
+        let mut targets = Vec::new();
+        let read = partition_into(cpus, uncontrolled, &apps, &mut targets, &mut PartitionScratch::default());
+        let floor = apps.iter().filter(|a| a.processes > 0).count() as u32;
+        let free = cpus.saturating_sub(uncontrolled).saturating_sub(floor);
+        let room: u32 = apps.iter().map(|a| a.processes.saturating_sub(1)).sum();
+        prop_assert_eq!(read, free > 0 && room > free, "free {} room {}", free, room);
+        if !read {
+            let weights = other.iter().map(|o| o.weight).chain(std::iter::repeat(1.0));
+            let reweighed: Vec<AppDemand> = apps
+                .iter()
+                .zip(weights)
+                .map(|(a, weight)| AppDemand { processes: a.processes, weight })
+                .collect();
+            prop_assert_eq!(&targets, &partition(cpus, uncontrolled, &reweighed));
+        }
+    }
+
     /// Buffers a server keeps across recomputes change no result: with
     /// `targets` and the scratch left over from an unrelated problem,
     /// `partition_into` fills in what `partition` returns.
