@@ -3,8 +3,11 @@
 //! The deployable form of the paper's centralized user-level server:
 //! listens on a Unix domain socket, answers REGISTER/POLL/BYE from
 //! application processes, and partitions the machine's processors among
-//! them (optionally subtracting system-wide runnable load sampled from
-//! `/proc`, the modern `rpstat`).
+//! them. Every 500 ms while an application is registered it walks
+//! `/proc` once, the modern `rpstat`: registrations whose process died
+//! without a BYE are dropped, and with `--account-system-load` the
+//! runnable threads of every other process are subtracted from the
+//! processors it partitions.
 //!
 //! Robustness: SIGTERM/SIGINT trigger a clean shutdown that removes the
 //! socket file; a stale socket left by a crashed predecessor is detected

@@ -9,8 +9,10 @@
 //! socket: the tests below run a simulation of the whole control loop —
 //! several clients' cores against one server core, restarts through the
 //! snapshot, over a link that drops, delays, tears, garbles and severs
-//! replies and wedges the server, all drawn from one seed — and check the
-//! paper's safety argument at every step. CI's `chaos` lane sweeps 10 000
+//! replies and wedges the server, with a runnable load outside the
+//! clients and clients that die, handed to the server as `/proc` samples
+//! on its deadline, all drawn from one seed — and check the paper's
+//! safety argument at every step. CI's `chaos` lane sweeps 10 000
 //! seeds (`cargo test --release -p native-rt --lib -- --ignored
 //! sweep_control_loop --nocapture`).
 
@@ -106,12 +108,12 @@ impl JobChaos {
 mod tests {
     use super::*;
     use std::cmp::Reverse;
-    use std::collections::{BTreeMap, BinaryHeap};
+    use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
 
-    use crate::control::{ControlCore, UdsServerConfig};
+    use crate::control::{ControlCore, Sample, UdsServerConfig};
     use crate::snapshot::ServerSnapshot;
     use crate::stats::{Counter, Registry};
     use crate::supervise::{Action, ClientCore, Event, SupervisorConfig, Target};
@@ -206,6 +208,11 @@ mod tests {
         silences: Vec<(usize, Duration, Duration)>,
         /// When the stray pid reports.
         strays: Vec<Duration>,
+        /// When the runnable threads outside the clients change, and to
+        /// how many.
+        loads: Vec<(Duration, u32)>,
+        /// Clients whose process dies, and when.
+        deaths: Vec<(usize, Duration)>,
     }
 
     impl Plan {
@@ -238,6 +245,12 @@ mod tests {
                     })
                     .collect(),
                 strays: (0..r.below(3)).map(|_| r.time(ms(0), FAULTS_END)).collect(),
+                loads: (0..r.below(4))
+                    .map(|_| (r.time(ms(0), FAULTS_END), r.below(10) as u32))
+                    .collect(),
+                deaths: (0..r.below(2))
+                    .map(|_| (r.below(n as u64) as usize, r.time(ms(0), FAULTS_END)))
+                    .collect(),
             }
         }
 
@@ -252,6 +265,8 @@ mod tests {
                 wedges: Vec::new(),
                 silences: Vec::new(),
                 strays: Vec::new(),
+                loads: Vec::new(),
+                deaths: Vec::new(),
             }
         }
     }
@@ -264,8 +279,15 @@ mod tests {
         ToClient(usize, u64, Option<String>),
         /// A client's I/O timeout for one request.
         Timeout(usize, u64),
-        /// The server's next lease or hold deadline.
+        /// The server's next lease, hold or sample deadline.
         Timer,
+        /// A connection the client closed ends at the server, after the
+        /// frames it wrote before closing.
+        HangUp(u64),
+        /// The runnable threads outside the clients become this many.
+        Load(u32),
+        /// A client's process dies.
+        Die(usize),
         /// The server dies, snapshotting first or not.
         Kill(bool),
         Boot,
@@ -292,6 +314,7 @@ mod tests {
         healthy: Vec<u32>,
         /// The epochs this client has moved off.
         left: Vec<u64>,
+        dead: bool,
     }
 
     struct Sim {
@@ -306,10 +329,17 @@ mod tests {
         snapshot: Option<ServerSnapshot>,
         /// The server's open connections, each with its client.
         live: BTreeMap<u64, usize>,
+        /// The open connections whose client closed them: frames still in
+        /// flight are served, their replies dropped.
+        closing: BTreeSet<u64>,
         ids: u64,
         timer_at: Option<Duration>,
         /// When the stray pid's unclaimed report first arrived.
         stray_since: Option<Duration>,
+        /// The runnable threads outside the clients now, and in the
+        /// latest sample the live server took (0 before its first).
+        load: u32,
+        sampled_load: u32,
         clients: Vec<Client>,
     }
 
@@ -339,6 +369,7 @@ mod tests {
                     published: None,
                     healthy: Vec::new(),
                     left: Vec::new(),
+                    dead: false,
                 });
             }
             let mut sim = Sim {
@@ -352,15 +383,19 @@ mod tests {
                 server: None,
                 snapshot: None,
                 live: BTreeMap::new(),
+                closing: BTreeSet::new(),
                 ids: 0,
                 timer_at: None,
                 stray_since: None,
+                load: 0,
+                sampled_load: 0,
                 clients,
             };
             sim.boot();
             sim
         }
 
+        /// The clients' clock; the server's is `t` itself.
         fn now(&self) -> Instant {
             self.base + self.t
         }
@@ -403,6 +438,12 @@ mod tests {
             for at in self.plan.strays.clone() {
                 self.at(at, Ev::Stray);
             }
+            for (at, n) in self.plan.loads.clone() {
+                self.at(at, Ev::Load(n));
+            }
+            for (c, at) in self.plan.deaths.clone() {
+                self.at(at, Ev::Die(c));
+            }
             let end = FAULTS_END + CONVERGE;
             while let Some(&Reverse((t, id))) = self.queue.peek() {
                 if t > end {
@@ -415,13 +456,12 @@ mod tests {
                 self.step(ev);
             }
             self.t = end;
-            let now = self.now();
             let server = self.server.as_mut().expect("up at the end");
             let assigned: Vec<(u32, u32, Vec<u32>)> = server
-                .assignments(now)
+                .assignments()
                 .map(|(pid, t, cpus)| (pid, t, cpus.collect()))
                 .collect();
-            for (c, client) in self.clients.iter().enumerate() {
+            for (c, client) in self.clients.iter().enumerate().filter(|(_, c)| !c.dead) {
                 let want = assigned
                     .iter()
                     .find(|a| a.0 == client.pid)
@@ -437,6 +477,7 @@ mod tests {
         fn step(&mut self, ev: Ev) {
             let t = self.t;
             match ev {
+                Ev::Wake(c) | Ev::ToClient(c, ..) | Ev::Timeout(c, _) if self.clients[c].dead => {}
                 Ev::Wake(c) => {
                     let silent = self
                         .plan
@@ -486,16 +527,31 @@ mod tests {
                     }
                 }
                 Ev::Timer => {}
+                Ev::HangUp(conn) => match self.wedged_until() {
+                    Some(until) => self.at(until, Ev::HangUp(conn)),
+                    None => {
+                        if self.live.remove(&conn).is_some() {
+                            self.server.as_mut().expect("live").hang_up(conn);
+                        }
+                        self.closing.remove(&conn);
+                    }
+                },
+                Ev::Load(n) => self.load = n,
+                Ev::Die(c) => {
+                    self.clients[c].dead = true;
+                    self.close(c);
+                }
                 Ev::Kill(snapshot) => {
                     let server = self.server.take().expect("restarts do not overlap");
-                    self.snapshot = snapshot.then(|| server.to_snapshot(self.base + t));
+                    self.snapshot = snapshot.then(|| server.to_snapshot(t));
                     // Its connections end; a client waiting on one hears so.
                     for (conn, c) in std::mem::take(&mut self.live) {
                         if self.clients[c].conn == Some(conn) {
                             self.later(Duration::ZERO, Ev::ToClient(c, conn, None));
                         }
                     }
-                    (self.timer_at, self.stray_since) = (None, None);
+                    self.closing.clear();
+                    (self.timer_at, self.stray_since, self.sampled_load) = (None, None, 0);
                 }
                 Ev::Boot => self.boot(),
                 Ev::Stray if self.server.is_some() && self.wedged_until().is_none() => {
@@ -514,12 +570,12 @@ mod tests {
         fn boot(&mut self) {
             let mut cfg = UdsServerConfig::new("sim", self.plan.cpus);
             cfg.lease_ttl = LEASE;
-            cfg.prune_dead = false;
+            cfg.account_system_load = true;
             cfg.weighted = self.plan.weighted;
             cfg.journal_cap = 0;
             let mut server = ControlCore::new(cfg, self.rng.below(u64::MAX) | 1);
             if let Some(snap) = self.snapshot.take() {
-                server.restore(&snap, self.now());
+                server.restore(&snap, self.t);
                 let (epoch, was) = (server.epoch(), snap.epoch);
                 self.check(epoch > was, || {
                     format!("restored at epoch {epoch}, from {was}")
@@ -588,12 +644,7 @@ mod tests {
                         self.later(Duration::ZERO, Ev::ToClient(c, conn, None));
                     }
                 }
-                Action::Close => {
-                    let conn = self.clients[c].conn.take();
-                    if let Some(conn) = conn.filter(|conn| self.live.remove(conn).is_some()) {
-                        self.server.as_mut().expect("live").hang_up(conn);
-                    }
-                }
+                Action::Close => self.close(c),
                 Action::WaitUntil(at) => self.clients[c].retry_at = at - self.base,
                 Action::Publish(target) => {
                     let n = self.clients[c].nworkers;
@@ -614,30 +665,64 @@ mod tests {
             }
         }
 
-        /// One server wakeup in the reactor's order — expire, the frame,
-        /// release — with the server's invariants checked around it and
-        /// its replies put on the link.
-        fn wakeup(&mut self, op: impl FnOnce(&mut ControlCore, Instant, &mut Vec<(u64, String)>)) {
-            let now = self.now();
+        /// Client `c` closes its connection: the server serves what is
+        /// still in flight on it, drops the replies, then hears the close.
+        fn close(&mut self, c: usize) {
+            if let Some(conn) = self.clients[c].conn.take() {
+                if self.live.contains_key(&conn) && self.closing.insert(conn) {
+                    // Behind every frame written before the close: a link
+                    // latency is under 2 ms.
+                    self.at(self.t + ms(2), Ev::HangUp(conn));
+                }
+            }
+        }
+
+        /// One server wakeup in the reactor's order — a sample if one is
+        /// due, expire, the frame, release — with the server's invariants
+        /// checked around it and its replies put on the link.
+        fn wakeup(&mut self, op: impl FnOnce(&mut ControlCore, Duration, &mut Vec<(u64, String)>)) {
+            let now = self.t;
             let mut server = self.server.take().expect("a wakeup of a live server");
-            let before = server.registrations(now);
+            if server.sample_due(now) {
+                let dead_pids = server
+                    .pids()
+                    .filter(|&pid| self.clients.iter().any(|c| c.dead && c.pid == pid))
+                    .collect();
+                let runnable_excluding = self.load;
+                server.sample(
+                    now,
+                    Sample {
+                        runnable_excluding,
+                        dead_pids,
+                    },
+                );
+                self.sampled_load = self.load;
+                for &(pid, ..) in &server.registrations() {
+                    let dead = self.clients.iter().any(|c| c.dead && c.pid == pid);
+                    self.check(!dead, || {
+                        format!("pid {pid} outlived a sample after its death")
+                    });
+                }
+            }
+            let before = server.registrations();
             server.expire(now);
-            for &(pid, _, seen, _) in &server.registrations(now) {
-                self.check(seen + LEASE > now, || {
-                    format!("pid {pid} outlived its lease")
-                });
+            for &(pid, _, until, _) in &server.registrations() {
+                self.check(until > now, || format!("pid {pid} outlived its lease"));
             }
             let mut out = Vec::new();
             op(&mut server, now, &mut out);
             server.release(now, |conn, reply| out.push((conn, reply.to_string())));
-            let after = server.registrations(now);
-            for &(pid, _, seen, _) in &before {
-                let early = seen + LEASE > now && !after.iter().any(|a| a.0 == pid);
+            let after = server.registrations();
+            for &(pid, _, until, _) in &before {
+                let early = until > now && !after.iter().any(|a| a.0 == pid);
                 self.check(!early, || {
                     format!("pid {pid} left before its lease ran out")
                 });
             }
-            let cap = self.plan.cpus.max(after.len()) as u32;
+            // The paper's bound: never more than the processors the load
+            // outside leaves, except that every application keeps one.
+            let free = (self.plan.cpus as u32).saturating_sub(self.sampled_load);
+            let cap = free.max(after.len() as u32);
             let sum: u32 = after.iter().map(|a| a.3).sum();
             self.check(sum <= cap, || {
                 format!("{after:?} overcommit {cap} processors")
@@ -655,7 +740,7 @@ mod tests {
                     weight: if self.plan.weighted { weight } else { 1.0 },
                 })
                 .collect();
-            let fresh = procctl::partition(self.plan.cpus as u32, 0, &demands);
+            let fresh = procctl::partition(self.plan.cpus as u32, self.sampled_load, &demands);
             let cached: Vec<u32> = after.iter().map(|a| a.3).collect();
             self.check(cached == fresh, || {
                 format!("cached targets {cached:?}, from scratch {fresh:?}")
@@ -667,7 +752,7 @@ mod tests {
                 });
                 self.stray_since = self.stray_since.filter(|_| kept);
             }
-            if let Some(at) = server.next_deadline().map(|at| at - self.base) {
+            if let Some(at) = server.next_deadline() {
                 if self.timer_at.map_or(true, |t| at < t) {
                     self.timer_at = Some(at);
                     self.at(at, Ev::Timer);
@@ -682,7 +767,11 @@ mod tests {
         /// Puts one reply on the link, which may sever, drop, tear,
         /// garble or delay it.
         fn deliver(&mut self, conn: u64, reply: String) {
-            let Some(&c) = self.live.get(&conn) else {
+            let Some(&c) = self
+                .live
+                .get(&conn)
+                .filter(|_| !self.closing.contains(&conn))
+            else {
                 return;
             };
             let (roll, mut edge) = (self.rng.unit(), 0.0);

@@ -105,8 +105,7 @@ impl Pools {
             }
             live
         });
-        for ((id, slot), (pid, target, cpus)) in slots.iter().zip(core.assignments(Instant::now()))
-        {
+        for ((id, slot), (pid, target, cpus)) in slots.iter().zip(core.assignments()) {
             debug_assert_eq!(*id, pid, "pool slots out of partition order");
             // A pool dropped since the retain keeps its share until the
             // next recompute departs it.
@@ -199,7 +198,9 @@ impl Controller {
         let id = pools.next_id;
         pools.next_id = id.wrapping_add(1);
         let nworkers = u32::try_from(nworkers).unwrap_or(u32::MAX);
-        pools.core.admit(id, nworkers, Instant::now());
+        pools
+            .core
+            .admit(id, nworkers, crate::trace::clock_origin().elapsed());
         pools.slots.push((id, Arc::downgrade(&slot)));
         pools.recompute();
         slot
@@ -394,7 +395,7 @@ mod tests {
 
     /// The wire reply to `POLL <pid> cpus`: the target and the CPU set,
     /// sorted.
-    fn wire_target(core: &mut ControlCore, pid: u32, now: Instant) -> (usize, Vec<u32>) {
+    fn wire_target(core: &mut ControlCore, pid: u32, now: Duration) -> (usize, Vec<u32>) {
         let mut reply = String::new();
         core.frame(0, format!("POLL {pid} cpus").as_bytes(), now, |r| {
             reply.push_str(r)
@@ -431,10 +432,9 @@ mod tests {
             }
             let controller = Controller::start(cpus, order.clone(), Duration::from_secs(3600));
             let mut cfg = UdsServerConfig::new(PathBuf::new(), cpus);
-            cfg.prune_dead = false;
             cfg.cpu_order = Some(order);
             let mut wire = ControlCore::new(cfg, 1);
-            let now = Instant::now();
+            let now = Duration::ZERO;
             let mut pools: Vec<Option<Arc<TargetSlot>>> = Vec::new();
             for (pid, &n) in workers.iter().enumerate() {
                 pools.push(Some(controller.register(n)));

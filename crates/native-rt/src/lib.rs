@@ -74,8 +74,8 @@ pub use baseline::CentralPool;
 #[cfg(unix)]
 pub use chaos::{JobChaos, JobFault};
 pub use control::{
-    ControlCore, ServerEngine, UdsServerConfig, DEFAULT_JOURNAL_CAP, DEFAULT_LEASE_TTL,
-    DEFAULT_TRACE_MAX,
+    ControlCore, Sample, ServerEngine, UdsServerConfig, DEFAULT_JOURNAL_CAP, DEFAULT_LEASE_TTL,
+    DEFAULT_TRACE_MAX, SAMPLE_PERIOD,
 };
 pub use controller::{Controller, TargetSlot};
 pub use crlock::{

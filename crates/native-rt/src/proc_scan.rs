@@ -2,15 +2,58 @@
 //! "system call for determining information about the runnable processes
 //! in the system" (`rpstat`).
 //!
-//! Linux-only; on other platforms the functions return
-//! [`std::io::ErrorKind::Unsupported`].
+//! One function, [`sample`]: what the control server's core takes in
+//! every `SAMPLE_PERIOD`. Linux-only; elsewhere it returns
+//! [`std::io::ErrorKind::Unsupported`], so no caller can mistake an
+//! unreadable `/proc` for every process having died.
 
 use std::io;
+
+use crate::Sample;
+
+/// One `rpstat`, from one walk of `/proc`: which of the `registered` pids
+/// no longer exist and — when `count_runnable` — how many runnable ('R'
+/// state) threads the other processes have, the server's own excluded:
+/// what the paper calls "the number of runnable processes not belonging
+/// to controllable applications".
+#[cfg(target_os = "linux")]
+pub fn sample(registered: &[u32], count_runnable: bool) -> io::Result<Sample> {
+    let mut pids = registered.to_vec();
+    pids.sort_unstable();
+    pids.dedup();
+    let (me, mut alive) = (std::process::id(), vec![false; pids.len()]);
+    let mut runnable_excluding = 0;
+    for entry in std::fs::read_dir("/proc")? {
+        let name = entry?.file_name();
+        let Some(pid) = name.to_str().and_then(|s| s.parse::<u32>().ok()) else {
+            continue;
+        };
+        match pids.binary_search(&pid) {
+            Ok(i) => alive[i] = true,
+            // A process that exits mid-walk counts as nothing.
+            Err(_) if count_runnable && pid != me => {
+                runnable_excluding += runnable_threads(pid).unwrap_or(0);
+            }
+            Err(_) => {}
+        }
+    }
+    let dead_pids = pids.iter().zip(&alive).filter(|(_, &a)| !a);
+    Ok(Sample {
+        runnable_excluding,
+        dead_pids: dead_pids.map(|(&pid, _)| pid).collect(),
+    })
+}
+
+/// Unsupported on this platform.
+#[cfg(not(target_os = "linux"))]
+pub fn sample(_registered: &[u32], _count_runnable: bool) -> io::Result<Sample> {
+    Err(io::Error::from(io::ErrorKind::Unsupported))
+}
 
 /// Number of runnable ('R' state) threads of process `pid`, from
 /// `/proc/<pid>/task/*/stat`.
 #[cfg(target_os = "linux")]
-pub fn runnable_threads(pid: u32) -> io::Result<u32> {
+fn runnable_threads(pid: u32) -> io::Result<u32> {
     let dir = format!("/proc/{pid}/task");
     let mut count = 0;
     for entry in std::fs::read_dir(dir)? {
@@ -29,62 +72,6 @@ pub fn runnable_threads(pid: u32) -> io::Result<u32> {
     }
     Ok(count)
 }
-
-/// Whether process `pid` still exists.
-#[cfg(target_os = "linux")]
-pub fn process_exists(pid: u32) -> bool {
-    std::path::Path::new(&format!("/proc/{pid}")).exists()
-}
-
-/// Total runnable threads across the whole system, excluding the given
-/// pids (the registered/controlled applications and the server itself) —
-/// what the paper calls "the number of runnable processes not belonging
-/// to controllable applications".
-///
-/// This walks all of `/proc`, so callers should cache the result for a
-/// sampling interval, exactly as the centralized server amortizes its
-/// single `rpstat` across all applications.
-#[cfg(target_os = "linux")]
-pub fn system_runnable_excluding(exclude: &[u32]) -> io::Result<u32> {
-    let mut total = 0;
-    for entry in std::fs::read_dir("/proc")? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(pid) = name.to_str().and_then(|s| s.parse::<u32>().ok()) else {
-            continue;
-        };
-        if exclude.contains(&pid) {
-            continue;
-        }
-        if let Ok(n) = runnable_threads(pid) {
-            total += n;
-        }
-    }
-    Ok(total)
-}
-
-#[cfg(not(target_os = "linux"))]
-mod unsupported {
-    use super::io;
-
-    /// Unsupported on this platform.
-    pub fn runnable_threads(_pid: u32) -> io::Result<u32> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    /// Unsupported on this platform.
-    pub fn process_exists(_pid: u32) -> bool {
-        false
-    }
-
-    /// Unsupported on this platform.
-    pub fn system_runnable_excluding(_exclude: &[u32]) -> io::Result<u32> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-pub use unsupported::{process_exists, runnable_threads, system_runnable_excluding};
 
 /// Extracts the state field (third, after the parenthesized comm which may
 /// itself contain spaces and parentheses) from a `/proc/*/stat` line.
@@ -124,7 +111,8 @@ mod tests {
     #[test]
     fn own_process_is_visible() {
         let me = std::process::id();
-        assert!(process_exists(me));
+        let sampled = sample(&[me], false).expect("read /proc");
+        assert_eq!(sampled.dead_pids, []);
         // A busy-spinning thread guarantees at least one R state.
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let s2 = stop.clone();
@@ -151,8 +139,10 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn nonexistent_process_reported() {
-        // Pid 0 has no /proc entry on Linux.
-        assert!(!process_exists(0));
+        // Pid 0 has no /proc entry on Linux; a registered pid may be
+        // named twice, and is reported dead once.
+        let sampled = sample(&[0, std::process::id(), 0], true).expect("read /proc");
+        assert_eq!(sampled.dead_pids, [0]);
         assert!(runnable_threads(0).is_err());
     }
 }

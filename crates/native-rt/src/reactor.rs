@@ -13,11 +13,15 @@
 //! state and the order each wakeup's events touch it in; the reactor
 //! owns only sockets, [`FrameBuffer`]s and flushes.
 //!
-//! Per wakeup, the loop:
+//! The core reads no clock and no file, so the reactor reads both for it:
+//! one clock read per wakeup, converted to the core's time (a `Duration`
+//! since `trace::clock_origin`), and one `/proc` walk per sample. Per
+//! wakeup, the loop:
 //!
-//! 1. expires the leases due by now (the core's deadline-ordered timer
-//!    queue: the wait timeout is the earliest lease or hold deadline, so
-//!    neither needs per-poll scans or idle spinning),
+//! 1. hands the core a `/proc` sample when one is due, and expires the
+//!    leases due by now (the core's deadline-ordered timer queue: the
+//!    wait timeout is the earliest lease, hold or sample deadline, so none
+//!    needs per-poll scans or idle spinning),
 //! 2. drains every ready socket into its connection's [`FrameBuffer`]
 //!    (frames split across read boundaries reassemble; pipelined frames
 //!    all surface at once) and hands each complete frame to the core,
@@ -47,10 +51,12 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use crate::control::ControlCore;
+use crate::proc_scan;
 use crate::stats::Counter;
+use crate::trace;
 use crate::uds::write_snapshot;
 
 /// The longest line the reactor will buffer for one frame before
@@ -505,16 +511,17 @@ impl Reactor {
         let mut ready: Vec<(u64, bool, bool)> = Vec::new();
         let mut released: Vec<u64> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
-        let mut last_snapshot = Instant::now();
+        let origin = trace::clock_origin();
+        let mut last_snapshot = origin.elapsed();
 
         while !stop.load(Ordering::Acquire) {
-            // Sleep until traffic, the next lease deadline or the next
-            // hold deadline, capped so the stop flag stays responsive.
+            // Sleep until traffic or the next lease, hold or sample
+            // deadline, capped so the stop flag stays responsive.
             let timeout_ms = match core.next_deadline() {
                 Some(at) => {
                     // Rounded up: a wait that ends a fraction of a
                     // millisecond early would find nothing due and spin.
-                    let left = at.saturating_duration_since(Instant::now());
+                    let left = at.saturating_sub(origin.elapsed());
                     let ms = left.as_micros().div_ceil(1000);
                     (ms.min(MAX_WAIT_MS as u128) as i32).max(0)
                 }
@@ -528,17 +535,21 @@ impl Reactor {
             reactor_wakeups.incr();
             // One clock read serves the whole wakeup: the lease math is
             // 30-second-granular, and a wakeup is microseconds long.
-            let now = Instant::now();
-            // Fire due lease timers (cheap heap peek when nothing is due;
-            // the /proc liveness sweep throttles itself inside).
+            let now = origin.elapsed();
+            if core.sample_due(now) {
+                // A walk that fails (or is unsupported here) reads as an
+                // empty sample: no load, nobody dead.
+                let pids: Vec<u32> = core.pids().collect();
+                let load = core.cfg().account_system_load;
+                core.sample(now, proc_scan::sample(&pids, load).unwrap_or_default());
+            }
+            // Fire due lease timers (cheap heap peek when nothing is due).
             core.expire(now);
             // Periodic crash-recovery snapshot, off the same timer
             // wakeups (the wait cap bounds staleness; the hot frame path
             // below is untouched when no interval has elapsed).
             let cfg = core.cfg();
-            if cfg.snapshot_path.is_some()
-                && now.duration_since(last_snapshot) >= cfg.snapshot_interval
-            {
+            if cfg.snapshot_path.is_some() && now - last_snapshot >= cfg.snapshot_interval {
                 write_snapshot(&core, now);
                 last_snapshot = now;
             }
@@ -616,7 +627,7 @@ impl Reactor {
         // Final write on the way out: a graceful shutdown (SIGTERM →
         // drop) persists everything served, so the next boot restores
         // the exact fleet this instance was managing.
-        write_snapshot(&core, Instant::now());
+        write_snapshot(&core, origin.elapsed());
     }
 }
 
@@ -677,7 +688,7 @@ fn drain_and_handle(
     conn: &mut Conn,
     scratch: &mut [u8],
     core: &mut ControlCore,
-    now: Instant,
+    now: Duration,
 ) -> u64 {
     let mut frames: u64 = 0;
     loop {
@@ -745,7 +756,7 @@ fn drain_and_handle(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -885,4 +896,186 @@ mod tests {
             prop_assert_eq!(fb.take_residue(), frame);
         }
     }
+
+    /// The reactor's socket tests, each run as `uds::tests::<name>`: the
+    /// test ids they had when they lived there.
+    #[cfg(target_os = "linux")]
+    mod sockets {
+        use super::*;
+        use crate::uds::tests::{ask, client, server};
+        use crate::{UdsServer, DEFAULT_IO_TIMEOUT};
+        use std::io::{BufRead, BufReader};
+        use std::time::Duration;
+
+        /// A raw connection to the server at `path`, with the client's
+        /// timeouts.
+        fn connect(path: &std::path::Path) -> UnixStream {
+            let stream = UnixStream::connect(path).expect("connect");
+            stream
+                .set_read_timeout(Some(DEFAULT_IO_TIMEOUT))
+                .expect("timeout");
+            stream
+        }
+
+        /// A window of frames in one write gets every reply, in order, and
+        /// the reactor batches them: many frames per wakeup, one flush.
+        pub(crate) fn reactor_serves_pipelined_bursts_in_order_and_batches() {
+            let (path, server) = server("pipelined");
+            let (mut stream, me) = (connect(&path), std::process::id());
+            let burst: String = (1..=32)
+                .map(|n| format!("REGISTER {me} {n}\nPOLL {me}\n"))
+                .collect();
+            stream.write_all(burst.as_bytes()).expect("send burst");
+            let e = server.epoch();
+            let want: String = (1..=32)
+                .map(|n: u32| format!("OK {e}\nTARGET {} {e}\n", n.min(8)))
+                .collect();
+            let mut got = vec![0; want.len()];
+            stream.read_exact(&mut got).expect("replies");
+            assert_eq!(String::from_utf8_lossy(&got), want);
+            let batched = server.stats().counters["frames_batched"];
+            assert!(batched >= 1, "a 64-frame burst should batch: {batched}");
+        }
+
+        /// Frames trickled one byte at a time still parse; a client that
+        /// disappears mid-frame does not wedge the loop for others.
+        pub(crate) fn reactor_survives_torn_writes_and_half_closed_clients() {
+            let (path, server) = server("torn");
+            let (mut a, me, e) = (connect(&path), std::process::id(), server.epoch());
+            for byte in format!("REGISTER {me} 16\nPOLL {me}\n").bytes() {
+                a.write_all(&[byte]).expect("send byte");
+            }
+            let mut replies = BufReader::new(a);
+            let mut line = String::new();
+            for want in [format!("OK {e}\n"), format!("TARGET 8 {e}\n")] {
+                line.clear();
+                replies.read_line(&mut line).expect("reply");
+                assert_eq!(line, want);
+            }
+            // A second client dies mid-frame (no newline, then EOF).
+            connect(&path).write_all(b"POLL 91").expect("partial");
+            let reply = ask(&mut client(&path), &format!("POLL {me}"));
+            assert_eq!(reply, format!("TARGET 8 {e}"));
+        }
+
+        /// Writes `frame(0)`, `frame(1)`, … to `stream` without reading,
+        /// until a write times out or `limit` bytes went out. Returns the
+        /// bytes written.
+        fn push_unread(
+            stream: &mut UnixStream,
+            frame: impl Fn(u64) -> String,
+            limit: usize,
+        ) -> usize {
+            stream
+                .set_write_timeout(Some(Duration::from_millis(200)))
+                .expect("write timeout");
+            let (mut sent, mut k, mut off) = (0, 0, 0);
+            let mut chunk: Vec<u8> = Vec::new();
+            while sent < limit {
+                if off == chunk.len() {
+                    (chunk, off) = (Vec::new(), 0);
+                    while chunk.len() < 64 * 1024 {
+                        chunk.extend_from_slice(frame(k).as_bytes());
+                        k += 1;
+                    }
+                }
+                match stream.write(&chunk[off..]) {
+                    Ok(n) => (off, sent) = (off + n, sent + n),
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) =>
+                    {
+                        break
+                    }
+                    Err(e) => panic!("write failed: {e}"),
+                }
+            }
+            sent
+        }
+
+        /// The number of reactor wakeups in 300 ms, once the loop settled.
+        fn idle_wakeups(server: &UdsServer) -> u64 {
+            std::thread::sleep(Duration::from_millis(50));
+            let before = server.stats().counters["reactor_wakeups"];
+            std::thread::sleep(Duration::from_millis(300));
+            server.stats().counters["reactor_wakeups"] - before
+        }
+
+        pub(crate) fn a_client_that_never_reads_is_throttled_then_answered_in_order() {
+            let (path, server) = server("backpressure");
+            let epoch = server.epoch();
+            // Frame k is `REPORT 7 seq=<k/2>` for even k and `STATS 7` for
+            // odd k, whose reply echoes the report: each reply names the
+            // frame it answers.
+            let frame = |k: u64| match k % 2 {
+                0 => format!("REPORT 7 seq={}\n", k / 2),
+                _ => "STATS 7\n".to_string(),
+            };
+            let reply = |k: u64| match k % 2 {
+                0 => format!("OK {epoch}\n"),
+                _ => format!("STATS seq={}\n", k / 2),
+            };
+            let mut stream = UnixStream::connect(&path).expect("connect");
+            let sent = push_unread(&mut stream, frame, 64 << 20);
+            let taken = sent >> 20;
+            assert!(
+                sent < 8 << 20,
+                "the server took {taken} MiB from a client that reads nothing"
+            );
+            // Throttled, the connection is not watched for reading: its
+            // unread bytes would otherwise end every wait at once.
+            let spent = idle_wakeups(&server);
+            assert!(spent < 30, "{spent} wakeups in 300 ms while throttled");
+
+            // Every frame sent whole is answered, once, in order; the torn
+            // one is answered once its tail arrives.
+            let (mut whole, mut at) = (0u64, 0usize);
+            while at + frame(whole).len() <= sent {
+                at += frame(whole).len();
+                whole += 1;
+            }
+            stream
+                .set_read_timeout(Some(DEFAULT_IO_TIMEOUT))
+                .expect("read timeout");
+            let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = String::new();
+            for k in 0..whole {
+                line.clear();
+                replies.read_line(&mut line).expect("reply");
+                assert_eq!(line, reply(k), "reply {k} of {whole}");
+            }
+            let torn = frame(whole);
+            stream
+                .write_all(&torn.as_bytes()[sent - at..])
+                .expect("the torn frame's tail");
+            line.clear();
+            replies.read_line(&mut line).expect("reply");
+            assert_eq!(line, reply(whole));
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("shutdown");
+            line.clear();
+            replies
+                .read_to_string(&mut line)
+                .expect("read until closed");
+            assert_eq!(line, "", "replies beyond one per frame");
+        }
+
+        pub(crate) fn a_throttled_client_that_hangs_up_is_closed() {
+            let (path, server) = server("backpressure-hangup");
+            let mut stream = UnixStream::connect(&path).expect("connect");
+            let sent = push_unread(&mut stream, |_| "STATS ALL\n".to_string(), 64 << 20);
+            assert!(sent < 8 << 20, "{} MiB taken", sent >> 20);
+            drop(stream);
+            // A hang-up left unhandled would end every wait at once.
+            let spent = idle_wakeups(&server);
+            assert!(spent < 30, "{spent} wakeups in 300 ms after the hang-up");
+            assert!(ask(&mut client(&path), "STATS").starts_with("STATS "));
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    pub(crate) use sockets::*;
 }

@@ -203,6 +203,14 @@ pub fn now_ns() -> u64 {
     clock_origin().elapsed().as_nanos() as u64
 }
 
+/// A test's wall-clock stopwatch: each call returns the time since it
+/// was started.
+#[cfg(test)]
+pub(crate) fn stopwatch() -> impl Fn() -> std::time::Duration {
+    let started = Instant::now();
+    move || started.elapsed()
+}
+
 /// Nanoseconds from [`clock_origin`] to an already-taken `Instant` —
 /// lets hot paths reuse a clock read they needed anyway. Saturates to 0
 /// for instants taken before the origin was pinned.

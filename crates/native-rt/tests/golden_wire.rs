@@ -18,12 +18,18 @@
 //! `@<conn> PARKED` for a frame that got none yet, and `@due <n>` for a
 //! timer wakeup that released `<n>` parks (their replies follow).
 //!
-//! When a PR changes a reply on purpose, re-capture with
+//! The third part drains the journals with `TRACE` on connection 6: the
+//! server's decision instants are stamped with the transcript's own
+//! `now`, so they repeat byte for byte between the events the
+//! applications pushed (appended after line 441, the lines above
+//! unchanged).
+//!
+//! When a change moves a reply on purpose, re-capture with
 //! `cargo test -p native-rt --test golden_wire -- --ignored print_golden --nocapture \
 //!  | grep -E '^(OK|TARGET|ERR|STATS|@)' > crates/native-rt/tests/golden_wire.replies`
 //! and say so in CHANGES.md.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use native_rt::{ControlCore, UdsServerConfig};
 
@@ -41,7 +47,6 @@ enum Step {
 }
 
 /// The transcript: `(ms since the first frame, what happens)`.
-/// No `TRACE`: journal entries carry wall-clock stamps.
 fn transcript() -> Vec<(u64, Step)> {
     let mut t: Vec<(u64, Step)> = Vec::new();
     let mut at = 0u64;
@@ -238,13 +243,14 @@ fn transcript() -> Vec<(u64, Step)> {
     // The server's own counters: how many recomputes were coalesced, how
     // many leases expired, how many timers fired.
     say(at, "STATS");
-    parked_polls(&mut t, at + 1_000);
+    let at = parked_polls(&mut t, at + 1_000);
+    traces(&mut t, at + 1_000);
     t
 }
 
 /// The parked-poll part: connection 1 polls for pid 400, 3 for 401, 4
 /// and 5 for 411; connection 2 is everybody else.
-fn parked_polls(t: &mut Vec<(u64, Step)>, mut at: u64) {
+fn parked_polls(t: &mut Vec<(u64, Step)>, mut at: u64) -> u64 {
     fn on(t: &mut Vec<(u64, Step)>, at: u64, conn: u64, line: &str) {
         t.push((at, Step::Frame(conn, line.to_string())));
     }
@@ -366,17 +372,42 @@ fn parked_polls(t: &mut Vec<(u64, Step)>, mut at: u64) {
     }
     // How many parked, and how each park ended.
     on(t, at, 2, "STATS");
+    at
+}
+
+/// The journal part: what the parked polls journaled for pid 411, then a
+/// fresh pid whose decisions interleave with the events it pushes.
+fn traces(t: &mut Vec<(u64, Step)>, at: u64) {
+    for (ms, line) in [
+        (0, "TRACE 411 3"),
+        (0, "TRACE 411"),
+        (0, "TRACE 410 0"),
+        (0, "REGISTER 420 4"),
+        (1, "POLL 420"),
+        (2, "EVENTS 420 5:js:0:1,6:je:0:1"),
+        (3, "REGISTER 421 8"),
+        (4, "POLL 420 cpus"),
+        (5, "EVENTS 420 7:pk:1:0"),
+        (6, "POLL 420"),
+        (7, "TRACE 420 2"),
+        (8, "TRACE 420"),
+        (8, "TRACE 420"),
+        (9, "TRACE 999"),
+        (9, "EVENTS 999 1:js:0:0"),
+        (9, "BYE 420"),
+        (9, "TRACE 420"),
+    ] {
+        t.push((at + ms, Step::Frame(6, line.to_string())));
+    }
 }
 
 /// Every line the transcript makes the server write, each with the step
 /// that caused it.
 fn replies() -> Vec<(String, String)> {
     let mut cfg = UdsServerConfig::new("/nonexistent", 8);
-    cfg.prune_dead = false; // the pids are made up
     cfg.weighted = true;
     cfg.cpu_order = Some(vec![0, 4, 1, 5, 2, 6, 3, 7]);
     let mut core = ControlCore::new(cfg, EPOCH);
-    let base = Instant::now();
     // Connection 0 is the first part's only one, captured bare.
     let tag = |conn: u64, reply: &str| match conn {
         0 => reply.to_string(),
@@ -384,7 +415,7 @@ fn replies() -> Vec<(String, String)> {
     };
     let mut out = Vec::new();
     for (ms, step) in transcript() {
-        let now = base + Duration::from_millis(ms);
+        let now = Duration::from_millis(ms);
         match step {
             Step::Frame(conn, line) => {
                 let mut lines = Vec::new();
