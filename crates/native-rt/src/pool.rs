@@ -13,7 +13,14 @@
 //! - external [`Pool::execute`] calls land in a [sharded
 //!   injector](crate::injector) (the `injector_pops` path), unless the
 //!   caller *is* a worker of this pool, in which case the job goes
-//!   straight into that worker's deque;
+//!   straight into that worker's deque. A worker takes from the
+//!   injector in batches: in the one lock hold that finds a shard's
+//!   oldest task it also takes its fair share of the rest, ⌊left ÷
+//!   workers⌋ more, at most 31. It runs the oldest at once and queues
+//!   the others on its own deque newest first, in spare boxes, so it
+//!   runs them oldest first and a thief takes the newest. A job is
+//!   counted by where its worker took it when it ran: a batch's first
+//!   as an `injector_pops`, the others as `local_hits` or `steals`;
 //! - an empty worker steals FIFO from the topologically *nearest*
 //!   victims first — SMT sibling, then same-LLC, then same-socket, then
 //!   remote rings (see [`crate::topology`]), randomizing only within a
@@ -42,7 +49,9 @@
 //! Process control is the safe point [`crate::safepoint`] shared with
 //! [`crate::CentralPool`], called **between** jobs. A suspending worker
 //! first drains its own deque into the injector, so no submitted job is
-//! stranded behind a parked worker.
+//! stranded behind a parked worker; the rest of a batch it took goes
+//! back that way, and the boxes stay with the worker for its next forks
+//! and batches.
 
 use std::cell::{Cell, UnsafeCell};
 use std::mem::{ManuallyDrop, MaybeUninit};
@@ -229,23 +238,59 @@ impl Local {
     /// spare box, or in a fresh one when none is left.
     #[inline]
     fn fork<F: FnOnce() + Send + 'static>(&self, job: F, stamp: Option<(Instant, u64)>) {
+        // SAFETY: `init` initialises every field.
+        unsafe { self.queue_with(|slot| Task::init(slot, job, stamp)) }
+    }
+
+    /// Queues a task taken from the injector in a batch on this worker's
+    /// deque, moved into a spare box as a fork's task is written.
+    #[inline]
+    fn queue(&self, task: Task) {
+        // SAFETY: `write` initialises the whole task.
+        unsafe {
+            self.queue_with(|slot| {
+                slot.write(task);
+            });
+        }
+    }
+
+    /// Pushes a task onto this worker's deque in a spare box, or in a
+    /// fresh one when none is left, once `init` has written it there.
+    ///
+    /// # Safety
+    /// `init` initialises every field of the task in the slot.
+    #[inline]
+    unsafe fn queue_with(&self, init: impl FnOnce(&mut MaybeUninit<Task>)) {
         // SAFETY: only this thread reaches `spares` (see the field), and
         // no other reference into it is live: `recycle` is the one other
         // user, and neither holds one past a statement that could call
         // back into this pool.
         let spare = unsafe { (*self.spares.get()).pop() };
         let mut slot = spare.unwrap_or_else(|| Box::new(MaybeUninit::uninit()));
-        Task::init(&mut slot, job, stamp);
-        // SAFETY: `init` initialised every field, and `MaybeUninit<Task>`
-        // has `Task`'s layout, so this is the same allocation, typed.
+        init(&mut slot);
+        // SAFETY: the caller's `init` initialised every field, and
+        // `MaybeUninit<Task>` has `Task`'s layout, so this is the same
+        // allocation, typed.
         let task = unsafe { Box::from_raw(Box::into_raw(slot).cast::<Task>()) };
         self.worker.push(task);
     }
 
-    /// Keeps the box of a spent task for a later fork, or frees it when
-    /// the spare list is full.
+    /// Moves a queued task out of its box, which goes to the spares.
+    fn unbox(&self, task: Box<Task>) -> Task {
+        let task = Box::into_raw(task);
+        // SAFETY: `task` is the initialised task of a box this function
+        // now owns. Reading it moves the task out; the box is then
+        // uninitialised storage of the same layout, never dropped as a
+        // `Task`.
+        let (task, slot) = unsafe { (task.read(), Box::from_raw(task.cast())) };
+        self.recycle(slot);
+        task
+    }
+
+    /// Keeps the box of a spent task for a later fork or batch, or frees
+    /// it when the spare list is full.
     fn recycle(&self, slot: Box<MaybeUninit<Task>>) {
-        // SAFETY: as in `fork`; a push within the reserved capacity
+        // SAFETY: as in `queue_with`; a push within the reserved capacity
         // allocates nothing, and a full list drops `slot` afterwards.
         let spares = unsafe { &mut *self.spares.get() };
         if spares.len() < SPARE_BOXES {
@@ -329,7 +374,10 @@ pub struct PoolMetrics {
     pub resumes: u64,
     /// Jobs a worker popped from its own deque.
     pub local_hits: u64,
-    /// Jobs taken from the shared injector.
+    /// Jobs taken from the shared injector to run at once: one per
+    /// batch ([`crate::injector::Injector::pop_batch`]). The rest of a
+    /// batch waits on the taker's deque and counts where it is taken
+    /// when it runs, in `local_hits` or `steals`.
     pub injector_pops: u64,
     /// Jobs stolen from another worker's deque.
     pub steals: u64,
@@ -400,8 +448,8 @@ pub struct WatchdogConfig {
     pub nudge: bool,
     /// Replace worker threads that died (a panic escaped with
     /// [`PoolConfig::isolate_panics`] off). The replacement runs on a
-    /// fresh deque; the dead worker's queued tasks stay stealable
-    /// through its registered stealer.
+    /// fresh deque; the dead worker's queued tasks go to the injector
+    /// as it dies.
     pub respawn: bool,
 }
 
@@ -938,31 +986,39 @@ fn work_available(sh: &PoolShared) -> bool {
 fn find_shared_task(
     sh: &PoolShared,
     index: usize,
+    local: &Local,
     rings: &VictimRings,
     rng: &mut u64,
 ) -> Option<Acquired> {
-    if let Some(t) = injector_pop(sh, index) {
+    if let Some(t) = injector_pop(sh, index, local) {
         sh.quiesce.cells(index).count_injector_pop();
         return Some(Acquired::Injected(t));
     }
     steal_task(sh, index, rings, rng).map(Acquired::Boxed)
 }
 
-/// The injector leg of [`find_task`], routed through the CR gate when
-/// one is configured: only `active_max` workers sweep the shard locks
-/// at once, the rest park on the culled list until promoted. The gate
-/// is consulted only while the injector looks nonempty — an empty
-/// injector must stay a one-atomic-load fast path for idle workers.
-fn injector_pop(sh: &PoolShared, index: usize) -> Option<Task> {
+/// The injector leg of [`find_shared_task`]: a batch
+/// ([`Injector::pop_batch`]) whose oldest task is returned to run now
+/// and whose others go onto `local`'s deque, newest first, so this
+/// worker pops them oldest first and a thief takes the newest. Each is
+/// counted by the path that later takes it off the deque (`local_hits`
+/// or `steals`), only the first as an `injector_pops`.
+///
+/// Routed through the CR gate when one is configured: only
+/// `active_max` workers sweep the shard locks at once, the rest park on
+/// the culled list until promoted. The gate is consulted only while the
+/// injector looks nonempty — an empty injector must stay a
+/// one-atomic-load fast path for idle workers.
+fn injector_pop(sh: &PoolShared, index: usize, local: &Local) -> Option<Task> {
     let Some(gate) = &sh.cr_gate else {
-        return sh.injector.pop(index);
+        return sh.injector.pop_batch(index, |t| local.queue(t));
     };
     if sh.injector.is_empty() {
         return None;
     }
     let admission = gate.enter();
     let admitted_at = Instant::now();
-    let popped = sh.injector.pop(index);
+    let popped = sh.injector.pop_batch(index, |t| local.queue(t));
     gate.observe_acquire(admitted_at.elapsed().as_nanos() as u64);
     let promoted = gate.exit();
     if let Admission::Culled { waited_ns } = admission {
@@ -1102,11 +1158,11 @@ fn steal_task(
 }
 
 /// Empties a suspending worker's deque into the injector so its queued
-/// jobs stay runnable while it is parked.
+/// jobs stay runnable while it is parked; their boxes go to its spares.
 fn drain_local(sh: &PoolShared, local: &Local) {
     let mut drained = false;
     while let Some(t) = local.worker.pop() {
-        sh.injector.push(*t);
+        sh.injector.push(local.unbox(t));
         drained = true;
     }
     if drained {
@@ -1226,13 +1282,17 @@ fn announce_finishes(sh: &PoolShared, unannounced: &mut bool) {
 
 /// Armed for the lifetime of a worker loop; if the loop unwinds (a job
 /// panic escaping with [`PoolConfig::isolate_panics`] off), repairs the
-/// shared accounting the dead worker can no longer maintain: clears its
-/// suspended flag, removes it from the `active` count, marks it idle so
-/// the watchdog sees a death (the thread's `is_finished` handle), not a
-/// stall, and announces the killer job's finish, which may have been the
-/// last one a `wait_idle` caller is waiting for.
+/// shared accounting the dead worker can no longer maintain: drains its
+/// deque into the injector (the rest of a batch it took, or its forks:
+/// a respawned worker's deque is no steal victim, and no worker steals
+/// from its own index), clears its suspended flag, removes it from the
+/// `active` count, marks it idle so the watchdog sees a death (the
+/// thread's `is_finished` handle), not a stall, and announces the killer
+/// job's finish, which may have been the last one a `wait_idle` caller
+/// is waiting for.
 struct DeathWatch<'a> {
     sh: &'a PoolShared,
+    local: &'a Local,
     index: usize,
     armed: bool,
 }
@@ -1242,6 +1302,7 @@ impl Drop for DeathWatch<'_> {
         if !self.armed {
             return;
         }
+        drain_local(self.sh, self.local);
         self.sh.suspended_flags[self.index].store(false, Ordering::Release);
         self.sh.safepoint.remove_worker();
         self.sh.quiesce.cells(self.index).mark(quiesce::IDLE);
@@ -1331,11 +1392,12 @@ fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>
 /// Replaces any worker thread whose handle reports it finished while the
 /// pool is still running (only a panic escaping `worker_loop` gets a
 /// worker there). The dead worker's deque buffer stays alive behind its
-/// registered stealer, so tasks it still held remain stealable; the
-/// replacement runs on a fresh, unregistered deque — its local pushes
-/// are popped locally and drained to the injector on suspend, so
-/// nothing is stranded (the deque is merely invisible to steal sweeps,
-/// a throughput footnote on an already-exceptional path). It inherits
+/// registered stealer, though its death guard has drained it into the
+/// injector; the replacement runs on a fresh, unregistered deque — its
+/// local pushes are popped locally and drained to the injector on
+/// suspend or death, so nothing is stranded (the deque is merely
+/// invisible to steal sweeps, a throughput footnote on an
+/// already-exceptional path). It inherits
 /// index `i`'s single-writer cells, which is why the dead thread is
 /// joined first: the join orders its last stores before the
 /// replacement's first loads.
@@ -1372,6 +1434,7 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
     let cells = sh.quiesce.cells(index);
     let mut death = DeathWatch {
         sh,
+        local: &local,
         index,
         armed: true,
     };
@@ -1476,7 +1539,7 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                 // burst is announced to `wait_idle` callers: one fence
                 // per burst, not two shared RMWs per job.
                 announce_finishes(sh, &mut unannounced);
-                find_shared_task(sh, index, &rings, &mut rng)
+                find_shared_task(sh, index, &local, &rings, &mut rng)
             }
         };
         match task {
@@ -2110,16 +2173,58 @@ mod tests {
     fn outside_submissions_are_sampled_with_the_weight_they_stand_for() {
         let c = controller(1);
         let pool = Pool::new(&c, 1, false);
-        for _ in 0..2 * STAMP_EVERY {
+        // The first job holds the worker until the rest are queued, so
+        // the worker takes them in batches.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let g = Arc::clone(&gate);
+        pool.execute(move || {
+            g.wait();
+        });
+        for _ in 1..2 * STAMP_EVERY {
             pool.execute(|| {});
         }
+        gate.wait();
         pool.wait_idle();
         let snap = pool.stats();
         assert_eq!(snap.counters["jobs_run"], 2 * STAMP_EVERY);
-        assert_eq!(snap.counters["injector_pops"], 2 * STAMP_EVERY);
+        // The first job of each batch is an injector pop, the others
+        // local hits.
+        let (pops, hits) = (snap.counters["injector_pops"], snap.counters["local_hits"]);
+        assert_eq!(pops + hits, 2 * STAMP_EVERY);
+        assert!(pops < 2 * STAMP_EVERY, "no batch formed");
         // Submissions 1 and 33 were stamped and stand for 32 jobs each:
         // the histogram still estimates all jobs.
         assert_eq!(snap.histograms["queue_wait_ns"].count, 2 * STAMP_EVERY);
+    }
+
+    #[test]
+    fn outside_jobs_behind_a_blocked_job_run_in_submission_order_shard_by_shard() {
+        let c = controller(1);
+        let pool = Pool::new(&c, 1, false);
+        // Two rendezvous: the blocker has started (the injector is
+        // empty), and the 40 jobs are queued behind it.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let g = Arc::clone(&gate);
+        pool.execute(move || {
+            g.wait();
+            g.wait();
+        });
+        gate.wait();
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let mut on_shard = vec![Vec::new(); pool.shared.injector.shards()];
+        for i in 0..40 {
+            on_shard[pool.shared.injector.next_shard()].push(i);
+            let r = Arc::clone(&ran);
+            pool.execute(move || r.lock().push(i));
+        }
+        gate.wait();
+        pool.wait_idle();
+        // The worker sweeps from shard 0 and takes each shard's 20 jobs
+        // in one batch: the oldest runs at once, the other 19 off its
+        // deque, oldest first.
+        assert_eq!(*ran.lock(), on_shard.concat());
+        let m = pool.metrics();
+        assert_eq!((m.injector_pops, m.local_hits), (3, 38), "{m:?}");
     }
 
     /// Counts its drops: a task must drop its closure's captures once,
@@ -2429,20 +2534,30 @@ mod tests {
     #[test]
     #[ignore] // microbenchmark, not an assertion: `cargo test --release -- --ignored micro_ --nocapture`
     fn micro_outside_submit_cost() {
-        let c = controller(1);
-        let pool = Pool::new(&c, 1, false);
-        let n = 200_000u32;
-        let start = Instant::now();
-        for i in 0..n {
-            pool.execute(move || {
-                std::hint::black_box(i);
-            });
+        // One outside thread feeds a 1-worker pool, then a pool with a
+        // worker on every CPU (`pool_external`'s phase A shape). A lock
+        // hold that takes a batch counts one `injector_pops` for all of
+        // its jobs, so pops per job is the consumers' shard-lock holds
+        // per job (the producer takes one per job).
+        let cpus = std::thread::available_parallelism().map_or(2, |n| n.get());
+        for workers in [1, cpus] {
+            let c = controller(workers);
+            let pool = Pool::new(&c, workers, false);
+            let n = 200_000u32;
+            let start = Instant::now();
+            for i in 0..n {
+                pool.execute(move || {
+                    std::hint::black_box(i);
+                });
+            }
+            pool.wait_idle();
+            let per_job = start.elapsed() / n;
+            let pops = pool.metrics().injector_pops as f64 / f64::from(n);
+            println!(
+                "outside submit + run, {workers} worker(s): {per_job:?}/job, \
+                 {pops:.3} injector lock holds/job"
+            );
         }
-        pool.wait_idle();
-        println!(
-            "outside submit + run (1 worker): {:?}/job",
-            start.elapsed() / n
-        );
     }
 
     #[test]

@@ -325,6 +325,71 @@ fn forkjoin_trees_under_target_flapping_balance_at_wait_idle() {
     }
 }
 
+/// Outside bursts deep enough that workers take the injector in
+/// batches, while the target flaps 1↔P: a worker suspends with the rest
+/// of a batch on its deque and hands it back through the injector, and
+/// another takes it again. Every job runs once and is counted by the one
+/// path that took it when it ran.
+#[test]
+fn batched_outside_bursts_under_target_flapping_conserve_jobs() {
+    use native_rt::TargetSlot;
+    use std::sync::atomic::AtomicBool;
+
+    const WORKERS: usize = 4;
+    const PRODUCERS: usize = 2;
+    const BURSTS: usize = 20;
+    const BURST: usize = 512;
+    let slot = Arc::new(TargetSlot::new(WORKERS));
+    let pool = Arc::new(Pool::with_slot(Arc::clone(&slot), WORKERS, false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let flapper = {
+        let (slot, stop) = (Arc::clone(&slot), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut flip = false;
+            while !stop.load(Ordering::Acquire) {
+                flip = !flip;
+                slot.target
+                    .store(if flip { 1 } else { WORKERS }, Ordering::Release);
+                std::thread::sleep(Duration::from_micros(150));
+            }
+        })
+    };
+    let ran = Arc::new(AtomicUsize::new(0));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|_| {
+            let (pool, ran) = (Arc::clone(&pool), Arc::clone(&ran));
+            std::thread::spawn(move || {
+                for _ in 0..BURSTS {
+                    for _ in 0..BURST {
+                        let r = Arc::clone(&ran);
+                        pool.execute(move || {
+                            r.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                    std::thread::yield_now();
+                }
+            })
+        })
+        .collect();
+    for p in producers {
+        p.join().expect("producer");
+    }
+    pool.wait_idle();
+    stop.store(true, Ordering::Release);
+    flapper.join().expect("flapper");
+    let submitted = (PRODUCERS * BURSTS * BURST) as u64;
+    let m = pool.metrics();
+    assert_eq!(ran.load(Ordering::Relaxed) as u64, submitted);
+    assert_eq!(m.jobs_run, submitted, "{m:?}");
+    assert_eq!(
+        m.local_hits + m.injector_pops + m.steals,
+        m.jobs_run,
+        "a job batched, handed back or stolen was counted twice or not at all: {m:?}"
+    );
+    // No job forks: every local hit is a batched outside job.
+    assert!(m.local_hits > 0, "no batch formed: {m:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
