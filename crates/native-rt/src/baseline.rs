@@ -12,18 +12,16 @@
 //! it measures.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::controller::{Controller, TargetSlot};
 use crate::crlock::{CrConfig, CrGate};
 use crate::pool::{Job, PoolMetrics};
 use crate::safepoint::{SafePoint, SuspendOutcome};
 use crate::stats::{Counter, Hist, Registry, Snapshot};
+use crate::sync::{spin_loop, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 
 struct PoolShared {
     /// Jobs with their submission instants (for queue-wait latency).
@@ -224,7 +222,7 @@ fn worker_loop(sh: &Arc<PoolShared>) {
             None => {
                 if sh.idle_spin {
                     for _ in 0..2_000 {
-                        std::hint::spin_loop();
+                        spin_loop();
                     }
                     std::thread::yield_now();
                 } else {

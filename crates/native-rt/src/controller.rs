@@ -12,14 +12,12 @@
 //! the newest. Pools read their target atomically at safe points.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::control::{ControlCore, UdsServerConfig};
+use crate::sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
 use crate::topology::CpuTopology;
 
 /// Per-pool slot the controller writes targets into.

@@ -36,20 +36,14 @@
 //! (fewer contenders ⇒ shorter convoys); when the lock is underutilized
 //! while threads sit culled, it grows. See DESIGN.md §15.
 
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::stats::{Counter, Gauge, Hist, Registry};
+use crate::sync::{spin_loop, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 
 /// Configuration of one concurrency-restricting gate or lock.
 #[derive(Clone, Copy, Debug)]
@@ -498,7 +492,7 @@ impl RawLock for RawSpin {
                 return;
             }
             while self.locked.load(Ordering::Acquire) != 0 {
-                std::hint::spin_loop();
+                spin_loop();
             }
         }
     }

@@ -21,19 +21,14 @@
 //!   pointer). A deque that peaked at `n` elements retains at most `2n`
 //!   slots of garbage — bounded, and free of reclamation machinery.
 //!
-//! Built with `RUSTFLAGS="--cfg loom"` the atomics come from `loom`, so
-//! the model-checking tests in `tests/loom_deque.rs` drive these exact
-//! push/pop/steal paths.
-
-#[cfg(loom)]
-use loom::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
-#[cfg(not(loom))]
-use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
+//! Built with `RUSTFLAGS="--cfg loom"` the atomics come from `loom`
+//! (through `crate::sync`), so the model-checking tests in
+//! `tests/loom_deque.rs` drive these exact push/pop/steal paths.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::sync::{fence, AtomicIsize, AtomicPtr, Mutex, Ordering};
 
 /// Initial buffer capacity (must be a power of two).
 const INITIAL_CAP: usize = 64;
@@ -317,7 +312,7 @@ impl<T: Send> Stealer<T> {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;

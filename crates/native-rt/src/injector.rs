@@ -42,11 +42,9 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::stats::Counter;
+use crate::sync::{AtomicUsize, Mutex, MutexGuard, Ordering};
 
 /// Most elements one [`Injector::pop_batch`] takes in one lock hold: the
 /// one it returns and up to `MAX_BATCH - 1` it hands to its sink.

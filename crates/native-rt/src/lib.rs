@@ -65,6 +65,7 @@ pub mod snapshot;
 pub mod stats;
 #[cfg(unix)]
 mod supervise;
+mod sync;
 pub mod topology;
 pub mod trace;
 #[cfg(unix)]

@@ -56,20 +56,17 @@
 use std::cell::{Cell, UnsafeCell};
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr::addr_of_mut;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::controller::{Controller, TargetSlot};
-use crate::crlock::{Admission, CrConfig, CrGate};
 use crate::deque::{self, Steal, Stealer, Worker};
 use crate::injector::Injector;
 use crate::quiesce::{self, Quiesce, WorkerCells};
 use crate::safepoint::{SafePoint, SuspendOutcome};
 use crate::stats::{Counter, Gauge, Hist, Registry, Snapshot};
+use crate::sync::{spin_loop, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 use crate::topology::{self, CpuTopology, NUM_STEAL_TIERS, STEAL_TIER_NAMES};
 use crate::trace::{self, EventKind, FlightRecorder};
 
@@ -619,10 +616,6 @@ struct PoolShared {
     stall_ns: Hist,
     /// The per-worker flight-recorder rings (may be disabled).
     recorder: Arc<FlightRecorder>,
-    /// Concurrency-restricting gate over the injector sweep (see
-    /// [`PoolConfig::cr_injector`]); its `cr_*` statistics ride
-    /// `registry`.
-    cr_gate: Option<CrGate>,
     /// Busy-wait (1989-style) instead of sleeping when the queues are
     /// empty but work is outstanding.
     idle_spin: bool,
@@ -669,12 +662,6 @@ pub struct PoolConfig {
     /// hot-path cost beyond one relaxed store per job to a line only
     /// that worker writes.
     pub watchdog: Option<WatchdogConfig>,
-    /// Put a concurrency-restricting gate ([`CrGate`]) in front of the
-    /// injector's sweep: at most `active_max` workers contend for the
-    /// shard locks at once, the rest park on the gate's culled list.
-    /// `None` (default, and what every gated benchmark baseline uses)
-    /// leaves the injector ungated.
-    pub cr_injector: Option<CrConfig>,
 }
 
 /// Default flight-recorder ring capacity per worker ("always-on": large
@@ -695,7 +682,6 @@ impl PoolConfig {
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             isolate_panics: true,
             watchdog: None,
-            cr_injector: None,
         }
     }
 }
@@ -774,9 +760,6 @@ impl Pool {
         registry.counter_source(Arc::clone(&quiesce) as _);
         let shared = Arc::new(PoolShared {
             injector: Injector::with_counter(nworkers, registry.counter("injector_sweep_skips")),
-            cr_gate: cfg
-                .cr_injector
-                .map(|cr| CrGate::with_registry(cr, &registry)),
             stealers: stealers.into_boxed_slice(),
             quiesce,
             safepoint: SafePoint::new(nworkers, &registry),
@@ -1003,33 +986,8 @@ fn find_shared_task(
 /// worker pops them oldest first and a thief takes the newest. Each is
 /// counted by the path that later takes it off the deque (`local_hits`
 /// or `steals`), only the first as an `injector_pops`.
-///
-/// Routed through the CR gate when one is configured: only
-/// `active_max` workers sweep the shard locks at once, the rest park on
-/// the culled list until promoted. The gate is consulted only while the
-/// injector looks nonempty — an empty injector must stay a
-/// one-atomic-load fast path for idle workers.
 fn injector_pop(sh: &PoolShared, index: usize, local: &Local) -> Option<Task> {
-    let Some(gate) = &sh.cr_gate else {
-        return sh.injector.pop_batch(index, |t| local.queue(t));
-    };
-    if sh.injector.is_empty() {
-        return None;
-    }
-    let admission = gate.enter();
-    let admitted_at = Instant::now();
-    let popped = sh.injector.pop_batch(index, |t| local.queue(t));
-    gate.observe_acquire(admitted_at.elapsed().as_nanos() as u64);
-    let promoted = gate.exit();
-    if let Admission::Culled { waited_ns } = admission {
-        let us = (waited_ns / 1_000).min(u32::MAX as u64) as u32;
-        sh.recorder.record(index, EventKind::CrCull, us);
-    }
-    if promoted {
-        sh.recorder
-            .record(index, EventKind::CrPromote, gate.active_max() as u32);
-    }
-    popped
+    sh.injector.pop_batch(index, |t| local.queue(t))
 }
 
 /// One worker's view of the others as steal victims, grouped by CPU
@@ -1151,7 +1109,7 @@ fn steal_task(
             return None;
         }
         for _ in 0..(1u32 << backoff) {
-            std::hint::spin_loop();
+            spin_loop();
         }
         backoff = (backoff + 1).min(10);
     }
@@ -1201,7 +1159,7 @@ fn idle_spin_then_park(
             break;
         }
         for _ in 0..(1u32 << (poll / 8).min(6)) {
-            std::hint::spin_loop();
+            spin_loop();
         }
         if poll % 8 == 7 {
             std::thread::yield_now();
@@ -1624,7 +1582,7 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                     // Period-faithful busy wait: burn a short slice, then
                     // re-check (lets the OS preempt us naturally).
                     for _ in 0..2_000 {
-                        std::hint::spin_loop();
+                        spin_loop();
                     }
                     std::thread::yield_now();
                 } else if let Some(woke) = idle_spin_then_park(sh, index, &idle_slot, &mut spin) {

@@ -32,14 +32,8 @@
 //! stores; the worker whose fence is last among the final ones sees
 //! every other worker's counts and finds the books balanced.
 
-#[cfg(loom)]
-use loom::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-#[cfg(not(loom))]
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-
-use parking_lot::{Condvar, Mutex};
-
 use crate::stats::CounterSource;
+use crate::sync::{fence, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 
 /// Progress states, packed into the low two bits of a worker's progress
 /// word (the upper 62 bits are a sequence number bumped at every mark).
@@ -273,7 +267,7 @@ impl CounterSource for Quiesce {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -49,13 +49,13 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::control::ControlCore;
 use crate::proc_scan;
 use crate::stats::Counter;
+use crate::sync::{AtomicBool, Ordering};
 use crate::trace;
 use crate::uds::write_snapshot;
 

@@ -9,18 +9,11 @@
 //! first withdraw its token from that list, so `active` is never counted
 //! twice (`tests/loom_safepoint.rs`).
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicUsize, Ordering};
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::{Condvar, Mutex};
-
 use crate::stats::{Counter, Gauge, Hist, Registry};
+use crate::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 
 /// Bound on one suspension park: a missed signal costs latency only.
 const SUSPEND_PARK_POLL: Duration = Duration::from_millis(50);

@@ -16,10 +16,9 @@
 //! the simulation side reports through its own ledgers and traces.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::sync::{AtomicI64, AtomicU64, Mutex, Ordering};
 
 const BUCKETS: usize = 65;
 

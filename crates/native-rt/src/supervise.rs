@@ -57,16 +57,14 @@ use std::collections::VecDeque;
 use std::io;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::control::DEFAULT_TRACE_MAX;
 use crate::controller::{sleep_unless_stopped, TargetSlot};
 use crate::stats::{Counter, Gauge, Hist, Registry};
+use crate::sync::{AtomicBool, Mutex, Ordering};
 use crate::trace::{self, FlightRecorder, TraceEvent};
 use crate::uds::DEFAULT_IO_TIMEOUT;
 use crate::uds::{read_events, read_ok, read_poll, EventsReply, PollReply, UdsClient};

@@ -22,12 +22,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::stats::{Counter, Registry};
+use crate::sync::{spin_loop, AtomicU64, Ordering};
 
 /// What a trace event records. Discriminants are stable wire values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -312,7 +308,7 @@ impl SpscRing {
             // is mid-copy, spin until it releases the slot.
             let tail = self.tail.load(Ordering::Relaxed);
             if tail + self.cap > pos {
-                std::hint::spin_loop();
+                spin_loop();
                 continue;
             }
             if self
@@ -499,7 +495,7 @@ pub fn parse_events(payload: &str) -> Option<Vec<TraceEvent>> {
     payload.split(',').map(TraceEvent::parse).collect()
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

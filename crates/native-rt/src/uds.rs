@@ -107,7 +107,6 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -116,6 +115,7 @@ use crate::control::{ControlCore, UdsServerConfig};
 use crate::reactor::Reactor;
 use crate::snapshot::{ServerSnapshot, SnapshotError};
 use crate::stats::{Registry, Snapshot};
+use crate::sync::{AtomicBool, Ordering};
 use crate::trace::{self, TraceEvent};
 
 /// Default read/write timeout armed on every client stream: the longest a

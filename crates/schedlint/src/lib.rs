@@ -19,7 +19,7 @@
 //! | SL004 | a `handoff` atomic with Release-side publishes but no Acquire-side observer anywhere in its crate (orphaned publish) |
 //! | SL005 | a `seqcst` Dekker atomic whose non-test sites have only one half of the store-load handshake at SeqCst (one-sided downgrade) |
 //! | SL010 | a cycle in the cross-function lock-order graph (potential deadlock) |
-//! | SL011 | nested acquisition of the same lock name in one function (self-deadlock with non-reentrant `parking_lot` locks) |
+//! | SL011 | nested acquisition of the same lock name in one function (self-deadlock: the runtime's mutexes are not reentrant) |
 //! | SL020 | a blocking call (sleep/park/UDS I/O/foreign condvar wait) while a `MutexGuard` is live on *some* path of the [`cfg`](mod@cfg) region tree — the static analogue of the paper's preempted-lock-holder pathology |
 //! | SL030 | a counter registered in `native_rt::stats` with no increment site, or missing from the DESIGN.md catalog; a dynamic registration with no `sched-counters` annotation |
 //! | SL031 | a `sched-counter-exits(a\|b)`-annotated function with an exit path (early return, `?`, fall-through) that increments none of the named counters |

@@ -9,8 +9,8 @@
 //!
 //! - acquiring a lock while another is live adds an edge to a
 //!   crate-scoped lock-order graph (cycle ⇒ SL010); acquiring the *same*
-//!   lock name is an immediate self-deadlock with non-reentrant
-//!   `parking_lot` locks (SL011);
+//!   lock name is an immediate self-deadlock, since neither std's mutex
+//!   nor the `native-rt` `sync` facade over it is reentrant (SL011);
 //! - a blocking call — or a condvar wait whose arguments name none of
 //!   the live guards — while any guard is live is SL020.
 //!
@@ -72,7 +72,7 @@ pub(crate) fn check(models: &[FileModel]) -> Vec<Diagnostic> {
                                 line: *line,
                                 message: format!(
                                     "`{}` acquires `{lock}` while already holding it — \
-                                     parking_lot mutexes are not reentrant; this \
+                                     the runtime's mutexes are not reentrant; this \
                                      self-deadlocks",
                                     f.name
                                 ),

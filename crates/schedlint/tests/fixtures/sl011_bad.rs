@@ -1,7 +1,7 @@
 // Fixture: SL011 — same-lock nesting, direct and one call deep.
 fn direct(s: &Shared) {
     let a = s.state.lock();
-    let b = s.state.lock(); // SL011: parking_lot is not reentrant
+    let b = s.state.lock(); // SL011: the mutex is not reentrant
     use_both(a, b);
 }
 

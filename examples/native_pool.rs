@@ -9,11 +9,10 @@
 //! Run with: `cargo run --release --example native_pool`
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use native_rt::{Controller, Pool};
-use parking_lot::Mutex;
 use workloads::native::fft::{fft, Complex};
 use workloads::native::matmul::{matmul_rows, Matrix};
 
@@ -54,7 +53,7 @@ fn main() {
             let mut local = Matrix::zeros(a.rows, b.cols);
             let rows = start..(start + band).min(a.rows);
             matmul_rows(&a, &b, &mut local, rows.clone());
-            let mut out = c.lock();
+            let mut out = c.lock().unwrap();
             let cols = out.cols;
             for i in rows {
                 let off = i * cols;
@@ -80,7 +79,7 @@ fn main() {
     let elapsed = t0.elapsed();
 
     // Verify the matmul against a few spot rows.
-    let out = c.lock();
+    let out = c.lock().unwrap();
     let mut reference = Matrix::zeros(n, n);
     matmul_rows(&a, &b, &mut reference, 0..2);
     assert_eq!(out.data[..2 * n], reference.data[..2 * n], "matmul wrong");

@@ -3,9 +3,10 @@
 //! The build container cannot reach crates.io, so the workspace patches
 //! `loom` to this fallback. Real loom exhaustively explores thread
 //! interleavings under a simulated memory model; this shim keeps the
-//! call-site API (`loom::model`, `loom::thread::spawn`,
-//! `loom::sync::atomic::*`) but explores stochastically instead: each
-//! `model` closure runs many times on real threads, with the spawn wrapper
+//! call-site API (`loom::model`, `loom::thread::spawn`, `loom::hint`,
+//! and the `loom::sync` locks and atomics `native-rt`'s `sync` module
+//! switches to) but explores stochastically instead: each `model`
+//! closure runs many times on real threads, with the spawn wrapper
 //! yielding at thread start to perturb schedules. That turns the
 //! `cfg(loom)` tests into a deterministic-API stress harness — far weaker
 //! than real loom, but it exercises the same interleaving-sensitive code
@@ -56,12 +57,12 @@ pub mod hint {
 /// Mirror of `loom::sync`: the std types (real loom substitutes checked
 /// versions; the shim's guarantees come from running on real hardware).
 pub mod sync {
-    pub use std::sync::{Arc, Mutex};
+    pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
     /// Mirror of `loom::sync::atomic`.
     pub mod atomic {
         pub use std::sync::atomic::{
-            fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
+            fence, AtomicBool, AtomicI64, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
         };
     }
 }

@@ -148,18 +148,18 @@ fn native_pool_computes_correct_matmul() {
     let n = 64;
     let a = Arc::new(Matrix::from_fn(n, n, |i, j| ((i + 2 * j) % 7) as f64));
     let b = Arc::new(Matrix::from_fn(n, n, |i, j| ((3 * i + j) % 5) as f64));
-    let out = Arc::new(parking_lot::Mutex::new(Matrix::zeros(n, n)));
+    let out = Arc::new(std::sync::Mutex::new(Matrix::zeros(n, n)));
     for row in 0..n {
         let (a, b, out) = (Arc::clone(&a), Arc::clone(&b), Arc::clone(&out));
         pool.execute(move || {
             let mut local = Matrix::zeros(n, n);
             matmul_rows(&a, &b, &mut local, row..row + 1);
-            let mut o = out.lock();
+            let mut o = out.lock().unwrap();
             o.data[row * n..(row + 1) * n].copy_from_slice(&local.data[row * n..(row + 1) * n]);
         });
     }
     pool.wait_idle();
     let expect = matmul(&a, &b);
-    assert_eq!(out.lock().data, expect.data);
+    assert_eq!(out.lock().unwrap().data, expect.data);
     assert_eq!(pool.metrics().jobs_run, n as u64);
 }
