@@ -426,20 +426,37 @@ mod tests {
         assert!(plain[3].y_max() > 8.0);
     }
 
-    /// ns per `Kernel::step` of one fixed Figure-4 pair — fft, gauss and
-    /// matmul at `Presets::paper()`, 16 workers each on 16 processors,
-    /// started 10 s apart, 6 s polls — with control on and off: the step
-    /// loop after the last launch, as `bench_all`'s `sim_fig4` counts it.
-    /// Minimum of 5 rounds.
+    /// Minor page faults of this process so far: field 10 of
+    /// `/proc/self/stat` (`None` off Linux).
+    fn minor_faults() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+        // Fields after the parenthesized command name start at field 3.
+        let rest = &stat[stat.rfind(')')? + 1..];
+        rest.split_whitespace().nth(10 - 3)?.parse().ok()
+    }
+
+    /// One fixed Figure-4 pair — fft, gauss and matmul at
+    /// `Presets::paper()`, 16 workers each on 16 processors, started 10 s
+    /// apart, 6 s polls — with control on and off. Prints three numbers:
+    /// ns per `Kernel::step` of the step loop after the last launch, as
+    /// `bench_all`'s `sim_fig4` counts it (minimum of 5 rounds); ms for
+    /// the whole pair, from `Kernel::new` to the last exit of each run,
+    /// the quantity `sim_fig4`'s latency row tracks (minimum of 5
+    /// rounds); and the minor page faults of each round's pair, from
+    /// before its first `Kernel::new` to after its last kernel is dropped
+    /// (`/proc/self/stat`; `n/a` off Linux).
     #[test]
     #[ignore] // microbenchmark, not an assertion: `cargo test --release -p bench --lib -- --ignored micro_ --nocapture --test-threads=1`
     fn micro_fig4_pair_step_cost() {
         use crate::scenario::spawn_server;
         use simkernel::AppId;
+        use std::time::Instant;
         use uthreads::{launch, ThreadsConfig};
 
         let presets = Presets::paper();
+        // (steps, ns of the step loop, ns from `Kernel::new` to the last exit)
         let run = |control: bool| {
+            let whole = Instant::now();
             let mut kernel = SimEnv::default().make_kernel();
             let port = control.then(|| spawn_server(&mut kernel));
             let mut ids = Vec::new();
@@ -453,22 +470,30 @@ mod tests {
                 std::hint::black_box(launch(&mut kernel, id, cfg, l.kind.spec(&presets)));
                 ids.push(id);
             }
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             let mut steps = 0u64;
             while !kernel.apps_done(&ids) && kernel.step() {
                 steps += 1;
             }
-            (steps, start.elapsed().as_nanos() as f64)
+            let (step_ns, whole_ns) = (start.elapsed(), whole.elapsed());
+            (steps, step_ns.as_nanos() as f64, whole_ns.as_nanos() as f64)
         };
-        let mut best = [f64::INFINITY; 3];
+        let mut best = [f64::INFINITY; 4];
         let mut steps = [0u64; 2];
+        let mut faults = Vec::new();
         for _ in 0..5 {
+            let before = minor_faults();
             let (on, off) = (run(true), run(false));
+            faults.push(match (before, minor_faults()) {
+                (Some(b), Some(a)) => (a - b).to_string(),
+                _ => "n/a".to_string(),
+            });
             steps = [on.0, off.0];
             let ns = [
                 on.1 / on.0 as f64,
                 off.1 / off.0 as f64,
                 (on.1 + off.1) / (on.0 + off.0) as f64,
+                (on.2 + off.2) / 1e6,
             ];
             for (b, n) in best.iter_mut().zip(ns) {
                 *b = b.min(n);
@@ -477,6 +502,11 @@ mod tests {
         println!(
             "fig4 pair: {:.1} ns/step (control on {:.1} over {} steps, off {:.1} over {} steps)",
             best[2], best[0], steps[0], best[1], steps[1]
+        );
+        println!(
+            "fig4 pair: {:.1} ms a pair; minor faults per pair, by round: {}",
+            best[3],
+            faults.join(" ")
         );
     }
 }

@@ -218,9 +218,40 @@ impl AppTable {
         idx as u32
     }
 
+    /// One process of the application in `slot` exited `now`; returns
+    /// whether that was its last live one.
+    fn exit(&mut self, slot: u32, now: SimTime) -> bool {
+        let s = &mut self.slots[slot as usize];
+        s.live -= 1;
+        if s.live > 0 {
+            return false;
+        }
+        // An application respawned after finishing keeps its old `done`
+        // until it finishes again; it is counted once.
+        if s.done.replace(now).is_none() {
+            self.finished += 1;
+        }
+        true
+    }
+
+    /// Whether every listed application has finished. While fewer
+    /// applications have finished than distinct ids are listed, the answer
+    /// is "no" without looking at a slot: the harnesses' step loops ask
+    /// this once per step, so it is inlined into them.
+    #[inline]
     fn all_done(&self, apps: &[AppId]) -> bool {
         if self.finished == 0 {
             return apps.is_empty();
+        }
+        if self.finished < apps.len() {
+            // Only a repeated id can let fewer finished applications
+            // cover the list; counting repeats reads the list, not slots.
+            let repeats = (1..apps.len())
+                .filter(|&i| apps[..i].contains(&apps[i]))
+                .count();
+            if self.finished < apps.len() - repeats {
+                return false;
+            }
         }
         apps.iter()
             .all(|&a| self.find(a).is_some_and(|s| s.done.is_some()))
@@ -403,7 +434,11 @@ impl Kernel {
         debug_assert!(t >= self.st.now, "event from the past");
         self.st.now = t;
         self.handle(ev);
-        self.reschedule();
+        // The common case after an event: no processor to fill, so no
+        // call.
+        if self.st.idle_cpus > 0 {
+            self.reschedule();
+        }
         true
     }
 
@@ -420,6 +455,7 @@ impl Kernel {
 
     /// Whether every listed application has finished (all processes
     /// exited).
+    #[inline]
     pub fn apps_done(&self, apps: &[AppId]) -> bool {
         self.st.apps.all_done(apps)
     }
@@ -1074,17 +1110,10 @@ impl Kernel {
         self.st.cache.forget(pid.0 as u64);
         self.st.live_procs -= 1;
         let now = self.st.now;
-        let apps = &mut self.st.apps;
-        let s = &mut apps.slots[slot as usize];
-        let app = s.id;
-        s.live -= 1;
+        let app = self.st.apps.slots[slot as usize].id;
+        let app_done = self.st.apps.exit(slot, now);
         self.st.tracer.emit(now, KTrace::Exit { pid, app });
-        if s.live == 0 {
-            // An application respawned after finishing keeps its old
-            // `done` until it finishes again; it is counted once.
-            if s.done.replace(now).is_none() {
-                apps.finished += 1;
-            }
+        if app_done {
             self.st.tracer.emit(now, KTrace::AppDone { app });
         }
     }
@@ -1097,7 +1126,7 @@ impl Kernel {
         );
         for cpu_idx in 0..self.st.cpus.len() {
             if self.st.idle_cpus == 0 {
-                return; // The common case after an event: nothing to fill.
+                return; // Every processor is busy: nothing left to fill.
             }
             if self.st.cpus[cpu_idx].running.is_some() {
                 continue;
@@ -1211,5 +1240,118 @@ impl Kernel {
             }
             Op::Idle => unreachable!("dispatching a process with no op"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const A: AppId = AppId(7);
+    const B: AppId = AppId(3);
+    const UNKNOWN: AppId = AppId(99);
+
+    /// A and B with one live process each, started at 0.
+    fn table() -> AppTable {
+        let mut t = AppTable::default();
+        for app in [A, B] {
+            let slot = t.intern(app, SimTime::ZERO);
+            t.slots[slot as usize].live += 1;
+        }
+        t
+    }
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDur::from_millis(ms)
+    }
+
+    /// The answer by looking up every listed id.
+    fn by_lookup(t: &AppTable, apps: &[AppId]) -> bool {
+        apps.iter()
+            .all(|&a| t.find(a).is_some_and(|s| s.done.is_some()))
+    }
+
+    /// Every list of up to three ids over A, B and an unknown id.
+    fn lists() -> Vec<Vec<AppId>> {
+        let ids = [A, B, UNKNOWN];
+        let mut out = vec![vec![]];
+        for len in 1..=3 {
+            for n in 0..3usize.pow(len) {
+                out.push((0..len).map(|d| ids[n / 3usize.pow(d) % 3]).collect());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn all_done_answers_as_a_lookup_of_every_id_does() {
+        let mut t = table();
+        for l in lists() {
+            assert_eq!(t.all_done(&l), l.is_empty(), "none finished: {l:?}");
+        }
+        assert!(t.exit(0, at(5)), "A's only process exited");
+        for l in lists() {
+            assert_eq!(t.all_done(&l), by_lookup(&t, &l), "A finished: {l:?}");
+        }
+        // The cases the count alone would get wrong, spelled out.
+        assert!(
+            t.all_done(&[A, A]),
+            "one finished application, listed twice"
+        );
+        assert!(!t.all_done(&[A, UNKNOWN]), "an unknown id never finishes");
+        assert!(t.exit(1, at(9)));
+        for l in lists() {
+            assert_eq!(t.all_done(&l), by_lookup(&t, &l), "both finished: {l:?}");
+        }
+    }
+
+    #[test]
+    fn a_respawned_application_keeps_its_done_time_and_is_counted_once() {
+        let mut t = table();
+        assert!(t.exit(0, at(5)));
+        // A spawns again after it finished.
+        assert_eq!(t.intern(A, at(6)), 0);
+        t.slots[0].live += 1;
+        assert!(
+            t.all_done(&[A]),
+            "A keeps its old done time while it runs again"
+        );
+        assert!(t.exit(0, at(8)));
+        assert_eq!(t.finished, 1, "A is counted once");
+        assert_eq!(
+            t.slots[0].done,
+            Some(at(8)),
+            "done moves to the last finish"
+        );
+        assert_eq!(t.slots[0].start, SimTime::ZERO);
+        assert!(!t.all_done(&[A, B]));
+        assert!(t.exit(1, at(9)));
+        assert_eq!(t.finished, 2);
+        assert!(t.all_done(&[B, A]));
+    }
+
+    #[test]
+    fn run_until_apps_done_stops_where_it_did() {
+        use crate::action::Script;
+        use crate::policy::FifoRoundRobin;
+
+        let mut k = Kernel::new(
+            KernelConfig::multimax().with_cpus(2),
+            Box::new(FifoRoundRobin::new()),
+        );
+        let compute = |ms| Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(ms))]));
+        k.spawn_root(A, 64, compute(5));
+        k.spawn_root(B, 64, compute(50));
+        // A repeated id stops the loop as soon as that one application
+        // finishes; B is still running.
+        assert!(k.run_until_apps_done(&[A, A], at(1_000)));
+        assert_eq!(k.now(), k.app_done_time(A).expect("A finished"));
+        assert_eq!(k.app_done_time(B), None);
+        // An unknown id never finishes: the loop runs until the calendar
+        // is dry, after B's exit.
+        assert!(!k.run_until_apps_done(&[B, UNKNOWN], at(1_000)));
+        assert!(k.app_done_time(B).is_some());
+        assert_eq!(k.live_procs(), 0);
+        assert!(k.run_to_completion(at(2_000)));
     }
 }

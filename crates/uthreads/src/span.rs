@@ -4,11 +4,24 @@
 //! log at the package's own state transitions — task pickup/finish,
 //! suspension enter/exit, queue-lock waits, and control polls. The log is
 //! unbounded (the figure harnesses replay full histories) and kept in
-//! fixed-size chunks, so it grows without ever copying a record: a Fig-4
-//! run appends ~125 k of them. Harnesses read the log back, in order, to
-//! build Perfetto tracks and to measure the latency the paper's Figure 5
-//! claim rests on: how long after a poll applies a new target does the
-//! application actually reach it ([`poll_to_convergence`]).
+//! fixed-size chunks of [`SPAN_CHUNK`] records, so it grows without ever
+//! copying a record: a Fig-4 run appends ~135 k of them, in ~33 chunks.
+//! Harnesses read the log back, in order, to build Perfetto tracks and to
+//! measure the latency the paper's Figure 5 claim rests on: how long after
+//! a poll applies a new target does the application actually reach it
+//! ([`poll_to_convergence`]).
+//!
+//! A dropped log does not free its chunks: it clears them (records are
+//! `Copy`, so that only resets a length) and hands them to a per-thread
+//! cache of at most [`SPAN_CACHE_CHUNKS`], from which the next log on the
+//! thread takes its chunks before it allocates. Without it, every run of a
+//! harness that simulates many runs on one thread paid for fresh pages:
+//! the allocator trims the freed 128 KiB chunks back to the OS at the end
+//! of a run, and the next run faults them in again on its first write to
+//! each page (~1 100 minor faults per Fig-4 run). The cap bounds what a
+//! thread keeps (8 MiB) above the ~33 chunks of a Fig-4 run.
+
+use std::cell::RefCell;
 
 use desim::{SimDur, SimTime};
 use simkernel::Pid;
@@ -62,10 +75,19 @@ pub struct SpanRecord {
     pub kind: SpanKind,
 }
 
-/// Records per chunk of a [`SpanLog`] (32 B each: 128 KiB a chunk).
-const CHUNK: usize = 4_096;
+/// Records per chunk of a span log (32 B each: 128 KiB a chunk).
+pub const SPAN_CHUNK: usize = 4_096;
 
-/// An append-only log of span records in chunks of [`CHUNK`]: a full
+/// Empty chunks a thread keeps from its dropped span logs for the next
+/// log to fill (8 MiB): a Fig-4 run uses ~33.
+pub const SPAN_CACHE_CHUNKS: usize = 64;
+
+thread_local! {
+    /// Cleared chunks of dropped logs, each with capacity [`SPAN_CHUNK`].
+    static SPARE_CHUNKS: RefCell<Vec<Vec<SpanRecord>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An append-only log of span records in chunks of [`SPAN_CHUNK`]: a full
 /// chunk is left where it is and a new one started, so an append never
 /// moves the records already logged.
 #[derive(Default)]
@@ -77,9 +99,13 @@ impl SpanLog {
     /// Appends one record.
     pub(crate) fn push(&mut self, record: SpanRecord) {
         match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(record),
+            Some(chunk) if chunk.len() < SPAN_CHUNK => chunk.push(record),
             _ => {
-                let mut chunk = Vec::with_capacity(CHUNK);
+                let mut chunk = SPARE_CHUNKS
+                    .try_with(|spare| spare.borrow_mut().pop())
+                    .ok()
+                    .flatten()
+                    .unwrap_or_else(|| Vec::with_capacity(SPAN_CHUNK));
                 chunk.push(record);
                 self.chunks.push(chunk);
             }
@@ -89,6 +115,22 @@ impl SpanLog {
     /// The records, oldest first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
         self.chunks.iter().flatten()
+    }
+}
+
+impl Drop for SpanLog {
+    /// Hands the chunks, cleared, to the thread's cache up to its cap;
+    /// the rest are freed. During thread teardown the cache may be gone
+    /// already, and then every chunk is freed.
+    fn drop(&mut self) {
+        let _ = SPARE_CHUNKS.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let room = SPAN_CACHE_CHUNKS.saturating_sub(spare.len());
+            spare.extend(self.chunks.drain(..).take(room).map(|mut chunk| {
+                chunk.clear();
+                chunk
+            }));
+        });
     }
 }
 
@@ -240,7 +282,7 @@ mod tests {
     #[test]
     fn log_keeps_order_across_chunks_without_moving_a_chunk() {
         let mut log = SpanLog::default();
-        let n = 2 * CHUNK + 3;
+        let n = 2 * SPAN_CHUNK + 3;
         let mut first_chunk = None;
         for i in 0..n {
             log.push(prec(i as u64, 0, SpanKind::TaskStart));
@@ -248,7 +290,7 @@ mod tests {
             assert_eq!(*first_chunk.get_or_insert(at), at, "a chunk moved");
         }
         assert_eq!(log.chunks.len(), 3);
-        assert!(log.chunks.iter().all(|c| c.capacity() == CHUNK));
+        assert!(log.chunks.iter().all(|c| c.capacity() == SPAN_CHUNK));
         let times: Vec<u64> = log.iter().map(|r| r.time.nanos() / 1_000_000).collect();
         assert_eq!(times, (0..n as u64).collect::<Vec<_>>());
     }
