@@ -1,16 +1,16 @@
 //! Report assembly for instrumented runs: the cycle-breakdown table, the
-//! combined Perfetto timeline (kernel dispatches + threads-package spans +
-//! controller sweeps), and the machine-readable JSON report.
+//! combined Perfetto timeline (kernel dispatches + threads-package worker
+//! events + controller sweeps), and the machine-readable JSON report.
 //!
 //! Everything here consumes a [`ScenarioRun`] from
 //! [`crate::run_scenario_instrumented`]; the `report` binary wires the
 //! pieces together for the Figure-4 scenario.
 
 use desim::SimTime;
+use metrics::perfetto::AppTimeline;
 use metrics::{table, JsonValue, TraceBuilder};
 use procctl::SweepRecord;
 use simkernel::{AppId, Cycles};
-use uthreads::SpanKind;
 
 use crate::scenario::{ScenarioRun, SERVER_APP};
 
@@ -19,7 +19,7 @@ use crate::scenario::{ScenarioRun, SERVER_APP};
 /// [`app_trace_pid`]).
 pub const CONTROLLER_PID: u64 = 2;
 
-/// Trace-process id for an application's span tracks.
+/// Trace-process id for an application's worker tracks.
 pub fn app_trace_pid(app: AppId) -> u64 {
     100 + u64::from(app.0)
 }
@@ -101,108 +101,19 @@ pub fn cycle_table(run: &ScenarioRun) -> String {
 
 /// Converts one run into a full Perfetto timeline: the kernel's per-CPU
 /// dispatch tracks, one trace-process per application with a track per
-/// worker (task slices, suspension slices, queue-lock-wait slices, poll
-/// instants, target counters), and the controller's sweep instants.
+/// worker (rendered from the workers' events by
+/// [`metrics::perfetto::sched_timeline`], the native pools' renderer),
+/// and the controller's sweep instants.
 pub fn scenario_trace(run: &ScenarioRun) -> TraceBuilder {
     let mut b = metrics::perfetto::kernel_trace(run.kernel.trace(), run.ledger.num_cpus, run.end);
-    for a in &run.apps {
-        let pid = app_trace_pid(a.app);
-        b.process_name(pid, &format!("app {} ({})", a.app.0, a.kind.name()));
-        let mut named: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        // Open slice per worker: (name, start).
-        let mut open: std::collections::BTreeMap<u32, (&'static str, SimTime)> =
-            std::collections::BTreeMap::new();
-        for r in &a.spans {
-            let tid = u64::from(r.pid.0);
-            if named.insert(r.pid.0) {
-                b.thread_name(pid, tid, &format!("P{}", r.pid.0));
-            }
-            let close = |b: &mut TraceBuilder,
-                         open: &mut std::collections::BTreeMap<u32, (&'static str, SimTime)>,
-                         now: SimTime,
-                         args: JsonValue| {
-                if let Some((name, start)) = open.remove(&r.pid.0) {
-                    b.complete(name, "span", pid, tid, us(start), us(now) - us(start), args);
-                }
-            };
-            match r.kind {
-                SpanKind::TaskStart => {
-                    close(&mut b, &mut open, r.time, JsonValue::Null);
-                    open.insert(r.pid.0, ("task", r.time));
-                }
-                SpanKind::TaskEnd { finished } => {
-                    close(
-                        &mut b,
-                        &mut open,
-                        r.time,
-                        JsonValue::obj([("finished", JsonValue::Bool(finished))]),
-                    );
-                }
-                SpanKind::SuspendEnter => {
-                    close(&mut b, &mut open, r.time, JsonValue::Null);
-                    open.insert(r.pid.0, ("suspended", r.time));
-                }
-                SpanKind::SuspendExit => {
-                    close(&mut b, &mut open, r.time, JsonValue::Null);
-                }
-                SpanKind::QueueLockWait { waited } => {
-                    let w = waited.nanos() as f64 / 1_000.0;
-                    if w > 0.0 {
-                        b.complete(
-                            "queue-lock wait",
-                            "lock",
-                            pid,
-                            tid,
-                            us(r.time) - w,
-                            w,
-                            JsonValue::Null,
-                        );
-                    }
-                }
-                SpanKind::PollSent => {
-                    b.instant("poll", "control", pid, tid, us(r.time), JsonValue::Null);
-                }
-                SpanKind::TargetApplied { target } => {
-                    b.counter(
-                        &format!("target app {}", a.app.0),
-                        pid,
-                        us(r.time),
-                        "target",
-                        f64::from(target),
-                    );
-                }
-                SpanKind::CrCull => {
-                    b.instant("cr-cull", "crlock", pid, tid, us(r.time), JsonValue::Null);
-                }
-                SpanKind::CrPromote => {
-                    b.instant(
-                        "cr-promote",
-                        "crlock",
-                        pid,
-                        tid,
-                        us(r.time),
-                        JsonValue::Null,
-                    );
-                }
-            }
-        }
-        // Anything still open when the run ended (e.g. a worker suspended
-        // at the finish line) closes at the end timestamp.
-        let still_open: Vec<u32> = open.keys().copied().collect();
-        for p in still_open {
-            if let Some((name, start)) = open.remove(&p) {
-                b.complete(
-                    name,
-                    "span",
-                    pid,
-                    u64::from(p),
-                    us(start),
-                    us(run.end) - us(start),
-                    JsonValue::Null,
-                );
-            }
-        }
-    }
+    let apps: Vec<AppTimeline> = (run.apps.iter())
+        .map(|a| AppTimeline {
+            pid: app_trace_pid(a.app),
+            name: format!("app {} ({})", a.app.0, a.kind.name()),
+            events: a.spans.clone(),
+        })
+        .collect();
+    metrics::perfetto::sched_timeline(&mut b, &apps);
     if !run.sweeps.is_empty() {
         b.process_name(CONTROLLER_PID, "controller");
         b.thread_name(CONTROLLER_PID, 0, "partition sweeps");

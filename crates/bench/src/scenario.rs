@@ -205,8 +205,8 @@ pub struct AppRun {
     pub stats: simkernel::AppStats,
     /// Threads-package counters.
     pub metrics: AppMetrics,
-    /// Span records the threads package emitted.
-    pub spans: Vec<uthreads::SpanRecord>,
+    /// Worker events the threads package logged.
+    pub spans: Vec<native_rt::TraceEvent>,
     /// Poll-to-convergence latencies (empty without control).
     pub convergence: Vec<(SimTime, SimDur)>,
 }

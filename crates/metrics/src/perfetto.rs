@@ -7,11 +7,11 @@
 //! per-processor timeline: one track per CPU whose slices are the dispatched
 //! processes, counter tracks for runnable-process counts, and instants for
 //! the paper's pathologies (spin starts, preempt-while-spinning, lock
-//! hand-offs). [`sched_timeline`] renders `native-rt` flight-recorder
-//! events — the recorder's own [`TraceEvent`] and [`EventKind`], not a
-//! copy of them — from several applications as one multi-process
-//! timeline. The dependency points from here to the runtime only: the
-//! recorder stays a leaf its pool calls from the hot path.
+//! hand-offs). [`sched_timeline`] renders worker events — the `native-rt`
+//! flight recorder's own [`TraceEvent`] and [`EventKind`], which the
+//! simulated threads package logs too — from several applications as one
+//! multi-process timeline. The dependency points from here to the runtime
+//! only: the recorder stays a leaf its pool calls from the hot path.
 
 use desim::{SimTime, Tracer};
 use native_rt::{EventKind, TraceEvent};
@@ -320,7 +320,8 @@ pub fn kernel_trace(trace: &Tracer<KTrace>, num_cpus: usize, end: SimTime) -> Tr
 /// [`sched_timeline`] document — far above any plausible worker index.
 pub const DECISION_TID: u64 = 9_999;
 
-/// One application's slice of the fleet: its flight-recorder drains plus
+/// One application's slice of the fleet: its worker events (a native
+/// flight recorder's drains, or a simulated threads package's log) plus
 /// any server-journal entries for its pid (which carry the
 /// [`EventKind::Decision`] kind) under one trace process.
 #[derive(Clone, Debug)]
@@ -333,18 +334,23 @@ pub struct AppTimeline {
     pub events: Vec<TraceEvent>,
 }
 
-/// Merges per-application flight-recorder streams into one multi-process
-/// Perfetto timeline: one trace process per application, one thread per
-/// worker whose job/suspension slices are reconstructed from the event
-/// stream (a slice closes at the next event on its worker, the same
-/// next-event-boundary scheme as [`kernel_trace`]), instants for steals,
-/// parks, and control observations, and the server's partition decisions
-/// as instants on a dedicated [`DECISION_TID`] track per application.
+/// Appends per-application worker-event streams to `b` as a
+/// multi-process Perfetto timeline: one trace process per application,
+/// one thread per worker whose job/suspension slices are reconstructed
+/// from the event stream (a slice closes at the next event on its worker
+/// that ends it, the same next-event-boundary scheme as [`kernel_trace`];
+/// a [`EventKind::JobEnd`] puts its `jobs` on the slice it closes), a
+/// slice ending at each [`EventKind::LockWait`], instants for steals,
+/// parks, polls and control observations, and the server's partition
+/// decisions as instants on a dedicated [`DECISION_TID`] track per
+/// application. Slices still open at an application's last event close
+/// there. The native pools and the simulated threads package both render
+/// through here.
 ///
 /// Timestamps must share one clock origin per producing process (the
 /// flight recorder guarantees this); each track's events come out in
 /// nondecreasing timestamp order.
-pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
+pub fn sched_timeline(b: &mut TraceBuilder, apps: &[AppTimeline]) {
     use std::collections::{BTreeMap, BTreeSet};
     use EventKind::*;
 
@@ -353,7 +359,7 @@ pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
         Suspended { start_ns: u64 },
     }
 
-    let mut b = TraceBuilder::new();
+    let us = |ns: u64| ns as f64 / 1_000.0;
     for app in apps {
         b.process_name(app.pid, &app.name);
         let mut events: Vec<&TraceEvent> = app.events.iter().collect();
@@ -361,26 +367,21 @@ pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
         let mut named: BTreeSet<u64> = BTreeSet::new();
         let mut open: BTreeMap<u16, Open> = BTreeMap::new();
         let end_ns = events.last().map_or(0, |e| e.ts_ns);
-        let close = |b: &mut TraceBuilder, w: u16, slot: Option<Open>, now_ns: u64| match slot {
-            Some(Open::Job { start_ns, wait_us }) => b.complete(
-                "job",
-                "job",
-                app.pid,
-                w as u64,
-                start_ns as f64 / 1_000.0,
-                now_ns.saturating_sub(start_ns) as f64 / 1_000.0,
-                JsonValue::obj([("wait_us", JsonValue::uint(wait_us as u64))]),
-            ),
-            Some(Open::Suspended { start_ns }) => b.complete(
-                "suspended",
-                "control",
-                app.pid,
-                w as u64,
-                start_ns as f64 / 1_000.0,
-                now_ns.saturating_sub(start_ns) as f64 / 1_000.0,
-                JsonValue::Null,
-            ),
-            None => {}
+        let close = |b: &mut TraceBuilder, w: u16, slot, now_ns: u64, jobs: Option<u32>| {
+            let (name, cat, start_ns, args) = match slot {
+                Some(Open::Job { start_ns, wait_us }) => {
+                    let jobs = jobs.map(|n| ("jobs", JsonValue::uint(u64::from(n))));
+                    let wait = ("wait_us", JsonValue::uint(u64::from(wait_us)));
+                    let args = JsonValue::obj(std::iter::once(wait).chain(jobs));
+                    ("job", "job", start_ns, args)
+                }
+                Some(Open::Suspended { start_ns }) => {
+                    ("suspended", "control", start_ns, JsonValue::Null)
+                }
+                None => return,
+            };
+            let dur = us(now_ns.saturating_sub(start_ns));
+            b.complete(name, cat, app.pid, w as u64, us(start_ns), dur, args);
         };
         for e in &events {
             let (tid, track_label) = if e.kind == Decision {
@@ -392,10 +393,12 @@ pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
                 b.thread_name(app.pid, tid, &track_label);
             }
             // These five end the worker's open slice, and a pickup or a
-            // suspend opens the next one. Every other kind is an instant:
-            // its name, category and the key its `arg` is shown under.
+            // suspend opens the next one. A lock wait is a slice that ends
+            // at its timestamp. Every other kind is an instant: its name,
+            // category and the key its `arg` is shown under.
             if matches!(e.kind, JobStart | JobEnd | Park | Suspend | Resume) {
-                close(&mut b, e.worker, open.remove(&e.worker), e.ts_ns);
+                let jobs = (e.kind == JobEnd).then_some(e.arg);
+                close(b, e.worker, open.remove(&e.worker), e.ts_ns, jobs);
             }
             let (name, cat, key) = match e.kind {
                 JobStart => {
@@ -407,7 +410,16 @@ pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
                     open.insert(e.worker, Open::Suspended { start_ns: e.ts_ns });
                     continue;
                 }
-                JobEnd => ("burst end", "job", Some("jobs")),
+                JobEnd => continue,
+                LockWait => {
+                    if e.arg > 0 {
+                        let start_ns = e.ts_ns.saturating_sub(u64::from(e.arg));
+                        let (ts, dur) = (us(start_ns), us(e.ts_ns - start_ns));
+                        let name = "queue-lock wait";
+                        b.complete(name, "lock", app.pid, tid, ts, dur, JsonValue::Null);
+                    }
+                    continue;
+                }
                 Steal => ("steal", "steal", Some("tier")),
                 Park => ("park", "idle", None),
                 Unpark => ("unpark", "idle", None),
@@ -420,17 +432,17 @@ pub fn sched_timeline(apps: &[AppTimeline]) -> TraceBuilder {
                 Recovered => ("recovered", "watchdog", Some("episode_ms")),
                 CrCull => ("cr-cull", "crlock", Some("culled_us")),
                 CrPromote => ("cr-promote", "crlock", Some("active_set")),
+                Poll => ("poll", "control", None),
             };
             let args = key.map_or(JsonValue::Null, |k| {
                 JsonValue::obj([(k, JsonValue::uint(e.arg as u64))])
             });
-            b.instant(name, cat, app.pid, tid, e.ts_ns as f64 / 1_000.0, args);
+            b.instant(name, cat, app.pid, tid, us(e.ts_ns), args);
         }
         for (w, slot) in open {
-            close(&mut b, w, Some(slot), end_ns);
+            close(b, w, Some(slot), end_ns, None);
         }
     }
-    b
 }
 
 #[cfg(test)]
@@ -458,6 +470,12 @@ mod tests {
         let slice = &events[2];
         assert_eq!(slice.get("ph").and_then(|v| v.as_str()), Some("X"));
         assert_eq!(slice.get("dur").and_then(|v| v.as_num()), Some(50.0));
+    }
+
+    fn timeline(apps: &[AppTimeline]) -> String {
+        let mut b = TraceBuilder::new();
+        sched_timeline(&mut b, apps);
+        b.finish().render()
     }
 
     fn ev(ts_ns: u64, worker: u16, kind: EventKind, arg: u32) -> TraceEvent {
@@ -502,7 +520,7 @@ mod tests {
     /// dropped arg fails here, not only in a structural check.
     #[test]
     fn sched_timeline_renders_the_pinned_document() {
-        let doc = sched_timeline(&two_app_fleet()).finish().render();
+        let doc = timeline(&two_app_fleet());
         let want = concat!(
             r#"{"traceEvents":[{"name":"process_name","cat":"__metadata","ph":"M","pid":101,"tid":0,"ts":0,"args":{"name":"app-a"}}"#,
             r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":101,"tid":0,"ts":0,"args":{"name":"worker 0"}}"#,
@@ -511,8 +529,7 @@ mod tests {
             r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":101,"tid":9999,"ts":0,"args":{"name":"server decisions"}}"#,
             r#",{"name":"decision","cat":"control","ph":"i","pid":101,"tid":9999,"ts":2.5,"s":"t","args":{"target":4}}"#,
             r#",{"name":"job","cat":"job","ph":"X","pid":101,"tid":0,"ts":1,"dur":2,"args":{"wait_us":7}}"#,
-            r#",{"name":"job","cat":"job","ph":"X","pid":101,"tid":0,"ts":3,"dur":2,"args":{"wait_us":0}}"#,
-            r#",{"name":"burst end","cat":"job","ph":"i","pid":101,"tid":0,"ts":5,"s":"t","args":{"jobs":2}}"#,
+            r#",{"name":"job","cat":"job","ph":"X","pid":101,"tid":0,"ts":3,"dur":2,"args":{"wait_us":0,"jobs":2}}"#,
             r#",{"name":"suspended","cat":"control","ph":"X","pid":101,"tid":1,"ts":6,"dur":3}"#,
             r#",{"name":"resume","cat":"control","ph":"i","pid":101,"tid":1,"ts":9,"s":"t","args":{"wake_us":42}}"#,
             r#",{"name":"process_name","cat":"__metadata","ph":"M","pid":202,"tid":0,"ts":0,"args":{"name":"app-b"}}"#,
@@ -537,12 +554,11 @@ mod tests {
                 .map(|(i, &kind)| ev(1_000 * (i as u64 + 1), 0, kind, 10 + i as u32))
                 .collect(),
         };
-        let doc = sched_timeline(&[app]).finish().render();
+        let doc = timeline(&[app]);
         let want = concat!(
             r#"{"traceEvents":[{"name":"process_name","cat":"__metadata","ph":"M","pid":7,"tid":0,"ts":0,"args":{"name":"every kind"}}"#,
             r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":7,"tid":0,"ts":0,"args":{"name":"worker 0"}}"#,
-            r#",{"name":"job","cat":"job","ph":"X","pid":7,"tid":0,"ts":1,"dur":1,"args":{"wait_us":10}}"#,
-            r#",{"name":"burst end","cat":"job","ph":"i","pid":7,"tid":0,"ts":2,"s":"t","args":{"jobs":11}}"#,
+            r#",{"name":"job","cat":"job","ph":"X","pid":7,"tid":0,"ts":1,"dur":1,"args":{"wait_us":10,"jobs":11}}"#,
             r#",{"name":"steal","cat":"steal","ph":"i","pid":7,"tid":0,"ts":3,"s":"t","args":{"tier":12}}"#,
             r#",{"name":"park","cat":"idle","ph":"i","pid":7,"tid":0,"ts":4,"s":"t"}"#,
             r#",{"name":"unpark","cat":"idle","ph":"i","pid":7,"tid":0,"ts":5,"s":"t"}"#,
@@ -556,14 +572,16 @@ mod tests {
             r#",{"name":"stall","cat":"watchdog","ph":"i","pid":7,"tid":0,"ts":12,"s":"t","args":{"stale_ms":21}}"#,
             r#",{"name":"recovered","cat":"watchdog","ph":"i","pid":7,"tid":0,"ts":13,"s":"t","args":{"episode_ms":22}}"#,
             r#",{"name":"cr-cull","cat":"crlock","ph":"i","pid":7,"tid":0,"ts":14,"s":"t","args":{"culled_us":23}}"#,
-            r#",{"name":"cr-promote","cat":"crlock","ph":"i","pid":7,"tid":0,"ts":15,"s":"t","args":{"active_set":24}}],"displayTimeUnit":"ms"}"#,
+            r#",{"name":"cr-promote","cat":"crlock","ph":"i","pid":7,"tid":0,"ts":15,"s":"t","args":{"active_set":24}}"#,
+            r#",{"name":"queue-lock wait","cat":"lock","ph":"X","pid":7,"tid":0,"ts":15.975,"dur":0.025}"#,
+            r#",{"name":"poll","cat":"control","ph":"i","pid":7,"tid":0,"ts":17,"s":"t"}],"displayTimeUnit":"ms"}"#,
         );
         assert_eq!(doc, want);
     }
 
     #[test]
     fn sched_timeline_builds_per_app_tracks_with_decision_instants() {
-        let doc = sched_timeline(&two_app_fleet()).finish().render();
+        let doc = timeline(&two_app_fleet());
         let back = json::parse(&doc).unwrap();
         let events = back.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
         // Both trace processes are named.
@@ -625,7 +643,7 @@ mod tests {
 
     #[test]
     fn sched_timeline_is_monotonic_per_track() {
-        let doc = sched_timeline(&two_app_fleet()).finish().render();
+        let doc = timeline(&two_app_fleet());
         let back = json::parse(&doc).unwrap();
         let events = back.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
         // Every timestamp is finite and non-negative (a mixed-origin

@@ -18,6 +18,9 @@
 //! relaxed atomics — the per-slot sequence number carries all ordering —
 //! which keeps the implementation free of `unsafe` and race-detector
 //! clean.
+//!
+//! The simulated threads package (`uthreads`) logs the same
+//! [`TraceEvent`]s, timestamped in simulated nanoseconds.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,11 +77,19 @@ pub enum EventKind {
     /// The worker's gate exit promoted a culled thread back into the
     /// active set; `arg` is the gate's current active-set bound.
     CrPromote = 14,
+    /// The worker acquired its run queue's lock; `arg` is how long it
+    /// waited for it in nanoseconds (saturating). Simulated workers only:
+    /// the native pools take no queue lock.
+    LockWait = 15,
+    /// The worker asked the control server for a new target (or started
+    /// a decentralized load sweep). Simulated workers only: the native
+    /// client polls from its own thread.
+    Poll = 16,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 15] = [
+    pub const ALL: [EventKind; 17] = [
         EventKind::JobStart,
         EventKind::JobEnd,
         EventKind::Steal,
@@ -94,6 +105,8 @@ impl EventKind {
         EventKind::Recovered,
         EventKind::CrCull,
         EventKind::CrPromote,
+        EventKind::LockWait,
+        EventKind::Poll,
     ];
 
     /// The two-letter wire code (`js`, `je`, `st`, …).
@@ -114,6 +127,8 @@ impl EventKind {
             EventKind::Recovered => "rc",
             EventKind::CrCull => "cc",
             EventKind::CrPromote => "cp",
+            EventKind::LockWait => "lw",
+            EventKind::Poll => "po",
         }
     }
 

@@ -82,9 +82,9 @@ impl ThreadsApp {
         self.shared.borrow().cr_active_max()
     }
 
-    /// A copy of the span records emitted so far (task pickup/finish,
-    /// suspension enter/exit, queue-lock waits, control polls).
-    pub fn spans(&self) -> Vec<crate::span::SpanRecord> {
+    /// A copy of the worker events emitted so far (task pickup/finish,
+    /// suspension enter/exit, queue-lock waits, control polls, …).
+    pub fn spans(&self) -> Vec<native_rt::TraceEvent> {
         self.shared.borrow().spans().copied().collect()
     }
 

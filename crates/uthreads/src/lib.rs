@@ -23,8 +23,6 @@ mod worker;
 
 pub use app::{launch, AppSpec, ThreadsApp};
 pub use shared::{AppMetrics, AppShared, ControlParams, CrParams, ThreadsConfig};
-pub use span::{
-    poll_to_convergence, wake_to_run, SpanKind, SpanRecord, SPAN_CACHE_CHUNKS, SPAN_CHUNK,
-};
+pub use span::{poll_to_convergence, wake_to_run, SPAN_CACHE_CHUNKS, SPAN_CHUNK};
 pub use task::{BarrierId, ChanId, FnTask, OpsBody, Task, TaskBody, TaskEvent, TaskOp};
 pub use worker::Worker;

@@ -12,10 +12,11 @@
 use std::collections::VecDeque;
 
 use desim::{SimDur, SimTime};
+use native_rt::{EventKind, TraceEvent};
 use procctl::ClientControl;
 use simkernel::{LockId, Pid};
 
-use crate::span::{SpanKind, SpanLog, SpanRecord};
+use crate::span::SpanLog;
 use crate::task::{Task, TaskEvent};
 
 /// Package-level counters, kept per application.
@@ -394,7 +395,7 @@ pub struct AppShared {
     /// Concurrency-restricting queue-lock state, when enabled.
     pub(crate) cr: Option<CrSimState>,
     pub(crate) metrics: AppMetrics,
-    /// Span events emitted by the workers (task/suspension/lock-wait/poll).
+    /// Events emitted by the workers (task/suspension/lock-wait/poll/…).
     pub(crate) spans: SpanLog,
 }
 
@@ -420,9 +421,9 @@ impl AppShared {
         }
     }
 
-    /// Appends a span record.
-    pub(crate) fn span(&mut self, time: SimTime, pid: Pid, kind: SpanKind) {
-        self.spans.push(SpanRecord { time, pid, kind });
+    /// Logs one worker event.
+    pub(crate) fn record(&mut self, time: SimTime, pid: Pid, kind: EventKind, arg: u32) {
+        self.spans.record(time, pid, kind, arg);
     }
 
     /// Enqueues a fresh task.
@@ -457,8 +458,8 @@ impl AppShared {
         self.cr.as_ref().map(|cr| cr.active_max)
     }
 
-    /// The span records emitted so far, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &SpanRecord> {
+    /// The worker events emitted so far, oldest first.
+    pub fn spans(&self) -> impl Iterator<Item = &TraceEvent> {
         self.spans.iter()
     }
 

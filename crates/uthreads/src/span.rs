@@ -1,14 +1,17 @@
-//! Span events: what each worker was doing, and when.
+//! The worker event log: what each worker was doing, and when.
 //!
-//! The workers append timestamped [`SpanRecord`]s to their application's
-//! log at the package's own state transitions — task pickup/finish,
-//! suspension enter/exit, queue-lock waits, and control polls. The log is
-//! unbounded (the figure harnesses replay full histories) and kept in
-//! fixed-size chunks of [`SPAN_CHUNK`] records, so it grows without ever
-//! copying a record: a Fig-4 run appends ~135 k of them, in ~33 chunks.
-//! Harnesses read the log back, in order, to build Perfetto tracks and to
-//! measure the latency the paper's Figure 5 claim rests on: how long after
-//! a poll applies a new target does the application actually reach it
+//! The workers append the native flight recorder's [`TraceEvent`]s to
+//! their application's log at the package's own state transitions — task
+//! pickup/finish, suspension enter/exit, queue-lock waits, control polls,
+//! applied targets and CR-lock culls/promotions. `ts_ns` is simulated
+//! nanoseconds and `worker` the worker's pid. The log is unbounded (the
+//! figure harnesses replay full histories) and kept in fixed-size chunks
+//! of [`SPAN_CHUNK`] records, so it grows without ever copying a record: a
+//! Fig-4 run appends ~135 k of them, in ~33 chunks. Harnesses read the log
+//! back, in order, to build Perfetto tracks (`metrics::perfetto::
+//! sched_timeline`, the same renderer the native pools use) and to measure
+//! the latency the paper's Figure 5 claim rests on: how long after a poll
+//! applies a new target does the application actually reach it
 //! ([`poll_to_convergence`]).
 //!
 //! A dropped log does not free its chunks: it clears them (records are
@@ -16,88 +19,47 @@
 //! cache of at most [`SPAN_CACHE_CHUNKS`], from which the next log on the
 //! thread takes its chunks before it allocates. Without it, every run of a
 //! harness that simulates many runs on one thread paid for fresh pages:
-//! the allocator trims the freed 128 KiB chunks back to the OS at the end
-//! of a run, and the next run faults them in again on its first write to
-//! each page (~1 100 minor faults per Fig-4 run). The cap bounds what a
-//! thread keeps (8 MiB) above the ~33 chunks of a Fig-4 run.
+//! the allocator trims the freed chunks back to the OS at the end of a
+//! run, and the next run faults them in again on its first write to each
+//! page. The cap bounds what a thread keeps (4 MiB) above the ~33 chunks
+//! of a Fig-4 run.
 
 use std::cell::RefCell;
 
 use desim::{SimDur, SimTime};
+use native_rt::{EventKind, TraceEvent};
 use simkernel::Pid;
 
-/// What happened at a span boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanKind {
-    /// A worker picked a task off the ready queue and started executing it.
-    TaskStart,
-    /// The worker put its current task down: `finished` tasks completed,
-    /// unfinished ones parked at a barrier/channel or requeued.
-    TaskEnd {
-        /// True when the task ran to completion.
-        finished: bool,
-    },
-    /// The worker suspended itself at a safe point (process control).
-    SuspendEnter,
-    /// The worker was resumed by a colleague's signal.
-    SuspendExit,
-    /// The worker acquired the queue lock after waiting `waited` for it
-    /// (the spin time degradation mechanism #1 is made of).
-    QueueLockWait {
-        /// Time from requesting the queue lock to holding it.
-        waited: SimDur,
-    },
-    /// The worker issued a poll to the control server (or started a
-    /// decentralized rpstat sweep).
-    PollSent,
-    /// A target from the server (or a decentralized estimate) was applied
-    /// to the application's control block.
-    TargetApplied {
-        /// The new target number of runnable processes.
-        target: u32,
-    },
-    /// The concurrency-restricting queue lock culled the worker: the
-    /// active set was full, so it parked instead of joining the spin.
-    CrCull,
-    /// The worker was promoted from the CR lock's passive list (it wakes
-    /// holding an admission slot handed over by the releaser).
-    CrPromote,
-}
-
-/// One timestamped span record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// When it happened.
-    pub time: SimTime,
-    /// The worker process.
-    pub pid: Pid,
-    /// What happened.
-    pub kind: SpanKind,
-}
-
-/// Records per chunk of a span log (32 B each: 128 KiB a chunk).
+/// Records per chunk of a span log (16 B each: 64 KiB a chunk).
 pub const SPAN_CHUNK: usize = 4_096;
 
 /// Empty chunks a thread keeps from its dropped span logs for the next
-/// log to fill (8 MiB): a Fig-4 run uses ~33.
+/// log to fill (4 MiB): a Fig-4 run uses ~33.
 pub const SPAN_CACHE_CHUNKS: usize = 64;
 
 thread_local! {
     /// Cleared chunks of dropped logs, each with capacity [`SPAN_CHUNK`].
-    static SPARE_CHUNKS: RefCell<Vec<Vec<SpanRecord>>> = const { RefCell::new(Vec::new()) };
+    static SPARE_CHUNKS: RefCell<Vec<Vec<TraceEvent>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// An append-only log of span records in chunks of [`SPAN_CHUNK`]: a full
-/// chunk is left where it is and a new one started, so an append never
-/// moves the records already logged.
+/// An append-only log of events in chunks of [`SPAN_CHUNK`]: a full chunk
+/// is left where it is and a new one started, so an append never moves
+/// the records already logged.
 #[derive(Default)]
 pub(crate) struct SpanLog {
-    chunks: Vec<Vec<SpanRecord>>,
+    chunks: Vec<Vec<TraceEvent>>,
 }
 
 impl SpanLog {
-    /// Appends one record.
-    pub(crate) fn push(&mut self, record: SpanRecord) {
+    /// Appends one event of `kind` by worker `pid` at `time`.
+    pub(crate) fn record(&mut self, time: SimTime, pid: Pid, kind: EventKind, arg: u32) {
+        let worker = u16::try_from(pid.0).expect("a simulated pid fits a trace worker id");
+        let record = TraceEvent {
+            ts_ns: time.nanos(),
+            worker,
+            kind,
+            arg,
+        };
         match self.chunks.last_mut() {
             Some(chunk) if chunk.len() < SPAN_CHUNK => chunk.push(record),
             _ => {
@@ -113,7 +75,7 @@ impl SpanLog {
     }
 
     /// The records, oldest first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.chunks.iter().flatten()
     }
 }
@@ -134,37 +96,35 @@ impl Drop for SpanLog {
     }
 }
 
-/// Poll-to-convergence latencies: for each applied target that differed
-/// from the application's active worker count at that moment, how long the
-/// package took to actually reach it (by workers suspending or resuming at
-/// safe points). Targets superseded before convergence are dropped —
-/// exactly the cases where the server moved the goalposts mid-adjustment.
+/// Poll-to-convergence latencies: for each applied target
+/// ([`EventKind::Epoch`]) that differed from the application's active
+/// worker count at that moment, how long the package took to actually
+/// reach it (by workers suspending or resuming at safe points). Targets
+/// superseded before convergence are dropped — exactly the cases where the
+/// server moved the goalposts mid-adjustment.
 ///
 /// `initial_active` is the worker count at launch (`nprocs`).
 pub fn poll_to_convergence<'a>(
-    records: impl IntoIterator<Item = &'a SpanRecord>,
+    records: impl IntoIterator<Item = &'a TraceEvent>,
     initial_active: u32,
 ) -> Vec<(SimTime, SimDur)> {
     let mut active = initial_active;
     let mut pending: Option<(SimTime, u32)> = None;
     let mut out = Vec::new();
     for r in records {
+        let at = SimTime(r.ts_ns);
         match r.kind {
-            SpanKind::SuspendEnter => active -= 1,
-            SpanKind::SuspendExit => active += 1,
-            SpanKind::TargetApplied { target } => {
-                if target == active {
-                    pending = None;
-                } else {
-                    pending = Some((r.time, target));
-                }
+            EventKind::Suspend => active -= 1,
+            EventKind::Resume => active += 1,
+            EventKind::Epoch => {
+                pending = (r.arg != active).then_some((at, r.arg));
                 continue;
             }
             _ => continue,
         }
         if let Some((since, target)) = pending {
             if active == target {
-                out.push((since, r.time.since(since)));
+                out.push((since, at.since(since)));
                 pending = None;
             }
         }
@@ -173,25 +133,26 @@ pub fn poll_to_convergence<'a>(
 }
 
 /// Wake-to-run latencies: for each resumed worker, the time from its
-/// [`SpanKind::SuspendExit`] to its next [`SpanKind::TaskStart`] — the
+/// [`EventKind::Resume`] to its next [`EventKind::JobStart`] — the
 /// simulated twin of the native runtime's `wake_to_run_ns` histogram
 /// (how long a worker sat runnable after a resume decision before doing
 /// useful work). A worker resumed again before ever starting a task
 /// restarts its clock; a worker that never runs again contributes
 /// nothing.
 pub fn wake_to_run<'a>(
-    records: impl IntoIterator<Item = &'a SpanRecord>,
+    records: impl IntoIterator<Item = &'a TraceEvent>,
 ) -> Vec<(Pid, SimTime, SimDur)> {
-    let mut pending: std::collections::BTreeMap<u32, SimTime> = Default::default();
+    let mut pending: std::collections::BTreeMap<u16, SimTime> = Default::default();
     let mut out = Vec::new();
     for r in records {
+        let at = SimTime(r.ts_ns);
         match r.kind {
-            SpanKind::SuspendExit => {
-                pending.insert(r.pid.0, r.time);
+            EventKind::Resume => {
+                pending.insert(r.worker, at);
             }
-            SpanKind::TaskStart => {
-                if let Some(woke) = pending.remove(&r.pid.0) {
-                    out.push((r.pid, woke, r.time.since(woke)));
+            EventKind::JobStart => {
+                if let Some(woke) = pending.remove(&r.worker) {
+                    out.push((Pid(u32::from(r.worker)), woke, at.since(woke)));
                 }
             }
             _ => {}
@@ -204,23 +165,28 @@ pub fn wake_to_run<'a>(
 mod tests {
     use super::*;
 
-    fn rec(ms: u64, kind: SpanKind) -> SpanRecord {
-        SpanRecord {
-            time: SimTime::ZERO + SimDur::from_millis(ms),
-            pid: Pid(0),
+    fn prec(ms: u64, worker: u16, kind: EventKind, arg: u32) -> TraceEvent {
+        TraceEvent {
+            ts_ns: ms * 1_000_000,
+            worker,
             kind,
+            arg,
         }
+    }
+
+    fn rec(ms: u64, kind: EventKind, arg: u32) -> TraceEvent {
+        prec(ms, 0, kind, arg)
     }
 
     #[test]
     fn convergence_measures_suspension_lag() {
         let records = vec![
-            rec(100, SpanKind::TargetApplied { target: 2 }),
-            rec(150, SpanKind::SuspendEnter),
-            rec(300, SpanKind::SuspendEnter),
-            rec(900, SpanKind::TargetApplied { target: 4 }),
-            rec(950, SpanKind::SuspendExit),
-            rec(980, SpanKind::SuspendExit),
+            rec(100, EventKind::Epoch, 2),
+            rec(150, EventKind::Suspend, 0),
+            rec(300, EventKind::Suspend, 0),
+            rec(900, EventKind::Epoch, 4),
+            rec(950, EventKind::Resume, 0),
+            rec(980, EventKind::Resume, 0),
         ];
         let c = poll_to_convergence(&records, 4);
         assert_eq!(c.len(), 2);
@@ -232,11 +198,11 @@ mod tests {
     #[test]
     fn superseded_targets_are_dropped() {
         let records = vec![
-            rec(100, SpanKind::TargetApplied { target: 1 }),
-            rec(150, SpanKind::SuspendEnter),
+            rec(100, EventKind::Epoch, 1),
+            rec(150, EventKind::Suspend, 0),
             // New target before the first converged: only this one counts.
-            rec(200, SpanKind::TargetApplied { target: 4 }),
-            rec(250, SpanKind::SuspendExit),
+            rec(200, EventKind::Epoch, 4),
+            rec(250, EventKind::Resume, 0),
         ];
         let c = poll_to_convergence(&records, 4);
         assert_eq!(c.len(), 1);
@@ -245,32 +211,24 @@ mod tests {
 
     #[test]
     fn already_met_targets_produce_no_entry() {
-        let records = vec![rec(100, SpanKind::TargetApplied { target: 4 })];
+        let records = vec![rec(100, EventKind::Epoch, 4)];
         assert!(poll_to_convergence(&records, 4).is_empty());
-    }
-
-    fn prec(ms: u64, pid: u32, kind: SpanKind) -> SpanRecord {
-        SpanRecord {
-            time: SimTime::ZERO + SimDur::from_millis(ms),
-            pid: Pid(pid),
-            kind,
-        }
     }
 
     #[test]
     fn wake_to_run_pairs_resume_with_next_task_start_per_pid() {
         let records = vec![
-            prec(100, 1, SpanKind::SuspendExit),
+            prec(100, 1, EventKind::Resume, 0),
             // Another pid's task start must not consume pid 1's pending
             // wake.
-            prec(120, 2, SpanKind::TaskStart),
-            prec(150, 1, SpanKind::TaskStart),
+            prec(120, 2, EventKind::JobStart, 0),
+            prec(150, 1, EventKind::JobStart, 0),
             // A wake that never runs again contributes nothing.
-            prec(200, 3, SpanKind::SuspendExit),
+            prec(200, 3, EventKind::Resume, 0),
             // A second resume of pid 1 restarts its clock.
-            prec(300, 1, SpanKind::SuspendExit),
-            prec(310, 1, SpanKind::SuspendExit),
-            prec(340, 1, SpanKind::TaskStart),
+            prec(300, 1, EventKind::Resume, 0),
+            prec(310, 1, EventKind::Resume, 0),
+            prec(340, 1, EventKind::JobStart, 0),
         ];
         let w = wake_to_run(&records);
         assert_eq!(w.len(), 2);
@@ -281,17 +239,29 @@ mod tests {
 
     #[test]
     fn log_keeps_order_across_chunks_without_moving_a_chunk() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
         let mut log = SpanLog::default();
         let n = 2 * SPAN_CHUNK + 3;
         let mut first_chunk = None;
         for i in 0..n {
-            log.push(prec(i as u64, 0, SpanKind::TaskStart));
+            log.record(SimTime(i as u64), Pid(0), EventKind::JobStart, 0);
             let at = log.chunks[0].as_ptr();
             assert_eq!(*first_chunk.get_or_insert(at), at, "a chunk moved");
         }
         assert_eq!(log.chunks.len(), 3);
         assert!(log.chunks.iter().all(|c| c.capacity() == SPAN_CHUNK));
-        let times: Vec<u64> = log.iter().map(|r| r.time.nanos() / 1_000_000).collect();
+        let times: Vec<u64> = log.iter().map(|r| r.ts_ns).collect();
         assert_eq!(times, (0..n as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_pid_beyond_a_worker_id_is_refused_not_truncated() {
+        let mut log = SpanLog::default();
+        log.record(SimTime(1), Pid(u32::from(u16::MAX)), EventKind::Poll, 0);
+        assert_eq!(log.iter().next().map(|r| r.worker), Some(u16::MAX));
+        let wider = std::panic::catch_unwind(move || {
+            log.record(SimTime(2), Pid(1 << 16), EventKind::Poll, 0);
+        });
+        assert!(wider.is_err(), "pid 65536 was truncated into a worker id");
     }
 }

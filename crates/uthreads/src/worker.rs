@@ -19,11 +19,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use desim::SimTime;
+use native_rt::EventKind;
 use procctl::{ClientControl, Decision};
 use simkernel::{Action, Behavior, Pid, PortId, UserCtx, Wakeup};
 
 use crate::shared::{AppShared, ControlMode, ControlParams, CrSimState, CrUnlock};
-use crate::span::SpanKind;
 use crate::task::{BarrierId, ChanId, Task, TaskEvent, TaskOp};
 
 /// Queue operations a task can request (all performed under the queue lock).
@@ -163,7 +163,7 @@ impl Worker {
                     sh.active -= 1;
                     sh.suspended.push(ctx.my_pid());
                     sh.metrics.suspends += 1;
-                    sh.span(ctx.now(), ctx.my_pid(), SpanKind::SuspendEnter);
+                    sh.record(ctx.now(), ctx.my_pid(), EventKind::Suspend, 0);
                     self.state = WState::Suspending;
                     return Action::WaitSignal;
                 }
@@ -191,7 +191,7 @@ impl Worker {
             };
             if let Some((port, msg)) = poll_action {
                 sh.metrics.polls += 1;
-                sh.span(now, ctx.my_pid(), SpanKind::PollSent);
+                sh.record(now, ctx.my_pid(), EventKind::Poll, 0);
                 match mode {
                     ControlMode::Centralized { .. } => {
                         sh.poll_in_flight = true;
@@ -292,7 +292,7 @@ impl Worker {
         }
         sh.active -= 1;
         sh.metrics.cr_passivations += 1;
-        sh.span(ctx.now(), ctx.my_pid(), SpanKind::CrCull);
+        sh.record(ctx.now(), ctx.my_pid(), EventKind::CrCull, 0);
         true
     }
 
@@ -318,7 +318,8 @@ impl Worker {
             }
         };
         sh.metrics.cr_promotions += 1;
-        sh.span(ctx.now(), pid, SpanKind::CrPromote);
+        let active_max = sh.cr.as_ref().expect("checked").active_max;
+        sh.record(ctx.now(), pid, EventKind::CrPromote, active_max);
         Some(pid)
     }
 
@@ -373,7 +374,8 @@ impl Worker {
             if let Some(cr) = &mut sh.cr {
                 cr.observe_wait(waited, queue_op);
             }
-            sh.span(ctx.now(), ctx.my_pid(), SpanKind::QueueLockWait { waited });
+            let waited_ns = u32::try_from(waited.nanos()).unwrap_or(u32::MAX);
+            sh.record(ctx.now(), ctx.my_pid(), EventKind::LockWait, waited_ns);
         }
     }
 
@@ -386,7 +388,7 @@ impl Worker {
                 self.cur = Some(task);
                 self.shared
                     .borrow_mut()
-                    .span(ctx.now(), ctx.my_pid(), SpanKind::TaskStart);
+                    .record(ctx.now(), ctx.my_pid(), EventKind::JobStart, 0);
                 self.task_step(ev, ctx)
             }
             None => self.safe_point(ctx),
@@ -417,7 +419,7 @@ impl Worker {
                     sh.barriers[b.0 as usize].arrived = arrived;
                     let t = self.cur.take().expect("barrier from a running task");
                     sh.barriers[b.0 as usize].parked.push(t);
-                    sh.span(now, pid, SpanKind::TaskEnd { finished: false });
+                    sh.record(now, pid, EventKind::JobEnd, 0);
                     Resume::ToSafe
                 }
             }
@@ -437,21 +439,21 @@ impl Worker {
                 } else {
                     let t = self.cur.take().expect("recv from a running task");
                     sh.channels[c.0 as usize].parked.push(t);
-                    sh.span(now, pid, SpanKind::TaskEnd { finished: false });
+                    sh.record(now, pid, EventKind::JobEnd, 0);
                     Resume::ToSafe
                 }
             }
             QOp::Requeue => {
                 let t = self.cur.take().expect("requeue from a running task");
                 sh.queue.push_back((t, TaskEvent::Requeued));
-                sh.span(now, pid, SpanKind::TaskEnd { finished: false });
+                sh.record(now, pid, EventKind::JobEnd, 0);
                 Resume::ToSafe
             }
             QOp::Finish => {
                 sh.outstanding -= 1;
                 sh.metrics.tasks_run += 1;
                 self.cur = None;
-                sh.span(now, pid, SpanKind::TaskEnd { finished: true });
+                sh.record(now, pid, EventKind::JobEnd, 1);
                 Resume::ToSafe
             }
         }
@@ -535,7 +537,7 @@ impl Behavior for Worker {
             (WState::Suspending, Wakeup::Resumed) => {
                 self.shared
                     .borrow_mut()
-                    .span(ctx.now(), ctx.my_pid(), SpanKind::SuspendExit);
+                    .record(ctx.now(), ctx.my_pid(), EventKind::Resume, 0);
                 self.safe_point(ctx)
             }
             (WState::ResumeSignal, Wakeup::SignalSent) => self.safe_point(ctx),
@@ -550,7 +552,7 @@ impl Behavior for Worker {
                 let ok = ctl.apply_reply(&m);
                 debug_assert!(ok, "malformed target reply");
                 let target = ctl.target();
-                sh.span(ctx.now(), ctx.my_pid(), SpanKind::TargetApplied { target });
+                sh.record(ctx.now(), ctx.my_pid(), EventKind::Epoch, target);
                 drop(sh);
                 self.safe_point(ctx)
             }
@@ -648,11 +650,7 @@ impl Behavior for Worker {
                     .as_mut()
                     .expect("decentralized control")
                     .set_target(est);
-                sh.span(
-                    ctx.now(),
-                    ctx.my_pid(),
-                    SpanKind::TargetApplied { target: est },
-                );
+                sh.record(ctx.now(), ctx.my_pid(), EventKind::Epoch, est);
                 drop(sh);
                 self.safe_point(ctx)
             }

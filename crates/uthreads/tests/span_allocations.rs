@@ -9,15 +9,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use desim::{SimDur, SimTime};
+use native_rt::TraceEvent;
 use procctl::{Server, ServerConfig};
 use simkernel::policy::FifoRoundRobin;
 use simkernel::{AppId, Kernel, KernelConfig};
-use uthreads::{
-    launch, AppSpec, SpanRecord, Task, ThreadsApp, ThreadsConfig, SPAN_CACHE_CHUNKS, SPAN_CHUNK,
-};
+use uthreads::{launch, AppSpec, Task, ThreadsApp, ThreadsConfig, SPAN_CACHE_CHUNKS, SPAN_CHUNK};
 
 /// Bytes of one span chunk's allocation.
-const CHUNK_BYTES: usize = SPAN_CHUNK * std::mem::size_of::<SpanRecord>();
+const CHUNK_BYTES: usize = SPAN_CHUNK * std::mem::size_of::<TraceEvent>();
 
 /// The system allocator, counting allocations of a span chunk's size.
 struct Counting;
@@ -61,7 +60,7 @@ fn at(ms: u64) -> SimTime {
 /// started 50 ms after the first, run to completion. Returns each
 /// application's span records and the span chunks allocated while the
 /// scenario ran (counted before the records are copied out).
-fn controlled_pair() -> (Vec<Vec<SpanRecord>>, usize) {
+fn controlled_pair() -> (Vec<Vec<TraceEvent>>, usize) {
     let before = CHUNK_ALLOCATIONS.load(Ordering::Relaxed);
     let mut k = Kernel::new(
         KernelConfig::multimax().with_cpus(4),
@@ -84,7 +83,7 @@ fn controlled_pair() -> (Vec<Vec<SpanRecord>>, usize) {
     }
     assert!(k.run_until_apps_done(&[AppId(0), AppId(1)], at(60_000)));
     let allocated = CHUNK_ALLOCATIONS.load(Ordering::Relaxed) - before;
-    let spans: Vec<Vec<SpanRecord>> = apps.iter().map(ThreadsApp::spans).collect();
+    let spans: Vec<Vec<TraceEvent>> = apps.iter().map(ThreadsApp::spans).collect();
     for s in &spans {
         assert!(!s.is_empty() && s.len() < SPAN_CHUNK, "one chunk per log");
     }

@@ -219,7 +219,9 @@ fn main() {
         name: "drill pool".into(),
         events,
     };
-    let doc = metrics::perfetto::sched_timeline(&[app]).finish().render();
+    let mut fleet = metrics::TraceBuilder::new();
+    metrics::perfetto::sched_timeline(&mut fleet, &[app]);
+    let doc = fleet.finish().render();
     let out = std::env::temp_dir().join("chaos_drill_fleet_trace.json");
     std::fs::write(&out, &doc).expect("write fleet timeline");
     println!(

@@ -2,10 +2,12 @@
 //! Figure-4 scenario, the control-on vs control-off waste deltas, the
 //! server's decision log, convergence measurement, the flight-recorder
 //! latency derivations (native and simulated wake-to-run), the merged
-//! fleet timeline, and the validity of the Perfetto/JSON exports.
+//! fleet timeline, the simulated CR lock's events on the shared renderer,
+//! and the validity of the Perfetto/JSON exports.
 
 use bench::{
-    fig4_launches, report_json, run_scenario_instrumented, scenario_trace, ScenarioRun, SimEnv,
+    fig4_launches, report_json, run_scenario_instrumented, run_scenario_instrumented_tuned,
+    scenario_trace, ScenarioRun, SimEnv,
 };
 use desim::{SimDur, SimTime};
 use metrics::{json, JsonValue};
@@ -158,6 +160,44 @@ fn perfetto_export_is_valid_json_with_consistent_timestamps() {
     }
 }
 
+/// The simulated CR queue lock's culls and promotions reach the rendered
+/// timeline through the worker-event kinds the native gate uses, and the
+/// one renderer turns every logged task pickup into one job slice.
+#[test]
+fn sim_cr_lock_events_reach_the_timeline() {
+    use native_rt::EventKind;
+
+    let presets = Presets::tiny();
+    let launches = fig4_launches(8, SimDur::from_millis(500));
+    let cr = Some(uthreads::CrParams::fixed(2));
+    let run = run_scenario_instrumented_tuned(&quick_env(), &presets, &launches, None, cr, LIMIT);
+    let logged = |kind: EventKind| {
+        (run.apps.iter())
+            .flat_map(|a| &a.spans)
+            .filter(|e| e.kind == kind)
+            .count()
+    };
+    let doc = scenario_trace(&run).finish().render();
+    let back = json::parse(&doc).expect("trace is valid JSON");
+    let events = back
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .expect("traceEvents array");
+    let rendered = |ph: &str, name: &str| {
+        (events.iter())
+            .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some(ph))
+            .filter(|e| e.get("name").and_then(|v| v.as_str()) == Some(name))
+            .count()
+    };
+    let culls = rendered("i", "cr-cull");
+    let promotions = rendered("i", "cr-promote");
+    assert!(culls > 0, "no cr-cull instant in the timeline");
+    assert!(promotions > 0, "no cr-promote instant in the timeline");
+    assert_eq!(culls, logged(EventKind::CrCull));
+    assert_eq!(promotions, logged(EventKind::CrPromote));
+    assert_eq!(rendered("X", "job"), logged(EventKind::JobStart));
+}
+
 /// The native flight recorder's derived wake-to-run latency is sane on a
 /// real suspend/resume cycle: present once a squeezed pool is released,
 /// strictly positive, and bounded by the test's own wall-clock.
@@ -289,7 +329,9 @@ fn fleet_drill(jobs: usize) -> metrics::TraceBuilder {
             }
         })
         .collect();
-    sched_timeline(&apps)
+    let mut b = metrics::TraceBuilder::new();
+    sched_timeline(&mut b, &apps);
+    b
 }
 
 /// The merged fleet timeline (two pools, one controller, decision
