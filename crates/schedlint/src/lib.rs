@@ -17,7 +17,6 @@
 //! | SL002 | over-strong ordering (`SeqCst` where `AcqRel` suffices on a `handoff` atomic, anything above `Relaxed` on a statistic) |
 //! | SL003 | an atomic declared in a registry crate without a `sched-atomic(...)` annotation |
 //! | SL004 | a `handoff` atomic with Release-side publishes but no Acquire-side observer anywhere in its crate (orphaned publish) |
-//! | SL005 | a `seqcst` Dekker atomic whose non-test sites have only one half of the store-load handshake at SeqCst (one-sided downgrade) |
 //! | SL010 | a cycle in the cross-function lock-order graph (potential deadlock) |
 //! | SL011 | nested acquisition of the same lock name in one function (self-deadlock: the runtime's mutexes are not reentrant) |
 //! | SL020 | a blocking call (sleep/park/UDS I/O/foreign condvar wait) while a `MutexGuard` is live on *some* path of the [`cfg`](mod@cfg) region tree — the static analogue of the paper's preempted-lock-holder pathology |

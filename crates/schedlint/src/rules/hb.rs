@@ -1,26 +1,21 @@
-//! SL004/SL005 — happens-before pairing audit.
+//! SL004 — happens-before pairing audit.
 //!
 //! SL001–SL003 check each atomic *site* against its `sched-atomic(...)`
-//! category. This module checks the *pairs* the categories claim exist:
-//!
-//! - **SL004** (`handoff`): a Release-side publish (store or RMW with a
-//!   Release/AcqRel/SeqCst success ordering) is only a synchronization
-//!   edge if some thread performs the matching Acquire-side observation
-//!   (Acquire+ load, or Acquire/AcqRel/SeqCst RMW) of the same atomic.
-//!   A handoff atomic with publishes but no acquire anywhere in its
-//!   crate is an orphaned publish: the data it claims to hand off is
-//!   read unordered, or not at all.
-//! - **SL005** (`seqcst`): a Dekker store-load protocol needs both
-//!   halves in the single total order. An annotated Dekker atomic whose
-//!   non-test sites include SeqCst stores but no SeqCst load (or the
-//!   reverse) has been downgraded one-sidedly — usually by a refactor
-//!   that moved one half behind a helper or deleted it.
+//! category. This module checks the *pair* a `handoff` category claims
+//! exists: a Release-side publish (store or RMW with a
+//! Release/AcqRel/SeqCst success ordering) is only a synchronization edge
+//! if some thread performs the matching Acquire-side observation (Acquire+
+//! load, or Acquire/AcqRel/SeqCst RMW) of the same atomic. A handoff
+//! atomic with publishes but no acquire anywhere in its crate is an
+//! orphaned publish: the data it claims to hand off is read unordered, or
+//! not at all.
 //!
 //! Sites are matched the way the rest of the audit matches them: by
 //! receiver name within the declaring crate, tests excluded. RMWs count
 //! on both sides (an `AcqRel` `fetch_sub` both publishes and observes).
-//! `verified`/`relaxed` categories are out of scope — the former is
-//! proven elsewhere, the latter promises no ordering to pair.
+//! The other categories are out of scope: `seqcst` sites are held to
+//! SeqCst one by one by SL001, `verified` is proven elsewhere, and
+//! `relaxed` promises no ordering to pair.
 
 use std::collections::BTreeMap;
 
@@ -54,14 +49,6 @@ impl Site {
             OpKind::Store => false,
             OpKind::Rmw => matches!(self.ordering.as_str(), "Acquire" | "AcqRel" | "SeqCst"),
         }
-    }
-
-    fn stores_seqcst(&self) -> bool {
-        self.kind != OpKind::Load && self.ordering == "SeqCst"
-    }
-
-    fn loads_seqcst(&self) -> bool {
-        self.kind != OpKind::Store && self.ordering == "SeqCst"
     }
 }
 
@@ -142,36 +129,7 @@ pub(crate) fn check(models: &[FileModel]) -> Vec<Diagnostic> {
                     });
                 }
             }
-            AtomicCategory::SeqCst => {
-                let store = sites.iter().find(|s| s.stores_seqcst());
-                let load = sites.iter().find(|s| s.loads_seqcst());
-                match (store, load) {
-                    (Some(w), None) => diags.push(Diagnostic {
-                        rule: "SL005",
-                        path: w.path.clone(),
-                        line: w.line,
-                        message: format!(
-                            "Dekker atomic `{name}`: SeqCst store side present but no \
-                             SeqCst load of `{name}` in crate `{krate}` — the store-load \
-                             handshake has been downgraded on one side and the total \
-                             order proves nothing"
-                        ),
-                    }),
-                    (None, Some(w)) => diags.push(Diagnostic {
-                        rule: "SL005",
-                        path: w.path.clone(),
-                        line: w.line,
-                        message: format!(
-                            "Dekker atomic `{name}`: SeqCst load side present but no \
-                             SeqCst store of `{name}` in crate `{krate}` — the store-load \
-                             handshake has been downgraded on one side and the total \
-                             order proves nothing"
-                        ),
-                    }),
-                    _ => {}
-                }
-            }
-            AtomicCategory::Relaxed | AtomicCategory::Verified => {}
+            AtomicCategory::SeqCst | AtomicCategory::Relaxed | AtomicCategory::Verified => {}
         }
     }
     diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
@@ -228,36 +186,5 @@ mod tests {
 "#);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "SL004");
-    }
-
-    #[test]
-    fn two_sided_dekker_is_clean_one_sided_fires_sl005() {
-        let both = run(r#"
-struct S { gate: AtomicBool } // sched-atomic(seqcst): Dekker with the poller.
-fn raise(s: &S) { s.gate.store(true, Ordering::SeqCst); }
-fn check(s: &S) -> bool { s.gate.load(Ordering::SeqCst) }
-"#);
-        assert!(both.is_empty(), "{both:?}");
-        let store_only = run(r#"
-struct S { gate: AtomicBool } // sched-atomic(seqcst): Dekker with the poller.
-fn raise(s: &S) { s.gate.store(true, Ordering::SeqCst); }
-"#);
-        assert_eq!(store_only.len(), 1, "{store_only:?}");
-        assert_eq!(store_only[0].rule, "SL005");
-        let load_only = run(r#"
-struct S { gate: AtomicBool } // sched-atomic(seqcst): Dekker with the poller.
-fn check(s: &S) -> bool { s.gate.load(Ordering::SeqCst) }
-"#);
-        assert_eq!(load_only.len(), 1, "{load_only:?}");
-        assert_eq!(load_only[0].rule, "SL005");
-    }
-
-    #[test]
-    fn seqcst_rmw_satisfies_both_sides() {
-        let d = run(r#"
-struct S { turn: AtomicUsize } // sched-atomic(seqcst): ticket handshake.
-fn advance(s: &S) { s.turn.fetch_add(1, Ordering::SeqCst); }
-"#);
-        assert!(d.is_empty(), "{d:?}");
     }
 }

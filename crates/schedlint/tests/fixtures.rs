@@ -93,12 +93,6 @@ fn sl004_orphaned_publish() {
 }
 
 #[test]
-fn sl005_one_sided_dekker() {
-    assert_fires("sl005_bad.rs", "SL005", 1);
-    assert_clean("sl005_good.rs");
-}
-
-#[test]
 fn sl010_lock_order_cycle() {
     assert_fires("sl010_bad.rs", "SL010", 1);
     assert_clean("sl010_good.rs");
