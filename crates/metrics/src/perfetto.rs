@@ -345,7 +345,11 @@ pub struct AppTimeline {
 /// decisions as instants on a dedicated [`DECISION_TID`] track per
 /// application. Slices still open at an application's last event close
 /// there. The native pools and the simulated threads package both render
-/// through here.
+/// through here. A `wait_us`, `wake_us` or `culled_us` arg of 0 is left
+/// out: producers write 0 for a duration they did not measure (every
+/// simulated one; a native unsampled pickup or unknown signal time), and
+/// a native duration under 1 µs rounds to 0, so a 0 there is no
+/// measurement.
 ///
 /// Timestamps must share one clock origin per producing process (the
 /// flight recorder guarantees this); each track's events come out in
@@ -359,6 +363,21 @@ pub fn sched_timeline(b: &mut TraceBuilder, apps: &[AppTimeline]) {
         Suspended { start_ns: u64 },
     }
 
+    /// `(key, arg)` pairs as an args object, without the zero durations
+    /// no producer measured; no args at all when none is left.
+    fn args_of<'a>(pairs: impl IntoIterator<Item = (&'a str, u32)>) -> JsonValue {
+        const ZERO_IS_UNMEASURED: [&str; 3] = ["wait_us", "wake_us", "culled_us"];
+        let pairs: Vec<_> = (pairs.into_iter())
+            .filter(|&(k, v)| v > 0 || !ZERO_IS_UNMEASURED.contains(&k))
+            .map(|(k, v)| (k, JsonValue::uint(u64::from(v))))
+            .collect();
+        if pairs.is_empty() {
+            JsonValue::Null
+        } else {
+            JsonValue::obj(pairs)
+        }
+    }
+
     let us = |ns: u64| ns as f64 / 1_000.0;
     for app in apps {
         b.process_name(app.pid, &app.name);
@@ -370,9 +389,8 @@ pub fn sched_timeline(b: &mut TraceBuilder, apps: &[AppTimeline]) {
         let close = |b: &mut TraceBuilder, w: u16, slot, now_ns: u64, jobs: Option<u32>| {
             let (name, cat, start_ns, args) = match slot {
                 Some(Open::Job { start_ns, wait_us }) => {
-                    let jobs = jobs.map(|n| ("jobs", JsonValue::uint(u64::from(n))));
-                    let wait = ("wait_us", JsonValue::uint(u64::from(wait_us)));
-                    let args = JsonValue::obj(std::iter::once(wait).chain(jobs));
+                    let jobs = jobs.map(|n| ("jobs", n));
+                    let args = args_of(std::iter::once(("wait_us", wait_us)).chain(jobs));
                     ("job", "job", start_ns, args)
                 }
                 Some(Open::Suspended { start_ns }) => {
@@ -434,9 +452,7 @@ pub fn sched_timeline(b: &mut TraceBuilder, apps: &[AppTimeline]) {
                 CrPromote => ("cr-promote", "crlock", Some("active_set")),
                 Poll => ("poll", "control", None),
             };
-            let args = key.map_or(JsonValue::Null, |k| {
-                JsonValue::obj([(k, JsonValue::uint(e.arg as u64))])
-            });
+            let args = args_of(key.map(|k| (k, e.arg)));
             b.instant(name, cat, app.pid, tid, us(e.ts_ns), args);
         }
         for (w, slot) in open {
@@ -529,7 +545,7 @@ mod tests {
             r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":101,"tid":9999,"ts":0,"args":{"name":"server decisions"}}"#,
             r#",{"name":"decision","cat":"control","ph":"i","pid":101,"tid":9999,"ts":2.5,"s":"t","args":{"target":4}}"#,
             r#",{"name":"job","cat":"job","ph":"X","pid":101,"tid":0,"ts":1,"dur":2,"args":{"wait_us":7}}"#,
-            r#",{"name":"job","cat":"job","ph":"X","pid":101,"tid":0,"ts":3,"dur":2,"args":{"wait_us":0,"jobs":2}}"#,
+            r#",{"name":"job","cat":"job","ph":"X","pid":101,"tid":0,"ts":3,"dur":2,"args":{"jobs":2}}"#,
             r#",{"name":"suspended","cat":"control","ph":"X","pid":101,"tid":1,"ts":6,"dur":3}"#,
             r#",{"name":"resume","cat":"control","ph":"i","pid":101,"tid":1,"ts":9,"s":"t","args":{"wake_us":42}}"#,
             r#",{"name":"process_name","cat":"__metadata","ph":"M","pid":202,"tid":0,"ts":0,"args":{"name":"app-b"}}"#,
@@ -575,6 +591,36 @@ mod tests {
             r#",{"name":"cr-promote","cat":"crlock","ph":"i","pid":7,"tid":0,"ts":15,"s":"t","args":{"active_set":24}}"#,
             r#",{"name":"queue-lock wait","cat":"lock","ph":"X","pid":7,"tid":0,"ts":15.975,"dur":0.025}"#,
             r#",{"name":"poll","cat":"control","ph":"i","pid":7,"tid":0,"ts":17,"s":"t"}],"displayTimeUnit":"ms"}"#,
+        );
+        assert_eq!(doc, want);
+    }
+
+    /// A zero duration is one nobody measured: `wait_us`, `wake_us` and
+    /// `culled_us` drop out (with the whole args object when nothing is
+    /// left), while a zero that means something, such as steal tier 0,
+    /// stays.
+    #[test]
+    fn zero_durations_render_without_their_arg() {
+        let app = AppTimeline {
+            pid: 7,
+            name: "zeros".into(),
+            events: vec![
+                ev(1_000, 0, EventKind::Steal, 0),
+                ev(2_000, 0, EventKind::JobStart, 0),
+                ev(3_000, 0, EventKind::CrCull, 0),
+                ev(4_000, 0, EventKind::Suspend, 0),
+                ev(5_000, 0, EventKind::Resume, 0),
+            ],
+        };
+        let doc = timeline(&[app]);
+        let want = concat!(
+            r#"{"traceEvents":[{"name":"process_name","cat":"__metadata","ph":"M","pid":7,"tid":0,"ts":0,"args":{"name":"zeros"}}"#,
+            r#",{"name":"thread_name","cat":"__metadata","ph":"M","pid":7,"tid":0,"ts":0,"args":{"name":"worker 0"}}"#,
+            r#",{"name":"steal","cat":"steal","ph":"i","pid":7,"tid":0,"ts":1,"s":"t","args":{"tier":0}}"#,
+            r#",{"name":"cr-cull","cat":"crlock","ph":"i","pid":7,"tid":0,"ts":3,"s":"t"}"#,
+            r#",{"name":"job","cat":"job","ph":"X","pid":7,"tid":0,"ts":2,"dur":2}"#,
+            r#",{"name":"suspended","cat":"control","ph":"X","pid":7,"tid":0,"ts":4,"dur":1}"#,
+            r#",{"name":"resume","cat":"control","ph":"i","pid":7,"tid":0,"ts":5,"s":"t"}],"displayTimeUnit":"ms"}"#,
         );
         assert_eq!(doc, want);
     }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use crate::controller::{Controller, TargetSlot};
 use crate::crlock::{CrConfig, CrGate};
-use crate::pool::{Job, PoolMetrics};
+use crate::pool::{run_caught, Job, PoolMetrics};
 use crate::safepoint::{SafePoint, SuspendOutcome};
 use crate::stats::{Counter, Hist, Registry, Snapshot};
 use crate::sync::{spin_loop, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
@@ -210,7 +210,7 @@ fn worker_loop(sh: &Arc<PoolShared>) {
                     .record(submitted_at.elapsed().as_nanos() as u64);
                 // An unwinding job would kill the worker before the
                 // `outstanding` decrement and hang `wait_idle`.
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+                if run_caught(job) {
                     sh.jobs_panicked.incr();
                 }
                 sh.jobs_run.incr();
@@ -325,6 +325,48 @@ mod tests {
         let m = pool.metrics();
         assert_eq!((m.jobs_run, m.jobs_panicked), (2, 1));
         assert_eq!(pool.active(), 1, "the worker survived its job's panic");
+    }
+
+    /// A panic payload whose drop panics too.
+    struct PanicsOnDrop;
+
+    impl Drop for PanicsOnDrop {
+        fn drop(&mut self) {
+            panic!("the payload panics as it drops");
+        }
+    }
+
+    #[test]
+    fn a_panic_payload_that_panics_on_drop_does_not_kill_its_worker() {
+        let c = Controller::new(2, Duration::from_millis(10));
+        let pool = Arc::new(CentralPool::new(&c, 2, false));
+        pool.execute(|| std::panic::panic_any(PanicsOnDrop));
+        // A dead worker never counts its job out: wait on a helper
+        // thread so a regression fails instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let p = Arc::clone(&pool);
+        let waiter = std::thread::spawn(move || {
+            p.wait_idle();
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "wait_idle still blocked 5 s after the payload's drop panicked"
+        );
+        waiter.join().expect("waiter thread");
+        let m = pool.metrics();
+        assert_eq!((m.jobs_run, m.jobs_panicked), (1, 1));
+        assert_eq!(pool.active(), 2);
+        let done = Arc::new(AtomicUsize::new(0));
+        for _ in 0..64 {
+            let d = Arc::clone(&done);
+            pool.execute(move || {
+                d.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        pool.wait_idle();
+        assert_eq!(done.load(Ordering::Relaxed), 64);
+        assert_eq!(pool.metrics().jobs_run, 65);
     }
 
     crate::safepoint::suspend_resume_tests!(CentralPool);

@@ -85,7 +85,7 @@ pub use crlock::{
 };
 pub use deque::{Steal, Stealer, Worker};
 pub use injector::Injector;
-pub use pool::{Job, Pool, PoolConfig, PoolMetrics, WatchdogConfig};
+pub use pool::{Job, Pool, PoolConfig, PoolMetrics};
 #[cfg(unix)]
 pub use reactor::FrameBuffer;
 pub use snapshot::{ServerSnapshot, SnapshotApp, SnapshotError};

@@ -53,8 +53,10 @@
 //! back that way, and the boxes stay with the worker for its next forks
 //! and batches.
 
+use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::mem::{ManuallyDrop, MaybeUninit};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::addr_of_mut;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,7 +65,7 @@ use std::time::{Duration, Instant};
 use crate::controller::{Controller, TargetSlot};
 use crate::deque::{self, Steal, Stealer, Worker};
 use crate::injector::Injector;
-use crate::quiesce::{self, Quiesce, WorkerCells};
+use crate::quiesce::{self, Quiesce};
 use crate::safepoint::{SafePoint, SuspendOutcome};
 use crate::stats::{Counter, Gauge, Hist, Registry, Snapshot};
 use crate::sync::{spin_loop, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
@@ -387,15 +389,11 @@ pub struct PoolMetrics {
     /// Victims passed over because they were suspended (their deques
     /// are drained before parking, so probing them is pure waste).
     pub steal_skips_suspended: u64,
-    /// Jobs whose panic was caught and isolated by the worker
-    /// ([`PoolConfig::isolate_panics`]). Panicked jobs still count in
-    /// `jobs_run` — they were acquired and executed, so the conservation
-    /// invariant is unaffected; this counter is the failed subset.
+    /// Jobs whose panic the worker caught (every job runs under
+    /// `catch_unwind`). Panicked jobs still count in `jobs_run` — they
+    /// were acquired and executed, so the conservation invariant is
+    /// unaffected; this counter is the failed subset.
     pub jobs_panicked: u64,
-    /// Worker threads the watchdog replaced after they died (a panic
-    /// escaped with isolation off). Requires
-    /// [`WatchdogConfig::respawn`].
-    pub workers_respawned: u64,
     /// Stall episodes the watchdog opened (a running worker's heartbeat
     /// went stale past the threshold).
     pub stalls_detected: u64,
@@ -422,50 +420,6 @@ const SPIN_BUDGET_START_NS: u64 = 20_000;
 /// Upper bound for one idle park; a bounded wait guards the unlikely
 /// missed-wake interleavings so they cost latency, never liveness.
 const IDLE_PARK_POLL: Duration = Duration::from_millis(10);
-
-/// Stall-watchdog tuning ([`PoolConfig::watchdog`]).
-///
-/// The watchdog is a monitor thread that classifies every worker from
-/// its progress word — *running* (mid-job), *parked* (idle), or
-/// *suspended* (process control) — and escalates when a running
-/// worker's word has not changed for `stall_threshold` of the
-/// watchdog's own clock: log line →
-/// `stalls_detected` counter + [`EventKind::Stall`] trace event →
-/// unpark nudge for long-parked workers with work visibly queued →
-/// (opt-in) respawn of a worker thread that died outright.
-#[derive(Clone, Debug)]
-pub struct WatchdogConfig {
-    /// How often the watchdog scans the progress words.
-    pub interval: Duration,
-    /// A running worker whose progress word the watchdog has seen
-    /// unchanged for longer than this is stalled.
-    pub stall_threshold: Duration,
-    /// Wake one idle-parked worker when a parked word stays unchanged
-    /// past the threshold while the queues are visibly nonempty.
-    pub nudge: bool,
-    /// Replace worker threads that died (a panic escaped with
-    /// [`PoolConfig::isolate_panics`] off). The replacement runs on a
-    /// fresh deque; the dead worker's queued tasks go to the injector
-    /// as it dies.
-    pub respawn: bool,
-}
-
-impl WatchdogConfig {
-    /// A watchdog scanning at a quarter of the stall threshold, nudging
-    /// enabled, respawn off. The progress word carries no timestamp: the
-    /// watchdog first sees a pickup up to one interval after it
-    /// happened and flags it at the first scan past the threshold from
-    /// then, so a stall is detected within threshold + 2 × interval =
-    /// 1.5× the threshold, inside the 2× bound the chaos tests assert.
-    pub fn new(stall_threshold: Duration) -> Self {
-        WatchdogConfig {
-            interval: (stall_threshold / 4).max(Duration::from_millis(1)),
-            stall_threshold,
-            nudge: true,
-            respawn: false,
-        }
-    }
-}
 
 /// Per-worker adaptive spin control: an EWMA (α = 1/4) of this worker's
 /// observed wait-for-work latencies drives how long it spins before
@@ -556,11 +510,6 @@ struct PoolShared {
     // sched-atomic(handoff): Release store after the drain publishes the
     // emptied deque; stealers' Acquire load pairs with it.
     suspended_flags: Box<[AtomicBool]>,
-    /// The worker threads, indexed like `stealers`, shared so the
-    /// watchdog can detect a dead thread (`is_finished`) and install a
-    /// replacement. `None` only transiently while a respawn is in
-    /// flight.
-    worker_handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// Workers parked for lack of work.
     sleepers: Mutex<Vec<Arc<IdleSlot>>>,
     /// `sleepers.len()`, readable without the lock (producer fast path).
@@ -603,10 +552,8 @@ struct PoolShared {
     /// Victim-ring rebuilds triggered by CPU-set changes (dynamic
     /// re-tiering around the new home CPU).
     retier_events: Counter,
-    /// Job panics caught and isolated (the worker survived).
+    /// Job panics caught (the worker survived).
     jobs_panicked: Counter,
-    /// Dead worker threads the watchdog replaced.
-    workers_respawned: Counter,
     /// Stall episodes the watchdog opened.
     stalls_detected: Counter,
     /// Unpark nudges issued to stale parked workers.
@@ -623,8 +570,6 @@ struct PoolShared {
     topology: Arc<CpuTopology>,
     /// Pin workers to their assigned CPUs via `sched_setaffinity`.
     pin: bool,
-    /// Catch job panics in the worker instead of letting them kill it.
-    isolate_panics: bool,
 }
 
 /// Construction options for a [`Pool`] beyond the worker count.
@@ -649,19 +594,17 @@ pub struct PoolConfig {
     /// recorder-off arm of EXPERIMENTS.md's "Flight-recorder overhead
     /// A/B" (frozen at 04b0ca1).
     pub trace_capacity: usize,
-    /// Run every job under `catch_unwind` so a panicking job is counted
-    /// (`jobs_panicked`) and the worker keeps running (default).
-    /// Jobs are asserted unwind-safe: a job that panics mid-update of
-    /// state it shares with other jobs may leave that state
-    /// inconsistent — the pool's own invariants are maintained either
-    /// way. With this off, a panic unwinds the worker thread; pair with
-    /// [`WatchdogConfig::respawn`] to have the fleet heal itself.
-    pub isolate_panics: bool,
-    /// Run a stall watchdog over the per-worker progress words; `None`
-    /// (default) disables monitoring entirely — zero threads, zero
-    /// hot-path cost beyond one relaxed store per job to a line only
-    /// that worker writes.
-    pub watchdog: Option<WatchdogConfig>,
+    /// Run a stall watchdog with this stall threshold over the
+    /// per-worker progress words; `None` (default) disables monitoring
+    /// entirely — zero threads, zero hot-path cost beyond one relaxed
+    /// store per job to a line only that worker writes. The watchdog
+    /// flags a running worker whose word stays unchanged past the
+    /// threshold (`stalls_detected`, [`EventKind::Stall`]) and nudges a
+    /// parked one while work is visibly queued (`stall_nudges`). It
+    /// scans every quarter threshold (at least 1 ms) and the word
+    /// carries no timestamp, so it sees a pickup up to one scan late and
+    /// flags a stall within threshold + 2 scans = 1.5× the threshold.
+    pub watchdog: Option<Duration>,
 }
 
 /// Default flight-recorder ring capacity per worker ("always-on": large
@@ -671,8 +614,7 @@ const DEFAULT_TRACE_CAPACITY: usize = 256;
 
 impl PoolConfig {
     /// Defaults: spin-then-park idling, no pinning, detected topology,
-    /// flight recorder on at 256 events per worker, panic isolation on,
-    /// no watchdog.
+    /// flight recorder on at 256 events per worker, no watchdog.
     pub fn new(nworkers: usize) -> Self {
         PoolConfig {
             nworkers,
@@ -680,7 +622,6 @@ impl PoolConfig {
             pin: false,
             topology: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
-            isolate_panics: true,
             watchdog: None,
         }
     }
@@ -689,10 +630,12 @@ impl PoolConfig {
 /// A controlled work-stealing worker pool.
 pub struct Pool {
     shared: Arc<PoolShared>,
+    /// The worker threads, indexed like `stealers`.
+    workers: Vec<JoinHandle<()>>,
     watchdog: Option<WatchdogHandle>,
 }
 
-/// The running stall watchdog (see [`WatchdogConfig`]). The stop flag
+/// The running stall watchdog (see [`PoolConfig::watchdog`]). The stop flag
 /// doubles as the scan-interval timer: the thread waits on the condvar
 /// so shutdown interrupts a sleep instead of waiting it out.
 struct WatchdogHandle {
@@ -764,7 +707,6 @@ impl Pool {
             quiesce,
             safepoint: SafePoint::new(nworkers, &registry),
             suspended_flags: (0..nworkers).map(|_| AtomicBool::new(false)).collect(),
-            worker_handles: Mutex::new(Vec::new()),
             sleepers: Mutex::new(Vec::new()),
             nsleepers: AtomicUsize::new(0),
             target,
@@ -780,7 +722,6 @@ impl Pool {
             suspend_to_resume: registry.histogram("suspend_to_resume_ns"),
             retier_events: registry.counter("retier_events"),
             jobs_panicked: registry.counter("jobs_panicked"),
-            workers_respawned: registry.counter("workers_respawned"),
             stalls_detected: registry.counter("stalls_detected"),
             stall_nudges: registry.counter("stall_nudges"),
             stall_ns: registry.histogram("stall_ns"),
@@ -789,33 +730,33 @@ impl Pool {
             idle_spin: cfg.idle_spin,
             topology,
             pin: cfg.pin,
-            isolate_panics: cfg.isolate_panics,
         });
-        let workers: Vec<Option<JoinHandle<()>>> = locals
+        let workers = locals
             .into_iter()
             .enumerate()
             .map(|(i, w)| {
                 let sh = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name(format!("pool-worker-{i}"))
-                        .spawn(move || worker_loop(&sh, i, w))
-                        .expect("spawn worker"),
-                )
+                std::thread::Builder::new()
+                    .name(format!("pool-worker-{i}"))
+                    .spawn(move || worker_loop(&sh, i, w))
+                    .expect("spawn worker")
             })
             .collect();
-        *shared.worker_handles.lock() = workers;
-        let watchdog = cfg.watchdog.map(|wcfg| {
+        let watchdog = cfg.watchdog.map(|threshold| {
             let stop = Arc::new((Mutex::new(false), Condvar::new()));
             let sh = Arc::clone(&shared);
             let stop2 = Arc::clone(&stop);
             let handle = std::thread::Builder::new()
                 .name("pool-watchdog".into())
-                .spawn(move || watchdog_loop(&sh, &wcfg, &stop2))
+                .spawn(move || watchdog_loop(&sh, threshold, &stop2))
                 .expect("spawn watchdog");
             WatchdogHandle { stop, handle }
         });
-        Pool { shared, watchdog }
+        Pool {
+            shared,
+            workers,
+            watchdog,
+        }
     }
 
     /// Submits a job. Callers outside the pool go through the sharded
@@ -857,6 +798,13 @@ impl Pool {
         self.shared.safepoint.active()
     }
 
+    /// Worker threads still running, suspended or not: every worker
+    /// until the pool drops, since a job's panic cannot end one (not
+    /// even a payload that panics again as it drops).
+    pub fn live_workers(&self) -> usize {
+        self.workers.iter().filter(|w| !w.is_finished()).count()
+    }
+
     /// The controller's current target for this pool.
     pub fn target(&self) -> usize {
         self.shared.target.target.load(Ordering::Acquire)
@@ -876,7 +824,6 @@ impl Pool {
             steal_tier_hits: std::array::from_fn(|i| self.shared.steal_tier_hits[i].get()),
             steal_skips_suspended: self.shared.steal_skips_suspended.get(),
             jobs_panicked: self.shared.jobs_panicked.get(),
-            workers_respawned: self.shared.workers_respawned.get(),
             stalls_detected: self.shared.stalls_detected.get(),
             stall_nudges: self.shared.stall_nudges.get(),
         }
@@ -907,9 +854,6 @@ impl Drop for Pool {
     fn drop(&mut self) {
         let sh = &self.shared;
         sh.shutdown.store(true, Ordering::Release);
-        // Stop the watchdog before joining workers so no respawn can
-        // race the teardown (any respawn already in flight lands a
-        // worker that observes `shutdown` and exits immediately).
         if let Some(wd) = self.watchdog.take() {
             *wd.stop.0.lock() = true;
             wd.stop.1.notify_all();
@@ -927,8 +871,7 @@ impl Drop for Pool {
         }
         // ...and suspended workers.
         sh.safepoint.release_all();
-        let workers: Vec<Option<JoinHandle<()>>> = std::mem::take(&mut *sh.worker_handles.lock());
-        for w in workers.into_iter().flatten() {
+        for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
@@ -1220,16 +1163,6 @@ fn unregister_sleeper(sh: &PoolShared, slot: &Arc<IdleSlot>) {
 /// were acquired through exactly one path, so conservation holds), and
 /// it is the "finished" side of the quiescence scan, so `wait_idle`
 /// cannot hang on a job that will never "finish" normally.
-struct JobGuard<'a> {
-    cells: &'a WorkerCells,
-}
-
-impl Drop for JobGuard<'_> {
-    fn drop(&mut self) {
-        self.cells.count_finish();
-    }
-}
-
 /// Runs the worker half of the `wait_idle` wakeup if this worker finished
 /// any job since it last did.
 fn announce_finishes(sh: &PoolShared, unannounced: &mut bool) {
@@ -1238,16 +1171,43 @@ fn announce_finishes(sh: &PoolShared, unannounced: &mut bool) {
     }
 }
 
-/// Armed for the lifetime of a worker loop; if the loop unwinds (a job
-/// panic escaping with [`PoolConfig::isolate_panics`] off), repairs the
-/// shared accounting the dead worker can no longer maintain: drains its
-/// deque into the injector (the rest of a batch it took, or its forks:
-/// a respawned worker's deque is no steal victim, and no worker steals
-/// from its own index), clears its suspended flag, removes it from the
-/// `active` count, marks it idle so the watchdog sees a death (the
-/// thread's `is_finished` handle), not a stall, and announces the killer
-/// job's finish, which may have been the last one a `wait_idle` caller
-/// is waiting for.
+/// Runs `job`, catching its panic; returns whether it panicked. A
+/// panic's payload is dropped under a second `catch_unwind`, and a
+/// payload whose drop panics too is forgotten, so no job can unwind out
+/// of here and end the worker that runs it: the worker count that
+/// process control partitions stays whole. Both pools run every job
+/// through here. Jobs are asserted unwind-safe: a job that panics
+/// mid-update of state it shares with other jobs may leave that state
+/// inconsistent — the pool's own invariants hold either way.
+pub(crate) fn run_caught(job: impl FnOnce()) -> bool {
+    let Err(payload) = catch_unwind(AssertUnwindSafe(job)) else {
+        return false;
+    };
+    drop_payload(payload);
+    true
+}
+
+/// Drops a caught panic's payload, forgetting the payload of a panic
+/// its drop raises. Out of line: the worker loop inlines [`run_caught`],
+/// and this path runs only after a panic.
+#[cold]
+#[inline(never)]
+fn drop_payload(payload: Box<dyn Any + Send>) {
+    if let Err(again) = catch_unwind(AssertUnwindSafe(move || drop(payload))) {
+        std::mem::forget(again);
+    }
+}
+
+/// Armed for the lifetime of a worker loop: fault recovery for a panic
+/// in the pool's own code (a job's cannot unwind the loop,
+/// [`run_caught`]). If the loop unwinds, it repairs the shared
+/// accounting the dead worker can no longer maintain: drains its deque
+/// into the injector (the rest of a batch it took, or its forks: no
+/// worker steals from its own index, and the injector is where every
+/// worker looks), clears its suspended flag, removes it from the
+/// `active` count so a suspended colleague resumes in its place, marks
+/// it idle so the watchdog sees no stall, and announces its finishes,
+/// which may include the last one a `wait_idle` caller is waiting for.
 struct DeathWatch<'a> {
     sh: &'a PoolShared,
     local: &'a Local,
@@ -1268,15 +1228,15 @@ impl Drop for DeathWatch<'_> {
     }
 }
 
-/// The stall-watchdog monitor thread (see [`WatchdogConfig`]): samples
-/// every worker's progress word each interval and ages it with its own
-/// clock (the workers read none for it), opens a stall episode for a
-/// running worker whose word stayed unchanged past the threshold
-/// (log + `stalls_detected` + [`EventKind::Stall`]), closes it on the
-/// first observed progress (`stall_ns` + [`EventKind::Recovered`]),
-/// nudges long-parked workers while work is visibly queued, and — when
-/// opted in — respawns worker threads that died.
-fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>, Condvar)) {
+/// The stall-watchdog monitor thread (see [`PoolConfig::watchdog`]):
+/// samples every worker's progress word each quarter `threshold` and
+/// ages it with its own clock (the workers read none for it), opens a
+/// stall episode for a running worker whose word stayed unchanged past
+/// the threshold (log + `stalls_detected` + [`EventKind::Stall`]),
+/// closes it on the first observed progress (`stall_ns` +
+/// [`EventKind::Recovered`]), and nudges long-parked workers while work
+/// is visibly queued.
+fn watchdog_loop(sh: &PoolShared, threshold: Duration, stop: &(Mutex<bool>, Condvar)) {
     let n = sh.stealers.len();
     // The recorder's extra ring (index n) belongs to the watchdog.
     let wd_ring = n;
@@ -1288,12 +1248,13 @@ fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>
     let mut seen: Vec<(u64, u64)> = (0..n)
         .map(|i| (sh.quiesce.cells(i).progress(), started_ns))
         .collect();
-    let threshold_ns = cfg.stall_threshold.as_nanos() as u64;
+    let threshold_ns = threshold.as_nanos() as u64;
+    let interval = (threshold / 4).max(Duration::from_millis(1));
     loop {
         {
             let mut stopped = stop.0.lock();
             if !*stopped {
-                stop.1.wait_for(&mut stopped, cfg.interval);
+                stop.1.wait_for(&mut stopped, interval);
             }
             if *stopped {
                 return;
@@ -1331,8 +1292,7 @@ fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>
                 }
                 _ => {}
             }
-            if cfg.nudge
-                && state == quiesce::PARKED
+            if state == quiesce::PARKED
                 && stale > threshold_ns
                 && !sh.quiesce.quiescent()
                 && work_available(sh)
@@ -1340,48 +1300,6 @@ fn watchdog_loop(sh: &Arc<PoolShared>, cfg: &WatchdogConfig, stop: &(Mutex<bool>
                 sh.stall_nudges.incr();
                 wake_one(sh);
             }
-        }
-        if cfg.respawn {
-            respawn_dead_workers(sh);
-        }
-    }
-}
-
-/// Replaces any worker thread whose handle reports it finished while the
-/// pool is still running (only a panic escaping `worker_loop` gets a
-/// worker there). The dead worker's deque buffer stays alive behind its
-/// registered stealer, though its death guard has drained it into the
-/// injector; the replacement runs on a fresh, unregistered deque — its
-/// local pushes are popped locally and drained to the injector on
-/// suspend or death, so nothing is stranded (the deque is merely
-/// invisible to steal sweeps, a throughput footnote on an
-/// already-exceptional path). It inherits
-/// index `i`'s single-writer cells, which is why the dead thread is
-/// joined first: the join orders its last stores before the
-/// replacement's first loads.
-fn respawn_dead_workers(sh: &Arc<PoolShared>) {
-    let mut handles = sh.worker_handles.lock();
-    for i in 0..handles.len() {
-        if sh.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if !handles[i].as_ref().is_some_and(JoinHandle::is_finished) {
-            continue;
-        }
-        if let Some(dead) = handles[i].take() {
-            let _ = dead.join();
-        }
-        let (w, _unregistered_stealer) = deque::deque::<Task>();
-        let sh2 = Arc::clone(sh);
-        if let Ok(h) = std::thread::Builder::new()
-            .name(format!("pool-worker-{i}r"))
-            .spawn(move || worker_loop(&sh2, i, w))
-        {
-            // The death guard removed the worker from `active`; its
-            // replacement re-enters the active set.
-            sh.safepoint.add_worker();
-            sh.workers_respawned.incr();
-            handles[i] = Some(h);
         }
     }
 }
@@ -1552,23 +1470,10 @@ fn worker_loop(sh: &Arc<PoolShared>, index: usize, worker: Worker<Task>) {
                 }
                 burst_jobs = burst_jobs.saturating_add(1);
                 unannounced = true;
-                {
-                    let _completed = JobGuard { cells };
-                    if sh.isolate_panics {
-                        // Jobs are asserted unwind-safe (see
-                        // `PoolConfig::isolate_panics`): the pool's own
-                        // invariants hold either way, and shared state a
-                        // job mutates is the job author's contract.
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            task.run(&local);
-                        }));
-                        if caught.is_err() {
-                            sh.jobs_panicked.incr();
-                        }
-                    } else {
-                        task.run(&local);
-                    }
+                if run_caught(|| task.run(&local)) {
+                    sh.jobs_panicked.incr();
                 }
+                cells.count_finish();
             }
             None => {
                 if burst_jobs > 0 {
@@ -1936,7 +1841,7 @@ mod tests {
     #[test]
     fn panicking_jobs_are_isolated_and_conserved() {
         let c = controller(4);
-        let pool = Pool::new(&c, 4, false); // isolate_panics defaults on
+        let pool = Pool::new(&c, 4, false);
         let done = Arc::new(AtomicUsize::new(0));
         for i in 0..100 {
             let d = Arc::clone(&done);
@@ -1964,99 +1869,38 @@ mod tests {
         });
         pool.wait_idle();
         assert_eq!(done.load(Ordering::Relaxed), 81);
-        assert_eq!(pool.metrics().workers_respawned, 0, "nobody died");
+        assert_eq!(pool.active(), 4, "nobody died");
+    }
+
+    /// A panic payload whose drop panics too.
+    struct PanicsOnDrop;
+
+    impl Drop for PanicsOnDrop {
+        fn drop(&mut self) {
+            panic!("the payload panics as it drops");
+        }
     }
 
     #[test]
-    fn escaped_panic_kills_worker_and_watchdog_respawns_it() {
-        let c = controller(4);
-        let mut cfg = PoolConfig::new(4);
-        cfg.isolate_panics = false;
-        let mut wd = WatchdogConfig::new(Duration::from_millis(200));
-        wd.interval = Duration::from_millis(5);
-        wd.respawn = true;
-        cfg.watchdog = Some(wd);
-        let pool = Pool::with_config(&c, cfg);
-        pool.execute(|| panic!("worker killer"));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.metrics().workers_respawned == 0 {
-            assert!(std::time::Instant::now() < deadline, "never respawned");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // The healed fleet still runs everything, conservation intact.
+    fn a_panic_payload_that_panics_on_drop_does_not_kill_its_worker() {
+        let c = controller(2);
+        let pool = Pool::new(&c, 2, false);
+        pool.execute(|| std::panic::panic_any(PanicsOnDrop));
+        pool.wait_idle();
+        let m = pool.metrics();
+        assert_eq!((m.jobs_run, m.jobs_panicked), (1, 1));
+        assert_eq!(pool.active(), 2, "a worker died dropping the payload");
+        assert_eq!(pool.live_workers(), 2);
         let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..200 {
+        for _ in 0..64 {
             let d = Arc::clone(&done);
             pool.execute(move || {
                 d.fetch_add(1, Ordering::Relaxed);
             });
         }
         pool.wait_idle();
-        assert_eq!(done.load(Ordering::Relaxed), 200);
-        let m = pool.metrics();
-        assert_eq!(m.jobs_run, 201, "the killer job still counts");
-        assert_eq!(m.local_hits + m.injector_pops + m.steals, m.jobs_run);
-        assert!(pool.active() <= 4, "respawn inflated the active count");
-    }
-
-    /// Randomized (seeded) respawn hand-off churn: escaped panics kill
-    /// workers mid-stream while the target flaps, the watchdog keeps
-    /// replacing them, and every non-panicking job still runs exactly
-    /// once with the acquisition-path conservation intact.
-    #[test]
-    fn respawn_handoff_churn_preserves_conservation() {
-        let mut seed = 0x5EED_D0A7u64;
-        for round in 0..4 {
-            let n = 4;
-            let slot = Arc::new(TargetSlot::new(n));
-            let mut cfg = PoolConfig::new(n);
-            cfg.isolate_panics = false;
-            let mut wd = WatchdogConfig::new(Duration::from_millis(200));
-            wd.interval = Duration::from_millis(2);
-            wd.respawn = true;
-            cfg.watchdog = Some(wd);
-            let pool = Pool::with_slot_config(Arc::clone(&slot), cfg);
-            let done = Arc::new(AtomicUsize::new(0));
-            let mut expected = 0usize;
-            let mut submitted = 0u64;
-            for flip in 0..30 {
-                slot.target
-                    .store(if flip % 2 == 0 { 1 } else { n }, Ordering::Release);
-                for _ in 0..8 {
-                    submitted += 1;
-                    seed ^= seed << 13;
-                    seed ^= seed >> 7;
-                    seed ^= seed << 17;
-                    if seed % 11 == 0 {
-                        pool.execute(|| panic!("churn"));
-                    } else {
-                        expected += 1;
-                        let d = Arc::clone(&done);
-                        pool.execute(move || {
-                            d.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                }
-                if flip % 10 == 9 {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-            pool.wait_idle();
-            assert_eq!(
-                done.load(Ordering::Relaxed),
-                expected,
-                "round {round}: surviving jobs must all run"
-            );
-            let m = pool.metrics();
-            assert_eq!(m.jobs_run, submitted, "round {round}: {m:?}");
-            assert_eq!(
-                m.local_hits + m.injector_pops + m.steals,
-                m.jobs_run,
-                "round {round}: conservation broke: {m:?}"
-            );
-            assert!(pool.active() <= n, "round {round}: phantom active");
-            drop(pool); // must join respawned workers cleanly too
-        }
+        assert_eq!(done.load(Ordering::Relaxed), 64);
+        assert_eq!(pool.metrics().jobs_run, 65);
     }
 
     #[test]
@@ -2064,7 +1908,7 @@ mod tests {
         let c = controller(2);
         let mut cfg = PoolConfig::new(2);
         let threshold = Duration::from_millis(200);
-        cfg.watchdog = Some(WatchdogConfig::new(threshold));
+        cfg.watchdog = Some(threshold);
         let pool = Pool::with_config(&c, cfg);
         // One wedged job: sleeps far past the stall threshold.
         let submitted = std::time::Instant::now();
@@ -2267,7 +2111,7 @@ mod tests {
     #[test]
     fn a_panicking_inline_job_drops_its_captures_once() {
         let c = controller(1);
-        let pool = Pool::new(&c, 1, false); // isolate_panics defaults on
+        let pool = Pool::new(&c, 1, false);
         let drops = Arc::new(AtomicUsize::new(0));
         let d = DropCount(Arc::clone(&drops));
         let job = move || {
@@ -2330,7 +2174,7 @@ mod tests {
     #[test]
     fn a_panicking_forked_job_drops_its_captures_once_and_its_box_is_reused() {
         let c = controller(1);
-        let pool = Arc::new(Pool::new(&c, 1, false)); // isolate_panics defaults on
+        let pool = Arc::new(Pool::new(&c, 1, false));
         let drops = Arc::new(AtomicUsize::new(0));
         let d = DropCount(Arc::clone(&drops));
         let p = Arc::clone(&pool);
@@ -2523,7 +2367,7 @@ mod tests {
         let c = controller(1);
         let mut cfg = PoolConfig::new(1);
         let threshold = Duration::from_millis(100);
-        cfg.watchdog = Some(WatchdogConfig::new(threshold));
+        cfg.watchdog = Some(threshold);
         let pool = Arc::new(Pool::with_config(&c, cfg));
         // One uninterrupted burst of ~1 ms jobs for 3x the threshold:
         // the worker reads no clock for the watchdog, but every pickup
@@ -2550,7 +2394,7 @@ mod tests {
         let c = controller(1);
         let mut cfg = PoolConfig::new(1);
         let threshold = Duration::from_millis(100);
-        cfg.watchdog = Some(WatchdogConfig::new(threshold));
+        cfg.watchdog = Some(threshold);
         let pool = Arc::new(Pool::with_config(&c, cfg));
         // Child 3 is neither the burst's first pickup nor a stamped
         // spawn (those are 1, 33, ...): the worker reads no clock at its

@@ -185,11 +185,6 @@ impl SafePoint {
     pub fn remove_worker(&self) {
         self.active.fetch_sub(1, Ordering::AcqRel);
     }
-
-    /// A replacement worker joined the unsuspended set.
-    pub fn add_worker(&self) {
-        self.active.fetch_add(1, Ordering::AcqRel);
-    }
 }
 
 /// The suspend/resume tests, instantiated for a pool type: `$pool` needs

@@ -33,7 +33,8 @@ use crate::sync::{spin_loop, AtomicU64, Ordering};
 #[repr(u8)]
 pub enum EventKind {
     /// A worker picked up a job; `arg` is its queue wait in microseconds
-    /// (saturating).
+    /// (saturating), 0 when the pickup was not a queue-wait sample. A
+    /// wait under 1 µs rounds to 0 too; the timeline omits a 0.
     JobStart = 0,
     /// A worker ran out of work (end of a running burst); `arg` is the
     /// number of jobs the burst completed.
@@ -48,7 +49,9 @@ pub enum EventKind {
     /// The worker suspended itself at a safe point (process control).
     Suspend = 5,
     /// The worker resumed from suspension; `arg` is the wake-to-run
-    /// signal latency in microseconds (saturating), when known.
+    /// signal latency in microseconds (saturating), 0 when the signal
+    /// time is unknown. A latency under 1 µs rounds to 0 too; the
+    /// timeline omits a 0.
     Resume = 6,
     /// The worker observed a CPU-set change; `arg` is the new generation.
     CpuSet = 7,
@@ -72,7 +75,9 @@ pub enum EventKind {
     Recovered = 12,
     /// The worker was culled by a concurrency-restricting gate (parked
     /// on the passive list instead of contending); `arg` is the time it
-    /// spent culled in microseconds (saturating), recorded on wake.
+    /// spent culled in microseconds (saturating), recorded on wake, 0
+    /// when not measured. A time under 1 µs rounds to 0 too; the
+    /// timeline omits a 0.
     CrCull = 13,
     /// The worker's gate exit promoted a culled thread back into the
     /// active set; `arg` is the gate's current active-set bound.

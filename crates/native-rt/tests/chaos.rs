@@ -12,7 +12,7 @@
 
 use native_rt::{
     JobChaos, JobFault, Pool, PoolConfig, RestartKind, SupervisedClient, SupervisorConfig,
-    TargetSlot, UdsClient, UdsServer, UdsServerConfig, WatchdogConfig,
+    TargetSlot, UdsClient, UdsServer, UdsServerConfig,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -167,7 +167,7 @@ fn cpu_set_targets_survive_server_kill_and_restart() {
 fn injected_job_panics_never_lose_workers_or_jobs() {
     let slot = Arc::new(TargetSlot::new(4));
     let mut cfg = PoolConfig::new(4);
-    cfg.watchdog = Some(WatchdogConfig::new(Duration::from_millis(500)));
+    cfg.watchdog = Some(Duration::from_millis(500));
     let pool = Pool::with_slot_config(slot, cfg);
 
     const JOBS: u64 = 400;
@@ -192,7 +192,7 @@ fn injected_job_panics_never_lose_workers_or_jobs() {
         JOBS - panics,
         "clean jobs all ran; panicked jobs never reached their work"
     );
-    assert_eq!(m.workers_respawned, 0, "isolation means no worker died");
+    assert_eq!(pool.active(), 4, "a caught panic never ends a worker");
 
     // The pool is still fully alive: a clean batch runs to completion.
     let after = Arc::new(AtomicUsize::new(0));
@@ -216,7 +216,7 @@ fn injected_job_panics_never_lose_workers_or_jobs() {
 fn control_flapping_under_panics_conserves_jobs() {
     let slot = Arc::new(TargetSlot::new(4));
     let mut cfg = PoolConfig::new(4);
-    cfg.watchdog = Some(WatchdogConfig::new(Duration::from_millis(500)));
+    cfg.watchdog = Some(Duration::from_millis(500));
     let pool = Pool::with_slot_config(Arc::clone(&slot), cfg);
 
     const BATCHES: u64 = 8;
@@ -252,11 +252,13 @@ fn control_flapping_under_panics_conserves_jobs() {
         JOBS - panics,
         "clean jobs all ran; panicked jobs never reached their work"
     );
-    assert_eq!(m.workers_respawned, 0, "isolation means no worker died");
     assert!(
         m.suspends >= 1,
         "flapping the target to 1 must suspend at least one worker"
     );
+    // With the target restored, every worker comes back: none was lost
+    // to a panic between safe points.
+    wait_for(5, "all 4 workers active again", || pool.active() == 4);
 
     // Control disengaged: a clean batch runs to completion.
     let after = Arc::new(AtomicUsize::new(0));
@@ -279,7 +281,7 @@ fn injected_stall_detected_within_twice_threshold() {
     const THRESHOLD: Duration = Duration::from_millis(120);
     let slot = Arc::new(TargetSlot::new(2));
     let mut cfg = PoolConfig::new(2);
-    cfg.watchdog = Some(WatchdogConfig::new(THRESHOLD));
+    cfg.watchdog = Some(THRESHOLD);
     let pool = Pool::with_slot_config(slot, cfg);
 
     // Probability 1: the schedule stalls this job deterministically.

@@ -15,7 +15,7 @@
 fn main() {
     use native_rt::{
         JobChaos, Pool, PoolConfig, SupervisedClient, SupervisorConfig, TargetSlot, UdsClient,
-        UdsServer, UdsServerConfig, WatchdogConfig,
+        UdsServer, UdsServerConfig,
     };
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -40,7 +40,7 @@ fn main() {
 
     let slot = Arc::new(TargetSlot::new(nworkers));
     let mut pcfg = PoolConfig::new(nworkers);
-    pcfg.watchdog = Some(WatchdogConfig::new(Duration::from_millis(100)));
+    pcfg.watchdog = Some(Duration::from_millis(100));
     let pool = Pool::with_slot_config(Arc::clone(&slot), pcfg);
     let mut cfg = SupervisorConfig::new(&path, nworkers as u32);
     cfg.io_timeout = Duration::from_millis(250);
@@ -118,8 +118,8 @@ fn main() {
         done.load(Ordering::Relaxed)
     );
 
-    // Data-plane chaos: a seeded schedule panics ~10% of a batch. Panic
-    // isolation catches each one; no worker dies, nothing is lost. The
+    // Data-plane chaos: a seeded schedule panics ~10% of a batch. The
+    // pool catches each one; no worker dies, nothing is lost. The
     // injected panics are the point — keep the default hook's backtrace
     // spew out of the transcript.
     let default_hook = std::panic::take_hook();
@@ -134,6 +134,7 @@ fn main() {
     }));
     let mut job_chaos = JobChaos::new(0xD211, 0.1, 0.0, Duration::ZERO);
     let survived = Arc::new(AtomicUsize::new(0));
+    let ran_before = pool.metrics().jobs_run;
     for _ in 0..500 {
         let s = Arc::clone(&survived);
         let (_, job) = job_chaos.wrap(move || {
@@ -141,16 +142,29 @@ fn main() {
         });
         pool.execute(job);
     }
-    pool.wait_idle();
+    // A bounded wait, not `wait_idle`: a pool whose workers died of the
+    // panics would never drain the batch, and the check below would
+    // never run.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while pool.metrics().jobs_run < ran_before + 500 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let (injected_panics, _) = job_chaos.injected();
     let m = pool.metrics();
+    let live = pool.live_workers();
     println!(
-        "[t={}ms] >>> injected {injected_panics} job panics across 500 jobs: {} clean jobs ran, jobs_panicked={} caught, workers_respawned={} (no worker lost)",
+        "[t={}ms] >>> injected {injected_panics} job panics across 500 jobs: {} clean jobs ran, jobs_panicked={} caught, live workers {live}/{nworkers}",
         t(start),
         survived.load(Ordering::Relaxed),
         m.jobs_panicked,
-        m.workers_respawned,
     );
+    if live != nworkers {
+        eprintln!(
+            "chaos_drill: {} worker(s) lost to job panics",
+            nworkers - live
+        );
+        std::process::exit(1);
+    }
 
     // And one wedged job: the stall watchdog (threshold 100 ms) flags it
     // while it sleeps, then closes the episode when the worker recovers.
