@@ -4,7 +4,9 @@
 //! figures (speed-up curves, wall-clock bars, runnable-process traces) and
 //! renders them as aligned text tables, quick ASCII charts, CSV, JSON run
 //! reports, and Perfetto-loadable Chrome trace-event files. Runtime
-//! counters and histograms live in `native_rt::stats`.
+//! counters and histograms live in `native_rt::stats`; the worker events
+//! the timeline renders (`EventKind`, `TraceEvent`) live in `ctl-core`,
+//! so this crate compiles the simulator but not the native runtime.
 
 #![warn(missing_docs)]
 

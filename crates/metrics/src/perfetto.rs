@@ -7,14 +7,15 @@
 //! per-processor timeline: one track per CPU whose slices are the dispatched
 //! processes, counter tracks for runnable-process counts, and instants for
 //! the paper's pathologies (spin starts, preempt-while-spinning, lock
-//! hand-offs). [`sched_timeline`] renders worker events — the `native-rt`
-//! flight recorder's own [`TraceEvent`] and [`EventKind`], which the
-//! simulated threads package logs too — from several applications as one
-//! multi-process timeline. The dependency points from here to the runtime
-//! only: the recorder stays a leaf its pool calls from the hot path.
+//! hand-offs). [`sched_timeline`] renders worker events — the
+//! [`TraceEvent`] and [`EventKind`] of the dependency-free `ctl-core`
+//! crate, which the `native-rt` flight recorder and the simulated threads
+//! package both log — from several applications as one multi-process
+//! timeline. Neither runtime depends on this crate, and this crate does not
+//! depend on `native-rt`.
 
+use ctl_core::{EventKind, TraceEvent};
 use desim::{SimTime, Tracer};
-use native_rt::{EventKind, TraceEvent};
 use simkernel::KTrace;
 
 use crate::json::JsonValue;

@@ -141,7 +141,7 @@ fn main() {
         i += 1;
     }
     let path = path.unwrap_or_else(|| usage("missing socket path"));
-    if let Err(e) = procctl::validate_cpus(u32::try_from(cpus).unwrap_or(u32::MAX)) {
+    if let Err(e) = ctl_core::validate_cpus(u32::try_from(cpus).unwrap_or(u32::MAX)) {
         usage(&format!("--cpus: {e}"));
     }
 

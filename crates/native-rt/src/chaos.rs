@@ -732,15 +732,15 @@ mod tests {
             }
             // The cached partition is the one the registrations and their
             // stored weights give from scratch.
-            let demands: Vec<procctl::AppDemand> = after
+            let demands: Vec<ctl_core::AppDemand> = after
                 .iter()
                 .zip(server.weights())
-                .map(|(&(_, processes, _, _), weight)| procctl::AppDemand {
+                .map(|(&(_, processes, _, _), weight)| ctl_core::AppDemand {
                     processes,
                     weight: if self.plan.weighted { weight } else { 1.0 },
                 })
                 .collect();
-            let fresh = procctl::partition(self.plan.cpus as u32, self.sampled_load, &demands);
+            let fresh = ctl_core::partition(self.plan.cpus as u32, self.sampled_load, &demands);
             let cached: Vec<u32> = after.iter().map(|a| a.3).collect();
             self.check(cached == fresh, || {
                 format!("cached targets {cached:?}, from scratch {fresh:?}")

@@ -28,7 +28,7 @@
 //!
 //! The sim `procctl::Server` is not a driver: its targets come from
 //! `rpstat` sweeps and are held between them, which this core does not
-//! model. It shares the one `procctl::partition_into`.
+//! model. It shares the one `ctl_core::partition_into`.
 //!
 //! The wire protocol (verbs, reply shapes, the parked-poll wait form and
 //! its compatibility story) is documented with the client in `uds.rs`;
@@ -43,7 +43,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use procctl::{
+use ctl_core::{
     cpu_range, partition_into, validate_cpus, validate_processes, AppDemand, PartitionScratch,
     RecomputeGate,
 };
@@ -391,7 +391,7 @@ pub struct ControlCore {
     uncontrolled: u32,
     /// Cached per-app targets, registration order (valid unless dirty).
     /// App `i`'s CPU set is not stored: it is the range of `cpu_order`
-    /// that starts at the sum of `targets[..i]` ([`procctl::cpu_range`]),
+    /// that starts at the sum of `targets[..i]` ([`ctl_core::cpu_range`]),
     /// materialised for the one pid that asks.
     targets: Vec<u32>,
     /// Buffers a recompute fills, kept so it allocates nothing.

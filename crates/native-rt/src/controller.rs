@@ -132,7 +132,7 @@ impl Controller {
     /// # Panics
     ///
     /// Panics when `cpus` is zero or absurd (beyond
-    /// [`procctl::MAX_CPUS`]); use [`Controller::try_new`] to handle
+    /// [`ctl_core::MAX_CPUS`]); use [`Controller::try_new`] to handle
     /// untrusted configuration without panicking.
     pub fn new(cpus: usize, interval: Duration) -> Self {
         Self::try_new(cpus, interval)
@@ -142,8 +142,8 @@ impl Controller {
     /// Like [`Controller::new`], but rejects a zero/absurd `cpus` (e.g.
     /// from a config file) with a clear error instead of handing every
     /// pool a meaningless 0-target downstream.
-    pub fn try_new(cpus: usize, interval: Duration) -> Result<Self, procctl::SizeError> {
-        procctl::validate_cpus(u32::try_from(cpus).unwrap_or(u32::MAX))?;
+    pub fn try_new(cpus: usize, interval: Duration) -> Result<Self, ctl_core::SizeError> {
+        ctl_core::validate_cpus(u32::try_from(cpus).unwrap_or(u32::MAX))?;
         // Partition the real machine's layout when the controller spans
         // exactly its CPUs; otherwise (tests, simulated sizes) use the
         // deterministic synthetic layout of the requested size.

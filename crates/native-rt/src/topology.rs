@@ -224,7 +224,7 @@ pub fn steal_tiers(
 /// Parses a kernel cpulist ("0-3,8,10-11") into sorted, deduplicated
 /// CPU ids. Empty input is the empty set; `None` on malformed input.
 ///
-/// The list is bounded by [`procctl::MAX_CPUS`], checked before anything
+/// The list is bounded by [`ctl_core::MAX_CPUS`], checked before anything
 /// is allocated: `None` for any id ≥ `MAX_CPUS` and for a list that
 /// expands to more than `MAX_CPUS` ids before dedup, so a client's
 /// `cpus=` text cannot make the server allocate without bound. On a host
@@ -236,7 +236,7 @@ pub fn parse_cpulist(s: &str) -> Option<Vec<u32>> {
     if s.is_empty() {
         return Some(out);
     }
-    let max = procctl::MAX_CPUS;
+    let max = ctl_core::MAX_CPUS;
     for part in s.split(',') {
         let (lo, hi): (u32, u32) = match part.split_once('-') {
             Some((lo, hi)) => (lo.trim().parse().ok()?, hi.trim().parse().ok()?),

@@ -36,7 +36,7 @@
 //!
 //! **CPU sets.** The `cpus` form also names *which* processors: a
 //! contiguous slice, in kernel cpulist syntax (`0-3,8`), of the server's
-//! topology-linearized CPU order ([`procctl::cpu_range`]).
+//! topology-linearized CPU order ([`ctl_core::cpu_range`]).
 //!
 //! **Parked polls** (the wait form). `<n> <epoch> [cpus=<cpulist>]` is the
 //! payload of the last `TARGET` reply the client heard, verbatim. If the

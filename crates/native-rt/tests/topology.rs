@@ -241,7 +241,7 @@ proptest! {
     #[test]
     fn cpulist_parser_total(s in "[0-9,\\- ]{0,24}") {
         if let Some(ids) = parse_cpulist(&s) {
-            prop_assert!(ids.len() <= procctl::MAX_CPUS as usize);
+            prop_assert!(ids.len() <= ctl_core::MAX_CPUS as usize);
         }
     }
 }

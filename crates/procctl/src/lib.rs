@@ -20,24 +20,25 @@
 //! The decentralized variant the paper rejected is provided as
 //! [`decentralized_target`] for the stability ablation.
 //!
-//! The crate is written against the `simkernel` substrate; the `native-rt`
-//! crate reimplements the same client rule over real OS threads.
+//! [`partition`] and the [`RecomputeGate`] that coalesces its
+//! recomputations live in the dependency-free `ctl-core` crate and are
+//! re-exported here, so the native runtime shares them without compiling
+//! the simulator. [`Server`] and [`ClientControl`] are this crate's and
+//! are written against the `simkernel` substrate; the `native-rt` crate
+//! reimplements the same client rule over real OS threads.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 
 mod client;
-mod coalesce;
-mod partition;
 mod proto;
 mod server;
 
 pub use client::{decentralized_target, ClientControl, Decision};
-pub use coalesce::RecomputeGate;
-pub use partition::{
+pub use ctl_core::{
     assign_cpu_sets, cpu_range, partition, partition_into, validate_cpus, validate_processes,
-    AppDemand, PartitionScratch, SizeError, MAX_CPUS, MAX_PROCESSES,
+    AppDemand, PartitionScratch, RecomputeGate, SizeError, MAX_CPUS, MAX_PROCESSES,
 };
 pub use proto::{
     decode_request, decode_target, encode_bye, encode_poll, encode_register,

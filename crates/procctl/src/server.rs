@@ -16,10 +16,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use ctl_core::{partition, AppDemand};
 use desim::{SimDur, SimTime};
 use simkernel::{Action, Behavior, Pid, PortId, ProcStat, UserCtx, Wakeup};
 
-use crate::partition::{partition, AppDemand};
 use crate::proto::{decode_request, encode_target, Request};
 
 /// Server tuning knobs.

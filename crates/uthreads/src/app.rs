@@ -84,7 +84,7 @@ impl ThreadsApp {
 
     /// A copy of the worker events emitted so far (task pickup/finish,
     /// suspension enter/exit, queue-lock waits, control polls, …).
-    pub fn spans(&self) -> Vec<native_rt::TraceEvent> {
+    pub fn spans(&self) -> Vec<ctl_core::TraceEvent> {
         self.shared.borrow().spans().copied().collect()
     }
 

@@ -11,8 +11,8 @@
 
 use std::collections::VecDeque;
 
+use ctl_core::{EventKind, TraceEvent};
 use desim::{SimDur, SimTime};
-use native_rt::{EventKind, TraceEvent};
 use procctl::ClientControl;
 use simkernel::{LockId, Pid};
 

@@ -1,7 +1,8 @@
 //! The worker event log: what each worker was doing, and when.
 //!
-//! The workers append the native flight recorder's [`TraceEvent`]s to
-//! their application's log at the package's own state transitions — task
+//! The workers append [`TraceEvent`]s — `ctl-core`'s worker-event
+//! vocabulary, which the native flight recorder logs too — to their
+//! application's log at the package's own state transitions — task
 //! pickup/finish, suspension enter/exit, queue-lock waits, control polls,
 //! applied targets and CR-lock culls/promotions. `ts_ns` is simulated
 //! nanoseconds and `worker` the worker's pid. The log is unbounded (the
@@ -26,8 +27,8 @@
 
 use std::cell::RefCell;
 
+use ctl_core::{EventKind, TraceEvent};
 use desim::{SimDur, SimTime};
-use native_rt::{EventKind, TraceEvent};
 use simkernel::Pid;
 
 /// Records per chunk of a span log (16 B each: 64 KiB a chunk).

@@ -18,8 +18,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use ctl_core::EventKind;
 use desim::SimTime;
-use native_rt::EventKind;
 use procctl::{ClientControl, Decision};
 use simkernel::{Action, Behavior, Pid, PortId, UserCtx, Wakeup};
 

@@ -8,8 +8,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
+use ctl_core::TraceEvent;
 use desim::{SimDur, SimTime};
-use native_rt::TraceEvent;
 use procctl::{Server, ServerConfig};
 use simkernel::policy::FifoRoundRobin;
 use simkernel::{AppId, Kernel, KernelConfig};
