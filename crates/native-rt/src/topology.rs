@@ -15,7 +15,6 @@
 //! containers and tests where sysfs is absent or clipped. Everything
 //! here is plain data: no atomics, no locks, safe under `--cfg loom`.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -46,8 +45,9 @@ pub struct CpuRecord {
 pub struct CpuTopology {
     /// Records sorted by CPU id.
     records: Vec<CpuRecord>,
-    /// CPU id → index into `records`.
-    index: BTreeMap<u32, usize>,
+    /// Every CPU id, in id order (`records`' index by id, and the
+    /// whole-machine pin).
+    ids: Vec<u32>,
 }
 
 impl CpuTopology {
@@ -56,8 +56,8 @@ impl CpuTopology {
     pub fn from_records(mut records: Vec<CpuRecord>) -> CpuTopology {
         records.sort_by_key(|r| r.id);
         records.dedup_by_key(|r| r.id);
-        let index = records.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
-        CpuTopology { records, index }
+        let ids = records.iter().map(|r| r.id).collect();
+        CpuTopology { records, ids }
     }
 
     /// The deterministic fallback layout for `n` CPUs: 2-way SMT cores,
@@ -155,7 +155,7 @@ impl CpuTopology {
 
     /// The record for CPU `id`, if known.
     pub fn record(&self, id: u32) -> Option<&CpuRecord> {
-        self.index.get(&id).map(|&i| &self.records[i])
+        self.ids.binary_search(&id).ok().map(|i| &self.records[i])
     }
 
     /// Distance between two CPUs: 0 self, 1 SMT sibling (same core),
@@ -317,6 +317,18 @@ pub fn pin_current_thread(cpus: &[u32]) -> bool {
 #[cfg(not(target_os = "linux"))]
 pub fn pin_current_thread(_cpus: &[u32]) -> bool {
     false
+}
+
+/// Re-pins the calling thread after its CPU assignment changed: to
+/// `cpu` while the control plane assigns a set, to every CPU of `topo`
+/// in count-only / degraded mode (`None`), so a server outage widens,
+/// never strands, affinity. Returns whether the narrow pin is in force.
+pub(crate) fn repin_current_thread(topo: &CpuTopology, cpu: Option<u32>) -> bool {
+    let Some(cpu) = cpu else {
+        pin_current_thread(&topo.ids);
+        return false;
+    };
+    pin_current_thread(&[cpu])
 }
 
 /// Reads a whitespace-trimmed `u32` from a sysfs file.
