@@ -8,15 +8,12 @@
 //! observability: a per-application cycle-breakdown table, a Perfetto
 //! trace, and a JSON report (see [`observe`]). The figure binaries accept
 //! `--json <path>` to also write their plotted series as JSON. The
-//! `lock_bench` binary (see [`lockbench`]) measures the
-//! concurrency-restricting lock against its bare inner spinlock. The
 //! end-to-end benchmark, native pool and control-plane throughput
 //! included, is `bench_all` (`crates/bench-all`).
 
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod lockbench;
 pub mod observe;
 pub mod report;
 pub mod scenario;

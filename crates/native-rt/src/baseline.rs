@@ -194,9 +194,7 @@ fn worker_loop(sh: &Arc<PoolShared>) {
         let job = match &sh.cr_gate {
             Some(gate) => {
                 gate.enter();
-                let admitted_at = Instant::now();
                 let job = sh.queue.lock().pop_front();
-                gate.observe_acquire(admitted_at.elapsed().as_nanos() as u64);
                 gate.exit();
                 job
             }

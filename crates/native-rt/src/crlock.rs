@@ -16,10 +16,10 @@
 //!
 //! - [`CrGate`] is the admission mechanism alone — an `enter()`/`exit()`
 //!   pair callers wrap around an *existing* contended acquisition (the
-//!   pool's injector sweep, the central pool's queue mutex). This is how
-//!   CR retrofits onto locks that also carry condvars.
-//! - [`CrLock`] composes a gate with an inner [`RawLock`] and the data it
-//!   protects — the self-contained form `lock_bench` measures.
+//!   central pool's queue mutex). This is how CR retrofits onto locks
+//!   that also carry condvars.
+//! - [`CrLock`] composes a gate with an inner [`RawSpin`] and the data it
+//!   protects — the self-contained form.
 //!
 //! **Hand-off protocol** (no lost wakeup — modeled in
 //! `tests/loom_crlock.rs`): an arriving thread that finds the active set
@@ -30,11 +30,7 @@
 //! form a Dekker handshake and use `SeqCst` so at least one side always
 //! sees the other.
 //!
-//! **Adaptive sizing**: with [`AdaptiveConfig`] set, the gate samples the
-//! observed acquisition latency of the inner lock. When hold+hand-off
-//! time degrades against the best latency seen, the active set shrinks
-//! (fewer contenders ⇒ shorter convoys); when the lock is underutilized
-//! while threads sit culled, it grows. See DESIGN.md §15.
+//! The active-set size is fixed at construction. See DESIGN.md §15.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -48,15 +44,13 @@ use crate::sync::{spin_loop, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 /// Configuration of one concurrency-restricting gate or lock.
 #[derive(Clone, Copy, Debug)]
 pub struct CrConfig {
-    /// Initial (and, without [`CrConfig::adaptive`], permanent) active-set
-    /// size: how many threads may contend for the inner lock at once.
+    /// Active-set size: how many threads may contend for the inner lock
+    /// at once.
     pub active_max: usize,
     /// Fairness cadence: a culled thread older than this many admissions
     /// is promoted oldest-first instead of LIFO, bounding starvation (see
     /// [`promote_index`]).
     pub promotion_interval: u64,
-    /// Adaptive active-set sizing; `None` keeps `active_max` fixed.
-    pub adaptive: Option<AdaptiveConfig>,
 }
 
 impl CrConfig {
@@ -66,14 +60,7 @@ impl CrConfig {
         CrConfig {
             active_max,
             promotion_interval: 64,
-            adaptive: None,
         }
-    }
-
-    /// Enables adaptive sizing with the given bounds.
-    pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.adaptive = Some(adaptive);
-        self
     }
 }
 
@@ -85,109 +72,23 @@ impl Default for CrConfig {
     }
 }
 
-/// Bounds and cadence of the adaptive active-set policy.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveConfig {
-    /// Smallest active set the policy may shrink to (≥ 1).
-    pub min: usize,
-    /// Largest active set the policy may grow to.
-    pub max: usize,
-    /// Latency samples between sizing decisions.
-    pub adapt_every: u64,
-    /// Shrink when the latency EWMA exceeds `shrink_ratio ×` the best
-    /// EWMA observed (hold+hand-off has degraded).
-    pub shrink_ratio: f64,
-    /// Grow when the EWMA is below `grow_ratio ×` the best EWMA *and*
-    /// threads are culled (the lock has headroom someone is waiting for).
-    pub grow_ratio: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            min: 1,
-            max: 64,
-            adapt_every: 128,
-            shrink_ratio: 2.0,
-            grow_ratio: 1.25,
-        }
-    }
-}
-
-/// Pure promotion policy, shared by the gate, the fairness proptest, and
-/// (mirrored) the simulation model in `uthreads`.
+/// Pure promotion policy, shared by the gate and the fairness proptest.
 ///
-/// `cull_stamps` holds, oldest first, the admission count at which each
-/// culled thread was culled; `now` is the current admission count. The
-/// returned index is the entry to promote: LIFO (the back — warmest
-/// cache) unless the oldest entry has waited at least `interval`
-/// admissions, in which case the oldest is promoted. Once a thread is
-/// the oldest waiter it is therefore promoted within `interval`
-/// admissions, which bounds every thread's wait (the starvation-bound
-/// proptest in `tests/crlock_fairness.rs` pins the constant).
-pub fn promote_index(cull_stamps: &VecDeque<u64>, now: u64, interval: u64) -> Option<usize> {
-    let oldest = *cull_stamps.front()?;
+/// The culled list holds `len ≥ 1` threads, oldest first; `oldest` is the
+/// admission count at which its front entry was culled and `now` is the
+/// current admission count. The returned index is the entry to promote:
+/// LIFO (the back — warmest cache) unless the oldest entry has waited at
+/// least `interval` admissions, in which case the oldest is promoted.
+/// Once a thread is the oldest waiter it is therefore promoted within
+/// `interval` admissions, which bounds every thread's wait (the
+/// starvation-bound proptest in `tests/crlock_fairness.rs` pins the
+/// constant).
+pub fn promote_index(oldest: u64, len: usize, now: u64, interval: u64) -> usize {
+    debug_assert!(len >= 1, "promote_index on an empty culled list");
     if now.saturating_sub(oldest) >= interval {
-        Some(0)
+        0
     } else {
-        Some(cull_stamps.len() - 1)
-    }
-}
-
-/// The adaptive active-set sizer: a pure state machine fed acquisition
-/// latencies, emitting a new active-set size when the policy moves.
-#[derive(Clone, Debug)]
-pub struct AdaptiveSizer {
-    cfg: AdaptiveConfig,
-    ewma_ns: f64,
-    best_ns: f64,
-    since_adapt: u64,
-}
-
-impl AdaptiveSizer {
-    /// A sizer with the given bounds and cadence.
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        AdaptiveSizer {
-            cfg,
-            ewma_ns: 0.0,
-            best_ns: 0.0,
-            since_adapt: 0,
-        }
-    }
-
-    /// Feeds one observed acquisition latency. `cur_max` is the current
-    /// active-set size and `culled_waiting` whether any thread sits on
-    /// the culled list. Returns `Some(new_max)` when the policy resizes.
-    pub fn observe(
-        &mut self,
-        latency_ns: u64,
-        cur_max: usize,
-        culled_waiting: bool,
-    ) -> Option<usize> {
-        let x = latency_ns as f64;
-        self.ewma_ns = if self.ewma_ns == 0.0 {
-            x
-        } else {
-            self.ewma_ns * 0.875 + x * 0.125
-        };
-        self.since_adapt += 1;
-        if self.since_adapt < self.cfg.adapt_every {
-            return None;
-        }
-        self.since_adapt = 0;
-        if self.best_ns == 0.0 || self.ewma_ns < self.best_ns {
-            self.best_ns = self.ewma_ns;
-        }
-        if self.ewma_ns > self.cfg.shrink_ratio * self.best_ns && cur_max > self.cfg.min {
-            Some(cur_max - 1)
-        } else if self.ewma_ns < self.cfg.grow_ratio * self.best_ns
-            && culled_waiting
-            && cur_max < self.cfg.max
-        {
-            Some(cur_max + 1)
-        } else {
-            None
-        }
+        len - 1
     }
 }
 
@@ -218,15 +119,6 @@ struct Waiter {
     cv: Condvar,
 }
 
-/// The mutex-protected slow-path state: the culled list (with cull
-/// stamps for the fairness policy) and the adaptive sizer.
-struct CrCore {
-    /// Culled threads, oldest first, each with the admission count at
-    /// cull time.
-    culled: VecDeque<(Arc<Waiter>, u64)>,
-    sizer: Option<AdaptiveSizer>,
-}
-
 /// How a thread got through [`CrGate::enter`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admission {
@@ -253,25 +145,20 @@ pub struct CrGate {
     // `passive_len`. SeqCst total order guarantees at least one side
     // sees the other (no lost wakeup); modeled in tests/loom_crlock.rs.
     admitted: AtomicUsize,
-    /// Culled-list occupancy, maintained under `core`'s mutex.
+    /// Culled-list occupancy, maintained under `culled`'s mutex.
     // sched-atomic(seqcst): the other half of the Dekker handshake with
     // `admitted`; see above and tests/loom_crlock.rs.
     passive_len: AtomicUsize,
-    /// Current active-set bound (written by the adaptive policy).
-    // sched-atomic(relaxed): advisory admission bound; exceeding or
-    // undershooting it momentarily is harmless, the mutex-protected
-    // sizer is the only writer.
-    active_max: AtomicUsize,
+    /// Active-set bound.
+    active_max: usize,
     /// Total admissions, the fairness policy's clock.
     // sched-atomic(relaxed): monotonic stamp source for promote_index;
     // ± a few ticks only skews the LIFO/oldest choice.
     admissions: AtomicU64,
     promotion_interval: u64,
-    /// Whether an adaptive sizer is installed — checked on the hot path
-    /// so fixed-size gates skip latency timestamping and the `core`
-    /// mutex entirely.
-    adaptive_enabled: bool,
-    core: Mutex<CrCore>,
+    /// Culled threads, oldest first, each with the admission count at
+    /// cull time (the fairness policy's stamps).
+    culled: Mutex<VecDeque<(Arc<Waiter>, u64)>>,
     stats: CrStats,
     /// Keeps a privately created registry alive for `CrGate::new`.
     _own_registry: Option<Arc<Registry>>,
@@ -296,22 +183,18 @@ impl CrGate {
         CrGate {
             admitted: AtomicUsize::new(0),
             passive_len: AtomicUsize::new(0),
-            active_max: AtomicUsize::new(cfg.active_max),
+            active_max: cfg.active_max,
             admissions: AtomicU64::new(0),
             promotion_interval: cfg.promotion_interval,
-            adaptive_enabled: cfg.adaptive.is_some(),
-            core: Mutex::new(CrCore {
-                culled: VecDeque::new(),
-                sizer: cfg.adaptive.map(AdaptiveSizer::new),
-            }),
+            culled: Mutex::new(VecDeque::new()),
             stats,
             _own_registry: None,
         }
     }
 
-    /// Current active-set bound.
+    /// Active-set bound.
     pub fn active_max(&self) -> usize {
-        self.active_max.load(Ordering::Relaxed)
+        self.active_max
     }
 
     /// Threads currently culled.
@@ -321,10 +204,9 @@ impl CrGate {
 
     /// Claims an active-set slot if the set has room.
     fn try_admit(&self) -> bool {
-        let max = self.active_max.load(Ordering::Relaxed);
         loop {
             let a = self.admitted.load(Ordering::SeqCst);
-            if a >= max {
+            if a >= self.active_max {
                 return false;
             }
             if self
@@ -353,26 +235,22 @@ impl CrGate {
         });
         let culled_at = Instant::now();
         {
-            let mut core = self.core.lock();
+            let mut culled = self.culled.lock();
             let stamp = self.admissions.load(Ordering::Relaxed);
-            core.culled.push_back((Arc::clone(&waiter), stamp));
+            culled.push_back((Arc::clone(&waiter), stamp));
             self.passive_len.fetch_add(1, Ordering::SeqCst);
         }
         if self.try_admit() {
             // Raced a release: we hold a fresh slot. Withdraw from the
             // culled list — unless a promoter already popped us, in
             // which case we hold *two* slots and must give one back.
-            let mut core = self.core.lock();
-            if let Some(pos) = core
-                .culled
-                .iter()
-                .position(|(w, _)| Arc::ptr_eq(w, &waiter))
-            {
-                core.culled.remove(pos);
+            let mut culled = self.culled.lock();
+            if let Some(pos) = culled.iter().position(|(w, _)| Arc::ptr_eq(w, &waiter)) {
+                culled.remove(pos);
                 self.passive_len.fetch_sub(1, Ordering::SeqCst);
                 return Admission::Direct;
             }
-            drop(core);
+            drop(culled);
             self.admitted.fetch_sub(1, Ordering::SeqCst);
             // Fall through to the park, which returns immediately: the
             // promoter has already set our flag (or is about to).
@@ -392,13 +270,13 @@ impl CrGate {
     /// caller's slot. Returns false if the list was empty.
     fn promote(&self) -> bool {
         let waiter = {
-            let mut core = self.core.lock();
-            let stamps: VecDeque<u64> = core.culled.iter().map(|&(_, s)| s).collect();
-            let now = self.admissions.load(Ordering::Relaxed);
-            let Some(idx) = promote_index(&stamps, now, self.promotion_interval) else {
+            let mut culled = self.culled.lock();
+            let Some(&(_, oldest)) = culled.front() else {
                 return false;
             };
-            let (waiter, _) = core.culled.remove(idx).expect("index from promote_index");
+            let now = self.admissions.load(Ordering::Relaxed);
+            let idx = promote_index(oldest, culled.len(), now, self.promotion_interval);
+            let (waiter, _) = culled.remove(idx).expect("index from promote_index");
             self.passive_len.fetch_sub(1, Ordering::SeqCst);
             waiter
         };
@@ -434,46 +312,10 @@ impl CrGate {
         }
     }
 
-    /// Whether this gate carries an adaptive sizer (callers can skip
-    /// latency measurement otherwise).
-    pub fn adaptive_enabled(&self) -> bool {
-        self.adaptive_enabled
-    }
-
-    /// Feeds one observed inner-lock acquisition latency to the adaptive
-    /// sizer (no-op without [`CrConfig::adaptive`]).
-    pub fn observe_acquire(&self, latency_ns: u64) {
-        if !self.adaptive_enabled {
-            return;
-        }
-        let mut core = self.core.lock();
-        let culled_waiting = !core.culled.is_empty();
-        let cur = self.active_max.load(Ordering::Relaxed);
-        let resized = core
-            .sizer
-            .as_mut()
-            .and_then(|s| s.observe(latency_ns, cur, culled_waiting));
-        drop(core);
-        if let Some(new_max) = resized {
-            self.active_max.store(new_max, Ordering::Relaxed);
-            self.stats.active_size.set(new_max as i64);
-        }
-    }
-
     /// Point-in-time `cr_*` statistics: (passivations, promotions).
     pub fn counters(&self) -> (u64, u64) {
         (self.stats.passivations.get(), self.stats.promotions.get())
     }
-}
-
-/// The minimal mutual-exclusion surface [`CrLock`] composes over.
-pub trait RawLock: Send + Sync {
-    /// Acquires the lock, blocking (or spinning) until held.
-    fn lock(&self);
-    /// Acquires the lock if free; never blocks.
-    fn try_lock(&self) -> bool;
-    /// Releases the lock. Caller must hold it.
-    fn unlock(&self);
 }
 
 /// A test-and-test-and-set spinlock — the inner lock whose collapse the
@@ -485,8 +327,9 @@ pub struct RawSpin {
     locked: AtomicUsize,
 }
 
-impl RawLock for RawSpin {
-    fn lock(&self) {
+impl RawSpin {
+    /// Acquires the lock, spinning until held.
+    pub fn lock(&self) {
         loop {
             if self.try_lock() {
                 return;
@@ -497,55 +340,24 @@ impl RawLock for RawSpin {
         }
     }
 
-    fn try_lock(&self) -> bool {
+    /// Acquires the lock if free; never blocks.
+    pub fn try_lock(&self) -> bool {
         self.locked
             .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
     }
 
-    fn unlock(&self) {
+    /// Releases the lock. Caller must hold it.
+    pub fn unlock(&self) {
         self.locked.store(0, Ordering::Release);
     }
 }
 
-/// A parking (sleeping) inner lock, for hold times long enough that
-/// spinning is waste even inside the active set.
-#[derive(Default)]
-pub struct RawParking {
-    held: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl RawLock for RawParking {
-    fn lock(&self) {
-        let mut held = self.held.lock();
-        while *held {
-            self.cv.wait(&mut held);
-        }
-        *held = true;
-    }
-
-    fn try_lock(&self) -> bool {
-        let mut held = self.held.lock();
-        if *held {
-            false
-        } else {
-            *held = true;
-            true
-        }
-    }
-
-    fn unlock(&self) {
-        *self.held.lock() = false;
-        self.cv.notify_one();
-    }
-}
-
 /// A concurrency-restricting lock: a [`CrGate`] in front of an inner
-/// [`RawLock`] and the data it protects.
-pub struct CrLock<T, L: RawLock = RawSpin> {
+/// [`RawSpin`] and the data it protects.
+pub struct CrLock<T> {
     gate: CrGate,
-    inner: L,
+    inner: RawSpin,
     data: UnsafeCell<T>,
 }
 
@@ -553,36 +365,25 @@ pub struct CrLock<T, L: RawLock = RawSpin> {
 // handing out a guard, and the guard releases both on drop.
 // SAFETY: mutual exclusion — at most one `CrGuard` (and thus one
 // `&mut T`) exists at a time, so `T: Send` suffices for sharing.
-unsafe impl<T: Send, L: RawLock> Sync for CrLock<T, L> {}
+unsafe impl<T: Send> Sync for CrLock<T> {}
 // SAFETY: moving the lock moves the owned data; no thread affinity.
-unsafe impl<T: Send, L: RawLock> Send for CrLock<T, L> {}
+unsafe impl<T: Send> Send for CrLock<T> {}
 
-impl<T, L: RawLock + Default> CrLock<T, L> {
-    /// A CR lock over `data` with a default-constructed inner lock.
+impl<T> CrLock<T> {
+    /// A CR lock over `data`.
     pub fn new(cfg: CrConfig, data: T) -> Self {
         CrLock {
             gate: CrGate::new(cfg),
-            inner: L::default(),
+            inner: RawSpin::default(),
             data: UnsafeCell::new(data),
         }
     }
-}
 
-impl<T, L: RawLock> CrLock<T, L> {
     /// Acquires the lock: gate admission first (possibly parking on the
-    /// culled list), then the inner lock. With an adaptive sizer the
-    /// measured admission-to-held latency feeds it; fixed-size gates
-    /// skip the two clock reads.
-    pub fn lock(&self) -> CrGuard<'_, T, L> {
+    /// culled list), then the inner lock.
+    pub fn lock(&self) -> CrGuard<'_, T> {
         self.gate.enter();
-        if self.gate.adaptive_enabled() {
-            let admitted_at = Instant::now();
-            self.inner.lock();
-            self.gate
-                .observe_acquire(admitted_at.elapsed().as_nanos() as u64);
-        } else {
-            self.inner.lock();
-        }
+        self.inner.lock();
         CrGuard { lock: self }
     }
 
@@ -594,11 +395,11 @@ impl<T, L: RawLock> CrLock<T, L> {
 
 /// RAII guard of a [`CrLock`]; releases the inner lock and the gate slot
 /// on drop.
-pub struct CrGuard<'a, T, L: RawLock> {
-    lock: &'a CrLock<T, L>,
+pub struct CrGuard<'a, T> {
+    lock: &'a CrLock<T>,
 }
 
-impl<T, L: RawLock> Deref for CrGuard<'_, T, L> {
+impl<T> Deref for CrGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         // SAFETY: the guard exists only between inner-lock acquisition
@@ -607,14 +408,14 @@ impl<T, L: RawLock> Deref for CrGuard<'_, T, L> {
     }
 }
 
-impl<T, L: RawLock> DerefMut for CrGuard<'_, T, L> {
+impl<T> DerefMut for CrGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         // SAFETY: as in `deref` — exclusive access under the held lock.
         unsafe { &mut *self.lock.data.get() }
     }
 }
 
-impl<T, L: RawLock> Drop for CrGuard<'_, T, L> {
+impl<T> Drop for CrGuard<'_, T> {
     fn drop(&mut self) {
         self.lock.inner.unlock();
         self.lock.gate.exit();
@@ -628,7 +429,10 @@ mod tests {
 
     #[test]
     fn gate_admits_up_to_active_max_directly() {
-        let gate = CrGate::new(CrConfig::fixed(2));
+        let registry = Arc::new(Registry::new());
+        let gate = CrGate::with_registry(CrConfig::fixed(2), &registry);
+        assert_eq!(gate.active_max(), 2);
+        assert_eq!(registry.snapshot().gauges["cr_active_size"], 2);
         assert_eq!(gate.enter(), Admission::Direct);
         assert_eq!(gate.enter(), Admission::Direct);
         assert_eq!(gate.culled(), 0);
@@ -712,99 +516,13 @@ mod tests {
     }
 
     #[test]
-    fn crlock_over_parking_inner_also_counts_correctly() {
-        let lk: Arc<CrLock<u64, RawParking>> = Arc::new(CrLock::new(CrConfig::fixed(1), 0));
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let lk = Arc::clone(&lk);
-                std::thread::spawn(move || {
-                    for _ in 0..500 {
-                        *lk.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(*lk.lock(), 2_000);
-    }
-
-    #[test]
     fn promote_index_is_lifo_until_the_oldest_is_overdue() {
-        let stamps: VecDeque<u64> = [10, 20, 30].into_iter().collect();
-        // Oldest culled at 10; at admission 40 it has waited 30 < 64.
-        assert_eq!(promote_index(&stamps, 40, 64), Some(2));
+        // Three culled, the oldest at 10; at admission 40 it has waited
+        // 30 < 64, so the back (index 2) goes first.
+        assert_eq!(promote_index(10, 3, 40, 64), 2);
         // At admission 80 it is overdue: promote oldest-first.
-        assert_eq!(promote_index(&stamps, 80, 64), Some(0));
-        assert_eq!(promote_index(&VecDeque::new(), 80, 64), None);
-    }
-
-    #[test]
-    fn sizer_shrinks_on_degradation_and_grows_on_headroom() {
-        let cfg = AdaptiveConfig {
-            min: 1,
-            max: 8,
-            adapt_every: 4,
-            shrink_ratio: 2.0,
-            grow_ratio: 1.25,
-        };
-        let mut s = AdaptiveSizer::new(cfg);
-        // Establish a fast baseline.
-        let mut cur = 4usize;
-        for _ in 0..4 {
-            if let Some(n) = s.observe(1_000, cur, false) {
-                cur = n;
-            }
-        }
-        // Latency degrades 100×: the EWMA crosses 2× best → shrink.
-        let mut shrunk = false;
-        for _ in 0..64 {
-            if let Some(n) = s.observe(100_000, cur, false) {
-                assert!(n < cur, "degradation must shrink, got {n} from {cur}");
-                cur = n;
-                shrunk = true;
-                break;
-            }
-        }
-        assert!(shrunk, "sizer never reacted to degradation");
-        // Recovery with culled threads waiting → grow again.
-        let mut grew = false;
-        for _ in 0..256 {
-            if let Some(n) = s.observe(900, cur, true) {
-                if n > cur {
-                    grew = true;
-                    break;
-                }
-                cur = n;
-            }
-        }
-        assert!(grew, "sizer never grew back on headroom");
-    }
-
-    #[test]
-    fn adaptive_gate_updates_its_gauge() {
-        let registry = Arc::new(Registry::new());
-        let cfg = CrConfig {
-            active_max: 4,
-            promotion_interval: 16,
-            adaptive: Some(AdaptiveConfig {
-                adapt_every: 2,
-                ..AdaptiveConfig::default()
-            }),
-        };
-        let gate = CrGate::with_registry(cfg, &registry);
-        assert_eq!(registry.snapshot().gauges["cr_active_size"], 4);
-        for _ in 0..4 {
-            gate.observe_acquire(1_000);
-        }
-        // Degrade hard; the gauge must track the shrink.
-        for _ in 0..64 {
-            gate.observe_acquire(1_000_000);
-        }
-        assert!(
-            registry.snapshot().gauges["cr_active_size"] < 4,
-            "gauge did not track the adaptive shrink"
-        );
+        assert_eq!(promote_index(10, 3, 80, 64), 0);
+        // A lone waiter is both front and back.
+        assert_eq!(promote_index(10, 1, 40, 64), 0);
     }
 }

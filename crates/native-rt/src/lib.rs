@@ -79,10 +79,7 @@ pub use control::{
     DEFAULT_TRACE_MAX, SAMPLE_PERIOD,
 };
 pub use controller::{Controller, TargetSlot};
-pub use crlock::{
-    AdaptiveConfig, AdaptiveSizer, Admission, CrConfig, CrGate, CrGuard, CrLock, RawLock,
-    RawParking, RawSpin,
-};
+pub use crlock::{Admission, CrConfig, CrGate, CrGuard, CrLock, RawSpin};
 pub use deque::{Steal, Stealer, Worker};
 pub use injector::Injector;
 pub use pool::{Job, Pool, PoolConfig, PoolMetrics};

@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use native_rt::crlock::{promote_index, AdaptiveConfig, AdaptiveSizer};
+use native_rt::crlock::promote_index;
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -54,8 +54,8 @@ fn max_promotion_wait(
                 }
             }
             ThreadState::Active => {
-                let stamps: VecDeque<u64> = culled.iter().map(|&(_, s)| s).collect();
-                if let Some(idx) = promote_index(&stamps, now, interval) {
+                if let Some(&(_, oldest)) = culled.front() {
+                    let idx = promote_index(oldest, culled.len(), now, interval);
                     let (w, stamp) = culled.remove(idx).unwrap();
                     now += 1;
                     max_wait = max_wait.max(now - stamp);
@@ -97,48 +97,20 @@ proptest! {
     /// LIFO back or the overdue front.
     #[test]
     fn promote_index_picks_back_or_overdue_front(
-        stamps in prop::collection::vec(0u64..1000, 0..32),
+        stamps in prop::collection::vec(0u64..1000, 1..32),
         advance in 0u64..200,
         interval in 1u64..128,
     ) {
-        let mut sorted = stamps;
-        sorted.sort_unstable();
-        let q: VecDeque<u64> = sorted.into_iter().collect();
-        let now = q.back().copied().unwrap_or(0) + advance;
-        match promote_index(&q, now, interval) {
-            None => prop_assert!(q.is_empty()),
-            Some(idx) => {
-                prop_assert!(idx < q.len());
-                if idx == 0 {
-                    // Front only when overdue (or the list is length 1).
-                    prop_assert!(
-                        q.len() == 1 || now.saturating_sub(q[0]) >= interval
-                    );
-                } else {
-                    prop_assert_eq!(idx, q.len() - 1);
-                }
-            }
-        }
-    }
-
-    /// The adaptive sizer never leaves its configured bounds, whatever
-    /// latencies it observes.
-    #[test]
-    fn adaptive_sizer_respects_bounds(
-        min in 1usize..5,
-        span in 0usize..13,
-        start_off in 0usize..13,
-        latencies in prop::collection::vec((1u64..10_000_000, any::<bool>()), 1..600),
-    ) {
-        let max = min + span;
-        let cfg = AdaptiveConfig { min, max, adapt_every: 4, ..AdaptiveConfig::default() };
-        let mut sizer = AdaptiveSizer::new(cfg);
-        let mut cur = (min + start_off.min(span)).min(max);
-        for (lat, waiting) in latencies {
-            if let Some(n) = sizer.observe(lat, cur, waiting) {
-                prop_assert!(n >= min && n <= max, "sizer left [{min}, {max}]: {n}");
-                cur = n;
-            }
+        let mut q = stamps;
+        q.sort_unstable();
+        let now = q[q.len() - 1] + advance;
+        let idx = promote_index(q[0], q.len(), now, interval);
+        prop_assert!(idx < q.len());
+        if idx == 0 {
+            // Front only when overdue (or the list is length 1).
+            prop_assert!(q.len() == 1 || now.saturating_sub(q[0]) >= interval);
+        } else {
+            prop_assert_eq!(idx, q.len() - 1);
         }
     }
 }

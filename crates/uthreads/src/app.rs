@@ -77,7 +77,7 @@ impl ThreadsApp {
         self.shared.borrow().target()
     }
 
-    /// The CR queue lock's current active-set bound, if CR is enabled.
+    /// The CR queue lock's active-set bound, if CR is enabled.
     pub fn cr_active_max(&self) -> Option<u32> {
         self.shared.borrow().cr_active_max()
     }

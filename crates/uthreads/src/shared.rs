@@ -67,11 +67,6 @@ pub struct CrParams {
     /// passive worker swaps places with a circulating one, so the
     /// passive list cannot starve its oldest entry.
     pub promotion_interval: u64,
-    /// Adapt `active_max` from observed queue-lock wait times: shrink
-    /// when waits blow up past the critical-section cost (a preempted
-    /// holder is being spun on), grow when the lock is quiet but workers
-    /// sit culled.
-    pub adaptive: bool,
 }
 
 impl CrParams {
@@ -82,16 +77,6 @@ impl CrParams {
         CrParams {
             active_max,
             promotion_interval: 32,
-            adaptive: false,
-        }
-    }
-
-    /// Like [`CrParams::fixed`], but `active_max` adapts to observed
-    /// queue-lock waits (starting from the given value).
-    pub fn adaptive(active_max: u32) -> Self {
-        CrParams {
-            adaptive: true,
-            ..CrParams::fixed(active_max)
         }
     }
 }
@@ -102,8 +87,9 @@ impl CrParams {
 pub(crate) enum CrUnlock {
     /// Keep the slot and run the dequeued task.
     Keep,
-    /// Adaptive shrink took effect: the caller's slot is gone. It runs
-    /// its task slotless and re-competes at the next safe point.
+    /// The shutdown drain's grants left the set over its bound: the
+    /// caller's slot is gone. It runs its task slotless and re-competes
+    /// at the next safe point.
     Drop,
     /// A vacancy exists: wake the returned worker with a fresh slot; the
     /// caller keeps its own.
@@ -121,13 +107,13 @@ pub(crate) enum CrUnlock {
 /// circulating workforce and the passive list is genuinely descheduled
 /// (blocked, consuming no processor). Slots change hands only at
 /// dequeue-unlock ([`CrSimState::on_unlock`]: vacancy fill, fairness
-/// rotation, adaptive resize) and at the shutdown drain
+/// rotation) and at the shutdown drain
 /// ([`CrSimState::grant`]). Crucially, no hand-off sits on the lock's
 /// critical path: a promotion wakes a worker into the *workforce*, not
 /// into a just-released lock, so wakeup latency never stalls the queue.
 #[derive(Debug)]
 pub(crate) struct CrSimState {
-    /// Current active-set bound (moves only when adaptive).
+    /// Active-set bound.
     pub active_max: u32,
     /// Workers currently holding an admission slot.
     pub active: u32,
@@ -139,18 +125,7 @@ pub(crate) struct CrSimState {
     /// Rotation clock reading at the last fairness rotation.
     last_rotation: u64,
     params: CrParams,
-    /// Hard ceiling for adaptive growth (the worker count).
-    cap: u32,
-    /// EWMA of observed queue-lock wait, in simulated nanoseconds.
-    ewma_wait_ns: u64,
-    /// Waits observed so far (first sample seeds the EWMA).
-    nwaits: u64,
-    /// Waits since the adaptive policy last ran.
-    since_adapt: u32,
 }
-
-/// Adaptive policy: revisit `active_max` every this many observed waits.
-const CR_ADAPT_EVERY: u32 = 32;
 
 impl CrSimState {
     pub(crate) fn new(params: CrParams, nprocs: u32) -> Self {
@@ -161,10 +136,6 @@ impl CrSimState {
             dequeues: 0,
             last_rotation: 0,
             params,
-            cap: nprocs,
-            ewma_wait_ns: 0,
-            nwaits: 0,
-            since_adapt: 0,
         }
     }
 
@@ -188,9 +159,10 @@ impl CrSimState {
         self.active -= 1;
     }
 
-    /// Slot accounting after a dequeue-unlock: apply any pending adaptive
-    /// resize, fill vacancies from the passive list, and rotate the
-    /// longest-parked worker in every `promotion_interval` dequeues.
+    /// Slot accounting after a dequeue-unlock: give back a slot the
+    /// shutdown drain over-granted, fill vacancies from the passive list,
+    /// and rotate the longest-parked worker in every `promotion_interval`
+    /// dequeues.
     pub(crate) fn on_unlock(&mut self) -> CrUnlock {
         self.dequeues += 1;
         if self.active > self.active_max {
@@ -219,38 +191,6 @@ impl CrSimState {
         let pid = self.passive.pop_front()?;
         self.active += 1;
         Some(pid)
-    }
-
-    /// Feeds one observed queue-lock wait to the adaptive policy. The
-    /// reference cost is `queue_op` (the time the lock is held per
-    /// operation): waits far above it mean the holder was preempted
-    /// mid-section — shrink; waits far below it with workers culled mean
-    /// the restriction is too tight — grow.
-    pub(crate) fn observe_wait(&mut self, waited: SimDur, queue_op: SimDur) {
-        if !self.params.adaptive {
-            return;
-        }
-        let x = waited.nanos();
-        self.ewma_wait_ns = if self.nwaits == 0 {
-            x
-        } else {
-            (self.ewma_wait_ns / 8).saturating_mul(7) + x / 8
-        };
-        self.nwaits += 1;
-        self.since_adapt += 1;
-        if self.since_adapt < CR_ADAPT_EVERY {
-            return;
-        }
-        self.since_adapt = 0;
-        let op = queue_op.nanos();
-        if self.ewma_wait_ns > op.saturating_mul(2) && self.active_max > 1 {
-            self.active_max -= 1;
-        } else if self.ewma_wait_ns < op / 4
-            && !self.passive.is_empty()
-            && self.active_max < self.cap
-        {
-            self.active_max += 1;
-        }
     }
 }
 
@@ -452,8 +392,8 @@ impl AppShared {
         self.control.as_ref().map(ClientControl::target)
     }
 
-    /// The CR queue lock's current active-set bound, if CR is enabled
-    /// (differs from the configured value only under the adaptive policy).
+    /// The CR queue lock's active-set bound, if CR is enabled (the
+    /// configured value clamped to the worker count).
     pub fn cr_active_max(&self) -> Option<u32> {
         self.cr.as_ref().map(|cr| cr.active_max)
     }
@@ -466,5 +406,29 @@ impl AppShared {
     /// The configured worker count.
     pub fn nprocs(&self) -> u32 {
         self.cfg.nprocs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The shutdown drain may grant past the bound while a slot holder
+    /// is still mid-dequeue (one CPU, eight workers, `CrParams::fixed(3)`
+    /// and forty 50 µs tasks reach it end to end); that holder's unlock
+    /// gives its slot back instead of keeping or rotating it.
+    #[test]
+    fn unlock_after_a_drain_overshoot_drops_the_slot() {
+        let mut cr = CrSimState::new(CrParams::fixed(2), 8);
+        assert!(cr.try_admit() && cr.try_admit());
+        assert!(!cr.try_admit());
+        cr.park(Pid(5));
+        cr.park(Pid(6));
+        assert_eq!(cr.grant(), Some(Pid(5)));
+        assert_eq!(cr.active, 3);
+        assert!(matches!(cr.on_unlock(), CrUnlock::Drop));
+        assert_eq!(cr.active, 2);
+        // Back at the bound: the next unlock keeps its slot.
+        assert!(matches!(cr.on_unlock(), CrUnlock::Keep));
     }
 }

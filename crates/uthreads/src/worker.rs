@@ -108,7 +108,7 @@ pub struct Worker {
     qlock_req: Option<SimTime>,
     /// Whether this worker holds a CR admission slot. Slots are sticky:
     /// kept across the whole dequeue → run-task → next-dequeue cycle, and
-    /// given up only by the unlock policy (rotation, adaptive shrink) or
+    /// given up only by the unlock policy (rotation, drain overshoot) or
     /// on the way to idling/exiting.
     cr_slot: bool,
 }
@@ -297,7 +297,7 @@ impl Worker {
     }
 
     /// Slot bookkeeping after a dequeue's lock release: applies the CR
-    /// unlock policy (adaptive resize, vacancy fill, fairness rotation).
+    /// unlock policy (drain overshoot, vacancy fill, fairness rotation).
     /// Returns a pid to signal when a passive worker was promoted into
     /// the circulating workforce.
     fn cr_unlock(&mut self, ctx: &mut dyn UserCtx) -> Option<Pid> {
@@ -365,15 +365,11 @@ impl Worker {
     }
 
     /// Records how long the worker waited for the queue lock it now
-    /// holds, and feeds the wait to the CR lock's adaptive policy.
+    /// holds.
     fn note_qlock_acquired(&mut self, ctx: &mut dyn UserCtx) {
         if let Some(since) = self.qlock_req.take() {
             let waited = ctx.now().since(since);
             let mut sh = self.shared.borrow_mut();
-            let queue_op = sh.cfg.queue_op;
-            if let Some(cr) = &mut sh.cr {
-                cr.observe_wait(waited, queue_op);
-            }
             let waited_ns = u32::try_from(waited.nanos()).unwrap_or(u32::MAX);
             sh.record(ctx.now(), ctx.my_pid(), EventKind::LockWait, waited_ns);
         }

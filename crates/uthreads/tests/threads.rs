@@ -545,21 +545,3 @@ fn cr_lock_composes_with_process_control() {
     assert!(m.suspends > 0, "control never engaged");
     assert!(m.cr_passivations > 0, "CR lock never engaged");
 }
-
-#[test]
-fn adaptive_cr_lock_shrinks_when_lock_waits_dwarf_the_critical_section() {
-    // Start wide open (active_max = 8). Eight workers hammering a
-    // spinlock whose hold time is queue_op makes the mean acquisition
-    // wait several multiples of queue_op, so the adaptive policy must
-    // ratchet the active set down.
-    let mut k = kernel(8);
-    let tasks: Vec<Task> = (0..300)
-        .map(|_| Task::compute("w", SimDur::from_micros(100)))
-        .collect();
-    let cfg = ThreadsConfig::new(8).with_cr_lock(uthreads::CrParams::adaptive(8));
-    let app = launch(&mut k, AppId(0), cfg, AppSpec::tasks(tasks));
-    assert!(k.run_until_apps_done(&[AppId(0)], t(600)));
-    assert_eq!(app.metrics().tasks_run, 300);
-    let bound = app.cr_active_max().expect("CR enabled");
-    assert!(bound < 8, "adaptive bound never shrank: still {bound}");
-}
