@@ -12,7 +12,8 @@
 //! Robustness: SIGTERM/SIGINT trigger a clean shutdown that removes the
 //! socket file; a stale socket left by a crashed predecessor is detected
 //! (probe-connect) and reclaimed at startup, while a live server on the
-//! same path refuses to be displaced. Registrations are leased
+//! same path refuses to be displaced, and a path that holds anything but
+//! a socket is never removed: startup fails instead. Registrations are leased
 //! (`--lease-ttl-ms`): clients that stop polling lose their share.
 //!
 //! ```text

@@ -1347,14 +1347,12 @@ impl ControlCore {
 }
 
 /// The core's decisions as scripts: `(now, frame | sample | expiry)` in,
-/// replies out, with no socket, no sleep and no clock. The tests that
-/// spoke through a socket before the core took its time and its samples
-/// as inputs keep the ids they had: `uds::tests` runs each of the
-/// `pub(crate)` ones below under its name. The tests added with the core
-/// run here. Only the `#[ignore]`d cost probes and the replay sweep read
-/// a clock, to time themselves (`trace::stopwatch`).
+/// replies out, with no socket, no sleep and no clock. A decision that
+/// `tests/golden_wire.rs` pins reply for reply, counters included, has
+/// no script here. Only the `#[ignore]`d cost probes and the replay sweep
+/// read a clock, to time themselves (`trace::stopwatch`).
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -1385,8 +1383,6 @@ pub(crate) mod tests {
         /// A `/proc` sample: runnable outsiders, dead pids; then what is
         /// due expires.
         Sample(u32, &'a [u32]),
-        /// Connection `.0` closes.
-        HangUp(u64),
     }
     use In::*;
 
@@ -1414,10 +1410,6 @@ pub(crate) mod tests {
                     },
                 );
                 core.expire(now);
-                true
-            }
-            HangUp(conn) => {
-                core.hang_up(conn);
                 true
             }
         };
@@ -1466,19 +1458,10 @@ pub(crate) mod tests {
         core.assignments().map(|(_, target, _)| target).collect()
     }
 
-    pub(crate) fn single_small_app_capped() {
-        play(
-            &mut core(8),
-            &[
-                (0, F("REGISTER 1 3"), "OK 7"),
-                (0, F("POLL 1"), "TARGET 3 7"),
-            ],
-        );
-    }
-
     /// Registration is idempotent per pid, whichever connection it
     /// arrives on: the paper's root-pid identity.
-    pub(crate) fn two_clients_from_same_process_share() {
+    #[test]
+    fn two_clients_from_same_process_share() {
         play(
             &mut core(8),
             &[
@@ -1493,7 +1476,8 @@ pub(crate) mod tests {
 
     /// Garbage gets an `ERR` reply, not silence, and is counted; a frame
     /// that is not UTF-8 also asks the driver to close the connection.
-    pub(crate) fn malformed_requests_get_err_replies() {
+    #[test]
+    fn malformed_requests_get_err_replies() {
         let mut core = core(8);
         play(
             &mut core,
@@ -1511,7 +1495,8 @@ pub(crate) mod tests {
         assert_eq!(counter(&core, "malformed"), 4);
     }
 
-    pub(crate) fn oversized_cpulist_in_a_wait_poll_is_malformed() {
+    #[test]
+    fn oversized_cpulist_in_a_wait_poll_is_malformed() {
         // 64 ranges of 2^20 ids each: 669 bytes on the wire that would
         // ask the single reactor thread for 256 MiB of CPU ids.
         let ranges = vec!["0-1048575"; 64].join(",");
@@ -1522,7 +1507,8 @@ pub(crate) mod tests {
         assert_eq!(counter(&core, "malformed"), 1);
     }
 
-    pub(crate) fn fields_are_separated_by_ascii_whitespace_and_nothing_else() {
+    #[test]
+    fn fields_are_separated_by_ascii_whitespace_and_nothing_else() {
         let mut core = core(8);
         let now = ms(0);
         // Runs of space, `\t`, `\r` and `\f` separate fields.
@@ -1554,78 +1540,8 @@ pub(crate) mod tests {
         );
     }
 
-    pub(crate) fn absurd_nworkers_rejected_over_the_wire() {
-        let register_max = format!("REGISTER 4242 {}", u32::MAX);
-        play(
-            &mut core(8),
-            &[
-                (0, F("REGISTER 1 4"), "OK 7"),
-                (0, F("REGISTER 4242 0"), "ERR bad-nworkers"),
-                (0, F(&register_max), "ERR bad-nworkers"),
-                (0, F("STATS ALL"), "STATS ALL pid=1 target=4 nworkers=4"),
-            ],
-        );
-    }
-
-    /// A BYE ends the registration; registering again restores service.
-    pub(crate) fn poll_without_register_is_unregistered() {
-        play(
-            &mut core(8),
-            &[
-                (0, F("POLL 1"), "ERR unregistered"),
-                (0, F("REGISTER 1 4"), "OK 7"),
-                (0, F("BYE 1"), "OK 7"),
-                (0, F("POLL 1 cpus"), "ERR unregistered"),
-                (0, F("REGISTER 1 4"), "OK 7"),
-                (0, F("POLL 1"), "TARGET 4 7"),
-            ],
-        );
-    }
-
-    /// A registration that goes silent loses its share one lease (30 s)
-    /// after it was last heard, to the millisecond; polling keeps the
-    /// other's lease fresh.
-    pub(crate) fn lease_expires_for_wedged_client() {
-        let mut core = core(8);
-        play(
-            &mut core,
-            &[
-                (0, F("REGISTER 1 8"), "OK 7"),
-                (0, F("REGISTER 999999 8"), "OK 7"),
-                (0, F("POLL 1"), "TARGET 4 7"),
-                (20_000, F("POLL 1"), "TARGET 4 7"),
-                (29_999, Due, ""),
-                (29_999, F("POLL 1"), "TARGET 4 7"),
-            ],
-        );
-        play(
-            &mut core,
-            &[(30_000, Due, ""), (30_000, F("POLL 1"), "TARGET 8 7")],
-        );
-        assert_eq!(counter(&core, "lease_expiries"), 1);
-        assert_eq!(gauge(&core, "apps"), 1);
-        play(&mut core, &[(59_999, F("POLL 999999"), "ERR unregistered")]);
-    }
-
-    /// The latest report wins, and a BYE clears it.
-    pub(crate) fn report_and_per_app_stats_roundtrip() {
-        play(
-            &mut core(8),
-            &[
-                (0, F("REGISTER 1 4"), "OK 7"),
-                (0, F("STATS 1"), "STATS"),
-                (0, F("REPORT 1 jobs_run=10 steals=3"), "OK 7"),
-                (0, F("STATS 1"), "STATS jobs_run=10 steals=3"),
-                (0, F("REPORT 1 jobs_run=20  steals=5"), "OK 7"),
-                (0, F("STATS 1"), "STATS jobs_run=20 steals=5"),
-                (0, F("BYE 1"), "OK 7"),
-                (0, F("REGISTER 1 4"), "OK 7"),
-                (0, F("STATS 1"), "STATS"),
-            ],
-        );
-    }
-
-    pub(crate) fn a_report_waits_at_most_one_lease_for_its_register() {
+    #[test]
+    fn a_report_waits_at_most_one_lease_for_its_register() {
         let mut core = core(8);
         let ttl = DEFAULT_LEASE_TTL;
         // 50 pids report and never register; one more registers in time.
@@ -1661,7 +1577,8 @@ pub(crate) mod tests {
 
     /// `STATS ALL` joins rows with `|`, so a REPORT with one in it is
     /// refused and nothing of it is stored.
-    pub(crate) fn a_report_with_a_pipe_can_neither_spoof_nor_break_stats_all() {
+    #[test]
+    fn a_report_with_a_pipe_can_neither_spoof_nor_break_stats_all() {
         let mut core = core(8);
         answer(&mut core, "REGISTER 1 4", ms(0));
         for report in ["x|pid=9 target=9 nworkers=9", "a|b", "jobs_run=1 |"] {
@@ -1674,7 +1591,8 @@ pub(crate) mod tests {
     }
 
     /// The `cpus` form names the processors; the plain form still works.
-    pub(crate) fn cpus_poll_roundtrip_over_the_wire() {
+    #[test]
+    fn cpus_poll_roundtrip_over_the_wire() {
         play(
             &mut core(8),
             &[
@@ -1688,38 +1606,8 @@ pub(crate) mod tests {
         );
     }
 
-    /// A set is a slice of the configured order, whose neighbours need
-    /// not be numeric neighbours.
-    pub(crate) fn cpus_poll_respects_configured_cpu_order() {
-        play(
-            &mut core_with(4, |cfg| cfg.cpu_order = Some(vec![2, 3, 0, 1])),
-            &[
-                (0, F("REGISTER 1 2"), "OK 7"),
-                (0, F("POLL 1 cpus"), "TARGET 2 7 cpus=2-3"),
-            ],
-        );
-    }
-
-    pub(crate) fn trace_max_caps_the_drain_oldest_first() {
-        play(
-            &mut core(8),
-            &[
-                (0, F("REGISTER 1 4"), "OK 7"),
-                (
-                    0,
-                    F("EVENTS 1 0:js:0:0,100:js:0:1,200:js:0:2,300:js:0:3"),
-                    "OK 7",
-                ),
-                (0, F("TRACE 1 2"), "TRACE 7 2 0:js:0:0,100:js:0:1"),
-                (0, F("TRACE 1"), "TRACE 7 2 200:js:0:2,300:js:0:3"),
-                (0, F("TRACE 1"), "TRACE 7 0"),
-                (0, F("BYE 1"), "OK 7"),
-                (0, F("EVENTS 1 0:js:0:0"), "ERR unregistered"),
-            ],
-        );
-    }
-
-    pub(crate) fn journal_bounded_drops_oldest_and_counts() {
+    #[test]
+    fn journal_bounded_drops_oldest_and_counts() {
         let mut core = core_with(8, |cfg| cfg.journal_cap = 4);
         let batch: Vec<String> = (0..10).map(|i| format!("{i}:js:0:{i}")).collect();
         play(
@@ -1737,48 +1625,11 @@ pub(crate) mod tests {
         assert_eq!(counter(&core, "journal_drops"), 6);
     }
 
-    /// A poll journals a decision instant, stamped with the `now` it was
-    /// answered at, when its target differs from the last one journaled.
-    pub(crate) fn decision_journal_records_target_changes_not_every_poll() {
-        play(
-            &mut core(8),
-            &[
-                (0, F("REGISTER 1 16"), "OK 7"),
-                (1, F("POLL 1"), "TARGET 8 7"),
-                (2, F("POLL 1 cpus"), "TARGET 8 7 cpus=0-7"),
-                (3, F("REGISTER 2 16"), "OK 7"),
-                (4, F("EVENTS 1 3500000:pk:2:0"), "OK 7"),
-                (5, F("POLL 1"), "TARGET 4 7"),
-                (
-                    6,
-                    F("TRACE 1"),
-                    "TRACE 7 3 1000000:dc:0:8,3500000:pk:2:0,5000000:dc:0:4",
-                ),
-            ],
-        );
-    }
-
-    pub(crate) fn stats_all_snapshots_every_app_in_one_roundtrip() {
-        play(
-            &mut core(8),
-            &[
-                (0, F("STATS ALL"), "STATS ALL"),
-                (0, F("REGISTER 1 16"), "OK 7"),
-                (0, F("REGISTER 2 16"), "OK 7"),
-                (0, F("REPORT 1 jobs_run=42 steals=3"), "OK 7"),
-                (
-                    0,
-                    F("STATS ALL"),
-                    "STATS ALL pid=1 target=4 nworkers=16 jobs_run=42 steals=3|pid=2 target=4 nworkers=16",
-                ),
-            ],
-        );
-    }
-
     /// N back-to-back REGISTERs dirty the partition N times (each of a
     /// new core's six counted as coalesced, the partition never having
     /// been read); the next read recomputes it once.
-    pub(crate) fn reactor_coalesces_register_bursts_into_one_recompute() {
+    #[test]
+    fn reactor_coalesces_register_bursts_into_one_recompute() {
         let mut core = core(8);
         let recomputes = core.recomputes();
         for pid in 1..=6 {
@@ -1789,75 +1640,10 @@ pub(crate) mod tests {
         assert_eq!(counter(&core, "recompute_coalesced"), 6);
     }
 
-    /// A wait-form poll that heard something else is answered at once;
-    /// one that heard the current answer parks, and is released in the
-    /// wakeup that changes it, after that wakeup's own reply.
-    pub(crate) fn parked_poll_is_answered_when_the_target_changes() {
-        let mut core = core(8);
-        play(
-            &mut core,
-            &[
-                (0, F("REGISTER 1 8"), "OK 7"),
-                (0, On(1, "POLL 1 wait 5000 7 7"), "@1 TARGET 8 7"),
-                (0, On(1, "POLL 1 wait 5000 8 6"), "@1 TARGET 8 7"),
-                (0, On(1, "POLL 1 wait 5000 8 7"), ""),
-                (1, On(2, "REGISTER 9 8"), "@2 OK 7 | @1 TARGET 4 7"),
-                (2, On(1, "POLL 1 wait 5000 4 7"), ""),
-                (3, On(2, "BYE 9"), "@2 OK 7 | @1 TARGET 8 7"),
-            ],
-        );
-        assert_eq!(counter(&core, "polls_parked"), 2);
-        assert_eq!(counter(&core, "park_released_changed"), 2);
-        assert_eq!(counter(&core, "park_released_held"), 0);
-        assert_eq!(gauge(&core, "parked"), 0);
-    }
-
-    /// With nothing new, a park is answered with what its client heard
-    /// when its hold runs out, to the millisecond; a hold is at most half
-    /// a lease. The cpus form holds the same way.
-    pub(crate) fn parked_poll_returns_the_unchanged_target_when_the_hold_runs_out() {
-        let mut core = core(8);
-        play(
-            &mut core,
-            &[
-                (0, F("REGISTER 1 8"), "OK 7"),
-                (0, On(1, "POLL 1 wait 100 8 7"), ""),
-                (99, Due, ""),
-                (100, Due, "@1 TARGET 8 7"),
-                (100, On(1, "POLL 1 cpus wait 60000 8 7 cpus=0-7"), ""),
-                (15_099, Due, ""),
-                (15_100, Due, "@1 TARGET 8 7 cpus=0-7"),
-            ],
-        );
-        assert_eq!(counter(&core, "park_released_held"), 2);
-        assert_eq!(counter(&core, "park_released_changed"), 0);
-    }
-
-    /// A later frame on a parked connection releases the park first, so
-    /// the connection's replies stay in frame order; a connection that
-    /// closes while parked is owed nothing.
-    pub(crate) fn frame_behind_a_park_releases_it_and_replies_stay_in_order() {
-        let mut core = core(8);
-        play(
-            &mut core,
-            &[
-                (0, F("REGISTER 1 8"), "OK 7"),
-                (0, On(1, "POLL 1 wait 5000 8 7"), ""),
-                (0, On(1, "STATS 1"), "@1 TARGET 8 7 | @1 STATS"),
-                (1, On(1, "POLL 1 wait 5000 8 7"), ""),
-                (2, On(1, "REPORT 1 jobs_run=1"), "@1 TARGET 8 7 | @1 OK 7"),
-                (3, On(1, "POLL 1 wait 5000 8 7"), ""),
-                (3, HangUp(1), ""),
-                (4, F("REGISTER 2 8"), "OK 7"),
-            ],
-        );
-        assert_eq!(gauge(&core, "parked"), 0);
-        assert_eq!(counter(&core, "park_released_held"), 2);
-    }
-
     /// A park released early takes its hold off the deadlines the driver
     /// sleeps until.
-    pub(crate) fn a_park_released_early_leaves_the_reactor_asleep() {
+    #[test]
+    fn a_park_released_early_leaves_the_reactor_asleep() {
         let mut core = core(8);
         play(
             &mut core,
@@ -1878,7 +1664,8 @@ pub(crate) mod tests {
 
     /// One REGISTER releases a thousand parks in the one wakeup it
     /// arrives in.
-    pub(crate) fn a_thousand_parked_connections_are_released_by_one_register() {
+    #[test]
+    fn a_thousand_parked_connections_are_released_by_one_register() {
         let mut core = core(8);
         answer(&mut core, "REGISTER 1 8", ms(0));
         for conn in 1..=1000 {
@@ -1893,19 +1680,8 @@ pub(crate) mod tests {
         assert_eq!(gauge(&core, "parked"), 0);
     }
 
-    pub(crate) fn weighted_equal_reports_reduce_to_equal_partition() {
-        let mut core = core_with(8, |cfg| cfg.weighted = true);
-        answer(&mut core, "REGISTER 1 16", ms(0));
-        answer(&mut core, "REGISTER 2 16", ms(0));
-        // With no reports at all, weighting degrades to equal.
-        assert_eq!(targets(&mut core), [4, 4]);
-        // And with identical throughput reports for both apps too.
-        answer(&mut core, "REPORT 1 jobs_run=500 steals=7", ms(0));
-        answer(&mut core, "REPORT 2 jobs_run=500", ms(0));
-        assert_eq!(targets(&mut core), [4, 4]);
-    }
-
-    pub(crate) fn weighted_unequal_reports_skew_shares() {
+    #[test]
+    fn weighted_unequal_reports_skew_shares() {
         let reported = |weighted: bool| {
             let mut core = core_with(8, |cfg| cfg.weighted = weighted);
             for line in ["REGISTER 1 16", "REGISTER 2 16", "REPORT 1 jobs_run=3000"] {
@@ -1927,7 +1703,8 @@ pub(crate) mod tests {
         assert_eq!(reported(false), [4, 4], "unweighted, the same reports");
     }
 
-    pub(crate) fn weighted_targets_survive_a_snapshot_restore() {
+    #[test]
+    fn weighted_targets_survive_a_snapshot_restore() {
         let mut before = core_with(16, |cfg| cfg.weighted = true);
         for line in [
             "REGISTER 1 16",
@@ -1948,7 +1725,8 @@ pub(crate) mod tests {
         assert_eq!(targets(&mut after), targets_before);
     }
 
-    pub(crate) fn a_snapshot_does_not_depend_on_the_order_reports_arrived_in() {
+    #[test]
+    fn a_snapshot_does_not_depend_on_the_order_reports_arrived_in() {
         // Registered pids and pids that only report, spread out so that
         // they share hash buckets.
         let pids: Vec<u32> = (0..300).map(|i| 900_000 + i * 37).collect();
@@ -2060,7 +1838,8 @@ pub(crate) mod tests {
     /// were computed with: an unchanged one leaves the recompute count
     /// and the parked polls alone, a changed one recomputes once and
     /// releases the parks whose reply it moved.
-    pub(crate) fn a_load_sample_recomputes_only_when_its_count_changes() {
+    #[test]
+    fn a_load_sample_recomputes_only_when_its_count_changes() {
         let mut core = core_with(8, |cfg| cfg.account_system_load = true);
         play(
             &mut core,
@@ -2114,10 +1893,7 @@ pub(crate) mod tests {
     /// exactly the ones the model expects, each for a pid still registered
     /// and each still owed the reply its client heard — whatever changed
     /// an answer also delivered it.
-    pub(crate) fn replay_against_a_from_scratch_core(
-        cpus: u32,
-        steps: Vec<(u32, u32, u32, u64)>,
-    ) -> [u64; 3] {
+    fn replay_against_a_from_scratch_core(cpus: u32, steps: Vec<(u32, u32, u32, u64)>) -> [u64; 3] {
         let mut cfg = UdsServerConfig::new("/nonexistent", cpus as usize);
         cfg.weighted = true;
         cfg.account_system_load = true;
@@ -2314,7 +2090,8 @@ pub(crate) mod tests {
     /// poll (the last step): the core answers it in the wakeup that parks
     /// it, its hold being over as it starts, where the model once
     /// expected a park.
-    pub(crate) fn replay_with_a_zero_hold_poll_matches() {
+    #[test]
+    fn replay_with_a_zero_hold_poll_matches() {
         replay_against_a_from_scratch_core(
             8,
             vec![
@@ -2354,11 +2131,6 @@ pub(crate) mod tests {
                 (9, 2, 0, 10785),
             ],
         );
-    }
-
-    /// The replay's steps: `(op, pid, arg, gap in ms)`.
-    pub(crate) fn replay_steps() -> impl Strategy<Value = Vec<(u32, u32, u32, u64)>> {
-        prop::collection::vec((0u32..13, 0u32..6, 0u32..5_000, 0u64..12_000), 1..48)
     }
 
     /// CI's chaos lane: `cargo test --release -p native-rt --lib --
@@ -2412,50 +2184,71 @@ pub(crate) mod tests {
         answer(&mut core, line, ms(0))
     }
 
-    /// The parser never panics and always writes exactly one
-    /// newline-terminated reply — `ERR …` or a valid verb reply — for an
-    /// arbitrary line.
-    pub(crate) fn wire_parser_total_on_arbitrary_lines(bytes: &[u8]) {
-        let reply = fuzz_reply(&String::from_utf8_lossy(bytes));
-        prop_assert!(
-            reply.ends_with('\n'),
-            "reply not newline-terminated: {:?}",
-            reply
-        );
-        prop_assert_eq!(reply.matches('\n').count(), 1);
-        let heads = ["ERR ", "OK ", "TARGET ", "TRACE ", "STATS"];
-        let valid = heads.iter().any(|h| reply.starts_with(h));
-        prop_assert!(valid, "unclassifiable reply: {:?}", reply);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Well-formed verbs with arbitrary numeric arguments never panic
-    /// either (overflow pids, absurd worker counts, huge stats pids).
-    pub(crate) fn wire_parser_total_on_numeric_edge_cases(verb: usize, a: u64, b: u64) {
-        let line = match verb {
-            0 => format!("REGISTER {a} {b}"),
-            1 => format!("POLL {a}"),
-            2 => format!("BYE {a}"),
-            3 => format!("REPORT {a} x={b}"),
-            4 => format!("TRACE {a} {b}"),
-            5 => format!("EVENTS {a} {b}:js:0:0"),
-            _ => format!("STATS {a}"),
-        };
-        prop_assert!(fuzz_reply(&line).ends_with('\n'));
-    }
+        /// [`replay_against_a_from_scratch_core`] on 2, 4 or 8 processors;
+        /// each step is `(op, pid, arg, gap in ms)`.
+        #[test]
+        fn cached_partition_matches_a_from_scratch_replay(
+            cpus in (1u32..4).prop_map(|k| 1 << k),
+            steps in prop::collection::vec((0u32..13, 0u32..6, 0u32..5_000, 0u64..12_000), 1..48),
+        ) {
+            replay_against_a_from_scratch_core(cpus, steps);
+        }
 
-    /// TRACE is total over arbitrary pid/max strings: every reply is one
-    /// line, a well-formed `TRACE <epoch> <n> …` or an `ERR`.
-    pub(crate) fn trace_verb_total_on_arbitrary_arguments(pid: &str, max: &str) {
-        let reply = fuzz_reply(&format!("TRACE {pid} {max}"));
-        prop_assert!(reply.ends_with('\n'));
-        prop_assert_eq!(reply.matches('\n').count(), 1);
-        let ok = reply.starts_with("TRACE ") || reply.starts_with("ERR ");
-        prop_assert!(ok, "unclassifiable reply: {:?}", reply);
-        if let Some(rest) = reply.strip_prefix("TRACE ") {
-            let fields: Vec<&str> = rest.split_whitespace().collect();
-            prop_assert!(fields.len() >= 2, "short TRACE reply: {:?}", reply);
-            prop_assert!(fields[0].parse::<u64>().is_ok());
-            prop_assert!(fields[1].parse::<usize>().is_ok());
+        /// The parser never panics and always writes exactly one
+        /// newline-terminated reply — `ERR …` or a valid verb reply — for an
+        /// arbitrary line.
+        #[test]
+        fn wire_parser_total_on_arbitrary_lines(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+            let reply = fuzz_reply(&String::from_utf8_lossy(&bytes));
+            prop_assert!(
+                reply.ends_with('\n'),
+                "reply not newline-terminated: {:?}",
+                reply
+            );
+            prop_assert_eq!(reply.matches('\n').count(), 1);
+            let heads = ["ERR ", "OK ", "TARGET ", "TRACE ", "STATS"];
+            let valid = heads.iter().any(|h| reply.starts_with(h));
+            prop_assert!(valid, "unclassifiable reply: {:?}", reply);
+        }
+
+        /// Well-formed verbs with arbitrary numeric arguments never panic
+        /// either (overflow pids, absurd worker counts, huge stats pids).
+        #[test]
+        fn wire_parser_total_on_numeric_edge_cases(
+            verb in 0usize..7,
+            a in any::<u64>(),
+            b in any::<u64>(),
+        ) {
+            let line = match verb {
+                0 => format!("REGISTER {a} {b}"),
+                1 => format!("POLL {a}"),
+                2 => format!("BYE {a}"),
+                3 => format!("REPORT {a} x={b}"),
+                4 => format!("TRACE {a} {b}"),
+                5 => format!("EVENTS {a} {b}:js:0:0"),
+                _ => format!("STATS {a}"),
+            };
+            prop_assert!(fuzz_reply(&line).ends_with('\n'));
+        }
+
+        /// TRACE is total over arbitrary pid/max strings: every reply is one
+        /// line, a well-formed `TRACE <epoch> <n> …` or an `ERR`.
+        #[test]
+        fn trace_verb_total_on_arbitrary_arguments(pid in "[ -~]{0,12}", max in "[ -~]{0,12}") {
+            let reply = fuzz_reply(&format!("TRACE {pid} {max}"));
+            prop_assert!(reply.ends_with('\n'));
+            prop_assert_eq!(reply.matches('\n').count(), 1);
+            let ok = reply.starts_with("TRACE ") || reply.starts_with("ERR ");
+            prop_assert!(ok, "unclassifiable reply: {:?}", reply);
+            if let Some(rest) = reply.strip_prefix("TRACE ") {
+                let fields: Vec<&str> = rest.split_whitespace().collect();
+                prop_assert!(fields.len() >= 2, "short TRACE reply: {:?}", reply);
+                prop_assert!(fields[0].parse::<u64>().is_ok());
+                prop_assert!(fields[1].parse::<usize>().is_ok());
+            }
         }
     }
 

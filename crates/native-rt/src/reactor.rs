@@ -756,7 +756,7 @@ fn drain_and_handle(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -897,8 +897,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The reactor's socket tests, each run as `uds::tests::<name>`: the
-    /// test ids they had when they lived there.
+    /// The reactor's socket tests, against a real [`UdsServer`].
     #[cfg(target_os = "linux")]
     mod sockets {
         use super::*;
@@ -919,7 +918,8 @@ pub(crate) mod tests {
 
         /// A window of frames in one write gets every reply, in order, and
         /// the reactor batches them: many frames per wakeup, one flush.
-        pub(crate) fn reactor_serves_pipelined_bursts_in_order_and_batches() {
+        #[test]
+        fn reactor_serves_pipelined_bursts_in_order_and_batches() {
             let (path, server) = server("pipelined");
             let (mut stream, me) = (connect(&path), std::process::id());
             let burst: String = (1..=32)
@@ -939,7 +939,8 @@ pub(crate) mod tests {
 
         /// Frames trickled one byte at a time still parse; a client that
         /// disappears mid-frame does not wedge the loop for others.
-        pub(crate) fn reactor_survives_torn_writes_and_half_closed_clients() {
+        #[test]
+        fn reactor_survives_torn_writes_and_half_closed_clients() {
             let (path, server) = server("torn");
             let (mut a, me, e) = (connect(&path), std::process::id(), server.epoch());
             for byte in format!("REGISTER {me} 16\nPOLL {me}\n").bytes() {
@@ -1003,7 +1004,8 @@ pub(crate) mod tests {
             server.stats().counters["reactor_wakeups"] - before
         }
 
-        pub(crate) fn a_client_that_never_reads_is_throttled_then_answered_in_order() {
+        #[test]
+        fn a_client_that_never_reads_is_throttled_then_answered_in_order() {
             let (path, server) = server("backpressure");
             let epoch = server.epoch();
             // Frame k is `REPORT 7 seq=<k/2>` for even k and `STATS 7` for
@@ -1063,7 +1065,8 @@ pub(crate) mod tests {
             assert_eq!(line, "", "replies beyond one per frame");
         }
 
-        pub(crate) fn a_throttled_client_that_hangs_up_is_closed() {
+        #[test]
+        fn a_throttled_client_that_hangs_up_is_closed() {
             let (path, server) = server("backpressure-hangup");
             let mut stream = UnixStream::connect(&path).expect("connect");
             let sent = push_unread(&mut stream, |_| "STATS ALL\n".to_string(), 64 << 20);
@@ -1075,7 +1078,4 @@ pub(crate) mod tests {
             assert!(ask(&mut client(&path), "STATS").starts_with("STATS "));
         }
     }
-
-    #[cfg(target_os = "linux")]
-    pub(crate) use sockets::*;
 }

@@ -64,11 +64,11 @@
 //! - **Epochs.** The server stamps every reply with its boot epoch. A
 //!   client that observes a different epoch than it registered under knows
 //!   the server restarted (and forgot it) and must re-register.
-//! - **Leases.** Each registration carries a TTL refreshed by POLL and
-//!   REPORT. A wedged-but-alive client loses its processor share after
-//!   the lease expires; a later POLL from an expired (or never-registered,
-//!   or forgotten-by-restart) pid gets `ERR unregistered`, the cue to
-//!   re-register.
+//! - **Leases.** Each registration carries a TTL refreshed by POLL,
+//!   REPORT and EVENTS. A wedged-but-alive client loses its processor
+//!   share after the lease expires; a later POLL from an expired (or
+//!   never-registered, or forgotten-by-restart) pid gets `ERR
+//!   unregistered`, the cue to re-register.
 //! - **`/proc` samples.** While an application is registered, the
 //!   reactor walks `/proc` every `SAMPLE_PERIOD` (500 ms) — the real
 //!   `rpstat` sweep — and the core drops the registrations of processes
@@ -80,8 +80,9 @@
 //!   in flight.
 //! - **Stale sockets.** On startup the server probes an existing socket
 //!   file: if a live server answers, startup fails with `AddrInUse`;
-//!   if nothing is listening, the stale file (a previous crash) is
-//!   reclaimed.
+//!   if nothing is listening, the stale socket (a previous crash) is
+//!   reclaimed. A path that holds anything but a socket is never
+//!   removed: startup fails with `AlreadyExists`.
 //! - **Client timeouts.** [`UdsClient::connect`] arms read *and* write
 //!   timeouts on the stream, so no client can hang indefinitely on a
 //!   wedged server. Applications use [`crate::SupervisedClient`], which
@@ -105,6 +106,7 @@
 //! back out with `TRACE`, correlated across restarts by the boot epoch.
 
 use std::io::{self, BufRead, BufReader, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -157,11 +159,11 @@ pub(crate) fn write_snapshot(core: &ControlCore, now: Duration) {
 pub struct UdsServer {
     path: PathBuf,
     epoch: u64,
-    // sched-atomic(handoff): Release store in shutdown publishes the
-    // final epoch state; accept/poll loops load with Acquire.
+    // sched-atomic(handoff): Release store in `drop` asks the reactor
+    // thread to finish; its loop loads with Acquire before each wait.
     stop: Arc<AtomicBool>,
     registry: Arc<Registry>,
-    accept_thread: Option<JoinHandle<()>>,
+    reactor_thread: Option<JoinHandle<()>>,
 }
 
 impl UdsServer {
@@ -169,12 +171,21 @@ impl UdsServer {
     ///
     /// An existing socket file is probed first: if a live server answers
     /// the connect, this fails with [`io::ErrorKind::AddrInUse`]; if
-    /// nothing is listening the file is stale (a crashed predecessor) and
-    /// is reclaimed. An invalid `cfg` (see [`UdsServerConfig::validate`])
-    /// fails with [`io::ErrorKind::InvalidInput`].
+    /// nothing is listening the socket is stale (a crashed predecessor)
+    /// and is reclaimed. Anything at the path that is not a socket (a
+    /// regular file, a directory, a symlink) is left alone, and this fails
+    /// with [`io::ErrorKind::AlreadyExists`]. An invalid `cfg` (see
+    /// [`UdsServerConfig::validate`]) fails with
+    /// [`io::ErrorKind::InvalidInput`].
     pub fn start(cfg: UdsServerConfig) -> io::Result<Self> {
         cfg.validate()?;
-        if cfg.path.exists() {
+        if let Ok(meta) = std::fs::symlink_metadata(&cfg.path) {
+            if !meta.file_type().is_socket() {
+                return Err(io::Error::new(
+                    io::ErrorKind::AlreadyExists,
+                    format!("{} exists and is not a socket", cfg.path.display()),
+                ));
+            }
             match UnixStream::connect(&cfg.path) {
                 Ok(_) => {
                     return Err(io::Error::new(
@@ -213,7 +224,7 @@ impl UdsServer {
         let stop = Arc::new(AtomicBool::new(false));
         // The reactor thread owns the core outright.
         let reactor = Reactor::new(listener, core);
-        let accept_thread = {
+        let reactor_thread = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("procctl-uds-reactor".into())
@@ -225,7 +236,7 @@ impl UdsServer {
             epoch,
             stop,
             registry,
-            accept_thread: Some(accept_thread),
+            reactor_thread: Some(reactor_thread),
         })
     }
 
@@ -250,7 +261,7 @@ impl UdsServer {
 impl Drop for UdsServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
+        if let Some(t) = self.reactor_thread.take() {
             let _ = t.join();
         }
         let _ = std::fs::remove_file(&self.path);
@@ -522,86 +533,10 @@ impl UdsClient {
 #[cfg(all(test, target_os = "linux"))]
 pub(crate) mod tests {
     use super::*;
-    use crate::control::tests as core;
     use crate::trace::EventKind;
     use crate::{PollerGuard, SupervisedClient, SupervisorConfig, TargetSlot};
-    use proptest::prelude::*;
     use std::io::Read;
     use std::time::Instant;
-
-    /// Tests that live with the code they check and keep the names they
-    /// had here: the core's decisions (scripts in `control.rs`, no socket)
-    /// and the reactor's framing and throttling (`reactor.rs`).
-    macro_rules! run_as {
-        ($module:ident: $($name:ident),* $(,)?) => {$(
-            #[test]
-            fn $name() {
-                crate::$module::tests::$name()
-            }
-        )*};
-    }
-
-    run_as! { reactor:
-        reactor_serves_pipelined_bursts_in_order_and_batches,
-        reactor_survives_torn_writes_and_half_closed_clients,
-        a_client_that_never_reads_is_throttled_then_answered_in_order,
-        a_throttled_client_that_hangs_up_is_closed,
-    }
-
-    run_as! { control:
-        single_small_app_capped, two_clients_from_same_process_share,
-        malformed_requests_get_err_replies, oversized_cpulist_in_a_wait_poll_is_malformed,
-        fields_are_separated_by_ascii_whitespace_and_nothing_else,
-        absurd_nworkers_rejected_over_the_wire, poll_without_register_is_unregistered,
-        lease_expires_for_wedged_client, report_and_per_app_stats_roundtrip,
-        a_report_waits_at_most_one_lease_for_its_register,
-        a_report_with_a_pipe_can_neither_spoof_nor_break_stats_all,
-        cpus_poll_roundtrip_over_the_wire, cpus_poll_respects_configured_cpu_order,
-        trace_max_caps_the_drain_oldest_first, journal_bounded_drops_oldest_and_counts,
-        decision_journal_records_target_changes_not_every_poll,
-        stats_all_snapshots_every_app_in_one_roundtrip,
-        reactor_coalesces_register_bursts_into_one_recompute,
-        parked_poll_is_answered_when_the_target_changes,
-        parked_poll_returns_the_unchanged_target_when_the_hold_runs_out,
-        frame_behind_a_park_releases_it_and_replies_stay_in_order,
-        a_park_released_early_leaves_the_reactor_asleep,
-        a_thousand_parked_connections_are_released_by_one_register,
-        weighted_equal_reports_reduce_to_equal_partition, weighted_unequal_reports_skew_shares,
-        weighted_targets_survive_a_snapshot_restore,
-        a_snapshot_does_not_depend_on_the_order_reports_arrived_in,
-        replay_with_a_zero_hold_poll_matches, a_load_sample_recomputes_only_when_its_count_changes,
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn cached_partition_matches_a_from_scratch_replay(
-            cpus in (1u32..4).prop_map(|k| 1 << k),
-            steps in core::replay_steps(),
-        ) {
-            core::replay_against_a_from_scratch_core(cpus, steps);
-        }
-
-        #[test]
-        fn wire_parser_total_on_arbitrary_lines(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-            core::wire_parser_total_on_arbitrary_lines(&bytes);
-        }
-
-        #[test]
-        fn wire_parser_total_on_numeric_edge_cases(
-            verb in 0usize..7,
-            a in any::<u64>(),
-            b in any::<u64>(),
-        ) {
-            core::wire_parser_total_on_numeric_edge_cases(verb, a, b);
-        }
-
-        #[test]
-        fn trace_verb_total_on_arbitrary_arguments(pid in "[ -~]{0,12}", max in "[ -~]{0,12}") {
-            core::trace_verb_total_on_arbitrary_arguments(&pid, &max);
-        }
-    }
 
     fn sock_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("procctl-test-{}-{tag}.sock", std::process::id()))
@@ -738,6 +673,14 @@ pub(crate) mod tests {
         // A second server on the same path must refuse, not steal it.
         let err = UdsServer::start(UdsServerConfig::new(&path, 4)).err();
         assert_eq!(err.expect("must fail").kind(), io::ErrorKind::AddrInUse);
+        // A regular file at the path is nobody's socket: refused, kept.
+        let file = sock_path("not-a-socket");
+        std::fs::write(&file, "fig4 results\n").expect("plant file");
+        let err = UdsServer::start(UdsServerConfig::new(&file, 4)).err();
+        assert_eq!(err.expect("must fail").kind(), io::ErrorKind::AlreadyExists);
+        let kept = std::fs::read_to_string(&file).expect("the file survives");
+        assert_eq!(kept, "fig4 results\n");
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! yielding at thread start to perturb schedules. That turns the
 //! `cfg(loom)` tests into a deterministic-API stress harness — far weaker
 //! than real loom, but it exercises the same interleaving-sensitive code
-//! paths under the race detector lanes (see the ThreadSanitizer CI job),
-//! and the tests run unchanged against real loom when a network-enabled
-//! checkout swaps the shim out.
+//! paths on real threads, and the tests run unchanged against real loom
+//! when a network-enabled checkout swaps the shim out. No race detector
+//! watches these replays: the ThreadSanitizer CI job runs the `stress`
+//! and `chaos` tests only.
 
 /// How many times [`model`] replays its closure.
 pub const MODEL_ITERATIONS: usize = 256;
